@@ -17,13 +17,10 @@
 //!    runs the plan's node batches concurrently on the store's shared
 //!    fetch pool ([`serve`](crate::serve)): each batch is one pool
 //!    job, so fetch threads are bounded by the pool size no matter
-//!    how many queries are in flight (the retired per-query
-//!    scatter-gather spawn survives as
-//!    [`RStore::execute_spawn`](crate::store::RStore::execute_spawn),
-//!    the baseline the throughput bench measures against). Whichever
-//!    executor slot delivers a chunk's second half (chunk blob +
-//!    chunk map) decodes the pair — decode overlaps with the other
-//!    batches' transfers — and admits it to the cache. Modeled
+//!    how many queries are in flight. Whichever executor slot
+//!    delivers a chunk's second half (chunk blob + chunk map) decodes
+//!    the pair — decode overlaps with the other batches' transfers —
+//!    and admits it to the cache. Modeled
 //!    network time is taken as the **max over node batches**
 //!    (parallel scatter-gather), not their sum. A node that fails
 //!    mid-query does not fail the query: its batch's keys are
@@ -192,8 +189,8 @@ impl Default for HedgeConfig {
 /// Per-execution tail-defense policy. Both knobs default to off, so
 /// an unconfigured execution is bit-identical to the pre-hedging
 /// executor; hedging additionally requires the pooled mode (the
-/// serial oracle and the spawn baseline have no backup lane to run a
-/// hedge on, and their answers must stay byte-identical regardless).
+/// serial oracle has no backup lane to run a hedge on, and its
+/// answers must stay byte-identical regardless).
 #[derive(Debug, Clone, Default)]
 pub(crate) struct ExecPolicy {
     /// Hedge straggler node batches (pooled executor only).
@@ -485,8 +482,8 @@ pub struct FetchMetrics {
     /// the failure, so their max adds on top.
     pub modeled_network: Duration,
     /// Time spent queued in admission control before execution began
-    /// (pooled executor only; the serial and spawn executors bypass
-    /// admission and report zero).
+    /// (pooled executor only; the serial executor bypasses admission
+    /// and reports zero).
     pub queue_wait: Duration,
 }
 
@@ -733,11 +730,10 @@ where
 /// slot, overlapping the node's remaining I/O.
 ///
 /// `workers` is the parallelism actually available to this query:
-/// the global core count for the spawn-per-query executor, but the
-/// fetch pool's *currently free* slots for the pooled one — a wide
-/// query arriving while the pool is busy serving other queries no
-/// longer fans out as if it owned every core, so it cannot starve
-/// concurrent queries' decode parallelism.
+/// the fetch pool's *currently free* slots — a wide query arriving
+/// while the pool is busy serving other queries does not fan out as
+/// if it owned every core, so it cannot starve concurrent queries'
+/// decode parallelism.
 fn split_for_decode(batches: Vec<NodeBatch>, workers: usize) -> Vec<NodeBatch> {
     /// Don't bother splitting below this many keys per sub-batch
     /// (8 chunks): the extra round-trip bookkeeping would cost more
@@ -784,11 +780,6 @@ pub(crate) enum ExecMode<'a> {
     /// network time summed over nodes: the reference walk the
     /// property tests oracle against.
     Serial,
-    /// One scoped thread per node (sub-)batch, spawned and joined by
-    /// this query alone — the pre-pool production executor, kept as
-    /// the spawn-per-query baseline the throughput bench measures the
-    /// shared pool against.
-    Spawn,
     /// Batches submitted as jobs to the store's shared [`FetchPool`]
     /// and awaited behind a round barrier: fetch threads are bounded
     /// by the pool size no matter how many queries run concurrently.
@@ -797,15 +788,15 @@ pub(crate) enum ExecMode<'a> {
 
 impl ExecMode<'_> {
     /// Whether modeled network time takes the parallel max over nodes
-    /// (both concurrent executors) or the serial sum.
+    /// or the serial sum.
     fn parallel(&self) -> bool {
         !matches!(self, ExecMode::Serial)
     }
 }
 
 /// Shared state of one fetch execution, behind an `Arc` so pooled
-/// batch jobs (which outlive no borrow) and scoped spawn threads can
-/// run the identical [`run_batch`] code. The per-round fields are
+/// batch jobs (which outlive no borrow) and the serial walk run the
+/// identical [`run_batch`] code. The per-round fields are
 /// drained with `mem::take` at each round barrier — every job of the
 /// round has finished by then, so the round loop reads settled
 /// values.
@@ -838,8 +829,8 @@ struct FetchCtx {
 
 /// Ships one node (sub-)batch, files stranded keys for the failover
 /// re-plan, and decodes every chunk whose second half this reply
-/// delivered. Runs on the caller's thread (serial), a scoped thread
-/// (spawn), or a pool worker (pooled) — the failover semantics live
+/// delivered. Runs on the caller's thread (serial) or a pool worker
+/// (pooled) — the failover semantics live
 /// entirely in the data it records, not in who runs it. `progress`
 /// is the hedged round's delivery tracker (`None` on the unhedged
 /// paths): each first-delivered half is counted after any decode it
@@ -1120,28 +1111,18 @@ fn run_round_hedged(
     }
 }
 
-/// Runs a plan's fetch stage under the chosen [`ExecMode`] with the
-/// default (everything off) [`ExecPolicy`]. All three executors share
-/// [`run_batch`] and the round loop below, so the failover/retry
-/// semantics are mode-independent by construction: a round's batches
-/// run to completion (serially, on scoped threads, or behind the
-/// pool's round barrier), then failed nodes are excluded and stranded
-/// keys re-planned onto untried live replicas.
+/// Runs a plan's fetch stage under the chosen [`ExecMode`] and
+/// tail-defense [`ExecPolicy`] (hedging, pooled mode only, and a
+/// fetch-stage deadline; the default policy has everything off). Both
+/// executors share [`run_batch`] and the round loop below, so the
+/// failover/retry semantics are mode-independent by construction: a
+/// round's batches run to completion (serially, or behind the pool's
+/// round barrier), then failed nodes are excluded and stranded keys
+/// re-planned onto untried live replicas. The deadline accrues each
+/// round's **max-over-nodes** modeled time in every mode — including
+/// serial, whose *reported* modeled time stays the honest sum — so
+/// the trip point is mode-independent.
 pub(crate) fn execute_plan(
-    cluster: &Arc<Cluster>,
-    cache: &Arc<ChunkCache>,
-    plan: QueryPlan,
-    mode: ExecMode<'_>,
-) -> Result<ExecutedQuery, CoreError> {
-    execute_plan_with(cluster, cache, plan, mode, ExecPolicy::default())
-}
-
-/// [`execute_plan`] with an explicit tail-defense [`ExecPolicy`]:
-/// hedging (pooled mode only) and a fetch-stage deadline. The
-/// deadline accrues each round's **max-over-nodes** modeled time in
-/// every mode — including serial, whose *reported* modeled time stays
-/// the honest sum — so the trip point is mode-independent.
-pub(crate) fn execute_plan_with(
     cluster: &Arc<Cluster>,
     cache: &Arc<ChunkCache>,
     plan: QueryPlan,
@@ -1233,7 +1214,6 @@ pub(crate) fn execute_plan_with(
             // others left idle.
             let exec_batches = match mode {
                 ExecMode::Serial => round_batches,
-                ExecMode::Spawn => split_for_decode(round_batches, worker_count(0)),
                 ExecMode::Pool(pool) => split_for_decode(round_batches, pool.free_slots().max(1)),
             };
 
@@ -1272,16 +1252,8 @@ pub(crate) fn execute_plan_with(
                     }
                     barrier.wait();
                 }
-                ExecMode::Spawn if exec_batches.len() > 1 => {
-                    std::thread::scope(|scope| {
-                        for batch in exec_batches {
-                            let ctx = &ctx;
-                            scope.spawn(move || run_batch(ctx, batch, None));
-                        }
-                    });
-                }
                 // A single batch runs inline on the query's own
-                // thread in every mode: no spawn, no pool round trip.
+                // thread in every mode: no pool round trip.
                 _ => {
                     for batch in exec_batches {
                         run_batch(&ctx, batch, None);

@@ -58,8 +58,8 @@ pub struct QueryStats {
     pub elapsed: Duration,
     /// Time the query spent queued in admission control before the
     /// serving core granted it an in-flight slot (zero when a slot
-    /// was free on arrival, and always zero for the serial and
-    /// spawn-per-query executors, which bypass admission).
+    /// was free on arrival, and always zero for the serial executor,
+    /// which bypasses admission).
     pub queue_wait: Duration,
     /// Modeled network time accrued at the backend: the **max over
     /// the parallel node batches** (a real scatter-gather overlaps

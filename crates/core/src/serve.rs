@@ -5,9 +5,8 @@
 //! # Why a shared pool
 //!
 //! Until this module existed, every query's scatter-gather fetch
-//! spawned one scoped OS thread per contacted node
-//! ([`plan::execute_plan`](crate::plan)), so serving `Q` concurrent
-//! clients against an `N`-node cluster cost `Q × N` thread
+//! spawned one scoped OS thread per contacted node, so serving `Q`
+//! concurrent clients against an `N`-node cluster cost `Q × N` thread
 //! spawns/joins — and nothing bounded `Q`. The paper's query-server
 //! tier is exactly the component that must multiplex many clients
 //! over a fixed resource budget, so the executor is now a thin client

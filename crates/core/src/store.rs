@@ -2165,7 +2165,7 @@ impl RStore {
                 .then(|| Arc::clone(self.obs.registry())),
             trace: trace.cloned(),
         };
-        match plan::execute_plan_with(
+        match plan::execute_plan(
             &self.cluster,
             &self.cache,
             plan,
@@ -2193,23 +2193,19 @@ impl RStore {
         }
     }
 
-    /// The retired per-query scatter-gather executor: one scoped
-    /// thread per node (sub-)batch, spawned and joined by this query
-    /// alone, bypassing admission control and the shared pool. Kept
-    /// as the spawn-per-query baseline `bench_throughput` measures
-    /// the serving core against; results are identical to
-    /// [`RStore::execute`].
-    pub fn execute_spawn(&self, plan: QueryPlan) -> Result<ExecutedQuery, CoreError> {
-        plan::execute_plan(&self.cluster, &self.cache, plan, ExecMode::Spawn)
-    }
-
     /// The serial reference executor: identical results to
     /// [`RStore::execute`], but node batches run one after another
     /// and modeled network time sums instead of taking the parallel
     /// max. This is the oracle the property tests compare against and
     /// the baseline `bench_pipeline` measures the speedup over.
     pub fn execute_serial(&self, plan: QueryPlan) -> Result<ExecutedQuery, CoreError> {
-        plan::execute_plan(&self.cluster, &self.cache, plan, ExecMode::Serial)
+        plan::execute_plan(
+            &self.cluster,
+            &self.cache,
+            plan,
+            ExecMode::Serial,
+            ExecPolicy::default(),
+        )
     }
 
     /// Serving-core counters: fetch-pool size and jobs run, queries

@@ -3,10 +3,30 @@
 //! [`Cluster`] owns one OS thread per simulated storage node and a
 //! consistent-hash ring that routes keys to nodes, with writes
 //! replicated to `replication` successive nodes and reads served by
-//! the first live replica. The client issues multi-key reads in
-//! parallel across nodes (one batch message per node, processed
-//! concurrently by the node threads) — mirroring how RStore "issues
-//! queries in parallel to the backend store" (§2.4).
+//! the first live replica. RStore needs only basic get/put/delete
+//! "issued in parallel to the backend store" (§2.4, §2.6), so the hop
+//! speaks exactly one batched message per verb (`MultiGet`,
+//! `MultiPut`, `MultiDelete`; a single-key operation is a one-element
+//! batch) and is written once on each side:
+//!
+//! * **node side** — every data request passes one admit step (the
+//!   administrative down flag, then the scripted chaos plan) before
+//!   its verb's handler touches the engine;
+//! * **client side** — one private primitive pair ships a batch to a
+//!   node (`Cluster::send`) and later waits for its reply
+//!   (`Cluster::settle`), retrying transient refusals under the
+//!   [`RetryPolicy`] with the backoff charged as modeled time. A copy
+//!   of the batch is kept only when a retry or re-route can need it
+//!   (a chaos plan is attached, or a write has another replica to
+//!   fall back to), so the healthy path never clones.
+//!
+//! Every public verb is a thin composition over that pair: the
+//! scatter-gather calls group keys per node, send all batches, then
+//! settle them (nodes serve their batches concurrently);
+//! [`Cluster::fetch_from`] adds health scoring; [`Cluster::get`] walks
+//! the replica set in ring order; [`Cluster::put`] hints the replicas
+//! it missed; [`ClusterWriter`] streams batches while the caller keeps
+//! encoding.
 //!
 //! Failure handling comes in three layers:
 //!
@@ -15,9 +35,9 @@
 //! * a scripted chaos layer ([`ClusterBuilder::faults`]) injecting
 //!   transient errors, latency and crash/restarts *inside* the node
 //!   threads, invisible to the client until a reply comes back;
-//! * self-healing on the client side: transient faults are retried
-//!   under the [`RetryPolicy`], and writes that miss a replica are
-//!   recorded as hints and re-replicated by
+//! * self-healing on the client side: transient faults are retried in
+//!   the settle loop, and writes that miss a replica are recorded as
+//!   hints (always carrying the value) and re-replicated by
 //!   [`Cluster::replay_hints`] (hinted handoff).
 
 use crate::engine::{LogEngine, MemEngine, StorageEngine, SyncPolicy};
@@ -31,15 +51,15 @@ use crate::stats::{ClusterStats, NodeLoad, StatsSnapshot};
 use crate::types::{Key, Value};
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
 use rustc_hash::FxHashMap;
+use std::ops::Range;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// Hints drained for replay: per target node, the queued key →
-/// value entries (`None` = count-only hint, resolved by read-repair).
-type DrainedHints = Vec<(usize, Vec<(Key, Option<Value>)>)>;
+/// Virtual nodes per physical node on the hash ring.
+const VNODES: usize = 64;
 
 /// Which storage engine each node runs.
 #[derive(Debug, Clone, Default)]
@@ -60,14 +80,11 @@ pub enum EngineKind {
 pub struct ClusterBuilder {
     nodes: usize,
     replication: usize,
-    vnodes: usize,
     engine: EngineKind,
     network: NetworkModel,
     faults: Option<FaultPlan>,
     retry: RetryPolicy,
-    handoff: bool,
     sync: SyncPolicy,
-    breaker: BreakerPolicy,
 }
 
 impl Default for ClusterBuilder {
@@ -75,14 +92,11 @@ impl Default for ClusterBuilder {
         Self {
             nodes: 1,
             replication: 1,
-            vnodes: 64,
             engine: EngineKind::Mem,
             network: NetworkModel::zero(),
             faults: None,
             retry: RetryPolicy::default(),
-            handoff: true,
             sync: SyncPolicy::Always,
-            breaker: BreakerPolicy::disabled(),
         }
     }
 }
@@ -97,12 +111,6 @@ impl ClusterBuilder {
     /// Replication factor (default 1; clamped to the node count).
     pub fn replication(mut self, r: usize) -> Self {
         self.replication = r;
-        self
-    }
-
-    /// Virtual nodes per physical node (default 64).
-    pub fn vnodes(mut self, v: usize) -> Self {
-        self.vnodes = v;
         self
     }
 
@@ -134,29 +142,10 @@ impl ClusterBuilder {
         self
     }
 
-    /// Enables or disables hinted handoff (default on). When off, a
-    /// write that misses a down replica is still *counted* (the
-    /// under-replicated gauge and `hints_recorded` move) but the
-    /// value is not kept for replay — [`Cluster::replay_hints`] then
-    /// re-replicates via read-repair from a live replica.
-    pub fn handoff(mut self, enabled: bool) -> Self {
-        self.handoff = enabled;
-        self
-    }
-
     /// Group-commit policy for log-engine nodes (default
     /// [`SyncPolicy::Always`]; ignored by the in-memory engine).
     pub fn sync_policy(mut self, sync: SyncPolicy) -> Self {
         self.sync = sync;
-        self
-    }
-
-    /// Per-node circuit-breaker policy for read placement (default
-    /// [`BreakerPolicy::disabled`]: the health scoreboard observes
-    /// but routing never skips a node). See [`crate::health`] for the
-    /// Closed → Open → Half-Open lifecycle.
-    pub fn breaker(mut self, policy: BreakerPolicy) -> Self {
-        self.breaker = policy;
         self
     }
 
@@ -167,27 +156,28 @@ impl ClusterBuilder {
     pub fn build(self) -> Cluster {
         assert!(self.nodes > 0, "cluster needs at least one node");
         let stats = ClusterStats::new_shared(self.nodes);
-        let ring = Ring::new(self.nodes, self.vnodes);
         let mut senders = Vec::with_capacity(self.nodes);
         let mut handles = Vec::with_capacity(self.nodes);
-        for node_id in 0..self.nodes {
+        for id in 0..self.nodes {
             let (tx, rx) = unbounded::<Request>();
             let engine: Box<dyn StorageEngine> = match &self.engine {
                 EngineKind::Mem => Box::new(MemEngine::new()),
                 EngineKind::Log { dir } => Box::new(
-                    LogEngine::open_with(
-                        dir.join(format!("node-{node_id}.log")),
-                        self.sync,
-                    )
-                    .expect("open node log"),
+                    LogEngine::open_with(dir.join(format!("node-{id}.log")), self.sync)
+                        .expect("open node log"),
                 ),
             };
-            let stats = Arc::clone(&stats);
-            let network = self.network;
-            let faults = self.faults.as_ref().map(|p| p.for_node(node_id));
+            let node = Node {
+                id,
+                engine,
+                stats: Arc::clone(&stats),
+                network: self.network,
+                faults: self.faults.as_ref().map(|p| p.for_node(id)),
+                down: false,
+            };
             let handle = std::thread::Builder::new()
-                .name(format!("kv-node-{node_id}"))
-                .spawn(move || node_loop(node_id, engine, rx, stats, network, faults))
+                .name(format!("kv-node-{id}"))
+                .spawn(move || node.run(rx))
                 .expect("spawn node thread");
             senders.push(tx);
             handles.push(handle);
@@ -195,278 +185,217 @@ impl ClusterBuilder {
         Cluster {
             senders,
             handles,
-            ring,
+            ring: Ring::new(self.nodes, VNODES),
             stats,
             replication: self.replication.clamp(1, self.nodes),
             down: (0..self.nodes).map(|_| AtomicBool::new(false)).collect(),
             retry: self.retry,
-            handoff: self.handoff,
             chaos: self.faults.as_ref().is_some_and(|p| !p.is_empty()),
             hints: Mutex::new((0..self.nodes).map(|_| FxHashMap::default()).collect()),
-            health: HealthBoard::new(self.nodes, self.breaker),
+            health: HealthBoard::new(self.nodes, BreakerPolicy::disabled()),
         }
     }
 }
 
-/// Evaluates the node's chaos plan for one data request: `Err`
-/// refuses the request with that error, `Ok(extra)` lets it serve
-/// after `extra` injected latency — already charged to the node's
-/// modeled-time counters (and slept when the network sleeps for
-/// real), and returned so batch handlers can fold it into the
-/// reply's `modeled` field: the client-visible straggler signal the
-/// health scoreboard and the hedging threshold feed on. Crash
-/// actions restart the engine in place before refusing.
-fn injected_failure(
-    faults: &mut Option<NodeFaults>,
-    engine: &mut dyn StorageEngine,
-    stats: &ClusterStats,
-    network: &NetworkModel,
-    node_id: usize,
-) -> Result<Duration, KvError> {
-    let Some(f) = faults.as_mut() else {
-        return Ok(Duration::ZERO);
-    };
-    match f.on_op() {
-        Injected::None => Ok(Duration::ZERO),
-        Injected::SlowBy(d) => {
-            stats.record_node_modeled(node_id, d);
-            if network.real_sleep && !d.is_zero() {
-                std::thread::sleep(d);
-            }
-            Ok(d)
-        }
-        Injected::Transient => {
-            stats.record_fault_injected();
-            Err(KvError::Transient(node_id))
-        }
-        Injected::Crash { damage, .. } => {
-            stats.record_fault_injected();
-            engine.crash_restart(damage)?;
-            Err(KvError::NodeDown(node_id))
-        }
-        Injected::Outage => Err(KvError::NodeDown(node_id)),
-    }
-}
-
-/// One simulated node's event loop.
-fn node_loop(
-    node_id: usize,
-    mut engine: Box<dyn StorageEngine>,
-    rx: crossbeam::channel::Receiver<Request>,
+/// One simulated node: its engine, its chaos script and its
+/// administrative down flag, driven by [`Node::run`] on the node's
+/// own thread.
+struct Node {
+    id: usize,
+    engine: Box<dyn StorageEngine>,
     stats: Arc<ClusterStats>,
     network: NetworkModel,
-    mut faults: Option<NodeFaults>,
-) {
-    let mut down = false;
-    let charge = |bytes: usize| -> Duration {
-        let d = network.charge(bytes);
-        stats.record_node_modeled(node_id, d);
-        if network.real_sleep && !d.is_zero() {
+    faults: Option<NodeFaults>,
+    down: bool,
+}
+
+impl Node {
+    /// The node's event loop.
+    fn run(mut self, rx: Receiver<Request>) {
+        while let Ok(req) = rx.recv() {
+            match req {
+                Request::MultiGet { keys, reply } => {
+                    let _ = reply.send(self.multi_get(&keys));
+                }
+                Request::MultiPut { pairs, reply } => {
+                    let _ = reply.send(self.multi_put(pairs));
+                }
+                Request::MultiDelete { keys, reply } => {
+                    let _ = reply.send(self.multi_delete(&keys));
+                }
+                Request::SetDown(flag) => self.down = flag,
+                // A durability barrier is administrative: it is not
+                // subject to fault injection and does not advance the
+                // chaos op counter.
+                Request::Sync { reply } => {
+                    let _ = reply.send(if self.down {
+                        Err(KvError::NodeDown(self.id))
+                    } else {
+                        self.engine.sync()
+                    });
+                }
+                Request::Info { reply } => {
+                    let _ = reply.send(NodeInfo {
+                        keys: self.engine.len(),
+                        live_bytes: self.engine.live_bytes(),
+                    });
+                }
+                Request::Shutdown => break,
+            }
+        }
+    }
+
+    /// Accrues `d` of modeled service time on this node, sleeping it
+    /// when the network model sleeps for real.
+    fn spend(&self, d: Duration) -> Duration {
+        self.stats.record_node_modeled(self.id, d);
+        if self.network.real_sleep && !d.is_zero() {
             std::thread::sleep(d);
         }
         d
-    };
-    while let Ok(req) = rx.recv() {
-        match req {
-            Request::Get { key, reply } => {
-                if down {
-                    let _ = reply.send(Err(KvError::NodeDown(node_id)));
-                    continue;
-                }
-                if let Err(e) =
-                    injected_failure(&mut faults, engine.as_mut(), &stats, &network, node_id)
-                {
-                    let _ = reply.send(Err(e));
-                    continue;
-                }
-                let result = engine.get(&key);
-                if let Ok(v) = &result {
-                    let n = v.as_ref().map(Value::len);
-                    stats.record_get(n);
-                    charge(n.unwrap_or(0));
-                }
-                let _ = reply.send(result);
+    }
+
+    /// Charges one query carrying `bytes` of payload.
+    fn charge(&self, bytes: usize) -> Duration {
+        self.spend(self.network.charge(bytes))
+    }
+
+    /// The one admit step in front of every data request: the
+    /// administrative down flag, then the chaos plan. `Err` refuses
+    /// the whole request; `Ok(extra)` lets it serve after `extra`
+    /// injected latency — already charged to the node's modeled-time
+    /// counters, and returned so the handlers fold it into the
+    /// reply's `modeled` field: the client-visible straggler signal
+    /// the health scoreboard and the hedging threshold feed on. Crash
+    /// actions restart the engine in place before refusing.
+    fn admit(&mut self) -> Result<Duration, KvError> {
+        if self.down {
+            return Err(KvError::NodeDown(self.id));
+        }
+        let Some(faults) = self.faults.as_mut() else {
+            return Ok(Duration::ZERO);
+        };
+        match faults.on_op() {
+            Injected::None => Ok(Duration::ZERO),
+            Injected::SlowBy(d) => Ok(self.spend(d)),
+            Injected::Transient => {
+                self.stats.record_fault_injected();
+                Err(KvError::Transient(self.id))
             }
-            Request::MultiGet { keys, reply } => {
-                if down {
-                    let _ = reply.send(Err(KvError::NodeDown(node_id)));
-                    continue;
-                }
-                let extra = match injected_failure(
-                    &mut faults,
-                    engine.as_mut(),
-                    &stats,
-                    &network,
-                    node_id,
-                ) {
-                    Ok(d) => d,
-                    Err(e) => {
-                        let _ = reply.send(Err(e));
-                        continue;
-                    }
-                };
-                stats.record_batch_get(node_id, keys.len());
-                let mut values = Vec::with_capacity(keys.len());
-                // Injected latency rides the reply's modeled time so
-                // the client sees the straggler it actually suffered.
-                let mut modeled = extra;
-                let mut failed = None;
-                for key in &keys {
-                    match engine.get(key) {
-                        Ok(v) => {
-                            let n = v.as_ref().map(Value::len);
-                            stats.record_get(n);
-                            modeled += charge(n.unwrap_or(0));
-                            values.push(v);
-                        }
-                        Err(e) => {
-                            failed = Some(e);
-                            break;
-                        }
-                    }
-                }
-                let _ = reply.send(match failed {
-                    Some(e) => Err(e),
-                    None => Ok(BatchGet { values, modeled, retries: 0 }),
-                });
+            Injected::Crash { damage, .. } => {
+                self.stats.record_fault_injected();
+                self.engine.crash_restart(damage)?;
+                Err(KvError::NodeDown(self.id))
             }
-            Request::Put { key, value, reply } => {
-                if down {
-                    let _ = reply.send(Err(KvError::NodeDown(node_id)));
-                    continue;
-                }
-                if let Err(e) =
-                    injected_failure(&mut faults, engine.as_mut(), &stats, &network, node_id)
-                {
-                    let _ = reply.send(Err(e));
-                    continue;
-                }
-                let n = key.len() + value.len();
-                let result = engine.put(key, value);
-                if result.is_ok() {
-                    stats.record_put(n);
-                    charge(n);
-                }
-                let _ = reply.send(result);
-            }
-            Request::MultiPut { pairs, reply } => {
-                if down {
-                    let _ = reply.send(Err(KvError::NodeDown(node_id)));
-                    continue;
-                }
-                let extra = match injected_failure(
-                    &mut faults,
-                    engine.as_mut(),
-                    &stats,
-                    &network,
-                    node_id,
-                ) {
-                    Ok(d) => d,
-                    Err(e) => {
-                        let _ = reply.send(Err(e));
-                        continue;
-                    }
-                };
-                stats.record_batch_put();
-                // Injected latency rides the reply's modeled time.
-                let mut batch = BatchPut { modeled: extra, ..BatchPut::default() };
-                let mut result = Ok(());
-                for (key, value) in pairs {
-                    let n = key.len() + value.len();
-                    match engine.put(key, value) {
-                        Ok(()) => {
-                            stats.record_put(n);
-                            batch.modeled += charge(n);
-                            batch.stored += 1;
-                        }
-                        Err(e) => {
-                            result = Err(e);
-                            break;
-                        }
-                    }
-                }
-                let _ = reply.send(result.map(|()| batch));
-            }
-            Request::Delete { key, reply } => {
-                if down {
-                    let _ = reply.send(Err(KvError::NodeDown(node_id)));
-                    continue;
-                }
-                if let Err(e) =
-                    injected_failure(&mut faults, engine.as_mut(), &stats, &network, node_id)
-                {
-                    let _ = reply.send(Err(e));
-                    continue;
-                }
-                let result = engine.delete(&key);
-                if result.is_ok() {
-                    stats.record_delete();
-                    charge(0);
-                }
-                let _ = reply.send(result.map(|_| ()));
-            }
-            Request::MultiDelete { keys, reply } => {
-                if down {
-                    let _ = reply.send(Err(KvError::NodeDown(node_id)));
-                    continue;
-                }
-                let extra = match injected_failure(
-                    &mut faults,
-                    engine.as_mut(),
-                    &stats,
-                    &network,
-                    node_id,
-                ) {
-                    Ok(d) => d,
-                    Err(e) => {
-                        let _ = reply.send(Err(e));
-                        continue;
-                    }
-                };
-                stats.record_batch_delete();
-                // Injected latency rides the reply's modeled time.
-                let mut batch = BatchDelete { modeled: extra, ..BatchDelete::default() };
-                let mut result = Ok(());
-                for key in &keys {
-                    match engine.delete(key) {
-                        Ok(present) => {
-                            stats.record_delete();
-                            batch.modeled += charge(0);
-                            // A key this replica never stored (e.g.
-                            // written while the node was down) is not
-                            // a removal.
-                            if present {
-                                batch.removed += 1;
-                            }
-                        }
-                        Err(e) => {
-                            result = Err(e);
-                            break;
-                        }
-                    }
-                }
-                let _ = reply.send(result.map(|()| batch));
-            }
-            Request::SetDown(flag) => down = flag,
-            // A durability barrier is administrative: it is not
-            // subject to fault injection and does not advance the
-            // chaos op counter.
-            Request::Sync { reply } => {
-                let _ = reply.send(if down {
-                    Err(KvError::NodeDown(node_id))
-                } else {
-                    engine.sync()
-                });
-            }
-            Request::Info { reply } => {
-                let _ = reply.send(NodeInfo {
-                    keys: engine.len(),
-                    live_bytes: engine.live_bytes(),
-                });
-            }
-            Request::Shutdown => break,
+            Injected::Outage => Err(KvError::NodeDown(self.id)),
         }
     }
+
+    fn multi_get(&mut self, keys: &[Key]) -> Result<BatchGet, KvError> {
+        let mut modeled = self.admit()?;
+        self.stats.record_batch_get(self.id, keys.len());
+        let mut values = Vec::with_capacity(keys.len());
+        for key in keys {
+            let value = self.engine.get(key)?;
+            let n = value.as_ref().map(Value::len);
+            self.stats.record_get(n);
+            modeled += self.charge(n.unwrap_or(0));
+            values.push(value);
+        }
+        Ok(BatchGet { values, modeled, retries: 0 })
+    }
+
+    fn multi_put(&mut self, pairs: Vec<(Key, Value)>) -> Result<BatchPut, KvError> {
+        let mut batch = BatchPut { stored: 0, modeled: self.admit()? };
+        self.stats.record_batch_put();
+        for (key, value) in pairs {
+            let n = key.len() + value.len();
+            self.engine.put(key, value)?;
+            self.stats.record_put(n);
+            batch.modeled += self.charge(n);
+            batch.stored += 1;
+        }
+        Ok(batch)
+    }
+
+    fn multi_delete(&mut self, keys: &[Key]) -> Result<BatchDelete, KvError> {
+        let mut batch = BatchDelete { removed: 0, modeled: self.admit()? };
+        self.stats.record_batch_delete();
+        for key in keys {
+            let present = self.engine.delete(key)?;
+            self.stats.record_delete();
+            batch.modeled += self.charge(0);
+            // A key this replica never stored (e.g. written while the
+            // node was down) is not a removal.
+            batch.removed += usize::from(present);
+        }
+        Ok(batch)
+    }
+}
+
+/// One backend verb as the client primitive sees it: the batch it
+/// ships, the reply it waits for, and the one place its wire message
+/// is built.
+trait Verb {
+    type Batch: Clone;
+    type Reply;
+    /// Whether a refused batch can be re-routed to another replica —
+    /// a reason to keep a copy of it besides transient retries.
+    const REROUTES: bool = false;
+    fn request(batch: Self::Batch, reply: Sender<Result<Self::Reply, KvError>>) -> Request;
+}
+
+struct Get;
+struct Put;
+struct Delete;
+
+impl Verb for Get {
+    type Batch = Vec<Key>;
+    type Reply = BatchGet;
+    fn request(keys: Vec<Key>, reply: Sender<Result<BatchGet, KvError>>) -> Request {
+        Request::MultiGet { keys, reply }
+    }
+}
+
+impl Verb for Put {
+    type Batch = Vec<(Key, Value)>;
+    type Reply = BatchPut;
+    const REROUTES: bool = true;
+    fn request(pairs: Self::Batch, reply: Sender<Result<BatchPut, KvError>>) -> Request {
+        Request::MultiPut { pairs, reply }
+    }
+}
+
+impl Verb for Delete {
+    type Batch = Vec<Key>;
+    type Reply = BatchDelete;
+    fn request(keys: Vec<Key>, reply: Sender<Result<BatchDelete, KvError>>) -> Request {
+        Request::MultiDelete { keys, reply }
+    }
+}
+
+/// One shipped-but-unsettled batch (see [`Cluster::send`]).
+struct InFlight<V: Verb> {
+    node: usize,
+    rx: Receiver<Result<V::Reply, KvError>>,
+    /// The shipped batch, kept only when it might be needed again.
+    /// Value clones are refcounted `Bytes`; keys are real copies.
+    copy: Option<V::Batch>,
+}
+
+/// What [`Cluster::settle`] reports about one batch.
+struct Settled<V: Verb> {
+    /// The node's final answer, after any retries.
+    reply: Result<V::Reply, KvError>,
+    /// Backoff charged as modeled time while retrying. Callers add it
+    /// to the reply's modeled time, so retried batches honestly look
+    /// slower.
+    backoff: Duration,
+    /// Transient refusals retried.
+    retries: usize,
+    /// The batch copy [`InFlight`] carried, handed back for hinting
+    /// or re-routing.
+    copy: Option<V::Batch>,
 }
 
 /// A running multi-node key-value cluster.
@@ -478,18 +407,14 @@ pub struct Cluster {
     replication: usize,
     down: Vec<AtomicBool>,
     retry: RetryPolicy,
-    /// Whether hints keep the written value for replay (hinted
-    /// handoff proper) or only count the under-replication.
-    handoff: bool,
     /// True when a non-empty fault plan is attached; gates the batch
-    /// copies the retry paths need (the healthy path never clones).
+    /// copies retries need (the healthy path never clones).
     chaos: bool,
-    /// Per-node pending hints: key -> value to re-replicate
-    /// (`None` when handoff is disabled — count-only, resolved by
-    /// read-repair at replay time). Latest write wins per key.
-    hints: Mutex<Vec<FxHashMap<Key, Option<Value>>>>,
+    /// Per-node pending hints: key -> value to re-replicate. Latest
+    /// write wins per key. Only touched through [`Cluster::with_hints`].
+    hints: Mutex<Vec<FxHashMap<Key, Value>>>,
     /// Per-node health scores and circuit breakers, fed by every
-    /// batched read; see [`crate::health`].
+    /// [`Cluster::fetch_from`]; see [`crate::health`].
     health: HealthBoard,
 }
 
@@ -522,8 +447,8 @@ impl Cluster {
     }
 
     /// Per-node health scores (service-time EWMA, error rate,
-    /// breaker state), in node-id order. Scored by every batched
-    /// read whether or not breakers are enabled.
+    /// breaker state), in node-id order. Scored by every
+    /// [`Cluster::fetch_from`] whether or not breakers are enabled.
     pub fn node_health(&self) -> Vec<NodeHealth> {
         self.health.snapshot()
     }
@@ -542,8 +467,10 @@ impl Cluster {
         self.health.service_histograms()
     }
 
-    /// Swaps the circuit-breaker policy at runtime (the store layer
-    /// wires its `StoreConfig::breaker` knob through here).
+    /// Sets the per-node circuit-breaker policy for read placement
+    /// (default [`BreakerPolicy::disabled`]: the health scoreboard
+    /// observes but routing never skips a node). The store layer
+    /// wires its `StoreConfig::breaker` knob through here.
     pub fn set_breaker(&self, policy: BreakerPolicy) {
         self.health.set_policy(policy);
     }
@@ -569,151 +496,58 @@ impl Cluster {
         self.down[node].load(Ordering::Relaxed)
     }
 
-    /// Records that `node` missed the write of `key` (it was down or
-    /// unreachable while another replica accepted it). With handoff
-    /// enabled the value is kept for replay; without, only the
-    /// under-replication is counted.
-    fn record_hint(&self, node: usize, key: Key, value: Value) {
-        let mut hints = self.hints.lock().expect("hint queue poisoned");
-        let stored = if self.handoff { Some(value) } else { None };
-        hints[node].insert(key, stored);
-        self.stats.record_hints(1);
-        let total: usize = hints.iter().map(FxHashMap::len).sum();
-        self.stats.set_under_replicated(total as u64);
+    /// Ships one batch to `node` without waiting for the answer. A
+    /// copy of the batch rides along only when [`Cluster::settle`] or
+    /// its caller can need it again: to retry a transient refusal
+    /// (only a chaos plan injects those) or to re-route a refused
+    /// write to another replica. A node whose thread is gone surfaces
+    /// as `NodeGone` at settle time.
+    fn send<V: Verb>(&self, node: usize, batch: V::Batch) -> InFlight<V> {
+        let keep = self.chaos || (V::REROUTES && self.replication > 1);
+        let copy = keep.then(|| batch.clone());
+        InFlight { node, rx: self.ship::<V>(node, batch), copy }
     }
 
-    /// Drops pending hints for `key` on every node — a deleted key
-    /// must not be resurrected by a later replay.
-    fn purge_hint(&self, key: &[u8]) {
-        let mut hints = self.hints.lock().expect("hint queue poisoned");
-        let mut removed = false;
-        for per_node in hints.iter_mut() {
-            removed |= per_node.remove(key).is_some();
-        }
-        if removed {
-            let total: usize = hints.iter().map(FxHashMap::len).sum();
-            self.stats.set_under_replicated(total as u64);
-        }
+    fn ship<V: Verb>(&self, node: usize, batch: V::Batch) -> Receiver<Result<V::Reply, KvError>> {
+        let (tx, rx) = bounded(1);
+        // A failed send drops the reply sender with the request, so
+        // the receiver reports the disconnect.
+        let _ = self.senders[node].send(V::request(batch, tx));
+        rx
     }
 
-    /// Drops pending hints for `keys` on `node` after a *direct*
-    /// write to that node succeeded: the queued value predates the
-    /// write that just landed, so replaying it would resurrect
-    /// overwritten data. Gauge-gated — the healthy path (no hints
-    /// anywhere) pays one relaxed atomic load and no lock.
-    fn clear_stale_hints<'a>(&self, node: usize, keys: impl IntoIterator<Item = &'a Key>) {
-        if self.stats.under_replicated_now() == 0 {
-            return;
-        }
-        let mut hints = self.hints.lock().expect("hint queue poisoned");
-        let mut removed = false;
-        for key in keys {
-            removed |= hints[node].remove(key).is_some();
-        }
-        if removed {
-            let total: usize = hints.iter().map(FxHashMap::len).sum();
-            self.stats.set_under_replicated(total as u64);
-        }
-    }
-
-    /// Keys currently known to be under-replicated (pending hints).
-    pub fn pending_hints(&self) -> usize {
-        self.hints
-            .lock()
-            .expect("hint queue poisoned")
-            .iter()
-            .map(FxHashMap::len)
-            .sum()
-    }
-
-    /// Re-replicates pending hints to every live target node,
-    /// returning how many keys were restored to full replication.
-    /// Called automatically when a node is revived via
-    /// [`Cluster::set_node_down`] and by the store layer from
-    /// `seal()` and `compact()`; hints whose target is still down (or
-    /// whose value cannot yet be resolved) stay queued.
-    pub fn replay_hints(&self) -> Result<usize, KvError> {
-        // Take the live nodes' hints out of the queue, then work
-        // without holding the lock (replay sends requests).
-        let taken: DrainedHints = {
-            let mut hints = self.hints.lock().expect("hint queue poisoned");
-            (0..hints.len())
-                .filter(|&n| !self.is_down(n))
-                .map(|n| (n, hints[n].drain().collect::<Vec<_>>()))
-                .filter(|(_, entries)| !entries.is_empty())
-                .collect()
+    /// Waits for one shipped batch, re-shipping it on `Transient`
+    /// refusals while the [`RetryPolicy`] allows: at most
+    /// `max_attempts` tries, each retry preceded by a backoff that is
+    /// charged as modeled time and capped in total by
+    /// `per_op_timeout`. This is the only retry loop on the hop.
+    fn settle<V: Verb>(&self, flight: InFlight<V>) -> Settled<V> {
+        let InFlight { node, mut rx, copy } = flight;
+        let mut backoff = Duration::ZERO;
+        let mut retries = 0usize;
+        let reply = loop {
+            let reply = rx.recv().unwrap_or(Err(KvError::NodeGone(node)));
+            match (&reply, &copy) {
+                (Err(KvError::Transient(_)), Some(batch))
+                    if self.charge_backoff(retries + 1, &mut backoff) =>
+                {
+                    retries += 1;
+                    rx = self.ship::<V>(node, batch.clone());
+                }
+                _ => break reply,
+            }
         };
-        let mut replayed = 0usize;
-        let mut requeue: Vec<(usize, Key, Option<Value>)> = Vec::new();
-        for (node, entries) in taken {
-            let mut pairs: Vec<(Key, Value)> = Vec::with_capacity(entries.len());
-            for (key, value) in entries {
-                match value {
-                    Some(v) => pairs.push((key, v)),
-                    // Count-only hint: resolve by read-repair from a
-                    // live *sibling* replica — a routed get would be
-                    // served by the recovering node itself, which has
-                    // no copy yet.
-                    None => {
-                        let sibling = self
-                            .ring
-                            .replicas(&key, self.replication)
-                            .into_iter()
-                            .find(|&r| r != node && !self.is_down(r));
-                        match sibling.map(|r| self.fetch_from(r, vec![key.clone()])) {
-                            Some(Ok(got)) => {
-                                // A missing value means the key no
-                                // longer exists anywhere: nothing to
-                                // re-replicate.
-                                if let Some(v) = got.values.into_iter().next().flatten() {
-                                    pairs.push((key, v));
-                                }
-                            }
-                            // Fetch failed or no live sibling holds a
-                            // copy; keep the hint for a later pass.
-                            Some(Err(_)) | None => requeue.push((node, key, None)),
-                        }
-                    }
-                }
-            }
-            if pairs.is_empty() {
-                continue;
-            }
-            let count = pairs.len();
-            // Keep a copy in case the target refuses mid-replay.
-            let copy = pairs.clone();
-            match self.put_batch_on_node(node, pairs) {
-                Ok(_) => replayed += count,
-                Err(_) => {
-                    requeue.extend(
-                        copy.into_iter().map(|(k, v)| (node, k, Some(v))),
-                    );
-                }
-            }
-        }
-        {
-            let mut hints = self.hints.lock().expect("hint queue poisoned");
-            for (node, key, value) in requeue {
-                // Do not clobber a newer hint recorded concurrently.
-                hints[node].entry(key).or_insert(value);
-            }
-            let total: usize = hints.iter().map(FxHashMap::len).sum();
-            self.stats.set_under_replicated(total as u64);
-        }
-        if replayed > 0 {
-            self.stats.record_hints_replayed(replayed);
-        }
-        Ok(replayed)
+        Settled { reply, backoff, retries, copy }
     }
 
-    /// Charges the backoff before retry number `attempt` (tries made
-    /// so far) as modeled time; false when the retry budget — policy
+    /// Charges the backoff before the retry that follows try number
+    /// `tries` as modeled time; false when the retry budget — policy
     /// attempts or per-op timeout — is exhausted.
-    fn charge_backoff(&self, attempt: u32, spent: &mut Duration) -> bool {
-        if attempt as usize >= self.retry.max_attempts {
+    fn charge_backoff(&self, tries: usize, spent: &mut Duration) -> bool {
+        if tries >= self.retry.max_attempts {
             return false;
         }
-        let backoff = self.retry.backoff(attempt);
+        let backoff = self.retry.backoff(tries as u32);
         if *spent + backoff > self.retry.per_op_timeout {
             return false;
         }
@@ -723,75 +557,99 @@ impl Cluster {
         true
     }
 
-    /// Sends one `MultiPut` straight to `node` (bypassing ring
-    /// routing — the hint-replay and batch-repair path), retrying
-    /// transient refusals under the retry policy.
-    fn put_batch_on_node(
-        &self,
-        node: usize,
-        mut pairs: Vec<(Key, Value)>,
-    ) -> Result<BatchPut, KvError> {
-        if self.is_down(node) {
-            return Err(KvError::NodeDown(node));
-        }
-        // Snapshot the keys only when hints are pending: a successful
-        // write must invalidate any older queued value for its key.
-        let stale_check: Option<Vec<Key>> = (self.stats.under_replicated_now() > 0)
-            .then(|| pairs.iter().map(|(k, _)| k.clone()).collect());
-        let mut attempt = 0u32;
-        let mut spent = Duration::ZERO;
-        loop {
-            attempt += 1;
-            let may_retry = (attempt as usize) < self.retry.max_attempts;
-            let batch = if may_retry {
-                pairs.clone()
-            } else {
-                std::mem::take(&mut pairs)
-            };
-            let (tx, rx) = bounded(1);
-            self.senders[node]
-                .send(Request::MultiPut { pairs: batch, reply: tx })
-                .map_err(|_| KvError::NodeGone(node))?;
-            match rx.recv().map_err(|_| KvError::NodeGone(node))? {
-                Ok(batch) => {
-                    if let Some(keys) = &stale_check {
-                        self.clear_stale_hints(node, keys.iter());
-                    }
-                    return Ok(batch);
-                }
-                Err(KvError::Transient(_)) if self.charge_backoff(attempt, &mut spent) => {
-                    continue
-                }
-                Err(e) => return Err(e),
-            }
-        }
+    /// Runs `edit` on the hint queue and re-syncs the
+    /// under-replicated gauge to the pending hint count — the one
+    /// place either changes.
+    fn with_hints<T>(&self, edit: impl FnOnce(&mut [FxHashMap<Key, Value>]) -> T) -> T {
+        let mut hints = self.hints.lock().expect("hint queue poisoned");
+        let out = edit(&mut hints);
+        let total: usize = hints.iter().map(FxHashMap::len).sum();
+        self.stats.set_under_replicated(total as u64);
+        out
     }
 
-    /// Sends one `Put` to `node`, retrying transient refusals.
-    fn put_on_node(&self, node: usize, key: &Key, value: &Value) -> Result<(), KvError> {
-        let mut attempt = 0u32;
-        let mut spent = Duration::ZERO;
-        loop {
-            attempt += 1;
-            let (tx, rx) = bounded(1);
-            self.senders[node]
-                .send(Request::Put {
-                    key: key.clone(),
-                    value: value.clone(),
-                    reply: tx,
-                })
-                .map_err(|_| KvError::NodeGone(node))?;
-            match rx.recv().map_err(|_| KvError::NodeGone(node))? {
-                Ok(()) => {
-                    self.clear_stale_hints(node, std::iter::once(key));
-                    return Ok(());
+    /// Records that `node` missed the write of `key` (it was down or
+    /// unreachable while another replica accepted it), keeping the
+    /// value for replay.
+    fn record_hint(&self, node: usize, key: Key, value: Value) {
+        self.with_hints(|hints| hints[node].insert(key, value));
+        self.stats.record_hints(1);
+    }
+
+    /// Drops pending hints for `keys` on `nodes`: everywhere for
+    /// deleted keys (a later replay must not resurrect them), on one
+    /// node after a *direct* write to it succeeded (the queued value
+    /// predates the write that just landed). Gauge-gated — the
+    /// healthy path (no hints anywhere) pays one relaxed atomic load
+    /// and no lock.
+    fn drop_hints<'a>(&self, nodes: Range<usize>, keys: impl IntoIterator<Item = &'a Key>) {
+        if self.stats.under_replicated_now() == 0 {
+            return;
+        }
+        self.with_hints(|hints| {
+            for key in keys {
+                for per_node in &mut hints[nodes.clone()] {
+                    per_node.remove(key);
                 }
-                Err(KvError::Transient(_)) if self.charge_backoff(attempt, &mut spent) => {
-                    continue
-                }
-                Err(e) => return Err(e),
+            }
+        });
+    }
+
+    /// Keys currently known to be under-replicated (pending hints).
+    pub fn pending_hints(&self) -> usize {
+        self.stats.under_replicated_now() as usize
+    }
+
+    /// Re-replicates pending hints to every live target node,
+    /// returning how many keys were restored to full replication.
+    /// Called automatically when a node is revived via
+    /// [`Cluster::set_node_down`] and by the store layer from
+    /// `seal()` and `compact()`; hints whose target is still down or
+    /// refuses the batch stay queued.
+    pub fn replay_hints(&self) -> Result<usize, KvError> {
+        // Take the live nodes' hints out of the queue and ship them,
+        // then settle the batches without holding the lock.
+        let flights: Vec<(usize, InFlight<Put>)> = self.with_hints(|hints| {
+            hints
+                .iter_mut()
+                .enumerate()
+                .filter(|(node, queued)| !self.is_down(*node) && !queued.is_empty())
+                .map(|(node, queued)| (queued.len(), self.send(node, queued.drain().collect())))
+                .collect()
+        });
+        let mut replayed = 0usize;
+        for (count, flight) in flights {
+            let node = flight.node;
+            let settled = self.settle(flight);
+            match settled.reply {
+                Ok(_) => replayed += count,
+                // The target refused mid-replay: requeue from the
+                // kept copy (hints only exist with replication > 1),
+                // without clobbering a newer hint recorded meanwhile.
+                Err(_) => self.with_hints(|hints| {
+                    for (key, value) in settled.copy.into_iter().flatten() {
+                        hints[node].entry(key).or_insert(value);
+                    }
+                }),
             }
         }
+        if replayed > 0 {
+            self.stats.record_hints_replayed(replayed);
+        }
+        Ok(replayed)
+    }
+
+    /// Waits for a shipped write batch; once stored, it invalidates
+    /// any older hint queued for its keys on that node — replaying
+    /// one would resurrect overwritten data.
+    fn settle_put(&self, flight: InFlight<Put>) -> Settled<Put> {
+        let node = flight.node;
+        let settled = self.settle(flight);
+        // Hints only exist with replication > 1, which keeps the copy.
+        if let (Ok(_), Some(pairs)) = (&settled.reply, &settled.copy) {
+            self.drop_hints(node..node + 1, pairs.iter().map(|(k, _)| k));
+        }
+        settled
     }
 
     /// Stores `value` under `key` on every live replica, retrying
@@ -801,97 +659,46 @@ impl Cluster {
     /// Fails only if *no* replica accepted the write.
     pub fn put(&self, key: Key, value: Value) -> Result<(), KvError> {
         let replicas = self.ring.replicas(&key, self.replication);
-        let mut any_ok = false;
         let mut missed: Vec<usize> = Vec::new();
         for &node in &replicas {
-            if self.is_down(node) {
+            let stored = !self.is_down(node) && {
+                let pair = vec![(key.clone(), value.clone())];
+                self.settle_put(self.send(node, pair)).reply.is_ok()
+            };
+            if !stored {
                 missed.push(node);
-                continue;
-            }
-            match self.put_on_node(node, &key, &value) {
-                Ok(()) => any_ok = true,
-                Err(_) => missed.push(node),
             }
         }
-        if any_ok {
-            for node in missed {
-                self.record_hint(node, key.clone(), value.clone());
-            }
-            Ok(())
-        } else {
-            Err(KvError::AllReplicasDown { tried: replicas })
+        if missed.len() == replicas.len() {
+            return Err(KvError::AllReplicasDown { tried: replicas });
         }
+        for node in missed {
+            self.record_hint(node, key.clone(), value.clone());
+        }
+        Ok(())
     }
 
     /// Fetches `key` from the first live replica, retrying transient
     /// faults in place before failing over to the next replica.
     pub fn get(&self, key: &[u8]) -> Result<Option<Value>, KvError> {
         let replicas = self.ring.replicas(key, self.replication);
-        for &node in &replicas {
-            if self.is_down(node) {
-                continue;
-            }
-            let mut attempt = 0u32;
-            let mut spent = Duration::ZERO;
-            loop {
-                attempt += 1;
-                let (tx, rx) = bounded(1);
-                self.senders[node]
-                    .send(Request::Get {
-                        key: key.to_vec(),
-                        reply: tx,
-                    })
-                    .map_err(|_| KvError::NodeGone(node))?;
-                match rx.recv() {
-                    Ok(Ok(v)) => return Ok(v),
-                    Ok(Err(KvError::Transient(_))) => {
-                        if self.charge_backoff(attempt, &mut spent) {
-                            continue;
-                        }
-                        // Retry budget exhausted: fail over.
-                        break;
-                    }
-                    Ok(Err(KvError::NodeDown(_))) | Err(_) => break,
-                    Ok(Err(e)) => return Err(e),
-                }
+        for &node in replicas.iter().filter(|&&n| !self.is_down(n)) {
+            match self.settle(self.send::<Get>(node, vec![key.to_vec()])).reply {
+                Ok(got) => return Ok(got.values.into_iter().next().flatten()),
+                // Retry budget exhausted, or the replica is down or
+                // gone: fail over.
+                Err(KvError::Transient(_) | KvError::NodeDown(_) | KvError::NodeGone(_)) => {}
+                Err(e) => return Err(e),
             }
         }
         Err(KvError::AllReplicasDown { tried: replicas })
     }
 
-    /// Removes `key` from every live replica (retrying transient
-    /// refusals) and drops any pending hint for it, so a later hint
-    /// replay cannot resurrect the deleted key.
+    /// Removes `key` from every live replica — a one-key
+    /// [`Cluster::multi_delete_scatter`], with the same error
+    /// contract.
     pub fn delete(&self, key: &[u8]) -> Result<(), KvError> {
-        self.purge_hint(key);
-        let replicas = self.ring.replicas(key, self.replication);
-        for &node in &replicas {
-            if self.is_down(node) {
-                continue;
-            }
-            let mut attempt = 0u32;
-            let mut spent = Duration::ZERO;
-            loop {
-                attempt += 1;
-                let (tx, rx) = bounded(1);
-                self.senders[node]
-                    .send(Request::Delete {
-                        key: key.to_vec(),
-                        reply: tx,
-                    })
-                    .map_err(|_| KvError::NodeGone(node))?;
-                match rx.recv() {
-                    Ok(Err(KvError::Transient(_)))
-                        if self.charge_backoff(attempt, &mut spent) =>
-                    {
-                        continue
-                    }
-                    // Down/raced replicas keep orphan copies, as before.
-                    _ => break,
-                }
-            }
-        }
-        Ok(())
+        self.multi_delete_scatter(vec![key.to_vec()]).map(|_| ())
     }
 
     /// Removes many keys, batched per replica node, and returns the
@@ -899,26 +706,16 @@ impl Cluster {
     /// the number of replica copies actually removed (copies a
     /// replica never held do not count) — the scatter-gather
     /// reclamation path of store compaction, symmetric with
-    /// [`Cluster::multi_put_scatter`]. Each key is deleted from every
-    /// *live* replica; like [`Cluster::delete`], down replicas are
-    /// skipped rather than treated as failures (a copy lingering on a
-    /// dead node is an orphan, not data loss), and a node answering
-    /// `NodeDown` mid-flight is likewise ignored.
+    /// [`Cluster::multi_put_scatter`]. Pending hints for the keys are
+    /// dropped, so a later replay cannot resurrect them. Each key is
+    /// deleted from every *live* replica; down replicas are skipped
+    /// rather than treated as failures (a copy lingering on a dead
+    /// node is an orphan, not data loss), and a node answering
+    /// `NodeDown` mid-flight is likewise ignored. Any other refusal —
+    /// an engine error, or a transient fault that outlasted the retry
+    /// budget — is returned: those keys are still stored.
     pub fn multi_delete_scatter(&self, keys: Vec<Key>) -> Result<(Duration, usize), KvError> {
-        // Deleted keys must not be resurrected by a later hint replay.
-        {
-            let mut hints = self.hints.lock().expect("hint queue poisoned");
-            let mut purged = false;
-            for per_node in hints.iter_mut() {
-                for key in &keys {
-                    purged |= per_node.remove(key).is_some();
-                }
-            }
-            if purged {
-                let total: usize = hints.iter().map(FxHashMap::len).sum();
-                self.stats.set_under_replicated(total as u64);
-            }
-        }
+        self.drop_hints(0..self.node_count(), &keys);
         let mut per_node: Vec<Vec<Key>> = (0..self.node_count()).map(|_| Vec::new()).collect();
         for key in keys {
             let replicas = self.ring.replicas(&key, self.replication);
@@ -934,60 +731,28 @@ impl Cluster {
             }
             per_node[prev].push(key);
         }
-        let mut pending = Vec::new();
-        for (node, batch) in per_node.into_iter().enumerate() {
-            if batch.is_empty() {
-                continue;
-            }
-            // A retry needs the keys again; only pay the copy when a
-            // chaos plan can actually inject transients.
-            let copy = self.chaos.then(|| batch.clone());
-            let (tx, rx) = bounded(1);
-            self.senders[node]
-                .send(Request::MultiDelete {
-                    keys: batch,
-                    reply: tx,
-                })
-                .map_err(|_| KvError::NodeGone(node))?;
-            pending.push((node, rx, copy));
-        }
+        let flights: Vec<InFlight<Delete>> = per_node
+            .into_iter()
+            .enumerate()
+            .filter(|(_, batch)| !batch.is_empty())
+            .map(|(node, batch)| self.send(node, batch))
+            .collect();
         let mut slowest = Duration::ZERO;
         let mut removed = 0usize;
-        for (node, rx, copy) in pending {
-            let mut result = rx.recv().map_err(|_| KvError::NodeGone(node))?;
-            let mut attempt = 0u32;
-            let mut spent = Duration::ZERO;
-            while let (Err(KvError::Transient(_)), Some(batch_copy)) = (&result, &copy) {
-                attempt += 1;
-                if !self.charge_backoff(attempt, &mut spent) {
-                    break;
-                }
-                let (tx, retry_rx) = bounded(1);
-                self.senders[node]
-                    .send(Request::MultiDelete {
-                        keys: batch_copy.clone(),
-                        reply: tx,
-                    })
-                    .map_err(|_| KvError::NodeGone(node))?;
-                result = retry_rx.recv().map_err(|_| KvError::NodeGone(node))?;
-            }
-            match result {
+        for flight in flights {
+            let settled = self.settle(flight);
+            match settled.reply {
                 Ok(batch) => {
-                    slowest = slowest.max(batch.modeled + spent);
+                    slowest = slowest.max(batch.modeled + settled.backoff);
                     removed += batch.removed;
                 }
-                // Raced with failure injection: the skipped copies are
-                // orphans on a dead node, exactly as with `delete`.
+                // Raced with failure injection: the skipped copies
+                // are orphans on a dead node.
                 Err(KvError::NodeDown(_)) => {}
                 Err(e) => return Err(e),
             }
         }
         Ok((slowest, removed))
-    }
-
-    /// [`Cluster::multi_delete_scatter`] without the accounting.
-    pub fn multi_delete(&self, keys: Vec<Key>) -> Result<(), KvError> {
-        self.multi_delete_scatter(keys).map(|_| ())
     }
 
     /// Whether `node` may serve reads right now: not administratively
@@ -1033,10 +798,11 @@ impl Cluster {
 
     /// Sends one owned batch of keys to `node` and waits for the
     /// values plus the batch's modeled network time — the per-node
-    /// half of a scatter-gather read. Callers route each key to its
+    /// half of a scatter-gather read, and the call that scores the
+    /// node on the health board. Callers route each key to its
     /// serving node via [`Cluster::owner_of`] first; a key the node
     /// does not hold simply comes back `None`.
-    pub fn fetch_from(&self, node: usize, mut keys: Vec<Key>) -> Result<BatchGet, KvError> {
+    pub fn fetch_from(&self, node: usize, keys: Vec<Key>) -> Result<BatchGet, KvError> {
         if keys.is_empty() {
             return Ok(BatchGet {
                 values: Vec::new(),
@@ -1047,51 +813,22 @@ impl Cluster {
         if self.is_down(node) {
             return Err(KvError::NodeDown(node));
         }
-        // One scoreboard tick per batch attempt: the deterministic
-        // clock breaker cooldowns count in.
+        // One scoreboard tick per batch: the deterministic clock
+        // breaker cooldowns count in.
         self.health.tick();
         let n_keys = keys.len();
-        let mut attempt = 0u32;
-        let mut spent = Duration::ZERO;
-        let mut retries = 0usize;
-        loop {
-            attempt += 1;
-            // Clone the keys only while another attempt is possible
-            // (and only under a chaos plan); the last try moves them.
-            let may_retry = self.chaos && (attempt as usize) < self.retry.max_attempts;
-            let batch = if may_retry {
-                keys.clone()
-            } else {
-                std::mem::take(&mut keys)
-            };
-            let (tx, rx) = bounded(1);
-            if self.senders[node].send(Request::MultiGet { keys: batch, reply: tx }).is_err() {
-                self.health.record_failure(node);
-                return Err(KvError::NodeGone(node));
+        let settled = self.settle(self.send::<Get>(node, keys));
+        match settled.reply {
+            Ok(mut got) => {
+                got.modeled += settled.backoff;
+                got.retries = settled.retries;
+                self.health.record_success(node, got.modeled, n_keys);
+                Ok(got)
             }
-            let Ok(reply) = rx.recv() else {
+            // Post-retry failure: the breaker's trip signal.
+            Err(e) => {
                 self.health.record_failure(node);
-                return Err(KvError::NodeGone(node));
-            };
-            match reply {
-                Ok(mut got) => {
-                    // Backoff waits ride the op's modeled time, so
-                    // retried batches honestly look slower.
-                    got.modeled += spent;
-                    got.retries = retries;
-                    self.health.record_success(node, got.modeled, n_keys);
-                    return Ok(got);
-                }
-                Err(KvError::Transient(_))
-                    if may_retry && self.charge_backoff(attempt, &mut spent) =>
-                {
-                    retries += 1;
-                }
-                // Post-retry failure: the breaker's trip signal.
-                Err(e) => {
-                    self.health.record_failure(node);
-                    return Err(e);
-                }
+                Err(e)
             }
         }
     }
@@ -1107,7 +844,7 @@ impl Cluster {
         &self,
         keys: Vec<Key>,
     ) -> Result<(Vec<Option<Value>>, Duration), KvError> {
-        let total = keys.len();
+        let mut out: Vec<Option<Value>> = vec![None; keys.len()];
         // Group keys by serving node (first live replica), moving each
         // key into its node's batch.
         let mut per_node: Vec<(Vec<usize>, Vec<Key>)> = (0..self.node_count())
@@ -1118,46 +855,19 @@ impl Cluster {
             per_node[node].0.push(i);
             per_node[node].1.push(key);
         }
-        // Send all batches first (parallel service), then collect;
-        // transient refusals are retried in place.
-        let mut pending = Vec::new();
-        for (node, (indices, batch)) in per_node.into_iter().enumerate() {
-            if batch.is_empty() {
-                continue;
-            }
-            let copy = self.chaos.then(|| batch.clone());
-            let (tx, rx) = bounded(1);
-            self.senders[node]
-                .send(Request::MultiGet {
-                    keys: batch,
-                    reply: tx,
-                })
-                .map_err(|_| KvError::NodeGone(node))?;
-            pending.push((node, indices, rx, copy));
-        }
-        let mut out: Vec<Option<Value>> = vec![None; total];
+        // Send all batches first (parallel service), then collect.
+        let flights: Vec<(Vec<usize>, InFlight<Get>)> = per_node
+            .into_iter()
+            .enumerate()
+            .filter(|(_, (_, batch))| !batch.is_empty())
+            .map(|(node, (slots, batch))| (slots, self.send(node, batch)))
+            .collect();
         let mut slowest = Duration::ZERO;
-        for (node, indices, rx, copy) in pending {
-            let mut result = rx.recv().map_err(|_| KvError::NodeGone(node))?;
-            let mut attempt = 0u32;
-            let mut spent = Duration::ZERO;
-            while let (Err(KvError::Transient(_)), Some(batch_copy)) = (&result, &copy) {
-                attempt += 1;
-                if !self.charge_backoff(attempt, &mut spent) {
-                    break;
-                }
-                let (tx, retry_rx) = bounded(1);
-                self.senders[node]
-                    .send(Request::MultiGet {
-                        keys: batch_copy.clone(),
-                        reply: tx,
-                    })
-                    .map_err(|_| KvError::NodeGone(node))?;
-                result = retry_rx.recv().map_err(|_| KvError::NodeGone(node))?;
-            }
-            let batch = result?;
-            slowest = slowest.max(batch.modeled + spent);
-            for (slot, value) in indices.into_iter().zip(batch.values) {
+        for (slots, flight) in flights {
+            let settled = self.settle(flight);
+            let batch = settled.reply?;
+            slowest = slowest.max(batch.modeled + settled.backoff);
+            for (slot, value) in slots.into_iter().zip(batch.values) {
                 out[slot] = value;
             }
         }
@@ -1216,6 +926,45 @@ impl Cluster {
             pending: Vec::new(),
             flush_bytes: flush_bytes.max(1),
             summary: WriteSummary::default(),
+        }
+    }
+
+    /// Waits for one batch a [`ClusterWriter`] shipped and heals what
+    /// it can: transient refusals retry in place, a dead node's batch
+    /// re-replicates to surviving replicas (with hints for the dead
+    /// node). Returns the modeled time the batch contributed.
+    fn settle_write(&self, flight: InFlight<Put>) -> Result<Duration, KvError> {
+        let node = flight.node;
+        let settled = self.settle_put(flight);
+        match (settled.reply, settled.copy) {
+            (Ok(stored), _) => Ok(stored.modeled + settled.backoff),
+            // The node died (administratively or by injected crash)
+            // with the batch unstored: push every pair to another
+            // live replica so at least one live copy exists, and hint
+            // the dead node.
+            (Err(KvError::NodeDown(_)), Some(pairs)) if self.replication > 1 => {
+                let mut rerouted: Vec<Vec<(Key, Value)>> =
+                    (0..self.node_count()).map(|_| Vec::new()).collect();
+                for (key, value) in pairs {
+                    let target = self
+                        .ring
+                        .replicas(&key, self.replication)
+                        .into_iter()
+                        .find(|&n| n != node && !self.is_down(n))
+                        .ok_or(KvError::NodeDown(node))?;
+                    self.record_hint(node, key.clone(), value.clone());
+                    rerouted[target].push((key, value));
+                }
+                let mut modeled = settled.backoff;
+                for (target, batch) in rerouted.into_iter().enumerate() {
+                    if !batch.is_empty() {
+                        let healed = self.settle_put(self.send(target, batch));
+                        modeled += healed.reply?.modeled + healed.backoff;
+                    }
+                }
+                Ok(modeled)
+            }
+            (Err(e), _) => Err(e),
         }
     }
 
@@ -1298,24 +1047,12 @@ pub struct ClusterWriter<'a> {
     buffers: Vec<Vec<(Key, Value)>>,
     /// Payload bytes buffered per node.
     buffered_bytes: Vec<usize>,
-    /// Outstanding batch replies, tagged with the serving node and —
-    /// when retries or batch repair are possible — a copy of the
-    /// shipped batch.
-    pending: Vec<PendingBatch>,
+    /// Shipped batches whose replies [`ClusterWriter::finish`] has
+    /// yet to collect.
+    pending: Vec<InFlight<Put>>,
     /// Per-node buffer size that triggers a flush.
     flush_bytes: usize,
     summary: WriteSummary,
-}
-
-/// One shipped-but-unsettled `MultiPut` batch.
-struct PendingBatch {
-    node: usize,
-    rx: Receiver<Result<BatchPut, KvError>>,
-    /// The shipped pairs, kept only when they might be needed again
-    /// (transient retry under chaos, or re-replication to another
-    /// replica after a mid-stream `NodeDown`). Value clones are
-    /// refcounted `Bytes`; keys are real copies.
-    copy: Option<Vec<(Key, Value)>>,
 }
 
 impl ClusterWriter<'_> {
@@ -1338,8 +1075,6 @@ impl ClusterWriter<'_> {
         if live.peek().is_none() {
             return Err(KvError::AllReplicasDown { tried: replicas });
         }
-        // Replicas that missed the write get a hint (under-replication
-        // is recorded even when handoff itself is disabled).
         for &node in replicas.iter().filter(|&&n| self.cluster.is_down(n)) {
             self.cluster.record_hint(node, key.clone(), value.clone());
         }
@@ -1349,13 +1084,14 @@ impl ClusterWriter<'_> {
         // extra replicas (replication > 1) clone.
         let mut prev = live.next().expect("peeked non-empty");
         for node in live {
-            self.buffer(prev, key.clone(), value.clone())?;
+            self.buffer(prev, key.clone(), value.clone());
             prev = node;
         }
-        self.buffer(prev, key, value)
+        self.buffer(prev, key, value);
+        Ok(())
     }
 
-    fn buffer(&mut self, node: usize, key: Key, value: Value) -> Result<(), KvError> {
+    fn buffer(&mut self, node: usize, key: Key, value: Value) {
         self.buffered_bytes[node] += key.len() + value.len();
         self.buffers[node].push((key, value));
         // The pair cap only applies to streaming writers; a deferred
@@ -1364,30 +1100,19 @@ impl ClusterWriter<'_> {
             || (self.flush_bytes != usize::MAX
                 && self.buffers[node].len() >= DEFAULT_WRITE_BATCH_PAIRS)
         {
-            self.flush_node(node)?;
+            self.flush_node(node);
         }
-        Ok(())
     }
 
     /// Ships `node`'s buffer as one `MultiPut` batch.
-    fn flush_node(&mut self, node: usize) -> Result<(), KvError> {
+    fn flush_node(&mut self, node: usize) {
         if self.buffers[node].is_empty() {
-            return Ok(());
+            return;
         }
         let batch = std::mem::take(&mut self.buffers[node]);
         self.buffered_bytes[node] = 0;
-        // Self-healing needs the pairs again: transient retries under
-        // a chaos plan, and re-replication when the node dies before
-        // storing the batch (only possible to heal with replication).
-        let copy = (self.cluster.chaos || self.cluster.replication > 1)
-            .then(|| batch.clone());
-        let (tx, rx) = bounded(1);
-        self.cluster.senders[node]
-            .send(Request::MultiPut { pairs: batch, reply: tx })
-            .map_err(|_| KvError::NodeGone(node))?;
         self.summary.batches += 1;
-        self.pending.push(PendingBatch { node, rx, copy });
-        Ok(())
+        self.pending.push(self.cluster.send(node, batch));
     }
 
     /// Flushes every buffer and waits for all outstanding batches,
@@ -1399,13 +1124,13 @@ impl ClusterWriter<'_> {
     /// pair has no live replica left.
     pub fn finish(mut self) -> Result<WriteSummary, KvError> {
         for node in 0..self.buffers.len() {
-            self.flush_node(node)?;
+            self.flush_node(node);
         }
         let mut per_node = vec![Duration::ZERO; self.buffers.len()];
         let mut first_err = None;
-        for batch in std::mem::take(&mut self.pending) {
-            let node = batch.node;
-            match settle_batch(self.cluster, batch) {
+        for flight in std::mem::take(&mut self.pending) {
+            let node = flight.node;
+            match self.cluster.settle_write(flight) {
                 Ok(modeled) => per_node[node] += modeled,
                 Err(e) => {
                     first_err.get_or_insert(e);
@@ -1417,66 +1142,6 @@ impl ClusterWriter<'_> {
         }
         self.summary.modeled = per_node.into_iter().max().unwrap_or(Duration::ZERO);
         Ok(self.summary)
-    }
-}
-
-/// Waits for one shipped batch and heals what it can: transient
-/// refusals retry in place, a dead node's batch re-replicates to
-/// surviving replicas (with hints for the dead node). Returns the
-/// modeled time this batch contributed on its node.
-fn settle_batch(cluster: &Cluster, batch: PendingBatch) -> Result<Duration, KvError> {
-    let PendingBatch { node, rx, copy } = batch;
-    let mut result = rx.recv().map_err(|_| KvError::NodeGone(node))?;
-    let mut attempt = 0u32;
-    let mut spent = Duration::ZERO;
-    while let (Err(KvError::Transient(_)), Some(pairs)) = (&result, &copy) {
-        attempt += 1;
-        if !cluster.charge_backoff(attempt, &mut spent) {
-            break;
-        }
-        let (tx, retry_rx) = bounded(1);
-        cluster.senders[node]
-            .send(Request::MultiPut { pairs: pairs.clone(), reply: tx })
-            .map_err(|_| KvError::NodeGone(node))?;
-        result = retry_rx.recv().map_err(|_| KvError::NodeGone(node))?;
-    }
-    match result {
-        Ok(stored) => {
-            if let Some(pairs) = &copy {
-                cluster.clear_stale_hints(node, pairs.iter().map(|(k, _)| k));
-            }
-            Ok(stored.modeled + spent)
-        }
-        // The node died (administratively or by injected crash) with
-        // the batch unstored: push every pair to another live replica
-        // so at least one live copy exists, and hint the dead node.
-        Err(KvError::NodeDown(_)) if copy.is_some() && cluster.replication > 1 => {
-            let pairs = copy.expect("guarded by copy.is_some()");
-            let mut rerouted: Vec<Vec<(Key, Value)>> =
-                (0..cluster.node_count()).map(|_| Vec::new()).collect();
-            for (key, value) in pairs {
-                let replicas = cluster.ring.replicas(&key, cluster.replication);
-                let Some(target) = replicas
-                    .iter()
-                    .copied()
-                    .find(|&n| n != node && !cluster.is_down(n))
-                else {
-                    return Err(KvError::NodeDown(node));
-                };
-                cluster.record_hint(node, key.clone(), value.clone());
-                rerouted[target].push((key, value));
-            }
-            let mut modeled = spent;
-            for (target, batch) in rerouted.into_iter().enumerate() {
-                if batch.is_empty() {
-                    continue;
-                }
-                let stored = cluster.put_batch_on_node(target, batch)?;
-                modeled += stored.modeled;
-            }
-            Ok(modeled)
-        }
-        Err(e) => Err(e),
     }
 }
 
@@ -2050,29 +1715,27 @@ mod tests {
     }
 
     #[test]
-    fn disabled_handoff_still_counts_and_read_repairs() {
+    fn delete_surfaces_a_refusal_instead_of_reporting_success() {
+        // Every node refuses exactly its second request: the key's
+        // owner serves the put (op 0), refuses the delete (op 1) and
+        // serves the get; with retries off the refusal is final.
+        let plan = FaultPlan::new(1).rule(FaultRule::transient().after(1).until(2));
         let c = Cluster::builder()
-            .nodes(3)
-            .replication(2)
-            .handoff(false)
+            .nodes(2)
+            .replication(1)
+            .faults(plan)
+            .retry(RetryPolicy::none())
             .build();
-        let on0: Vec<Key> = (0..60u32)
-            .map(|i| i.to_be_bytes().to_vec())
-            .filter(|k| c.replicas_of(k).unwrap().contains(&0))
-            .collect();
-        c.set_node_down(0, true);
-        for key in &on0 {
-            c.put(key.clone(), Bytes::from_static(b"v")).unwrap();
+        c.put(b"k".to_vec(), Bytes::from_static(b"v")).unwrap();
+        match c.delete(b"k") {
+            Err(KvError::Transient(_)) => {}
+            other => panic!("expected Transient, got {other:?}"),
         }
-        // No payloads are buffered, but under-replication is counted.
-        assert_eq!(c.pending_hints(), on0.len());
-        assert_eq!(c.stats().under_replicated, on0.len() as u64);
-        // Replay falls back to read-repair: fetch the surviving copy,
-        // then store it on the recovered node.
-        c.set_node_down(0, false);
-        assert_eq!(c.pending_hints(), 0);
-        let got = c.fetch_from(0, on0).unwrap();
-        assert!(got.values.iter().all(Option::is_some));
+        assert_eq!(
+            c.get(b"k").unwrap(),
+            Some(Bytes::from_static(b"v")),
+            "a failed delete must leave the value readable"
+        );
     }
 
     #[test]

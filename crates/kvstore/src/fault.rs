@@ -317,17 +317,19 @@ impl NodeFaults {
 
 /// Client-side retry/backoff policy for transient faults.
 ///
-/// Wired through `Cluster::get`/`put`, the scatter paths
-/// (`multi_get_scatter`, `multi_put_scatter`, `multi_delete_scatter`)
-/// and the streaming `ClusterWriter`: a request refused with
-/// [`KvError::Transient`](crate::KvError::Transient) is retried in
-/// place up to `max_attempts` total tries, waiting an exponentially
-/// growing backoff (with deterministic jitter) between tries. Backoff
-/// is charged as **modeled time** — it shows up in
-/// [`StatsSnapshot::modeled_time`](crate::StatsSnapshot) and in write
-/// summaries, but never really sleeps — and cumulative backoff per op
-/// is capped by `per_op_timeout`, after which the transient error
-/// surfaces to the caller.
+/// Applied in exactly one place: the cluster client's settle step,
+/// which every verb — single-key or batched, read, write, delete or
+/// hint replay — waits for its per-node batch through. A batch
+/// refused with [`KvError::Transient`](crate::KvError::Transient) is
+/// re-shipped to the same node up to `max_attempts` total tries,
+/// waiting an exponentially growing backoff (with deterministic
+/// jitter) between tries. Backoff is charged as **modeled time** — it
+/// shows up in [`StatsSnapshot::modeled_time`](crate::StatsSnapshot)
+/// and in the batch's own modeled time, but never really sleeps — and
+/// cumulative backoff per batch is capped by `per_op_timeout`, after
+/// which the transient error surfaces to the caller: reads fail over
+/// to the next replica, a lone `put` hints the replica, the
+/// scatter-gather and streaming calls return it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Total tries per request (1 = no retries).

@@ -60,51 +60,28 @@ pub struct NodeInfo {
     pub live_bytes: usize,
 }
 
-/// A request sent to a node thread.
+/// A request sent to a node thread. Every data verb travels as one
+/// per-node batch — a single-key operation is a one-element batch —
+/// and each key in it is charged as its own query (the backend has no
+/// large-IN support, exactly as the paper assumes of Cassandra in
+/// §2.6).
 #[derive(Debug)]
 pub enum Request {
-    /// Fetch one value.
-    Get {
-        /// Key to fetch.
-        key: Key,
-        /// Where to send the result.
-        reply: Sender<Result<Option<Value>, KvError>>,
-    },
-    /// Fetch many values; each key is charged as its own query (the
-    /// backend has no large-IN support, exactly as the paper assumes
-    /// of Cassandra in §2.6).
+    /// Fetch values.
     MultiGet {
         /// Keys to fetch.
         keys: Vec<Key>,
         /// Results in key order, with the batch's modeled time.
         reply: Sender<Result<BatchGet, KvError>>,
     },
-    /// Store one value.
-    Put {
-        /// Key to store under.
-        key: Key,
-        /// Value to store.
-        value: Value,
-        /// Completion signal.
-        reply: Sender<Result<(), KvError>>,
-    },
-    /// Store many values in one message (each charged as one query).
+    /// Store values.
     MultiPut {
         /// Key/value pairs to store.
         pairs: Vec<(Key, Value)>,
         /// Completion signal with the batch's modeled time.
         reply: Sender<Result<BatchPut, KvError>>,
     },
-    /// Remove one key.
-    Delete {
-        /// Key to remove.
-        key: Key,
-        /// Completion signal.
-        reply: Sender<Result<(), KvError>>,
-    },
-    /// Remove many keys in one message (each charged as one query) —
-    /// the reclamation path of store compaction, which would otherwise
-    /// pay one round trip per obsolete chunk key.
+    /// Remove keys.
     MultiDelete {
         /// Keys to remove.
         keys: Vec<Key>,

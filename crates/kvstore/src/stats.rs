@@ -234,15 +234,19 @@ pub struct StatsSnapshot {
     pub deletes: u64,
     /// GETs that found no value.
     pub misses: u64,
-    /// Node-batch round trips (one per `MultiGet` message) — the
-    /// scatter-gather fan-out, as opposed to per-key `gets`.
+    /// Read round trips (one per `MultiGet` message) — the
+    /// scatter-gather fan-out, as opposed to per-key `gets`. Every
+    /// read travels as a batch, so a lone `Cluster::get` counts as
+    /// one 1-key round trip here (and in the per-node
+    /// [`NodeLoad`] counters).
     pub batch_gets: u64,
-    /// Node-batch write round trips (one per `MultiPut` message) —
-    /// the streaming-writer fan-out, as opposed to per-pair `puts`.
+    /// Write round trips (one per `MultiPut` message), as opposed to
+    /// per-pair `puts`; a lone `Cluster::put` is one 1-pair round
+    /// trip per replica.
     pub batch_puts: u64,
-    /// Node-batch delete round trips (one per `MultiDelete` message)
-    /// — the compaction-reclamation fan-out, as opposed to per-key
-    /// `deletes`.
+    /// Delete round trips (one per `MultiDelete` message), as opposed
+    /// to per-key `deletes`; a lone `Cluster::delete` is one 1-key
+    /// round trip per replica.
     pub batch_deletes: u64,
     /// Payload bytes returned by GETs.
     pub bytes_read: u64,

@@ -5,14 +5,13 @@
 use bytes::Bytes;
 use proptest::prelude::*;
 use rstore_kvstore::engine::{LogEngine, StorageEngine};
-use rstore_kvstore::Cluster;
+use rstore_kvstore::{Cluster, FaultPlan};
 use std::collections::HashMap;
 
 #[derive(Debug, Clone)]
 enum Op {
     Put(u16, Vec<u8>),
     Delete(u16),
-    Get(u16),
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
@@ -20,8 +19,33 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         (any::<u16>(), prop::collection::vec(any::<u8>(), 0..64))
             .prop_map(|(k, v)| Op::Put(k % 64, v)),
         any::<u16>().prop_map(|k| Op::Delete(k % 64)),
-        any::<u16>().prop_map(|k| Op::Get(k % 64)),
     ]
+}
+
+/// One client call against the cluster: a same-verb batch of 1..6
+/// ops, sent either one key at a time (`put`/`get`/`delete`) or as
+/// one batched call (`multi_put`/`multi_get`/`multi_delete_scatter`).
+#[derive(Debug, Clone)]
+enum Call {
+    Put(Vec<(u16, Vec<u8>)>),
+    Get(Vec<u16>),
+    Delete(Vec<u16>),
+}
+
+fn call_strategy() -> impl Strategy<Value = (Call, bool)> {
+    let keys = || prop::collection::vec(any::<u16>().prop_map(|k| k % 64), 1..6);
+    let pair = (any::<u16>(), prop::collection::vec(any::<u8>(), 0..64))
+        .prop_map(|(k, v)| (k % 64, v));
+    let call = prop_oneof![
+        prop::collection::vec(pair, 1..6).prop_map(Call::Put),
+        keys().prop_map(Call::Get),
+        keys().prop_map(Call::Delete),
+    ];
+    (call, any::<bool>())
+}
+
+fn wire_keys(keys: &[u16]) -> Vec<Vec<u8>> {
+    keys.iter().map(|k| k.to_be_bytes().to_vec()).collect()
 }
 
 proptest! {
@@ -29,37 +53,90 @@ proptest! {
 
     #[test]
     fn cluster_matches_hashmap_model(
-        ops in prop::collection::vec(op_strategy(), 1..80),
+        calls in prop::collection::vec(call_strategy(), 1..40),
         nodes in 1usize..5,
         replication in 1usize..4,
+        flaky in prop_oneof![Just(None), any::<u64>().prop_map(Some)],
     ) {
-        let cluster = Cluster::builder()
-            .nodes(nodes)
-            .replication(replication)
-            .build();
+        // Either fault-free at the drawn shape, or a flaky backend
+        // (every node refuses ~10% of requests) with a second replica
+        // to fall back on and the default retry policy.
+        let cluster = match flaky {
+            None => Cluster::builder().nodes(nodes).replication(replication).build(),
+            Some(seed) => Cluster::builder()
+                .nodes(nodes.max(2))
+                .replication(2)
+                .faults(FaultPlan::flaky(seed))
+                .build(),
+        };
         let mut model: HashMap<u16, Vec<u8>> = HashMap::new();
-        for op in &ops {
-            match op {
-                Op::Put(k, v) => {
-                    cluster.put(k.to_be_bytes().to_vec(), Bytes::from(v.clone())).unwrap();
-                    model.insert(*k, v.clone());
+        // Per-key totals of everything sent, singly or in a batch.
+        let (mut puts, mut gets, mut deletes, mut bytes_written) = (0u64, 0u64, 0u64, 0u64);
+        for (call, batched) in &calls {
+            match call {
+                Call::Put(pairs) => {
+                    let wire = pairs
+                        .iter()
+                        .map(|(k, v)| (k.to_be_bytes().to_vec(), Bytes::from(v.clone())));
+                    if *batched {
+                        cluster.multi_put(wire.collect()).unwrap();
+                    } else {
+                        for (k, v) in wire {
+                            cluster.put(k, v).unwrap();
+                        }
+                    }
+                    puts += pairs.len() as u64;
+                    bytes_written += pairs.iter().map(|(_, v)| 2 + v.len() as u64).sum::<u64>();
+                    model.extend(pairs.iter().cloned());
                 }
-                Op::Delete(k) => {
-                    cluster.delete(&k.to_be_bytes()).unwrap();
-                    model.remove(k);
+                Call::Get(keys) => {
+                    let wire = wire_keys(keys);
+                    let got = if *batched {
+                        cluster.multi_get(&wire).unwrap()
+                    } else {
+                        wire.iter().map(|k| cluster.get(k).unwrap()).collect()
+                    };
+                    gets += keys.len() as u64;
+                    for (k, v) in keys.iter().zip(got) {
+                        prop_assert_eq!(
+                            v.as_ref().map(|b| b.as_ref()),
+                            model.get(k).map(|x| x.as_slice())
+                        );
+                    }
                 }
-                Op::Get(k) => {
-                    let got = cluster.get(&k.to_be_bytes()).unwrap();
-                    prop_assert_eq!(
-                        got.as_ref().map(|b| b.as_ref()),
-                        model.get(k).map(|v| v.as_slice())
-                    );
+                Call::Delete(keys) => {
+                    let wire = wire_keys(keys);
+                    if *batched {
+                        cluster.multi_delete_scatter(wire).unwrap();
+                    } else {
+                        for k in &wire {
+                            cluster.delete(k).unwrap();
+                        }
+                    }
+                    deletes += keys.len() as u64;
+                    for k in keys {
+                        model.remove(k);
+                    }
                 }
             }
         }
+        // Replay restores full replication and the gauge follows.
+        cluster.replay_hints().unwrap();
+        prop_assert_eq!(cluster.pending_hints(), 0);
+        let stats = cluster.stats();
+        prop_assert_eq!(stats.under_replicated, 0);
+        if flaky.is_none() {
+            // Per-key accounting is the same whether an op arrived
+            // singly or in a batch: every write and delete lands once
+            // per replica, every read on one replica.
+            let r = cluster.replication() as u64;
+            prop_assert_eq!(stats.puts, r * puts);
+            prop_assert_eq!(stats.bytes_written, r * bytes_written);
+            prop_assert_eq!(stats.deletes, r * deletes);
+            prop_assert_eq!(stats.gets, gets);
+        }
         // Final multi-get over the whole key space agrees with the model.
-        let keys: Vec<Vec<u8>> = (0u16..64).map(|k| k.to_be_bytes().to_vec()).collect();
-        let values = cluster.multi_get(&keys).unwrap();
+        let values = cluster.multi_get(&wire_keys(&(0u16..64).collect::<Vec<_>>())).unwrap();
         for (k, v) in (0u16..64).zip(values) {
             prop_assert_eq!(
                 v.as_ref().map(|b| b.as_ref()),
@@ -112,7 +189,6 @@ proptest! {
                         engine.delete(&k.to_be_bytes()).unwrap();
                         model.remove(k);
                     }
-                    Op::Get(_) => {}
                 }
             }
         }
@@ -153,7 +229,6 @@ proptest! {
                     engine.delete(&k.to_be_bytes()).unwrap();
                     model.remove(k);
                 }
-                Op::Get(_) => {}
             }
         }
         engine.compact().unwrap();

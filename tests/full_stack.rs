@@ -42,17 +42,34 @@ fn queries_survive_node_failure_with_replication() {
     spec.root_records = 50;
     let dataset = spec.generate();
 
-    let cluster = Cluster::builder().nodes(4).replication(2).build();
-    let store = RStore::builder()
-        .chunk_capacity(4096)
-        .partitioner(PartitionerKind::DepthFirst)
-        .build(cluster);
-    store.load_dataset(&dataset).unwrap();
+    // The second case runs the same outage on a flaky backend (every
+    // node refuses ~10% of requests), so the default test suite also
+    // drives the client's retry loop and hinted handoff.
+    for faults in [None, Some(rstore::kvstore::FaultPlan::flaky(7))] {
+        let flaky = faults.is_some();
+        let mut cluster = Cluster::builder().nodes(4).replication(2);
+        if let Some(plan) = faults {
+            cluster = cluster.faults(plan);
+        }
+        let store = RStore::builder()
+            .chunk_capacity(4096)
+            .partitioner(PartitionerKind::DepthFirst)
+            .build(cluster.build());
+        // Load with a node down: the writes it misses become hints,
+        // replayed when it comes back.
+        store.cluster().set_node_down(3, true);
+        store.load_dataset(&dataset).unwrap();
+        assert!(store.cluster().pending_hints() > 0);
+        store.cluster().set_node_down(3, false);
+        assert_eq!(store.cluster().pending_hints(), 0);
 
-    // Take one node down: every chunk still has a live replica.
-    store.cluster().set_node_down(2, true);
-    check_against_oracle(&store, &dataset);
-    store.cluster().set_node_down(2, false);
+        // Take one node down: every chunk still has a live replica —
+        // for chunks shared with node 3, only thanks to the replay.
+        store.cluster().set_node_down(2, true);
+        check_against_oracle(&store, &dataset);
+        store.cluster().set_node_down(2, false);
+        assert_eq!(store.cluster().stats().retries > 0, flaky);
+    }
 }
 
 #[test]
