@@ -120,6 +120,36 @@ proptest! {
         let _ = Bitmap::deserialize(&data);
     }
 
+    /// Damaged *valid* encodings reach decoder states random bytes
+    /// rarely do (plausible headers, long fills): flip, truncate or
+    /// splice a real serialization — `Ok` or `Err`, never a panic,
+    /// and never an answer longer than the header admits.
+    #[test]
+    fn bitmap_deserialize_never_panics_on_damaged_encoding(
+        len in 0usize..3000,
+        seed_bits in prop::collection::vec(any::<prop::sample::Index>(), 0..48),
+        dense in any::<bool>(),
+        damage in prop::collection::vec((any::<prop::sample::Index>(), any::<u8>()), 1..6),
+        cut in any::<prop::sample::Index>(),
+    ) {
+        let indices: Vec<usize> = if len == 0 {
+            Vec::new()
+        } else if dense {
+            (0..len).filter(|i| i % 97 != 3).collect()
+        } else {
+            seed_bits.iter().map(|ix| ix.index(len)).collect()
+        };
+        let mut bytes = Bitmap::from_indices(len, indices).serialize();
+        for (at, byte) in &damage {
+            let at = at.index(bytes.len());
+            bytes[at] ^= byte | 1;
+        }
+        if let Ok(b) = Bitmap::deserialize(&bytes) {
+            prop_assert!(b.iter_ones().all(|i| i < b.len()));
+        }
+        let _ = Bitmap::deserialize(&bytes[..cut.index(bytes.len() + 1)]);
+    }
+
     #[test]
     fn postings_roundtrip(mut ids in prop::collection::btree_set(any::<u32>(), 0..256)) {
         let ids: Vec<u64> = std::mem::take(&mut ids).into_iter().map(u64::from).collect();

@@ -45,8 +45,28 @@ impl ChunkMap {
         if let Some(&(last, _)) = self.entries.last() {
             assert!(v > last, "versions must be inserted in increasing order");
         }
-        let bitmap = Bitmap::from_indices(self.num_records, locals);
-        self.entries.push((v, bitmap));
+        self.push_bitmap(v, Bitmap::from_indices(self.num_records, locals));
+    }
+
+    /// [`ChunkMap::push_version`] with the membership already built —
+    /// the ingest path derives a version's bitmap from its parent's
+    /// instead of collecting ordinals.
+    ///
+    /// # Panics
+    /// Panics if `v` is not greater than the last inserted version or
+    /// the bitmap does not cover exactly this chunk's records.
+    pub fn push_bitmap(&mut self, v: VersionId, members: Bitmap) {
+        if let Some(&(last, _)) = self.entries.last() {
+            assert!(v > last, "versions must be inserted in increasing order");
+        }
+        assert_eq!(members.len(), self.num_records, "bitmap length mismatch");
+        self.entries.push((v, members));
+    }
+
+    /// Drops the entries of version `v` and every later one.
+    pub(crate) fn truncate_versions(&mut self, v: VersionId) {
+        let keep = self.entries.partition_point(|&(ver, _)| ver < v);
+        self.entries.truncate(keep);
     }
 
     /// Number of records the bitmaps cover.
@@ -57,6 +77,14 @@ impl ChunkMap {
     /// Number of versions that touch this chunk.
     pub fn num_versions(&self) -> usize {
         self.entries.len()
+    }
+
+    /// The membership bitmap of `v`, if the version touches this chunk.
+    pub fn members_of(&self, v: VersionId) -> Option<&Bitmap> {
+        self.entries
+            .binary_search_by_key(&v, |&(ver, _)| ver)
+            .ok()
+            .map(|i| &self.entries[i].1)
     }
 
     /// Iterates the chunk-local ordinals belonging to `v` in
@@ -87,14 +115,8 @@ impl ChunkMap {
     /// entry `varint(version) varint(len) bitmap`.
     pub fn serialize(&self) -> Vec<u8> {
         let mut out = Vec::new();
-        varint::write_u64(&mut out, self.num_records as u64);
-        varint::write_u64(&mut out, self.entries.len() as u64);
-        for (v, bitmap) in &self.entries {
-            varint::write_u32(&mut out, v.as_u32());
-            let bytes = bitmap.serialize();
-            varint::write_u64(&mut out, bytes.len() as u64);
-            out.extend_from_slice(&bytes);
-        }
+        write_header(&mut out, self.num_records, self.entries.len());
+        write_entries(&mut out, &self.entries);
         out
     }
 
@@ -131,6 +153,98 @@ impl ChunkMap {
             entries,
             num_records,
         })
+    }
+}
+
+fn write_header(out: &mut Vec<u8>, num_records: usize, n_entries: usize) {
+    varint::write_u64(out, num_records as u64);
+    varint::write_u64(out, n_entries as u64);
+}
+
+/// Appends the serialized form of `entries` — the map format's entry
+/// region is these bytes in push order, so it only ever grows.
+fn write_entries(out: &mut Vec<u8>, entries: &[(VersionId, Bitmap)]) {
+    for (v, bitmap) in entries {
+        varint::write_u32(out, v.as_u32());
+        let bytes = bitmap.serialize();
+        varint::write_u64(out, bytes.len() as u64);
+        out.extend_from_slice(&bytes);
+    }
+}
+
+/// Serializes `entries` as they would appear in a map's entry region.
+pub(crate) fn encode_entries(entries: &[(VersionId, Bitmap)]) -> Vec<u8> {
+    let mut out = Vec::new();
+    write_entries(&mut out, entries);
+    out
+}
+
+/// The writer's resident copy of a chunk map: the decoded map (the
+/// ingest path derives each new version's bitmaps from its parent's)
+/// beside the serialized bytes of its entry region. A flush rewrites a
+/// dirty map as header + these bytes + the new entries' bytes, instead
+/// of re-encoding every historical bitmap. Readers never see this type:
+/// a cached [`DecodedChunk`](crate::cache::DecodedChunk) carries the
+/// plain [`ChunkMap`] only.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct ResidentMap {
+    map: ChunkMap,
+    /// Serialized entries of `map`, or `None` until first needed: a map
+    /// adopted from the recovery scan is encoded by its first rewrite,
+    /// not by every reopen.
+    entry_bytes: Option<Vec<u8>>,
+}
+
+impl ResidentMap {
+    /// An empty map for a chunk with `num_records` records.
+    pub(crate) fn new(num_records: usize) -> Self {
+        Self {
+            map: ChunkMap::new(num_records),
+            entry_bytes: Some(Vec::new()),
+        }
+    }
+
+    /// Adopts a map decoded from the backend.
+    pub(crate) fn adopt(map: ChunkMap) -> Self {
+        Self {
+            map,
+            entry_bytes: None,
+        }
+    }
+
+    /// The decoded map.
+    pub(crate) fn map(&self) -> &ChunkMap {
+        &self.map
+    }
+
+    /// The bytes [`ChunkMap::serialize`] would produce once `n_new`
+    /// more entries, serialized as `tail` ([`encode_entries`]), are
+    /// appended. The map itself is unchanged: the caller ships these
+    /// bytes and calls [`ResidentMap::append`] only when they are
+    /// durable.
+    pub(crate) fn serialize_with(&mut self, n_new: usize, tail: &[u8]) -> Vec<u8> {
+        let map = &self.map;
+        let resident = self
+            .entry_bytes
+            .get_or_insert_with(|| encode_entries(&map.entries));
+        let mut out = Vec::with_capacity(12 + resident.len() + tail.len());
+        write_header(&mut out, map.num_records, map.entries.len() + n_new);
+        out.extend_from_slice(resident);
+        out.extend_from_slice(tail);
+        out
+    }
+
+    /// Appends `new` entries (ascending versions, all past the last
+    /// resident one) whose serialized form is `tail`.
+    pub(crate) fn append(&mut self, new: Vec<(VersionId, Bitmap)>, tail: &[u8]) {
+        for (v, members) in new {
+            self.map.push_bitmap(v, members);
+        }
+        // Bytes not materialized yet stay that way: the next
+        // `serialize_with` encodes the whole region once.
+        if let Some(resident) = &mut self.entry_bytes {
+            resident.extend_from_slice(tail);
+        }
     }
 }
 
@@ -218,6 +332,44 @@ mod tests {
         let mut extra = bytes.clone();
         extra.push(7);
         assert!(ChunkMap::deserialize(&extra).is_err());
+    }
+
+    #[test]
+    fn resident_map_appends_to_the_same_bytes_as_a_full_encode() {
+        let entry = |v: u32, locals: &[usize]| {
+            (VersionId(v), Bitmap::from_indices(70, locals.iter().copied()))
+        };
+        // One map grown flush by flush, one adopted mid-way (reopen).
+        let mut grown = ResidentMap::new(70);
+        let mut reference = ChunkMap::new(70);
+        let mut adopted: Option<ResidentMap> = None;
+        let batches: Vec<Vec<(VersionId, Bitmap)>> = vec![
+            vec![entry(0, &[0, 1, 69]), entry(1, &[1])],
+            vec![],
+            vec![entry(4, &[2, 3, 4, 5, 64])],
+            vec![entry(7, &(0..70).collect::<Vec<_>>()), entry(9, &[33])],
+        ];
+        for (round, batch) in batches.into_iter().enumerate() {
+            if round == 2 {
+                adopted = Some(ResidentMap::adopt(reference.clone()));
+            }
+            let tail = encode_entries(&batch);
+            for (v, b) in &batch {
+                reference.push_version(*v, b.iter_ones());
+            }
+            let staged = grown.serialize_with(batch.len(), &tail);
+            assert_eq!(staged, reference.serialize(), "round {round}");
+            // Staging leaves the map untouched until `append`.
+            assert_eq!(grown.map().num_versions() + batch.len(), reference.num_versions());
+            if let Some(a) = &mut adopted {
+                assert_eq!(a.serialize_with(batch.len(), &tail), staged);
+                a.append(batch.clone(), &tail);
+            }
+            grown.append(batch, &tail);
+            assert_eq!(grown.map(), &reference);
+            assert_eq!(grown.serialize_with(0, &[]), reference.serialize());
+        }
+        assert_eq!(adopted.unwrap().map(), &reference);
     }
 
     #[test]

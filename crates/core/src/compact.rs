@@ -52,7 +52,7 @@
 //! normally (chunk maps require strictly increasing version pushes).
 
 use crate::chunk::{Chunk, SubChunk};
-use crate::chunkmap::ChunkMap;
+use crate::chunkmap::{encode_entries, ResidentMap};
 use crate::cost::CostModel;
 use crate::error::CoreError;
 use crate::model::{ChunkId, CompositeKey, Record, VersionId};
@@ -61,6 +61,7 @@ use crate::plan;
 use crate::query;
 use crate::store::{self, DeferredReclaim, RStore, StoreMut, CHUNK_TABLE, CMAP_TABLE};
 use bytes::Bytes;
+use rstore_compress::Bitmap;
 use rstore_kvstore::{table_key, Key};
 use rustc_hash::{FxHashMap, FxHashSet};
 use std::sync::Arc;
@@ -650,20 +651,25 @@ impl RStore {
             .map(|(c, work)| (c, count_of[&c], work))
             .collect();
         map_jobs.sort_unstable_by_key(|&(c, _, _)| c);
-        let built: Vec<(u32, ChunkMap, Bytes)> =
+        let built: Vec<(u32, ResidentMap, Bytes)> =
             plan::parallel_map_owned(map_jobs, workers, |(c, n, work)| {
-                let mut map = ChunkMap::new(n);
-                for (v, locals) in work {
-                    map.push_version(v, locals.iter().copied());
-                }
-                let bytes = Bytes::from(map.serialize());
+                let entries: Vec<(VersionId, Bitmap)> = work
+                    .into_iter()
+                    .map(|(v, locals)| (v, Bitmap::from_indices(n, locals)))
+                    .collect();
+                // Encoded once; the adopted map keeps the bytes so
+                // later flushes append to them.
+                let tail = encode_entries(&entries);
+                let mut map = ResidentMap::new(n);
+                let bytes = Bytes::from(map.serialize_with(entries.len(), &tail));
+                map.append(entries, &tail);
                 (c, map, bytes)
             });
         // Split the build output: serialized bytes move into the
         // write list (no copy), the maps themselves are adopted at
         // the swap below.
         let mut writes: Vec<(Key, Bytes)> = Vec::with_capacity(built.len());
-        let mut adopted: Vec<(u32, ChunkMap)> = Vec::with_capacity(built.len());
+        let mut adopted: Vec<(u32, ResidentMap)> = Vec::with_capacity(built.len());
         for (c, map, bytes) in built {
             writes.push((table_key(CMAP_TABLE, &ChunkId(c).to_key()), bytes));
             adopted.push((c, map));
@@ -716,12 +722,12 @@ impl RStore {
         for &c in &victims {
             retired.insert(c);
             Arc::make_mut(&mut st.chunk_sizes)[c as usize] = 0;
-            st.chunk_maps[c as usize] = ChunkMap::default();
+            st.chunk_maps[c as usize] = ResidentMap::default();
         }
 
         // -- commit point: persist the metadata, publish the new
         // generation to readers --------------------------------------
-        let (meta_modeled, meta_wait) = self.persist_meta_locked(st)?;
+        let (meta_modeled, meta_wait) = self.persist_meta(st.meta())?;
         stages.modeled_write += meta_modeled;
         stages.write += meta_wait;
         self.publish(st);

@@ -27,40 +27,36 @@ impl Default for OnlineConfig {
     }
 }
 
+/// The commit that reproduces version `v` of `dataset` online: its
+/// delta's records as puts, and a delete for every removed key that
+/// is not re-added (a re-added key is an update, which the store
+/// resolves itself).
+pub fn commit_request(dataset: &Dataset, v: VersionId) -> CommitRequest {
+    let node = dataset.graph.node(v);
+    let delta = &dataset.deltas[v.index()];
+    let puts = delta.added.iter().map(|r| (r.pk, r.payload.clone()));
+    let req = match node.parents.as_slice() {
+        [] => CommitRequest::root(puts.collect::<Vec<_>>()),
+        [primary, others @ ..] => puts.fold(
+            CommitRequest::merge_of(*primary, others.iter().copied()),
+            |req, (pk, payload)| req.put(pk, payload),
+        ),
+    };
+    let readded: FxHashSet<u64> = delta.added.iter().map(|r| r.pk).collect();
+    delta
+        .removed
+        .iter()
+        .filter(|ck| !readded.contains(&ck.pk))
+        .fold(req, |req, ck| req.delete(ck.pk))
+}
+
 /// Replays a generated dataset through the online commit path. The
 /// store must be empty; version ids assigned by the store will match
 /// the dataset's (both are sequential).
 pub fn replay_commits(store: &RStore, dataset: &Dataset) -> Result<(), CoreError> {
-    for node in dataset.graph.nodes() {
-        let delta = &dataset.deltas[node.id.index()];
-        let puts = delta
-            .added
-            .iter()
-            .map(|r| (r.pk, r.payload.clone()))
-            .collect::<Vec<_>>();
-        // A removed key is a delete unless the same pk is re-added
-        // (then it is an update and the store resolves it itself).
-        let readded: FxHashSet<u64> = delta.added.iter().map(|r| r.pk).collect();
-        let mut req = if node.parents.is_empty() {
-            CommitRequest::root(puts)
-        } else {
-            let mut req = if node.parents.len() == 1 {
-                CommitRequest::child_of(node.parents[0])
-            } else {
-                CommitRequest::merge_of(node.parents[0], node.parents[1..].iter().copied())
-            };
-            for (pk, payload) in puts {
-                req = req.put(pk, payload);
-            }
-            req
-        };
-        for ck in &delta.removed {
-            if !readded.contains(&ck.pk) {
-                req = req.delete(ck.pk);
-            }
-        }
-        let assigned = store.commit(req)?;
-        debug_assert_eq!(assigned, node.id);
+    for v in dataset.graph.ids() {
+        let assigned = store.commit(commit_request(dataset, v))?;
+        debug_assert_eq!(assigned, v);
     }
     store.seal()?;
     Ok(())

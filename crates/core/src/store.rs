@@ -23,13 +23,18 @@
 //! chunk serialization fan out across [`StoreConfig::ingest_threads`]
 //! scoped threads, serialized chunks stream to the backend in
 //! per-node batches ([`Cluster::writer`]) *while later chunks are
-//! still being encoded*, and the §4 batch-indexing trick is a
-//! per-chunk grouping pass followed by independent chunk-map builds
-//! (WAH bitmap encode per chunk on its own core) whose serialized
-//! maps ride the same streaming writer. `ingest_threads = 1` keeps
+//! still being encoded*, and the §4 batch-indexing trick derives each
+//! new version's chunk-map bitmaps from its primary parent's (cost
+//! proportional to the delta and the span, not the version) and
+//! appends them to each touched map's resident bytes, so a dirty map
+//! is rewritten once per batch without re-encoding its history; the
+//! serialized maps ride the same streaming writer. A batch is staged
+//! against the writer state and applied only once every backend write
+//! has landed, so a failed flush leaves its commits in the delta store
+//! for the next attempt. `ingest_threads = 1` keeps
 //! the fully serial reference path (encode everything, then one
-//! scatter-gather put) that the equivalence proptests and
-//! `bench_ingest` compare against; [`IngestStages`] makes each stage
+//! scatter-gather put) that the equivalence proptests compare
+//! against; [`IngestStages`] makes each stage
 //! observable the way `QueryStats` made reads observable.
 //!
 //! Reads are **snapshot-isolated** from both paths: every query entry
@@ -45,7 +50,7 @@
 
 use crate::cache::{CacheStats, ChunkCache};
 use crate::chunk::{Chunk, SubChunk};
-use crate::chunkmap::ChunkMap;
+use crate::chunkmap::{encode_entries, ChunkMap, ResidentMap};
 use crate::compact::{CompactionConfig, CompactionReport};
 use crate::error::CoreError;
 use crate::index::Projections;
@@ -65,7 +70,7 @@ use crate::subchunk::SubchunkPlan;
 use bytes::Bytes;
 use crossbeam::channel::bounded;
 use rstore_kvstore::{table_key, BreakerPolicy, Cluster, Key, KvError, WriteSummary};
-use rstore_compress::varint;
+use rstore_compress::{varint, Bitmap};
 use rstore_vgraph::{Dataset, VersionDelta, VersionGraph};
 use rustc_hash::{FxHashMap, FxHashSet};
 use std::collections::BTreeMap;
@@ -388,8 +393,9 @@ pub struct IngestStages {
     pub partition: Duration,
     /// Chunk assembly + serialization (overlaps `write`).
     pub assemble: Duration,
-    /// Per-chunk grouping, chunk-map builds and projection updates
-    /// (overlaps `write`).
+    /// Deriving the batch's chunk-map entries from its deltas,
+    /// encoding the touched maps and streaming them out (overlaps
+    /// `write`).
     pub index: Duration,
     /// Time actually blocked on backend writes: shipping per-node
     /// batches plus waiting for outstanding ones — the part the
@@ -457,9 +463,47 @@ pub struct FlushReport {
 type ResolvedCommit = (VersionId, VersionDelta, Vec<(PrimaryKey, VersionId)>);
 
 /// One dirty chunk's share of a batch index pass: the chunk id, the
-/// exclusive handle on its in-memory map, and the `(version, sorted
-/// locals)` entries to append before the map is re-encoded.
-type MapBuildJob<'a> = (u32, &'a mut ChunkMap, Vec<(VersionId, Vec<usize>)>);
+/// exclusive handle on its resident map (one of the writer state's, or
+/// a fresh one for a chunk the batch created), and the `(version,
+/// members)` entries to append.
+type MapBuildJob<'a> = (u32, &'a mut ResidentMap, Vec<(VersionId, Bitmap)>);
+
+/// The chunks a batch created, staged against peeked ids
+/// ([`peek_chunk_ids`]): nothing here is in the writer state yet.
+struct StagedChunks {
+    /// Chunk id per new chunk.
+    ids: Vec<u32>,
+    /// Compressed bytes per new chunk.
+    sizes: Vec<usize>,
+    /// Records per new chunk (its map's bitmap length).
+    counts: Vec<usize>,
+    /// Where each of the batch's new records landed.
+    placed: FxHashMap<CompositeKey, (u32, u32)>,
+}
+
+/// A batch's index edits, derived from its deltas and not yet applied.
+#[derive(Default)]
+struct StagedIndex {
+    /// Per batch version, ascending: the sorted chunk ids holding its
+    /// records.
+    version_chunks: Vec<(VersionId, Vec<u32>)>,
+    /// `(pk, chunk)` of every record the batch added.
+    key_chunks: Vec<(PrimaryKey, u32)>,
+    /// Per dirty chunk: the batch's entries, ascending by version.
+    per_chunk: FxHashMap<u32, Vec<(VersionId, Bitmap)>>,
+}
+
+/// What one meta commit persists. [`StoreMut::meta`] views the writer
+/// state; a flush substitutes the parts it has staged, so the commit
+/// point is written before the writer state changes.
+#[derive(Clone, Copy)]
+pub(crate) struct MetaView<'a> {
+    graph: &'a VersionGraph,
+    projections: &'a Projections,
+    chunk_slots: usize,
+    retired: &'a FxHashSet<u32>,
+    free: &'a FxHashSet<u32>,
+}
 
 /// Outcome of one streamed encode stage: the writer's accounting plus
 /// how long the stage was genuinely blocked on backend writes (batch
@@ -896,7 +940,7 @@ pub(crate) struct StoreMut {
     /// In-memory chunk maps (authoritative; persisted per batch).
     /// Indexed by chunk id; retired ids keep an empty tombstone map
     /// until a reclamation pass frees or truncates the slot.
-    pub(crate) chunk_maps: Vec<ChunkMap>,
+    pub(crate) chunk_maps: Vec<ResidentMap>,
     /// The delta store: commits awaiting a partitioning pass.
     pending: Vec<(VersionId, VersionDelta)>,
     /// Batch flushes since the last compaction (the auto-trigger
@@ -952,6 +996,18 @@ impl StoreMut {
         }
     }
 
+    /// The metadata a commit point persists, as the writer state has
+    /// it now.
+    pub(crate) fn meta(&self) -> MetaView<'_> {
+        MetaView {
+            graph: &self.graph,
+            projections: &self.projections,
+            chunk_slots: self.chunk_maps.len(),
+            retired: &self.retired,
+            free: &self.free,
+        }
+    }
+
     /// Version ids still buffered in the delta store (compaction must
     /// not claim them in rebuilt chunk maps: their records are
     /// unplaced and chunk maps require strictly increasing pushes).
@@ -1004,7 +1060,7 @@ pub(crate) fn claim_chunk_ids(st: &mut StoreMut, n: usize) -> Vec<u32> {
     }
     while ids.len() < n {
         let id = st.chunk_maps.len() as u32;
-        st.chunk_maps.push(ChunkMap::default());
+        st.chunk_maps.push(ResidentMap::default());
         Arc::make_mut(&mut st.chunk_sizes).push(0);
         Arc::make_mut(&mut st.map_gen).push(0);
         ids.push(id);
@@ -1285,29 +1341,30 @@ impl RStore {
         let t = Instant::now();
         let chunk_items = partitioning.chunk_items();
         let mut subchunk_slots: Vec<Option<SubChunk>> = subchunks.into_iter().map(Some).collect();
-        let mut chunks: Vec<Chunk> = Vec::with_capacity(chunk_items.len());
-        for (chunk_idx, items) in chunk_items.iter().enumerate() {
+        let mut chunks = StagedChunks {
+            ids: peek_chunk_ids(st, chunk_items.len()),
+            sizes: Vec::with_capacity(chunk_items.len()),
+            counts: Vec::with_capacity(chunk_items.len()),
+            placed: FxHashMap::default(),
+        };
+        let mut jobs: Vec<(u32, Chunk)> = Vec::with_capacity(chunk_items.len());
+        for (items, &chunk_id) in chunk_items.iter().zip(&chunks.ids) {
             let mut chunk = Chunk::new();
             let mut local = 0u32;
             for &g in items {
                 let sc = subchunk_slots[g as usize].take().expect("item in one chunk");
                 for &member in &plan.groups[g as usize] {
-                    st.locator
-                        .insert(record_store.key(member), (chunk_idx as u32, local));
+                    chunks
+                        .placed
+                        .insert(record_store.key(member), (chunk_id, local));
                     local += 1;
                 }
                 chunk.subchunks.push(sc);
             }
-            Arc::make_mut(&mut st.chunk_sizes).push(chunk.compressed_bytes());
-            Arc::make_mut(&mut st.map_gen).push(st.generation + 1);
-            st.chunk_maps.push(ChunkMap::new(local as usize));
-            chunks.push(chunk);
+            chunks.sizes.push(chunk.compressed_bytes());
+            chunks.counts.push(local as usize);
+            jobs.push((chunk_id, chunk));
         }
-        let jobs: Vec<(u32, Chunk)> = chunks
-            .into_iter()
-            .enumerate()
-            .map(|(i, c)| (i as u32, c))
-            .collect();
         let outcome = stream_chunk_blobs(&self.cluster, workers, jobs)?;
         stages.assemble = t.elapsed();
         outcome.fold_into(&mut stages);
@@ -1325,18 +1382,13 @@ impl RStore {
             .collect();
         st.record_counts = Arc::new(st.contents.iter().map(|c| c.len()).collect());
         let num_records = record_store.len();
-        let versions: Vec<VersionId> = st.graph.ids().collect();
+        let batch: Vec<(VersionId, &VersionDelta)> = st.graph.ids().zip(&dataset.deltas).collect();
 
-        // Stages 4+5 — index + write: per-chunk grouping, parallel
-        // chunk-map builds, serialized maps ride the streaming writer.
-        let t = Instant::now();
-        let (_, index_outcome) = self.index_versions_locked(st, &versions)?;
-        stages.index = t.elapsed();
-        index_outcome.fold_into(&mut stages);
-        let (meta_modeled, meta_wait) = self.persist_meta_locked(st)?;
-        stages.modeled_write += meta_modeled;
-        stages.write += meta_wait;
-        self.publish(st);
+        // Stages 4+5 — index + write: derive every version's bitmaps
+        // down the primary-parent tree, encode the maps in parallel,
+        // serialized maps ride the streaming writer; then the meta
+        // commit point and the publish.
+        self.index_and_commit(st, &batch, chunks, &mut stages)?;
         self.record_ingest_stages(&stages);
 
         Ok(LoadReport {
@@ -1352,103 +1404,268 @@ impl RStore {
         })
     }
 
-    /// Adds chunk-map entries and projections for `versions` (ids in
-    /// ascending order), then persists the touched chunk maps — once
-    /// each, rebuilt from memory, exactly the §4 batching trick.
+    /// Derives the chunk-map entries and projection edits of `batch`
+    /// (ascending versions, each with the delta from its primary
+    /// parent) without touching the writer state.
     ///
-    /// Restructured for the ingest pipeline: a serial per-chunk
-    /// grouping pass (locator lookups + projection updates) collects
-    /// each dirty chunk's `(version, locals)` work list, then the
-    /// chunk maps are built independently — `ChunkMap::push_version`
-    /// plus the WAH bitmap encode run per chunk on its own core — and
-    /// the serialized maps stream to the backend through the same
-    /// writer stage the chunk blobs used. Returns the dirty-map count
-    /// and the write accounting.
-    fn index_versions_locked(
+    /// `contents[v] = contents[parent(v)] − removed + added` holds for
+    /// every version, so a version's membership in a chunk is its
+    /// parent's bitmap there with the removed records' bits cleared
+    /// and the added records' bits set: the cost is the parent's span
+    /// plus the delta, not the version's width. The parent's bitmaps
+    /// come from the resident maps, or from this same staging when
+    /// the parent is part of the batch. Only added records touch the
+    /// key projection — every other record's entry dates from the
+    /// batch that placed it.
+    fn stage_index(
+        st: &StoreMut,
+        batch: &[(VersionId, &VersionDelta)],
+        chunks: &StagedChunks,
+    ) -> StagedIndex {
+        let locate = |ck: &CompositeKey| -> (u32, u32) {
+            *chunks
+                .placed
+                .get(ck)
+                .or_else(|| st.locator.get(ck))
+                .unwrap_or_else(|| panic!("record {ck} not placed"))
+        };
+        let new_counts: FxHashMap<u32, usize> = chunks
+            .ids
+            .iter()
+            .copied()
+            .zip(chunks.counts.iter().copied())
+            .collect();
+        let mut staged = StagedIndex::default();
+        for &(v, delta) in batch {
+            let mut members: Vec<(u32, Bitmap)> = match st.graph.node(v).primary_parent() {
+                None => Vec::new(),
+                Some(p) => match staged.version_chunks.binary_search_by_key(&p, |e| e.0) {
+                    Ok(i) => staged.version_chunks[i]
+                        .1
+                        .iter()
+                        .map(|&c| {
+                            let entries = &staged.per_chunk[&c];
+                            let at = entries
+                                .binary_search_by_key(&p, |e| e.0)
+                                .expect("staged parent entry");
+                            (c, entries[at].1.clone())
+                        })
+                        .collect(),
+                    Err(_) => st
+                        .projections
+                        .chunks_of_version(p)
+                        .iter()
+                        .map(|&c| {
+                            let parent = st.chunk_maps[c as usize].map().members_of(p);
+                            (c, parent.expect("parent indexed in its span").clone())
+                        })
+                        .collect(),
+                },
+            };
+            for ck in &delta.removed {
+                let (chunk, local) = locate(ck);
+                let at = members
+                    .binary_search_by_key(&chunk, |m| m.0)
+                    .unwrap_or_else(|_| panic!("removed record {ck} not in the parent's span"));
+                members[at].1.clear(local as usize);
+            }
+            for rec in &delta.added {
+                let (chunk, local) = locate(&rec.composite_key());
+                let at = match members.binary_search_by_key(&chunk, |m| m.0) {
+                    Ok(at) => at,
+                    Err(at) => {
+                        // Added records land in this batch's chunks.
+                        members.insert(at, (chunk, Bitmap::new(new_counts[&chunk])));
+                        at
+                    }
+                };
+                members[at].1.set(local as usize);
+                staged.key_chunks.push((rec.pk, chunk));
+            }
+            let mut span = Vec::with_capacity(members.len());
+            for (chunk, bitmap) in members {
+                if bitmap.count_ones() > 0 {
+                    span.push(chunk);
+                    staged.per_chunk.entry(chunk).or_default().push((v, bitmap));
+                }
+            }
+            staged.version_chunks.push((v, span));
+        }
+        staged
+    }
+
+    /// The shared tail of the bulk load and the batch flush, entered
+    /// once the batch's chunk blobs are in the backend: index the
+    /// batch ([`RStore::stage_index`]), encode every dirty chunk map
+    /// — its resident bytes plus the new entries, each map on its own
+    /// core — and stream them out, persist the metadata, and only
+    /// then apply the batch to the writer state and publish. Any
+    /// error returns before the writer state changes, so the caller
+    /// can retry the same batch; blobs and maps a failed attempt left
+    /// behind are overwritten by the retry or stay unreferenced.
+    /// Returns the ids of the chunk maps written.
+    fn index_and_commit(
         &self,
         st: &mut StoreMut,
-        versions: &[VersionId],
-    ) -> Result<(Vec<u32>, StreamOutcome), CoreError> {
-        let workers = self.ingest_workers();
-        // Pass 1 — group the batch per chunk. Outer loop ascends, so
-        // each chunk's work list has strictly increasing versions —
-        // the `push_version` precondition.
-        let projections = Arc::make_mut(&mut st.projections);
-        let mut per_chunk: FxHashMap<u32, Vec<(VersionId, Vec<usize>)>> = FxHashMap::default();
-        let mut touched: FxHashMap<u32, Vec<usize>> = FxHashMap::default();
-        for &v in versions {
-            for &(pk, origin) in &st.contents[v.index()] {
+        batch: &[(VersionId, &VersionDelta)],
+        chunks: StagedChunks,
+        stages: &mut IngestStages,
+    ) -> Result<Vec<u32>, CoreError> {
+        let workers = stages.workers;
+        let t = Instant::now();
+        let mut index = Self::stage_index(st, batch, &chunks);
+
+        // Independent chunk-map builds: each dirty map (a disjoint
+        // `&mut`, for the lazily materialized resident bytes) encodes
+        // its new entries and assembles its serialized form. Every
+        // new chunk gets a map even if no version holds its records,
+        // so the recovery scan never finds a blob without its other
+        // half.
+        let mut fresh: Vec<ResidentMap> =
+            chunks.counts.iter().map(|&n| ResidentMap::new(n)).collect();
+        // The new chunks claim their entries first, so a reused free
+        // slot's tombstone map finds none and stays out of the jobs.
+        let mut jobs: Vec<MapBuildJob<'_>> = chunks
+            .ids
+            .iter()
+            .zip(fresh.iter_mut())
+            .map(|(&c, map)| (c, map, index.per_chunk.remove(&c).unwrap_or_default()))
+            .collect();
+        jobs.extend(st.chunk_maps.iter_mut().enumerate().filter_map(|(c, map)| {
+            let c = c as u32;
+            index.per_chunk.remove(&c).map(|work| (c, map, work))
+        }));
+        jobs.sort_unstable_by_key(|job| job.0);
+        debug_assert!(index.per_chunk.is_empty(), "entries for unknown chunks");
+        let built = plan::parallel_map_owned(jobs, workers, |(c, map, work)| {
+            let tail = encode_entries(&work);
+            let bytes = Bytes::from(map.serialize_with(work.len(), &tail));
+            (c, bytes, work, tail)
+        });
+        // The serialized maps ride the same streaming writer stage as
+        // the chunk blobs (per-node batches ship while later pushes
+        // queue; one deferred scatter put on the serial path).
+        let mut writes: Vec<(Key, Bytes)> = Vec::with_capacity(built.len());
+        let mut appends = Vec::with_capacity(built.len());
+        for (c, bytes, work, tail) in built {
+            writes.push((table_key(CMAP_TABLE, &ChunkId(c).to_key()), bytes));
+            appends.push((c, work, tail));
+        }
+        let outcome = stream_writes(&self.cluster, workers, writes)?;
+        stages.index = t.elapsed();
+        outcome.fold_into(stages);
+
+        // The next generation's metadata, still off to the side.
+        let mut projections = Arc::clone(&st.projections);
+        let next = Arc::make_mut(&mut projections);
+        for (v, span) in index.version_chunks {
+            next.ensure_version(v);
+            for c in span {
+                next.add_version_chunk(v, ChunkId(c));
+            }
+        }
+        for (pk, c) in index.key_chunks {
+            next.add_key_chunk(pk, ChunkId(c));
+        }
+        let mut free = (*st.free).clone();
+        let mut chunk_slots = st.chunk_maps.len();
+        for &c in &chunks.ids {
+            free.remove(&c);
+            chunk_slots = chunk_slots.max(c as usize + 1);
+        }
+        let (meta_modeled, meta_wait) = self.persist_meta(MetaView {
+            projections: next,
+            chunk_slots,
+            free: &free,
+            ..st.meta()
+        })?;
+        stages.modeled_write += meta_modeled;
+        stages.write += meta_wait;
+
+        // Everything is durable: apply the batch and publish it.
+        let claimed = claim_chunk_ids(st, chunks.ids.len());
+        debug_assert_eq!(claimed, chunks.ids);
+        debug_assert_eq!(st.chunk_maps.len(), chunk_slots);
+        for (i, map) in fresh.into_iter().enumerate() {
+            let slot = chunks.ids[i] as usize;
+            Arc::make_mut(&mut st.chunk_sizes)[slot] = chunks.sizes[i];
+            st.chunk_maps[slot] = map;
+        }
+        st.locator.extend(chunks.placed);
+        st.projections = projections;
+        // Stamp the rewritten maps with the generation about to
+        // publish: cached decoded copies of older generations fail
+        // the probe floor and drop lazily — no synchronous
+        // invalidation loop in this critical section (the flush tail
+        // sweeps resident stale entries outside it).
+        let map_gen = Arc::make_mut(&mut st.map_gen);
+        let mut dirty = Vec::with_capacity(appends.len());
+        for (c, work, tail) in appends {
+            st.chunk_maps[c as usize].append(work, &tail);
+            map_gen[c as usize] = st.generation + 1;
+            dirty.push(c);
+        }
+        self.publish(st);
+        Ok(dirty)
+    }
+
+    /// Test oracle for [`RStore::stage_index`]: the index as the
+    /// from-contents pass builds it — every record of every version
+    /// resolved through the locator, grouped per chunk, each map
+    /// encoded whole. Returns the serialized map of every live chunk
+    /// (ascending ids) and the serialized projections; the ingest
+    /// proptests hold the backend's `cmaps` values and
+    /// `meta/projections` to these bytes. The delta store must be
+    /// empty (unflushed versions are in neither).
+    #[doc(hidden)]
+    pub fn index_from_contents(&self) -> (Vec<(u32, Vec<u8>)>, Vec<u8>) {
+        let st = self.state.lock().unwrap();
+        assert!(st.pending.is_empty(), "flush before consulting the oracle");
+        let mut records: FxHashMap<u32, usize> = FxHashMap::default();
+        for &(chunk, _) in st.locator.values() {
+            *records.entry(chunk).or_default() += 1;
+        }
+        let mut maps: BTreeMap<u32, ChunkMap> = st
+            .live_chunk_ids()
+            .into_iter()
+            .map(|c| (c, ChunkMap::new(records.get(&c).copied().unwrap_or(0))))
+            .collect();
+        let mut projections = Projections::new();
+        for (v, contents) in st.contents.iter().enumerate() {
+            let v = VersionId(v as u32);
+            let mut touched: BTreeMap<u32, Vec<usize>> = BTreeMap::new();
+            for &(pk, origin) in contents {
                 let ck = CompositeKey::new(pk, origin);
                 let &(chunk, local) = st
                     .locator
                     .get(&ck)
                     .unwrap_or_else(|| panic!("record {ck} not placed"));
                 touched.entry(chunk).or_default().push(local as usize);
-                // Key projection: every placed record's key points at
-                // its chunk.
                 projections.add_key_chunk(pk, ChunkId(chunk));
             }
-            for (chunk, mut locals) in touched.drain() {
+            projections.ensure_version(v);
+            for (chunk, mut locals) in touched {
                 locals.sort_unstable();
                 projections.add_version_chunk(v, ChunkId(chunk));
-                per_chunk.entry(chunk).or_default().push((v, locals));
+                maps.get_mut(&chunk)
+                    .expect("placed in a live chunk")
+                    .push_version(v, locals);
             }
-            projections.ensure_version(v);
         }
-
-        // Pass 2 — independent chunk-map builds: each dirty map (a
-        // disjoint `&mut`) applies its work list and re-encodes on
-        // its own core. Every in-memory mutation completes *before*
-        // any write is attempted, so a failed write leaves the
-        // resident maps whole and the next successful flush rewrites
-        // them completely (the pre-pipeline self-healing behaviour).
-        let jobs: Vec<MapBuildJob<'_>> = st
-            .chunk_maps
-            .iter_mut()
-            .enumerate()
-            .filter_map(|(c, map)| {
-                per_chunk.remove(&(c as u32)).map(|work| (c as u32, map, work))
-            })
-            .collect();
-        let dirty: Vec<u32> = jobs.iter().map(|&(c, _, _)| c).collect();
-        let writes: Vec<(Key, Bytes)> =
-            plan::parallel_map_owned(jobs, workers, |(c, map, work)| {
-                for (v, locals) in work {
-                    map.push_version(v, locals.iter().copied());
-                }
-                (
-                    table_key(CMAP_TABLE, &ChunkId(c).to_key()),
-                    Bytes::from(map.serialize()),
-                )
-            });
-        // The serialized maps ride the same streaming writer stage as
-        // the chunk blobs (per-node batches ship while later pushes
-        // queue; one deferred scatter put on the serial path).
-        let outcome = stream_writes(&self.cluster, workers, writes)?;
-        // Stamp the rewritten maps with the generation about to
-        // publish: cached decoded copies of older generations fail
-        // the probe floor and drop lazily — no synchronous
-        // invalidation loop in this critical section (the flush tail
-        // sweeps resident stale entries outside it).
-        let mg = Arc::make_mut(&mut st.map_gen);
-        for &c in &dirty {
-            mg[c as usize] = st.generation + 1;
-        }
-        Ok((dirty, outcome))
+        let maps = maps.into_iter().map(|(c, m)| (c, m.serialize())).collect();
+        (maps, projections.serialize())
     }
 
     /// Persists the projections, version graph, chunk count and the
     /// retired-chunk list — one batched scatter-gather put instead of
-    /// serial round trips. For a compaction this put is the *commit
-    /// point*: until it lands, the persisted metadata references only
-    /// the old generation, which is still fully present. Returns
-    /// `(modeled write time, wall time blocked on the put)` for the
-    /// stage accounting; serialization happens before the clock starts
-    /// so only backend time counts as write-blocked.
-    pub(crate) fn persist_meta_locked(
-        &self,
-        st: &StoreMut,
-    ) -> Result<(Duration, Duration), CoreError> {
+    /// serial round trips. This put is the *commit point* of a flush
+    /// and of a compaction slice: until it lands, the persisted
+    /// metadata references only what was there before, which is still
+    /// fully present. Returns `(modeled write time, wall time blocked
+    /// on the put)` for the stage accounting; serialization happens
+    /// before the clock starts so only backend time counts as
+    /// write-blocked.
+    pub(crate) fn persist_meta(&self, meta: MetaView<'_>) -> Result<(Duration, Duration), CoreError> {
         let encode_ids = |ids: &FxHashSet<u32>| {
             let mut sorted: Vec<u32> = ids.iter().copied().collect();
             sorted.sort_unstable();
@@ -1459,23 +1676,27 @@ impl RStore {
             }
             bytes
         };
-        let retired_bytes = encode_ids(&st.retired);
-        let free_bytes = encode_ids(&st.free);
         let pairs = vec![
             (
                 table_key(META_TABLE, b"projections"),
-                Bytes::from(st.projections.serialize()),
+                Bytes::from(meta.projections.serialize()),
             ),
             (
                 table_key(META_TABLE, b"graph"),
-                Bytes::from(st.graph.to_bytes()),
+                Bytes::from(meta.graph.to_bytes()),
             ),
             (
                 table_key(META_TABLE, b"chunk_count"),
-                Bytes::from((st.chunk_maps.len() as u64).to_be_bytes().to_vec()),
+                Bytes::from((meta.chunk_slots as u64).to_be_bytes().to_vec()),
             ),
-            (table_key(META_TABLE, b"retired"), Bytes::from(retired_bytes)),
-            (table_key(META_TABLE, b"free"), Bytes::from(free_bytes)),
+            (
+                table_key(META_TABLE, b"retired"),
+                Bytes::from(encode_ids(meta.retired)),
+            ),
+            (
+                table_key(META_TABLE, b"free"),
+                Bytes::from(encode_ids(meta.free)),
+            ),
         ];
         let t = Instant::now();
         let modeled = self.cluster.multi_put_scatter(pairs)?;
@@ -1558,7 +1779,7 @@ impl RStore {
         st.projections = Arc::new(projections);
         st.retired = Arc::new(retired);
         st.free = Arc::new(free);
-        st.chunk_maps = vec![ChunkMap::default(); chunk_count];
+        st.chunk_maps = vec![ResidentMap::default(); chunk_count];
         st.chunk_sizes = Arc::new(vec![0; chunk_count]);
         // Not persisted: after a reopen every cached decoded map is
         // gone anyway, so generation 1 (the initial publish) is a
@@ -1591,12 +1812,18 @@ impl RStore {
         let st = &mut *guard;
         let mut contents_maps: Vec<FxHashMap<PrimaryKey, VersionId>> =
             vec![FxHashMap::default(); st.graph.len()];
+        // A flush that died between its chunk-map writes and its meta
+        // commit left map entries for versions the persisted graph
+        // never learned. They are not part of the store (the delta
+        // store that held them is gone): skip and drop them, so a
+        // later flush can index those version ids afresh.
+        let unknown = VersionId(st.graph.len() as u32);
         for (&c, dc) in live.iter().zip(fetched.into_chunks()) {
             let keys = dc.local_keys();
             for (local, ck) in keys.iter().enumerate() {
                 st.locator.insert(*ck, (c, local as u32));
             }
-            for (v, bitmap) in dc.map.iter() {
+            for (v, bitmap) in dc.map.iter().take_while(|&(v, _)| v < unknown) {
                 for local in bitmap.iter_ones() {
                     let ck = keys[local];
                     contents_maps[v.index()].insert(ck.pk, ck.origin);
@@ -1605,11 +1832,12 @@ impl RStore {
             Arc::make_mut(&mut st.chunk_sizes)[c as usize] = dc.chunk.compressed_bytes();
             // Sole owner (cache disabled) moves the map out; a cached
             // copy keeps its Arc and the map is cloned.
-            let map = match Arc::try_unwrap(dc) {
+            let mut map = match Arc::try_unwrap(dc) {
                 Ok(owned) => owned.map,
                 Err(shared) => shared.map.clone(),
             };
-            st.chunk_maps[c as usize] = map;
+            map.truncate_versions(unknown);
+            st.chunk_maps[c as usize] = ResidentMap::adopt(map);
         }
         st.contents = contents_maps
             .into_iter()
@@ -1657,10 +1885,10 @@ impl RStore {
         st.contents.push(new_contents);
         st.pending.push((v, delta));
         if st.pending.len() >= self.config.batch_size {
-            // The flush publishes at its own tail; if it fails, still
-            // publish so readers see the durably committed version
-            // (the flush's in-memory state self-heals on the next
-            // successful flush, exactly as before).
+            // The flush publishes at its own tail. If it fails the
+            // batch — this commit included — stays in the delta store
+            // for the next flush to retry; publish anyway so readers
+            // see the version exists.
             let flushed = self.flush_locked(st);
             if flushed.is_err() {
                 self.publish(st);
@@ -1738,17 +1966,28 @@ impl RStore {
             .validate(v)
             .map_err(|e| CoreError::BadCommit(e.to_string()))?;
 
-        // New contents = parent ± delta, kept sorted by pk.
-        let mut map: FxHashMap<PrimaryKey, VersionId> =
-            parent_contents.iter().copied().collect();
-        for ck in &delta.removed {
-            map.remove(&ck.pk);
+        // New contents = parent ± delta. The parent's are sorted by
+        // pk; sort the (distinct) changed keys and merge once.
+        let mut changes: Vec<(PrimaryKey, bool)> = req
+            .puts
+            .iter()
+            .map(|(pk, _)| (*pk, true))
+            .chain(req.deletes.iter().map(|pk| (*pk, false)))
+            .collect();
+        changes.sort_unstable();
+        let mut contents = Vec::with_capacity(parent_contents.len() + req.puts.len());
+        let mut kept = parent_contents.iter().copied().peekable();
+        for (pk, put) in changes {
+            while let Some(entry) = kept.next_if(|e| e.0 < pk) {
+                contents.push(entry);
+            }
+            // The parent's value of a changed key is replaced or gone.
+            kept.next_if(|e| e.0 == pk);
+            if put {
+                contents.push((pk, v));
+            }
         }
-        for rec in &delta.added {
-            map.insert(rec.pk, v);
-        }
-        let mut contents: Vec<(PrimaryKey, VersionId)> = map.into_iter().collect();
-        contents.sort_unstable();
+        contents.extend(kept);
 
         // All checks passed: record the version in the graph.
         let graph = Arc::make_mut(&mut st.graph);
@@ -1785,19 +2024,76 @@ impl RStore {
             return Ok(FlushReport::default());
         }
         let flush_t0 = Instant::now();
+        // The batch leaves the delta store only when it is durable: a
+        // flush that fails changed nothing in the writer state (see
+        // `index_and_commit`), so its commits go back, to be retried
+        // by the next flush.
+        let batch = std::mem::take(&mut st.pending);
+        let (report, dirty) = match self.flush_pending(st, &batch) {
+            Ok(flushed) => flushed,
+            Err(e) => {
+                st.pending = batch;
+                return Err(e);
+            }
+        };
+        // Sweep resident cache entries of the rewritten maps *after*
+        // the publish: entries stamped below the new generation are
+        // stale (their decoded map predates the rewrite) and safe to
+        // drop unconditionally — backend chunk maps only grow, so a
+        // reader still pinning the old generation refetches a
+        // superset and extracts identical answers.
+        for &c in &dirty {
+            self.cache.invalidate_below(c, st.generation);
+        }
+        // Piggyback any deferred reclamation whose old pins drained.
+        self.drain_deferred(st);
+        self.record_ingest_stages(&report.stages);
+        if self.obs.enabled() {
+            let r = self.obs.registry();
+            r.flushes.inc();
+            // Flush end-to-end, excluding any auto-compaction below
+            // (that run records itself under `rstore_compact_*`).
+            r.ingest_flush.record_duration(flush_t0.elapsed());
+        }
+
+        // Auto-compaction: after the configured number of flushes the
+        // layout is measured, and if it decayed past the policy
+        // thresholds the store repartitions in place (§4 leaves
+        // periodic repartitioning as future work; this is it). The
+        // flush itself is durable by now, so a failing *maintenance*
+        // pass must not turn the successful commit into an error —
+        // a compaction failure leaves both generations consistent
+        // (see `compact.rs`) and is surfaced via
+        // [`RStore::last_compaction_error`] (which `compact` records
+        // itself) instead of propagating.
+        st.flushes_since_compaction += 1;
+        if self.config.compaction.auto_due(st.flushes_since_compaction) {
+            let _ = self.compact_locked(st);
+        }
+        Ok(report)
+    }
+
+    /// Partitions `batch` into new chunks, writes them, indexes the
+    /// batch and commits it; returns the report and the ids of the
+    /// chunk maps written. The writer state is read-only here until
+    /// `index_and_commit` applies the finished batch.
+    fn flush_pending(
+        &self,
+        st: &mut StoreMut,
+        batch: &[(VersionId, VersionDelta)],
+    ) -> Result<(FlushReport, Vec<u32>), CoreError> {
         let workers = self.ingest_workers();
         let mut stages = IngestStages {
             workers,
             ..IngestStages::default()
         };
-        let batch = std::mem::take(&mut st.pending);
         let versions: Vec<VersionId> = batch.iter().map(|&(v, _)| v).collect();
 
         // Gather the batch's new records and give them batch-local
         // item ordinals.
         let mut batch_ord: FxHashMap<CompositeKey, u32> = FxHashMap::default();
         let mut records: Vec<&Record> = Vec::new();
-        for (_, delta) in &batch {
+        for (_, delta) in batch {
             for rec in &delta.added {
                 batch_ord.insert(rec.composite_key(), records.len() as u32);
                 records.push(rec);
@@ -1805,7 +2101,12 @@ impl RStore {
         }
         let new_records = records.len();
 
-        let mut new_chunks = 0usize;
+        let mut chunks = StagedChunks {
+            ids: Vec::new(),
+            sizes: Vec::new(),
+            counts: Vec::new(),
+            placed: FxHashMap::default(),
+        };
         if new_records > 0 {
             // Stage 1 — sub-chunk: build singleton sub-chunks across
             // cores (online compression applies within the record
@@ -1844,93 +2145,46 @@ impl RStore {
             let partitioning = partitioner.partition(&input);
             stages.partition = t.elapsed();
 
-            // Stage 3 — assemble the new chunks into freshly
-            // allocated id slots (reclaimed free slots first, then
+            // Stage 3 — assemble the new chunks against the id slots
+            // the commit will claim (reclaimed free slots first, then
             // fresh ids) and stream them out while later ones encode.
             let t = Instant::now();
-            let ids = claim_chunk_ids(st, partitioning.num_chunks);
+            chunks.ids = peek_chunk_ids(st, partitioning.num_chunks);
             let mut subchunk_slots: Vec<Option<SubChunk>> = built.into_iter().map(Some).collect();
-            let mut chunks: Vec<Chunk> = Vec::with_capacity(partitioning.num_chunks);
-            for (ci, items) in partitioning.chunk_items().iter().enumerate() {
-                let chunk_id = ChunkId(ids[ci]);
+            let mut jobs: Vec<(u32, Chunk)> = Vec::with_capacity(partitioning.num_chunks);
+            for (items, &chunk_id) in partitioning.chunk_items().iter().zip(&chunks.ids) {
                 let mut chunk = Chunk::new();
                 for (local, &item) in items.iter().enumerate() {
                     let sc = subchunk_slots[item as usize].take().expect("one chunk");
-                    st.locator.insert(
+                    chunks.placed.insert(
                         records[item as usize].composite_key(),
-                        (chunk_id.0, local as u32),
+                        (chunk_id, local as u32),
                     );
                     chunk.subchunks.push(sc);
                 }
-                let slot = ids[ci] as usize;
-                Arc::make_mut(&mut st.chunk_sizes)[slot] = chunk.compressed_bytes();
-                Arc::make_mut(&mut st.map_gen)[slot] = st.generation + 1;
-                st.chunk_maps[slot] = ChunkMap::new(items.len());
-                chunks.push(chunk);
+                chunks.sizes.push(chunk.compressed_bytes());
+                chunks.counts.push(items.len());
+                jobs.push((chunk_id, chunk));
             }
-            new_chunks = partitioning.num_chunks;
-            let jobs: Vec<(u32, Chunk)> = chunks
-                .into_iter()
-                .zip(ids.iter())
-                .map(|(c, &id)| (id, c))
-                .collect();
             let outcome = stream_chunk_blobs(&self.cluster, workers, jobs)?;
             stages.assemble = t.elapsed();
             outcome.fold_into(&mut stages);
         }
+        let new_chunks = chunks.ids.len();
 
-        // Stages 4+5 — index the batch versions (updates old and new
-        // chunk maps, each persisted once through the writer stage).
-        let t = Instant::now();
-        let (dirty, index_outcome) = self.index_versions_locked(st, &versions)?;
-        let maps_rewritten = dirty.len();
-        stages.index = t.elapsed();
-        index_outcome.fold_into(&mut stages);
-        let (meta_modeled, meta_wait) = self.persist_meta_locked(st)?;
-        stages.modeled_write += meta_modeled;
-        stages.write += meta_wait;
-        self.publish(st);
-        // Sweep resident cache entries of the rewritten maps *after*
-        // the publish: entries stamped below the new generation are
-        // stale (their decoded map predates the rewrite) and safe to
-        // drop unconditionally — backend chunk maps only grow, so a
-        // reader still pinning the old generation refetches a
-        // superset and extracts identical answers.
-        for &c in &dirty {
-            self.cache.invalidate_below(c, st.generation);
-        }
-        // Piggyback any deferred reclamation whose old pins drained.
-        self.drain_deferred(st);
-        self.record_ingest_stages(&stages);
-        if self.obs.enabled() {
-            let r = self.obs.registry();
-            r.flushes.inc();
-            // Flush end-to-end, excluding any auto-compaction below
-            // (that run records itself under `rstore_compact_*`).
-            r.ingest_flush.record_duration(flush_t0.elapsed());
-        }
-
-        // Auto-compaction: after the configured number of flushes the
-        // layout is measured, and if it decayed past the policy
-        // thresholds the store repartitions in place (§4 leaves
-        // periodic repartitioning as future work; this is it). The
-        // flush itself is durable by now, so a failing *maintenance*
-        // pass must not turn the successful commit into an error —
-        // a compaction failure leaves both generations consistent
-        // (see `compact.rs`) and is surfaced via
-        // [`RStore::last_compaction_error`] (which `compact` records
-        // itself) instead of propagating.
-        st.flushes_since_compaction += 1;
-        if self.config.compaction.auto_due(st.flushes_since_compaction) {
-            let _ = self.compact_locked(st);
-        }
-        Ok(FlushReport {
+        // Stages 4+5 — index the batch versions (old and new chunk
+        // maps, each persisted once through the writer stage), then
+        // the meta commit point and the publish.
+        let deltas: Vec<(VersionId, &VersionDelta)> = batch.iter().map(|(v, d)| (*v, d)).collect();
+        let dirty = self.index_and_commit(st, &deltas, chunks, &mut stages)?;
+        let report = FlushReport {
             versions: versions.len(),
             new_records,
             new_chunks,
-            maps_rewritten,
+            maps_rewritten: dirty.len(),
             stages,
-        })
+        };
+        Ok((report, dirty))
     }
 
     /// Flushes any pending commits (call before querying fresh data)
@@ -2032,7 +2286,7 @@ impl RStore {
             slots_truncated += 1;
         }
         if deferred_drained > 0 || slots_reclaimed > 0 || slots_truncated > 0 {
-            self.persist_meta_locked(st)?;
+            self.persist_meta(st.meta())?;
             self.publish(st);
         }
         if self.obs.enabled() {

@@ -6,12 +6,16 @@
 //! error, never a panic or silent data loss.
 
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use rstore_core::compact::CompactionConfig;
 use rstore_core::model::VersionId;
-use rstore_core::online::{replay_commits, stores_agree};
-use rstore_core::store::{RStore, CHUNK_TABLE, CMAP_TABLE, META_TABLE};
+use rstore_core::online::{commit_request, replay_commits, stores_agree};
+use rstore_core::store::{CommitRequest, RStore, CHUNK_TABLE, CMAP_TABLE, META_TABLE};
 use rstore_core::CoreError;
-use rstore_kvstore::{table_key, Cluster, KvError, NetworkModel};
-use rstore_vgraph::{DatasetSpec, SelectionKind};
+use rstore_kvstore::{table_key, Cluster, EngineKind, KvError, NetworkModel};
+use rstore_vgraph::{Dataset, DatasetSpec, SelectionKind};
+use std::collections::BTreeMap;
 
 fn spec_strategy() -> impl Strategy<Value = DatasetSpec> {
     (
@@ -82,6 +86,37 @@ fn assert_backend_identical(a: &RStore, b: &RStore) {
         let va = a.cluster().get(&key).unwrap().expect("meta present");
         let vb = b.cluster().get(&key).unwrap().expect("meta present");
         assert_eq!(va, vb, "meta {} differs", String::from_utf8_lossy(meta));
+    }
+}
+
+/// The delta-driven index pass must leave exactly the bytes the
+/// from-contents reference pass computes ([`RStore::index_from_contents`]):
+/// one chunk map per live chunk, and the persisted projections.
+fn assert_backend_matches_index(store: &RStore, maps: &[(u32, Vec<u8>)], projections: &[u8]) {
+    let ids: Vec<u32> = maps.iter().map(|&(c, _)| c).collect();
+    assert_eq!(ids, store.live_chunk_ids(), "oracle covers the live chunks");
+    for (c, want) in maps {
+        let got = store
+            .cluster()
+            .get(&table_key(CMAP_TABLE, &c.to_be_bytes()))
+            .unwrap()
+            .unwrap_or_else(|| panic!("chunk map {c} missing"));
+        assert_eq!(got.as_ref(), want.as_slice(), "chunk map {c} differs from the oracle");
+    }
+    let got = store
+        .cluster()
+        .get(&table_key(META_TABLE, b"projections"))
+        .unwrap()
+        .expect("projections persisted");
+    assert_eq!(got.as_ref(), projections, "projections differ from the oracle");
+}
+
+/// Checks the index against the oracle whenever the delta store is
+/// empty (the oracle covers flushed versions only).
+fn check_index(store: &RStore) {
+    if store.pending_commits() == 0 && store.version_count() > 0 {
+        let (maps, projections) = store.index_from_contents();
+        assert_backend_matches_index(store, &maps, &projections);
     }
 }
 
@@ -173,7 +208,6 @@ fn load_reports_per_stage_breakdown() {
     );
 
     // The flush path reports the same breakdown.
-    use rstore_core::store::CommitRequest;
     let online = RStore::builder()
         .chunk_capacity(2048)
         .ingest_threads(2)
@@ -229,87 +263,326 @@ fn down_node_during_bulk_load_is_clean_error() {
     }
 }
 
-#[test]
-fn down_node_during_flush_is_clean_error() {
-    let mut spec = DatasetSpec::tiny(4321);
-    spec.num_versions = 16;
-    spec.root_records = 40;
-    let ds = spec.generate();
-    let half = rstore_core::online::truncate_dataset(&ds, ds.graph.len() / 2);
-    let cluster = Cluster::builder().nodes(3).replication(1).build();
-    let mut store = RStore::builder()
+/// Commits that wait in the delta store after `ds`'s first half was
+/// flushed; returns how many.
+type Tail = fn(&RStore, &Dataset) -> usize;
+
+/// The second half of `ds`: new records, so the flush's first backend
+/// writes are chunk blobs.
+fn second_half(store: &RStore, ds: &Dataset) -> usize {
+    let half = ds.graph.len() / 2;
+    commit_versions(store, ds, half..ds.graph.len());
+    ds.graph.len() - half
+}
+
+/// A chain of delete-only commits: no new records, so the flush goes
+/// straight to rewriting the chunk maps of the parent's span and then
+/// the metadata — the stages where a failure leaves partial writes
+/// over *live* keys behind.
+fn deletes_only(store: &RStore, ds: &Dataset) -> usize {
+    let mut head = VersionId((ds.graph.len() / 2 - 1) as u32);
+    let doomed: Vec<u64> = store.get_version(head).unwrap().iter().map(|r| r.pk).collect();
+    for pk in doomed.into_iter().step_by(5).take(4) {
+        head = store.commit(CommitRequest::child_of(head).delete(pk)).unwrap();
+    }
+    4
+}
+
+/// An online store over `cluster` with the first half of `ds` flushed
+/// and `tail`'s commits waiting in the delta store.
+fn half_flushed(cluster: Cluster, ds: &Dataset, tail: Tail) -> RStore {
+    let store = RStore::builder()
         .chunk_capacity(1024)
         .ingest_threads(4)
         .batch_size(usize::MAX)
         .build(cluster);
-    // First half flushes while the cluster is healthy; the second
-    // half's commits land in the delta store, then a node dies before
-    // their batch flush.
-    replay_commits_without_seal(&mut store, &half);
+    commit_versions(&store, ds, 0..ds.graph.len() / 2);
     store.seal().unwrap();
-    for node in &ds.graph.nodes()[half.graph.len()..] {
-        let delta = &ds.deltas[node.id.index()];
-        let mut req = rstore_core::store::CommitRequest::child_of(node.parents[0]);
-        for r in &delta.added {
-            req = req.put(r.pk, r.payload.clone());
-        }
-        store.commit(req).unwrap();
-    }
-    assert!(store.pending_commits() > 0);
-    store.cluster().set_node_down(2, true);
+    let pending = tail(&store, ds);
+    assert_eq!(store.pending_commits(), pending);
+    store
+}
+
+/// Tries to flush while `node` is dead. Replication 1 makes part of
+/// the key space unwritable then, so the flush must fail cleanly and
+/// change nothing: the acknowledged commits keep waiting, and the
+/// writer state a retry starts from is the one the failure found.
+fn flush_fails_while_down(store: &RStore, node: usize) {
+    let (pending, persisted) = (store.pending_commits(), store.chunk_count());
+    store.cluster().set_node_down(node, true);
     match store.seal() {
         Err(CoreError::Kv(
             KvError::AllReplicasDown { .. } | KvError::NodeDown(_) | KvError::NodeGone(_),
         )) => {}
         Err(e) => panic!("expected a clean KV error, got {e}"),
-        Ok(_) => panic!("flush through a downed unreplicated node must fail"),
+        Ok(_) => panic!("flush through downed unreplicated node {node} must fail"),
     }
+    assert_eq!(store.pending_commits(), pending, "failed flush dropped its batch");
+    assert_eq!(store.chunk_count(), persisted, "failed flush claimed chunk ids");
+    store.cluster().set_node_down(node, false);
+}
 
-    // The failed flush must not corrupt what was already persisted:
-    // once the node is back, every first-half version still answers
-    // exactly as an undisturbed reference store does.
-    store.cluster().set_node_down(2, false);
-    let reference = store_with(3, 1, 1, usize::MAX);
-    replay_commits(&reference, &half).unwrap();
-    for v in 0..half.graph.len() {
-        let got = store.get_version(VersionId(v as u32)).unwrap();
-        let want = reference.get_version(VersionId(v as u32)).unwrap();
-        assert_eq!(got.len(), want.len(), "V{v} changed after failed flush");
+#[test]
+fn down_node_during_flush_is_clean_error_and_retryable() {
+    let mut spec = DatasetSpec::tiny(4321);
+    spec.num_versions = 16;
+    spec.root_records = 40;
+    let ds = spec.generate();
+    let half = ds.graph.len() / 2;
+    let mem = || Cluster::builder().nodes(3).replication(1).build();
+    let dir = std::env::temp_dir().join(format!("rstore-failed-flush-{}", std::process::id()));
+
+    for tail in [second_half as Tail, deletes_only] {
+        let undisturbed = half_flushed(mem(), &ds, tail);
+        let pending = undisturbed.pending_commits();
+        assert_eq!(undisturbed.seal().unwrap().versions, pending);
+
+        // Whichever node dies — so whichever of the chunk, chunk-map
+        // and meta writes fails first — the retried flush leaves
+        // exactly the backend an undisturbed twin has, and serves
+        // every version's records (keys, origins, payloads) alike.
+        for node in 0..3 {
+            let store = half_flushed(mem(), &ds, tail);
+            flush_fails_while_down(&store, node);
+            // What was persisted before the failure still answers.
+            for v in (0..half).map(|v| VersionId(v as u32)) {
+                let want = undisturbed.get_version(v).unwrap();
+                assert_eq!(store.get_version(v).unwrap(), want, "{v} after the failed flush");
+            }
+            let report = store.seal().unwrap();
+            assert_eq!(report.versions, pending, "retry flushes the whole batch");
+            assert_eq!(store.pending_commits(), 0);
+            assert_backend_identical(&undisturbed, &store);
+            assert!(stores_agree(&undisturbed, &store).unwrap(), "node {node}");
+            check_index(&store);
+        }
+
+        // The same outage on a log-engine twin, then a restart.
+        // Reopen rebuilds from the backend alone: after the retry it
+        // must find every live chunk id with its blob and map and
+        // agree on every version. *Before* the retry the delta
+        // store's commits are gone with the process, but what the
+        // dead flush half-wrote must not poison recovery, and
+        // committing them again must land cleanly.
+        for (node, retry_before_restart) in [(2, true), (0, false), (1, false), (2, false)] {
+            let _ = std::fs::remove_dir_all(&dir);
+            let log = || {
+                Cluster::builder()
+                    .nodes(3)
+                    .replication(1)
+                    .engine(EngineKind::Log { dir: dir.clone() })
+                    .build()
+            };
+            let config = {
+                let store = half_flushed(log(), &ds, tail);
+                flush_fails_while_down(&store, node);
+                if retry_before_restart {
+                    store.seal().unwrap();
+                    assert_backend_identical(&undisturbed, &store);
+                }
+                *store.config()
+            };
+            let reopened = RStore::reopen(config, log()).unwrap();
+            if !retry_before_restart {
+                assert_eq!(reopened.version_count(), half);
+                tail(&reopened, &ds);
+                reopened.seal().unwrap();
+            }
+            assert_eq!(reopened.chunk_count(), undisturbed.chunk_count());
+            assert!(stores_agree(&undisturbed, &reopened).unwrap());
+            check_index(&reopened);
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Commits versions `range` of `ds` one by one without sealing, so
+/// they sit in the delta store (or flush when the batch fills).
+fn commit_versions(store: &RStore, ds: &Dataset, range: std::ops::Range<usize>) {
+    for v in range.map(|v| VersionId(v as u32)) {
+        assert_eq!(store.commit(commit_request(ds, v)).unwrap(), v);
     }
 }
 
-/// Replays every commit of `ds` without the final seal, so the whole
-/// dataset sits in the delta store.
-fn replay_commits_without_seal(store: &mut RStore, ds: &rstore_vgraph::Dataset) {
-    use rstore_core::store::CommitRequest;
-    use rustc_hash::FxHashSet;
-    for node in ds.graph.nodes() {
-        let delta = &ds.deltas[node.id.index()];
-        let readded: FxHashSet<u64> = delta.added.iter().map(|r| r.pk).collect();
-        let mut req = if node.parents.is_empty() {
-            CommitRequest::root(
-                delta
-                    .added
-                    .iter()
-                    .map(|r| (r.pk, r.payload.clone()))
-                    .collect::<Vec<_>>(),
-            )
-        } else {
-            let mut req = if node.parents.len() == 1 {
-                CommitRequest::child_of(node.parents[0])
-            } else {
-                CommitRequest::merge_of(node.parents[0], node.parents[1..].iter().copied())
-            };
-            for r in &delta.added {
-                req = req.put(r.pk, r.payload.clone());
+/// What every version should contain: `pk → (origin, payload)`.
+type Model = Vec<BTreeMap<u64, (VersionId, Vec<u8>)>>;
+
+/// Every query class against the model, for every version and key.
+fn assert_answers_match_model(store: &RStore, model: &Model, keys: u64) {
+    for (v, want) in model.iter().enumerate() {
+        let v = VersionId(v as u32);
+        let got = store.get_version(v).unwrap();
+        let got: Vec<_> = got.iter().map(|r| (r.pk, r.origin, r.payload.to_vec())).collect();
+        let want_all: Vec<_> = want.iter().map(|(pk, (o, p))| (*pk, *o, p.clone())).collect();
+        assert_eq!(got, want_all, "{v}");
+        let (lo, hi) = (keys / 4, keys / 2);
+        let got = store.get_range(lo, hi, v).unwrap();
+        let got: Vec<_> = got.iter().map(|r| (r.pk, r.origin, r.payload.to_vec())).collect();
+        let want_range: Vec<_> = want_all.iter().filter(|r| lo <= r.0 && r.0 <= hi).cloned().collect();
+        assert_eq!(got, want_range, "range of {v}");
+        for pk in 0..keys {
+            let got = store.get_record(pk, v).unwrap().map(|r| (r.origin, r.payload.to_vec()));
+            assert_eq!(got, want.get(&pk).cloned(), "K{pk} in {v}");
+        }
+    }
+    for pk in 0..keys {
+        let got = store.get_evolution(pk).unwrap();
+        let got: Vec<_> = got.iter().map(|r| (r.origin, r.payload.to_vec())).collect();
+        let want: BTreeMap<VersionId, Vec<u8>> = model
+            .iter()
+            .filter_map(|m| m.get(&pk).cloned())
+            .collect();
+        assert_eq!(got, want.into_iter().collect::<Vec<_>>(), "evolution of K{pk}");
+    }
+}
+
+/// One random online history: branches, merges, deletes, re-inserts
+/// of deleted keys, children flushed with or after their parents,
+/// siblings in one batch, compaction and slot reclamation between
+/// commits and their flush, restarts — with the index held to the
+/// from-contents oracle at every point the delta store is empty.
+fn run_history(seed: u64, steps: usize, batch: usize, k: usize, slice: usize) {
+    const KEYS: u64 = 24;
+    let mut rng = StdRng::seed_from_u64(seed);
+    let dir = std::env::temp_dir().join(format!(
+        "rstore-index-oracle-{}-{seed}-{steps}-{batch}-{k}-{slice}",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    let cluster = || {
+        Cluster::builder()
+            .nodes(2)
+            .engine(EngineKind::Log { dir: dir.clone() })
+            .build()
+    };
+    let mut store = RStore::builder()
+        .chunk_capacity(256)
+        .max_subchunk(k)
+        .batch_size(batch)
+        .ingest_threads(if seed.is_multiple_of(2) { 1 } else { 3 })
+        .compaction(CompactionConfig {
+            max_chunks_per_slice: slice,
+            ..CompactionConfig::default()
+        })
+        .build(cluster());
+    let mut model: Model = Vec::new();
+    let payload = |rng: &mut StdRng| -> Vec<u8> {
+        let len = rng.random_range(8usize..72);
+        let byte = rng.random::<u8>();
+        (0..len).map(|i| byte.wrapping_add((i % 5) as u8)).collect()
+    };
+
+    for _ in 0..steps {
+        let op = if model.is_empty() { 0 } else { rng.random_range(0u32..100) };
+        match op {
+            0..70 => {
+                let v = VersionId(model.len() as u32);
+                let (mut req, mut contents) = if model.is_empty() {
+                    (CommitRequest::root(Vec::<(u64, Vec<u8>)>::new()), BTreeMap::new())
+                } else {
+                    // Mostly extend the newest version (a child lands
+                    // in its parent's batch), otherwise branch.
+                    let n = model.len() as u32;
+                    let pick = |rng: &mut StdRng| VersionId(rng.random_range(0..n));
+                    let parent = if rng.random_bool(0.5) { VersionId(n - 1) } else { pick(&mut rng) };
+                    let req = if rng.random_bool(0.15) {
+                        CommitRequest::merge_of(parent, [pick(&mut rng)])
+                    } else {
+                        CommitRequest::child_of(parent)
+                    };
+                    (req, model[parent.index()].clone())
+                };
+                for pk in 0..KEYS {
+                    let present = contents.contains_key(&pk);
+                    let roll = rng.random_range(0u32..100);
+                    if present && roll < 12 {
+                        req = req.delete(pk);
+                        contents.remove(&pk);
+                    } else if roll < if present { 30 } else { 22 } {
+                        // An update, a fresh insert, or the re-insert
+                        // of a key some ancestor deleted.
+                        let bytes = payload(&mut rng);
+                        req = req.put(pk, bytes.clone());
+                        contents.insert(pk, (v, bytes));
+                    }
+                }
+                assert_eq!(store.commit(req).unwrap(), v);
+                model.push(contents);
             }
-            req
-        };
-        for ck in &delta.removed {
-            if !readded.contains(&ck.pk) {
-                req = req.delete(ck.pk);
+            70..80 => {
+                store.flush_batch().unwrap();
+            }
+            80..88 => {
+                store.compact().unwrap();
+            }
+            88..92 => {
+                store.reclaim().unwrap();
+            }
+            _ => {
+                // Restart: unflushed deltas are not replayed, so seal.
+                store.seal().unwrap();
+                check_index(&store);
+                let config = *store.config();
+                drop(store);
+                store = RStore::reopen(config, cluster()).unwrap();
             }
         }
-        store.commit(req).unwrap();
+        check_index(&store);
+    }
+    store.seal().unwrap();
+    check_index(&store);
+    assert_answers_match_model(&store, &model, KEYS);
+    drop(store);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The delta-driven index pass against the from-contents oracle
+    /// over random online histories (see `run_history`).
+    #[test]
+    fn delta_index_matches_contents_oracle_online(
+        seed in any::<u64>(),
+        steps in 6usize..48,
+        batch in 1usize..7,
+        k in prop::sample::select(vec![1usize, 4]),
+        slice in prop::sample::select(vec![0usize, 3]),
+    ) {
+        run_history(seed, steps, batch, k, slice);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// Bulk load (every version in one batch, sub-chunk grouping on
+    /// and off) and online replay of generated datasets, then commits
+    /// on top of the bulk-loaded store and a compaction: the index
+    /// equals the oracle's at each point.
+    #[test]
+    fn delta_index_matches_contents_oracle_bulk_and_replay(
+        spec in spec_strategy(),
+        k in prop::sample::select(vec![1usize, 4]),
+        batch in 1usize..9,
+    ) {
+        let ds = spec.generate();
+        let loaded = store_with(3, 2, k, batch);
+        loaded.load_dataset(&ds).unwrap();
+        check_index(&loaded);
+        let replayed = store_with(3, 2, k, batch);
+        replay_commits(&replayed, &ds).unwrap();
+        check_index(&replayed);
+        prop_assert!(stores_agree(&loaded, &replayed).unwrap());
+
+        // Online commits over bulk-loaded chunk maps.
+        let head = VersionId((ds.graph.len() - 1) as u32);
+        let a = loaded.commit(CommitRequest::child_of(head).put(1u64 << 40, vec![1u8; 40])).unwrap();
+        let b = loaded.commit(CommitRequest::child_of(VersionId(0)).put(1u64 << 40, vec![2u8; 40])).unwrap();
+        loaded.commit(CommitRequest::merge_of(a, [b]).delete(1u64 << 40)).unwrap();
+        loaded.seal().unwrap();
+        check_index(&loaded);
+        loaded.compact().unwrap();
+        check_index(&loaded);
     }
 }

@@ -185,6 +185,48 @@ proptest! {
         let _ = rstore_core::index::Projections::deserialize(&bytes);
     }
 
+    /// A real chunk map with bytes flipped, cut short or extended: the
+    /// decoder answers `Ok` or `Err`, never panics, and whatever it
+    /// accepts is internally consistent (every bitmap as long as the
+    /// record count, versions ascending).
+    #[test]
+    fn chunkmap_deserialize_never_panics_on_damaged_encoding(
+        num_records in 0usize..300,
+        versions in prop::collection::vec(
+            prop::collection::vec(any::<prop::sample::Index>(), 0..12),
+            0..12,
+        ),
+        damage in prop::collection::vec((any::<prop::sample::Index>(), any::<u8>()), 1..6),
+        cut in any::<prop::sample::Index>(),
+        extra in prop::collection::vec(any::<u8>(), 0..4),
+    ) {
+        let mut map = ChunkMap::new(num_records);
+        for (vi, indices) in versions.iter().enumerate() {
+            let locals: std::collections::BTreeSet<usize> = indices
+                .iter()
+                .filter(|_| num_records > 0)
+                .map(|ix| ix.index(num_records))
+                .collect();
+            map.push_version(VersionId(3 * vi as u32), locals);
+        }
+        let mut bytes = map.serialize();
+        for (at, byte) in &damage {
+            let at = at.index(bytes.len());
+            bytes[at] ^= byte | 1;
+        }
+        if let Ok(decoded) = ChunkMap::deserialize(&bytes) {
+            let mut last = None;
+            for (v, members) in decoded.iter() {
+                prop_assert_eq!(members.len(), decoded.num_records());
+                prop_assert!(last < Some(v));
+                last = Some(v);
+            }
+        }
+        let _ = ChunkMap::deserialize(&bytes[..cut.index(bytes.len() + 1)]);
+        bytes.extend_from_slice(&extra);
+        let _ = ChunkMap::deserialize(&bytes);
+    }
+
     #[test]
     fn chunkmap_roundtrip_random(
         num_records in 1usize..200,

@@ -68,24 +68,60 @@ pub enum SyncPolicy {
     OnSeal,
 }
 
-/// CRC-32 (IEEE 802.3), table-driven, built from scratch.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    // Table built on first use.
-    static TABLE: std::sync::OnceLock<[u32; 256]> = std::sync::OnceLock::new();
-    let table = TABLE.get_or_init(|| {
-        let mut t = [0u32; 256];
-        for (i, e) in t.iter_mut().enumerate() {
-            let mut c = i as u32;
-            for _ in 0..8 {
-                c = if c & 1 == 1 { 0xedb8_8320 ^ (c >> 1) } else { c >> 1 };
-            }
-            *e = c;
+/// Slice-by-8 lookup tables: `CRC_TABLES[0]` is the classic
+/// byte-at-a-time table, `CRC_TABLES[k][b]` is the CRC of byte `b`
+/// followed by `k` zero bytes.
+static CRC_TABLES: [[u32; 256]; 8] = {
+    let mut t = [[0u32; 256]; 8];
+    let mut i = 0;
+    while i < 256 {
+        let mut c = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            c = if c & 1 == 1 { 0xedb8_8320 ^ (c >> 1) } else { c >> 1 };
+            bit += 1;
         }
-        t
-    });
+        t[0][i] = c;
+        i += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let c = t[k - 1][i];
+            t[k][i] = t[0][(c & 0xff) as usize] ^ (c >> 8);
+            i += 1;
+        }
+        k += 1;
+    }
+    t
+};
+
+/// One byte-at-a-time CRC step — the tail loop of [`crc32`].
+#[inline]
+fn crc32_step(c: u32, b: u8) -> u32 {
+    CRC_TABLES[0][((c ^ u32::from(b)) & 0xff) as usize] ^ (c >> 8)
+}
+
+/// CRC-32 (IEEE 802.3), table-driven, built from scratch: eight bytes
+/// per step (slice-by-8), then bytewise over the tail.
+pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut c = 0xffff_ffffu32;
-    for &b in bytes {
-        c = table[((c ^ u32::from(b)) & 0xff) as usize] ^ (c >> 8);
+    let mut chunks = bytes.chunks_exact(8);
+    for w in &mut chunks {
+        let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        c = t[7][(lo & 0xff) as usize]
+            ^ t[6][(lo >> 8 & 0xff) as usize]
+            ^ t[5][(lo >> 16 & 0xff) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][w[4] as usize]
+            ^ t[2][w[5] as usize]
+            ^ t[1][w[6] as usize]
+            ^ t[0][w[7] as usize];
+    }
+    for &b in chunks.remainder() {
+        c = crc32_step(c, b);
     }
     c ^ 0xffff_ffff
 }
@@ -429,6 +465,31 @@ mod tests {
         assert_eq!(crc32(b""), 0);
         assert_eq!(crc32(b"123456789"), 0xcbf4_3926);
         assert_eq!(crc32(b"hello"), 0x3610_a686);
+    }
+
+    #[test]
+    fn crc32_matches_bytewise_at_every_length_and_offset() {
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let buf: Vec<u8> = (0..128)
+            .map(|_| {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+                (state >> 33) as u8
+            })
+            .collect();
+        for offset in 0..8 {
+            for len in 0..=64 {
+                let bytes = &buf[offset..offset + len];
+                // Bit-at-a-time reference: no table shared with `crc32`.
+                let bitwise = !bytes.iter().fold(!0u32, |c, &b| {
+                    (0..8).fold(c ^ u32::from(b), |c, _| {
+                        if c & 1 == 1 { 0xedb8_8320 ^ (c >> 1) } else { c >> 1 }
+                    })
+                });
+                assert_eq!(crc32(bytes), bitwise, "offset {offset} len {len}");
+                let bytewise = !bytes.iter().fold(!0u32, |c, &b| crc32_step(c, b));
+                assert_eq!(bytewise, bitwise, "offset {offset} len {len}");
+            }
+        }
     }
 
     #[test]

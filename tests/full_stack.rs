@@ -272,3 +272,59 @@ fn compression_stack_spans_all_crates() {
     assert!(report.compression_ratio() > 1.5);
     check_against_oracle(&store, &dataset);
 }
+
+#[test]
+fn failed_flush_keeps_its_batch_and_retries_after_the_outage() {
+    // Compact copy of `crates/core/tests/ingest.rs`'s failed-flush
+    // scenario, so the default `cargo test` crosses the path: half
+    // the history flushed, the rest acknowledged into the delta store,
+    // an unreplicated node dead for the flush, then back.
+    use rstore::core::online::{commit_request, replay_commits, truncate_dataset};
+    let dir = std::env::temp_dir().join(format!("rstore-fullstack-failed-flush-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let mut spec = DatasetSpec::tiny(9008);
+    spec.num_versions = 16;
+    spec.root_records = 40;
+    let dataset = spec.generate();
+    let half = dataset.graph.len() / 2;
+    let make_cluster = || {
+        Cluster::builder()
+            .nodes(3)
+            .replication(1)
+            .engine(rstore::kvstore::EngineKind::Log { dir: dir.clone() })
+            .build()
+    };
+
+    let config = {
+        let store = RStore::builder()
+            .chunk_capacity(1024)
+            .batch_size(usize::MAX)
+            .build(make_cluster());
+        replay_commits(&store, &truncate_dataset(&dataset, half)).unwrap();
+        for v in (half..dataset.graph.len()).map(|v| VersionId(v as u32)) {
+            store.commit(commit_request(&dataset, v)).unwrap();
+        }
+        assert_eq!(store.pending_commits(), dataset.graph.len() - half);
+
+        store.cluster().set_node_down(2, true);
+        assert!(store.seal().is_err(), "flush through a dead unreplicated node");
+        assert_eq!(
+            store.pending_commits(),
+            dataset.graph.len() - half,
+            "a failed flush must not drop acknowledged commits"
+        );
+        store.cluster().set_node_down(2, false);
+
+        let report = store.seal().unwrap();
+        assert_eq!(report.versions, dataset.graph.len() - half);
+        check_against_oracle(&store, &dataset);
+        *store.config()
+    };
+
+    // And the retried flush is what a restart finds.
+    let store = RStore::reopen(config, make_cluster()).unwrap();
+    check_against_oracle(&store, &dataset);
+    drop(store);
+    let _ = std::fs::remove_dir_all(dir);
+}
