@@ -13,6 +13,7 @@ use rstore_bench::{make_cached_store, make_store, Xorshift, CHUNK_CAPACITY};
 use rstore_core::model::VersionId;
 use rstore_core::partition::PartitionerKind;
 use rstore_core::store::RStore;
+use rstore_core::QuerySpec;
 use rstore_kvstore::NetworkModel;
 use rstore_vgraph::{Dataset, DatasetSpec};
 use std::hint::black_box;
@@ -128,7 +129,7 @@ fn acceptance_summary(_c: &mut Criterion) {
         let t0 = Instant::now();
         for _ in 0..QUERIES {
             let v = skewed_version(&mut rng, n);
-            let (recs, stats) = store.get_version_with_stats(v).unwrap();
+            let (recs, stats) = store.query_with_stats(QuerySpec::Version(v)).unwrap();
             black_box(recs);
             hits += stats.cache_hits;
             misses += stats.cache_misses;

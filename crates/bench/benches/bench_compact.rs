@@ -20,6 +20,7 @@ use rstore_core::model::VersionId;
 use rstore_core::online::replay_commits;
 use rstore_core::partition::PartitionerKind;
 use rstore_core::store::RStore;
+use rstore_core::QuerySpec;
 use rstore_kvstore::{Cluster, NetworkModel};
 use rstore_vgraph::{Dataset, DatasetSpec, SelectionKind};
 use std::hint::black_box;
@@ -106,7 +107,7 @@ fn sample_queries(store: &RStore) -> QuerySample {
     for v in (0..store.version_count()).step_by(5) {
         let t = Instant::now();
         let (_, stats) = store
-            .get_version_with_stats(VersionId(v as u32))
+            .query_with_stats(QuerySpec::Version(VersionId(v as u32)))
             .expect("query");
         let elapsed = t.elapsed();
         latencies.record(elapsed);

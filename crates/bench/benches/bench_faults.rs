@@ -19,6 +19,7 @@ use rstore_bench::{fmt_duration, LatencyHist};
 use rstore_core::model::VersionId;
 use rstore_core::partition::PartitionerKind;
 use rstore_core::store::RStore;
+use rstore_core::QuerySpec;
 use rstore_kvstore::{Cluster, FaultPlan, NetworkModel, RetryPolicy};
 use rstore_vgraph::{Dataset, DatasetSpec};
 use std::hint::black_box;
@@ -127,7 +128,7 @@ fn sample(setup: Setup, ds: &Dataset) -> FaultSample {
     for _ in 0..SWEEPS {
         for v in 0..n as u32 {
             let q0 = Instant::now();
-            match store.get_version_with_stats(VersionId(v)) {
+            match store.query_with_stats(QuerySpec::Version(VersionId(v))) {
                 Ok((recs, stats)) => {
                     records += recs.len();
                     query_retries += stats.retries;

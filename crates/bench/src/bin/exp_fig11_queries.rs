@@ -15,7 +15,7 @@ use rstore_bench::{
     LatencyHist, Xorshift, CHUNK_CAPACITY,
 };
 use rstore_core::model::VersionId;
-use rstore_core::HistSummary;
+use rstore_core::{HistSummary, QuerySpec};
 use rstore_core::partition::baselines::DeltaEngine;
 use rstore_core::partition::PartitionerKind;
 use rstore_core::store::RStore;
@@ -64,7 +64,7 @@ fn run_workload_with(
     let q1 = LatencyHist::new();
     for _ in 0..Q1_SAMPLES {
         let v = pick_version(&mut rng);
-        let (_, stats) = store.get_version_with_stats(v).unwrap();
+        let (_, stats) = store.query_with_stats(QuerySpec::Version(v)).unwrap();
         q1.record(stats.elapsed + stats.modeled_network);
     }
 
@@ -73,14 +73,14 @@ fn run_workload_with(
         let v = pick_version(&mut rng);
         let lo = rng.below(max_pk as usize) as u64;
         let hi = lo + max_pk / 10;
-        let (_, stats) = store.get_range_with_stats(lo, hi, v).unwrap();
+        let (_, stats) = store.query_with_stats(QuerySpec::Range { lo, hi, v }).unwrap();
         q2.record(stats.elapsed + stats.modeled_network);
     }
 
     let q3 = LatencyHist::new();
     for _ in 0..Q3_SAMPLES {
         let pk = pick_q3_pk(&mut rng);
-        let (_, stats) = store.get_evolution_with_stats(pk).unwrap();
+        let (_, stats) = store.query_with_stats(QuerySpec::Evolution { pk }).unwrap();
         q3.record(stats.elapsed + stats.modeled_network);
     }
 

@@ -14,6 +14,7 @@ use rstore_bench::{
 };
 use rstore_core::model::VersionId;
 use rstore_core::partition::PartitionerKind;
+use rstore_core::QuerySpec;
 use rstore_kvstore::NetworkModel;
 use rstore_vgraph::{DatasetSpec, SelectionKind};
 use std::time::Duration;
@@ -96,7 +97,7 @@ fn run(name: &str, base_versions: usize, make_spec: fn(usize) -> DatasetSpec) {
         let mut vspan = 0usize;
         for _ in 0..SAMPLES {
             let v = VersionId(rng.below(n) as u32);
-            let (_, stats) = store.get_version_with_stats(v).unwrap();
+            let (_, stats) = store.query_with_stats(QuerySpec::Version(v)).unwrap();
             q1 += model(&stats);
             vspan += stats.chunks_fetched;
         }
@@ -105,7 +106,7 @@ fn run(name: &str, base_versions: usize, make_spec: fn(usize) -> DatasetSpec) {
         let mut kspan = 0usize;
         for _ in 0..SAMPLES {
             let pk = rng.below(max_pk as usize) as u64;
-            let (_, stats) = store.get_evolution_with_stats(pk).unwrap();
+            let (_, stats) = store.query_with_stats(QuerySpec::Evolution { pk }).unwrap();
             q3 += model(&stats);
             kspan += stats.chunks_fetched;
         }

@@ -13,23 +13,30 @@
 //! under a [`CompactionConfig`] policy, extracts the victims' records
 //! through the existing plan → fetch → extract pipeline, re-runs the
 //! configured partitioner over the merged items (re-grouping same-key
-//! records into §3.4 sub-chunks), rebuilds chunks and chunk maps
-//! through the parallel ingest pipeline, and reclaims the obsolete
-//! backend keys with one batched delete — all without taking the
-//! store offline.
+//! records into §3.4 sub-chunks), hands the result to the generation
+//! writer (the `ingest` module) with the victims to retire, and
+//! reclaims the obsolete backend keys with one batched delete — all
+//! without taking the store offline.
+//!
+//! A slice is a thin caller of the writer, exactly like the bulk load
+//! and the flush. What it derives itself: the extraction, the
+//! `(pk, origin)` grouping, the cutover guard (evaluated on the staged
+//! partitioning, before any backend write) and the index pass — the
+//! moved records' chunk-map bitmaps come from the versions' contents,
+//! not from a delta.
 //!
 //! ## Crash-safety ordering
 //!
-//! Compaction never overwrites a live key. Chunk ids are allocated
-//! densely but **never reused**: the rebuilt generation takes fresh
-//! ids past the current maximum, and the victims become retired
+//! Compaction never overwrites a live key: the rebuilt generation
+//! takes chunk ids no live chunk holds (reclaimed free slots first,
+//! then fresh ids past the tail), and the victims become retired
 //! tombstones. The backend sees three strictly ordered effects:
 //!
-//! 1. **Write the new generation** — chunk blobs and chunk maps under
-//!    fresh ids, streamed through the same per-node batched writer
-//!    the ingest pipeline uses. Until step 2 lands, the persisted
-//!    metadata still references only the old generation, which is
-//!    fully intact — a crash here leaves harmless orphaned new keys.
+//! 1. **Write the new generation** — chunk blobs and chunk maps,
+//!    streamed through the writer's per-node batches. Until step 2
+//!    lands, the persisted metadata still references only the old
+//!    generation, which is fully intact — a crash here leaves harmless
+//!    orphaned new keys.
 //! 2. **Persist the metadata** — projections (rewritten to reference
 //!    the new ids), version graph, chunk count and the retired-id
 //!    list, in one batched put. This is the commit point: a store
@@ -40,36 +47,29 @@
 //!    leaves harmless orphaned *old* keys; the recovery scan plans
 //!    only live ids and never touches them.
 //!
-//! In-memory state (locator, projections, chunk maps, decoded-chunk
-//! cache) swaps between steps 1 and 2, so a *failed* step 2 leaves
-//! the running process serving the new generation (whose chunks are
-//! durable) while a restart would serve the old — both consistent,
-//! nothing lost.
+//! In-memory state (locator, projections, chunk maps) swaps only
+//! after step 2, inside the writer. A slice that fails anywhere up to
+//! and including step 2 has therefore changed nothing: its victims
+//! stay at the head of the resumable queue, the next
+//! [`RStore::compact`] retries them, and the retry ends byte-identical
+//! to an undisturbed twin (blobs or maps the failed attempt wrote are
+//! overwritten under the same ids).
 //!
 //! Commits still buffered in the delta store are untouched: their
 //! records are not yet placed, and their version ids are excluded
 //! from the rebuilt chunk maps so the next flush indexes them
 //! normally (chunk maps require strictly increasing version pushes).
 
-use crate::chunk::{Chunk, SubChunk};
-use crate::chunkmap::{encode_entries, ResidentMap};
 use crate::cost::CostModel;
 use crate::error::CoreError;
+use crate::ingest::{StagedGeneration, StagedIndex};
 use crate::model::{ChunkId, CompositeKey, Record, VersionId};
-use crate::partition::PartitionInput;
-use crate::plan;
 use crate::query;
-use crate::store::{self, DeferredReclaim, RStore, StoreMut, CHUNK_TABLE, CMAP_TABLE};
-use bytes::Bytes;
+use crate::store::{DeferredReclaim, RStore, StoreMut, CHUNK_TABLE, CMAP_TABLE};
 use rstore_compress::Bitmap;
 use rstore_kvstore::{table_key, Key};
 use rustc_hash::{FxHashMap, FxHashSet};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// One rebuilt chunk's map-build job: the chunk id, its record
-/// count, and the `(version, sorted locals)` entries to encode.
-type RebuildMapJob = (u32, usize, Vec<(VersionId, Vec<usize>)>);
 
 /// Compaction policy: which chunks are fragmentation victims and when
 /// the store compacts on its own. [`RStore::compact`] can always be
@@ -428,10 +428,13 @@ impl RStore {
             } else {
                 slice_cap.min(st.victim_queue.len())
             };
-            let victims: Vec<u32> = st.victim_queue.drain(..take).collect();
-            let Some(out) =
-                self.compact_slice(st, victims, min_chunks, slice_cap == 0)?
-            else {
+            // The slice leaves the queue only once it is decided: a
+            // slice that fails has changed nothing (see the module
+            // docs), so its victims stay queued for the next call.
+            let victims: Vec<u32> = st.victim_queue[..take].to_vec();
+            let out = self.compact_slice(st, victims, min_chunks, slice_cap == 0)?;
+            st.victim_queue.drain(..take);
+            let Some(out) = out else {
                 // The cutover guard rejected the slice: rebuilding it
                 // would not improve the layout, so it is dropped, not
                 // re-queued.
@@ -479,13 +482,11 @@ impl RStore {
         Ok(Some(report))
     }
 
-    /// Rebuilds one victim slice end to end: stage, guard, write the
-    /// new generation, swap, persist + publish, reclaim. Returns
-    /// `Ok(None)` when the cutover guard rejects the slice. On an
-    /// error *before* the in-memory swap the slice's victims are
-    /// pushed back to the head of the resumable queue; an error after
-    /// the swap (metadata persist) is propagated without re-queueing —
-    /// those victims are already retired in the writer state.
+    /// Rebuilds one victim slice end to end: stage, guard, commit
+    /// through the generation writer, reclaim. Returns `Ok(None)` when
+    /// the cutover guard rejects the slice. An error means nothing
+    /// changed — the writer applies a generation only after its meta
+    /// put — so the caller keeps the victims queued.
     fn compact_slice(
         &self,
         st: &mut StoreMut,
@@ -493,244 +494,81 @@ impl RStore {
         min_chunks: usize,
         allow_escalate: bool,
     ) -> Result<Option<SliceOutcome>, CoreError> {
-        let workers = self.ingest_workers();
         let mut stages = CompactionStages {
-            workers,
+            workers: self.ingest_workers(),
             ..CompactionStages::default()
         };
-        let requeue = victims.clone();
-
-        // Version ids still waiting in the delta store: their records
-        // are not placed yet, and the rebuilt chunk maps must not
-        // claim them — the next flush pushes them in order.
-        let pending: FxHashSet<u32> = st.pending_version_ids();
 
         // -- extract + partition, staged: nothing is written yet ------
-        let staged = (|| {
-            let mut staged = self.stage_rebuild(st, victims, &pending)?;
-            stages.extract += staged.extract;
-            stages.partition += staged.partition;
-            if !staged.improves() {
-                if !allow_escalate {
-                    return Ok(None);
-                }
-                // The sparse rebuild would regress; escalate to a full
-                // repartition, which merges the kept chunks' records
-                // back in and reproduces offline layout quality. The
-                // victims are fetched a second time here — a
-                // deliberate simplicity trade: with a configured cache
-                // they are resident from the first pass, and
-                // escalation is the rare path.
-                let all: Vec<u32> = st.live_chunk_ids();
-                if staged.victims.len() < all.len() && all.len() >= min_chunks {
-                    staged = self.stage_rebuild(st, all, &pending)?;
-                    stages.extract += staged.extract;
-                    stages.partition += staged.partition;
-                }
-                if !staged.improves() {
-                    return Ok(None);
-                }
+        let mut rebuild = self.stage_rebuild(st, victims)?;
+        stages.extract += rebuild.extract;
+        stages.partition += rebuild.partition;
+        if !rebuild.improves() {
+            if !allow_escalate {
+                return Ok(None);
             }
-            Ok(Some(staged))
-        })();
-        let staged = match staged {
-            Ok(Some(staged)) => staged,
-            Ok(None) => return Ok(None),
-            Err(e) => {
-                st.victim_queue.splice(0..0, requeue);
-                return Err(e);
+            // The sparse rebuild would regress; escalate to a full
+            // repartition, which merges the kept chunks' records back
+            // in and reproduces offline layout quality. The victims
+            // are fetched a second time here — a deliberate simplicity
+            // trade: with a configured cache they are resident from
+            // the first pass, and escalation is the rare path.
+            let all: Vec<u32> = st.live_chunk_ids();
+            if rebuild.victims.len() < all.len() && all.len() >= min_chunks {
+                rebuild = self.stage_rebuild(st, all)?;
+                stages.extract += rebuild.extract;
+                stages.partition += rebuild.partition;
             }
-        };
+            if !rebuild.improves() {
+                return Ok(None);
+            }
+        }
         let StagedRebuild {
             victims,
-            victim_set,
             records,
-            groups,
-            subchunks,
-            version_items,
+            staged,
             version_members,
-            chunk_items,
             bytes_reclaimed,
             ..
-        } = staged;
-        let records_moved = records.len();
-        let subchunks_built = subchunks.len();
+        } = rebuild;
+        let subchunks_built = staged.subchunks.len();
 
-        // -- rebuild: assemble the new generation into peeked id
-        // slots (reclaimed free slots first, then fresh ids past the
-        // tail — claimed only at the swap, so a failed write leaves
-        // the writer state untouched) and stream the blobs while
-        // later chunks encode ----------------------------------------
-        let t = Instant::now();
-        let ids = store::peek_chunk_ids(st, chunk_items.len());
-        let mut subchunk_slots: Vec<Option<SubChunk>> =
-            subchunks.into_iter().map(Some).collect();
-        // Staged placement, applied to the writer state only after
-        // the backend holds the new generation.
-        let mut group_slot: Vec<(u32, u32)> = vec![(0, 0); groups.len()];
-        let mut new_sizes: Vec<usize> = Vec::with_capacity(chunk_items.len());
-        let mut new_counts: Vec<usize> = Vec::with_capacity(chunk_items.len());
-        let mut chunks: Vec<Chunk> = Vec::with_capacity(chunk_items.len());
-        for (ci, items) in chunk_items.iter().enumerate() {
-            let chunk_id = ids[ci];
-            let mut chunk = Chunk::new();
-            let mut local = 0u32;
-            for &g in items {
-                group_slot[g as usize] = (chunk_id, local);
-                let sc = subchunk_slots[g as usize].take().expect("group in one chunk");
-                local += sc.members.len() as u32;
-                chunk.subchunks.push(sc);
+        // -- write + commit: the new generation, with the victims
+        // retired. The index pass is from the contents: per version,
+        // the moved records it holds, as one bitmap per new chunk ----
+        let committed = self.commit_generation(st, staged, &victims, |_, chunks| {
+            let count_of = chunks.counts_by_id();
+            let mut index = StagedIndex::default();
+            let mut touched: FxHashMap<u32, Vec<usize>> = FxHashMap::default();
+            for (v, members) in version_members.iter().enumerate() {
+                if members.is_empty() {
+                    continue;
+                }
+                for &i in members {
+                    let (chunk, local) = chunks.slots[i as usize];
+                    touched.entry(chunk).or_default().push(local as usize);
+                }
+                let v = VersionId(v as u32);
+                let mut span = Vec::with_capacity(touched.len());
+                for (chunk, locals) in touched.drain() {
+                    span.push(chunk);
+                    let members = Bitmap::from_indices(count_of[&chunk], locals);
+                    index.per_chunk.entry(chunk).or_default().push((v, members));
+                }
+                span.sort_unstable();
+                index.version_chunks.push((v, span));
             }
-            new_sizes.push(chunk.compressed_bytes());
-            new_counts.push(local as usize);
-            chunks.push(chunk);
-        }
-        let new_chunks = chunks.len();
-        let jobs: Vec<(u32, Chunk)> = chunks
-            .into_iter()
-            .zip(ids.iter())
-            .map(|(c, &id)| (id, c))
-            .collect();
-        let outcome = match store::stream_chunk_blobs(&self.cluster, workers, jobs) {
-            Ok(outcome) => outcome,
-            Err(e) => {
-                st.victim_queue.splice(0..0, requeue);
-                return Err(e);
-            }
-        };
-        stages.rebuild = t.elapsed();
-        stages.write += outcome.write_wait;
-        stages.modeled_write += outcome.summary.modeled;
-        let mut bytes_rewritten = outcome.summary.bytes;
-
-        // Record ordinal → its new (chunk, local) slot.
-        let mut rec_slot: Vec<(u32, u32)> = vec![(0, 0); records.len()];
-        for (g, members) in groups.iter().enumerate() {
-            let (chunk, first) = group_slot[g];
-            for (offset, &i) in members.iter().enumerate() {
-                rec_slot[i as usize] = (chunk, first + offset as u32);
-            }
-        }
-
-        // -- index: rebuild the chunk maps for the new generation and
-        // stream them through the same writer stage ------------------
-        let t = Instant::now();
-        let count_of: FxHashMap<u32, usize> = ids
-            .iter()
-            .zip(new_counts.iter())
-            .map(|(&c, &n)| (c, n))
-            .collect();
-        // Every new chunk gets a map even if empty, so the recovery
-        // scan never finds a blob without its other half.
-        let mut per_chunk: FxHashMap<u32, Vec<(VersionId, Vec<usize>)>> = ids
-            .iter()
-            .map(|&c| (c, Vec::new()))
-            .collect();
-        let mut touched: FxHashMap<u32, Vec<usize>> = FxHashMap::default();
-        for (v, members) in version_members.iter().enumerate() {
-            for &i in members {
-                let (chunk, local) = rec_slot[i as usize];
-                touched.entry(chunk).or_default().push(local as usize);
-            }
-            for (chunk, mut locals) in touched.drain() {
-                locals.sort_unstable();
-                per_chunk
-                    .get_mut(&chunk)
-                    .expect("new chunk id")
-                    .push((VersionId(v as u32), locals));
-            }
-        }
-        // Same two-pass shape as the flush path's `index_versions`
-        // (group per chunk with ascending versions + sorted locals,
-        // then build each map on its own core and ride the streaming
-        // writer) — but over fresh maps that only join the writer
-        // state's `chunk_maps` at the swap, instead of in-place
-        // `&mut` rewrites of resident maps.
-        let mut map_jobs: Vec<RebuildMapJob> = per_chunk
-            .into_iter()
-            .map(|(c, work)| (c, count_of[&c], work))
-            .collect();
-        map_jobs.sort_unstable_by_key(|&(c, _, _)| c);
-        let built: Vec<(u32, ResidentMap, Bytes)> =
-            plan::parallel_map_owned(map_jobs, workers, |(c, n, work)| {
-                let entries: Vec<(VersionId, Bitmap)> = work
-                    .into_iter()
-                    .map(|(v, locals)| (v, Bitmap::from_indices(n, locals)))
-                    .collect();
-                // Encoded once; the adopted map keeps the bytes so
-                // later flushes append to them.
-                let tail = encode_entries(&entries);
-                let mut map = ResidentMap::new(n);
-                let bytes = Bytes::from(map.serialize_with(entries.len(), &tail));
-                map.append(entries, &tail);
-                (c, map, bytes)
-            });
-        // Split the build output: serialized bytes move into the
-        // write list (no copy), the maps themselves are adopted at
-        // the swap below.
-        let mut writes: Vec<(Key, Bytes)> = Vec::with_capacity(built.len());
-        let mut adopted: Vec<(u32, ResidentMap)> = Vec::with_capacity(built.len());
-        for (c, map, bytes) in built {
-            writes.push((table_key(CMAP_TABLE, &ChunkId(c).to_key()), bytes));
-            adopted.push((c, map));
-        }
-        let outcome = match store::stream_writes(&self.cluster, workers, writes) {
-            Ok(outcome) => outcome,
-            Err(e) => {
-                st.victim_queue.splice(0..0, requeue);
-                return Err(e);
-            }
-        };
-        stages.index = t.elapsed();
-        stages.write += outcome.write_wait;
-        stages.modeled_write += outcome.summary.modeled;
-        bytes_rewritten += outcome.summary.bytes;
-
-        // -- swap: the new generation is durable; build the next
-        // metadata generation in the writer state --------------------
-        let claimed = store::claim_chunk_ids(st, chunk_items.len());
-        debug_assert_eq!(claimed, ids);
-        for (ci, &id) in ids.iter().enumerate() {
-            let slot = id as usize;
-            Arc::make_mut(&mut st.chunk_sizes)[slot] = new_sizes[ci];
-            // Stamped one past the current generation: the publish
-            // below increments to exactly this value, making it the
-            // cache-probe floor for the rebuilt map.
-            Arc::make_mut(&mut st.map_gen)[slot] = st.generation + 1;
-        }
-        for (c, map) in adopted {
-            st.chunk_maps[c as usize] = map;
-        }
-        for (i, record) in records.iter().enumerate() {
-            st.locator.insert(record.composite_key(), rec_slot[i]);
-        }
-        let projections = Arc::make_mut(&mut st.projections);
-        projections.retain_chunks(|c| !victim_set.contains(&c));
-        for (v, items) in version_items.iter().enumerate() {
-            for &g in items {
-                projections
-                    .add_version_chunk(VersionId(v as u32), ChunkId(group_slot[g as usize].0));
-            }
-        }
-        for (g, members) in groups.iter().enumerate() {
-            let chunk = ChunkId(group_slot[g].0);
-            for &i in members {
-                projections.add_key_chunk(records[i as usize].pk, chunk);
-            }
-        }
-        let retired = Arc::make_mut(&mut st.retired);
-        for &c in &victims {
-            retired.insert(c);
-            Arc::make_mut(&mut st.chunk_sizes)[c as usize] = 0;
-            st.chunk_maps[c as usize] = ResidentMap::default();
-        }
-
-        // -- commit point: persist the metadata, publish the new
-        // generation to readers --------------------------------------
-        let (meta_modeled, meta_wait) = self.persist_meta(st.meta())?;
-        stages.modeled_write += meta_modeled;
-        stages.write += meta_wait;
-        self.publish(st);
+            index.key_chunks = records
+                .iter()
+                .zip(&chunks.slots)
+                .map(|(r, &(chunk, _))| (r.pk, chunk))
+                .collect();
+            index
+        })?;
+        stages.rebuild = committed.stages.assemble;
+        stages.index = committed.stages.index;
+        stages.write = committed.stages.write;
+        stages.modeled_write = committed.stages.modeled_write;
 
         // -- reclaim (phase A): drop the retired generation's cache
         // entries and batch-delete its backend keys — immediately
@@ -748,11 +586,12 @@ impl RStore {
                 ]
             })
             .collect();
+        let num_victims = victims.len();
         let (modeled_delete, keys_deleted, reclamation_failed) =
             if self.pins.oldest().is_some_and(|o| o < publish_gen) {
                 st.deferred.push(DeferredReclaim {
                     publish_gen,
-                    chunk_ids: victims.clone(),
+                    chunk_ids: victims,
                     keys,
                 });
                 (Duration::ZERO, 0, false)
@@ -779,11 +618,11 @@ impl RStore {
         stages.modeled_delete = modeled_delete;
 
         Ok(Some(SliceOutcome {
-            victims: victims.len(),
-            new_chunks,
-            records_moved,
+            victims: num_victims,
+            new_chunks: committed.new_chunks,
+            records_moved: records.len(),
             subchunks_built,
-            bytes_rewritten,
+            bytes_rewritten: committed.bytes_written,
             bytes_reclaimed,
             keys_deleted,
             reclamation_failed,
@@ -791,17 +630,12 @@ impl RStore {
         }))
     }
 
-    /// Plans a rebuild of `victims` without touching the backend:
-    /// fetches and extracts their records through the read pipeline,
-    /// re-groups same-key records into sub-chunks, re-runs the
-    /// configured partitioner, and evaluates the candidate layout's
-    /// span contribution against the victims' current one.
-    fn stage_rebuild(
-        &self,
-        st: &StoreMut,
-        victims: Vec<u32>,
-        pending: &FxHashSet<u32>,
-    ) -> Result<StagedRebuild, CoreError> {
+    /// Plans a rebuild of `victims` without writing anything: fetches
+    /// and extracts their records through the read pipeline, re-groups
+    /// same-key records into sub-chunks, stages the generation (encode,
+    /// then the configured partitioner), and evaluates the candidate
+    /// layout's span contribution against the victims' current one.
+    fn stage_rebuild(&self, st: &StoreMut, victims: Vec<u32>) -> Result<StagedRebuild, CoreError> {
         // -- extract: fetch victims through plan → fetch → extract ----
         let t = Instant::now();
         let scan = self.plan_chunks(victims.clone())?;
@@ -817,7 +651,6 @@ impl RStore {
         // contiguous, then cut groups of up to `k`: the compaction
         // counterpart of the §3.4 grouping (origin order approximates
         // version-tree connectivity — parents precede children).
-        let workers = self.ingest_workers();
         let k = self.config.max_subchunk.max(1);
         let mut order: Vec<u32> = (0..records.len() as u32).collect();
         order.sort_unstable_by_key(|&i| {
@@ -836,16 +669,6 @@ impl RStore {
                 _ => groups.push(vec![idx]),
             }
         }
-        let subchunks: Vec<SubChunk> = plan::parallel_map(&groups, workers, |members| {
-            let recs: Vec<(CompositeKey, &[u8])> = members
-                .iter()
-                .map(|&i| {
-                    let r = &records[i as usize];
-                    (r.composite_key(), r.payload.as_ref())
-                })
-                .collect();
-            SubChunk::build(&recs)
-        });
 
         // Membership per version: the moved records (by extraction
         // ordinal) and the distinct groups each flushed version
@@ -861,6 +684,10 @@ impl RStore {
                 group_of_rec[i as usize] = g as u32;
             }
         }
+        // Version ids still waiting in the delta store: their records
+        // are not placed yet, and the rebuilt chunk maps must not
+        // claim them — the next flush pushes them in order.
+        let pending: FxHashSet<u32> = st.pending_version_ids();
         let num_versions = st.graph.len();
         let mut version_items: Vec<Vec<u32>> = vec![Vec::new(); num_versions];
         let mut version_members: Vec<Vec<u32>> = vec![Vec::new(); num_versions];
@@ -886,23 +713,11 @@ impl RStore {
             version_items[v] = items;
             version_members[v] = members;
         }
-        let item_sizes: Vec<u32> = subchunks
+        let payloads: Vec<(CompositeKey, &[u8])> = records
             .iter()
-            .map(|s| s.compressed_bytes() as u32)
+            .map(|r| (r.composite_key(), r.payload.as_ref()))
             .collect();
-        let item_pk: Vec<u64> = groups
-            .iter()
-            .map(|g| records[g[0] as usize].pk)
-            .collect();
-        let tree = st.graph.to_tree();
-        let input = PartitionInput {
-            tree: &tree,
-            version_items: &version_items,
-            item_sizes: &item_sizes,
-            item_pk: &item_pk,
-        };
-        let partitioner = self.config.partitioner.build(self.config.chunk_capacity);
-        let partitioning = partitioner.partition(&input);
+        let staged = self.stage_generation(st, &payloads, groups, &version_items);
         let partition = t.elapsed();
 
         // Span bookkeeping for the cutover guard: what the victims
@@ -918,10 +733,10 @@ impl RStore {
                 .count();
         }
         let mut new_span = 0usize;
-        let mut chunk_mark: Vec<u32> = vec![u32::MAX; partitioning.num_chunks];
+        let mut chunk_mark: Vec<u32> = vec![u32::MAX; staged.partitioning.num_chunks];
         for (v, items) in version_items.iter().enumerate() {
             for &g in items {
-                let c = partitioning.chunk_of[g as usize] as usize;
+                let c = staged.partitioning.chunk_of[g as usize] as usize;
                 if chunk_mark[c] != v as u32 {
                     chunk_mark[c] = v as u32;
                     new_span += 1;
@@ -935,13 +750,9 @@ impl RStore {
 
         Ok(StagedRebuild {
             victims,
-            victim_set,
             records,
-            groups,
-            subchunks,
-            version_items,
+            staged,
             version_members,
-            chunk_items: partitioning.chunk_items(),
             old_span,
             new_span,
             bytes_reclaimed,
@@ -966,26 +777,18 @@ struct SliceOutcome {
 }
 
 /// A fully planned rebuild that has not touched the backend: the
-/// extracted records, their re-grouping, the candidate partitioning,
-/// and the span comparison that decides whether it cuts over.
+/// extracted records, the staged generation (their re-grouping, encoded
+/// and partitioned), and the span comparison that decides whether it
+/// cuts over.
 struct StagedRebuild {
     /// Victim chunk ids, ascending.
     victims: Vec<u32>,
-    /// The same ids as a set.
-    victim_set: FxHashSet<u32>,
     /// Records extracted from the victims, in extraction order.
     records: Vec<Record>,
-    /// Sub-chunk groups of record ordinals (first member is the
-    /// delta-encoding root).
-    groups: Vec<Vec<u32>>,
-    /// The rebuilt sub-chunks, aligned with `groups`.
-    subchunks: Vec<SubChunk>,
-    /// Distinct groups per flushed version (partitioner input).
-    version_items: Vec<Vec<u32>>,
+    /// The generation that would replace the victims.
+    staged: StagedGeneration,
     /// Moved record ordinals per flushed version (chunk-map input).
     version_members: Vec<Vec<u32>>,
-    /// Groups per candidate chunk, in candidate-chunk order.
-    chunk_items: Vec<Vec<u32>>,
     /// Span the victims contribute under the current layout.
     old_span: usize,
     /// Span the candidate chunks would contribute.
@@ -994,7 +797,7 @@ struct StagedRebuild {
     bytes_reclaimed: usize,
     /// Wall time of the extract stage.
     extract: Duration,
-    /// Wall time of the grouping + partitioning stage.
+    /// Wall time of the grouping, encode + partitioning stage.
     partition: Duration,
 }
 
@@ -1004,6 +807,7 @@ impl StagedRebuild {
     /// fan-out).
     fn improves(&self) -> bool {
         self.new_span < self.old_span
-            || (self.new_span == self.old_span && self.chunk_items.len() < self.victims.len())
+            || (self.new_span == self.old_span
+                && self.staged.partitioning.num_chunks < self.victims.len())
     }
 }

@@ -40,6 +40,7 @@ pub mod compact;
 pub mod cost;
 pub mod error;
 pub mod index;
+mod ingest;
 pub mod model;
 pub mod obs;
 pub mod online;

@@ -18,24 +18,13 @@
 //!   records are never re-partitioned, and each touched chunk map is
 //!   rewritten once per batch from the in-memory copy.
 //!
-//! Both paths run as a parallel, pipelined ingest mirroring the
-//! read-side plan → fetch → extract split: sub-chunk compression and
-//! chunk serialization fan out across [`StoreConfig::ingest_threads`]
-//! scoped threads, serialized chunks stream to the backend in
-//! per-node batches ([`Cluster::writer`]) *while later chunks are
-//! still being encoded*, and the §4 batch-indexing trick derives each
-//! new version's chunk-map bitmaps from its primary parent's (cost
-//! proportional to the delta and the span, not the version) and
-//! appends them to each touched map's resident bytes, so a dirty map
-//! is rewritten once per batch without re-encoding its history; the
-//! serialized maps ride the same streaming writer. A batch is staged
-//! against the writer state and applied only once every backend write
-//! has landed, so a failed flush leaves its commits in the delta store
-//! for the next attempt. `ingest_threads = 1` keeps
-//! the fully serial reference path (encode everything, then one
-//! scatter-gather put) that the equivalence proptests compare
-//! against; [`IngestStages`] makes each stage
-//! observable the way `QueryStats` made reads observable.
+//! Both paths — and a compaction slice — are thin callers of the one
+//! generation writer in the `ingest` module: each derives its inputs
+//! (the records to place, their sub-chunk grouping, the per-version
+//! item lists, the index pass) and the writer runs stage → write →
+//! commit, applying a generation to the writer state only once every
+//! backend write and the meta put have landed. [`IngestStages`] makes
+//! each stage observable the way `QueryStats` made reads observable.
 //!
 //! Reads are **snapshot-isolated** from both paths: every query entry
 //! point takes `&RStore` and pins an immutable, generation-stamped
@@ -49,17 +38,18 @@
 //! for retired chunks until no reader pins an older generation.
 
 use crate::cache::{CacheStats, ChunkCache};
-use crate::chunk::{Chunk, SubChunk};
-use crate::chunkmap::{encode_entries, ChunkMap, ResidentMap};
+use crate::chunk::SubChunk;
+use crate::chunkmap::ResidentMap;
 use crate::compact::{CompactionConfig, CompactionReport};
 use crate::error::CoreError;
 use crate::index::Projections;
-use crate::model::{ChunkId, CompositeKey, PrimaryKey, Record, VersionId};
+use crate::ingest::{self, MetaView, PersistedMeta};
+use crate::model::{CompositeKey, PrimaryKey, Record, VersionId};
 use crate::obs::{
     self, MetricsRegistry, Obs, ObsConfig, QueryOutcome, QueryTrace, SlowQuery, TraceSink,
     TID_QUERY,
 };
-use crate::partition::{PartitionInput, PartitionerKind};
+use crate::partition::PartitionerKind;
 use crate::plan::{
     self, ExecMode, ExecPolicy, ExecutedQuery, HedgeConfig, QueryPlan, QuerySpec, ReadRouting,
     RecordStream,
@@ -68,9 +58,7 @@ use crate::query::QueryStats;
 use crate::serve::{ServeCore, ServeStats};
 use crate::subchunk::SubchunkPlan;
 use bytes::Bytes;
-use crossbeam::channel::bounded;
-use rstore_kvstore::{table_key, BreakerPolicy, Cluster, Key, KvError, WriteSummary};
-use rstore_compress::{varint, Bitmap};
+use rstore_kvstore::{table_key, BreakerPolicy, Cluster, Key};
 use rstore_vgraph::{Dataset, VersionDelta, VersionGraph};
 use rustc_hash::{FxHashMap, FxHashSet};
 use std::collections::BTreeMap;
@@ -345,36 +333,7 @@ impl RStoreBuilder {
 
     /// Finishes the builder against a backend cluster.
     pub fn build(self, cluster: Cluster) -> RStore {
-        if self.config.breaker.enabled {
-            cluster.set_breaker(self.config.breaker);
-        }
-        let obs = Obs::new(self.config.obs);
-        let serve = ServeCore::new(
-            self.config.fetch_threads,
-            cluster.node_count(),
-            self.config.max_concurrent_queries,
-            self.config.max_queued,
-        );
-        let cache = Arc::new(ChunkCache::new(
-            self.config.cache_budget,
-            self.config.cache_shards,
-        ));
-        if obs.enabled() {
-            serve.set_obs(Arc::clone(obs.registry()));
-            cache.set_obs(Arc::clone(obs.registry()));
-        }
-        let state = StoreMut::empty();
-        let current = Mutex::new(Arc::new(state.snapshot()));
-        RStore {
-            serve,
-            cluster: Arc::new(cluster),
-            cache,
-            obs,
-            config: self.config,
-            state: Mutex::new(state),
-            current,
-            pins: Arc::new(PinBoard::default()),
-        }
+        RStore::assemble(self.config, cluster, StoreMut::empty())
     }
 }
 
@@ -424,9 +383,6 @@ pub struct LoadReport {
     pub raw_bytes: usize,
     /// Compressed bytes written as chunks.
     pub compressed_bytes: usize,
-    /// Time spent inside the partitioning algorithm (same as
-    /// `stages.partition`; kept for existing call sites).
-    pub partition_time: Duration,
     /// End-to-end load time.
     pub total_time: Duration,
     /// Per-stage timing breakdown of the ingest pipeline.
@@ -461,174 +417,6 @@ pub struct FlushReport {
 /// Outcome of commit resolution: the assigned version id, the
 /// validated delta, and the new version's sorted contents.
 type ResolvedCommit = (VersionId, VersionDelta, Vec<(PrimaryKey, VersionId)>);
-
-/// One dirty chunk's share of a batch index pass: the chunk id, the
-/// exclusive handle on its resident map (one of the writer state's, or
-/// a fresh one for a chunk the batch created), and the `(version,
-/// members)` entries to append.
-type MapBuildJob<'a> = (u32, &'a mut ResidentMap, Vec<(VersionId, Bitmap)>);
-
-/// The chunks a batch created, staged against peeked ids
-/// ([`peek_chunk_ids`]): nothing here is in the writer state yet.
-struct StagedChunks {
-    /// Chunk id per new chunk.
-    ids: Vec<u32>,
-    /// Compressed bytes per new chunk.
-    sizes: Vec<usize>,
-    /// Records per new chunk (its map's bitmap length).
-    counts: Vec<usize>,
-    /// Where each of the batch's new records landed.
-    placed: FxHashMap<CompositeKey, (u32, u32)>,
-}
-
-/// A batch's index edits, derived from its deltas and not yet applied.
-#[derive(Default)]
-struct StagedIndex {
-    /// Per batch version, ascending: the sorted chunk ids holding its
-    /// records.
-    version_chunks: Vec<(VersionId, Vec<u32>)>,
-    /// `(pk, chunk)` of every record the batch added.
-    key_chunks: Vec<(PrimaryKey, u32)>,
-    /// Per dirty chunk: the batch's entries, ascending by version.
-    per_chunk: FxHashMap<u32, Vec<(VersionId, Bitmap)>>,
-}
-
-/// What one meta commit persists. [`StoreMut::meta`] views the writer
-/// state; a flush substitutes the parts it has staged, so the commit
-/// point is written before the writer state changes.
-#[derive(Clone, Copy)]
-pub(crate) struct MetaView<'a> {
-    graph: &'a VersionGraph,
-    projections: &'a Projections,
-    chunk_slots: usize,
-    retired: &'a FxHashSet<u32>,
-    free: &'a FxHashSet<u32>,
-}
-
-/// Outcome of one streamed encode stage: the writer's accounting plus
-/// how long the stage was genuinely blocked on backend writes (batch
-/// shipping + waiting for outstanding replies — channel idle time,
-/// which is hidden behind encoding, is excluded).
-pub(crate) struct StreamOutcome {
-    pub(crate) summary: WriteSummary,
-    pub(crate) write_wait: Duration,
-}
-
-impl StreamOutcome {
-    pub(crate) fn fold_into(&self, stages: &mut IngestStages) {
-        stages.write += self.write_wait;
-        stages.modeled_write += self.summary.modeled;
-    }
-}
-
-/// Ships pre-encoded pairs through a [`Cluster::writer`]: streaming
-/// per-node batches when the pipeline is parallel (`workers > 1`),
-/// one deferred scatter-gather put on the serial reference path.
-pub(crate) fn stream_writes(
-    cluster: &Cluster,
-    workers: usize,
-    writes: Vec<(Key, Bytes)>,
-) -> Result<StreamOutcome, CoreError> {
-    let mut writer = if workers > 1 {
-        cluster.writer()
-    } else {
-        cluster.writer_with_batch(usize::MAX)
-    };
-    let mut write_wait = Duration::ZERO;
-    for (key, value) in writes {
-        let t = Instant::now();
-        writer.push(key, value)?;
-        write_wait += t.elapsed();
-    }
-    let t = Instant::now();
-    let summary = writer.finish()?;
-    write_wait += t.elapsed();
-    Ok(StreamOutcome { summary, write_wait })
-}
-
-/// The pipelined encode → write stage: runs `encode` over `jobs` on
-/// `workers` scoped threads and streams each encoded pair into a
-/// [`Cluster::writer`] the moment it is ready, so the node threads
-/// store earlier batches while later jobs are still being encoded.
-///
-/// With `workers == 1` this is the serial reference path: jobs encode
-/// in order on the calling thread and every write is deferred to one
-/// scatter-gather put at the end (`writer_with_batch(usize::MAX)`),
-/// exactly the pre-pipeline behaviour. Either way the final backend
-/// state is identical — jobs produce their bytes deterministically
-/// and write order is irrelevant under distinct keys.
-pub(crate) fn encode_and_stream<J, F>(
-    cluster: &Cluster,
-    workers: usize,
-    jobs: Vec<J>,
-    encode: F,
-) -> Result<StreamOutcome, CoreError>
-where
-    J: Send,
-    F: Fn(J) -> (Key, Bytes) + Sync,
-{
-    let workers = workers.min(jobs.len()).max(1);
-    if workers == 1 {
-        return stream_writes(cluster, 1, jobs.into_iter().map(encode).collect());
-    }
-
-    let queue = Mutex::new(jobs.into_iter());
-    let mut result: Result<StreamOutcome, KvError> = Ok(StreamOutcome {
-        summary: WriteSummary::default(),
-        write_wait: Duration::ZERO,
-    });
-    std::thread::scope(|scope| {
-        let (tx, rx) = bounded::<(Key, Bytes)>(workers * 4);
-        let writer_handle = scope.spawn(move || -> Result<StreamOutcome, KvError> {
-            let mut writer = cluster.writer();
-            let mut write_wait = Duration::ZERO;
-            while let Ok((key, value)) = rx.recv() {
-                let t = Instant::now();
-                writer.push(key, value)?;
-                write_wait += t.elapsed();
-            }
-            let t = Instant::now();
-            let summary = writer.finish()?;
-            write_wait += t.elapsed();
-            Ok(StreamOutcome { summary, write_wait })
-        });
-        for _ in 0..workers {
-            let tx = tx.clone();
-            let queue = &queue;
-            let encode = &encode;
-            scope.spawn(move || loop {
-                let job = queue.lock().unwrap().next();
-                let Some(job) = job else { break };
-                // A send failure means the writer bailed on an error;
-                // stop encoding — the error surfaces from its handle.
-                if tx.send(encode(job)).is_err() {
-                    break;
-                }
-            });
-        }
-        drop(tx);
-        result = writer_handle.join().expect("writer stage panicked");
-    });
-    result.map_err(CoreError::from)
-}
-
-
-/// Serializes chunks on their own cores and streams the blobs to the
-/// chunk table in per-node batches — the shared assemble-stage tail
-/// of the bulk load, the batch flush and the compaction rebuild, so
-/// the chunk key layout and serialization live in exactly one place.
-pub(crate) fn stream_chunk_blobs(
-    cluster: &Cluster,
-    workers: usize,
-    jobs: Vec<(u32, Chunk)>,
-) -> Result<StreamOutcome, CoreError> {
-    encode_and_stream(cluster, workers, jobs, |(id, chunk)| {
-        (
-            table_key(CHUNK_TABLE, &ChunkId(id).to_key()),
-            Bytes::from(chunk.serialize()),
-        )
-    })
-}
 
 /// A commit: a new version described relative to its parent.
 #[derive(Debug, Clone, Default)]
@@ -942,7 +730,7 @@ pub(crate) struct StoreMut {
     /// until a reclamation pass frees or truncates the slot.
     pub(crate) chunk_maps: Vec<ResidentMap>,
     /// The delta store: commits awaiting a partitioning pass.
-    pending: Vec<(VersionId, VersionDelta)>,
+    pub(crate) pending: Vec<(VersionId, VersionDelta)>,
     /// Batch flushes since the last compaction (the auto-trigger
     /// counter).
     pub(crate) flushes_since_compaction: usize,
@@ -1023,51 +811,6 @@ impl StoreMut {
     }
 }
 
-/// The `n` chunk id slots the next allocation will hand out —
-/// reclaimed free slots first (ascending; the bounded-id-space
-/// guarantee), then fresh ids past the tail — **without mutating**
-/// the writer state. Writers that must stay rollback-free (the
-/// compaction slices) address backend writes with the peeked ids and
-/// only [`claim_chunk_ids`] after those writes are durable; the two
-/// agree as long as no allocation happens in between (the state lock
-/// is held throughout).
-pub(crate) fn peek_chunk_ids(st: &StoreMut, n: usize) -> Vec<u32> {
-    let mut ids: Vec<u32> = st.free.iter().copied().collect();
-    ids.sort_unstable();
-    ids.truncate(n);
-    let mut next = st.chunk_maps.len() as u32;
-    while ids.len() < n {
-        ids.push(next);
-        next += 1;
-    }
-    ids
-}
-
-/// Claims `n` chunk id slots (the same ids [`peek_chunk_ids`] would
-/// return): free slots leave the free list, fresh ids extend
-/// `chunk_maps`, `chunk_sizes` and `map_gen` with default slots. The
-/// caller overwrites every returned slot.
-pub(crate) fn claim_chunk_ids(st: &mut StoreMut, n: usize) -> Vec<u32> {
-    let mut ids: Vec<u32> = Vec::with_capacity(n);
-    if !st.free.is_empty() {
-        let free = Arc::make_mut(&mut st.free);
-        let mut reusable: Vec<u32> = free.iter().copied().collect();
-        reusable.sort_unstable();
-        for id in reusable.into_iter().take(n) {
-            free.remove(&id);
-            ids.push(id);
-        }
-    }
-    while ids.len() < n {
-        let id = st.chunk_maps.len() as u32;
-        st.chunk_maps.push(ResidentMap::default());
-        Arc::make_mut(&mut st.chunk_sizes).push(0);
-        Arc::make_mut(&mut st.map_gen).push(0);
-        ids.push(id);
-    }
-    ids
-}
-
 /// The RStore instance (application-server state + backend handle).
 pub struct RStore {
     /// Behind `Arc` so pooled fetch jobs — which cannot borrow from
@@ -1101,6 +844,38 @@ impl RStore {
     /// Starts a builder.
     pub fn builder() -> RStoreBuilder {
         RStoreBuilder::default()
+    }
+
+    /// Wires a store over `cluster` around the writer state `state`
+    /// (empty for a new store, the persisted metadata on a reopen),
+    /// publishing it as the initial snapshot.
+    fn assemble(config: StoreConfig, cluster: Cluster, state: StoreMut) -> Self {
+        if config.breaker.enabled {
+            cluster.set_breaker(config.breaker);
+        }
+        let obs = Obs::new(config.obs);
+        let serve = ServeCore::new(
+            config.fetch_threads,
+            cluster.node_count(),
+            config.max_concurrent_queries,
+            config.max_queued,
+        );
+        let cache = Arc::new(ChunkCache::new(config.cache_budget, config.cache_shards));
+        if obs.enabled() {
+            serve.set_obs(Arc::clone(obs.registry()));
+            cache.set_obs(Arc::clone(obs.registry()));
+        }
+        let current = Mutex::new(Arc::new(state.snapshot()));
+        RStore {
+            serve,
+            cluster: Arc::new(cluster),
+            cache,
+            obs,
+            config,
+            state: Mutex::new(state),
+            current,
+            pins: Arc::new(PinBoard::default()),
+        }
     }
 
     /// The store configuration.
@@ -1283,11 +1058,13 @@ impl RStore {
     // Offline bulk load
     // ------------------------------------------------------------------
 
-    /// Bulk-loads a generated dataset: sub-chunking, partitioning,
-    /// chunk/index construction and backend writes, pipelined across
-    /// [`StoreConfig::ingest_threads`] cores (see the module docs).
+    /// Bulk-loads a generated dataset: derives the §3.4 sub-chunk
+    /// grouping and the per-version group lists — both by record
+    /// ordinal, hashing nothing — then hands them to the generation
+    /// writer with every version as one delta-indexed batch (see the
+    /// `ingest` module docs).
     ///
-    /// The store must be empty.
+    /// The store must be empty; a failed load leaves it empty.
     pub fn load_dataset(&self, dataset: &Dataset) -> Result<LoadReport, CoreError> {
         let mut guard = self.state.lock().unwrap();
         let st = &mut *guard;
@@ -1295,81 +1072,21 @@ impl RStore {
             return Err(CoreError::BadCommit("store is not empty".into()));
         }
         let t0 = Instant::now();
-        let workers = self.ingest_workers();
-        let mut stages = IngestStages {
-            workers,
-            ..IngestStages::default()
-        };
         let record_store = dataset.record_store();
         let materialized = dataset.materialize(&record_store);
 
-        // Stage 1 — sub-chunk (k = 1 ⇒ one record per sub-chunk):
-        // grouping is serial, compression fans out across cores.
+        // Grouping is serial (k = 1 ⇒ one record per sub-chunk).
         let t = Instant::now();
         let plan = SubchunkPlan::build(dataset, &record_store, self.config.max_subchunk);
-        let subchunks = plan.materialize_parallel(&record_store, workers);
-        stages.subchunk = t.elapsed();
-        let (raw_bytes, compressed_bytes) = plan.compression(&subchunks);
-
-        // Stage 2 — partition sub-chunks over the version tree.
-        let tree = dataset.graph.to_tree();
+        let grouping = t.elapsed();
         let version_items = plan.group_version_items(&materialized);
-        let item_sizes: Vec<u32> = subchunks
-            .iter()
-            .map(|s| s.compressed_bytes() as u32)
+        let records: Vec<(CompositeKey, &[u8])> = (0..record_store.len() as u32)
+            .map(|ord| (record_store.key(ord), record_store.payload(ord)))
             .collect();
-        let item_pk: Vec<u64> = plan
-            .groups
-            .iter()
-            .map(|g| record_store.key(g[0]).pk)
-            .collect();
-        let input = PartitionInput {
-            tree: &tree,
-            version_items: &version_items,
-            item_sizes: &item_sizes,
-            item_pk: &item_pk,
-        };
-        let partitioner = self.config.partitioner.build(self.config.chunk_capacity);
-        let t_part = Instant::now();
-        let partitioning = partitioner.partition(&input);
-        stages.partition = t_part.elapsed();
 
-        // Stage 3 — assemble: move sub-chunks into their chunks and
-        // record placement (serial, cheap), then serialize each chunk
-        // on its own core, streaming serialized chunks to the backend
-        // while later chunks are still being encoded.
-        let t = Instant::now();
-        let chunk_items = partitioning.chunk_items();
-        let mut subchunk_slots: Vec<Option<SubChunk>> = subchunks.into_iter().map(Some).collect();
-        let mut chunks = StagedChunks {
-            ids: peek_chunk_ids(st, chunk_items.len()),
-            sizes: Vec::with_capacity(chunk_items.len()),
-            counts: Vec::with_capacity(chunk_items.len()),
-            placed: FxHashMap::default(),
-        };
-        let mut jobs: Vec<(u32, Chunk)> = Vec::with_capacity(chunk_items.len());
-        for (items, &chunk_id) in chunk_items.iter().zip(&chunks.ids) {
-            let mut chunk = Chunk::new();
-            let mut local = 0u32;
-            for &g in items {
-                let sc = subchunk_slots[g as usize].take().expect("item in one chunk");
-                for &member in &plan.groups[g as usize] {
-                    chunks
-                        .placed
-                        .insert(record_store.key(member), (chunk_id, local));
-                    local += 1;
-                }
-                chunk.subchunks.push(sc);
-            }
-            chunks.sizes.push(chunk.compressed_bytes());
-            chunks.counts.push(local as usize);
-            jobs.push((chunk_id, chunk));
-        }
-        let outcome = stream_chunk_blobs(&self.cluster, workers, jobs)?;
-        stages.assemble = t.elapsed();
-        outcome.fold_into(&mut stages);
-
-        // Adopt graph and contents, then index every version.
+        // The writer partitions over, and indexes down, the store's
+        // own version tree: adopt the graph and contents up front,
+        // and hand them back if the load fails.
         st.graph = Arc::new(dataset.graph.clone());
         st.contents = (0..st.graph.len())
             .map(|v| {
@@ -1381,326 +1098,37 @@ impl RStore {
             })
             .collect();
         st.record_counts = Arc::new(st.contents.iter().map(|c| c.len()).collect());
-        let num_records = record_store.len();
-        let batch: Vec<(VersionId, &VersionDelta)> = st.graph.ids().zip(&dataset.deltas).collect();
 
-        // Stages 4+5 — index + write: derive every version's bitmaps
-        // down the primary-parent tree, encode the maps in parallel,
-        // serialized maps ride the streaming writer; then the meta
-        // commit point and the publish.
-        self.index_and_commit(st, &batch, chunks, &mut stages)?;
+        let staged = self.stage_generation(st, &records, plan.groups, &version_items);
+        let num_subchunks = staged.subchunks.len();
+        let raw_bytes = staged.subchunks.iter().map(|s| s.raw_bytes).sum();
+        let compressed_bytes = staged.subchunks.iter().map(SubChunk::compressed_bytes).sum();
+        let batch: Vec<(VersionId, &VersionDelta)> = st.graph.ids().zip(&dataset.deltas).collect();
+        let committed = self.commit_generation(st, staged, &[], |st, chunks| {
+            ingest::stage_index(st, &batch, chunks, |ck| record_store.ord(*ck))
+        });
+        let mut stages = match committed {
+            Ok(committed) => committed.stages,
+            Err(e) => {
+                st.graph = Arc::new(VersionGraph::new());
+                st.contents = Vec::new();
+                st.record_counts = Arc::new(Vec::new());
+                return Err(e);
+            }
+        };
+        stages.subchunk += grouping;
         self.record_ingest_stages(&stages);
 
         Ok(LoadReport {
             num_chunks: st.chunk_maps.len(),
-            num_records,
-            num_subchunks: plan.num_groups(),
+            num_records: record_store.len(),
+            num_subchunks,
             total_version_span: st.projections.total_version_span(),
             raw_bytes,
             compressed_bytes,
-            partition_time: stages.partition,
             total_time: t0.elapsed(),
             stages,
         })
-    }
-
-    /// Derives the chunk-map entries and projection edits of `batch`
-    /// (ascending versions, each with the delta from its primary
-    /// parent) without touching the writer state.
-    ///
-    /// `contents[v] = contents[parent(v)] − removed + added` holds for
-    /// every version, so a version's membership in a chunk is its
-    /// parent's bitmap there with the removed records' bits cleared
-    /// and the added records' bits set: the cost is the parent's span
-    /// plus the delta, not the version's width. The parent's bitmaps
-    /// come from the resident maps, or from this same staging when
-    /// the parent is part of the batch. Only added records touch the
-    /// key projection — every other record's entry dates from the
-    /// batch that placed it.
-    fn stage_index(
-        st: &StoreMut,
-        batch: &[(VersionId, &VersionDelta)],
-        chunks: &StagedChunks,
-    ) -> StagedIndex {
-        let locate = |ck: &CompositeKey| -> (u32, u32) {
-            *chunks
-                .placed
-                .get(ck)
-                .or_else(|| st.locator.get(ck))
-                .unwrap_or_else(|| panic!("record {ck} not placed"))
-        };
-        let new_counts: FxHashMap<u32, usize> = chunks
-            .ids
-            .iter()
-            .copied()
-            .zip(chunks.counts.iter().copied())
-            .collect();
-        let mut staged = StagedIndex::default();
-        for &(v, delta) in batch {
-            let mut members: Vec<(u32, Bitmap)> = match st.graph.node(v).primary_parent() {
-                None => Vec::new(),
-                Some(p) => match staged.version_chunks.binary_search_by_key(&p, |e| e.0) {
-                    Ok(i) => staged.version_chunks[i]
-                        .1
-                        .iter()
-                        .map(|&c| {
-                            let entries = &staged.per_chunk[&c];
-                            let at = entries
-                                .binary_search_by_key(&p, |e| e.0)
-                                .expect("staged parent entry");
-                            (c, entries[at].1.clone())
-                        })
-                        .collect(),
-                    Err(_) => st
-                        .projections
-                        .chunks_of_version(p)
-                        .iter()
-                        .map(|&c| {
-                            let parent = st.chunk_maps[c as usize].map().members_of(p);
-                            (c, parent.expect("parent indexed in its span").clone())
-                        })
-                        .collect(),
-                },
-            };
-            for ck in &delta.removed {
-                let (chunk, local) = locate(ck);
-                let at = members
-                    .binary_search_by_key(&chunk, |m| m.0)
-                    .unwrap_or_else(|_| panic!("removed record {ck} not in the parent's span"));
-                members[at].1.clear(local as usize);
-            }
-            for rec in &delta.added {
-                let (chunk, local) = locate(&rec.composite_key());
-                let at = match members.binary_search_by_key(&chunk, |m| m.0) {
-                    Ok(at) => at,
-                    Err(at) => {
-                        // Added records land in this batch's chunks.
-                        members.insert(at, (chunk, Bitmap::new(new_counts[&chunk])));
-                        at
-                    }
-                };
-                members[at].1.set(local as usize);
-                staged.key_chunks.push((rec.pk, chunk));
-            }
-            let mut span = Vec::with_capacity(members.len());
-            for (chunk, bitmap) in members {
-                if bitmap.count_ones() > 0 {
-                    span.push(chunk);
-                    staged.per_chunk.entry(chunk).or_default().push((v, bitmap));
-                }
-            }
-            staged.version_chunks.push((v, span));
-        }
-        staged
-    }
-
-    /// The shared tail of the bulk load and the batch flush, entered
-    /// once the batch's chunk blobs are in the backend: index the
-    /// batch ([`RStore::stage_index`]), encode every dirty chunk map
-    /// — its resident bytes plus the new entries, each map on its own
-    /// core — and stream them out, persist the metadata, and only
-    /// then apply the batch to the writer state and publish. Any
-    /// error returns before the writer state changes, so the caller
-    /// can retry the same batch; blobs and maps a failed attempt left
-    /// behind are overwritten by the retry or stay unreferenced.
-    /// Returns the ids of the chunk maps written.
-    fn index_and_commit(
-        &self,
-        st: &mut StoreMut,
-        batch: &[(VersionId, &VersionDelta)],
-        chunks: StagedChunks,
-        stages: &mut IngestStages,
-    ) -> Result<Vec<u32>, CoreError> {
-        let workers = stages.workers;
-        let t = Instant::now();
-        let mut index = Self::stage_index(st, batch, &chunks);
-
-        // Independent chunk-map builds: each dirty map (a disjoint
-        // `&mut`, for the lazily materialized resident bytes) encodes
-        // its new entries and assembles its serialized form. Every
-        // new chunk gets a map even if no version holds its records,
-        // so the recovery scan never finds a blob without its other
-        // half.
-        let mut fresh: Vec<ResidentMap> =
-            chunks.counts.iter().map(|&n| ResidentMap::new(n)).collect();
-        // The new chunks claim their entries first, so a reused free
-        // slot's tombstone map finds none and stays out of the jobs.
-        let mut jobs: Vec<MapBuildJob<'_>> = chunks
-            .ids
-            .iter()
-            .zip(fresh.iter_mut())
-            .map(|(&c, map)| (c, map, index.per_chunk.remove(&c).unwrap_or_default()))
-            .collect();
-        jobs.extend(st.chunk_maps.iter_mut().enumerate().filter_map(|(c, map)| {
-            let c = c as u32;
-            index.per_chunk.remove(&c).map(|work| (c, map, work))
-        }));
-        jobs.sort_unstable_by_key(|job| job.0);
-        debug_assert!(index.per_chunk.is_empty(), "entries for unknown chunks");
-        let built = plan::parallel_map_owned(jobs, workers, |(c, map, work)| {
-            let tail = encode_entries(&work);
-            let bytes = Bytes::from(map.serialize_with(work.len(), &tail));
-            (c, bytes, work, tail)
-        });
-        // The serialized maps ride the same streaming writer stage as
-        // the chunk blobs (per-node batches ship while later pushes
-        // queue; one deferred scatter put on the serial path).
-        let mut writes: Vec<(Key, Bytes)> = Vec::with_capacity(built.len());
-        let mut appends = Vec::with_capacity(built.len());
-        for (c, bytes, work, tail) in built {
-            writes.push((table_key(CMAP_TABLE, &ChunkId(c).to_key()), bytes));
-            appends.push((c, work, tail));
-        }
-        let outcome = stream_writes(&self.cluster, workers, writes)?;
-        stages.index = t.elapsed();
-        outcome.fold_into(stages);
-
-        // The next generation's metadata, still off to the side.
-        let mut projections = Arc::clone(&st.projections);
-        let next = Arc::make_mut(&mut projections);
-        for (v, span) in index.version_chunks {
-            next.ensure_version(v);
-            for c in span {
-                next.add_version_chunk(v, ChunkId(c));
-            }
-        }
-        for (pk, c) in index.key_chunks {
-            next.add_key_chunk(pk, ChunkId(c));
-        }
-        let mut free = (*st.free).clone();
-        let mut chunk_slots = st.chunk_maps.len();
-        for &c in &chunks.ids {
-            free.remove(&c);
-            chunk_slots = chunk_slots.max(c as usize + 1);
-        }
-        let (meta_modeled, meta_wait) = self.persist_meta(MetaView {
-            projections: next,
-            chunk_slots,
-            free: &free,
-            ..st.meta()
-        })?;
-        stages.modeled_write += meta_modeled;
-        stages.write += meta_wait;
-
-        // Everything is durable: apply the batch and publish it.
-        let claimed = claim_chunk_ids(st, chunks.ids.len());
-        debug_assert_eq!(claimed, chunks.ids);
-        debug_assert_eq!(st.chunk_maps.len(), chunk_slots);
-        for (i, map) in fresh.into_iter().enumerate() {
-            let slot = chunks.ids[i] as usize;
-            Arc::make_mut(&mut st.chunk_sizes)[slot] = chunks.sizes[i];
-            st.chunk_maps[slot] = map;
-        }
-        st.locator.extend(chunks.placed);
-        st.projections = projections;
-        // Stamp the rewritten maps with the generation about to
-        // publish: cached decoded copies of older generations fail
-        // the probe floor and drop lazily — no synchronous
-        // invalidation loop in this critical section (the flush tail
-        // sweeps resident stale entries outside it).
-        let map_gen = Arc::make_mut(&mut st.map_gen);
-        let mut dirty = Vec::with_capacity(appends.len());
-        for (c, work, tail) in appends {
-            st.chunk_maps[c as usize].append(work, &tail);
-            map_gen[c as usize] = st.generation + 1;
-            dirty.push(c);
-        }
-        self.publish(st);
-        Ok(dirty)
-    }
-
-    /// Test oracle for [`RStore::stage_index`]: the index as the
-    /// from-contents pass builds it — every record of every version
-    /// resolved through the locator, grouped per chunk, each map
-    /// encoded whole. Returns the serialized map of every live chunk
-    /// (ascending ids) and the serialized projections; the ingest
-    /// proptests hold the backend's `cmaps` values and
-    /// `meta/projections` to these bytes. The delta store must be
-    /// empty (unflushed versions are in neither).
-    #[doc(hidden)]
-    pub fn index_from_contents(&self) -> (Vec<(u32, Vec<u8>)>, Vec<u8>) {
-        let st = self.state.lock().unwrap();
-        assert!(st.pending.is_empty(), "flush before consulting the oracle");
-        let mut records: FxHashMap<u32, usize> = FxHashMap::default();
-        for &(chunk, _) in st.locator.values() {
-            *records.entry(chunk).or_default() += 1;
-        }
-        let mut maps: BTreeMap<u32, ChunkMap> = st
-            .live_chunk_ids()
-            .into_iter()
-            .map(|c| (c, ChunkMap::new(records.get(&c).copied().unwrap_or(0))))
-            .collect();
-        let mut projections = Projections::new();
-        for (v, contents) in st.contents.iter().enumerate() {
-            let v = VersionId(v as u32);
-            let mut touched: BTreeMap<u32, Vec<usize>> = BTreeMap::new();
-            for &(pk, origin) in contents {
-                let ck = CompositeKey::new(pk, origin);
-                let &(chunk, local) = st
-                    .locator
-                    .get(&ck)
-                    .unwrap_or_else(|| panic!("record {ck} not placed"));
-                touched.entry(chunk).or_default().push(local as usize);
-                projections.add_key_chunk(pk, ChunkId(chunk));
-            }
-            projections.ensure_version(v);
-            for (chunk, mut locals) in touched {
-                locals.sort_unstable();
-                projections.add_version_chunk(v, ChunkId(chunk));
-                maps.get_mut(&chunk)
-                    .expect("placed in a live chunk")
-                    .push_version(v, locals);
-            }
-        }
-        let maps = maps.into_iter().map(|(c, m)| (c, m.serialize())).collect();
-        (maps, projections.serialize())
-    }
-
-    /// Persists the projections, version graph, chunk count and the
-    /// retired-chunk list — one batched scatter-gather put instead of
-    /// serial round trips. This put is the *commit point* of a flush
-    /// and of a compaction slice: until it lands, the persisted
-    /// metadata references only what was there before, which is still
-    /// fully present. Returns `(modeled write time, wall time blocked
-    /// on the put)` for the stage accounting; serialization happens
-    /// before the clock starts so only backend time counts as
-    /// write-blocked.
-    pub(crate) fn persist_meta(&self, meta: MetaView<'_>) -> Result<(Duration, Duration), CoreError> {
-        let encode_ids = |ids: &FxHashSet<u32>| {
-            let mut sorted: Vec<u32> = ids.iter().copied().collect();
-            sorted.sort_unstable();
-            let mut bytes = Vec::with_capacity(4 + sorted.len() * 2);
-            varint::write_u64(&mut bytes, sorted.len() as u64);
-            for c in sorted {
-                varint::write_u32(&mut bytes, c);
-            }
-            bytes
-        };
-        let pairs = vec![
-            (
-                table_key(META_TABLE, b"projections"),
-                Bytes::from(meta.projections.serialize()),
-            ),
-            (
-                table_key(META_TABLE, b"graph"),
-                Bytes::from(meta.graph.to_bytes()),
-            ),
-            (
-                table_key(META_TABLE, b"chunk_count"),
-                Bytes::from((meta.chunk_slots as u64).to_be_bytes().to_vec()),
-            ),
-            (
-                table_key(META_TABLE, b"retired"),
-                Bytes::from(encode_ids(meta.retired)),
-            ),
-            (
-                table_key(META_TABLE, b"free"),
-                Bytes::from(encode_ids(meta.free)),
-            ),
-        ];
-        let t = Instant::now();
-        let modeled = self.cluster.multi_put_scatter(pairs)?;
-        Ok((modeled, t.elapsed()))
     }
 
     /// Reopens a store over a cluster that already holds RStore data
@@ -1709,96 +1137,22 @@ impl RStore {
     /// in-memory locator, chunk maps and per-version contents from
     /// the stored chunks. Pending (unsealed) deltas are not replayed.
     pub fn reopen(config: StoreConfig, cluster: Cluster) -> Result<Self, CoreError> {
-        let graph_bytes = cluster
-            .get(&table_key(META_TABLE, b"graph"))?
-            .ok_or_else(|| CoreError::Codec("no persisted graph".into()))?;
-        let graph = VersionGraph::from_bytes(&graph_bytes).map_err(CoreError::Codec)?;
-        let proj_bytes = cluster
-            .get(&table_key(META_TABLE, b"projections"))?
-            .ok_or_else(|| CoreError::Codec("no persisted projections".into()))?;
-        let projections = Projections::deserialize(&proj_bytes)?;
-        let count_bytes = cluster
-            .get(&table_key(META_TABLE, b"chunk_count"))?
-            .ok_or_else(|| CoreError::Codec("no persisted chunk count".into()))?;
-        let chunk_count = u64::from_be_bytes(
-            count_bytes
-                .as_ref()
-                .try_into()
-                .map_err(|_| CoreError::Codec("bad chunk count".into()))?,
-        ) as usize;
-        // The retired-chunk list (absent on stores persisted before
-        // compaction existed — treated as empty).
-        let mut retired: FxHashSet<u32> = FxHashSet::default();
-        if let Some(bytes) = cluster.get(&table_key(META_TABLE, b"retired"))? {
-            let mut r = varint::VarintReader::new(&bytes);
-            let n = r.read_u64()? as usize;
-            if n > bytes.len() {
-                return Err(CoreError::Codec("retired count exceeds input".into()));
-            }
-            for _ in 0..n {
-                retired.insert(r.read_u32()?);
-            }
-            if !r.is_empty() {
-                return Err(CoreError::Codec("trailing bytes in retired list".into()));
-            }
-        }
-        // The reclaimed free-slot list (absent on stores persisted
-        // before snapshot reclamation existed — treated as empty).
-        let mut free: FxHashSet<u32> = FxHashSet::default();
-        if let Some(bytes) = cluster.get(&table_key(META_TABLE, b"free"))? {
-            let mut r = varint::VarintReader::new(&bytes);
-            let n = r.read_u64()? as usize;
-            if n > bytes.len() {
-                return Err(CoreError::Codec("free count exceeds input".into()));
-            }
-            for _ in 0..n {
-                free.insert(r.read_u32()?);
-            }
-            if !r.is_empty() {
-                return Err(CoreError::Codec("trailing bytes in free list".into()));
-            }
-        }
-
-        if config.breaker.enabled {
-            cluster.set_breaker(config.breaker);
-        }
-        let obs = Obs::new(config.obs);
-        let serve = ServeCore::new(
-            config.fetch_threads,
-            cluster.node_count(),
-            config.max_concurrent_queries,
-            config.max_queued,
-        );
-        let cache = Arc::new(ChunkCache::new(config.cache_budget, config.cache_shards));
-        if obs.enabled() {
-            serve.set_obs(Arc::clone(obs.registry()));
-            cache.set_obs(Arc::clone(obs.registry()));
-        }
+        let meta = PersistedMeta::load(&cluster)?;
         let mut st = StoreMut::empty();
-        st.graph = Arc::new(graph);
-        st.projections = Arc::new(projections);
-        st.retired = Arc::new(retired);
-        st.free = Arc::new(free);
-        st.chunk_maps = vec![ResidentMap::default(); chunk_count];
-        st.chunk_sizes = Arc::new(vec![0; chunk_count]);
+        st.graph = Arc::new(meta.graph);
+        st.projections = Arc::new(meta.projections);
+        st.retired = Arc::new(meta.retired);
+        st.free = Arc::new(meta.free);
+        st.chunk_maps = vec![ResidentMap::default(); meta.chunk_slots];
+        st.chunk_sizes = Arc::new(vec![0; meta.chunk_slots]);
         // Not persisted: after a reopen every cached decoded map is
         // gone anyway, so generation 1 (the initial publish) is a
         // sound floor for every slot.
-        st.map_gen = Arc::new(vec![1; chunk_count]);
-        // Publish the initial generation *before* the recovery scan:
-        // the scan runs through the ordinary pinned plan → fetch
+        st.map_gen = Arc::new(vec![1; meta.chunk_slots]);
+        // The initial generation is published *before* the recovery
+        // scan: the scan runs through the ordinary pinned plan → fetch
         // pipeline, which needs a snapshot to pin.
-        let current = Mutex::new(Arc::new(st.snapshot()));
-        let store = RStore {
-            serve,
-            cluster: Arc::new(cluster),
-            cache,
-            obs,
-            config,
-            state: Mutex::new(st),
-            current,
-            pins: Arc::new(PinBoard::default()),
-        };
+        let store = Self::assemble(config, cluster, st);
 
         // Rebuild chunk-derived state with one scan over the *live*
         // chunks — a recovery plan executed through the scatter-gather
@@ -2026,25 +1380,16 @@ impl RStore {
         let flush_t0 = Instant::now();
         // The batch leaves the delta store only when it is durable: a
         // flush that fails changed nothing in the writer state (see
-        // `index_and_commit`), so its commits go back, to be retried
-        // by the next flush.
+        // the `ingest` module docs), so its commits go back, to be
+        // retried by the next flush.
         let batch = std::mem::take(&mut st.pending);
-        let (report, dirty) = match self.flush_pending(st, &batch) {
-            Ok(flushed) => flushed,
+        let report = match self.flush_pending(st, &batch) {
+            Ok(report) => report,
             Err(e) => {
                 st.pending = batch;
                 return Err(e);
             }
         };
-        // Sweep resident cache entries of the rewritten maps *after*
-        // the publish: entries stamped below the new generation are
-        // stale (their decoded map predates the rewrite) and safe to
-        // drop unconditionally — backend chunk maps only grow, so a
-        // reader still pinning the old generation refetches a
-        // superset and extracts identical answers.
-        for &c in &dirty {
-            self.cache.invalidate_below(c, st.generation);
-        }
         // Piggyback any deferred reclamation whose old pins drained.
         self.drain_deferred(st);
         self.record_ingest_stages(&report.stages);
@@ -2073,57 +1418,33 @@ impl RStore {
         Ok(report)
     }
 
-    /// Partitions `batch` into new chunks, writes them, indexes the
-    /// batch and commits it; returns the report and the ids of the
-    /// chunk maps written. The writer state is read-only here until
-    /// `index_and_commit` applies the finished batch.
+    /// Derives a flush's inputs — the batch's new records as singleton
+    /// sub-chunk groups (online compression applies within the record
+    /// itself; cross-record grouping happens on compaction) and the
+    /// groups each batch version holds — and hands them to the
+    /// generation writer with the batch's deltas as the index pass.
     fn flush_pending(
         &self,
         st: &mut StoreMut,
         batch: &[(VersionId, VersionDelta)],
-    ) -> Result<(FlushReport, Vec<u32>), CoreError> {
-        let workers = self.ingest_workers();
-        let mut stages = IngestStages {
-            workers,
-            ..IngestStages::default()
-        };
-        let versions: Vec<VersionId> = batch.iter().map(|&(v, _)| v).collect();
-
+    ) -> Result<FlushReport, CoreError> {
         // Gather the batch's new records and give them batch-local
-        // item ordinals.
+        // ordinals.
         let mut batch_ord: FxHashMap<CompositeKey, u32> = FxHashMap::default();
-        let mut records: Vec<&Record> = Vec::new();
+        let mut records: Vec<(CompositeKey, &[u8])> = Vec::new();
         for (_, delta) in batch {
             for rec in &delta.added {
                 batch_ord.insert(rec.composite_key(), records.len() as u32);
-                records.push(rec);
+                records.push((rec.composite_key(), rec.payload.as_ref()));
             }
         }
-        let new_records = records.len();
+        let groups: Vec<Vec<u32>> = (0..records.len() as u32).map(|ord| vec![ord]).collect();
 
-        let mut chunks = StagedChunks {
-            ids: Vec::new(),
-            sizes: Vec::new(),
-            counts: Vec::new(),
-            placed: FxHashMap::default(),
-        };
-        if new_records > 0 {
-            // Stage 1 — sub-chunk: build singleton sub-chunks across
-            // cores (online compression applies within the record
-            // itself; cross-record grouping happens on periodic full
-            // repartitions, which the paper leaves as future work).
-            let t = Instant::now();
-            let built: Vec<SubChunk> = plan::parallel_map(&records, workers, |r| {
-                SubChunk::build(&[(r.composite_key(), r.payload.as_ref())])
-            });
-            stages.subchunk = t.elapsed();
-            let item_sizes: Vec<u32> = built.iter().map(|s| s.compressed_bytes() as u32).collect();
-            let item_pk: Vec<u64> = records.iter().map(|r| r.pk).collect();
-
-            // Stage 2 — partition. version_items over the full tree:
-            // new records appear only in batch versions.
-            let mut version_items: Vec<Vec<u32>> = vec![Vec::new(); st.graph.len()];
-            for &v in &versions {
+        // version_items over the full tree: new records appear only
+        // in batch versions.
+        let mut version_items: Vec<Vec<u32>> = vec![Vec::new(); st.graph.len()];
+        if !records.is_empty() {
+            for &(v, _) in batch {
                 let mut items: Vec<u32> = st.contents[v.index()]
                     .iter()
                     .filter_map(|&(pk, origin)| {
@@ -2133,58 +1454,20 @@ impl RStore {
                 items.sort_unstable();
                 version_items[v.index()] = items;
             }
-            let tree = st.graph.to_tree();
-            let input = PartitionInput {
-                tree: &tree,
-                version_items: &version_items,
-                item_sizes: &item_sizes,
-                item_pk: &item_pk,
-            };
-            let partitioner = self.config.partitioner.build(self.config.chunk_capacity);
-            let t = Instant::now();
-            let partitioning = partitioner.partition(&input);
-            stages.partition = t.elapsed();
-
-            // Stage 3 — assemble the new chunks against the id slots
-            // the commit will claim (reclaimed free slots first, then
-            // fresh ids) and stream them out while later ones encode.
-            let t = Instant::now();
-            chunks.ids = peek_chunk_ids(st, partitioning.num_chunks);
-            let mut subchunk_slots: Vec<Option<SubChunk>> = built.into_iter().map(Some).collect();
-            let mut jobs: Vec<(u32, Chunk)> = Vec::with_capacity(partitioning.num_chunks);
-            for (items, &chunk_id) in partitioning.chunk_items().iter().zip(&chunks.ids) {
-                let mut chunk = Chunk::new();
-                for (local, &item) in items.iter().enumerate() {
-                    let sc = subchunk_slots[item as usize].take().expect("one chunk");
-                    chunks.placed.insert(
-                        records[item as usize].composite_key(),
-                        (chunk_id, local as u32),
-                    );
-                    chunk.subchunks.push(sc);
-                }
-                chunks.sizes.push(chunk.compressed_bytes());
-                chunks.counts.push(items.len());
-                jobs.push((chunk_id, chunk));
-            }
-            let outcome = stream_chunk_blobs(&self.cluster, workers, jobs)?;
-            stages.assemble = t.elapsed();
-            outcome.fold_into(&mut stages);
         }
-        let new_chunks = chunks.ids.len();
 
-        // Stages 4+5 — index the batch versions (old and new chunk
-        // maps, each persisted once through the writer stage), then
-        // the meta commit point and the publish.
+        let staged = self.stage_generation(st, &records, groups, &version_items);
         let deltas: Vec<(VersionId, &VersionDelta)> = batch.iter().map(|(v, d)| (*v, d)).collect();
-        let dirty = self.index_and_commit(st, &deltas, chunks, &mut stages)?;
-        let report = FlushReport {
-            versions: versions.len(),
-            new_records,
-            new_chunks,
-            maps_rewritten: dirty.len(),
-            stages,
-        };
-        Ok((report, dirty))
+        let committed = self.commit_generation(st, staged, &[], |st, chunks| {
+            ingest::stage_index(st, &deltas, chunks, |ck| batch_ord.get(ck).copied())
+        })?;
+        Ok(FlushReport {
+            versions: batch.len(),
+            new_records: records.len(),
+            new_chunks: committed.new_chunks,
+            maps_rewritten: committed.maps_written,
+            stages: committed.stages,
+        })
     }
 
     /// Flushes any pending commits (call before querying fresh data)
@@ -2694,45 +1977,17 @@ impl RStore {
         self.query_with_stats(spec).map(|(r, _)| r)
     }
 
-    /// Full version retrieval with cost accounting.
-    pub fn get_version_with_stats(
-        &self,
-        v: VersionId,
-    ) -> Result<(Vec<Record>, QueryStats), CoreError> {
-        self.query_with_stats(QuerySpec::Version(v))
-    }
-
     /// Full version retrieval.
     pub fn get_version(&self, v: VersionId) -> Result<Vec<Record>, CoreError> {
         self.query(QuerySpec::Version(v))
     }
 
     /// Record retrieval: the value of `pk` in version `v`.
-    pub fn get_record_with_stats(
-        &self,
-        pk: PrimaryKey,
-        v: VersionId,
-    ) -> Result<(Option<Record>, QueryStats), CoreError> {
-        let (mut records, stats) = self.query_with_stats(QuerySpec::Record { pk, v })?;
-        Ok((records.pop(), stats))
-    }
-
-    /// Record retrieval.
     pub fn get_record(&self, pk: PrimaryKey, v: VersionId) -> Result<Option<Record>, CoreError> {
-        self.get_record_with_stats(pk, v).map(|(r, _)| r)
+        self.query(QuerySpec::Record { pk, v }).map(|mut r| r.pop())
     }
 
     /// Range retrieval: records of `v` with `lo ≤ pk ≤ hi`.
-    pub fn get_range_with_stats(
-        &self,
-        lo: PrimaryKey,
-        hi: PrimaryKey,
-        v: VersionId,
-    ) -> Result<(Vec<Record>, QueryStats), CoreError> {
-        self.query_with_stats(QuerySpec::Range { lo, hi, v })
-    }
-
-    /// Range retrieval.
     pub fn get_range(
         &self,
         lo: PrimaryKey,
@@ -2744,14 +1999,6 @@ impl RStore {
 
     /// Record evolution: every distinct value `pk` ever had, ordered
     /// by origin version.
-    pub fn get_evolution_with_stats(
-        &self,
-        pk: PrimaryKey,
-    ) -> Result<(Vec<Record>, QueryStats), CoreError> {
-        self.query_with_stats(QuerySpec::Evolution { pk })
-    }
-
-    /// Record evolution.
     pub fn get_evolution(&self, pk: PrimaryKey) -> Result<Vec<Record>, CoreError> {
         self.query(QuerySpec::Evolution { pk })
     }

@@ -7,6 +7,7 @@
 use rstore_core::model::VersionId;
 use rstore_core::partition::PartitionerKind;
 use rstore_core::store::{CommitRequest, RStore};
+use rstore_core::QuerySpec;
 use rstore_kvstore::Cluster;
 use rstore_vgraph::{Dataset, DatasetSpec};
 
@@ -85,12 +86,12 @@ fn query_stats_report_hits_and_misses() {
     let dataset = test_dataset(31);
     let store = loaded_store(&dataset, usize::MAX / 2);
     let v = VersionId(10);
-    let (_, cold) = store.get_version_with_stats(v).unwrap();
+    let (_, cold) = store.query_with_stats(QuerySpec::Version(v)).unwrap();
     assert_eq!(cold.cache_hits, 0);
     assert_eq!(cold.cache_misses, cold.chunks_fetched);
     assert!(cold.bytes_fetched > 0);
 
-    let (_, warm) = store.get_version_with_stats(v).unwrap();
+    let (_, warm) = store.query_with_stats(QuerySpec::Version(v)).unwrap();
     assert_eq!(warm.cache_hits, warm.chunks_fetched);
     assert_eq!(warm.cache_misses, 0);
     assert_eq!(warm.bytes_fetched, 0, "hits must not move bytes");

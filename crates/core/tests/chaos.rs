@@ -421,7 +421,7 @@ fn query_stats_report_retries_under_faults() {
     let mut failovers = 0usize;
     for v in 0..store.version_count() {
         let (_, stats) = store
-            .get_version_with_stats(VersionId(v as u32))
+            .query_with_stats(QuerySpec::Version(VersionId(v as u32)))
             .expect("retries must heal periodic transient faults");
         retries += stats.retries;
         failovers += stats.failovers;

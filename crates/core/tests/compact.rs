@@ -8,7 +8,7 @@ use proptest::prelude::*;
 use rstore_core::compact::CompactionConfig;
 use rstore_core::model::VersionId;
 use rstore_core::online::{replay_commits, stores_agree};
-use rstore_core::store::{RStore, StoreConfig, CHUNK_TABLE, CMAP_TABLE};
+use rstore_core::store::{RStore, StoreConfig, CHUNK_TABLE, CMAP_TABLE, META_TABLE};
 use rstore_core::{CoreError, QuerySpec};
 use rstore_kvstore::{table_key, Cluster, EngineKind, KvError};
 use rstore_vgraph::{Dataset, DatasetSpec, SelectionKind};
@@ -181,7 +181,7 @@ fn compaction_after_fragmenting_replay_shrinks_span_and_fanout() {
         let mut batch = 0;
         for v in (0..store.version_count()).step_by(7) {
             let (_, stats) = store
-                .get_version_with_stats(VersionId(v as u32))
+                .query_with_stats(QuerySpec::Version(VersionId(v as u32)))
                 .unwrap();
             chunks += stats.chunks_fetched;
             nodes += stats.nodes_contacted;
@@ -329,9 +329,37 @@ fn reopen_after_compaction_recovers() {
     let _ = std::fs::remove_dir_all(dir);
 }
 
+/// Asserts that a compaction attempt failed with a clean KV error.
+fn assert_clean_kv_error(attempt: Result<Option<rstore_core::CompactionReport>, CoreError>) {
+    match attempt {
+        Err(CoreError::Kv(
+            KvError::AllReplicasDown { .. } | KvError::NodeDown(_) | KvError::NodeGone(_),
+        )) => {}
+        Err(e) => panic!("expected a clean KV error, got {e}"),
+        Ok(_) => panic!("compaction through a downed unreplicated node must fail"),
+    }
+}
+
+/// The backend's chunk maps and persisted projections must be exactly
+/// what the from-contents oracle computes from the writer state.
+fn assert_index_matches_oracle(store: &RStore) {
+    let (maps, projections) = store.index_from_contents();
+    let ids: Vec<u32> = maps.iter().map(|&(c, _)| c).collect();
+    assert_eq!(ids, store.live_chunk_ids(), "oracle covers the live chunks");
+    for (c, want) in &maps {
+        let got = store.cluster().get(&table_key(CMAP_TABLE, &c.to_be_bytes())).unwrap();
+        assert_eq!(got.as_deref(), Some(want.as_slice()), "chunk map {c} differs from the oracle");
+    }
+    let got = store.cluster().get(&table_key(META_TABLE, b"projections")).unwrap();
+    assert_eq!(got.as_deref(), Some(projections.as_slice()), "projections differ from the oracle");
+}
+
 /// A node dying mid-compaction surfaces as a clean KV error and the
 /// old generation keeps serving — nothing is lost, and once the node
-/// returns the compaction goes through.
+/// returns the compaction goes through. Whichever of the slice's
+/// writes fails first — a chunk blob, a chunk map, or the meta put
+/// alone — the failed slice changed nothing, and the retry ends
+/// exactly where an undisturbed twin does.
 #[test]
 fn down_node_mid_compaction_leaves_old_generation_serving() {
     let ds = fragmenting_dataset(13, 40);
@@ -344,13 +372,7 @@ fn down_node_mid_compaction_leaves_old_generation_serving() {
     replay_commits(&store, &ds).unwrap();
 
     store.cluster().set_node_down(1, true);
-    match store.compact() {
-        Err(CoreError::Kv(
-            KvError::AllReplicasDown { .. } | KvError::NodeDown(_) | KvError::NodeGone(_),
-        )) => {}
-        Err(e) => panic!("expected a clean KV error, got {e}"),
-        Ok(_) => panic!("compaction through a downed unreplicated node must fail"),
-    }
+    assert_clean_kv_error(store.compact());
     assert_eq!(store.retired_chunk_count(), 0, "no chunk may retire on failure");
 
     // Old generation fully serves once the node is back.
@@ -360,6 +382,82 @@ fn down_node_mid_compaction_leaves_old_generation_serving() {
     // And the retried compaction succeeds.
     store.compact().unwrap().expect("healthy cluster compacts");
     assert_queries_agree(&plain, &store, 30);
+
+    // A wide cluster, so each of the slice's writes has an owner that
+    // owns none of the writes before it; every version read once, so
+    // the extraction is served from the cache and the outage is met
+    // by a write.
+    let build = || {
+        let store = RStore::builder()
+            .chunk_capacity(2048)
+            .batch_size(3)
+            .compaction(eager())
+            .build(Cluster::builder().nodes(200).replication(1).build());
+        replay_commits(&store, &ds).unwrap();
+        for v in 0..store.version_count() {
+            store.get_version(VersionId(v as u32)).unwrap();
+        }
+        store
+    };
+    let twin = build();
+    let slots = twin.chunk_slot_count();
+    let span = twin.total_version_span();
+    let want = twin.compact().unwrap().expect("fragmented store must compact");
+    const META_KEYS: [&[u8]; 5] = [b"projections", b"graph", b"chunk_count", b"retired", b"free"];
+
+    for first_failure in [CHUNK_TABLE, CMAP_TABLE, META_TABLE] {
+        let store = build();
+        assert_eq!(store.chunk_slot_count(), slots);
+        // The rebuilt generation takes fresh ids past the tail, at
+        // most one per victim.
+        let owner = |table: &str, name: &[u8]| store.cluster().owner_of(&table_key(table, name)).unwrap();
+        let owners = |table: &str| -> Vec<usize> {
+            (slots..2 * slots).map(|c| owner(table, &(c as u32).to_be_bytes())).collect()
+        };
+        let (blobs, maps) = (owners(CHUNK_TABLE), owners(CMAP_TABLE));
+        let node = match first_failure {
+            CHUNK_TABLE => Some(blobs[0]),
+            CMAP_TABLE => maps[..want.new_chunks].iter().copied().find(|n| !blobs.contains(n)),
+            _ => META_KEYS
+                .iter()
+                .map(|name| owner(META_TABLE, name))
+                .find(|n| !blobs.contains(n) && !maps.contains(n)),
+        }
+        .unwrap_or_else(|| panic!("no node owns a {first_failure} key and no earlier write"));
+
+        store.cluster().set_node_down(node, true);
+        assert_clean_kv_error(store.compact());
+        assert_eq!(store.retired_chunk_count(), 0, "{first_failure}: a chunk retired on failure");
+        assert_eq!(store.chunk_slot_count(), slots, "{first_failure}: chunk ids claimed on failure");
+        assert_eq!(store.total_version_span(), span);
+        store.cluster().set_node_down(node, false);
+        assert_queries_agree(&plain, &store, 30);
+
+        let got = store.compact().unwrap().expect("healthy cluster compacts");
+        assert_eq!((got.victims, got.new_chunks), (want.victims, want.new_chunks), "{first_failure}");
+        assert_eq!(store.chunk_slot_count(), twin.chunk_slot_count(), "{first_failure}");
+        assert_eq!(store.retired_chunk_count(), twin.retired_chunk_count());
+        assert_eq!(store.total_version_span(), twin.total_version_span());
+        assert_eq!(store.live_chunk_ids(), twin.live_chunk_ids());
+        // Every backend value, and which keys exist at all: a blob or
+        // map left under a non-live id would be an orphan nothing ever
+        // deletes.
+        let same = |table: &str, name: &[u8]| {
+            let key = table_key(table, name);
+            let (got, want) = (store.cluster().get(&key).unwrap(), twin.cluster().get(&key).unwrap());
+            let name = String::from_utf8_lossy(name);
+            assert_eq!(got, want, "{first_failure}: {table}/{name:?} differs from the twin's");
+        };
+        for c in 0..2 * slots as u32 {
+            same(CHUNK_TABLE, &c.to_be_bytes());
+            same(CMAP_TABLE, &c.to_be_bytes());
+        }
+        for name in META_KEYS {
+            same(META_TABLE, name);
+        }
+        assert_index_matches_oracle(&store);
+        assert_queries_agree(&plain, &store, 30);
+    }
 }
 
 /// The auto-trigger: with `every_flushes` set, a long replay compacts

@@ -89,7 +89,7 @@ fn hedges_fire_and_win_against_a_scripted_slow_node() {
     for v in 0..ds.graph.len() {
         let v = VersionId(v as u32);
         let expected = calm.get_version(v).unwrap();
-        let (got, stats) = hedged.get_version_with_stats(v).unwrap();
+        let (got, stats) = hedged.query_with_stats(QuerySpec::Version(v)).unwrap();
         assert_identical(&got, &expected);
         hedges += stats.hedges;
         wins += stats.hedge_wins;

@@ -197,7 +197,7 @@ fn load_reports_per_stage_breakdown() {
     let s = report.stages;
     assert_eq!(s.workers, 2);
     assert!(s.subchunk > std::time::Duration::ZERO, "subchunk stage untimed");
-    assert_eq!(s.partition, report.partition_time);
+    assert!(s.partition > std::time::Duration::ZERO, "partition stage untimed");
     assert!(s.assemble > std::time::Duration::ZERO, "assemble stage untimed");
     assert!(s.index > std::time::Duration::ZERO, "index stage untimed");
     // lan_virtual charges every write 250 µs of modeled time.

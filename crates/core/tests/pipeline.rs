@@ -245,7 +245,7 @@ fn query_stats_report_scatter_gather_fanout() {
     store.load_dataset(&ds).unwrap();
 
     let v = VersionId((ds.graph.len() - 1) as u32);
-    let (_, stats) = store.get_version_with_stats(v).unwrap();
+    let (_, stats) = store.query_with_stats(QuerySpec::Version(v)).unwrap();
     assert!(stats.nodes_contacted >= 1 && stats.nodes_contacted <= 4);
     assert!(stats.max_node_batch >= 1);
     assert!(

@@ -107,7 +107,7 @@ fn node_failure_mid_execute_fails_over_with_replication() {
 
         // A healthy re-query reports no failover.
         store.cluster().set_node_down(0, false);
-        let (_, stats) = store.get_version_with_stats(VersionId(0)).unwrap();
+        let (_, stats) = store.query_with_stats(QuerySpec::Version(VersionId(0))).unwrap();
         assert_eq!((stats.failovers, stats.rerouted_keys), (0, 0));
     }
 }

@@ -379,7 +379,7 @@ fn store_admission_accounts_queue_wait_and_sheds() {
                 let mut max_wait = Duration::ZERO;
                 for q in 0..4u32 {
                     let v = VersionId((c + q * 3) % versions);
-                    let (_, stats) = store.get_version_with_stats(v).unwrap();
+                    let (_, stats) = store.query_with_stats(QuerySpec::Version(v)).unwrap();
                     max_wait = max_wait.max(stats.queue_wait);
                 }
                 max_wait

@@ -5,6 +5,7 @@
 use rstore_core::model::VersionId;
 use rstore_core::partition::PartitionerKind;
 use rstore_core::store::RStore;
+use rstore_core::QuerySpec;
 use rstore_kvstore::Cluster;
 use rstore_vgraph::{Dataset, DatasetSpec, MaterializedVersions, RecordStore};
 
@@ -221,7 +222,7 @@ fn stats_reflect_span_and_usefulness() {
     let store = build_store(PartitionerKind::BottomUp { beta: usize::MAX }, 1, 2048);
     store.load_dataset(&ds).unwrap();
     let v = VersionId(10);
-    let (records, stats) = store.get_version_with_stats(v).unwrap();
+    let (records, stats) = store.query_with_stats(QuerySpec::Version(v)).unwrap();
     assert_eq!(stats.records, records.len());
     assert_eq!(stats.chunks_fetched, store.version_span(v));
     assert!(stats.chunks_useful <= stats.chunks_fetched);

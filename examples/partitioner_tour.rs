@@ -6,6 +6,7 @@
 //! cargo run --release --example partitioner_tour
 //! ```
 
+use rstore::core::QuerySpec;
 use rstore::prelude::*;
 use rstore::vgraph::VersionId;
 
@@ -47,7 +48,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .partitioner(kind)
             .build(cluster);
         let report = store.load_dataset(&dataset)?;
-        let (_, qstats) = store.get_version_with_stats(VersionId(60))?;
+        let (_, qstats) = store.query_with_stats(QuerySpec::Version(VersionId(60)))?;
         println!(
             "{:<14} {:>7} {:>12} {:>12.1} {:>14}",
             name,

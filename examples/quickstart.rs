@@ -5,6 +5,7 @@
 //! cargo run --example quickstart
 //! ```
 
+use rstore::core::QuerySpec;
 use rstore::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -72,7 +73,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // Cost accounting: the span is the number of chunks touched.
-    let (_, stats) = store.get_version_with_stats(v1)?;
+    let (_, stats) = store.query_with_stats(QuerySpec::Version(v1))?;
     println!(
         "\nretrieving {v1} touched {} chunks ({} useful), {} bytes",
         stats.chunks_fetched, stats.chunks_useful, stats.bytes_fetched

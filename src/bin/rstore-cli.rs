@@ -14,7 +14,7 @@
 //! ```
 
 use rstore::core::obs::validate_scrapes;
-use rstore::core::plan::{HedgeConfig, ReadRouting};
+use rstore::core::plan::{HedgeConfig, QuerySpec, ReadRouting};
 use rstore::core::store::{CommitRequest, RStore, StoreConfig};
 use rstore::core::{CoreError, TraceConfig, VersionId};
 use rstore::kvstore::{BreakerPolicy, BreakerState, Cluster, EngineKind, FaultPlan};
@@ -474,7 +474,7 @@ fn run() -> Result<(), CoreError> {
             }
             let store = open_store_observed(&args, 1.0, None)?;
             let v = VersionId(version.unwrap_or((store.version_count() - 1) as u32));
-            let (records, stats) = store.get_version_with_stats(v)?;
+            let (records, stats) = store.query_with_stats(QuerySpec::Version(v))?;
             let Some(trace) = store.last_trace() else {
                 eprintln!("no trace captured (query failed before sampling?)");
                 exit(1);

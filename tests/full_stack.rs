@@ -1,6 +1,7 @@
 //! Full-stack integration tests: generator → partitioner → multi-node
 //! cluster → queries, verified against the materialization oracle.
 
+use rstore::core::QuerySpec;
 use rstore::prelude::*;
 use rstore::vgraph::VersionId;
 
@@ -127,7 +128,7 @@ fn network_model_accounts_modeled_time() {
     store.load_dataset(&dataset).unwrap();
     store.cluster().reset_stats();
 
-    let (_, stats) = store.get_version_with_stats(VersionId(10)).unwrap();
+    let (_, stats) = store.query_with_stats(QuerySpec::Version(VersionId(10))).unwrap();
     assert!(
         stats.modeled_network >= std::time::Duration::from_micros(250),
         "modeled network time missing: {:?}",
@@ -325,6 +326,88 @@ fn failed_flush_keeps_its_batch_and_retries_after_the_outage() {
     // And the retried flush is what a restart finds.
     let store = RStore::reopen(config, make_cluster()).unwrap();
     check_against_oracle(&store, &dataset);
+    drop(store);
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+#[test]
+fn one_history_reaches_the_generation_writer_from_every_entry_point() {
+    // Bulk load, flush and compaction all commit through the one
+    // generation writer; this history crosses it from each of them on
+    // a log-engine cluster, then reclaims and restarts. After every
+    // step the answers are the dataset oracle's and the backend's
+    // index is the one the from-contents pass computes.
+    use rstore::core::compact::CompactionConfig;
+    use rstore::core::online::{commit_request, truncate_dataset};
+    use rstore::core::store::{CMAP_TABLE, META_TABLE};
+    use rstore::kvstore::table_key;
+    let dir = std::env::temp_dir().join(format!("rstore-fullstack-writer-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let mut spec = DatasetSpec::tiny(9009);
+    spec.num_versions = 36;
+    spec.root_records = 40;
+    let dataset = spec.generate();
+    let half = dataset.graph.len() / 2;
+    let make_cluster = || {
+        Cluster::builder()
+            .nodes(3)
+            .engine(rstore::kvstore::EngineKind::Log { dir: dir.clone() })
+            .build()
+    };
+    let check = |store: &RStore, dataset: &rstore::vgraph::Dataset, step: &str| {
+        check_against_oracle(store, dataset);
+        let (maps, projections) = store.index_from_contents();
+        let ids: Vec<u32> = maps.iter().map(|&(c, _)| c).collect();
+        assert_eq!(ids, store.live_chunk_ids(), "{step}: oracle covers the live chunks");
+        for (c, want) in &maps {
+            let got = store.cluster().get(&table_key(CMAP_TABLE, &c.to_be_bytes())).unwrap();
+            assert_eq!(got.as_deref(), Some(want.as_slice()), "{step}: chunk map {c}");
+        }
+        let got = store.cluster().get(&table_key(META_TABLE, b"projections")).unwrap();
+        assert_eq!(got.as_deref(), Some(projections.as_slice()), "{step}: projections");
+    };
+
+    let config = {
+        let store = RStore::builder()
+            .chunk_capacity(1024)
+            .max_subchunk(3)
+            .batch_size(4)
+            .compaction(CompactionConfig {
+                min_fill: 1.1,
+                max_chunks_per_slice: 4,
+                ..CompactionConfig::default()
+            })
+            .build(make_cluster());
+
+        let loaded = truncate_dataset(&dataset, half);
+        store.load_dataset(&loaded).unwrap();
+        check(&store, &loaded, "bulk load");
+
+        // Online commits on top: the batch size flushes every fourth,
+        // the seal flushes the rest.
+        for v in (half..dataset.graph.len()).map(|v| VersionId(v as u32)) {
+            assert_eq!(store.commit(commit_request(&dataset, v)).unwrap(), v);
+        }
+        assert!(store.pending_commits() > 0, "the seal has a batch left to flush");
+        assert!(store.seal().unwrap().versions > 0);
+        check(&store, &dataset, "flush");
+
+        let report = store.compact().unwrap().expect("small batches fragment the layout");
+        assert!(report.slices > 1, "the slice budget splits the victim set");
+        assert_eq!(store.retired_chunk_count(), report.victims);
+        check(&store, &dataset, "compaction");
+
+        let reclaimed = store.reclaim().unwrap();
+        assert_eq!(reclaimed.slots_reclaimed, report.victims);
+        assert_eq!(store.retired_chunk_count(), 0);
+        check(&store, &dataset, "reclaim");
+        *store.config()
+    };
+
+    let store = RStore::reopen(config, make_cluster()).unwrap();
+    assert_eq!(store.version_count(), dataset.graph.len());
+    check(&store, &dataset, "reopen");
     drop(store);
     let _ = std::fs::remove_dir_all(dir);
 }
