@@ -104,12 +104,15 @@ fn acceptance_summary(_c: &mut Criterion) {
     let mean_parallel = mean_of(true);
     let speedup = mean_serial.as_secs_f64() / mean_parallel.as_secs_f64().max(f64::MIN_POSITIVE);
 
-    // Fan-out evidence from one representative query.
+    // Fan-out evidence from one representative query, and its backend
+    // bill: one key per cold chunk (Table 1), so a regression to
+    // fetching chunk maps beside the blobs fails here too.
     let v = VersionId((n - 1) as u32);
-    let parallel = store
-        .execute(store.plan_query(QuerySpec::Version(v)).unwrap())
-        .unwrap()
-        .metrics;
+    let plan = store.plan_query(QuerySpec::Version(v)).unwrap();
+    let span = plan.span() as u64;
+    let gets_before = store.cluster().stats().gets;
+    let parallel = store.execute(plan).unwrap().metrics;
+    let keys_fetched = store.cluster().stats().gets - gets_before;
     let serial = store
         .execute_serial(store.plan_query(QuerySpec::Version(v)).unwrap())
         .unwrap()
@@ -120,6 +123,7 @@ fn acceptance_summary(_c: &mut Criterion) {
          mean latency parallel fetch: {}\n\
          speedup                    : {speedup:.2}x (target >= 2x)\n\
          nodes contacted            : {} (max node batch {} keys)\n\
+         backend keys fetched       : {keys_fetched} for a span of {span} chunks\n\
          modeled network max-over-nodes: {} (parallel) vs sum {} (serial)",
         fmt_duration(mean_serial),
         fmt_duration(mean_parallel),
@@ -131,6 +135,10 @@ fn acceptance_summary(_c: &mut Criterion) {
     assert!(
         parallel.nodes_contacted >= 2,
         "fan-out too small to measure a scatter-gather win"
+    );
+    assert_eq!(
+        keys_fetched, span,
+        "a cold query must fetch one backend key per chunk it spans"
     );
     assert!(
         speedup >= 2.0,

@@ -1,11 +1,14 @@
-//! The decoded-chunk cache: a sharded, byte-budgeted LRU over
-//! `(Chunk, ChunkMap)` pairs.
+//! The decoded-chunk cache: a sharded, byte-budgeted LRU over decoded
+//! chunks, each paired with its chunk map.
 //!
 //! The paper's serving layer caches chunk maps at the query server
-//! (§3.2: "the chunk maps ... are cached at the query server");
-//! skewed real workloads (recent versions, popular keys) make the
-//! same hot chunks back consecutive queries, so RStore keeps fully
-//! *decoded* chunks resident: the serialized bytes are parsed once,
+//! (§3.2: "the chunk maps ... are cached at the query server") — here
+//! every map is resident, published with each
+//! [`StoreSnapshot`](crate::store::StoreSnapshot), and a cache entry
+//! merely shares its admitting generation's. Skewed real workloads
+//! (recent versions, popular keys) make the same hot chunks back
+//! consecutive queries, so RStore also keeps fully *decoded* chunks
+//! resident: the serialized bytes are parsed once,
 //! the flattened composite-key list is precomputed once, and
 //! sub-chunk decompression is memoized inside the resident [`Chunk`]
 //! (see [`SubChunk::decode`](crate::chunk::SubChunk::decode)) so a
@@ -17,15 +20,15 @@
 //!   locks, selected by chunk id, so concurrent readers on a shared
 //!   `&RStore` rarely contend.
 //! * **Byte-budgeted** — every entry is charged its compressed bytes
-//!   plus decompressed bytes plus key/bitmap overhead; each shard
+//!   plus decompressed bytes plus key-table overhead; each shard
 //!   evicts from its LRU tail until back under `budget / shards`.
 //! * **Interior mutability** — the read-only query API keeps `&self`;
 //!   all mutation happens under the shard locks and relaxed atomic
 //!   counters.
 //! * **Invalidation** — rewriting a chunk map (online ingest batches,
 //!   [`RStore::flush_batch`](crate::store::RStore::flush_batch))
-//!   invalidates the chunk id; the next query re-fetches and
-//!   re-caches the fresh pair.
+//!   invalidates the chunk id; the next query re-fetches the blob and
+//!   caches it with the fresh map.
 //!
 //! A zero budget disables the cache entirely, preserving the
 //! uncached behaviour the cost-model experiments rely on.
@@ -38,12 +41,15 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// A chunk and its map, decoded once and shared between queries.
+/// A decoded chunk paired with its map, shared between queries.
 #[derive(Debug)]
 pub struct DecodedChunk {
     /// The decoded chunk (sub-chunk decompression memoized inside).
     pub chunk: Chunk,
-    /// The chunk's slice of the 3-D mapping.
+    /// The chunk's slice of the 3-D mapping: the map of the snapshot
+    /// generation that admitted the chunk. Not fetched or decoded per
+    /// query — a [`ChunkMap`] is a handle on shared segments, and this
+    /// one shares them with that snapshot's.
     pub map: ChunkMap,
     /// Flattened composite keys (`keys[local ordinal]`), built on
     /// first use: version retrieval never reads them, so the uncached
@@ -54,16 +60,18 @@ pub struct DecodedChunk {
 }
 
 impl DecodedChunk {
-    /// Wraps a fetched pair, computing its budget charge.
+    /// Pairs a fetched chunk with its map, computing the budget
+    /// charge.
     pub fn new(chunk: Chunk, map: ChunkMap) -> Self {
         // Charge compressed payloads + eventual decompressed payloads
-        // (the memoized sub-chunk decode) + key table + a per-version
-        // bitmap estimate; a conservative upper bound is fine, the
-        // budget is a soft resource limit rather than an allocator.
+        // (the memoized sub-chunk decode) + key table; a conservative
+        // upper bound is fine, the budget is a soft resource limit
+        // rather than an allocator. The map is not charged: its
+        // segments stay resident with the store's snapshots whether or
+        // not this entry is cached (`StoreStats::resident_map_bytes`).
         let cost = chunk.compressed_bytes()
             + chunk.raw_bytes()
             + chunk.record_count() * std::mem::size_of::<CompositeKey>()
-            + map.num_versions() * (map.num_records() / 8 + 16)
             + 128;
         Self {
             chunk,

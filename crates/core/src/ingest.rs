@@ -30,7 +30,11 @@
 //! 3. **commit** — the next projections, retired and free sets are
 //!    staged off to the side and persisted ([`RStore::persist_meta`],
 //!    the commit point); only then is the generation applied to the
-//!    writer state and published.
+//!    writer state — each written map grows by its new entries,
+//!    copy-on-write, so generations readers still pin keep theirs — and
+//!    published, chunk maps included: reads extract with the published
+//!    maps, and the stored ones are read back only by a restart
+//!    ([`load_chunk_maps`]).
 //!
 //! Any error before the meta put therefore leaves the writer state
 //! untouched: a failed flush keeps its commits in the delta store, a
@@ -246,6 +250,31 @@ impl PersistedMeta {
             free: load_ids(cluster, "free")?,
         })
     }
+}
+
+/// The backend key of chunk `c`'s stored map.
+fn chunk_map_key(c: u32) -> Key {
+    table_key(CMAP_TABLE, &ChunkId(c).to_key())
+}
+
+/// Reads and decodes the stored chunk maps of the `live` chunk ids, in
+/// order — the read half of the generation writer's chunk-map write,
+/// and the only reader of the `cmaps` table: a running store serves its
+/// maps from memory. One scatter-gather get, then the maps decode on
+/// `workers` threads. A live chunk without a stored map is
+/// [`CoreError::MissingChunk`].
+pub(crate) fn load_chunk_maps(
+    cluster: &Cluster,
+    live: &[u32],
+    workers: usize,
+) -> Result<Vec<ChunkMap>, CoreError> {
+    let stored = cluster.multi_get_owned(live.iter().map(|&c| chunk_map_key(c)).collect())?;
+    let stored: Vec<(u32, Option<Bytes>)> = live.iter().copied().zip(stored).collect();
+    plan::parallel_map_owned(stored, workers, |(c, bytes)| {
+        ChunkMap::deserialize(&bytes.ok_or(CoreError::MissingChunk(c))?)
+    })
+    .into_iter()
+    .collect()
 }
 
 // ------------------------------------------------------------------
@@ -578,7 +607,7 @@ impl RStore {
         let mut writes: Vec<(Key, Bytes)> = Vec::with_capacity(built.len());
         let mut appends = Vec::with_capacity(built.len());
         for (c, bytes, work, tail) in built {
-            writes.push((table_key(CMAP_TABLE, &ChunkId(c).to_key()), bytes));
+            writes.push((chunk_map_key(c), bytes));
             appends.push((c, work, tail));
         }
         let outcome = stream_writes(&self.cluster, workers, writes)?;
@@ -626,43 +655,40 @@ impl RStore {
         stages.write += meta_wait;
 
         // Everything is durable: apply the generation and publish it.
-        st.chunk_maps.resize(chunk_slots, ResidentMap::default());
-        let chunk_sizes = Arc::make_mut(&mut st.chunk_sizes);
-        chunk_sizes.resize(chunk_slots, 0);
-        for (i, map) in fresh.into_iter().enumerate() {
-            let slot = chunks.ids[i] as usize;
-            chunk_sizes[slot] = chunks.sizes[i];
-            st.chunk_maps[slot] = map;
+        st.resize_chunk_slots(chunk_slots);
+        for ((&c, &size), map) in chunks.ids.iter().zip(&chunks.sizes).zip(fresh) {
+            Arc::make_mut(&mut st.chunk_sizes)[c as usize] = size;
+            st.set_chunk_map(c, map);
         }
         // A retired id keeps an empty tombstone slot until a
         // reclamation pass frees or truncates it.
         for &c in retire {
-            chunk_sizes[c as usize] = 0;
-            st.chunk_maps[c as usize] = ResidentMap::default();
+            Arc::make_mut(&mut st.chunk_sizes)[c as usize] = 0;
+            st.set_chunk_map(c, ResidentMap::default());
         }
         st.locator.extend(chunks.placed);
         st.projections = projections;
         st.retired = retired;
         st.free = free;
-        // Stamp the written maps with the generation about to publish:
-        // cached decoded copies of older generations fail the probe
-        // floor and drop lazily — no synchronous invalidation loop in
-        // this critical section.
-        let map_gen = Arc::make_mut(&mut st.map_gen);
-        map_gen.resize(chunk_slots, 0);
+        // Grow the written maps — copy-on-write, the published
+        // generations keep theirs — and stamp them with the generation
+        // about to publish: cached chunks paired with an older map fail
+        // the probe floor and drop lazily, with no synchronous
+        // invalidation loop in this critical section.
+        let publishing = st.generation + 1;
         let mut written = Vec::with_capacity(appends.len());
         for (c, work, tail) in appends {
-            st.chunk_maps[c as usize].append(work, &tail);
-            map_gen[c as usize] = st.generation + 1;
+            st.append_chunk_map(c, work, &tail);
+            Arc::make_mut(&mut st.map_gen)[c as usize] = publishing;
             written.push(c);
         }
         self.publish(st);
         // Sweep resident cache entries of the rewritten maps *after*
         // the publish: entries stamped below the new generation are
-        // stale (their decoded map predates the rewrite) and safe to
-        // drop unconditionally — backend chunk maps only grow, so a
-        // reader still pinning the old generation refetches a
-        // superset and extracts identical answers.
+        // stale (their map predates the rewrite) and safe to drop
+        // unconditionally — a reader still pinning the old generation
+        // refetches the blob and extracts identical answers with its
+        // own pinned map.
         for &c in &written {
             self.cache.invalidate_below(c, st.generation);
         }

@@ -934,6 +934,9 @@ pub struct StoreStats {
     pub pinned_readers: usize,
     /// Deferred-reclamation batches waiting for old pins to drain.
     pub reclaim_backlog: usize,
+    /// Bytes the live chunk maps keep resident — every read extracts
+    /// with them, none is fetched.
+    pub resident_map_bytes: usize,
 }
 
 impl StoreStats {
@@ -1002,7 +1005,7 @@ impl StoreStats {
         out.push_str(&format!("\"queue_wait\":{},", self.queue_wait.json()));
         out.push_str(&format!("\"round_wall\":{},", self.round_wall.json()));
         out.push_str(&format!(
-            "\"queries\":{},\"shed\":{},\"deadline_exceeded\":{},\"slow_queries\":{},\"hedges\":{},\"hedge_wins\":{},\"retries\":{},\"failovers\":{},\"flushes\":{},\"compactions\":{},\"generation\":{},\"pinned_readers\":{},\"reclaim_backlog\":{}",
+            "\"queries\":{},\"shed\":{},\"deadline_exceeded\":{},\"slow_queries\":{},\"hedges\":{},\"hedge_wins\":{},\"retries\":{},\"failovers\":{},\"flushes\":{},\"compactions\":{},\"generation\":{},\"pinned_readers\":{},\"reclaim_backlog\":{},\"resident_map_bytes\":{}",
             self.queries,
             self.shed,
             self.deadline_exceeded,
@@ -1015,7 +1018,8 @@ impl StoreStats {
             self.compactions,
             self.generation,
             self.pinned_readers,
-            self.reclaim_backlog
+            self.reclaim_backlog,
+            self.resident_map_bytes
         ));
         out.push('}');
         out

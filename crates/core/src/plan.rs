@@ -7,20 +7,26 @@
 //! (§2.4) while leaving each stage independently testable:
 //!
 //! 1. **Plan** — [`RStore::plan_query`](crate::store::RStore::plan_query)
-//!    consults the two lossy projections *once* to resolve the
+//!    pins the current [`StoreSnapshot`](crate::store::StoreSnapshot),
+//!    consults its two lossy projections *once* to resolve the
 //!    query's span, probes the decoded-chunk cache, and groups the
-//!    missing backend keys by their owning node (via
-//!    `Cluster::owner_of`, the hash-ring placement API). The result
-//!    is a [`QueryPlan`]: an inspectable description of exactly what
-//!    will be fetched from where.
+//!    missed chunks by the node owning their blob (via
+//!    `Cluster::owner_of`, the hash-ring placement API) — **one
+//!    backend key per missed chunk**, the bill of the paper's Table 1
+//!    ([`cost`](crate::cost)). The result is a [`QueryPlan`]: an
+//!    inspectable description of exactly what will be fetched from
+//!    where.
 //! 2. **Fetch** — [`RStore::execute`](crate::store::RStore::execute)
 //!    runs the plan's node batches concurrently on the store's shared
 //!    fetch pool ([`serve`](crate::serve)): each batch is one pool
 //!    job, so fetch threads are bounded by the pool size no matter
-//!    how many queries are in flight. Whichever executor slot
-//!    delivers a chunk's second half (chunk blob + chunk map) decodes
-//!    the pair — decode overlaps with the other batches' transfers —
-//!    and admits it to the cache. Modeled
+//!    how many queries are in flight. The executor slot a blob arrives
+//!    on decodes it — decode overlaps with the other batches'
+//!    transfers — pairs it with the chunk's map **from the pinned
+//!    snapshot** (chunk maps are never fetched: every generation
+//!    publishes them decoded, and a reader pinned at generation `g`
+//!    extracts with `g`'s maps even after a compaction retired the
+//!    chunk) and admits the pair to the cache. Modeled
 //!    network time is taken as the **max over node batches**
 //!    (parallel scatter-gather), not their sum. A node that fails
 //!    mid-query does not fail the query: its batch's keys are
@@ -45,7 +51,7 @@ use crate::model::{ChunkId, PrimaryKey, Record, VersionId};
 use crate::obs::{MetricsRegistry, TraceSink, TID_NODE_BASE, TID_QUERY};
 use crate::query;
 use crate::serve::{FetchPool, RoundTicket, WaitGroup};
-use crate::store::{PinnedSnapshot, CHUNK_TABLE, CMAP_TABLE};
+use crate::store::{PinnedSnapshot, CHUNK_TABLE};
 use rstore_kvstore::{table_key, Cluster, Key, KvError};
 use rustc_hash::{FxHashMap, FxHashSet};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -138,27 +144,6 @@ impl QuerySpec {
     }
 }
 
-/// Which half of a chunk's backend state a fetched key carries. The
-/// two halves live under different tables, so the hash ring may place
-/// them on different nodes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-enum Part {
-    /// The serialized chunk (sub-chunk payloads).
-    Blob,
-    /// The serialized chunk map.
-    Map,
-}
-
-impl Part {
-    /// Stable slot of this half in per-chunk delivery gates.
-    fn index(self) -> usize {
-        match self {
-            Part::Blob => 0,
-            Part::Map => 1,
-        }
-    }
-}
-
 /// Tunables for hedged node batches: when a fetch round's straggler
 /// outlives `factor ×` the health scoreboard's expected time for the
 /// round's slowest batch (per-key service EWMA × batch length,
@@ -210,19 +195,37 @@ pub(crate) struct ExecPolicy {
     pub(crate) trace: Option<Arc<TraceSink>>,
 }
 
-/// One node's share of a scatter-gather fetch: the backend keys it
-/// owns, tagged with the miss ordinal + half each key belongs to.
+/// One node's share of a scatter-gather fetch: the blob keys of the
+/// missed chunks it serves, tagged with each chunk's miss ordinal.
 #[derive(Debug)]
 pub struct NodeBatch {
     /// The serving node.
     node: usize,
-    /// Backend keys to fetch from this node.
+    /// Backend keys to fetch from this node, one per chunk.
     keys: Vec<Key>,
-    /// Parallel to `keys`: (miss ordinal, part).
-    parts: Vec<(usize, Part)>,
+    /// Parallel to `keys`: the chunk's miss ordinal.
+    misses: Vec<usize>,
 }
 
 impl NodeBatch {
+    /// Adds miss `m`'s key to `node`'s batch in `by_node`.
+    fn route(by_node: &mut FxHashMap<usize, NodeBatch>, node: usize, m: usize, key: Key) {
+        let batch = by_node.entry(node).or_insert_with(|| NodeBatch {
+            node,
+            keys: Vec::new(),
+            misses: Vec::new(),
+        });
+        batch.keys.push(key);
+        batch.misses.push(m);
+    }
+
+    /// The batches of `by_node` in node order.
+    fn sorted(by_node: FxHashMap<usize, NodeBatch>) -> Vec<NodeBatch> {
+        let mut batches: Vec<NodeBatch> = by_node.into_values().collect();
+        batches.sort_unstable_by_key(NodeBatch::node);
+        batches
+    }
+
     /// The node this batch is routed to.
     pub fn node(&self) -> usize {
         self.node
@@ -255,7 +258,8 @@ pub struct QueryPlan {
     /// `(slot, chunk id)` of every chunk that must come from the
     /// backend, in planning order.
     misses: Vec<(usize, u32)>,
-    /// Missing backend keys grouped by owning node, sorted by node.
+    /// The missed chunks' backend keys grouped by owning node, sorted
+    /// by node.
     batches: Vec<NodeBatch>,
     /// Cache accounting (zeros when the cache is disabled).
     cache_hits: usize,
@@ -376,8 +380,8 @@ fn route_keys(
 }
 
 /// Builds a [`QueryPlan`]: probe the cache per chunk, then group the
-/// missing chunks' backend keys by serving node under the store's
-/// [`ReadRouting`] policy.
+/// missed chunks' backend keys — one per chunk — by serving node under
+/// the store's [`ReadRouting`] policy.
 pub(crate) fn build_plan(
     cluster: &Cluster,
     cache: &ChunkCache,
@@ -390,8 +394,8 @@ pub(crate) fn build_plan(
     let mut misses = Vec::new();
     for (slot, &c) in chunk_ids.iter().enumerate() {
         // The probe floor is the generation whose publish last
-        // rewrote this chunk's backend map: an older cached entry
-        // would be torn against the pinned snapshot.
+        // rewrote this chunk's map: an older cached entry is paired
+        // with a map that may predate the pinned snapshot's.
         let cached = cache.get(c, pin.floor(c));
         if cached.is_none() {
             misses.push((slot, c));
@@ -407,27 +411,12 @@ pub(crate) fn build_plan(
         (0, 0)
     };
 
-    let mut keys = Vec::with_capacity(misses.len() * 2);
-    let mut key_parts = Vec::with_capacity(misses.len() * 2);
-    for (m, &(_, c)) in misses.iter().enumerate() {
-        for part in [Part::Blob, Part::Map] {
-            keys.push(backend_key(c, part));
-            key_parts.push((m, part));
-        }
-    }
+    let keys: Vec<Key> = misses.iter().map(|&(_, c)| backend_key(c)).collect();
     let nodes = route_keys(cluster, routing, &keys)?;
     let mut by_node: FxHashMap<usize, NodeBatch> = FxHashMap::default();
-    for ((key, part), node) in keys.into_iter().zip(key_parts).zip(nodes) {
-        let batch = by_node.entry(node).or_insert_with(|| NodeBatch {
-            node,
-            keys: Vec::new(),
-            parts: Vec::new(),
-        });
-        batch.keys.push(key);
-        batch.parts.push(part);
+    for ((m, key), node) in keys.into_iter().enumerate().zip(nodes) {
+        NodeBatch::route(&mut by_node, node, m, key);
     }
-    let mut batches: Vec<NodeBatch> = by_node.into_values().collect();
-    batches.sort_unstable_by_key(NodeBatch::node);
 
     Ok(QueryPlan {
         spec,
@@ -435,7 +424,7 @@ pub(crate) fn build_plan(
         chunk_ids,
         resident,
         misses,
-        batches,
+        batches: NodeBatch::sorted(by_node),
         cache_hits,
         cache_misses,
         pin,
@@ -514,45 +503,39 @@ fn partial_stats(metrics: &FetchMetrics, span: usize) -> crate::query::QueryStat
     }
 }
 
-/// A chunk mid-flight: its two halves arrive independently (possibly
-/// from different nodes); whichever executor thread delivers the
-/// second half decodes the pair.
+/// A missed chunk mid-flight: its blob is on its way from a node, its
+/// map is already here.
 struct PendingChunk {
     slot: usize,
     id: u32,
-    parts: Mutex<(Option<rstore_kvstore::Value>, Option<rstore_kvstore::Value>)>,
-    /// Per-half first-delivery gates (indexed by [`Part::index`]).
-    /// With hedging a half can arrive twice — once from the original
-    /// batch and once from the backup; only the first delivery may
-    /// write `parts`, so the loser's duplicate is dropped without
-    /// touching the decode state. Without hedging each half has a
-    /// single server per round and the gates never contend.
-    delivered: [AtomicBool; 2],
+    /// The chunk's map in the plan's pinned snapshot — what the blob is
+    /// paired with, whatever the writer has published since.
+    map: Arc<ChunkMap>,
+    /// First-delivery gate. With hedging a blob can arrive twice — once
+    /// from the original batch and once from the backup; only the first
+    /// delivery decodes, the loser's duplicate is dropped. Without
+    /// hedging each chunk has a single server per round and the gate
+    /// never contends.
+    delivered: AtomicBool,
     decoded: OnceLock<Arc<DecodedChunk>>,
 }
 
-/// A key the current fetch round could not serve, queued for its next
+/// A chunk the current fetch round could not serve, queued for its next
 /// live replica. `from` is the node that just failed (or answered
-/// without the key); `cause` is the error to surface if the key runs
-/// out of replicas. The backend key itself is not stored: it is a
-/// pure function of the chunk id and half, rebuilt by
-/// [`backend_key`], so the happy path never clones its key batches
-/// for the retry machinery's sake.
+/// without the key); `cause` is the error to surface if the chunk runs
+/// out of replicas. The backend key itself is not stored: it is a pure
+/// function of the chunk id, rebuilt by [`backend_key`], so the happy
+/// path never clones its key batches for the retry machinery's sake.
 struct RetryKey {
     m: usize,
-    part: Part,
     from: usize,
     cause: CoreError,
 }
 
-/// The backend key of one half of a chunk (the inverse of the
-/// planner's key construction, shared with the retry re-plan).
-fn backend_key(id: u32, part: Part) -> Key {
-    let table = match part {
-        Part::Blob => CHUNK_TABLE,
-        Part::Map => CMAP_TABLE,
-    };
-    table_key(table, &ChunkId(id).to_key())
+/// The backend key of a chunk's blob (shared by the planner and the
+/// retry and hedge re-plans).
+fn backend_key(id: u32) -> Key {
+    table_key(CHUNK_TABLE, &ChunkId(id).to_key())
 }
 
 fn record_err(first_err: &Mutex<Option<CoreError>>, e: CoreError) {
@@ -565,13 +548,13 @@ fn record_err(first_err: &Mutex<Option<CoreError>>, e: CoreError) {
 /// Round bookkeeping for the *hedged* pooled executor (the unhedged
 /// paths keep their plain [`WaitGroup`] barrier): counts the round's
 /// outstanding jobs — originals plus any backups — and its
-/// undelivered key-halves. The executor waits for either to reach
-/// zero: all jobs done is the ordinary barrier, while all parts
+/// undelivered chunks. The executor waits for either to reach
+/// zero: all jobs done is the ordinary barrier, while all chunks
 /// delivered means the round is semantically complete even though a
 /// hedged-away straggler still blocks on its slow node. The first
 /// wait is timed, and its expiry is the hedge trigger.
 struct RoundProgress {
-    /// `(jobs_left, parts_left)`.
+    /// `(jobs_left, chunks_left)`.
     state: Mutex<(usize, usize)>,
     changed: Condvar,
 }
@@ -581,17 +564,17 @@ enum RoundWait {
     /// Every job (original and backup) finished; the retry queue is
     /// settled and the next failover round can be planned.
     JobsDrained,
-    /// Every key-half was delivered and decoded. Straggler jobs may
+    /// Every chunk was delivered and decoded. Straggler jobs may
     /// still be in flight but nothing more is owed to this query.
-    PartsDelivered,
+    ChunksDelivered,
     /// The hedge delay elapsed with the round still unfinished.
     TimedOut,
 }
 
 impl RoundProgress {
-    fn new(jobs: usize, parts: usize) -> Self {
+    fn new(jobs: usize, chunks: usize) -> Self {
         Self {
-            state: Mutex::new((jobs, parts)),
+            state: Mutex::new((jobs, chunks)),
             changed: Condvar::new(),
         }
     }
@@ -610,11 +593,10 @@ impl RoundProgress {
         }
     }
 
-    /// Records one key-half delivered *and* (when it completed a
-    /// pair) decoded — called by [`run_batch`] only after the decode,
-    /// so `parts_left == 0` implies every chunk of the round is
-    /// ready.
-    fn part_done(&self) {
+    /// Records one chunk delivered *and* decoded — called by
+    /// [`run_batch`] only after the decode, so `chunks_left == 0`
+    /// implies every chunk of the round is ready.
+    fn chunk_done(&self) {
         let mut s = self.state.lock().unwrap();
         s.1 -= 1;
         if s.1 == 0 {
@@ -629,7 +611,7 @@ impl RoundProgress {
         let mut s = self.state.lock().unwrap();
         loop {
             if s.1 == 0 {
-                return RoundWait::PartsDelivered;
+                return RoundWait::ChunksDelivered;
             }
             if s.0 == 0 {
                 return RoundWait::JobsDrained;
@@ -735,15 +717,14 @@ where
 /// if it owned every core, so it cannot starve concurrent queries'
 /// decode parallelism.
 fn split_for_decode(batches: Vec<NodeBatch>, workers: usize) -> Vec<NodeBatch> {
-    /// Don't bother splitting below this many keys per sub-batch
-    /// (8 chunks): the extra round-trip bookkeeping would cost more
-    /// than it buys.
-    const MIN_SPLIT_KEYS: usize = 16;
+    /// Don't bother splitting below this many chunks per sub-batch:
+    /// the extra round-trip bookkeeping would cost more than it buys.
+    const MIN_SPLIT_CHUNKS: usize = 8;
     if batches.len() >= workers {
         return batches;
     }
     let total_keys: usize = batches.iter().map(NodeBatch::len).sum();
-    let target = total_keys.div_ceil(workers).max(MIN_SPLIT_KEYS);
+    let target = total_keys.div_ceil(workers).max(MIN_SPLIT_CHUNKS);
     let mut out = Vec::with_capacity(workers);
     for batch in batches {
         if batch.len() <= target {
@@ -757,18 +738,16 @@ fn split_for_decode(batches: Vec<NodeBatch>, workers: usize) -> Vec<NodeBatch> {
         let NodeBatch {
             node,
             mut keys,
-            mut parts,
+            mut misses,
         } = batch;
         while keys.len() > piece {
-            let tail_keys = keys.split_off(keys.len() - piece);
-            let tail_parts = parts.split_off(parts.len() - piece);
             out.push(NodeBatch {
                 node,
-                keys: tail_keys,
-                parts: tail_parts,
+                keys: keys.split_off(keys.len() - piece),
+                misses: misses.split_off(misses.len() - piece),
             });
         }
-        out.push(NodeBatch { node, keys, parts });
+        out.push(NodeBatch { node, keys, misses });
     }
     out
 }
@@ -827,17 +806,17 @@ struct FetchCtx {
     trace: Option<Arc<TraceSink>>,
 }
 
-/// Ships one node (sub-)batch, files stranded keys for the failover
-/// re-plan, and decodes every chunk whose second half this reply
-/// delivered. Runs on the caller's thread (serial) or a pool worker
-/// (pooled) — the failover semantics live
-/// entirely in the data it records, not in who runs it. `progress`
-/// is the hedged round's delivery tracker (`None` on the unhedged
-/// paths): each first-delivered half is counted after any decode it
-/// completed, so the tracker hitting zero means the round's chunks
-/// are all in hand.
+/// Ships one node (sub-)batch, files stranded chunks for the failover
+/// re-plan, and decodes every blob the reply delivered, pairing it with
+/// the chunk's map from the pinned snapshot. Runs on the caller's
+/// thread (serial) or a pool worker (pooled) — the failover semantics
+/// live entirely in the data it records, not in who runs it.
+/// `progress` is the hedged round's delivery tracker (`None` on the
+/// unhedged paths): each first-delivered chunk is counted after its
+/// decode, so the tracker hitting zero means the round's chunks are
+/// all in hand.
 fn run_batch(ctx: &FetchCtx, batch: NodeBatch, progress: Option<&RoundProgress>) {
-    let NodeBatch { node, keys, parts } = batch;
+    let NodeBatch { node, keys, misses } = batch;
     // Span bookkeeping only for sampled queries: the guard (and its
     // name allocation) exists only when a sink does, so the unsampled
     // path is untouched.
@@ -847,37 +826,22 @@ fn run_batch(ctx: &FetchCtx, batch: NodeBatch, progress: Option<&RoundProgress>)
     });
     let reply = match ctx.cluster.fetch_from(node, keys) {
         Ok(reply) => reply,
-        Err(e @ (KvError::NodeDown(_) | KvError::NodeGone(_))) => {
-            // The node died between planning and fetch (or
-            // mid-query): queue every key of the batch for its next
-            // live replica instead of failing the whole query.
-            ctx.failed_nodes.lock().unwrap().insert(node);
-            let mut r = ctx.retries.lock().unwrap();
-            for (m, part) in parts {
-                r.push(RetryKey {
-                    m,
-                    part,
-                    from: node,
-                    cause: CoreError::Kv(e.clone()),
-                });
+        // Down or gone: the node died between planning and fetch (or
+        // mid-query). Transient: the cluster layer already retried in
+        // place and gave up. Either way every chunk of the batch goes
+        // to its next live replica instead of failing the whole query;
+        // only a dead node is also excluded from later rounds — a flaky
+        // one may be another chunk's only live replica, and each
+        // chunk's tried-history keeps it from looping back.
+        Err(e @ (KvError::NodeDown(_) | KvError::NodeGone(_) | KvError::Transient(_))) => {
+            if !matches!(e, KvError::Transient(_)) {
+                ctx.failed_nodes.lock().unwrap().insert(node);
             }
-            return;
-        }
-        Err(e @ KvError::Transient(_)) => {
-            // The cluster layer already retried in place and gave up;
-            // fail the keys over to their next replicas. The node is
-            // flaky, not dead, so it is *not* excluded — it may be
-            // another key's only live replica — but each key's
-            // tried-history keeps it from looping back.
-            let mut r = ctx.retries.lock().unwrap();
-            for (m, part) in parts {
-                r.push(RetryKey {
-                    m,
-                    part,
-                    from: node,
-                    cause: CoreError::Kv(e.clone()),
-                });
-            }
+            ctx.retries.lock().unwrap().extend(misses.into_iter().map(|m| RetryKey {
+                m,
+                from: node,
+                cause: CoreError::Kv(e.clone()),
+            }));
             return;
         }
         Err(e) => {
@@ -894,83 +858,68 @@ fn run_batch(ctx: &FetchCtx, batch: NodeBatch, progress: Option<&RoundProgress>)
     ctx.bytes.fetch_add(batch_bytes, Ordering::Relaxed);
     *ctx.node_modeled.lock().unwrap().entry(node).or_insert(0) +=
         reply.modeled.as_nanos() as u64;
-    for ((m, part), value) in parts.into_iter().zip(reply.values) {
+    for (m, blob) in misses.into_iter().zip(reply.values) {
         let p = &ctx.pending[m];
-        let Some(value) = value else {
+        let Some(blob) = blob else {
             // This replica never stored the key (e.g. it was down
             // during the write): try the next one before declaring
             // the chunk missing. If the *other* lane of a hedged pair
-            // already delivered this half, nothing is owed (the
-            // re-plan re-checks the gate, so this early skip is only
-            // an optimization, not the correctness guard).
-            if !p.delivered[part.index()].load(Ordering::Acquire) {
+            // already delivered it, nothing is owed (the re-plan
+            // re-checks the gate, so this early skip is only an
+            // optimization, not the correctness guard).
+            if !p.delivered.load(Ordering::Acquire) {
                 ctx.retries.lock().unwrap().push(RetryKey {
                     m,
-                    part,
                     from: node,
                     cause: CoreError::MissingChunk(p.id),
                 });
             }
             continue;
         };
-        if p.delivered[part.index()].swap(true, Ordering::AcqRel) {
+        if p.delivered.swap(true, Ordering::AcqRel) {
             // Lost the first-answer-wins race (hedge vs original):
-            // the half is already in hand, drop the duplicate.
+            // the chunk is already in hand, drop the duplicate.
             continue;
         }
-        let ready = {
-            let mut halves = p.parts.lock().unwrap();
-            match part {
-                Part::Blob => halves.0 = Some(value),
-                Part::Map => halves.1 = Some(value),
-            }
-            if halves.0.is_some() && halves.1.is_some() {
-                Some((halves.0.take().unwrap(), halves.1.take().unwrap()))
-            } else {
-                None
-            }
-        };
-        // Both halves in hand: decode here, inside this batch's
-        // executor slot, overlapping the other batches' I/O.
-        if let Some((blob, map)) = ready {
+        // Decode here, inside this batch's executor slot, overlapping
+        // the other batches' I/O.
+        {
             let _decode_span = crate::obs::span_opt(&ctx.trace, TID_NODE_BASE + node as u32, || {
                 format!("decode C{}", p.id)
             });
-            let decoded = Chunk::deserialize(&blob)
-                .and_then(|chunk| Ok(DecodedChunk::new(chunk, ChunkMap::deserialize(&map)?)));
-            match decoded {
-                Ok(dc) => {
-                    let dc = Arc::new(dc);
+            match Chunk::deserialize(&blob) {
+                Ok(chunk) => {
+                    let dc = Arc::new(DecodedChunk::new(chunk, ChunkMap::clone(&p.map)));
                     ctx.cache.insert(p.id, Arc::clone(&dc), ctx.gen);
                     let _ = p.decoded.set(dc);
                 }
                 Err(e) => record_err(&ctx.first_err, e),
             }
         }
-        // Count the half only now — after the decode it may have
-        // completed — so a zero parts-left reading implies every
-        // chunk of the round is decoded, not merely delivered.
+        // Count the chunk only now — after its decode — so a zero
+        // chunks-left reading implies every chunk of the round is
+        // decoded, not merely delivered.
         if let Some(progress) = progress {
-            progress.part_done();
+            progress.chunk_done();
         }
     }
 }
 
 /// One original batch of a hedged round, tracked so a hedge timeout
-/// can target its undelivered halves and a finished backup can tell
+/// can target its undelivered chunks and a finished backup can tell
 /// whether it beat the straggler.
 struct InflightBatch {
     node: usize,
-    parts: Vec<(usize, Part)>,
+    misses: Vec<usize>,
     done: Arc<AtomicBool>,
 }
 
 /// Runs one pooled fetch round with hedging enabled: submits the
 /// round's batches, waits up to the scoreboard-derived hedge delay,
 /// issues at most one wave of backup batches for the stragglers'
-/// unserved halves (grouped by untried replica exactly like the
+/// unserved chunks (grouped by untried replica exactly like the
 /// failover re-plan), and waits the round out. Returns `true` when
-/// every key-half was delivered before the last job finished — the
+/// every chunk was delivered before the last job finished — the
 /// round is semantically complete and the caller may stop fetching
 /// while hedged-away stragglers are still blocked on their slow
 /// nodes.
@@ -981,12 +930,12 @@ fn run_round_hedged(
     batches: Vec<NodeBatch>,
     cfg: HedgeConfig,
     excluded: &FxHashSet<usize>,
-    tried: &FxHashMap<(usize, Part), Vec<usize>>,
+    tried: &FxHashMap<usize, Vec<usize>>,
     contacted: &mut FxHashSet<usize>,
     metrics: &mut FetchMetrics,
 ) -> bool {
-    let total_parts: usize = batches.iter().map(NodeBatch::len).sum();
-    let progress = Arc::new(RoundProgress::new(batches.len(), total_parts));
+    let chunks: usize = batches.iter().map(NodeBatch::len).sum();
+    let progress = Arc::new(RoundProgress::new(batches.len(), chunks));
     // Hedge delay: `factor ×` the expected time of the round's
     // slowest batch under the scoreboard's per-key service EWMAs,
     // floored at `min` (a cold scoreboard has EWMA zero and hedges at
@@ -1004,7 +953,7 @@ fn run_round_hedged(
         let done = Arc::new(AtomicBool::new(false));
         inflight.push(InflightBatch {
             node: batch.node,
-            parts: batch.parts.clone(),
+            misses: batch.misses.clone(),
             done: Arc::clone(&done),
         });
         let ctx = Arc::clone(ctx);
@@ -1020,7 +969,7 @@ fn run_round_hedged(
     loop {
         match progress.wait(timeout) {
             RoundWait::JobsDrained => return false,
-            RoundWait::PartsDelivered => return true,
+            RoundWait::ChunksDelivered => return true,
             RoundWait::TimedOut => {
                 // One hedge wave per round: subsequent waits are
                 // untimed and simply see the round out.
@@ -1033,26 +982,27 @@ fn run_round_hedged(
                 if let Some(t) = &ctx.trace {
                     t.add("hedge wait".into(), TID_QUERY, round_entry);
                 }
-                // Re-issue each unfinished batch's undelivered halves
+                // Re-issue each unfinished batch's undelivered chunks
                 // to the first untried live replica, grouped by
                 // backup node. The replica filter mirrors the
-                // failover re-plan (excluded nodes and each half's
+                // failover re-plan (excluded nodes and each chunk's
                 // tried-history are off the table), so a hedge never
                 // lands where a retry would refuse to go; the
                 // original's own node is skipped by construction.
-                let mut by_node: FxHashMap<usize, (NodeBatch, Vec<Arc<AtomicBool>>)> =
-                    FxHashMap::default();
+                let mut by_node: FxHashMap<usize, NodeBatch> = FxHashMap::default();
+                // Per backup node: the originals its batch covers for.
+                let mut covers: FxHashMap<usize, Vec<Arc<AtomicBool>>> = FxHashMap::default();
                 for orig in &inflight {
                     if orig.done.load(Ordering::Acquire) {
                         continue;
                     }
-                    for &(m, part) in &orig.parts {
+                    for &m in &orig.misses {
                         let p = &ctx.pending[m];
-                        if p.delivered[part.index()].load(Ordering::Acquire) {
+                        if p.delivered.load(Ordering::Acquire) {
                             continue;
                         }
-                        let key = backend_key(p.id, part);
-                        let hist = tried.get(&(m, part));
+                        let key = backend_key(p.id);
+                        let hist = tried.get(&m);
                         let backup = ctx.cluster.replicas_of(&key).ok().and_then(|cands| {
                             cands.into_iter().find(|n| {
                                 *n != orig.node
@@ -1065,34 +1015,22 @@ fn run_round_hedged(
                         let Some(node) = backup else {
                             continue;
                         };
-                        let (b, origs) = by_node.entry(node).or_insert_with(|| {
-                            (
-                                NodeBatch {
-                                    node,
-                                    keys: Vec::new(),
-                                    parts: Vec::new(),
-                                },
-                                Vec::new(),
-                            )
-                        });
-                        b.keys.push(key);
-                        b.parts.push((m, part));
-                        origs.push(Arc::clone(&orig.done));
+                        NodeBatch::route(&mut by_node, node, m, key);
+                        covers.entry(node).or_default().push(Arc::clone(&orig.done));
                     }
                 }
                 if by_node.is_empty() {
                     continue;
                 }
-                let mut hedges: Vec<(NodeBatch, Vec<Arc<AtomicBool>>)> =
-                    by_node.into_values().collect();
-                hedges.sort_unstable_by_key(|(b, _)| b.node);
+                let hedges = NodeBatch::sorted(by_node);
                 progress.add_jobs(hedges.len());
                 metrics.hedges += hedges.len();
                 if let Some(t) = &ctx.trace {
                     t.add(format!("hedge wave ({} batches)", hedges.len()), TID_QUERY, round_entry);
                 }
-                for (hedge, origs) in hedges {
+                for hedge in hedges {
                     contacted.insert(hedge.node);
+                    let origs = covers.remove(&hedge.node).unwrap_or_default();
                     let ctx = Arc::clone(ctx);
                     let progress = Arc::clone(&progress);
                     pool.submit(move || {
@@ -1154,16 +1092,20 @@ pub(crate) fn execute_plan(
     };
 
     if !misses.is_empty() {
-        let pending: Vec<PendingChunk> = misses
+        // A planned id the pinned generation has no slot for (only an
+        // explicit `plan_chunks` can name one) is a missing chunk.
+        let pending = misses
             .iter()
-            .map(|&(slot, id)| PendingChunk {
-                slot,
-                id,
-                parts: Mutex::new((None, None)),
-                delivered: [AtomicBool::new(false), AtomicBool::new(false)],
-                decoded: OnceLock::new(),
+            .map(|&(slot, id)| {
+                Ok(PendingChunk {
+                    slot,
+                    id,
+                    map: Arc::clone(pin.chunk_map(id).ok_or(CoreError::MissingChunk(id))?),
+                    delivered: AtomicBool::new(false),
+                    decoded: OnceLock::new(),
+                })
             })
-            .collect();
+            .collect::<Result<Vec<PendingChunk>, CoreError>>()?;
         let ctx = Arc::new(FetchCtx {
             cluster: Arc::clone(cluster),
             cache: Arc::clone(cache),
@@ -1180,11 +1122,11 @@ pub(crate) fn execute_plan(
             trace: policy.trace.clone(),
         });
         // Failover bookkeeping across retry rounds: nodes whose whole
-        // batch failed are excluded from re-routing, and each key
+        // batch failed are excluded from re-routing, and each chunk
         // remembers the replicas it already tried so a retry never
         // loops back. Both only grow, so the round loop terminates.
         let mut excluded: FxHashSet<usize> = FxHashSet::default();
-        let mut tried: FxHashMap<(usize, Part), Vec<usize>> = FxHashMap::default();
+        let mut tried: FxHashMap<usize, Vec<usize>> = FxHashMap::default();
         // Distinct nodes this query talked to, across *all* rounds:
         // a node serving both a primary batch and a later failover
         // batch counts once, so admission's load picture stays
@@ -1313,9 +1255,9 @@ pub(crate) fn execute_plan(
                 }
             }
 
-            // Every half of a hedged round delivered: stragglers
+            // Every chunk of a hedged round delivered: stragglers
             // still in flight owe nothing and any retries they filed
-            // are for halves already in hand — stop fetching.
+            // are for chunks already in hand — stop fetching.
             if round_served_early {
                 break;
             }
@@ -1329,21 +1271,19 @@ pub(crate) fn execute_plan(
             let round_retries = std::mem::take(&mut *ctx.retries.lock().unwrap());
             let mut by_node: FxHashMap<usize, NodeBatch> = FxHashMap::default();
             let mut retry_load: FxHashMap<usize, usize> = FxHashMap::default();
-            let mut replanned: FxHashSet<(usize, Part)> = FxHashSet::default();
+            let mut replanned: FxHashSet<usize> = FxHashSet::default();
             for rk in round_retries {
-                let hist = tried.entry((rk.m, rk.part)).or_default();
+                let hist = tried.entry(rk.m).or_default();
                 hist.push(rk.from);
-                // A hedged round can strand the same half from both
+                // A hedged round can strand the same chunk from both
                 // lanes, or strand one lane while the other
-                // delivered: re-plan each half at most once, and only
+                // delivered: re-plan each chunk at most once, and only
                 // while it is still undelivered. Both guards are
-                // no-ops without hedging (one lane per half).
-                if ctx.pending[rk.m].delivered[rk.part.index()].load(Ordering::Acquire)
-                    || !replanned.insert((rk.m, rk.part))
-                {
+                // no-ops without hedging (one lane per chunk).
+                if ctx.pending[rk.m].delivered.load(Ordering::Acquire) || !replanned.insert(rk.m) {
                     continue;
                 }
-                let key = backend_key(ctx.pending[rk.m].id, rk.part);
+                let key = backend_key(ctx.pending[rk.m].id);
                 let next = ctx.cluster.replicas_of(&key).ok().and_then(|cands| {
                     let mut usable = cands
                         .into_iter()
@@ -1360,20 +1300,12 @@ pub(crate) fn execute_plan(
                 *retry_load.entry(node).or_insert(0) += 1;
                 metrics.rerouted_keys += 1;
                 contacted.insert(node);
-                let batch = by_node.entry(node).or_insert_with(|| NodeBatch {
-                    node,
-                    keys: Vec::new(),
-                    parts: Vec::new(),
-                });
-                batch.keys.push(key);
-                batch.parts.push((rk.m, rk.part));
+                NodeBatch::route(&mut by_node, node, rk.m, key);
             }
             if ctx.first_err.lock().unwrap().is_some() {
                 break;
             }
-            let mut next_round: Vec<NodeBatch> = by_node.into_values().collect();
-            next_round.sort_unstable_by_key(NodeBatch::node);
-            round_batches = next_round;
+            round_batches = NodeBatch::sorted(by_node);
         }
 
         if let Some(e) = ctx.first_err.lock().unwrap().take() {

@@ -14,7 +14,7 @@
 //!
 //! * **[`FetchPool`]** — a fixed set of workers draining one run
 //!   queue of batch jobs. Each job ships one node (sub-)batch,
-//!   blocks for the reply, and decodes any chunk whose second half it
+//!   blocks for the reply, and decodes the chunks it
 //!   delivered — decode overlaps other batches' I/O exactly as the
 //!   scoped-thread executor's did, but on pooled threads that exist
 //!   once per store instead of once per query round. Because a fetch

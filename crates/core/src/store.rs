@@ -6,7 +6,10 @@
 //! Chunks live in the backend's `chunks` table, chunk maps in
 //! `cmaps`, raw ingest deltas in `deltas`, and serialized indexes in
 //! `meta` — "the chunks and associated indexes are stored in the KVS
-//! separately, in two distinct tables".
+//! separately, in two distinct tables". The `cmaps` table is written
+//! for restart only: a running store answers every query with the
+//! resident maps its snapshots publish, so a read costs one backend
+//! key per chunk — the paper's Table 1 bill.
 //!
 //! Two ingestion paths exist, as in the paper:
 //!
@@ -39,7 +42,7 @@
 
 use crate::cache::{CacheStats, ChunkCache};
 use crate::chunk::SubChunk;
-use crate::chunkmap::ResidentMap;
+use crate::chunkmap::{ChunkMap, ResidentMap};
 use crate::compact::{CompactionConfig, CompactionReport};
 use crate::error::CoreError;
 use crate::index::Projections;
@@ -58,6 +61,7 @@ use crate::query::QueryStats;
 use crate::serve::{ServeCore, ServeStats};
 use crate::subchunk::SubchunkPlan;
 use bytes::Bytes;
+use rstore_compress::Bitmap;
 use rstore_kvstore::{table_key, BreakerPolicy, Cluster, Key};
 use rstore_vgraph::{Dataset, VersionDelta, VersionGraph};
 use rustc_hash::{FxHashMap, FxHashSet};
@@ -499,17 +503,21 @@ impl CommitRequest {
 ///   state: publishing is O(1) pointer clones, and the writer
 ///   copies-on-write ([`Arc::make_mut`]) before its next mutation, so
 ///   a published snapshot is physically immutable.
-/// * The snapshot carries **no in-memory chunk maps**: the read path
-///   fetches maps from the backend (or the decoded-chunk cache), so a
-///   pinned snapshot stays valid while the writer rewrites its
-///   resident maps. Backend chunk maps only *grow* across flushes
-///   (placed records are never re-partitioned) and compaction never
-///   rewrites a live id's map, so a newer backend map is always a
-///   superset of the one a pinned snapshot planned against.
+/// * The snapshot carries **the chunk maps of its generation**,
+///   decoded, one shared `Arc<ChunkMap>` per chunk slot: the read path
+///   fetches a missed chunk's blob — one backend key — and extracts
+///   with the pinned snapshot's map, so no query fetches or decodes a
+///   map. The writer grows a dirty map copy-on-write (a new segment on
+///   a copy that shares every older one, see [`ChunkMap`]), so a
+///   reader pinned at generation `g` keeps extracting with `g`'s maps
+///   while flushes append to them and a compaction slice retires their
+///   chunks. Chunk maps only *grow* across flushes (placed records are
+///   never re-partitioned) and compaction never rewrites a live id's
+///   map, so a newer map is always a superset of an older one.
 /// * `map_gen[c]` is the generation whose publish last rewrote chunk
-///   `c`'s backend map — the cache-probe floor: a cached entry
-///   stamped below it may predate the rewrite and is dropped on
-///   probe (see [`ChunkCache::get`]).
+///   `c`'s map — the cache-probe floor: a cached entry stamped below
+///   it shares a map that predates the rewrite and is dropped on probe
+///   (see [`ChunkCache::get`]); the miss refetches the blob only.
 /// * A chunk id is live iff it is neither `retired` (compacted away;
 ///   backend keys deleted, possibly deferred while old pins remain)
 ///   nor `free` (retired id whose slot was reclaimed and may be
@@ -521,8 +529,11 @@ pub struct StoreSnapshot {
     /// Compressed bytes per chunk slot (0 for retired/free ids).
     chunk_sizes: Arc<Vec<usize>>,
     /// Per chunk slot: generation whose publish last rewrote the
-    /// chunk's backend map.
+    /// chunk's map.
     map_gen: Arc<Vec<u64>>,
+    /// Per chunk slot: the chunk's map as of this generation (an empty
+    /// tombstone for retired/free ids).
+    chunk_maps: Arc<Vec<Arc<ChunkMap>>>,
     retired: Arc<FxHashSet<u32>>,
     free: Arc<FxHashSet<u32>>,
     /// Records per version (the snapshot's view of the per-version
@@ -530,6 +541,8 @@ pub struct StoreSnapshot {
     record_counts: Arc<Vec<usize>>,
     /// Placed records (locator width) at publish time.
     placed_records: usize,
+    /// Bytes the live chunk maps keep resident at publish time.
+    resident_map_bytes: usize,
 }
 
 impl StoreSnapshot {
@@ -589,6 +602,17 @@ impl StoreSnapshot {
     /// The cache-probe floor for chunk `c` (see the type docs).
     pub(crate) fn map_gen(&self, c: u32) -> u64 {
         self.map_gen.get(c as usize).copied().unwrap_or(0)
+    }
+
+    /// Chunk `c`'s map as of this generation, or `None` for an id past
+    /// the generation's slot table.
+    pub fn chunk_map(&self, c: u32) -> Option<&Arc<ChunkMap>> {
+        self.chunk_maps.get(c as usize)
+    }
+
+    /// Bytes the live chunk maps keep resident.
+    pub(crate) fn resident_map_bytes(&self) -> usize {
+        self.resident_map_bytes
     }
 }
 
@@ -699,10 +723,10 @@ pub struct ReclaimReport {
 
 /// The writer-side state: the `Arc`'d fields shared with the
 /// published snapshot (copied-on-write before each mutation) plus
-/// writer-only state no reader consults (the in-memory chunk maps,
-/// the locator, the delta store). Guarded by `RStore::state`, so
-/// exactly one mutator runs at a time while readers proceed against
-/// pinned snapshots.
+/// writer-only state no reader consults (the chunk maps' serialized
+/// entry regions, the locator, the delta store). Guarded by
+/// `RStore::state`, so exactly one mutator runs at a time while readers
+/// proceed against pinned snapshots.
 pub(crate) struct StoreMut {
     /// Generation of the most recently published snapshot.
     pub(crate) generation: u64,
@@ -729,6 +753,12 @@ pub(crate) struct StoreMut {
     /// Indexed by chunk id; retired ids keep an empty tombstone map
     /// until a reclamation pass frees or truncates the slot.
     pub(crate) chunk_maps: Vec<ResidentMap>,
+    /// The snapshot's view of `chunk_maps`: per slot, the same
+    /// `Arc<ChunkMap>` the writer's [`ResidentMap`] holds, kept in
+    /// step by [`StoreMut::set_chunk_map`] and the generation writer.
+    pub(crate) published_maps: Arc<Vec<Arc<ChunkMap>>>,
+    /// Bytes the live chunk maps keep resident.
+    pub(crate) resident_map_bytes: usize,
     /// The delta store: commits awaiting a partitioning pass.
     pub(crate) pending: Vec<(VersionId, VersionDelta)>,
     /// Batch flushes since the last compaction (the auto-trigger
@@ -761,6 +791,8 @@ impl StoreMut {
             contents: Vec::new(),
             locator: FxHashMap::default(),
             chunk_maps: Vec::new(),
+            published_maps: Arc::new(Vec::new()),
+            resident_map_bytes: 0,
             pending: Vec::new(),
             flushes_since_compaction: 0,
             last_compaction: None,
@@ -777,11 +809,45 @@ impl StoreMut {
             projections: Arc::clone(&self.projections),
             chunk_sizes: Arc::clone(&self.chunk_sizes),
             map_gen: Arc::clone(&self.map_gen),
+            chunk_maps: Arc::clone(&self.published_maps),
             retired: Arc::clone(&self.retired),
             free: Arc::clone(&self.free),
             record_counts: Arc::clone(&self.record_counts),
             placed_records: self.locator.len(),
+            resident_map_bytes: self.resident_map_bytes,
         }
+    }
+
+    /// Grows the per-slot tables to `slots` chunk ids; new slots hold
+    /// empty tombstones until a generation fills them.
+    pub(crate) fn resize_chunk_slots(&mut self, slots: usize) {
+        let empty = ResidentMap::default();
+        Arc::make_mut(&mut self.published_maps).resize(slots, Arc::clone(empty.map()));
+        self.chunk_maps.resize(slots, empty);
+        Arc::make_mut(&mut self.chunk_sizes).resize(slots, 0);
+        Arc::make_mut(&mut self.map_gen).resize(slots, 0);
+    }
+
+    /// Installs `map` as slot `c`'s chunk map — in the writer's table
+    /// and, as the same `Arc`, in the one the next snapshot publishes.
+    pub(crate) fn set_chunk_map(&mut self, c: u32, map: ResidentMap) {
+        let slot = c as usize;
+        self.resident_map_bytes -= self.chunk_maps[slot].map().resident_bytes();
+        self.resident_map_bytes += map.map().resident_bytes();
+        Arc::make_mut(&mut self.published_maps)[slot] = Arc::clone(map.map());
+        self.chunk_maps[slot] = map;
+    }
+
+    /// Appends a generation's `new` entries (serialized as `tail`) to
+    /// slot `c`'s map. The map grows copy-on-write, so the snapshots
+    /// published so far keep the map they have.
+    pub(crate) fn append_chunk_map(&mut self, c: u32, new: Vec<(VersionId, Bitmap)>, tail: &[u8]) {
+        let slot = c as usize;
+        let map = &mut self.chunk_maps[slot];
+        let before = map.map().resident_bytes();
+        map.append(new, tail);
+        self.resident_map_bytes += map.map().resident_bytes() - before;
+        Arc::make_mut(&mut self.published_maps)[slot] = Arc::clone(map.map());
     }
 
     /// The metadata a commit point persists, as the writer state has
@@ -1033,6 +1099,14 @@ impl RStore {
         self.snapshot().chunk_sizes.iter().sum()
     }
 
+    /// Bytes the live chunk maps keep resident (one uncompressed
+    /// bitmap per version a chunk's records belong to). The maps are
+    /// load-bearing for every read — no query fetches one — so this is
+    /// memory the store holds whatever the cache budget.
+    pub fn resident_map_bytes(&self) -> usize {
+        self.snapshot().resident_map_bytes()
+    }
+
     /// Worker threads the ingest pipeline runs on (resolves the
     /// `0 = auto` configuration against the machine).
     pub(crate) fn ingest_workers(&self) -> usize {
@@ -1133,9 +1207,12 @@ impl RStore {
 
     /// Reopens a store over a cluster that already holds RStore data
     /// (e.g. a restarted log-engine cluster): reads the persisted
-    /// version graph, projections and chunk count, then rebuilds the
-    /// in-memory locator, chunk maps and per-version contents from
-    /// the stored chunks. Pending (unsealed) deltas are not replayed.
+    /// version graph, projections, chunk count and the live chunks'
+    /// maps, then rebuilds the in-memory locator and per-version
+    /// contents from the stored chunks. Pending (unsealed) deltas are
+    /// not replayed. A live chunk whose stored map or blob is missing
+    /// or damaged fails the reopen with [`CoreError::MissingChunk`] /
+    /// [`CoreError::Codec`].
     pub fn reopen(config: StoreConfig, cluster: Cluster) -> Result<Self, CoreError> {
         let meta = PersistedMeta::load(&cluster)?;
         let mut st = StoreMut::empty();
@@ -1143,55 +1220,51 @@ impl RStore {
         st.projections = Arc::new(meta.projections);
         st.retired = Arc::new(meta.retired);
         st.free = Arc::new(meta.free);
-        st.chunk_maps = vec![ResidentMap::default(); meta.chunk_slots];
-        st.chunk_sizes = Arc::new(vec![0; meta.chunk_slots]);
-        // Not persisted: after a reopen every cached decoded map is
-        // gone anyway, so generation 1 (the initial publish) is a
-        // sound floor for every slot.
-        st.map_gen = Arc::new(vec![1; meta.chunk_slots]);
-        // The initial generation is published *before* the recovery
-        // scan: the scan runs through the ordinary pinned plan → fetch
-        // pipeline, which needs a snapshot to pin.
+        st.resize_chunk_slots(meta.chunk_slots);
+        // Not persisted: after a reopen the cache is empty, so
+        // generation 1 (the initial publish) is a sound floor for
+        // every slot.
+        Arc::make_mut(&mut st.map_gen).fill(1);
+        // The maps come first: this is the one time the `cmaps` table
+        // is read, and the blob scan below — like every query after
+        // it — extracts with the maps the initial snapshot publishes.
+        // Retired ids keep empty tombstone slots so ids never shift.
+        let live = st.live_chunk_ids();
+        // A flush that died between its chunk-map writes and its meta
+        // commit left map entries for versions the persisted graph
+        // never learned. They are not part of the store (the delta
+        // store that held them is gone): drop them, so a later flush
+        // can index those version ids afresh.
+        let unknown = VersionId(st.graph.len() as u32);
+        let workers = plan::worker_count(config.ingest_threads);
+        for (&c, mut map) in live.iter().zip(ingest::load_chunk_maps(&cluster, &live, workers)?) {
+            map.truncate_versions(unknown);
+            st.set_chunk_map(c, ResidentMap::adopt(map));
+        }
         let store = Self::assemble(config, cluster, st);
 
-        // Rebuild chunk-derived state with one scan over the *live*
-        // chunks — a recovery plan executed through the scatter-gather
-        // pipeline (which also warms the cache when one is
-        // configured). Retired ids keep empty tombstone slots so ids
-        // never shift.
-        let live = store.snapshot().live_chunk_ids();
+        // Rebuild chunk-derived state with one scan over the live
+        // chunks' blobs — a recovery plan executed through the
+        // scatter-gather pipeline (which also warms the cache when one
+        // is configured).
         let scan = store.plan_chunks(live.clone())?;
         let fetched = store.execute(scan)?;
         let mut guard = store.state.lock().unwrap();
         let st = &mut *guard;
         let mut contents_maps: Vec<FxHashMap<PrimaryKey, VersionId>> =
             vec![FxHashMap::default(); st.graph.len()];
-        // A flush that died between its chunk-map writes and its meta
-        // commit left map entries for versions the persisted graph
-        // never learned. They are not part of the store (the delta
-        // store that held them is gone): skip and drop them, so a
-        // later flush can index those version ids afresh.
-        let unknown = VersionId(st.graph.len() as u32);
         for (&c, dc) in live.iter().zip(fetched.into_chunks()) {
             let keys = dc.local_keys();
             for (local, ck) in keys.iter().enumerate() {
                 st.locator.insert(*ck, (c, local as u32));
             }
-            for (v, bitmap) in dc.map.iter().take_while(|&(v, _)| v < unknown) {
+            for (v, bitmap) in dc.map.iter() {
                 for local in bitmap.iter_ones() {
                     let ck = keys[local];
                     contents_maps[v.index()].insert(ck.pk, ck.origin);
                 }
             }
             Arc::make_mut(&mut st.chunk_sizes)[c as usize] = dc.chunk.compressed_bytes();
-            // Sole owner (cache disabled) moves the map out; a cached
-            // copy keeps its Arc and the map is cloned.
-            let mut map = match Arc::try_unwrap(dc) {
-                Ok(owned) => owned.map,
-                Err(shared) => shared.map.clone(),
-            };
-            map.truncate_versions(unknown);
-            st.chunk_maps[c as usize] = ResidentMap::adopt(map);
         }
         st.contents = contents_maps
             .into_iter()
@@ -1564,6 +1637,7 @@ impl RStore {
             }
             Arc::make_mut(&mut st.free).remove(&(last as u32));
             st.chunk_maps.pop();
+            Arc::make_mut(&mut st.published_maps).pop();
             Arc::make_mut(&mut st.chunk_sizes).pop();
             Arc::make_mut(&mut st.map_gen).pop();
             slots_truncated += 1;
@@ -1608,7 +1682,8 @@ impl RStore {
     /// Stage 1 — **plan**: pin the current snapshot, consult its
     /// projections once for the query's span (index-ANDing for record
     /// retrieval, §2.4), probe the decoded-chunk cache, and group the
-    /// missing backend keys by owning node. No backend round trip
+    /// missed chunks' backend keys — one per chunk — by owning node.
+    /// No backend round trip
     /// happens here. The pin rides inside the returned plan, so the
     /// whole plan → fetch → extract pipeline observes exactly one
     /// generation even while mutators publish newer ones.
@@ -1631,9 +1706,9 @@ impl RStore {
         )
     }
 
-    /// Plans a fetch of explicit chunk ids — the recovery scan, where
-    /// the in-memory chunk maps are not rebuilt yet so the projections
-    /// cannot be consulted.
+    /// Plans a fetch of explicit chunk ids — the recovery scan and a
+    /// compaction slice's extraction, which name chunks rather than
+    /// versions or keys.
     pub fn plan_chunks(&self, chunk_ids: Vec<u32>) -> Result<QueryPlan, CoreError> {
         plan::build_plan(
             &self.cluster,
@@ -1650,9 +1725,10 @@ impl RStore {
     /// queue when the in-flight budget is full, shed with
     /// [`CoreError::Overloaded`] once the queue is full too), then
     /// its node batches run as jobs on the store's shared fetch pool:
-    /// a chunk is decoded by whichever pool worker delivers its
-    /// second half, overlapping decode with the other batches'
-    /// transfers, and decoded pairs are admitted to the cache. Time
+    /// a chunk is decoded by the pool worker its blob arrives on,
+    /// overlapping decode with the other batches' transfers, paired
+    /// with its map from the plan's pinned snapshot and admitted to
+    /// the cache. Time
     /// queued is reported in
     /// [`QueryStats::queue_wait`](crate::query::QueryStats::queue_wait).
     pub fn execute(&self, plan: QueryPlan) -> Result<ExecutedQuery, CoreError> {
@@ -1811,6 +1887,7 @@ impl RStore {
         obs::render_gauge(&mut out, "rstore_store_mean_version_span", "Mean per-version chunk span", "", frag.mean_version_span);
         obs::render_gauge(&mut out, "rstore_store_read_amplification", "Estimated read amplification", "", frag.est_read_amplification);
         obs::render_gauge(&mut out, "rstore_store_storage_bytes", "Stored compressed chunk bytes", "", self.storage_bytes() as f64);
+        obs::render_gauge(&mut out, "rstore_store_chunk_map_resident_bytes", "Bytes the live chunk maps keep resident", "", self.resident_map_bytes() as f64);
         obs::render_gauge(&mut out, "rstore_store_generation", "Published snapshot generation", "", self.generation() as f64);
         obs::render_gauge(&mut out, "rstore_store_pinned_readers", "Readers holding snapshot pins", "", self.pinned_readers() as f64);
         obs::render_gauge(&mut out, "rstore_store_reclaim_backlog", "Deferred reclamation batches awaiting old pins", "", self.reclaim_backlog() as f64);
@@ -1874,6 +1951,7 @@ impl RStore {
             generation: self.generation(),
             pinned_readers: self.pinned_readers(),
             reclaim_backlog: self.reclaim_backlog(),
+            resident_map_bytes: self.resident_map_bytes(),
             fragmentation: self.fragmentation_stats(),
             cache: self.cache_stats(),
             serve: self.serve.stats(),

@@ -37,10 +37,16 @@ fn store_with(nodes: usize, batch: usize, compaction: CompactionConfig) -> RStor
 
 /// A long online trace: small batches fragment the layout.
 fn fragmenting_dataset(seed: u64, versions: usize) -> Dataset {
+    fragmenting_dataset_of(seed, versions, 50)
+}
+
+/// [`fragmenting_dataset`] with `root_records` records in the root
+/// version (versions stay about that wide).
+fn fragmenting_dataset_of(seed: u64, versions: usize, root_records: usize) -> Dataset {
     DatasetSpec {
         name: format!("compact-{seed}"),
         num_versions: versions,
-        root_records: 50,
+        root_records,
         branch_prob: 0.15,
         update_frac: 0.3,
         insert_frac: 0.05,
@@ -167,7 +173,11 @@ proptest! {
 /// uncompacted twin and reclaiming backend keys via batched deletes.
 #[test]
 fn compaction_after_fragmenting_replay_shrinks_span_and_fanout() {
-    let ds = fragmenting_dataset(99, 70);
+    // Versions ~200 records wide span 20-40 chunks: a query fetches one
+    // key per chunk, and with fewer chunks than that per query the
+    // largest of four node batches follows the ring's luck with a
+    // handful of hot chunks rather than the span.
+    let ds = fragmenting_dataset_of(99, 70, 200);
     let plain = store_with(4, 3, eager());
     let compacted = store_with(4, 3, eager());
     replay_commits(&plain, &ds).unwrap();

@@ -4,9 +4,9 @@
 
 use bytes::Bytes;
 use rstore_core::model::VersionId;
-use rstore_core::store::{CHUNK_TABLE, CMAP_TABLE, RStore};
+use rstore_core::store::{RStore, StoreConfig, CHUNK_TABLE, CMAP_TABLE};
 use rstore_core::CoreError;
-use rstore_kvstore::{table_key, Cluster};
+use rstore_kvstore::{table_key, Cluster, EngineKind};
 use rstore_vgraph::DatasetSpec;
 
 fn loaded_store() -> (RStore, rstore_vgraph::Dataset) {
@@ -61,23 +61,55 @@ fn corrupt_chunk_bytes_surface_codec_error() {
     assert!(saw_codec, "corruption went unnoticed");
 }
 
+/// The stored chunk maps are read once, at reopen: a running store
+/// answers from the maps its snapshots publish, so damage to a stored
+/// map is invisible to it — and must fail the restart that would
+/// otherwise trust it, cleanly.
 #[test]
 fn corrupt_chunk_map_surfaces_codec_error() {
-    let (store, _) = loaded_store();
-    store
-        .cluster()
-        .put(
-            table_key(CMAP_TABLE, &1u32.to_be_bytes()),
-            Bytes::from_static(b"garbage"),
-        )
-        .unwrap();
-    let mut saw_error = false;
-    for v in 0..store.version_count() {
-        if store.get_version(VersionId(v as u32)).is_err() {
-            saw_error = true;
+    let dir = std::env::temp_dir().join(format!("rstore-corrupt-cmap-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let make_cluster = || {
+        Cluster::builder()
+            .nodes(2)
+            .engine(EngineKind::Log { dir: dir.clone() })
+            .build()
+    };
+    let mut spec = DatasetSpec::tiny(555);
+    spec.num_versions = 20;
+    spec.root_records = 30;
+    let ds = spec.generate();
+    let map_key = table_key(CMAP_TABLE, &1u32.to_be_bytes());
+    let reopen = || RStore::reopen(StoreConfig::default(), make_cluster());
+
+    {
+        let store = RStore::builder().chunk_capacity(1024).build(make_cluster());
+        store.load_dataset(&ds).unwrap();
+        let before: Vec<_> = (0..store.version_count())
+            .map(|v| store.get_version(VersionId(v as u32)).unwrap())
+            .collect();
+        store
+            .cluster()
+            .put(map_key.clone(), Bytes::from_static(b"garbage"))
+            .unwrap();
+        for (v, records) in before.iter().enumerate() {
+            assert_eq!(&store.get_version(VersionId(v as u32)).unwrap(), records);
         }
     }
-    assert!(saw_error);
+    match reopen() {
+        Err(CoreError::Codec(_)) => {}
+        Err(other) => panic!("expected a codec error, got {other:?}"),
+        Ok(_) => panic!("reopen trusted a damaged chunk map"),
+    }
+
+    // A live chunk whose stored map is gone is a missing chunk.
+    make_cluster().delete(&map_key).unwrap();
+    match reopen() {
+        Err(CoreError::MissingChunk(1)) => {}
+        Err(other) => panic!("expected MissingChunk(1), got {other:?}"),
+        Ok(_) => panic!("reopen invented a chunk map"),
+    }
+    let _ = std::fs::remove_dir_all(dir);
 }
 
 #[test]
@@ -119,7 +151,7 @@ fn unreplicated_node_loss_is_an_error_not_a_wrong_answer() {
 #[test]
 fn reopen_on_empty_cluster_is_a_clean_error() {
     let cluster = Cluster::builder().nodes(1).build();
-    match RStore::reopen(rstore_core::store::StoreConfig::default(), cluster) {
+    match RStore::reopen(StoreConfig::default(), cluster) {
         Err(CoreError::Codec(msg)) => assert!(msg.contains("graph"), "{msg}"),
         Err(other) => panic!("expected codec error, got {other:?}"),
         Ok(_) => panic!("reopen on an empty cluster must fail"),

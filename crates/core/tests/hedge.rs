@@ -86,6 +86,8 @@ fn hedges_fire_and_win_against_a_scripted_slow_node() {
 
     let mut hedges = 0usize;
     let mut wins = 0usize;
+    let mut span = 0u64;
+    let gets_before = hedged.cluster().stats().gets;
     for v in 0..ds.graph.len() {
         let v = VersionId(v as u32);
         let expected = calm.get_version(v).unwrap();
@@ -93,9 +95,14 @@ fn hedges_fire_and_win_against_a_scripted_slow_node() {
         assert_identical(&got, &expected);
         hedges += stats.hedges;
         wins += stats.hedge_wins;
+        span += stats.chunks_fetched as u64;
     }
     assert!(hedges > 0, "a 3 ms straggler must trigger eager hedges");
     assert!(wins > 0, "backups against a sleeping node must win");
+    // Hedging gates per chunk: one key per chunk from its first
+    // replica, at most one more from the backup's.
+    let gets = hedged.cluster().stats().gets - gets_before;
+    assert!(gets <= 2 * span, "{gets} backend gets for {span} chunks");
 
     // Satellite regression: the injected latency is visible in the
     // per-node load report — node 0's cumulative modeled service time

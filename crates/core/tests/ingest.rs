@@ -91,10 +91,14 @@ fn assert_backend_identical(a: &RStore, b: &RStore) {
 
 /// The delta-driven index pass must leave exactly the bytes the
 /// from-contents reference pass computes ([`RStore::index_from_contents`]):
-/// one chunk map per live chunk, and the persisted projections.
+/// one chunk map per live chunk — stored for restart, and resident in
+/// the published snapshot, which is the copy every read extracts with —
+/// and the persisted projections.
 fn assert_backend_matches_index(store: &RStore, maps: &[(u32, Vec<u8>)], projections: &[u8]) {
     let ids: Vec<u32> = maps.iter().map(|&(c, _)| c).collect();
     assert_eq!(ids, store.live_chunk_ids(), "oracle covers the live chunks");
+    let snapshot = store.pin();
+    let mut resident_bytes = 0;
     for (c, want) in maps {
         let got = store
             .cluster()
@@ -102,7 +106,13 @@ fn assert_backend_matches_index(store: &RStore, maps: &[(u32, Vec<u8>)], project
             .unwrap()
             .unwrap_or_else(|| panic!("chunk map {c} missing"));
         assert_eq!(got.as_ref(), want.as_slice(), "chunk map {c} differs from the oracle");
+        let resident = snapshot
+            .chunk_map(*c)
+            .unwrap_or_else(|| panic!("snapshot has no map for chunk {c}"));
+        assert_eq!(&resident.serialize(), want, "snapshot's chunk map {c} differs from the oracle");
+        resident_bytes += resident.resident_bytes();
     }
+    assert_eq!(store.resident_map_bytes(), resident_bytes, "resident map gauge drifted");
     let got = store
         .cluster()
         .get(&table_key(META_TABLE, b"projections"))

@@ -82,9 +82,13 @@ fn node_failure_mid_execute_fails_over_with_replication() {
         let mut failovers = 0usize;
         let mut rerouted = 0usize;
         for (plan, expected) in plans.into_iter().zip(&baseline) {
+            let span = plan.span();
             let executed = store.execute(plan).expect("replicated query must survive");
             failovers += executed.metrics.failovers;
             rerouted += executed.metrics.rerouted_keys;
+            // One key per chunk, one dead node: a chunk is re-routed
+            // at most once.
+            assert!(executed.metrics.rerouted_keys <= span);
             let mut records = executed.into_stream().drain().unwrap();
             records.sort_unstable_by_key(|r| (r.pk, r.origin));
             assert_identical(&records, expected);
@@ -166,16 +170,22 @@ fn multi_node_failure_mid_execute_walks_the_whole_replica_set() {
         .collect();
     store.cluster().set_node_down(0, true);
     store.cluster().set_node_down(1, true);
+    let mut walked_two = false;
     for (plan, expected) in plans.into_iter().zip(&baseline) {
-        let mut records = store
+        let span = plan.span();
+        let executed = store
             .execute(plan)
-            .expect("two of three replicas down is survivable")
-            .into_stream()
-            .drain()
-            .unwrap();
+            .expect("two of three replicas down is survivable");
+        // One key per chunk: a chunk walks past each dead node at most
+        // once, and some chunk's replica set starts with both.
+        let rerouted = executed.metrics.rerouted_keys;
+        assert!(rerouted <= 2 * span, "{rerouted} re-routes for {span} chunks");
+        walked_two |= executed.metrics.failovers == 2;
+        let mut records = executed.into_stream().drain().unwrap();
         records.sort_unstable_by_key(|r| (r.pk, r.origin));
         assert_identical(&records, expected);
     }
+    assert!(walked_two, "no query had to walk past both dead replicas");
     store.cluster().set_node_down(0, false);
     store.cluster().set_node_down(1, false);
 }
@@ -248,6 +258,7 @@ proptest! {
             // batch never exceeds the first-live plan's.
             let plan_b = balanced.plan_query(qspec).unwrap();
             let plan_f = first_live.plan_query(qspec).unwrap();
+            prop_assert!(plan_f.max_node_batch() <= plan_f.span(), "more keys than chunks");
             prop_assert!(
                 plan_b.max_node_batch() <= plan_f.max_node_batch(),
                 "balanced max batch {} > first-live {} for {qspec:?} (down {down:?})",

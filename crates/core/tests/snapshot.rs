@@ -282,6 +282,84 @@ fn pinned_reader_defers_backend_reclamation() {
     assert!(stores_agree(&twin, &store).unwrap());
 }
 
+/// A reader extracts with the chunk maps of the generation it pinned:
+/// plans taken at generation `g` — then overtaken by flushes that grow
+/// those chunks' maps and by compaction slices that retire the chunks
+/// outright — answer byte-identically to what `g` answered, with no
+/// stored map left to fall back on.
+#[test]
+fn pinned_reader_answers_from_its_generations_maps() {
+    let ds = fragmenting_dataset(17, 45);
+    let pre = 30;
+    let store = store_with(3, 3, 0, eager(4));
+    replay_commits(&store, &truncate_dataset(&ds, pre)).unwrap();
+
+    let head = VersionId(pre as u32 - 1);
+    let pk = store.get_version(head).unwrap()[0].pk;
+    let specs = [
+        QuerySpec::Version(VersionId(2)),
+        QuerySpec::Version(head),
+        QuerySpec::Range { lo: 0, hi: 25, v: head },
+        QuerySpec::Record { pk, v: head },
+        QuerySpec::Evolution { pk },
+    ];
+    let at_g: Vec<_> = specs
+        .iter()
+        .map(|&spec| fingerprint(&store.query(spec).unwrap()))
+        .collect();
+    let plans: Vec<_> = specs
+        .iter()
+        .map(|&spec| store.plan_query(spec).unwrap())
+        .collect();
+    let pinned = store.pin();
+    let g = pinned.generation();
+    let planned: HashSet<u32> = plans.iter().flat_map(|p| p.chunk_ids()).copied().collect();
+
+    // Flushes append the new versions to the planned chunks' maps…
+    replay_suffix(&store, &ds, pre, ds.graph.len());
+    store.seal().unwrap();
+    let versions_in = |snap: &rstore_core::store::StoreSnapshot, c: u32| {
+        snap.chunk_map(c).map_or(0, |m| m.num_versions())
+    };
+    let newest = store.pin();
+    assert!(
+        planned.iter().any(|&c| versions_in(&newest, c) > versions_in(&pinned, c)),
+        "no planned chunk's map grew: the flushes prove nothing"
+    );
+    drop(newest);
+    // …and the compaction slices retire the chunks (their blobs wait
+    // for the pins; their stored maps are dropped here by hand).
+    let report = store.compact().unwrap().expect("eager policy must compact");
+    assert!(report.slices > 1);
+    let live = store.live_chunk_ids();
+    let retired: Vec<u32> = planned.iter().copied().filter(|c| !live.contains(c)).collect();
+    assert!(!retired.is_empty(), "compaction retired none of the planned chunks");
+    let newest = store.pin();
+    for &c in &retired {
+        assert_eq!(versions_in(&newest, c), 0, "retired chunk {c} keeps a tombstone map");
+        assert!(versions_in(&pinned, c) > 0, "generation {g} lost chunk {c}'s map");
+    }
+    drop(newest);
+    let stored_maps = retired
+        .iter()
+        .map(|c| table_key(CMAP_TABLE, &c.to_be_bytes()))
+        .collect();
+    store.cluster().multi_delete_scatter(stored_maps).unwrap();
+    assert!(store.generation() > g);
+
+    for ((plan, spec), want) in plans.into_iter().zip(specs).zip(&at_g) {
+        assert_eq!(plan.generation(), g);
+        let got = store.execute(plan).unwrap().into_stream().drain().unwrap();
+        assert_eq!(&fingerprint(&got), want, "{spec:?} pinned at generation {g}");
+    }
+    // Unpinned again, the store serves the newest generation.
+    drop(pinned);
+    assert_eq!(store.pinned_readers(), 0);
+    let twin = store_with(3, 3, 0, CompactionConfig::default());
+    replay_commits(&twin, &ds).unwrap();
+    assert!(stores_agree(&twin, &store).unwrap());
+}
+
 /// A budgeted compaction cuts over slice by slice and answers exactly
 /// like a single-slice compaction of the same store.
 #[test]

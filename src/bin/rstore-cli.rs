@@ -373,6 +373,7 @@ fn run() -> Result<(), CoreError> {
             println!("retired chunks:      {}", store.retired_chunk_count());
             println!("reclaimed chunks:    {}", frag.reclaimed_chunks);
             println!("stored chunk bytes:  {}", store.storage_bytes());
+            println!("resident map bytes:  {}", store.resident_map_bytes());
             println!("total version span:  {}", store.total_version_span());
             println!("version->chunks idx: {vbytes} B");
             println!("key->chunks idx:     {kbytes} B");

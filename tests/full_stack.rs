@@ -331,6 +331,64 @@ fn failed_flush_keeps_its_batch_and_retries_after_the_outage() {
 }
 
 #[test]
+fn a_cold_query_costs_one_backend_key_per_chunk() {
+    // Table 1 (`cost.rs`) bills a retrieval one backend query per
+    // chunk it spans. The chunk maps ride the pinned snapshot, so that
+    // is what the cluster must count — and once a store is open it
+    // never reads the `cmaps` table again: here the table is emptied
+    // behind the reopened store's back and nothing notices.
+    use rstore::core::store::CMAP_TABLE;
+    use rstore::kvstore::table_key;
+    let dir = std::env::temp_dir().join(format!("rstore-fullstack-cost-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let mut spec = DatasetSpec::tiny(9010);
+    spec.num_versions = 24;
+    spec.root_records = 60;
+    let dataset = spec.generate();
+    let make_cluster = || {
+        Cluster::builder()
+            .nodes(3)
+            .engine(rstore::kvstore::EngineKind::Log { dir: dir.clone() })
+            .build()
+    };
+    let config = {
+        let store = RStore::builder()
+            .chunk_capacity(1024)
+            .cache_budget(0)
+            .build(make_cluster());
+        store.load_dataset(&dataset).unwrap();
+        *store.config()
+    };
+
+    let store = RStore::reopen(config, make_cluster()).unwrap();
+    let stored_maps: Vec<_> = store
+        .live_chunk_ids()
+        .iter()
+        .map(|c| table_key(CMAP_TABLE, &c.to_be_bytes()))
+        .collect();
+    let (_, deleted) = store.cluster().multi_delete_scatter(stored_maps).unwrap();
+    assert_eq!(deleted, store.chunk_count());
+
+    let head = VersionId((dataset.graph.len() - 1) as u32);
+    let pk = store.get_version(head).unwrap()[0].pk;
+    for spec in [QuerySpec::Version(head), QuerySpec::Record { pk, v: head }] {
+        let plan = store.plan_query(spec).unwrap();
+        let span = plan.span() as u64;
+        assert!(span > 0);
+        let before = store.cluster().stats();
+        let records = store.execute(plan).unwrap().into_stream().drain().unwrap();
+        let spent = store.cluster().stats().since(&before);
+        assert!(!records.is_empty());
+        assert_eq!(spent.gets, span, "{spec:?}: backend keys read != chunks spanned");
+        assert_eq!(spent.misses, 0, "{spec:?}: a fetched key was absent");
+    }
+    check_against_oracle(&store, &dataset);
+    drop(store);
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+#[test]
 fn one_history_reaches_the_generation_writer_from_every_entry_point() {
     // Bulk load, flush and compaction all commit through the one
     // generation writer; this history crosses it from each of them on
