@@ -15,7 +15,7 @@
 //! second replica.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use rstore_bench::{fmt_duration, LatencyHist};
+use rstore_bench::{fmt_duration, json_ms, report, LatencyHist};
 use rstore_core::model::VersionId;
 use rstore_core::partition::PartitionerKind;
 use rstore_core::store::RStore;
@@ -233,36 +233,28 @@ fn acceptance_summary(_c: &mut Criterion) {
         retry.faults_injected,
     );
 
-    // Machine-readable trajectory record at the workspace root.
-    let json = format!(
-        "{{\n  \"bench\": \"bench_faults\",\n  \"nodes\": {NODES},\n  \
-         \"replication\": {REPLICATION},\n  \"fault_seed\": {FAULT_SEED},\n  \
-         \"calm_modeled_ms\": {:.3},\n  \"flaky_retry_modeled_ms\": {:.3},\n  \
-         \"modeled_inflation\": {inflation:.3},\n  \
-         \"flaky_retry_failed_ops\": {},\n  \
-         \"flaky_retry_cluster_retries\": {},\n  \
-         \"flaky_retry_faults_injected\": {},\n  \
-         \"flaky_no_retry_failed_ops\": {raw_failed},\n  \
-         \"flaky_no_retry_failovers\": {},\n  \
-         \"ingest_calm_ms\": {:.3},\n  \"ingest_flaky_retry_ms\": {:.3},\n  \
-         \"query_sweep_calm_ms\": {:.3},\n  \"query_sweep_flaky_retry_ms\": {:.3},\n  \
-         \"calm_buckets_us\": {},\n  \"flaky_retry_buckets_us\": {}\n}}\n",
-        calm.modeled_time.as_secs_f64() * 1e3,
-        retry.modeled_time.as_secs_f64() * 1e3,
-        retry.queries_failed + usize::from(retry.ingest_failed),
-        retry.cluster_retries,
-        retry.faults_injected,
-        raw.query_failovers,
-        calm.ingest_wall.as_secs_f64() * 1e3,
-        retry.ingest_wall.as_secs_f64() * 1e3,
-        calm.query_wall.as_secs_f64() * 1e3,
-        retry.query_wall.as_secs_f64() * 1e3,
-        calm.latencies.buckets_json(),
-        retry.latencies.buckets_json(),
+    report(
+        "faults",
+        &[
+            ("nodes", NODES.to_string()),
+            ("replication", REPLICATION.to_string()),
+            ("fault_seed", FAULT_SEED.to_string()),
+            ("calm_modeled_ms", json_ms(calm.modeled_time)),
+            ("flaky_retry_modeled_ms", json_ms(retry.modeled_time)),
+            ("modeled_inflation", format!("{inflation:.3}")),
+            ("flaky_retry_failed_ops", (retry.queries_failed + usize::from(retry.ingest_failed)).to_string()),
+            ("flaky_retry_cluster_retries", retry.cluster_retries.to_string()),
+            ("flaky_retry_faults_injected", retry.faults_injected.to_string()),
+            ("flaky_no_retry_failed_ops", raw_failed.to_string()),
+            ("flaky_no_retry_failovers", raw.query_failovers.to_string()),
+            ("ingest_calm_ms", json_ms(calm.ingest_wall)),
+            ("ingest_flaky_retry_ms", json_ms(retry.ingest_wall)),
+            ("query_sweep_calm_ms", json_ms(calm.query_wall)),
+            ("query_sweep_flaky_retry_ms", json_ms(retry.query_wall)),
+            ("calm_buckets_us", calm.latencies.buckets_json()),
+            ("flaky_retry_buckets_us", retry.latencies.buckets_json()),
+        ],
     );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_faults.json");
-    std::fs::write(path, json).expect("write BENCH_faults.json");
-    println!("results written to {path}");
 
     // Acceptance: retries must fully absorb the flaky plan...
     assert!(

@@ -29,7 +29,7 @@
 //! proving the win came from the new layer.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use rstore_bench::{fmt_duration, percentile, LatencyHist};
+use rstore_bench::{fmt_duration, json_us, percentile, report, LatencyHist};
 use rstore_core::model::VersionId;
 use rstore_core::plan::HedgeConfig;
 use rstore_core::store::RStore;
@@ -265,43 +265,39 @@ fn acceptance_summary(_c: &mut Criterion) {
     );
 
     let asserted = cores >= 3;
-    let json = format!(
-        "{{\n  \"bench\": \"bench_hedge\",\n  \"nodes\": {NODES},\n  \
-         \"replication\": {REPLICATION},\n  \"clients\": {CLIENTS},\n  \
-         \"queries_per_client\": {QUERIES_PER_CLIENT},\n  \"rounds\": {ROUNDS},\n  \
-         \"cores\": {cores},\n  \"spike_ms\": {:.1},\n  \"spike_prob\": {SPIKE_PROB},\n  \
-         \"unhedged_p50_us\": {:.1},\n  \"unhedged_p99_us\": {:.1},\n  \
-         \"hedged_p50_us\": {:.1},\n  \"hedged_p99_us\": {:.1},\n  \
-         \"p99_speedup\": {p99_speedup:.3},\n  \"p99_target\": {P99_TARGET},\n  \
-         \"asserted\": {asserted},\n  \"hedges\": {},\n  \"hedge_wins\": {},\n  \
-         \"records_per_mode\": {},\n  \"failed_queries\": {},\n  \
-         \"slow_node_ewma_us\": {:.1},\n  \"slow_node_batches\": {},\n  \
-         \"unhedged_buckets_us\": {},\n  \"hedged_buckets_us\": {}\n}}\n",
-        SPIKE.as_secs_f64() * 1e3,
-        base_p50.as_secs_f64() * 1e6,
-        base_p99.as_secs_f64() * 1e6,
-        hedge_p50.as_secs_f64() * 1e6,
-        hedge_p99.as_secs_f64() * 1e6,
-        hedge.hedges,
-        hedge.hedge_wins,
-        hedge.records,
-        base.failed + hedge.failed,
-        slow_health.ewma_service.as_secs_f64() * 1e6,
-        slow_health.batches,
-        {
-            let h = LatencyHist::new();
-            h.record_all(&base.latencies);
-            h.buckets_json()
-        },
-        {
-            let h = LatencyHist::new();
-            h.record_all(&hedge.latencies);
-            h.buckets_json()
-        },
+    let buckets = |latencies: &[Duration]| {
+        let h = LatencyHist::new();
+        h.record_all(latencies);
+        h.buckets_json()
+    };
+    report(
+        "hedge",
+        &[
+            ("nodes", NODES.to_string()),
+            ("replication", REPLICATION.to_string()),
+            ("clients", CLIENTS.to_string()),
+            ("queries_per_client", QUERIES_PER_CLIENT.to_string()),
+            ("rounds", ROUNDS.to_string()),
+            ("cores", cores.to_string()),
+            ("spike_ms", format!("{:.1}", SPIKE.as_secs_f64() * 1e3)),
+            ("spike_prob", SPIKE_PROB.to_string()),
+            ("unhedged_p50_us", json_us(base_p50)),
+            ("unhedged_p99_us", json_us(base_p99)),
+            ("hedged_p50_us", json_us(hedge_p50)),
+            ("hedged_p99_us", json_us(hedge_p99)),
+            ("p99_speedup", format!("{p99_speedup:.3}")),
+            ("p99_target", P99_TARGET.to_string()),
+            ("asserted", asserted.to_string()),
+            ("hedges", hedge.hedges.to_string()),
+            ("hedge_wins", hedge.hedge_wins.to_string()),
+            ("records_per_mode", hedge.records.to_string()),
+            ("failed_queries", (base.failed + hedge.failed).to_string()),
+            ("slow_node_ewma_us", json_us(slow_health.ewma_service)),
+            ("slow_node_batches", slow_health.batches.to_string()),
+            ("unhedged_buckets_us", buckets(&base.latencies)),
+            ("hedged_buckets_us", buckets(&hedge.latencies)),
+        ],
     );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_hedge.json");
-    std::fs::write(path, json).expect("write BENCH_hedge.json");
-    println!("results written to {path}");
 
     if asserted {
         assert!(

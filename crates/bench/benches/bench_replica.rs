@@ -15,7 +15,7 @@
 //! `BENCH_replica.json` at the workspace root.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use rstore_bench::{fmt_duration, LatencyHist, Xorshift};
+use rstore_bench::{fmt_duration, json_ms, report, LatencyHist, Xorshift};
 use rstore_core::model::VersionId;
 use rstore_core::partition::PartitionerKind;
 use rstore_core::plan::{QuerySpec, ReadRouting};
@@ -178,31 +178,25 @@ fn acceptance_summary(_c: &mut Criterion) {
         bal.sum_nodes_contacted,
     );
 
-    // Machine-readable trajectory record at the workspace root.
-    let json = format!(
-        "{{\n  \"bench\": \"bench_replica\",\n  \"nodes\": {NODES},\n  \
-         \"replication\": {REPLICATION},\n  \"queries\": {QUERIES},\n  \
-         \"hot_span_chunks\": {},\n  \
-         \"modeled_network_first_live_ms\": {:.3},\n  \
-         \"modeled_network_balanced_ms\": {:.3},\n  \
-         \"modeled_ratio\": {modeled_ratio:.3},\n  \
-         \"sum_max_node_batch_first_live\": {},\n  \"sum_max_node_batch_balanced\": {},\n  \
-         \"mean_latency_first_live_ms\": {:.3},\n  \"mean_latency_balanced_ms\": {:.3},\n  \
-         \"latency_ratio\": {latency_ratio:.3},\n  \
-         \"first_live_buckets_us\": {},\n  \"balanced_buckets_us\": {}\n}}\n",
-        first_live.version_span(hot),
-        fl.modeled_network.as_secs_f64() * 1e3,
-        bal.modeled_network.as_secs_f64() * 1e3,
-        fl.sum_max_node_batch,
-        bal.sum_max_node_batch,
-        fl.mean_latency.as_secs_f64() * 1e3,
-        bal.mean_latency.as_secs_f64() * 1e3,
-        fl.latencies.buckets_json(),
-        bal.latencies.buckets_json(),
+    report(
+        "replica",
+        &[
+            ("nodes", NODES.to_string()),
+            ("replication", REPLICATION.to_string()),
+            ("queries", QUERIES.to_string()),
+            ("hot_span_chunks", first_live.version_span(hot).to_string()),
+            ("modeled_network_first_live_ms", json_ms(fl.modeled_network)),
+            ("modeled_network_balanced_ms", json_ms(bal.modeled_network)),
+            ("modeled_ratio", format!("{modeled_ratio:.3}")),
+            ("sum_max_node_batch_first_live", fl.sum_max_node_batch.to_string()),
+            ("sum_max_node_batch_balanced", bal.sum_max_node_batch.to_string()),
+            ("mean_latency_first_live_ms", json_ms(fl.mean_latency)),
+            ("mean_latency_balanced_ms", json_ms(bal.mean_latency)),
+            ("latency_ratio", format!("{latency_ratio:.3}")),
+            ("first_live_buckets_us", fl.latencies.buckets_json()),
+            ("balanced_buckets_us", bal.latencies.buckets_json()),
+        ],
     );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_replica.json");
-    std::fs::write(path, json).expect("write BENCH_replica.json");
-    println!("results written to {path}");
 
     // Acceptance: balanced routing must flatten the critical path.
     // (Wall-clock latency follows the modeled max but carries

@@ -20,7 +20,7 @@
 //! `BENCH_snapshot.json` at the workspace root.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use rstore_bench::{fmt_duration, percentile};
+use rstore_bench::{fmt_duration, json_ms, percentile, report};
 use rstore_core::compact::CompactionConfig;
 use rstore_core::model::VersionId;
 use rstore_core::online::replay_commits;
@@ -223,33 +223,28 @@ fn acceptance_summary(_c: &mut Criterion) {
         if stalled { "STALLED" } else { "ok" }
     );
 
-    let json = format!(
-        "{{\n  \"bench\": \"bench_snapshot\",\n  \"nodes\": {NODES},\n  \"cores\": {cores},\n  \
-         \"readers\": {READERS},\n  \
-         \"idle_p50_ms\": {:.3},\n  \"idle_p99_ms\": {:.3},\n  \
-         \"snapshot_p50_ms\": {:.3},\n  \"snapshot_p99_ms\": {:.3},\n  \"snapshot_max_ms\": {:.3},\n  \
-         \"snapshot_samples\": {},\n  \"snapshot_compact_ms\": {:.3},\n  \
-         \"blocking_p50_ms\": {:.3},\n  \"blocking_p99_ms\": {:.3},\n  \"blocking_max_ms\": {:.3},\n  \
-         \"blocking_samples\": {},\n  \"blocking_compact_ms\": {:.3},\n  \
-         \"bound_ms\": {:.3},\n  \"asserted\": {}\n}}\n",
-        idle_p50.as_secs_f64() * 1e3,
-        idle_p99.as_secs_f64() * 1e3,
-        snapshot.p50.as_secs_f64() * 1e3,
-        snapshot.p99.as_secs_f64() * 1e3,
-        snapshot.max.as_secs_f64() * 1e3,
-        snapshot.samples,
-        snapshot.compact_wall.as_secs_f64() * 1e3,
-        blocking.p50.as_secs_f64() * 1e3,
-        blocking.p99.as_secs_f64() * 1e3,
-        blocking.max.as_secs_f64() * 1e3,
-        blocking.samples,
-        blocking.compact_wall.as_secs_f64() * 1e3,
-        bound.as_secs_f64() * 1e3,
-        cores >= 3,
+    report(
+        "snapshot",
+        &[
+            ("nodes", NODES.to_string()),
+            ("cores", cores.to_string()),
+            ("readers", READERS.to_string()),
+            ("idle_p50_ms", json_ms(idle_p50)),
+            ("idle_p99_ms", json_ms(idle_p99)),
+            ("snapshot_p50_ms", json_ms(snapshot.p50)),
+            ("snapshot_p99_ms", json_ms(snapshot.p99)),
+            ("snapshot_max_ms", json_ms(snapshot.max)),
+            ("snapshot_samples", snapshot.samples.to_string()),
+            ("snapshot_compact_ms", json_ms(snapshot.compact_wall)),
+            ("blocking_p50_ms", json_ms(blocking.p50)),
+            ("blocking_p99_ms", json_ms(blocking.p99)),
+            ("blocking_max_ms", json_ms(blocking.max)),
+            ("blocking_samples", blocking.samples.to_string()),
+            ("blocking_compact_ms", json_ms(blocking.compact_wall)),
+            ("bound_ms", json_ms(bound)),
+            ("asserted", (cores >= 3).to_string()),
+        ],
     );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_snapshot.json");
-    std::fs::write(path, json).expect("write BENCH_snapshot.json");
-    println!("results written to {path}");
 
     // Enough parallelism for readers + compactor to really overlap;
     // below that the numbers are reported but not enforced.

@@ -35,7 +35,7 @@
 //! same JSON report.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use rstore_bench::{fmt_duration, percentile, LatencyHist};
+use rstore_bench::{fmt_duration, json_ms, json_us, percentile, report, LatencyHist};
 use rstore_core::model::VersionId;
 use rstore_core::partition::PartitionerKind;
 use rstore_core::store::RStore;
@@ -412,60 +412,49 @@ fn acceptance_summary(_c: &mut Criterion) {
     phase_line("overload   ", &overload);
 
     let asserted = cores >= 3;
-    let json = format!(
-        "{{\n  \"bench\": \"bench_throughput\",\n  \"nodes\": {NODES},\n  \
-         \"clients\": {CLIENTS},\n  \"queries_per_client\": {QUERIES_PER_CLIENT},\n  \
-         \"rounds\": {ROUNDS},\n  \"cores\": {cores},\n  \
-         \"point_reads\": {},\n  \"scans\": {},\n  \
-         \"pool_qps\": {:.1},\n  \"pool_point_p50_us\": {:.1},\n  \
-         \"pool_point_p99_us\": {:.1},\n  \"pool_scan_p99_us\": {:.1},\n  \
-         \"asserted\": {asserted},\n  \
-         \"pool_size\": {},\n  \"pool_jobs\": {},\n  \"peak_in_flight\": {},\n  \
-         \"peak_queued\": {},\n  \"queue_wait_ms\": {:.3},\n  \"shed\": {},\n  \
-         \"open_loop_dispatchers\": {OPEN_LOOP_DISPATCHERS},\n  \
-         \"open_loop_arrivals\": {OPEN_LOOP_ARRIVALS},\n  \
-         \"open_loop_queue_cap\": {OPEN_LOOP_QUEUE},\n  \
-         \"open_loop_capacity_qps\": {capacity:.1},\n  \
-         \"sustain_offered_qps\": {:.1},\n  \"sustain_goodput_qps\": {:.1},\n  \
-         \"sustain_p50_us\": {:.1},\n  \"sustain_p99_us\": {:.1},\n  \
-         \"sustain_shed\": {},\n  \"sustain_queue_wait_ms\": {:.3},\n  \
-         \"overload_offered_qps\": {:.1},\n  \"overload_goodput_qps\": {:.1},\n  \
-         \"overload_p50_us\": {:.1},\n  \"overload_p99_us\": {:.1},\n  \
-         \"overload_shed\": {},\n  \"overload_queue_wait_ms\": {:.3},\n  \
-         \"pool_point_buckets_us\": {}\n}}\n",
-        pool.point.len(),
-        pool.scan.len(),
-        qps(&pool),
-        pool_p50.as_secs_f64() * 1e6,
-        pool_p99.as_secs_f64() * 1e6,
-        pool_scan_p99.as_secs_f64() * 1e6,
-        serve.pool_size,
-        serve.jobs_run,
-        serve.peak_in_flight,
-        serve.peak_queued,
-        serve.total_queue_wait.as_secs_f64() * 1e3,
-        serve.shed,
-        sustain.offered_qps,
-        sustain.achieved_qps,
-        percentile(&sustain.lat, 0.50).as_secs_f64() * 1e6,
-        percentile(&sustain.lat, 0.99).as_secs_f64() * 1e6,
-        sustain.shed,
-        sustain.queue_wait.as_secs_f64() * 1e3,
-        overload.offered_qps,
-        overload.achieved_qps,
-        percentile(&overload.lat, 0.50).as_secs_f64() * 1e6,
-        percentile(&overload.lat, 0.99).as_secs_f64() * 1e6,
-        overload.shed,
-        overload.queue_wait.as_secs_f64() * 1e3,
-        {
-            let h = LatencyHist::new();
-            h.record_all(&pool.point);
-            h.buckets_json()
-        },
+    let point_hist = LatencyHist::new();
+    point_hist.record_all(&pool.point);
+    let qps1 = |v: f64| format!("{v:.1}");
+    report(
+        "throughput",
+        &[
+            ("nodes", NODES.to_string()),
+            ("clients", CLIENTS.to_string()),
+            ("queries_per_client", QUERIES_PER_CLIENT.to_string()),
+            ("rounds", ROUNDS.to_string()),
+            ("cores", cores.to_string()),
+            ("point_reads", pool.point.len().to_string()),
+            ("scans", pool.scan.len().to_string()),
+            ("pool_qps", qps1(qps(&pool))),
+            ("pool_point_p50_us", json_us(pool_p50)),
+            ("pool_point_p99_us", json_us(pool_p99)),
+            ("pool_scan_p99_us", json_us(pool_scan_p99)),
+            ("asserted", asserted.to_string()),
+            ("pool_size", serve.pool_size.to_string()),
+            ("pool_jobs", serve.jobs_run.to_string()),
+            ("peak_in_flight", serve.peak_in_flight.to_string()),
+            ("peak_queued", serve.peak_queued.to_string()),
+            ("queue_wait_ms", json_ms(serve.total_queue_wait)),
+            ("shed", serve.shed.to_string()),
+            ("open_loop_dispatchers", OPEN_LOOP_DISPATCHERS.to_string()),
+            ("open_loop_arrivals", OPEN_LOOP_ARRIVALS.to_string()),
+            ("open_loop_queue_cap", OPEN_LOOP_QUEUE.to_string()),
+            ("open_loop_capacity_qps", qps1(capacity)),
+            ("sustain_offered_qps", qps1(sustain.offered_qps)),
+            ("sustain_goodput_qps", qps1(sustain.achieved_qps)),
+            ("sustain_p50_us", json_us(percentile(&sustain.lat, 0.50))),
+            ("sustain_p99_us", json_us(percentile(&sustain.lat, 0.99))),
+            ("sustain_shed", sustain.shed.to_string()),
+            ("sustain_queue_wait_ms", json_ms(sustain.queue_wait)),
+            ("overload_offered_qps", qps1(overload.offered_qps)),
+            ("overload_goodput_qps", qps1(overload.achieved_qps)),
+            ("overload_p50_us", json_us(percentile(&overload.lat, 0.50))),
+            ("overload_p99_us", json_us(percentile(&overload.lat, 0.99))),
+            ("overload_shed", overload.shed.to_string()),
+            ("overload_queue_wait_ms", json_ms(overload.queue_wait)),
+            ("pool_point_buckets_us", point_hist.buckets_json()),
+        ],
     );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_throughput.json");
-    std::fs::write(path, json).expect("write BENCH_throughput.json");
-    println!("results written to {path}");
 
     // Sanity on any host: nothing shed under the generous queue, the
     // pool really ran the batches, and admission never exceeded its

@@ -315,6 +315,32 @@ impl LatencyHist {
     }
 }
 
+/// Writes `BENCH_<bench>.json` at the workspace root (gitignored; CI
+/// uploads it) — the one writer behind every bench's machine-readable
+/// record: a flat object of `fields`, led by the bench's name. Values
+/// arrive as JSON already (numbers, booleans, `buckets_json` arrays);
+/// [`json_ms`] and [`json_us`] render durations.
+pub fn report(bench: &str, fields: &[(&str, String)]) {
+    let mut json = format!("{{\n  \"bench\": \"bench_{bench}\"");
+    for (key, value) in fields {
+        json.push_str(&format!(",\n  \"{key}\": {value}"));
+    }
+    json.push_str("\n}\n");
+    let path = format!("{}/../../BENCH_{bench}.json", env!("CARGO_MANIFEST_DIR"));
+    std::fs::write(&path, json).unwrap_or_else(|e| panic!("write {path}: {e}"));
+    println!("results written to {path}");
+}
+
+/// A duration as JSON milliseconds (three decimals).
+pub fn json_ms(d: std::time::Duration) -> String {
+    format!("{:.3}", d.as_secs_f64() * 1e3)
+}
+
+/// A duration as JSON microseconds (one decimal).
+pub fn json_us(d: std::time::Duration) -> String {
+    format!("{:.1}", d.as_secs_f64() * 1e6)
+}
+
 /// Formats a duration in adaptive units.
 pub fn fmt_duration(d: std::time::Duration) -> String {
     let s = d.as_secs_f64();

@@ -170,8 +170,50 @@ proptest! {
         prop_assert_eq!(pa.intersect(&pb), expect);
     }
 
+    /// `deserialize` walks and validates the whole payload, so the
+    /// `expect`s in `decode` and the iterator are unreachable from
+    /// stored bytes: whatever it accepts decodes cleanly.
     #[test]
     fn postings_deserialize_never_panics(data in prop::collection::vec(any::<u8>(), 0..256)) {
-        let _ = PostingsList::deserialize(&data);
+        if let Ok(p) = PostingsList::deserialize(&data) {
+            prop_assert!(decodes_cleanly(&p));
+        }
     }
+
+    /// The same for damaged *valid* encodings — flipped, cut and
+    /// extended serializations of a real list: `Err` or a clean
+    /// decode, never a panic.
+    #[test]
+    fn postings_deserialize_never_panics_on_damaged_encoding(
+        ids in prop::collection::btree_set(any::<u64>(), 0..128),
+        damage in prop::collection::vec((any::<prop::sample::Index>(), any::<u8>()), 1..6),
+        cut in any::<prop::sample::Index>(),
+        tail in prop::collection::vec(any::<u8>(), 1..12),
+    ) {
+        let ids: Vec<u64> = ids.into_iter().collect();
+        let good = PostingsList::from_sorted(&ids).serialize();
+        let mut flipped = good.clone();
+        for (at, byte) in &damage {
+            let at = at.index(flipped.len());
+            flipped[at] ^= byte | 1;
+        }
+        let mut extended = good.clone();
+        extended.extend_from_slice(&tail);
+        for bytes in [&flipped[..], &good[..cut.index(good.len() + 1)], &extended[..]] {
+            if let Ok(p) = PostingsList::deserialize(bytes) {
+                prop_assert!(decodes_cleanly(&p));
+            }
+        }
+    }
+}
+
+/// Runs every decoding entry point of an accepted list: the ids come
+/// out strictly increasing, `len()` of them, the same from `decode`,
+/// `iter` and a self-intersection.
+fn decodes_cleanly(p: &PostingsList) -> bool {
+    let ids = p.decode();
+    ids.len() == p.len()
+        && ids.windows(2).all(|w| w[0] < w[1])
+        && p.iter().eq(ids.iter().copied())
+        && p.intersect(p) == ids
 }

@@ -36,9 +36,9 @@
 use crate::chunk::Chunk;
 use crate::chunkmap::ChunkMap;
 use crate::model::CompositeKey;
+use crate::obs::MetricsRegistry;
 use rustc_hash::FxHashMap;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// A decoded chunk paired with its map, shared between queries.
@@ -136,7 +136,8 @@ impl Shard {
     }
 }
 
-/// Point-in-time cache counters.
+/// Point-in-time cache counters: a view of the registry's cache cells
+/// plus the shards' current residency.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Lookups served from the cache.
@@ -172,14 +173,10 @@ impl CacheStats {
 pub struct ChunkCache {
     shards: Vec<Mutex<Shard>>,
     shard_budget: usize,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-    invalidations: AtomicU64,
-    /// Metrics registry hook (PR 9). Cache traffic is recorded here,
-    /// push-based, as the single source of the `rstore_cache_*_total`
-    /// counters; unset when observability is disabled.
-    obs: std::sync::OnceLock<Arc<crate::obs::MetricsRegistry>>,
+    /// Where hits, misses, evictions and invalidations are counted:
+    /// the owning store's registry, or a private one for a cache built
+    /// on its own.
+    registry: Arc<MetricsRegistry>,
 }
 
 /// Minimum per-shard budget: with fewer bytes than this per shard,
@@ -196,6 +193,15 @@ impl ChunkCache {
     /// clamped so each shard keeps at least `MIN_SHARD_BUDGET`
     /// bytes (or the whole budget when it is smaller than that).
     pub fn new(budget_bytes: usize, shards: usize) -> Self {
+        Self::with_registry(budget_bytes, shards, Arc::new(MetricsRegistry::new(false)))
+    }
+
+    /// [`ChunkCache::new`], counting into `registry`.
+    pub(crate) fn with_registry(
+        budget_bytes: usize,
+        shards: usize,
+        registry: Arc<MetricsRegistry>,
+    ) -> Self {
         let shards = if budget_bytes == 0 {
             1
         } else {
@@ -204,17 +210,8 @@ impl ChunkCache {
         Self {
             shards: (0..shards).map(|_| Mutex::new(Shard::default())).collect(),
             shard_budget: budget_bytes / shards,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            invalidations: AtomicU64::new(0),
-            obs: std::sync::OnceLock::new(),
+            registry,
         }
-    }
-
-    /// Wires the metrics registry in (at most once, at store build).
-    pub fn set_obs(&self, registry: Arc<crate::obs::MetricsRegistry>) {
-        let _ = self.obs.set(registry);
     }
 
     /// True when a non-zero budget was configured.
@@ -245,10 +242,7 @@ impl ChunkCache {
                 let value = Arc::clone(&entry.value);
                 shard.touch(id);
                 drop(shard);
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                if let Some(r) = self.obs.get() {
-                    r.cache_hits.inc();
-                }
+                self.registry.cache_hits.inc();
                 return Some(value);
             }
             shard.remove(id);
@@ -256,15 +250,9 @@ impl ChunkCache {
         }
         drop(shard);
         if stale {
-            self.invalidations.fetch_add(1, Ordering::Relaxed);
-            if let Some(r) = self.obs.get() {
-                r.cache_invalidations.inc();
-            }
+            self.registry.cache_invalidations.inc();
         }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        if let Some(r) = self.obs.get() {
-            r.cache_misses.inc();
-        }
+        self.registry.cache_misses.inc();
         None
     }
 
@@ -300,10 +288,7 @@ impl ChunkCache {
         }
         drop(shard);
         if evicted > 0 {
-            self.evictions.fetch_add(evicted, Ordering::Relaxed);
-            if let Some(r) = self.obs.get() {
-                r.cache_evictions.add(evicted);
-            }
+            self.registry.cache_evictions.add(evicted);
         }
     }
 
@@ -314,10 +299,7 @@ impl ChunkCache {
         }
         let removed = self.shard_of(id).lock().unwrap().remove(id);
         if removed {
-            self.invalidations.fetch_add(1, Ordering::Relaxed);
-            if let Some(r) = self.obs.get() {
-                r.cache_invalidations.inc();
-            }
+            self.registry.cache_invalidations.inc();
         }
     }
 
@@ -335,10 +317,7 @@ impl ChunkCache {
         }
         drop(shard);
         if stale {
-            self.invalidations.fetch_add(1, Ordering::Relaxed);
-            if let Some(r) = self.obs.get() {
-                r.cache_invalidations.inc();
-            }
+            self.registry.cache_invalidations.inc();
         }
     }
 
@@ -356,10 +335,7 @@ impl ChunkCache {
             shard.bytes = 0;
         }
         if removed > 0 {
-            self.invalidations.fetch_add(removed, Ordering::Relaxed);
-            if let Some(r) = self.obs.get() {
-                r.cache_invalidations.add(removed);
-            }
+            self.registry.cache_invalidations.add(removed);
         }
     }
 
@@ -372,11 +348,12 @@ impl ChunkCache {
             resident_bytes += shard.bytes;
             resident_chunks += shard.map.len();
         }
+        let r = &self.registry;
         CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            invalidations: self.invalidations.load(Ordering::Relaxed),
+            hits: r.cache_hits.get(),
+            misses: r.cache_misses.get(),
+            evictions: r.cache_evictions.get(),
+            invalidations: r.cache_invalidations.get(),
             resident_bytes,
             resident_chunks,
         }

@@ -80,20 +80,10 @@ pub struct CompactionConfig {
     /// `min_fill × chunk_capacity` is a victim. Online flushes of
     /// small batches leave many such chunks behind.
     pub min_fill: f64,
-    /// Span threshold: when non-zero, every chunk in the span of a
-    /// version spanning more than `span_limit` chunks is also a
-    /// victim, unless the chunk is already packed to capacity
-    /// (rewriting full chunks costs much and usually buys little).
-    /// `0` disables the rule.
-    pub span_limit: usize,
     /// Auto-trigger cadence: run a compaction after every
     /// `every_flushes` batch flushes. `0` (the default) disables
     /// auto-compaction entirely.
     pub every_flushes: usize,
-    /// Minimum number of victims worth acting on: with fewer
-    /// candidates [`RStore::compact`] is a no-op (merging one chunk
-    /// into itself reclaims nothing).
-    pub min_chunks: usize,
     /// Budget for incremental compaction: when non-zero, one
     /// [`RStore::compact`] call rebuilds the victim set in slices of
     /// at most this many chunks, each slice cutting over (persist +
@@ -109,13 +99,16 @@ impl Default for CompactionConfig {
     fn default() -> Self {
         Self {
             min_fill: 0.6,
-            span_limit: 0,
             every_flushes: 0,
-            min_chunks: 2,
             max_chunks_per_slice: 0,
         }
     }
 }
+
+/// Fewest victims worth acting on: with fewer candidates
+/// [`RStore::compact`] is a no-op (merging one chunk into itself
+/// reclaims nothing).
+const MIN_VICTIMS: usize = 2;
 
 impl CompactionConfig {
     /// True when the auto-trigger cadence has elapsed.
@@ -319,28 +312,13 @@ impl RStore {
         }
     }
 
-    /// The victim set under the configured policy, in ascending id
-    /// order: under-filled live chunks, plus (when `span_limit` is
-    /// set) the non-full chunks of any version spanning too widely.
+    /// The victim set under the configured policy: the under-filled
+    /// live chunks, in ascending id order.
     fn select_victims(&self, st: &StoreMut) -> Vec<u32> {
-        let cfg = &self.config.compaction;
+        let min_fill = self.config.compaction.min_fill;
         let capacity = self.config.chunk_capacity.max(1) as f64;
-        let fill = |c: u32| st.chunk_sizes[c as usize] as f64 / capacity;
-        let mut set: FxHashSet<u32> = st
-            .live_chunk_ids()
-            .into_iter()
-            .filter(|&c| fill(c) < cfg.min_fill)
-            .collect();
-        if cfg.span_limit > 0 {
-            for v in 0..st.graph.len() {
-                let chunks = st.projections.chunks_of_version(VersionId(v as u32));
-                if chunks.len() > cfg.span_limit {
-                    set.extend(chunks.iter().copied().filter(|&c| fill(c) < 1.0));
-                }
-            }
-        }
-        let mut victims: Vec<u32> = set.into_iter().collect();
-        victims.sort_unstable();
+        let mut victims = st.live_chunk_ids();
+        victims.retain(|&c| st.chunk_sizes[c as usize] as f64 / capacity < min_fill);
         victims
     }
 
@@ -348,7 +326,7 @@ impl RStore {
     /// chunks, re-partitions their records with the configured
     /// partitioner, writes the rebuilt generation under fresh chunk
     /// ids, and reclaims the old keys with batched deletes. Returns
-    /// `Ok(None)` when fewer than `min_chunks` victims exist or no
+    /// `Ok(None)` when fewer than `MIN_VICTIMS` victims exist or no
     /// candidate layout improves on the current one (nothing is
     /// written in either case). See the module docs for the
     /// crash-safety ordering.
@@ -394,7 +372,6 @@ impl RStore {
         // changes nothing — otherwise every subsequent flush would
         // re-measure a layout already known to be healthy.
         st.flushes_since_compaction = 0;
-        let min_chunks = self.config.compaction.min_chunks.max(1);
         let slice_cap = self.config.compaction.max_chunks_per_slice;
 
         // -- measure: fragmentation + victim selection ----------------
@@ -405,7 +382,7 @@ impl RStore {
         let before = self.fragmentation_stats();
         if st.victim_queue.is_empty() {
             let victims = self.select_victims(st);
-            if victims.len() < min_chunks {
+            if victims.len() < MIN_VICTIMS {
                 return Ok(None);
             }
             st.victim_queue = victims;
@@ -432,7 +409,7 @@ impl RStore {
             // slice that fails has changed nothing (see the module
             // docs), so its victims stay queued for the next call.
             let victims: Vec<u32> = st.victim_queue[..take].to_vec();
-            let out = self.compact_slice(st, victims, min_chunks, slice_cap == 0)?;
+            let out = self.compact_slice(st, victims, slice_cap == 0)?;
             st.victim_queue.drain(..take);
             let Some(out) = out else {
                 // The cutover guard rejected the slice: rebuilding it
@@ -465,20 +442,24 @@ impl RStore {
         report.stages = stages;
         report.total_time = t0.elapsed();
         st.last_compaction = Some(report);
-        if self.obs.enabled() {
-            let r = self.obs.registry();
-            r.compactions.inc();
-            r.compact_total.record_duration(report.total_time);
-            r.compact_stages.record("measure", stages.measure);
-            r.compact_stages.record("extract", stages.extract);
-            r.compact_stages.record("partition", stages.partition);
-            r.compact_stages.record("rebuild", stages.rebuild);
-            r.compact_stages.record("index", stages.index);
-            r.compact_stages.record("write", stages.write);
-            r.compact_stages.record("modeled_write", stages.modeled_write);
-            r.compact_stages.record("delete", stages.delete);
-            r.compact_stages.record("modeled_delete", stages.modeled_delete);
-        }
+        let r = self.obs.registry();
+        r.compactions.inc();
+        r.observe(&r.compact_total, report.total_time);
+        let s = &stages;
+        r.observe_stages(
+            &r.compact_stages,
+            [
+                s.measure,
+                s.extract,
+                s.partition,
+                s.rebuild,
+                s.index,
+                s.write,
+                s.modeled_write,
+                s.delete,
+                s.modeled_delete,
+            ],
+        );
         Ok(Some(report))
     }
 
@@ -491,7 +472,6 @@ impl RStore {
         &self,
         st: &mut StoreMut,
         victims: Vec<u32>,
-        min_chunks: usize,
         allow_escalate: bool,
     ) -> Result<Option<SliceOutcome>, CoreError> {
         let mut stages = CompactionStages {
@@ -514,7 +494,7 @@ impl RStore {
             // trade: with a configured cache they are resident from
             // the first pass, and escalation is the rare path.
             let all: Vec<u32> = st.live_chunk_ids();
-            if rebuild.victims.len() < all.len() && all.len() >= min_chunks {
+            if rebuild.victims.len() < all.len() && all.len() >= MIN_VICTIMS {
                 rebuild = self.stage_rebuild(st, all)?;
                 stages.extract += rebuild.extract;
                 stages.partition += rebuild.partition;

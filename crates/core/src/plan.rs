@@ -40,8 +40,7 @@
 //!
 //! [`RStore::execute_serial`](crate::store::RStore::execute_serial)
 //! keeps the one-node-at-a-time reference path: it is the oracle the
-//! property tests compare against and the baseline `bench_pipeline`
-//! measures the scatter-gather speedup over.
+//! property tests compare against.
 
 use crate::cache::{ChunkCache, DecodedChunk};
 use crate::chunk::Chunk;
@@ -49,7 +48,7 @@ use crate::chunkmap::ChunkMap;
 use crate::error::CoreError;
 use crate::model::{ChunkId, PrimaryKey, Record, VersionId};
 use crate::obs::{MetricsRegistry, TraceSink, TID_NODE_BASE, TID_QUERY};
-use crate::query;
+use crate::query::{self, QueryStats};
 use crate::serve::{FetchPool, RoundTicket, WaitGroup};
 use crate::store::{PinnedSnapshot, CHUNK_TABLE};
 use rstore_kvstore::{table_key, Cluster, Key, KvError};
@@ -184,11 +183,6 @@ pub(crate) struct ExecPolicy {
     /// parallel node batches, identically in every mode) plus any
     /// queue wait already charged by the caller.
     pub(crate) deadline: Option<Duration>,
-    /// Shared metrics registry (PR 9): round/hedge histograms are
-    /// recorded here. `None` when observability is disabled —
-    /// recording is relaxed atomics only either way, so the default
-    /// costs nothing measurable.
-    pub(crate) obs: Option<Arc<MetricsRegistry>>,
     /// This query's trace sink, present only when the deterministic
     /// sampler selected it. Span names allocate, so an unsampled
     /// query must never see `Some` here.
@@ -432,7 +426,7 @@ pub(crate) fn build_plan(
 }
 
 /// Per-execution fetch accounting, carried into
-/// [`QueryStats`](crate::query::QueryStats).
+/// [`QueryStats`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FetchMetrics {
     /// Compressed bytes transferred from the backend (misses only).
@@ -476,30 +470,25 @@ pub struct FetchMetrics {
     pub queue_wait: Duration,
 }
 
-/// Snapshot of the work done so far, attached to
-/// [`CoreError::DeadlineExceeded`] so a timed-out query's cost is
-/// still accountable. No records were produced (extraction never
-/// ran) and the caller patches wall-clock, queue-wait and generation
-/// fields.
-fn partial_stats(metrics: &FetchMetrics, span: usize) -> crate::query::QueryStats {
-    crate::query::QueryStats {
-        generation: 0,
-        chunks_fetched: span,
-        chunks_useful: 0,
-        bytes_fetched: metrics.bytes_fetched,
-        cache_hits: metrics.cache_hits,
-        cache_misses: metrics.cache_misses,
-        nodes_contacted: metrics.nodes_contacted,
-        max_node_batch: metrics.max_node_batch,
-        failovers: metrics.failovers,
-        rerouted_keys: metrics.rerouted_keys,
-        retries: metrics.retries,
-        hedges: metrics.hedges,
-        hedge_wins: metrics.hedge_wins,
-        records: 0,
-        elapsed: Duration::ZERO,
-        queue_wait: metrics.queue_wait,
-        modeled_network: metrics.modeled_network,
+/// The fetch stage's share of a query's stats; the caller fills in
+/// what it alone knows (span, extraction, wall clock, generation).
+impl From<FetchMetrics> for QueryStats {
+    fn from(m: FetchMetrics) -> Self {
+        QueryStats {
+            bytes_fetched: m.bytes_fetched,
+            cache_hits: m.cache_hits,
+            cache_misses: m.cache_misses,
+            nodes_contacted: m.nodes_contacted,
+            max_node_batch: m.max_node_batch,
+            failovers: m.failovers,
+            rerouted_keys: m.rerouted_keys,
+            retries: m.retries,
+            hedges: m.hedges,
+            hedge_wins: m.hedge_wins,
+            queue_wait: m.queue_wait,
+            modeled_network: m.modeled_network,
+            ..QueryStats::default()
+        }
     }
 }
 
@@ -799,8 +788,8 @@ struct FetchCtx {
     /// Hedge batches that finished while a straggler they covered for
     /// was still unfinished (always 0 with hedging off).
     hedge_wins: AtomicUsize,
-    /// Metrics registry, shared from [`ExecPolicy::obs`].
-    obs: Option<Arc<MetricsRegistry>>,
+    /// The store's metrics registry.
+    obs: Arc<MetricsRegistry>,
     /// Trace sink for sampled queries; batch jobs add their spans on
     /// per-node lanes from whichever worker thread runs them.
     trace: Option<Arc<TraceSink>>,
@@ -976,9 +965,7 @@ fn run_round_hedged(
                 timeout = None;
                 // The straggler outlived the hedge delay: the wait is
                 // the tail time this round would have eaten unhedged.
-                if let Some(r) = &ctx.obs {
-                    r.hedge_wait.record_duration(delay);
-                }
+                ctx.obs.observe(&ctx.obs.hedge_wait, delay);
                 if let Some(t) = &ctx.trace {
                     t.add("hedge wait".into(), TID_QUERY, round_entry);
                 }
@@ -1063,6 +1050,7 @@ fn run_round_hedged(
 pub(crate) fn execute_plan(
     cluster: &Arc<Cluster>,
     cache: &Arc<ChunkCache>,
+    registry: &Arc<MetricsRegistry>,
     plan: QueryPlan,
     mode: ExecMode<'_>,
     policy: ExecPolicy,
@@ -1118,7 +1106,7 @@ pub(crate) fn execute_plan(
             retries: Mutex::new(Vec::new()),
             failed_nodes: Mutex::new(FxHashSet::default()),
             hedge_wins: AtomicUsize::new(0),
-            obs: policy.obs.clone(),
+            obs: Arc::clone(registry),
             trace: policy.trace.clone(),
         });
         // Failover bookkeeping across retry rounds: nodes whose whole
@@ -1221,11 +1209,10 @@ pub(crate) fn execute_plan(
             // Per-round observability: wall time of the round barrier,
             // the round's modeled straggler, and (when sampled) a
             // query-lane span bracketing the whole round.
-            if let Some(r) = &ctx.obs {
-                r.rounds.inc();
-                r.round_wall.record_duration(round_t.elapsed());
-                r.round_modeled.record(round_max);
-            }
+            let r = &ctx.obs;
+            r.rounds.inc();
+            r.observe(&r.round_wall, round_t.elapsed());
+            r.observe(&r.round_modeled, Duration::from_nanos(round_max));
             if let Some(t) = &ctx.trace {
                 t.add(format!("round {round_idx}"), TID_QUERY, round_t);
             }
@@ -1250,7 +1237,14 @@ pub(crate) fn execute_plan(
                     return Err(CoreError::DeadlineExceeded {
                         budget,
                         spent,
-                        partial: Box::new(partial_stats(&metrics, chunk_ids.len())),
+                        // The work done so far, so a timed-out
+                        // query's cost is still accountable; the
+                        // caller patches wall clock, queue wait and
+                        // generation.
+                        partial: Box::new(QueryStats {
+                            chunks_fetched: chunk_ids.len(),
+                            ..metrics.into()
+                        }),
                     });
                 }
             }

@@ -56,6 +56,7 @@
 //! behaviour. Only the threads' identity changed.
 
 use crate::error::CoreError;
+use crate::obs::MetricsRegistry;
 use rustc_hash::FxHashSet;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -224,19 +225,11 @@ impl Drop for RoundTicket {
 /// full-version scans, large spans among themselves stay FIFO.
 pub const SMALL_SPAN_MAX: usize = 8;
 
-/// Counters private to [`Admission`], snapshotted into
-/// [`ServeStats`].
-#[derive(Default)]
-struct AdmissionCounters {
-    admitted: u64,
-    shed: u64,
-    peak_in_flight: usize,
-    peak_queued: usize,
-    total_wait_nanos: u64,
-}
-
 struct AdmissionState {
     in_flight: usize,
+    /// High-water marks of `in_flight` and of the queues' depth.
+    peak_in_flight: usize,
+    peak_queued: usize,
     /// Queued tickets, small spans ahead of large ones.
     small: VecDeque<u64>,
     large: VecDeque<u64>,
@@ -244,7 +237,6 @@ struct AdmissionState {
     /// whose owner has not woken up yet.
     granted: FxHashSet<u64>,
     next_ticket: u64,
-    counters: AdmissionCounters,
 }
 
 /// Bounded admission in front of the fetch pool: at most
@@ -255,17 +247,14 @@ struct AdmissionState {
 /// Slots hand over directly: a finishing query's [`AdmitGuard`] pops
 /// the next queued ticket (small class first) and grants it the freed
 /// slot, so the queues are non-empty only while every slot is taken
-/// and FIFO order within a class is exact.
+/// and FIFO order within a class is exact. The gate keeps only its
+/// occupancy; admissions, sheds and queue waits are counted by the
+/// store's execute funnel, which sees every outcome.
 pub struct Admission {
     max_in_flight: usize,
     max_queued: usize,
     state: Mutex<AdmissionState>,
     granted_cv: Condvar,
-    /// Metrics registry hook (PR 9): the queue-wait histogram is
-    /// recorded here, at the layer that owns the wait. Unset when
-    /// observability is disabled — and for the bare `Admission` unit
-    /// tests, which construct the gate directly.
-    obs: OnceLock<Arc<crate::obs::MetricsRegistry>>,
 }
 
 impl Admission {
@@ -276,20 +265,15 @@ impl Admission {
             max_queued,
             state: Mutex::new(AdmissionState {
                 in_flight: 0,
+                peak_in_flight: 0,
+                peak_queued: 0,
                 small: VecDeque::new(),
                 large: VecDeque::new(),
                 granted: FxHashSet::default(),
                 next_ticket: 0,
-                counters: AdmissionCounters::default(),
             }),
             granted_cv: Condvar::new(),
-            obs: OnceLock::new(),
         }
-    }
-
-    /// Wires the metrics registry in (at most once, at store build).
-    pub fn set_obs(&self, registry: Arc<crate::obs::MetricsRegistry>) {
-        let _ = self.obs.set(registry);
     }
 
     /// Admits a query of `span` chunks: immediately when a slot is
@@ -317,19 +301,13 @@ impl Admission {
             // (freed slots hand over directly), so admitting here
             // never overtakes a queued query.
             state.in_flight += 1;
-            state.counters.peak_in_flight = state.counters.peak_in_flight.max(state.in_flight);
-            state.counters.admitted += 1;
-            drop(state);
-            if let Some(r) = self.obs.get() {
-                r.queue_wait.record(0);
-            }
+            state.peak_in_flight = state.peak_in_flight.max(state.in_flight);
             return Ok(AdmitGuard {
                 admission: self,
                 waited: Duration::ZERO,
             });
         }
         if state.small.len() + state.large.len() >= self.max_queued {
-            state.counters.shed += 1;
             return Err(CoreError::Overloaded);
         }
         let ticket = state.next_ticket;
@@ -340,7 +318,7 @@ impl Admission {
             state.large.push_back(ticket);
         }
         let queued = state.small.len() + state.large.len();
-        state.counters.peak_queued = state.counters.peak_queued.max(queued);
+        state.peak_queued = state.peak_queued.max(queued);
         // Grants and timeouts are both decided under the state lock, so
         // a ticket granted a slot is always observed by the loop
         // condition before the deadline branch can withdraw it — a
@@ -369,16 +347,9 @@ impl Admission {
                 .unwrap()
                 .0;
         }
-        let waited = arrived.elapsed();
-        state.counters.total_wait_nanos += waited.as_nanos() as u64;
-        state.counters.admitted += 1;
-        drop(state);
-        if let Some(r) = self.obs.get() {
-            r.queue_wait.record_duration(waited);
-        }
         Ok(AdmitGuard {
             admission: self,
-            waited,
+            waited: arrived.elapsed(),
         })
     }
 
@@ -389,21 +360,6 @@ impl Admission {
         state.small.len() + state.large.len()
     }
 
-    /// Current counters.
-    fn counters(&self) -> (AdmissionCounters, usize) {
-        let state = self.state.lock().unwrap();
-        let c = &state.counters;
-        (
-            AdmissionCounters {
-                admitted: c.admitted,
-                shed: c.shed,
-                peak_in_flight: c.peak_in_flight,
-                peak_queued: c.peak_queued,
-                total_wait_nanos: c.total_wait_nanos,
-            },
-            state.in_flight,
-        )
-    }
 }
 
 /// An admitted query's slot; dropping it releases the slot to the
@@ -431,8 +387,7 @@ impl Drop for AdmitGuard<'_> {
             };
             if let Some(ticket) = next {
                 state.in_flight += 1;
-                state.counters.peak_in_flight =
-                    state.counters.peak_in_flight.max(state.in_flight);
+                state.peak_in_flight = state.peak_in_flight.max(state.in_flight);
                 state.granted.insert(ticket);
                 self.admission.granted_cv.notify_all();
             }
@@ -440,8 +395,10 @@ impl Drop for AdmitGuard<'_> {
     }
 }
 
-/// A snapshot of the serving core's counters
-/// ([`RStore::serve_stats`](crate::store::RStore::serve_stats)).
+/// A snapshot of the serving core
+/// ([`RStore::serve_stats`](crate::store::RStore::serve_stats)): the
+/// gate's and the pool's own state plus a view of the registry's
+/// admission cells.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServeStats {
     /// Fetch-pool worker count (0 until the first pooled execution
@@ -459,7 +416,8 @@ pub struct ServeStats {
     pub peak_in_flight: usize,
     /// Deepest the admission queue has been.
     pub peak_queued: usize,
-    /// Total time admitted queries spent waiting in the queue.
+    /// Total time admitted queries spent waiting in the queue — the
+    /// queue-wait histogram's sum, so zero under `obs_enabled(false)`.
     pub total_queue_wait: Duration,
 }
 
@@ -506,11 +464,6 @@ impl ServeCore {
         self.pool.get_or_init(|| FetchPool::new(self.pool_size))
     }
 
-    /// Wires the metrics registry into the admission gate.
-    pub(crate) fn set_obs(&self, registry: Arc<crate::obs::MetricsRegistry>) {
-        self.admission.set_obs(registry);
-    }
-
     /// Admits a query of `span` chunks (blocking while the queue has
     /// room, shedding once it does not) under an optional queueing
     /// budget (the store threads a query deadline here; `None` waits
@@ -523,21 +476,23 @@ impl ServeCore {
         self.admission.admit_within(span, deadline)
     }
 
-    pub(crate) fn stats(&self) -> ServeStats {
-        let (counters, in_flight) = self.admission.counters();
+    /// The serving core's state next to the admission cells of the
+    /// store's registry `r`.
+    pub(crate) fn stats(&self, r: &MetricsRegistry) -> ServeStats {
         let (pool_size, jobs_run) = match self.pool.get() {
             Some(pool) => (pool.size(), pool.jobs_run()),
             None => (0, 0),
         };
+        let gate = self.admission.state.lock().unwrap();
         ServeStats {
             pool_size,
             jobs_run,
-            admitted: counters.admitted,
-            shed: counters.shed,
-            in_flight,
-            peak_in_flight: counters.peak_in_flight,
-            peak_queued: counters.peak_queued,
-            total_queue_wait: Duration::from_nanos(counters.total_wait_nanos),
+            admitted: r.admitted.get(),
+            shed: r.shed.get(),
+            in_flight: gate.in_flight,
+            peak_in_flight: gate.peak_in_flight,
+            peak_queued: gate.peak_queued,
+            total_queue_wait: Duration::from_nanos(r.queue_wait.sum_nanos()),
         }
     }
 }

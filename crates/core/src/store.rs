@@ -49,8 +49,8 @@ use crate::index::Projections;
 use crate::ingest::{self, MetaView, PersistedMeta};
 use crate::model::{CompositeKey, PrimaryKey, Record, VersionId};
 use crate::obs::{
-    self, MetricsRegistry, Obs, ObsConfig, QueryOutcome, QueryTrace, SlowQuery, TraceSink,
-    TID_QUERY,
+    self, HistSummary, MetricsRegistry, NodeSample, Obs, ObsConfig, QueryOutcome, QueryTrace,
+    SlowQuery, StoreStats, TraceSink, TID_QUERY,
 };
 use crate::partition::PartitionerKind;
 use crate::plan::{
@@ -85,14 +85,16 @@ pub const META_TABLE: &str = "meta";
 /// caching from `QueryStats::cache_hits`/`cache_misses` either way.
 pub const DEFAULT_CACHE_BUDGET: usize = 32 * 1024 * 1024;
 
+/// Independent shards (locks) the store's decoded-chunk cache splits
+/// its budget across.
+const CACHE_SHARDS: usize = 8;
+
 /// Store configuration knobs (the paper's tuning parameters).
 #[derive(Debug, Clone, Copy)]
 pub struct StoreConfig {
     /// Target chunk size `C` in bytes (paper default: 1 MB; ours is
     /// smaller because datasets are scaled down).
     pub chunk_capacity: usize,
-    /// Allowed chunk overflow fraction (§2.5: 25%).
-    pub slack: f64,
     /// Max records per sub-chunk `k` (1 = no record-level
     /// compression).
     pub max_subchunk: usize,
@@ -107,9 +109,6 @@ pub struct StoreConfig {
     /// experiments measure — set it explicitly via
     /// [`RStoreBuilder::cache_budget`].
     pub cache_budget: usize,
-    /// Number of independent cache shards (locks). Ignored when the
-    /// cache is disabled.
-    pub cache_shards: usize,
     /// Worker threads for the parallel ingest pipeline (sub-chunk
     /// compression, chunk serialization, chunk-map builds). `0` (the
     /// default) uses every available core; `1` is the fully serial
@@ -163,10 +162,10 @@ pub struct StoreConfig {
     /// stats. `None` (the default) means no deadline;
     /// [`RStore::execute_with_deadline`] overrides per query.
     pub default_deadline: Option<Duration>,
-    /// Observability configuration (PR 9): the always-on metrics
-    /// registry, the deterministic trace sampler and the slow-query
-    /// log. Defaults keep recording on (atomics only), tracing off
-    /// and the slow threshold unset.
+    /// Observability configuration: latency histograms, the
+    /// deterministic trace sampler and the slow-query log. Defaults
+    /// keep recording on (atomics only), tracing off and the slow
+    /// threshold unset.
     pub obs: ObsConfig,
 }
 
@@ -174,12 +173,10 @@ impl Default for StoreConfig {
     fn default() -> Self {
         Self {
             chunk_capacity: 64 * 1024,
-            slack: 0.25,
             max_subchunk: 1,
             partitioner: PartitionerKind::BottomUp { beta: usize::MAX },
             batch_size: 64,
             cache_budget: DEFAULT_CACHE_BUDGET,
-            cache_shards: 8,
             ingest_threads: 0,
             read_routing: ReadRouting::default(),
             fetch_threads: 0,
@@ -207,12 +204,6 @@ impl RStoreBuilder {
         self
     }
 
-    /// Sets the slack fraction.
-    pub fn slack(mut self, slack: f64) -> Self {
-        self.config.slack = slack.max(0.0);
-        self
-    }
-
     /// Sets the sub-chunk size limit `k`.
     pub fn max_subchunk(mut self, k: usize) -> Self {
         self.config.max_subchunk = k.max(1);
@@ -236,12 +227,6 @@ impl RStoreBuilder {
     /// observable at the backend).
     pub fn cache_budget(mut self, bytes: usize) -> Self {
         self.config.cache_budget = bytes;
-        self
-    }
-
-    /// Sets the number of cache shards.
-    pub fn cache_shards(mut self, shards: usize) -> Self {
-        self.config.cache_shards = shards.max(1);
         self
     }
 
@@ -305,9 +290,10 @@ impl RStoreBuilder {
         self
     }
 
-    /// Master observability switch (on by default). Off disables all
-    /// recording, tracing and the slow-query log — the configuration
-    /// the overhead bench compares the always-on default against.
+    /// Master observability switch (on by default). Off disables
+    /// latency histograms, tracing and the slow-query log (counters
+    /// still count) — the configuration the overhead bench compares
+    /// the always-on default against.
     pub fn obs_enabled(mut self, enabled: bool) -> Self {
         self.config.obs.enabled = enabled;
         self
@@ -326,12 +312,6 @@ impl RStoreBuilder {
     /// queries are captured regardless).
     pub fn slow_query_threshold(mut self, threshold: Duration) -> Self {
         self.config.obs.slow_threshold = Some(threshold);
-        self
-    }
-
-    /// Sets the slow-query log capacity (newest entries retained).
-    pub fn slow_log_capacity(mut self, capacity: usize) -> Self {
-        self.config.obs.slow_log_capacity = capacity.max(1);
         self
     }
 
@@ -659,7 +639,7 @@ impl PinBoard {
 pub struct PinnedSnapshot {
     snap: Arc<StoreSnapshot>,
     board: Arc<PinBoard>,
-    obs: Option<Arc<MetricsRegistry>>,
+    obs: Arc<MetricsRegistry>,
     start: Instant,
 }
 
@@ -688,9 +668,7 @@ impl std::fmt::Debug for PinnedSnapshot {
 impl Drop for PinnedSnapshot {
     fn drop(&mut self) {
         self.board.unpin(self.snap.generation);
-        if let Some(r) = &self.obs {
-            r.snapshot_pin_seconds.record_duration(self.start.elapsed());
-        }
+        self.obs.observe(&self.obs.snapshot_pin, self.start.elapsed());
     }
 }
 
@@ -877,6 +855,24 @@ impl StoreMut {
     }
 }
 
+/// Counts what one execution's fetch stage did — finished, or cut
+/// short by its deadline — into the registry.
+fn count_fetch(r: &MetricsRegistry, fetch: QueryStats) {
+    r.observe(&r.query_modeled, fetch.modeled_network);
+    for (counter, n) in [
+        (&r.fetch_bytes, fetch.bytes_fetched),
+        (&r.retries, fetch.retries),
+        (&r.failovers, fetch.failovers),
+        (&r.rerouted_keys, fetch.rerouted_keys),
+        (&r.hedges, fetch.hedges),
+        (&r.hedge_wins, fetch.hedge_wins),
+    ] {
+        if n > 0 {
+            counter.add(n as u64);
+        }
+    }
+}
+
 /// The RStore instance (application-server state + backend handle).
 pub struct RStore {
     /// Behind `Arc` so pooled fetch jobs — which cannot borrow from
@@ -926,11 +922,11 @@ impl RStore {
             config.max_concurrent_queries,
             config.max_queued,
         );
-        let cache = Arc::new(ChunkCache::new(config.cache_budget, config.cache_shards));
-        if obs.enabled() {
-            serve.set_obs(Arc::clone(obs.registry()));
-            cache.set_obs(Arc::clone(obs.registry()));
-        }
+        let cache = Arc::new(ChunkCache::with_registry(
+            config.cache_budget,
+            CACHE_SHARDS,
+            Arc::clone(obs.registry()),
+        ));
         let current = Mutex::new(Arc::new(state.snapshot()));
         RStore {
             serve,
@@ -960,15 +956,17 @@ impl RStore {
     /// this generation while mutators publish newer ones, and
     /// reclamation of its chunks is blocked until the pin drops.
     pub fn pin(&self) -> PinnedSnapshot {
-        let snap = self.snapshot();
+        // The pin is registered before `publish` can swap the snapshot
+        // out: a reader is never between "has the old generation" and
+        // "is visible to reclamation" when a mutator looks.
+        let current = self.current.lock().unwrap();
+        let snap = Arc::clone(&current);
         self.pins.pin(snap.generation);
+        drop(current);
         PinnedSnapshot {
             snap,
             board: Arc::clone(&self.pins),
-            obs: self
-                .obs
-                .enabled()
-                .then(|| Arc::clone(self.obs.registry())),
+            obs: Arc::clone(self.obs.registry()),
             start: Instant::now(),
         }
     }
@@ -981,9 +979,7 @@ impl RStore {
         st.generation += 1;
         let snap = Arc::new(st.snapshot());
         *self.current.lock().unwrap() = snap;
-        if self.obs.enabled() {
-            self.obs.registry().generation_swaps_total.inc();
-        }
+        self.obs.registry().generation_swaps.inc();
     }
 
     /// The version graph (the published snapshot's view; an `Arc`, so
@@ -1115,17 +1111,10 @@ impl RStore {
 
     /// Records one ingest pass's stage breakdown into the metrics
     /// registry (shared by bulk load and online flush).
-    fn record_ingest_stages(&self, stages: &IngestStages) {
-        if !self.obs.enabled() {
-            return;
-        }
+    fn record_ingest_stages(&self, s: &IngestStages) {
         let r = self.obs.registry();
-        r.ingest_stages.record("subchunk", stages.subchunk);
-        r.ingest_stages.record("partition", stages.partition);
-        r.ingest_stages.record("assemble", stages.assemble);
-        r.ingest_stages.record("index", stages.index);
-        r.ingest_stages.record("write", stages.write);
-        r.ingest_stages.record("modeled_write", stages.modeled_write);
+        let stages = [s.subchunk, s.partition, s.assemble, s.index, s.write, s.modeled_write];
+        r.observe_stages(&r.ingest_stages, stages);
     }
 
     // ------------------------------------------------------------------
@@ -1466,13 +1455,11 @@ impl RStore {
         // Piggyback any deferred reclamation whose old pins drained.
         self.drain_deferred(st);
         self.record_ingest_stages(&report.stages);
-        if self.obs.enabled() {
-            let r = self.obs.registry();
-            r.flushes.inc();
-            // Flush end-to-end, excluding any auto-compaction below
-            // (that run records itself under `rstore_compact_*`).
-            r.ingest_flush.record_duration(flush_t0.elapsed());
-        }
+        let r = self.obs.registry();
+        r.flushes.inc();
+        // Flush end-to-end, excluding any auto-compaction below (that
+        // run records itself in the compaction cells).
+        r.observe(&r.ingest_flush, flush_t0.elapsed());
 
         // Auto-compaction: after the configured number of flushes the
         // layout is measured, and if it decayed past the policy
@@ -1646,10 +1633,8 @@ impl RStore {
             self.persist_meta(st.meta())?;
             self.publish(st);
         }
-        if self.obs.enabled() {
-            let n = (slots_reclaimed + slots_truncated) as u64;
-            self.obs.registry().reclaimed_chunk_slots_total.add(n);
-        }
+        let reclaimed = (slots_reclaimed + slots_truncated) as u64;
+        self.obs.registry().reclaimed_chunk_slots.add(reclaimed);
         Ok(ReclaimReport {
             deferred_drained,
             keys_deleted,
@@ -1751,10 +1736,11 @@ impl RStore {
         self.execute_traced(plan, deadline, None)
     }
 
-    /// The pooled execution path with an optional trace sink:
-    /// admission, then the scatter-gather rounds under the store's
-    /// tail-defense policy, with the registry and sink threaded into
-    /// the executor. [`RStore::query_with_stats`] passes the sink of
+    /// The pooled execution path — admission, then the scatter-gather
+    /// rounds under the store's tail-defense policy — and the one place
+    /// an execution is counted, whichever entry point it came through:
+    /// the plan itself, its outcome, its queue wait and what its fetch
+    /// stage did. [`RStore::query_with_stats`] passes the sink of
     /// sampled queries; every other caller passes `None`.
     fn execute_traced(
         &self,
@@ -1762,9 +1748,20 @@ impl RStore {
         deadline: Option<Duration>,
         trace: Option<&Arc<TraceSink>>,
     ) -> Result<ExecutedQuery, CoreError> {
+        let r = self.obs.registry();
+        r.queries.inc();
         let admit_t = Instant::now();
-        let guard = self.serve.admit_within(plan.span(), deadline)?;
+        let guard = self
+            .serve
+            .admit_within(plan.span(), deadline)
+            .inspect_err(|e| match e {
+                CoreError::Overloaded => r.shed.inc(),
+                // Timed out still queued.
+                _ => r.deadline_exceeded.inc(),
+            })?;
         let waited = guard.waited();
+        r.admitted.inc();
+        r.observe(&r.queue_wait, waited);
         if let Some(t) = trace {
             t.add("admission".into(), TID_QUERY, admit_t);
         }
@@ -1772,21 +1769,13 @@ impl RStore {
             hedge: self.config.hedge,
             // The fetch rounds get whatever the queue left over.
             deadline: deadline.map(|d| d.saturating_sub(waited)),
-            obs: self
-                .obs
-                .enabled()
-                .then(|| Arc::clone(self.obs.registry())),
             trace: trace.cloned(),
         };
-        match plan::execute_plan(
-            &self.cluster,
-            &self.cache,
-            plan,
-            ExecMode::Pool(self.serve.pool()),
-            policy,
-        ) {
+        let mode = ExecMode::Pool(self.serve.pool());
+        match plan::execute_plan(&self.cluster, &self.cache, r, plan, mode, policy) {
             Ok(mut executed) => {
                 executed.metrics.queue_wait = waited;
+                count_fetch(r, executed.metrics.into());
                 Ok(executed)
             }
             // Re-frame the executor's leftover-budget error in terms
@@ -1795,7 +1784,9 @@ impl RStore {
             Err(CoreError::DeadlineExceeded {
                 spent, mut partial, ..
             }) => {
+                r.deadline_exceeded.inc();
                 partial.queue_wait = waited;
+                count_fetch(r, *partial);
                 Err(CoreError::DeadlineExceeded {
                     budget: deadline.unwrap_or(spent),
                     spent: spent + waited,
@@ -1809,12 +1800,13 @@ impl RStore {
     /// The serial reference executor: identical results to
     /// [`RStore::execute`], but node batches run one after another
     /// and modeled network time sums instead of taking the parallel
-    /// max. This is the oracle the property tests compare against and
-    /// the baseline `bench_pipeline` measures the speedup over.
+    /// max. This is the oracle the property tests compare against; it
+    /// bypasses admission and is not counted as a served query.
     pub fn execute_serial(&self, plan: QueryPlan) -> Result<ExecutedQuery, CoreError> {
         plan::execute_plan(
             &self.cluster,
             &self.cache,
+            self.obs.registry(),
             plan,
             ExecMode::Serial,
             ExecPolicy::default(),
@@ -1825,7 +1817,7 @@ impl RStore {
     /// admitted/shed, peak in-flight and queue depths, and the total
     /// admission queue wait.
     pub fn serve_stats(&self) -> ServeStats {
-        self.serve.stats()
+        self.serve.stats(self.obs.registry())
     }
 
     /// The observability hub: registry, trace sampler, slow log.
@@ -1847,129 +1839,57 @@ impl RStore {
         self.obs.slow_log()
     }
 
-    /// Renders every metric — the push-based registry plus gauges
-    /// pulled from the cluster, serving-core, cache, fragmentation
-    /// and per-node health surfaces — in Prometheus text exposition
-    /// format.
+    /// Every metric in Prometheus text exposition format:
+    /// [`RStore::stats_snapshot`] rendered by
+    /// [`StoreStats::to_prometheus`].
     pub fn metrics_text(&self) -> String {
-        let mut out = String::with_capacity(16 * 1024);
-        self.obs.registry().render(&mut out);
-
-        // Pull-based gauges: point-in-time views of the pre-PR 9
-        // snapshot surfaces, named into the same convention.
-        let snap = self.cluster.stats();
-        obs::render_counter(&mut out, "rstore_cluster_requests_total", "Backend requests", snap.requests);
-        obs::render_counter(&mut out, "rstore_cluster_bytes_read_total", "Backend bytes read", snap.bytes_read);
-        obs::render_counter(&mut out, "rstore_cluster_bytes_written_total", "Backend bytes written", snap.bytes_written);
-        obs::render_counter(&mut out, "rstore_cluster_retries_total", "Cluster-layer in-place retries", snap.retries);
-        obs::render_counter(&mut out, "rstore_cluster_faults_injected_total", "Injected faults", snap.faults_injected);
-        obs::render_counter(&mut out, "rstore_cluster_hints_recorded_total", "Handoff hints recorded", snap.hints_recorded);
-        obs::render_counter(&mut out, "rstore_cluster_hints_replayed_total", "Handoff hints replayed", snap.hints_replayed);
-        obs::render_gauge(&mut out, "rstore_cluster_under_replicated_keys", "Keys currently under-replicated", "", snap.under_replicated as f64);
-
-        let serve = self.serve.stats();
-        obs::render_gauge(&mut out, "rstore_serve_pool_workers", "Fetch-pool workers started", "", serve.pool_size as f64);
-        obs::render_counter(&mut out, "rstore_serve_jobs_total", "Fetch-pool jobs run", serve.jobs_run);
-        obs::render_counter(&mut out, "rstore_serve_admitted_total", "Queries admitted", serve.admitted);
-        obs::render_counter(&mut out, "rstore_serve_shed_total", "Queries shed at admission", serve.shed);
-        obs::render_gauge(&mut out, "rstore_serve_peak_in_flight", "Peak concurrent queries", "", serve.peak_in_flight as f64);
-        obs::render_gauge(&mut out, "rstore_serve_peak_queued", "Peak admission queue depth", "", serve.peak_queued as f64);
-
-        let cache = self.cache_stats();
-        obs::render_gauge(&mut out, "rstore_cache_resident_bytes", "Decoded-chunk cache resident bytes", "", cache.resident_bytes as f64);
-        obs::render_gauge(&mut out, "rstore_cache_resident_chunks", "Decoded-chunk cache resident chunks", "", cache.resident_chunks as f64);
-
-        let frag = self.fragmentation_stats();
-        obs::render_gauge(&mut out, "rstore_store_versions", "Versions in the graph", "", self.version_count() as f64);
-        obs::render_gauge(&mut out, "rstore_store_live_chunks", "Live chunks", "", frag.live_chunks as f64);
-        obs::render_gauge(&mut out, "rstore_store_retired_chunks", "Chunks retired by compaction", "", frag.retired_chunks as f64);
-        obs::render_gauge(&mut out, "rstore_store_mean_chunk_fill", "Mean live-chunk fill fraction", "", frag.mean_fill);
-        obs::render_gauge(&mut out, "rstore_store_mean_version_span", "Mean per-version chunk span", "", frag.mean_version_span);
-        obs::render_gauge(&mut out, "rstore_store_read_amplification", "Estimated read amplification", "", frag.est_read_amplification);
-        obs::render_gauge(&mut out, "rstore_store_storage_bytes", "Stored compressed chunk bytes", "", self.storage_bytes() as f64);
-        obs::render_gauge(&mut out, "rstore_store_chunk_map_resident_bytes", "Bytes the live chunk maps keep resident", "", self.resident_map_bytes() as f64);
-        obs::render_gauge(&mut out, "rstore_store_generation", "Published snapshot generation", "", self.generation() as f64);
-        obs::render_gauge(&mut out, "rstore_store_pinned_readers", "Readers holding snapshot pins", "", self.pinned_readers() as f64);
-        obs::render_gauge(&mut out, "rstore_store_reclaim_backlog", "Deferred reclamation batches awaiting old pins", "", self.reclaim_backlog() as f64);
-
-        // Per-node gauges + modeled service-time histograms off the
-        // health scoreboard (the distribution behind the hedge EWMA).
-        let health = self.cluster.node_health();
-        let loads = self.cluster.per_node_stats();
-        out.push_str("# HELP rstore_node_service_ewma_seconds Per-key modeled service-time EWMA\n# TYPE rstore_node_service_ewma_seconds gauge\n");
-        for h in &health {
-            out.push_str(&format!(
-                "rstore_node_service_ewma_seconds{{node=\"{}\"}} {}\n",
-                h.node,
-                h.ewma_service.as_secs_f64()
-            ));
-        }
-        out.push_str("# HELP rstore_node_error_rate Batch-failure EWMA per node\n# TYPE rstore_node_error_rate gauge\n");
-        for h in &health {
-            out.push_str(&format!(
-                "rstore_node_error_rate{{node=\"{}\"}} {}\n",
-                h.node, h.error_rate
-            ));
-        }
-        out.push_str("# HELP rstore_node_batches_total Scored successful batches per node\n# TYPE rstore_node_batches_total counter\n");
-        for h in &health {
-            out.push_str(&format!(
-                "rstore_node_batches_total{{node=\"{}\"}} {}\n",
-                h.node, h.batches
-            ));
-        }
-        out.push_str("# HELP rstore_node_keys_served_total Keys served per node\n# TYPE rstore_node_keys_served_total counter\n");
-        for l in &loads {
-            out.push_str(&format!(
-                "rstore_node_keys_served_total{{node=\"{}\"}} {}\n",
-                l.node, l.keys_served
-            ));
-        }
-        let node_hists: Vec<(String, rstore_kvstore::HistSnapshot)> = self
-            .cluster
-            .node_service_histograms()
-            .into_iter()
-            .enumerate()
-            .map(|(node, snap)| (format!("{{node=\"{node}\"}}"), snap))
-            .collect();
-        obs::render_hist_family(
-            &mut out,
-            "rstore_node_service_seconds",
-            "Modeled batch service time per node",
-            &node_hists,
-        );
-        out
+        self.stats_snapshot().to_prometheus()
     }
 
-    /// One unified point-in-time snapshot across every subsystem —
-    /// the struct behind `rstore-cli stats --json`.
-    pub fn stats_snapshot(&self) -> obs::StoreStats {
-        let r = self.obs.registry();
-        obs::StoreStats {
+    /// The one place a stats sample is taken: the registry frozen,
+    /// plus every pulled surface — cache residency, admission,
+    /// fragmentation, snapshot and pins, the cluster's counters and
+    /// its per-node health, load and service-time histograms. Every
+    /// exposition renders this struct (see [`obs::METRICS`]).
+    pub fn stats_snapshot(&self) -> StoreStats {
+        let registry = MetricsRegistry::clone(self.obs.registry());
+        let summary = |h: &rstore_kvstore::Histogram| HistSummary::of(&h.snapshot());
+        let nodes = self
+            .cluster
+            .node_health()
+            .into_iter()
+            .zip(self.cluster.per_node_stats())
+            .zip(self.cluster.node_service_histograms())
+            .map(|((health, load), service)| NodeSample { health, load, service })
+            .collect();
+        StoreStats {
             versions: self.version_count(),
             storage_bytes: self.storage_bytes(),
             generation: self.generation(),
             pinned_readers: self.pinned_readers(),
             reclaim_backlog: self.reclaim_backlog(),
             resident_map_bytes: self.resident_map_bytes(),
+            index_bytes: self.index_bytes(),
             fragmentation: self.fragmentation_stats(),
             cache: self.cache_stats(),
-            serve: self.serve.stats(),
+            serve: self.serve.stats(&registry),
             backend: self.cluster.stats(),
-            query_wall: obs::HistSummary::of(&r.query_wall.snapshot()),
-            query_modeled: obs::HistSummary::of(&r.query_modeled.snapshot()),
-            queue_wait: obs::HistSummary::of(&r.queue_wait.snapshot()),
-            round_wall: obs::HistSummary::of(&r.round_wall.snapshot()),
-            queries: r.queries.get(),
-            shed: r.shed.get(),
-            deadline_exceeded: r.deadline_exceeded.get(),
-            slow_queries: r.slow_queries.get(),
-            hedges: r.hedges.get(),
-            hedge_wins: r.hedge_wins.get(),
-            retries: r.retries.get(),
-            failovers: r.failovers.get(),
-            flushes: r.flushes.get(),
-            compactions: r.compactions.get(),
+            nodes,
+            query_wall: summary(&registry.query_wall),
+            query_modeled: summary(&registry.query_modeled),
+            queue_wait: summary(&registry.queue_wait),
+            round_wall: summary(&registry.round_wall),
+            queries: registry.queries.get(),
+            shed: registry.shed.get(),
+            deadline_exceeded: registry.deadline_exceeded.get(),
+            slow_queries: registry.slow_queries.get(),
+            hedges: registry.hedges.get(),
+            hedge_wins: registry.hedge_wins.get(),
+            retries: registry.retries.get(),
+            failovers: registry.failovers.get(),
+            flushes: registry.flushes.get(),
+            compactions: registry.compactions.get(),
+            registry,
         }
     }
 
@@ -1988,9 +1908,8 @@ impl RStore {
         spec: QuerySpec,
     ) -> Result<(Vec<Record>, QueryStats), CoreError> {
         let t0 = Instant::now();
-        // Observability entry: sequence number + (for sampled
-        // queries only) a trace sink. The unsampled path pays one
-        // relaxed counter increment here.
+        // Sequence number + (for sampled queries only) a trace sink.
+        // The unsampled path pays one relaxed counter increment here.
         let (seq, trace) = self.obs.begin_query();
         let plan_span = obs::span_opt(&trace, TID_QUERY, || "plan".into());
         let plan = self.plan_query(spec)?;
@@ -2001,8 +1920,8 @@ impl RStore {
         {
             Ok(executed) => executed.into_stream(),
             Err(e) => {
-                // Shed and deadline-tripped queries still report in:
-                // outcome counters plus a slow-log entry each.
+                // Shed and deadline-tripped queries still report in
+                // with a slow-log entry each.
                 let (outcome, mut stats) = match &e {
                     CoreError::Overloaded => (QueryOutcome::Shed, QueryStats::default()),
                     CoreError::DeadlineExceeded { partial, .. } => {
@@ -2025,25 +1944,13 @@ impl RStore {
             _ => records.sort_unstable_by_key(|r| r.pk),
         }
         drop(extract_span);
-        let fetch = stream.metrics();
         let stats = QueryStats {
             chunks_fetched,
             chunks_useful: stream.chunks_useful(),
-            bytes_fetched: fetch.bytes_fetched,
-            cache_hits: fetch.cache_hits,
-            cache_misses: fetch.cache_misses,
-            nodes_contacted: fetch.nodes_contacted,
-            max_node_batch: fetch.max_node_batch,
-            failovers: fetch.failovers,
-            rerouted_keys: fetch.rerouted_keys,
-            retries: fetch.retries,
-            hedges: fetch.hedges,
-            hedge_wins: fetch.hedge_wins,
             records: records.len(),
             elapsed: t0.elapsed(),
-            modeled_network: fetch.modeled_network,
-            queue_wait: fetch.queue_wait,
             generation,
+            ..stream.metrics().into()
         };
         self.obs
             .finish_query(seq, &spec, &stats, trace.as_ref(), QueryOutcome::Ok);

@@ -25,7 +25,6 @@ fn loaded_store(dataset: &Dataset, cache_budget: usize) -> RStore {
         .chunk_capacity(2048)
         .partitioner(PartitionerKind::BottomUp { beta: usize::MAX })
         .cache_budget(cache_budget)
-        .cache_shards(4)
         .build(cluster);
     store.load_dataset(dataset).unwrap();
     store

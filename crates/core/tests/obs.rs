@@ -10,16 +10,20 @@
 //!   Chrome trace-event JSON;
 //! * the default configuration (metrics on, tracing off) changes
 //!   neither the answers nor the main-thread allocation count versus
-//!   a store built with `obs_enabled(false)`.
+//!   a store built with `obs_enabled(false)`;
+//! * the metric table is an inventory: every row is named to scheme
+//!   and documented, and every counter and histogram in it moves under
+//!   one scripted history.
 
 use proptest::prelude::*;
 use rstore_core::model::VersionId;
-use rstore_core::obs::{SlowLog, SlowQuery, SlowReason};
+use rstore_core::obs::{MetricKind, SlowLog, SlowQuery, SlowReason, StoreStats, METRICS};
 use rstore_core::partition::PartitionerKind;
 use rstore_core::query::QueryStats;
-use rstore_core::store::RStore;
+use rstore_core::store::{CommitRequest, RStore};
+use rstore_core::{CoreError, HedgeConfig, QuerySpec};
 use rstore_kvstore::hist::REL_ERROR;
-use rstore_kvstore::{Cluster, HistSnapshot, Histogram};
+use rstore_kvstore::{Cluster, FaultPlan, FaultRule, HistSnapshot, Histogram, NetworkModel};
 use rstore_vgraph::{Dataset, DatasetSpec};
 use std::time::Duration;
 
@@ -322,4 +326,157 @@ fn metrics_text_is_stable_and_monotone_across_scrapes() {
     let second = store.metrics_text();
     rstore_core::obs::validate_scrapes(&first, &second)
         .expect("scrapes must parse, stay unique and move monotonically");
+}
+
+// ── The metric inventory ────────────────────────────────────────────
+
+#[test]
+fn every_metric_is_named_to_scheme_and_documented() {
+    let word = |w: &str| !w.is_empty() && w.chars().all(|c| c.is_ascii_lowercase() || c == '_');
+    let mut names = std::collections::HashSet::new();
+    let mut paths = std::collections::HashSet::new();
+    for m in METRICS {
+        assert!(names.insert(m.name), "series {} described twice", m.name);
+        assert!(paths.insert(m.json), "JSON path {} used twice", m.json);
+        let scheme = m
+            .name
+            .strip_prefix("rstore_")
+            .and_then(|rest| rest.split_once('_'))
+            .is_some_and(|(subsystem, name)| word(subsystem) && word(name));
+        assert!(scheme, "{} is not rstore_<subsystem>_<name>", m.name);
+        let suffix_ok = match m.kind {
+            MetricKind::Counter => m.name.ends_with("_total"),
+            MetricKind::Histogram => m.name.ends_with("_seconds"),
+            MetricKind::Gauge => !m.name.ends_with("_total"),
+        };
+        assert!(suffix_ok, "{} carries the wrong suffix for a {:?}", m.name, m.kind);
+        assert!(!m.help.is_empty() && !m.json.is_empty(), "{} is undocumented", m.name);
+    }
+}
+
+/// The counter and histogram rows whose reading differs between two
+/// samples of one store.
+fn moved(from: &StoreStats, to: &StoreStats) -> Vec<&'static str> {
+    METRICS
+        .iter()
+        .filter(|m| m.kind != MetricKind::Gauge && m.show(from) != m.show(to))
+        .map(|m| m.name)
+        .collect()
+}
+
+/// One history that leaves no counter or histogram of the table
+/// unmoved: a row nothing here can move should be deleted, not
+/// excused.
+#[test]
+fn every_counter_and_histogram_moves_under_one_scripted_history() {
+    let ds = dataset();
+    let tiny = Duration::from_nanos(1);
+
+    // Leg one — a cached, traced, online store on a modeled LAN: load,
+    // a deadline trip, commits, flush, compact, reclaim, queries.
+    let online = RStore::builder()
+        .chunk_capacity(2048)
+        .cache_budget(24 * 1024)
+        .batch_size(4)
+        .trace_sample(1.0)
+        .slow_query_threshold(Duration::ZERO)
+        .build(Cluster::builder().nodes(2).network(NetworkModel::lan_virtual()).build());
+    let fresh = online.stats_snapshot();
+    online.load_dataset(&ds).unwrap();
+    let head = VersionId(online.version_count() as u32 - 1);
+    // Nothing is cached yet, so the fetch accrues modeled time.
+    let tripped = online.execute_with_deadline(online.plan_query(QuerySpec::Version(head)).unwrap(), Some(tiny));
+    assert!(matches!(tripped, Err(CoreError::DeadlineExceeded { .. })));
+    online.get_version(head).unwrap();
+    let mut parent = head;
+    for round in 0..8u64 {
+        let mut commit = CommitRequest::child_of(parent);
+        for pk in 0..6 {
+            commit = commit.put(pk * 7 + round, vec![round as u8; 96]);
+        }
+        parent = online.commit(commit).unwrap();
+    }
+    online.flush_batch().unwrap();
+    assert!(online.compact().unwrap().is_some(), "small online chunks must compact");
+    online.reclaim().unwrap();
+    for pass in 0..2 {
+        for v in 0..online.version_count() as u32 {
+            online.get_version(VersionId(v)).unwrap();
+            online.get_record(u64::from(v + pass), VersionId(v)).unwrap();
+        }
+    }
+    let mut seen = moved(&fresh, &online.stats_snapshot());
+
+    // Leg two — replication 2 under faults: a node down while loading
+    // (hints), a flaky cluster (retries), node 0 a real 3 ms straggler
+    // (hedges), node 2 refusing a batch through all its retries, and a
+    // node lost between plan and fetch (failover).
+    let faults = FaultPlan::new(7)
+        .rule(FaultRule::latency(Duration::from_millis(3)).on_node(0))
+        .rule(FaultRule::transient().with_probability(0.1))
+        .rule(FaultRule::transient().on_node(2).after(60).until(66));
+    let network = NetworkModel { real_sleep: true, ..NetworkModel::zero() };
+    let faulty = RStore::builder()
+        .chunk_capacity(2048)
+        .cache_budget(0)
+        .hedge(HedgeConfig { factor: 0.0, min: Duration::ZERO })
+        .build(Cluster::builder().nodes(4).replication(2).network(network).faults(faults).build());
+    let fresh = faulty.stats_snapshot();
+    faulty.cluster().set_node_down(3, true);
+    faulty.load_dataset(&ds).unwrap();
+    faulty.cluster().set_node_down(3, false);
+    let mut v = 0;
+    while v < faulty.version_count() as u32 || faulty.cluster().node_health()[2].failures == 0 {
+        faulty.get_version(VersionId(v % faulty.version_count() as u32)).unwrap();
+        v += 1;
+    }
+    for node in 0..4 {
+        let plan = faulty.plan_query(QuerySpec::Version(head)).unwrap();
+        faulty.cluster().set_node_down(node, true);
+        faulty.execute(plan).unwrap();
+        faulty.cluster().set_node_down(node, false);
+    }
+    seen.extend(moved(&fresh, &faulty.stats_snapshot()));
+
+    // Leg three — a one-slot, no-queue gate in front of a node 20 ms
+    // away: while one query holds the slot, the next is shed.
+    let far = NetworkModel { latency: Duration::from_millis(20), real_sleep: true, ..NetworkModel::zero() };
+    let gated = RStore::builder()
+        .cache_budget(0)
+        .max_concurrent_queries(1)
+        .max_queued(0)
+        .build(Cluster::builder().nodes(1).network(far).build());
+    gated.commit(CommitRequest::root([(1, vec![1u8; 8])])).unwrap();
+    gated.seal().unwrap();
+    let fresh = gated.stats_snapshot();
+    let mut shed = false;
+    while !shed {
+        std::thread::scope(|scope| {
+            let holder = scope.spawn(|| gated.get_version(VersionId(0)).unwrap());
+            while gated.serve_stats().in_flight == 0 && !holder.is_finished() {
+                std::thread::yield_now();
+            }
+            shed = matches!(gated.get_version(VersionId(0)), Err(CoreError::Overloaded));
+        });
+    }
+    seen.extend(moved(&fresh, &gated.stats_snapshot()));
+
+    let still: Vec<_> = METRICS
+        .iter()
+        .filter(|m| m.kind != MetricKind::Gauge && !seen.contains(&m.name))
+        .map(|m| m.name)
+        .collect();
+    assert!(still.is_empty(), "nothing moved {still:?}");
+
+    // And under `obs_enabled(false)` counters count while every
+    // histogram stays empty.
+    let off = build_store(&ds, |b| b.obs_enabled(false));
+    let fresh = off.stats_snapshot();
+    off.get_version(head).unwrap();
+    let counted = moved(&fresh, &off.stats_snapshot());
+    assert!(counted.contains(&"rstore_query_total"));
+    // (The per-node service-time histogram is the cluster's own — the
+    // hedge threshold reads it — not the store's to switch off.)
+    let recorded = |name: &&str| name.ends_with("_seconds") && !name.starts_with("rstore_node_");
+    assert!(!counted.iter().any(recorded), "a histogram recorded: {counted:?}");
 }

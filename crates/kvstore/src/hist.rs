@@ -105,6 +105,21 @@ impl Default for Histogram {
     }
 }
 
+/// A clone is a point-in-time copy (each cell read relaxed, like
+/// [`Histogram::snapshot`]) that later records into the original do
+/// not reach — how a stats sample freezes a whole registry at once.
+impl Clone for Histogram {
+    fn clone(&self) -> Self {
+        let copy = Self::new();
+        for (to, from) in copy.buckets.iter().zip(self.buckets.iter()) {
+            to.store(from.load(Ordering::Relaxed), Ordering::Relaxed);
+        }
+        copy.count.store(self.count(), Ordering::Relaxed);
+        copy.sum.store(self.sum_nanos(), Ordering::Relaxed);
+        copy
+    }
+}
+
 impl Histogram {
     pub fn new() -> Self {
         // Build the boxed bucket array without a stack round-trip:
@@ -136,6 +151,11 @@ impl Histogram {
     /// Total number of recorded values.
     pub fn count(&self) -> u64 {
         self.count.load(Ordering::Relaxed)
+    }
+
+    /// Sum of all recorded values, in nanoseconds.
+    pub fn sum_nanos(&self) -> u64 {
+        self.sum.load(Ordering::Relaxed)
     }
 
     /// Freezes the current contents into an immutable snapshot.

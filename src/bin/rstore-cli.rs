@@ -13,11 +13,11 @@
 //! rstore-cli --data-dir /tmp/db stats
 //! ```
 
-use rstore::core::obs::validate_scrapes;
+use rstore::core::obs::{validate_scrapes, METRICS};
 use rstore::core::plan::{HedgeConfig, QuerySpec, ReadRouting};
 use rstore::core::store::{CommitRequest, RStore, StoreConfig};
 use rstore::core::{CoreError, TraceConfig, VersionId};
-use rstore::kvstore::{BreakerPolicy, BreakerState, Cluster, EngineKind, FaultPlan};
+use rstore::kvstore::{BreakerPolicy, Cluster, EngineKind, FaultPlan};
 use std::path::PathBuf;
 use std::process::exit;
 use std::time::Duration;
@@ -52,7 +52,7 @@ fn usage() -> ! {
          (first answer wins); --deadline MS bounds every read command's\n\
          modeled time budget, queueing included; --breaker T,C trips a\n\
          node open after T consecutive batch failures and half-opens it\n\
-         after C request ticks. `stats` prints the per-node health\n\
+         after C request ticks. `stats` lists the per-node health\n\
          scoreboard (service EWMA, error rate, breaker state).\n\
          commands:\n\
            init     --set PK=VALUE ...            create the root version\n\
@@ -363,37 +363,14 @@ fn run() -> Result<(), CoreError> {
                 println!("{}", store.stats_snapshot().to_json());
                 return Ok(());
             }
-            let (vbytes, kbytes) = store.index_bytes();
-            let frag = store.fragmentation_stats();
-            println!("versions:            {}", store.version_count());
-            println!("generation:          {}", store.generation());
-            println!("pinned readers:      {}", store.pinned_readers());
-            println!("reclaim backlog:     {}", store.reclaim_backlog());
-            println!("chunks:              {}", store.chunk_count());
-            println!("retired chunks:      {}", store.retired_chunk_count());
-            println!("reclaimed chunks:    {}", frag.reclaimed_chunks);
-            println!("stored chunk bytes:  {}", store.storage_bytes());
-            println!("resident map bytes:  {}", store.resident_map_bytes());
-            println!("total version span:  {}", store.total_version_span());
-            println!("version->chunks idx: {vbytes} B");
-            println!("key->chunks idx:     {kbytes} B");
-            println!(
-                "mean chunk fill:     {:.2} ({} under-filled)",
-                frag.mean_fill, frag.under_filled
-            );
-            println!(
-                "version span:        mean {:.2} / max {}",
-                frag.mean_version_span, frag.max_version_span
-            );
-            println!(
-                "est read amplif.:    {:.2}x",
-                frag.est_read_amplification
-            );
-            // Per-node read-batch load of this session (the reopen
-            // recovery scan ran through the configured routing
-            // policy), so routing skew shows without a bench run.
-            println!("read routing:        {:?}", store.config().read_routing);
+            // Every fact of one stats sample, labeled by its JSON
+            // path: a walk over the metric table.
+            let sample = store.stats_snapshot();
+            for m in METRICS {
+                println!("{:<20} {}", format!("{}:", m.json), m.show(&sample));
+            }
             let cfg = store.config();
+            println!("read routing:        {:?}", cfg.read_routing);
             println!(
                 "tail defenses:       hedge {}, deadline {}, breaker {}",
                 match cfg.hedge {
@@ -412,54 +389,6 @@ fn run() -> Result<(), CoreError> {
                 } else {
                     "off".into()
                 },
-            );
-            // Self-healing counters for this session (non-zero when
-            // --faults is set or nodes dropped out mid-write).
-            let snap = store.cluster().stats();
-            println!("faults injected:     {}", snap.faults_injected);
-            println!("transient retries:   {}", snap.retries);
-            println!(
-                "handoff hints:       {} recorded / {} replayed",
-                snap.hints_recorded, snap.hints_replayed
-            );
-            println!("under-replicated:    {} key(s)", snap.under_replicated);
-            // Per-node load plus the PR 8 health scoreboard: modeled
-            // service time includes chaos-injected latency, so a
-            // straggling replica is visible right here; the breaker
-            // column shows who is routed around and who is probing.
-            let health = store.cluster().node_health();
-            for (load, h) in store.cluster().per_node_stats().iter().zip(&health) {
-                let state = match h.breaker {
-                    BreakerState::Closed => "closed",
-                    BreakerState::Open => "OPEN",
-                    BreakerState::HalfOpen => "half-open",
-                };
-                println!(
-                    "node {}:              {} batch read(s), {} key(s) served, \
-                     {:.3} ms modeled | ewma {:.0} µs/key, err {:.3}, breaker {} \
-                     ({} fail(s), {} consecutive)",
-                    load.node,
-                    load.batch_gets,
-                    load.keys_served,
-                    load.modeled.as_secs_f64() * 1e3,
-                    h.ewma_service.as_secs_f64() * 1e6,
-                    h.error_rate,
-                    state,
-                    h.failures,
-                    h.consecutive_failures,
-                );
-            }
-            // Serving-core counters for this session (pool size shows
-            // 0 until the first pooled query starts the workers).
-            let serve = store.serve_stats();
-            println!("fetch pool:          {} worker(s), {} job(s) run", serve.pool_size, serve.jobs_run);
-            println!(
-                "admission:           {} admitted / {} shed, peak {} in-flight / {} queued",
-                serve.admitted, serve.shed, serve.peak_in_flight, serve.peak_queued
-            );
-            println!(
-                "queue wait:          {:.3} ms total",
-                serve.total_queue_wait.as_secs_f64() * 1e3
             );
         }
         "trace" => {

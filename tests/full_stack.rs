@@ -469,3 +469,134 @@ fn one_history_reaches_the_generation_writer_from_every_entry_point() {
     drop(store);
     let _ = std::fs::remove_dir_all(dir);
 }
+
+/// A Prometheus text scrape as `series (labels included) → value`.
+fn prom_values(text: &str) -> std::collections::HashMap<String, f64> {
+    text.lines()
+        .filter(|line| !line.starts_with('#') && !line.is_empty())
+        .map(|line| {
+            let (series, value) = line.rsplit_once(' ').expect("sample line");
+            (series.to_string(), value.parse().expect("sample value"))
+        })
+        .collect()
+}
+
+/// `StoreStats::to_json` output — nested objects of numbers — as
+/// `dotted.path → value`.
+fn json_values(text: &str) -> std::collections::HashMap<String, f64> {
+    fn object(
+        s: &mut std::iter::Peekable<std::str::Chars>,
+        path: &str,
+        out: &mut std::collections::HashMap<String, f64>,
+    ) {
+        assert_eq!(s.next(), Some('{'));
+        while s.peek() != Some(&'}') {
+            assert_eq!(s.next(), Some('"'));
+            let key: String = s.by_ref().take_while(|&c| c != '"').collect();
+            assert_eq!(s.next(), Some(':'));
+            let path = if path.is_empty() { key } else { format!("{path}.{key}") };
+            if s.peek() == Some(&'{') {
+                object(s, &path, out);
+            } else {
+                let mut number = String::new();
+                while let Some(c) = s.next_if(|&c| c != ',' && c != '}') {
+                    number.push(c);
+                }
+                out.insert(path, number.parse().expect("JSON number"));
+            }
+            s.next_if_eq(&',');
+        }
+        s.next();
+    }
+    let mut out = std::collections::HashMap::new();
+    object(&mut text.chars().peekable(), "", &mut out);
+    out
+}
+
+#[test]
+fn every_entry_point_is_counted_once_and_the_expositions_agree() {
+    use rstore::core::obs::{MetricKind, METRICS};
+    use std::time::Duration;
+
+    let mut spec = DatasetSpec::tiny(9022);
+    spec.num_versions = 20;
+    spec.root_records = 60;
+    let dataset = spec.generate();
+    // Cache off, replication 1: every chunk a query spans is read from
+    // the backend exactly once, so the store's and the cluster's byte
+    // counters must move together.
+    let store = RStore::builder()
+        .chunk_capacity(1024)
+        .cache_budget(0)
+        .build(Cluster::builder().nodes(3).build());
+    store.load_dataset(&dataset).unwrap();
+
+    // The same version read through each way into the executor — the
+    // materializing call, the three-stage pipeline the benchmark and
+    // compaction drive, the streaming call and the deadline variant.
+    let before = prom_values(&store.metrics_text());
+    let mut queries = 0.0;
+    for v in (0..dataset.graph.len() as u32).step_by(4).map(VersionId) {
+        let spec = QuerySpec::Version(v);
+        let expect = store.get_version(v).unwrap().len();
+        let staged = store.execute(store.plan_query(spec).unwrap()).unwrap();
+        assert_eq!(staged.into_stream().drain().unwrap().len(), expect);
+        assert_eq!(store.stream_query(spec).unwrap().count(), expect);
+        let bounded = store
+            .execute_with_deadline(store.plan_query(spec).unwrap(), Some(Duration::from_secs(3600)))
+            .unwrap();
+        assert_eq!(bounded.into_stream().drain().unwrap().len(), expect);
+        queries += 4.0;
+    }
+    let after = prom_values(&store.metrics_text());
+    let rise = |series: &str| after[series] - before[series];
+    assert_eq!(rise("rstore_query_total"), queries);
+    assert_eq!(rise("rstore_query_modeled_seconds_count"), queries);
+    assert_eq!(rise("rstore_serve_admitted_total"), queries);
+    assert!(rise("rstore_fetch_bytes_total") > 0.0);
+    assert_eq!(rise("rstore_fetch_bytes_total"), rise("rstore_cluster_bytes_read_total"));
+    // Only the materializing call reaches the extract stage's timer.
+    assert_eq!(rise("rstore_query_wall_seconds_count"), queries / 4.0);
+
+    // One sample, rendered twice while queries keep running: every
+    // fact carries the same value in both expositions.
+    let stop = std::sync::atomic::AtomicBool::new(false);
+    std::thread::scope(|scope| {
+        scope.spawn(|| {
+            while !stop.load(std::sync::atomic::Ordering::Relaxed) {
+                store.get_version(VersionId(0)).unwrap();
+            }
+        });
+        let sample = store.stats_snapshot();
+        let (prom, json) = (prom_values(&sample.to_prometheus()), json_values(&sample.to_json()));
+        stop.store(true, std::sync::atomic::Ordering::Relaxed);
+        let (mut compared, mut histograms) = (0, 0);
+        for m in METRICS {
+            // A histogram's shared fact is its sample count.
+            let (suffix, leaf) = match m.kind {
+                MetricKind::Histogram => ("_count", ".count"),
+                _ => ("", ""),
+            };
+            let series = format!("{}{suffix}", m.name);
+            for (name, value) in &prom {
+                // `name` or `name{dim="label"}`; a family's JSON object
+                // is keyed by the label.
+                let label = match name.strip_prefix(series.as_str()) {
+                    Some("") => String::new(),
+                    Some(labels) if labels.starts_with('{') => {
+                        format!(".{}", labels.split('"').nth(1).unwrap())
+                    }
+                    _ => continue,
+                };
+                let path = format!("{}{label}{leaf}", m.json);
+                assert_eq!(json.get(&path), Some(value), "{name} vs {path}");
+                compared += 1;
+                histograms += usize::from(m.kind == MetricKind::Histogram);
+            }
+        }
+        assert!(compared >= METRICS.len(), "only {compared} facts compared");
+        // Nothing is in the JSON alone: beside the shared count, only
+        // each histogram's mean and two quantiles.
+        assert_eq!(json.len(), compared + 3 * histograms);
+    });
+}
