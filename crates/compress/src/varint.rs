@@ -141,7 +141,7 @@ impl<'a> VarintReader<'a> {
 
     /// Reads `len` raw bytes.
     pub fn read_bytes(&mut self, len: usize) -> Result<&'a [u8], CodecError> {
-        if self.pos + len > self.input.len() {
+        if len > self.input.len() - self.pos {
             return Err(CodecError::UnexpectedEof);
         }
         let out = &self.input[self.pos..self.pos + len];

@@ -105,20 +105,6 @@ impl ChunkMap {
         self.segments.push((first, entries.into()));
     }
 
-    /// Drops the entries of version `v` and every later one.
-    pub(crate) fn truncate_versions(&mut self, v: VersionId) {
-        while let Some((_, last)) = self.segments.pop() {
-            let keep = last.partition_point(|&(ver, _)| ver < v);
-            if keep > 0 {
-                // A cut inside a segment re-cuts it (a restart's rare
-                // leftover; whole segments just drop).
-                let kept = if keep < last.len() { last[..keep].into() } else { last };
-                self.segments.push((kept[0].0, kept));
-                break;
-            }
-        }
-    }
-
     /// Number of records the bitmaps cover.
     pub fn num_records(&self) -> usize {
         self.num_records
@@ -173,16 +159,47 @@ impl ChunkMap {
     /// entry `varint(version) varint(len) bitmap`.
     pub fn serialize(&self) -> Vec<u8> {
         let mut out = Vec::new();
-        write_header(&mut out, self.num_records, self.num_versions());
-        self.write_entry_region(&mut out);
+        varint::write_u64(&mut out, self.num_records as u64);
+        varint::write_u64(&mut out, self.num_versions() as u64);
+        for (_, segment) in &self.segments {
+            write_entries(&mut out, segment);
+        }
         out
     }
 
-    /// Appends the serialized entries, segment after segment.
-    fn write_entry_region(&self, out: &mut Vec<u8>) {
+    /// The entries past the first `skip`, counted and serialized as
+    /// [`encode_entries`] would — what a checkpoint carries for a map
+    /// that grew past the `skip` entries its stored base map holds.
+    pub(crate) fn encode_from(&self, skip: usize) -> (usize, Vec<u8>) {
+        let mut out = Vec::new();
+        let mut seen = 0;
         for (_, segment) in &self.segments {
-            write_entries(out, segment);
+            let from = skip.saturating_sub(seen).min(segment.len());
+            write_entries(&mut out, &segment[from..]);
+            seen += segment.len();
         }
+        (seen.saturating_sub(skip), out)
+    }
+
+    /// Appends `n` entries serialized as `bytes` ([`encode_entries`]) as
+    /// one segment — how a restart replays the entries a commit record
+    /// logged for this chunk. Unlike [`ChunkMap::push_segment`] the
+    /// input is backend bytes: anything but `n` well-formed entries
+    /// ascending from past the last resident version is an error.
+    pub(crate) fn push_encoded(&mut self, n: usize, bytes: &[u8]) -> Result<(), CoreError> {
+        if n > bytes.len() {
+            return Err(CoreError::Codec("entry count exceeds input".into()));
+        }
+        let mut r = varint::VarintReader::new(bytes);
+        let last = self.segments.last().map(|(_, s)| s[s.len() - 1].0);
+        let entries = read_entries(&mut r, n, self.num_records, last)?;
+        if !r.is_empty() {
+            return Err(CoreError::Codec("trailing bytes after chunk-map entries".into()));
+        }
+        if let Some(&(first, _)) = entries.first() {
+            self.segments.push((first, entries.into()));
+        }
+        Ok(())
     }
 
     /// Deserializes a buffer produced by [`ChunkMap::serialize`].
@@ -193,24 +210,7 @@ impl ChunkMap {
         if n_entries > input.len() {
             return Err(CoreError::Codec("entry count exceeds input".into()));
         }
-        let mut entries = Vec::with_capacity(n_entries);
-        let mut last: Option<VersionId> = None;
-        for _ in 0..n_entries {
-            let v = VersionId(r.read_u32()?);
-            if last.is_some_and(|l| v <= l) {
-                return Err(CoreError::Codec("versions out of order".into()));
-            }
-            last = Some(v);
-            let len = r.read_u64()? as usize;
-            let bitmap = Bitmap::deserialize(r.read_bytes(len)?)?;
-            if bitmap.len() != num_records {
-                return Err(CoreError::Codec(format!(
-                    "bitmap length {} != record count {num_records}",
-                    bitmap.len()
-                )));
-            }
-            entries.push((v, bitmap));
-        }
+        let entries = read_entries(&mut r, n_entries, num_records, None)?;
         if !r.is_empty() {
             return Err(CoreError::Codec("trailing bytes in chunk map".into()));
         }
@@ -220,11 +220,6 @@ impl ChunkMap {
         }
         Ok(map)
     }
-}
-
-fn write_header(out: &mut Vec<u8>, num_records: usize, n_entries: usize) {
-    varint::write_u64(out, num_records as u64);
-    varint::write_u64(out, n_entries as u64);
 }
 
 /// Appends the serialized form of `entries` — the map format's entry
@@ -238,85 +233,41 @@ fn write_entries(out: &mut Vec<u8>, entries: &[Entry]) {
     }
 }
 
-/// Serializes `entries` as they would appear in a map's entry region.
+/// Serializes `entries` as they would appear in a map's entry region:
+/// the bytes a commit record logs for an existing chunk.
 pub(crate) fn encode_entries(entries: &[Entry]) -> Vec<u8> {
     let mut out = Vec::new();
     write_entries(&mut out, entries);
     out
 }
 
-/// The writer's handle on a chunk map: the decoded map — one `Arc`
-/// shared with the published [`StoreSnapshot`](crate::store::StoreSnapshot),
-/// which is what every read extracts with — beside the serialized bytes
-/// of its entry region. A flush rewrites a dirty map as header + these
-/// bytes + the new entries' bytes instead of re-encoding every
-/// historical bitmap, and grows the decoded map copy-on-write: readers
-/// pinned to an older generation keep the map they planned with.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct ResidentMap {
-    map: Arc<ChunkMap>,
-    /// Serialized entries of `map`, or `None` until first needed: a map
-    /// adopted at reopen is encoded by its first rewrite, not by every
-    /// reopen.
-    entry_bytes: Option<Vec<u8>>,
-}
-
-impl ResidentMap {
-    /// An empty map for a chunk with `num_records` records.
-    pub(crate) fn new(num_records: usize) -> Self {
-        Self {
-            map: Arc::new(ChunkMap::new(num_records)),
-            entry_bytes: Some(Vec::new()),
+/// Reads `n` entries as [`write_entries`] wrote them: versions strictly
+/// ascending from past `last`, every bitmap over `num_records` records.
+/// The caller has bounded `n` by its input's length.
+fn read_entries(
+    r: &mut varint::VarintReader<'_>,
+    n: usize,
+    num_records: usize,
+    mut last: Option<VersionId>,
+) -> Result<Vec<Entry>, CoreError> {
+    let mut entries = Vec::with_capacity(n);
+    for _ in 0..n {
+        let v = VersionId(r.read_u32()?);
+        if last.is_some_and(|l| v <= l) {
+            return Err(CoreError::Codec("versions out of order".into()));
         }
-    }
-
-    /// Adopts a map decoded from the backend.
-    pub(crate) fn adopt(map: ChunkMap) -> Self {
-        Self {
-            map: Arc::new(map),
-            entry_bytes: None,
+        last = Some(v);
+        let len = r.read_u64()? as usize;
+        let bitmap = Bitmap::deserialize(r.read_bytes(len)?)?;
+        if bitmap.len() != num_records {
+            return Err(CoreError::Codec(format!(
+                "bitmap length {} != record count {num_records}",
+                bitmap.len()
+            )));
         }
+        entries.push((v, bitmap));
     }
-
-    /// The decoded map.
-    pub(crate) fn map(&self) -> &Arc<ChunkMap> {
-        &self.map
-    }
-
-    /// The bytes [`ChunkMap::serialize`] would produce once `n_new`
-    /// more entries, serialized as `tail` ([`encode_entries`]), are
-    /// appended. The map itself is unchanged: the caller ships these
-    /// bytes and calls [`ResidentMap::append`] only when they are
-    /// durable.
-    pub(crate) fn serialize_with(&mut self, n_new: usize, tail: &[u8]) -> Vec<u8> {
-        let map = &self.map;
-        let resident = self.entry_bytes.get_or_insert_with(|| {
-            let mut bytes = Vec::new();
-            map.write_entry_region(&mut bytes);
-            bytes
-        });
-        let mut out = Vec::with_capacity(12 + resident.len() + tail.len());
-        write_header(&mut out, map.num_records, map.num_versions() + n_new);
-        out.extend_from_slice(resident);
-        out.extend_from_slice(tail);
-        out
-    }
-
-    /// Appends `new` entries (ascending versions, all past the last
-    /// resident one) whose serialized form is `tail`. A map the
-    /// published snapshot still shares is not touched: the entries land
-    /// in a new segment of a copy that shares every older one.
-    pub(crate) fn append(&mut self, new: Vec<Entry>, tail: &[u8]) {
-        if new.is_empty() {
-            return;
-        }
-        Arc::make_mut(&mut self.map).push_segment(new);
-        // Bytes not materialized yet stay that way: the next
-        // `serialize_with` encodes the whole region once.
-        if let Some(resident) = &mut self.entry_bytes {
-            resident.extend_from_slice(tail);
-        }
-    }
+    Ok(entries)
 }
 
 #[cfg(test)]
@@ -406,41 +357,46 @@ mod tests {
     }
 
     #[test]
-    fn resident_map_appends_to_the_same_bytes_as_a_full_encode() {
+    fn logged_entries_replay_to_the_same_map_as_live_appends() {
         let entry = |v: u32, locals: &[usize]| {
             (VersionId(v), Bitmap::from_indices(70, locals.iter().copied()))
         };
-        // One map grown flush by flush, one adopted mid-way (reopen).
-        let mut grown = ResidentMap::new(70);
-        let mut reference = ChunkMap::new(70);
-        let mut adopted: Option<ResidentMap> = None;
+        // One map grown generation by generation (the live writer), one
+        // rebuilt from its stored base plus the logged bytes (a restart).
         let batches: Vec<Vec<(VersionId, Bitmap)>> = vec![
             vec![entry(0, &[0, 1, 69]), entry(1, &[1])],
             vec![],
             vec![entry(4, &[2, 3, 4, 5, 64])],
             vec![entry(7, &(0..70).collect::<Vec<_>>()), entry(9, &[33])],
         ];
-        for (round, batch) in batches.into_iter().enumerate() {
-            if round == 2 {
-                adopted = Some(ResidentMap::adopt(reference.clone()));
-            }
-            let tail = encode_entries(&batch);
-            for (v, b) in &batch {
-                reference.push_version(*v, b.iter_ones());
-            }
-            let staged = grown.serialize_with(batch.len(), &tail);
-            assert_eq!(staged, reference.serialize(), "round {round}");
-            // Staging leaves the map untouched until `append`.
-            assert_eq!(grown.map().num_versions() + batch.len(), reference.num_versions());
-            if let Some(a) = &mut adopted {
-                assert_eq!(a.serialize_with(batch.len(), &tail), staged);
-                a.append(batch.clone(), &tail);
-            }
-            grown.append(batch, &tail);
-            assert_eq!(**grown.map(), reference);
-            assert_eq!(grown.serialize_with(0, &[]), reference.serialize());
+        let mut live = ChunkMap::new(70);
+        live.push_segment(batches[0].clone());
+        let base = live.serialize();
+        let mut replayed = ChunkMap::deserialize(&base).unwrap();
+        for batch in &batches[1..] {
+            live.push_segment(batch.clone());
+            replayed.push_encoded(batch.len(), &encode_entries(batch)).unwrap();
+            assert_eq!(replayed, live);
+            assert_eq!(replayed.serialize(), live.serialize());
         }
-        assert_eq!(**adopted.unwrap().map(), reference);
+        // A checkpoint carries what grew past the base, however the
+        // entries are cut into segments.
+        let (n, bytes) = live.encode_from(2);
+        assert_eq!(n, 3);
+        let mut from_checkpoint = ChunkMap::deserialize(&base).unwrap();
+        from_checkpoint.push_encoded(n, &bytes).unwrap();
+        assert_eq!(from_checkpoint, live);
+        assert_eq!(live.encode_from(3).0, 2, "a cut inside a segment");
+        assert_eq!(live.encode_from(5), (0, Vec::new()));
+        // Backend bytes are checked, not trusted.
+        let stale = encode_entries(&[entry(9, &[1])]);
+        assert!(replayed.push_encoded(1, &stale).is_err(), "version not past the last");
+        let next = encode_entries(&[entry(12, &[1])]);
+        assert!(replayed.push_encoded(2, &next).is_err(), "count past the input");
+        assert!(replayed.push_encoded(1, &next[..next.len() - 1]).is_err());
+        let wide = encode_entries(&[(VersionId(12), Bitmap::from_indices(71, [1]))]);
+        assert!(replayed.push_encoded(1, &wide).is_err(), "bitmap over another record count");
+        assert_eq!(replayed, live, "a rejected append leaves the map alone");
     }
 
     #[test]
@@ -448,21 +404,19 @@ mod tests {
         let entry = |v: u32, locals: &[usize]| {
             (VersionId(v), Bitmap::from_indices(9, locals.iter().copied()))
         };
-        let mut writer = ResidentMap::new(9);
-        let tail = encode_entries(&[entry(1, &[0, 8]), entry(3, &[4])]);
-        writer.append(vec![entry(1, &[0, 8]), entry(3, &[4])], &tail);
+        let mut writer = Arc::new(ChunkMap::new(9));
+        Arc::make_mut(&mut writer).push_segment(vec![entry(1, &[0, 8]), entry(3, &[4])]);
         // The snapshot's share of generation g.
-        let published = Arc::clone(writer.map());
-        let tail = encode_entries(&[entry(6, &[2])]);
-        writer.append(vec![entry(6, &[2])], &tail);
+        let published = Arc::clone(&writer);
+        Arc::make_mut(&mut writer).push_segment(vec![entry(6, &[2])]);
         // The published map is untouched; the writer's copy holds its
         // entries by pointer, not by value.
         assert_eq!(published.num_versions(), 2);
         assert_eq!(published.members_of(VersionId(6)), None);
-        assert!(Arc::ptr_eq(&published.segments[0].1, &writer.map().segments[0].1));
-        assert_eq!(writer.map().segments.len(), 2);
+        assert!(Arc::ptr_eq(&published.segments[0].1, &writer.segments[0].1));
+        assert_eq!(writer.segments.len(), 2);
         // Lookups cross segments; misses fall between and around them.
-        let map = writer.map();
+        let map = &writer;
         assert_eq!(map.locals_of(VersionId(1)).unwrap(), vec![0, 8]);
         assert_eq!(map.locals_of(VersionId(3)).unwrap(), vec![4]);
         assert_eq!(map.locals_of(VersionId(6)).unwrap(), vec![2]);
@@ -473,14 +427,6 @@ mod tests {
         let whole = ChunkMap::deserialize(&map.serialize()).unwrap();
         assert_eq!(whole.segments.len(), 1);
         assert_eq!(&whole, &**map);
-        // Truncation cuts inside a segment, between segments and not
-        // at all — and never reaches the map it was cloned from.
-        for (cut_at, kept) in [(3u32, vec![1u32]), (6, vec![1, 3]), (4, vec![1, 3]), (9, vec![1, 3, 6])] {
-            let mut cut = ChunkMap::clone(map);
-            cut.truncate_versions(VersionId(cut_at));
-            assert_eq!(cut.iter().map(|(v, _)| v.as_u32()).collect::<Vec<_>>(), kept);
-        }
-        assert_eq!(map.num_versions(), 3);
     }
 
     #[test]

@@ -32,20 +32,23 @@
 //! then fresh ids past the tail), and the victims become retired
 //! tombstones. The backend sees three strictly ordered effects:
 //!
-//! 1. **Write the new generation** — chunk blobs and chunk maps,
+//! 1. **Write the new generation** — chunk blobs and their base maps,
 //!    streamed through the writer's per-node batches. Until step 2
-//!    lands, the persisted metadata still references only the old
-//!    generation, which is fully intact — a crash here leaves harmless
-//!    orphaned new keys.
-//! 2. **Persist the metadata** — projections (rewritten to reference
-//!    the new ids), version graph, chunk count and the retired-id
-//!    list, in one batched put. This is the commit point: a store
-//!    reopened before it serves the old generation, after it the new.
+//!    lands, the commit log still names only the old generation, which
+//!    is fully intact — a crash here leaves harmless orphaned new keys.
+//! 2. **Commit the slice's record** — one appended key holding what the
+//!    slice changed: the victims retired, the new chunks' slots, and
+//!    the projection edits that move every version and key from the
+//!    old ids to the new. This is the commit point: a store reopened
+//!    before it serves the old generation, after it the new.
 //! 3. **Batch-delete the victims** — the old generation's chunk and
-//!    chunk-map keys, one `MultiDelete` per owning node
+//!    base-map keys, one `MultiDelete` per owning node
 //!    (`Cluster::multi_delete_scatter`). A crash between 2 and 3
 //!    leaves harmless orphaned *old* keys; the recovery scan plans
-//!    only live ids and never touches them.
+//!    only live ids and never touches them. (Entries earlier records
+//!    logged for a victim's map need no delete: a restart drops them
+//!    when it replays the retirement, and the next checkpoint folds
+//!    the records away.)
 //!
 //! In-memory state (locator, projections, chunk maps) swaps only
 //! after step 2, inside the writer. A slice that fails anywhere up to
@@ -56,7 +59,8 @@
 //! overwritten under the same ids).
 //!
 //! Commits still buffered in the delta store are untouched: their
-//! records are not yet placed, and their version ids are excluded
+//! records are not yet placed, their graph nodes are not in the log
+//! (a slice's record carries none), and their version ids are excluded
 //! from the rebuilt chunk maps so the next flush indexes them
 //! normally (chunk maps require strictly increasing version pushes).
 
@@ -213,8 +217,10 @@ pub struct CompactionReport {
     /// Sub-chunks rebuilt (same-key groups of up to `max_subchunk`).
     pub subchunks_built: usize,
     /// Key + value bytes written for the new generation (chunk blobs,
-    /// chunk maps; before replication).
+    /// base maps; before replication).
     pub bytes_rewritten: usize,
+    /// Bytes of the slices' commit records.
+    pub record_bytes: usize,
     /// Compressed chunk bytes the retired generation occupied (chunk
     /// maps excluded — their serialized size is not tracked).
     pub bytes_reclaimed: usize,
@@ -422,6 +428,7 @@ impl RStore {
             report.records_moved += out.records_moved;
             report.subchunks_built += out.subchunks_built;
             report.bytes_rewritten += out.bytes_rewritten;
+            report.record_bytes += out.record_bytes;
             report.bytes_reclaimed += out.bytes_reclaimed;
             report.keys_deleted += out.keys_deleted;
             report.reclamation_failed |= out.reclamation_failed;
@@ -466,8 +473,8 @@ impl RStore {
     /// Rebuilds one victim slice end to end: stage, guard, commit
     /// through the generation writer, reclaim. Returns `Ok(None)` when
     /// the cutover guard rejects the slice. An error means nothing
-    /// changed — the writer applies a generation only after its meta
-    /// put — so the caller keeps the victims queued.
+    /// changed — the writer applies a generation only after its commit
+    /// record — so the caller keeps the victims queued.
     fn compact_slice(
         &self,
         st: &mut StoreMut,
@@ -516,7 +523,8 @@ impl RStore {
         // -- write + commit: the new generation, with the victims
         // retired. The index pass is from the contents: per version,
         // the moved records it holds, as one bitmap per new chunk ----
-        let committed = self.commit_generation(st, staged, &victims, |_, chunks| {
+        let flushed = st.flushed_versions;
+        let committed = self.commit_generation(st, staged, flushed, &victims, |_, chunks| {
             let count_of = chunks.counts_by_id();
             let mut index = StagedIndex::default();
             let mut touched: FxHashMap<u32, Vec<usize>> = FxHashMap::default();
@@ -603,6 +611,7 @@ impl RStore {
             records_moved: records.len(),
             subchunks_built,
             bytes_rewritten: committed.bytes_written,
+            record_bytes: committed.record_bytes,
             bytes_reclaimed,
             keys_deleted,
             reclamation_failed,
@@ -664,18 +673,15 @@ impl RStore {
                 group_of_rec[i as usize] = g as u32;
             }
         }
-        // Version ids still waiting in the delta store: their records
-        // are not placed yet, and the rebuilt chunk maps must not
-        // claim them — the next flush pushes them in order.
-        let pending: FxHashSet<u32> = st.pending_version_ids();
+        // The versions past the flushed ones still wait in the delta
+        // store: their records are not placed yet, and the rebuilt
+        // chunk maps must not claim them — the next flush pushes them
+        // in order.
         let num_versions = st.graph.len();
         let mut version_items: Vec<Vec<u32>> = vec![Vec::new(); num_versions];
         let mut version_members: Vec<Vec<u32>> = vec![Vec::new(); num_versions];
         let mut mark: Vec<u32> = vec![u32::MAX; groups.len()];
-        for v in 0..num_versions {
-            if pending.contains(&(v as u32)) {
-                continue;
-            }
+        for v in 0..st.flushed_versions {
             let mut items: Vec<u32> = Vec::new();
             let mut members: Vec<u32> = Vec::new();
             for &(pk, origin) in &st.contents[v] {
@@ -750,6 +756,7 @@ struct SliceOutcome {
     records_moved: usize,
     subchunks_built: usize,
     bytes_rewritten: usize,
+    record_bytes: usize,
     bytes_reclaimed: usize,
     keys_deleted: usize,
     reclamation_failed: bool,

@@ -1,6 +1,7 @@
 //! The generation writer: the one path that turns records into
 //! persistent output — chunks, their chunk maps and the two lossy
-//! projections — and commits it.
+//! projections — and commits it, and the commit log a restart reads
+//! back.
 //!
 //! The offline bulk load ([`RStore::load_dataset`]), the online batch
 //! flush ([`RStore::flush_batch`]) and a compaction slice
@@ -21,41 +22,68 @@
 //!    against *peeked* ids, serialize on their own cores and stream to
 //!    the backend in per-node batches ([`Cluster::writer`]) while later
 //!    chunks are still being encoded; the caller's index pass derives
-//!    the new chunk-map entries, every dirty map is rewritten once as
-//!    header + resident bytes + the new entries' bytes
-//!    ([`ResidentMap`]) and rides the same streaming writer.
-//!    `ingest_threads = 1` keeps the fully serial reference path
-//!    (encode everything, then one scatter-gather put) that the
-//!    equivalence proptests compare against.
-//! 3. **commit** — the next projections, retired and free sets are
-//!    staged off to the side and persisted ([`RStore::persist_meta`],
-//!    the commit point); only then is the generation applied to the
-//!    writer state — each written map grows by its new entries,
-//!    copy-on-write, so generations readers still pin keep theirs — and
-//!    published, chunk maps included: reads extract with the published
-//!    maps, and the stored ones are read back only by a restart
-//!    ([`load_chunk_maps`]).
+//!    the new chunk-map entries, and every **new** chunk's map — its
+//!    *base map*, `cmaps/<id>`, written once and never again — rides
+//!    the same streaming writer. `ingest_threads = 1` keeps the fully
+//!    serial reference path (encode everything, then one scatter-gather
+//!    put) that the equivalence proptests compare against.
+//! 3. **commit** — one appended key, `meta/gen/<seq>`, holding a
+//!    [`GenerationRecord`]: only what the generation changed — the
+//!    flushed versions' graph nodes, the chunk-table edits, the
+//!    projection edits ([`ProjectionDelta`]) and, for every
+//!    already-existing chunk the index pass touched, its new chunk-map
+//!    entries. That single put is the commit point. Only then is the
+//!    same record applied to the writer state — each dirty map grows
+//!    by its new entries, copy-on-write, so generations readers still
+//!    pin keep theirs — and published, chunk maps included: reads
+//!    extract with the published maps, and the stored ones are read
+//!    back only by a restart.
 //!
-//! Any error before the meta put therefore leaves the writer state
-//! untouched: a failed flush keeps its commits in the delta store, a
-//! failed compaction slice keeps its victims queued, and the retry ends
-//! byte-identical to an undisturbed twin. Blobs or maps a failed
-//! attempt left behind are overwritten by the retry or stay
-//! unreferenced.
+//! Any error up to and including the record put therefore leaves the
+//! writer state untouched: a failed flush keeps its commits in the
+//! delta store, a failed compaction slice keeps its victims queued, and
+//! the retry ends byte-identical to an undisturbed twin. Blobs or base
+//! maps a failed attempt left behind are overwritten by the retry or
+//! stay unreferenced — a dead attempt wrote nothing any record names.
+//!
+//! ## The commit log
+//!
+//! [`RStore::reclaim`] commits through the same record (its freed and
+//! truncated slots), so every change to the persistent metadata is one
+//! record, and a record costs what its generation changed — not what
+//! the store holds. What bounds the log is the **checkpoint**: the
+//! whole state written as the one record that builds it from nothing
+//! ([`StoreMut::checkpoint_record`]), under `meta/checkpoint`, after
+//! which the records it covers are deleted. It runs when the records
+//! since the last one outweigh it [`CHECKPOINT_FACTOR`]-fold, so the
+//! bytes checkpoints add stay a fixed fraction of the bytes the records
+//! themselves took, however long the history. A checkpoint is an
+//! optimization of the restart, not a commit point: if its put fails,
+//! the records are still the log.
+//!
+//! A restart ([`load_persisted`]) reads the checkpoint, then the records
+//! after it in sequence, then the live chunks' base maps, and appends
+//! to each map the entries the checkpoint and the records logged for
+//! it. Commits acknowledged but not yet flushed are in none of these:
+//! they wait in the delta store (`deltas/<version>`, written by
+//! [`RStore::commit`], deleted by the flush that placed them) and a
+//! restart re-admits them as pending.
 
 use crate::chunk::{Chunk, SubChunk};
-use crate::chunkmap::{encode_entries, ChunkMap, ResidentMap};
+use crate::chunkmap::{encode_entries, ChunkMap};
 use crate::error::CoreError;
-use crate::index::Projections;
-use crate::model::{ChunkId, CompositeKey, PrimaryKey, VersionId};
+use crate::index::{bounded_count, read_ascending, write_ascending, ProjectionDelta, Projections};
+use crate::model::{ChunkId, CompositeKey, PrimaryKey, Record, VersionId};
 use crate::partition::{PartitionInput, Partitioning};
 use crate::plan;
-use crate::store::{IngestStages, RStore, StoreMut, CHUNK_TABLE, CMAP_TABLE, META_TABLE};
+use crate::store::{
+    IngestStages, RStore, StoreMut, CHUNK_TABLE, CMAP_TABLE, DELTA_TABLE, META_TABLE,
+};
 use bytes::Bytes;
 use crossbeam::channel::bounded;
 use rstore_compress::{varint, Bitmap};
 use rstore_kvstore::{table_key, Cluster, Key, KvError, WriteSummary};
-use rstore_vgraph::{VersionDelta, VersionGraph};
+use rstore_vgraph::VersionDelta;
 use rustc_hash::{FxHashMap, FxHashSet};
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
@@ -170,129 +198,548 @@ fn stream_chunk_blobs(
 }
 
 // ------------------------------------------------------------------
-// The META keys: what a commit point persists and a restart reads
+// The commit log: what a commit point persists and a restart reads
 // ------------------------------------------------------------------
 
-/// What one meta commit persists. [`StoreMut::meta`] views the writer
-/// state; the generation writer substitutes the parts it has staged,
-/// so the commit point is written before the writer state changes.
-pub(crate) struct MetaView<'a> {
-    pub(crate) graph: &'a VersionGraph,
-    pub(crate) projections: &'a Projections,
-    pub(crate) chunk_slots: usize,
-    pub(crate) retired: &'a FxHashSet<u32>,
-    pub(crate) free: &'a FxHashSet<u32>,
-}
+/// A checkpoint is written once the records since the last one hold
+/// this many times its bytes (and there are at least two of them: one
+/// record is no slower to replay than the checkpoint folding it).
+/// Between checkpoints `k` and `k + 1` the log grows by `FACTOR × S_k`
+/// and the state by at most that, so checkpoint sizes grow
+/// geometrically and all of them together stay under
+/// `(1 + 1/FACTOR) ×` the last one — while a restart replays at most
+/// `FACTOR ×` the checkpoint it starts from.
+const CHECKPOINT_FACTOR: usize = 4;
 
-/// The META keys as a restart finds them — the owned counterpart of
-/// [`MetaView`].
-pub(crate) struct PersistedMeta {
-    pub(crate) graph: VersionGraph,
-    pub(crate) projections: Projections,
-    pub(crate) chunk_slots: usize,
-    pub(crate) retired: FxHashSet<u32>,
-    pub(crate) free: FxHashSet<u32>,
-}
+/// First byte of an encoded [`GenerationRecord`]: the format's tag.
+const RECORD_TAG: u8 = 0xC7;
 
-fn encode_ids(ids: &FxHashSet<u32>) -> Vec<u8> {
-    let mut sorted: Vec<u32> = ids.iter().copied().collect();
-    sorted.sort_unstable();
-    let mut bytes = Vec::with_capacity(4 + sorted.len() * 2);
-    varint::write_u64(&mut bytes, sorted.len() as u64);
-    for c in sorted {
-        varint::write_u32(&mut bytes, c);
-    }
-    bytes
-}
+/// Records a restart asks for per round trip while it walks the log
+/// past the checkpoint (the window doubles as the walk goes on).
+const RECORD_WINDOW: u64 = 4;
 
-/// Reads an id list [`encode_ids`] wrote. An absent key is the empty
-/// list: stores persisted before compaction (`retired`) or snapshot
-/// reclamation (`free`) existed never wrote one.
-fn load_ids(cluster: &Cluster, name: &str) -> Result<FxHashSet<u32>, CoreError> {
-    let mut ids = FxHashSet::default();
-    if let Some(bytes) = cluster.get(&table_key(META_TABLE, name.as_bytes()))? {
-        let mut r = varint::VarintReader::new(&bytes);
-        let n = r.read_u64()? as usize;
-        if n > bytes.len() {
-            return Err(CoreError::Codec(format!("{name} count exceeds input")));
-        }
-        for _ in 0..n {
-            ids.insert(r.read_u32()?);
-        }
-        if !r.is_empty() {
-            return Err(CoreError::Codec(format!("trailing bytes in {name} list")));
-        }
-    }
-    Ok(ids)
-}
-
-impl PersistedMeta {
-    /// Reads the META keys [`RStore::persist_meta`] wrote.
-    pub(crate) fn load(cluster: &Cluster) -> Result<Self, CoreError> {
-        let required = |name: &str| {
-            cluster
-                .get(&table_key(META_TABLE, name.as_bytes()))?
-                .ok_or_else(|| CoreError::Codec(format!("no persisted {name}")))
-        };
-        let graph = VersionGraph::from_bytes(&required("graph")?).map_err(CoreError::Codec)?;
-        let projections = Projections::deserialize(&required("projections")?)?;
-        let chunk_slots = u64::from_be_bytes(
-            required("chunk_count")?
-                .as_ref()
-                .try_into()
-                .map_err(|_| CoreError::Codec("bad chunk count".into()))?,
-        ) as usize;
-        Ok(Self {
-            graph,
-            projections,
-            chunk_slots,
-            retired: load_ids(cluster, "retired")?,
-            free: load_ids(cluster, "free")?,
-        })
-    }
-}
-
-/// The backend key of chunk `c`'s stored map.
+/// The backend key of chunk `c`'s base map.
 fn chunk_map_key(c: u32) -> Key {
     table_key(CMAP_TABLE, &ChunkId(c).to_key())
 }
 
-/// Reads and decodes the stored chunk maps of the `live` chunk ids, in
-/// order — the read half of the generation writer's chunk-map write,
-/// and the only reader of the `cmaps` table: a running store serves its
-/// maps from memory. One scatter-gather get, then the maps decode on
-/// `workers` threads. A live chunk without a stored map is
+/// The backend key of generation record `seq`.
+fn record_key(seq: u64) -> Key {
+    let mut name = b"gen/".to_vec();
+    name.extend_from_slice(&seq.to_be_bytes());
+    table_key(META_TABLE, &name)
+}
+
+/// The backend key of the checkpoint.
+fn checkpoint_key() -> Key {
+    table_key(META_TABLE, b"checkpoint")
+}
+
+/// The backend key of version `v`'s entry in the delta store.
+pub(crate) fn delta_key(v: VersionId) -> Key {
+    table_key(DELTA_TABLE, &v.as_u32().to_be_bytes())
+}
+
+/// Where the writer stands in the commit log.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct LogPosition {
+    /// Sequence number of the last committed record (0 = none yet).
+    pub(crate) seq: u64,
+    /// Sequence number the checkpoint covers (0 = no checkpoint).
+    pub(crate) checkpoint_seq: u64,
+    /// Bytes of that checkpoint.
+    checkpoint_bytes: usize,
+    /// Bytes of the records after it.
+    log_bytes: usize,
+}
+
+impl LogPosition {
+    /// Records committed since the checkpoint.
+    pub(crate) fn records_since_checkpoint(&self) -> u64 {
+        self.seq - self.checkpoint_seq
+    }
+
+    fn checkpoint_due(&self) -> bool {
+        self.records_since_checkpoint() >= 2
+            && self.log_bytes >= CHECKPOINT_FACTOR * self.checkpoint_bytes
+    }
+}
+
+/// A chunk a generation creates, as its record lists it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct NewChunk {
+    /// The slot the chunk takes.
+    pub id: u32,
+    /// Compressed bytes of its blob.
+    pub bytes: usize,
+    /// Records it holds (its map's bitmap length).
+    pub records: usize,
+}
+
+/// The chunk-map entries a generation adds to one chunk that existed
+/// before it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct MapAppend {
+    /// The chunk.
+    pub chunk: u32,
+    /// How many entries.
+    pub entries: usize,
+    /// The entries as they appear in a serialized map's entry region.
+    pub bytes: Vec<u8>,
+}
+
+/// What one generation changed — the value of its commit record.
+/// Applying the records in sequence to an empty store rebuilds the
+/// persistent metadata; a checkpoint is the record that does it in one
+/// step.
+#[doc(hidden)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct GenerationRecord {
+    /// Position in the commit log, from 1.
+    pub seq: u64,
+    /// The first version whose graph node this generation persists;
+    /// `parents` lists the parents of that version and the ones after
+    /// it (first parent = primary; none = the root). Only *flushed*
+    /// versions are in the log — a commit still waiting in the delta
+    /// store is in neither.
+    pub first_version: u32,
+    pub parents: Vec<Vec<VersionId>>,
+    /// Chunk id slots after the generation.
+    pub chunk_slots: usize,
+    /// Chunks created (a listed id leaves the free set).
+    pub new_chunks: Vec<NewChunk>,
+    /// Chunk ids retired, ascending: they vanish from the projections
+    /// and keep a tombstone slot.
+    pub retired: Vec<u32>,
+    /// Retired ids moved to the free set, ascending (one at or past
+    /// `chunk_slots` is truncated with its slot instead).
+    pub freed: Vec<u32>,
+    /// Additions to the projections, applied after the retirements.
+    pub index: ProjectionDelta,
+    /// New chunk-map entries of chunks that existed before, ascending
+    /// by chunk (a created chunk's entries are in its base map).
+    pub map_entries: Vec<MapAppend>,
+}
+
+impl GenerationRecord {
+    /// Serializes the record (varints throughout).
+    pub fn encode(&self) -> Vec<u8> {
+        let mut out = vec![RECORD_TAG];
+        varint::write_u64(&mut out, self.seq);
+        varint::write_u32(&mut out, self.first_version);
+        varint::write_u64(&mut out, self.parents.len() as u64);
+        for parents in &self.parents {
+            varint::write_u64(&mut out, parents.len() as u64);
+            for p in parents {
+                varint::write_u32(&mut out, p.as_u32());
+            }
+        }
+        varint::write_u64(&mut out, self.chunk_slots as u64);
+        varint::write_u64(&mut out, self.new_chunks.len() as u64);
+        for c in &self.new_chunks {
+            varint::write_u32(&mut out, c.id);
+            varint::write_u64(&mut out, c.bytes as u64);
+            varint::write_u64(&mut out, c.records as u64);
+        }
+        write_ascending(&mut out, &self.retired);
+        write_ascending(&mut out, &self.freed);
+        self.index.encode(&mut out);
+        varint::write_u64(&mut out, self.map_entries.len() as u64);
+        for m in &self.map_entries {
+            varint::write_u32(&mut out, m.chunk);
+            varint::write_u64(&mut out, m.entries as u64);
+            varint::write_u64(&mut out, m.bytes.len() as u64);
+            out.extend_from_slice(&m.bytes);
+        }
+        out
+    }
+
+    /// Reads a record [`GenerationRecord::encode`] wrote. Any other
+    /// input is an error: counts are bounded by the bytes left before
+    /// anything is allocated for them.
+    pub fn decode(input: &[u8]) -> Result<Self, CoreError> {
+        let Some((&RECORD_TAG, body)) = input.split_first() else {
+            return Err(CoreError::Codec("not a generation record".into()));
+        };
+        let mut r = varint::VarintReader::new(body);
+        let seq = r.read_u64()?;
+        let first_version = r.read_u32()?;
+        let n = bounded_count(&mut r)?;
+        let mut parents = Vec::with_capacity(n);
+        for _ in 0..n {
+            let arity = bounded_count(&mut r)?;
+            let mut list = Vec::with_capacity(arity);
+            for _ in 0..arity {
+                list.push(VersionId(r.read_u32()?));
+            }
+            parents.push(list);
+        }
+        let chunk_slots = r.read_u64()? as usize;
+        let n = bounded_count(&mut r)?;
+        let mut new_chunks = Vec::with_capacity(n);
+        for _ in 0..n {
+            new_chunks.push(NewChunk {
+                id: r.read_u32()?,
+                bytes: r.read_u64()? as usize,
+                records: r.read_u64()? as usize,
+            });
+        }
+        let retired = read_ascending(&mut r)?;
+        let freed = read_ascending(&mut r)?;
+        let index = ProjectionDelta::decode(&mut r)?;
+        let n = bounded_count(&mut r)?;
+        let mut map_entries = Vec::with_capacity(n);
+        for _ in 0..n {
+            let chunk = r.read_u32()?;
+            let entries = r.read_u64()? as usize;
+            let len = r.read_u64()? as usize;
+            let bytes = r.read_bytes(len)?.to_vec();
+            map_entries.push(MapAppend { chunk, entries, bytes });
+        }
+        if !r.is_empty() {
+            return Err(CoreError::Codec("trailing bytes in generation record".into()));
+        }
+        Ok(Self {
+            seq,
+            first_version,
+            parents,
+            chunk_slots,
+            new_chunks,
+            retired,
+            freed,
+            index,
+            map_entries,
+        })
+    }
+}
+
+impl StoreMut {
+    /// Applies a record's chunk-table and projection edits — the part a
+    /// live commit and a restart's replay share. The chunk maps are the
+    /// caller's: a commit holds them decoded, a replay collects their
+    /// bytes until it knows which chunks live.
+    pub(crate) fn apply_edits(&mut self, rec: &GenerationRecord) {
+        let slots = self.chunk_maps.len();
+        if rec.chunk_slots > slots {
+            self.resize_chunk_slots(rec.chunk_slots);
+        }
+        for c in &rec.new_chunks {
+            Arc::make_mut(&mut self.chunk_sizes)[c.id as usize] = c.bytes;
+            if self.free.contains(&c.id) {
+                Arc::make_mut(&mut self.free).remove(&c.id);
+            }
+        }
+        if !rec.retired.is_empty() {
+            // Retired chunks vanish from every version and key list
+            // before the records they held are re-added under their
+            // new chunks; the id keeps an empty tombstone slot until a
+            // reclamation pass frees or truncates it.
+            let leaving: FxHashSet<u32> = rec.retired.iter().copied().collect();
+            Arc::make_mut(&mut self.projections).retain_chunks(|c| !leaving.contains(&c));
+            for &c in &rec.retired {
+                Arc::make_mut(&mut self.chunk_sizes)[c as usize] = 0;
+                self.set_chunk_map(c, Arc::default(), 0);
+            }
+            Arc::make_mut(&mut self.retired).extend(leaving);
+        }
+        if !rec.freed.is_empty() {
+            let retired = Arc::make_mut(&mut self.retired);
+            let free = Arc::make_mut(&mut self.free);
+            for &c in &rec.freed {
+                retired.remove(&c);
+                if (c as usize) < rec.chunk_slots {
+                    free.insert(c);
+                }
+            }
+        }
+        if rec.chunk_slots < slots {
+            // Trailing freed slots shrink the id space outright.
+            self.resize_chunk_slots(rec.chunk_slots);
+            Arc::make_mut(&mut self.free).retain(|&c| (c as usize) < rec.chunk_slots);
+        }
+        if !rec.index.version_chunks.is_empty() || !rec.index.key_chunks.is_empty() {
+            Arc::make_mut(&mut self.projections).apply(&rec.index);
+        }
+        self.flushed_versions = self
+            .flushed_versions
+            .max(rec.first_version as usize + rec.parents.len());
+    }
+
+    /// The whole persistent state as the one record that builds it from
+    /// nothing — a checkpoint's value. Map entries are carried only
+    /// past each chunk's base map, which stays where it is.
+    fn checkpoint_record(&self) -> GenerationRecord {
+        let live = self.live_chunk_ids();
+        let sorted = |ids: &FxHashSet<u32>| {
+            let mut ids: Vec<u32> = ids.iter().copied().collect();
+            ids.sort_unstable();
+            ids
+        };
+        GenerationRecord {
+            seq: self.log.seq,
+            first_version: 0,
+            parents: self.graph.nodes()[..self.flushed_versions]
+                .iter()
+                .map(|n| n.parents.clone())
+                .collect(),
+            chunk_slots: self.chunk_maps.len(),
+            new_chunks: live
+                .iter()
+                .map(|&c| NewChunk {
+                    id: c,
+                    bytes: self.chunk_sizes[c as usize],
+                    records: self.chunk_maps[c as usize].num_records(),
+                })
+                .collect(),
+            retired: sorted(&self.retired),
+            freed: sorted(&self.free),
+            index: self.projections.to_delta(),
+            map_entries: live
+                .iter()
+                .filter_map(|&c| {
+                    let (entries, bytes) =
+                        self.chunk_maps[c as usize].encode_from(self.map_base[c as usize]);
+                    (entries > 0).then_some(MapAppend { chunk: c, entries, bytes })
+                })
+                .collect(),
+        }
+    }
+}
+
+/// A restart's replay of the commit log: the state the records have
+/// built so far, plus what only the end of the log settles — which
+/// chunks live, and so whose logged map entries are worth decoding.
+struct LogReplay {
+    st: StoreMut,
+    /// Records per chunk slot, as the record that created the chunk
+    /// logged it.
+    records_of: Vec<usize>,
+    /// Map entries logged per chunk, in log order, parked until the
+    /// live set is known; a chunk that retires takes its own with it.
+    appends: FxHashMap<u32, Vec<MapAppend>>,
+}
+
+impl LogReplay {
+    /// One step: checks `rec` against the state the log has built so
+    /// far — it arrives from the backend — then applies it.
+    fn apply(&mut self, rec: GenerationRecord) -> Result<(), CoreError> {
+        let st = &mut self.st;
+        let bad = |what: &str| CoreError::Codec(format!("generation record {}: {what}", rec.seq));
+        if rec.first_version as usize != st.graph.len() && !rec.parents.is_empty() {
+            return Err(bad("its versions do not follow the graph"));
+        }
+        let graph = Arc::make_mut(&mut st.graph);
+        for parents in &rec.parents {
+            let v = graph.len();
+            if parents.iter().any(|p| p.index() >= v) || parents.is_empty() != (v == 0) {
+                return Err(bad("a version's parents are not older versions"));
+            }
+            if v == 0 {
+                graph.add_root();
+            } else {
+                graph.add_version(parents);
+            }
+        }
+        // Slots grow only by the chunks a record names.
+        let before = st.chunk_maps.len();
+        let named = rec.new_chunks.len() + rec.retired.len() + rec.freed.len();
+        if rec.chunk_slots > before + named {
+            return Err(bad("more chunk slots than it has chunks for"));
+        }
+        let slots = before.max(rec.chunk_slots);
+        let known = |c: u32| (c as usize) < slots;
+        if !rec.new_chunks.iter().all(|c| (c.id as usize) < rec.chunk_slots)
+            || !rec.retired.iter().chain(&rec.freed).all(|&c| known(c))
+            || !rec.map_entries.iter().all(|m| known(m.chunk))
+            || !rec.index.version_chunks.iter().all(|(v, chunks)| {
+                v.index() < graph.len() && chunks.iter().all(|&c| known(c))
+            })
+            || !rec.index.key_chunks.iter().all(|&(_, c)| known(c))
+        {
+            return Err(bad("an id is out of range"));
+        }
+        st.apply_edits(&rec);
+        self.records_of.resize(st.chunk_maps.len(), 0);
+        for c in &rec.retired {
+            self.appends.remove(c);
+        }
+        for c in &rec.new_chunks {
+            self.records_of[c.id as usize] = c.records;
+            // A reused slot starts over: whatever an earlier occupant
+            // logged went when it retired.
+            self.appends.remove(&c.id);
+        }
+        for m in rec.map_entries {
+            self.appends.entry(m.chunk).or_default().push(m);
+        }
+        Ok(())
+    }
+}
+
+/// Loads the persistent state: the checkpoint, the records after it in
+/// sequence, then the live chunks' base maps with every logged entry
+/// appended — the one reader of the `meta` and `cmaps` tables (a
+/// running store serves its maps from memory). The returned state has
+/// no locator, contents or pending commits yet; [`RStore::reopen`]
+/// derives those from the chunk blobs and the delta store.
+///
+/// The log is walked without a key listing: windows of consecutive
+/// sequence numbers, one scatter-gather get each, until one comes back
+/// with a hole. A record missing *before* a present one is damage, not
+/// the end of the log — [`CoreError::Codec`], never a skip. (No
+/// checkpoint and no first record is the empty state: a store that
+/// has not flushed yet.) A live chunk whose base map is missing is
 /// [`CoreError::MissingChunk`].
-pub(crate) fn load_chunk_maps(
-    cluster: &Cluster,
-    live: &[u32],
-    workers: usize,
-) -> Result<Vec<ChunkMap>, CoreError> {
+pub(crate) fn load_persisted(cluster: &Cluster, workers: usize) -> Result<StoreMut, CoreError> {
+    let mut replay = LogReplay {
+        st: StoreMut::empty(),
+        records_of: Vec::new(),
+        appends: FxHashMap::default(),
+    };
+    if let Some(bytes) = cluster.get(&checkpoint_key())? {
+        let checkpoint = GenerationRecord::decode(&bytes)?;
+        replay.st.log = LogPosition {
+            seq: checkpoint.seq,
+            checkpoint_seq: checkpoint.seq,
+            checkpoint_bytes: bytes.len(),
+            log_bytes: 0,
+        };
+        replay.apply(checkpoint)?;
+    }
+    let mut window = RECORD_WINDOW;
+    loop {
+        let first = replay.st.log.seq + 1;
+        let fetched = cluster.multi_get_owned((first..first + window).map(record_key).collect())?;
+        let present = fetched.iter().take_while(|r| r.is_some()).count();
+        if fetched[present..].iter().any(Option::is_some) {
+            return Err(CoreError::Codec(format!(
+                "generation record {} is missing before a later one",
+                first + present as u64
+            )));
+        }
+        for bytes in fetched.into_iter().flatten() {
+            let rec = GenerationRecord::decode(&bytes)?;
+            if rec.seq != replay.st.log.seq + 1 {
+                return Err(CoreError::Codec(format!(
+                    "generation record {} is stored as record {}",
+                    rec.seq,
+                    replay.st.log.seq + 1
+                )));
+            }
+            replay.apply(rec)?;
+            replay.st.log.seq += 1;
+            replay.st.log.log_bytes += bytes.len();
+        }
+        // Stop at a hole with at least one absent key looked at past
+        // it; a window that ended on its hole looks once more.
+        if present as u64 + 1 < window {
+            break;
+        }
+        window *= 2;
+    }
+    // The maps: one scatter-gather get of the live chunks' base maps,
+    // then each decodes and takes its logged entries on `workers`
+    // threads. Retired ids keep empty tombstone slots so ids never
+    // shift.
+    let LogReplay {
+        mut st,
+        records_of,
+        mut appends,
+    } = replay;
+    let live = st.live_chunk_ids();
     let stored = cluster.multi_get_owned(live.iter().map(|&c| chunk_map_key(c)).collect())?;
-    let stored: Vec<(u32, Option<Bytes>)> = live.iter().copied().zip(stored).collect();
-    plan::parallel_map_owned(stored, workers, |(c, bytes)| {
-        ChunkMap::deserialize(&bytes.ok_or(CoreError::MissingChunk(c))?)
-    })
-    .into_iter()
-    .collect()
+    let jobs: Vec<_> = live
+        .iter()
+        .zip(stored)
+        .map(|(&c, base)| (c, base, records_of[c as usize], appends.remove(&c).unwrap_or_default()))
+        .collect();
+    let maps = plan::parallel_map_owned(jobs, workers, |(c, base, records, logged)| {
+        let mut map = ChunkMap::deserialize(&base.ok_or(CoreError::MissingChunk(c))?)?;
+        if map.num_records() != records {
+            return Err(CoreError::Codec(format!(
+                "chunk {c}'s base map covers {} records, its generation record says {records}",
+                map.num_records()
+            )));
+        }
+        let base_entries = map.num_versions();
+        for m in logged {
+            map.push_encoded(m.entries, &m.bytes)?;
+        }
+        Ok((map, base_entries))
+    });
+    for (&c, map) in live.iter().zip(maps) {
+        let (map, base_entries) = map?;
+        st.set_chunk_map(c, Arc::new(map), base_entries);
+    }
+    // Not persisted: after a restart the cache is empty, so generation
+    // 1 (the initial publish) is a sound probe floor for every slot.
+    Arc::make_mut(&mut st.map_gen).fill(1);
+    Ok(st)
+}
+
+/// Serializes one delta-store entry: the commit's parents, the records
+/// it adds (their origin is the version itself) and the composite keys
+/// it removes — everything a restart needs to re-admit the commit.
+pub(crate) fn encode_delta(parents: &[VersionId], delta: &VersionDelta) -> Vec<u8> {
+    let payload: usize = delta.added.iter().map(|r| r.payload.len() + 12).sum();
+    let mut out = Vec::with_capacity(16 + payload + delta.removed.len() * 8);
+    varint::write_u64(&mut out, parents.len() as u64);
+    for p in parents {
+        varint::write_u32(&mut out, p.as_u32());
+    }
+    varint::write_u64(&mut out, delta.added.len() as u64);
+    for rec in &delta.added {
+        varint::write_u64(&mut out, rec.pk);
+        varint::write_u64(&mut out, rec.payload.len() as u64);
+        out.extend_from_slice(&rec.payload);
+    }
+    varint::write_u64(&mut out, delta.removed.len() as u64);
+    for ck in &delta.removed {
+        varint::write_u64(&mut out, ck.pk);
+        varint::write_u32(&mut out, ck.origin.as_u32());
+    }
+    out
+}
+
+/// Reads the delta-store entry of version `v` ([`encode_delta`]).
+pub(crate) fn decode_delta(
+    v: VersionId,
+    input: &[u8],
+) -> Result<(Vec<VersionId>, VersionDelta), CoreError> {
+    let mut r = varint::VarintReader::new(input);
+    let n = bounded_count(&mut r)?;
+    let mut parents = Vec::with_capacity(n);
+    for _ in 0..n {
+        parents.push(VersionId(r.read_u32()?));
+    }
+    let n = bounded_count(&mut r)?;
+    let mut added = Vec::with_capacity(n);
+    for _ in 0..n {
+        let pk = r.read_u64()?;
+        let len = r.read_u64()? as usize;
+        added.push(Record::new(pk, v, Bytes::copy_from_slice(r.read_bytes(len)?)));
+    }
+    let n = bounded_count(&mut r)?;
+    let mut removed = Vec::with_capacity(n);
+    for _ in 0..n {
+        removed.push(CompositeKey::new(r.read_u64()?, VersionId(r.read_u32()?)));
+    }
+    if !r.is_empty() {
+        return Err(CoreError::Codec(format!("trailing bytes in the delta of {v}")));
+    }
+    Ok((parents, VersionDelta::from_parts(added, removed)))
 }
 
 // ------------------------------------------------------------------
 // Staging: what a generation will write, not yet applied
 // ------------------------------------------------------------------
 
-/// One dirty chunk's share of an index pass: the chunk id, the
-/// exclusive handle on its resident map (one of the writer state's, or
-/// a fresh one for a chunk the generation created), and the `(version,
-/// members)` entries to append.
-type MapBuildJob<'a> = (u32, &'a mut ResidentMap, Vec<(VersionId, Bitmap)>);
-
 /// The `n` chunk id slots a generation will occupy — reclaimed free
 /// slots first (ascending; the bounded-id-space guarantee), then fresh
 /// ids past the tail — **without mutating** the writer state: backend
 /// writes are addressed with the peeked ids and the slots are taken
-/// only once those writes and the meta put are durable (the state lock
-/// is held throughout, so nothing allocates in between).
+/// only once those writes and the commit record are durable (the state
+/// lock is held throughout, so nothing allocates in between).
 fn peek_chunk_ids(st: &StoreMut, n: usize) -> Vec<u32> {
     let mut ids: Vec<u32> = st.free.iter().copied().collect();
     ids.sort_unstable();
@@ -328,6 +775,15 @@ impl StagedChunks {
     }
 }
 
+/// The `(version, members)` entries a generation adds to one chunk's
+/// map, ascending by version.
+type MapEntries = Vec<(VersionId, Bitmap)>;
+
+/// The index as its two durable forms: the serialized map of every live
+/// chunk (ascending ids) and the serialized projections.
+#[doc(hidden)]
+pub type SerializedIndex = (Vec<(u32, Vec<u8>)>, Vec<u8>);
+
 /// A generation's index edits, derived by the caller's index pass and
 /// not yet applied.
 #[derive(Default)]
@@ -337,8 +793,8 @@ pub(crate) struct StagedIndex {
     pub(crate) version_chunks: Vec<(VersionId, Vec<u32>)>,
     /// `(pk, chunk)` of every record the generation placed.
     pub(crate) key_chunks: Vec<(PrimaryKey, u32)>,
-    /// Per dirty chunk: the generation's entries, ascending by version.
-    pub(crate) per_chunk: FxHashMap<u32, Vec<(VersionId, Bitmap)>>,
+    /// Per dirty chunk: the generation's entries.
+    pub(crate) per_chunk: FxHashMap<u32, MapEntries>,
 }
 
 /// Derives the chunk-map entries and projection edits of `batch`
@@ -390,7 +846,7 @@ pub(crate) fn stage_index(
                     .chunks_of_version(p)
                     .iter()
                     .map(|&c| {
-                        let parent = st.chunk_maps[c as usize].map().members_of(p);
+                        let parent = st.chunk_maps[c as usize].members_of(p);
                         (c, parent.expect("parent indexed in its span").clone())
                     })
                     .collect(),
@@ -447,12 +903,14 @@ pub(crate) struct StagedGeneration {
 pub(crate) struct CommittedGeneration {
     /// Chunks the generation created.
     pub(crate) new_chunks: usize,
-    /// Chunk maps written (the new chunks' and every older map the
-    /// index pass appended to).
-    pub(crate) maps_written: usize,
-    /// Key + value bytes of the chunk blobs and chunk maps written
+    /// Older chunk maps the index pass appended to (their entries are
+    /// in the commit record; no stored map is rewritten).
+    pub(crate) maps_appended: usize,
+    /// Key + value bytes of the chunk blobs and base maps written
     /// (before replication).
     pub(crate) bytes_written: usize,
+    /// Bytes of the generation's commit record.
+    pub(crate) record_bytes: usize,
     /// The full stage breakdown.
     pub(crate) stages: IngestStages,
 }
@@ -514,15 +972,17 @@ impl RStore {
     }
 
     /// Steps 2 and 3 of the generation writer (see the module docs):
-    /// writes `staged`'s chunks and the chunk maps `index` derives for
-    /// them, persists the metadata with the chunks in `retire` retired,
-    /// and only then applies the generation to the writer state and
-    /// publishes it. Any error returns with the writer state untouched,
-    /// so the caller can retry the same input.
+    /// writes `staged`'s chunks and their base maps, commits the
+    /// generation's record — which also flushes the versions up to
+    /// `flushed_versions` and retires the chunks in `retire` — and only
+    /// then applies the generation to the writer state and publishes
+    /// it. Any error returns with the writer state untouched, so the
+    /// caller can retry the same input.
     pub(crate) fn commit_generation(
         &self,
         st: &mut StoreMut,
         staged: StagedGeneration,
+        flushed_versions: usize,
         retire: &[u32],
         index: impl FnOnce(&StoreMut, &StagedChunks) -> StagedIndex,
     ) -> Result<CommittedGeneration, CoreError> {
@@ -572,184 +1032,213 @@ impl RStore {
         let mut bytes_written = outcome.summary.bytes;
 
         // Index: the caller's pass derives the entries; then
-        // independent chunk-map builds — each dirty map (a disjoint
-        // `&mut`, for the lazily materialized resident bytes) encodes
-        // its new entries and assembles its serialized form. Every
-        // new chunk gets a map even if no version holds its records,
-        // so the recovery scan never finds a blob without its other
-        // half.
+        // independent per-chunk encodes. A new chunk's entries make its
+        // base map, whole — every new chunk gets one even if no version
+        // holds its records, so a restart never finds a blob without
+        // its other half. An older chunk's entries are encoded as the
+        // bytes its map's entry region would grow by, for the record.
         let t = Instant::now();
         let mut index = index(st, &chunks);
-        let mut fresh: Vec<ResidentMap> =
-            chunks.counts.iter().map(|&n| ResidentMap::new(n)).collect();
         // The new chunks claim their entries first, so a reused free
-        // slot's tombstone map finds none and stays out of the jobs.
-        let mut jobs: Vec<MapBuildJob<'_>> = chunks
-            .ids
-            .iter()
-            .zip(fresh.iter_mut())
-            .map(|(&c, map)| (c, map, index.per_chunk.remove(&c).unwrap_or_default()))
+        // slot's tombstone map finds none and stays out of the record.
+        let jobs: Vec<(u32, usize, MapEntries)> = (chunks.ids.iter())
+            .zip(&chunks.counts)
+            .map(|(&c, &n)| (c, n, index.per_chunk.remove(&c).unwrap_or_default()))
             .collect();
-        jobs.extend(st.chunk_maps.iter_mut().enumerate().filter_map(|(c, map)| {
-            let c = c as u32;
-            index.per_chunk.remove(&c).map(|work| (c, map, work))
-        }));
-        jobs.sort_unstable_by_key(|job| job.0);
-        debug_assert!(index.per_chunk.is_empty(), "entries for unknown chunks");
-        let built = plan::parallel_map_owned(jobs, workers, |(c, map, work)| {
-            let tail = encode_entries(&work);
-            let bytes = Bytes::from(map.serialize_with(work.len(), &tail));
-            (c, bytes, work, tail)
+        let fresh = plan::parallel_map_owned(jobs, workers, |(c, records, entries)| {
+            let mut map = ChunkMap::new(records);
+            map.push_segment(entries);
+            (c, Bytes::from(map.serialize()), map)
         });
-        // The serialized maps ride the same streaming writer stage as
-        // the chunk blobs (per-node batches ship while later pushes
-        // queue; one deferred scatter put on the serial path).
-        let mut writes: Vec<(Key, Bytes)> = Vec::with_capacity(built.len());
-        let mut appends = Vec::with_capacity(built.len());
-        for (c, bytes, work, tail) in built {
-            writes.push((chunk_map_key(c), bytes));
-            appends.push((c, work, tail));
-        }
+        let mut older: Vec<(u32, MapEntries)> = index.per_chunk.drain().collect();
+        older.sort_unstable_by_key(|job| job.0);
+        debug_assert!(
+            older.iter().all(|job| (job.0 as usize) < st.chunk_maps.len()),
+            "entries for unknown chunks"
+        );
+        let (map_entries, appends): (Vec<MapAppend>, Vec<(u32, MapEntries)>) =
+            plan::parallel_map_owned(older, workers, |(chunk, entries)| {
+                let logged = MapAppend {
+                    chunk,
+                    entries: entries.len(),
+                    bytes: encode_entries(&entries),
+                };
+                (logged, (chunk, entries))
+            })
+            .into_iter()
+            .unzip();
+        // The base maps ride the same streaming writer stage as the
+        // chunk blobs (per-node batches ship while later pushes queue;
+        // one deferred scatter put on the serial path).
+        let writes = fresh.iter().map(|(c, bytes, _)| (chunk_map_key(*c), bytes.clone())).collect();
         let outcome = stream_writes(&self.cluster, workers, writes)?;
         stages.index = t.elapsed();
         outcome.fold_into(&mut stages);
         bytes_written += outcome.summary.bytes;
 
-        // The next generation's metadata, still off to the side.
-        let mut projections = Arc::clone(&st.projections);
-        let next = Arc::make_mut(&mut projections);
-        let mut retired = Arc::clone(&st.retired);
-        if !retire.is_empty() {
-            // Retired chunks vanish from every version and key list
-            // before the records they held are re-added under their
-            // new chunks.
-            let leaving: FxHashSet<u32> = retire.iter().copied().collect();
-            next.retain_chunks(|c| !leaving.contains(&c));
-            Arc::make_mut(&mut retired).extend(leaving);
-        }
-        for (v, span) in index.version_chunks {
-            next.ensure_version(v);
-            for c in span {
-                next.add_version_chunk(v, ChunkId(c));
-            }
-        }
-        for (pk, c) in index.key_chunks {
-            next.add_key_chunk(pk, ChunkId(c));
-        }
-        let mut free = Arc::clone(&st.free);
-        let mut chunk_slots = st.chunk_maps.len();
-        for &c in &chunks.ids {
-            if free.contains(&c) {
-                Arc::make_mut(&mut free).remove(&c);
-            }
-            chunk_slots = chunk_slots.max(c as usize + 1);
-        }
-        let (meta_modeled, meta_wait) = self.persist_meta(MetaView {
-            graph: &st.graph,
-            projections: next,
-            chunk_slots,
-            retired: &retired,
-            free: &free,
-        })?;
-        stages.modeled_write += meta_modeled;
-        stages.write += meta_wait;
+        // The commit point: the generation's record.
+        let mut retired = retire.to_vec();
+        retired.sort_unstable();
+        let mut key_chunks = index.key_chunks;
+        key_chunks.sort_unstable();
+        key_chunks.dedup();
+        let record = GenerationRecord {
+            seq: st.log.seq + 1,
+            first_version: st.flushed_versions as u32,
+            parents: st.graph.nodes()[st.flushed_versions..flushed_versions]
+                .iter()
+                .map(|n| n.parents.clone())
+                .collect(),
+            chunk_slots: chunks
+                .ids
+                .iter()
+                .fold(st.chunk_maps.len(), |slots, &c| slots.max(c as usize + 1)),
+            new_chunks: (chunks.ids.iter().zip(&chunks.sizes).zip(&chunks.counts))
+                .map(|((&id, &bytes), &records)| NewChunk { id, bytes, records })
+                .collect(),
+            retired,
+            freed: Vec::new(),
+            index: ProjectionDelta {
+                version_chunks: index.version_chunks,
+                key_chunks,
+            },
+            map_entries,
+        };
+        let record_bytes = self.put_record(&record, &mut stages)?;
 
         // Everything is durable: apply the generation and publish it.
-        st.resize_chunk_slots(chunk_slots);
-        for ((&c, &size), map) in chunks.ids.iter().zip(&chunks.sizes).zip(fresh) {
-            Arc::make_mut(&mut st.chunk_sizes)[c as usize] = size;
-            st.set_chunk_map(c, map);
-        }
-        // A retired id keeps an empty tombstone slot until a
-        // reclamation pass frees or truncates it.
-        for &c in retire {
-            Arc::make_mut(&mut st.chunk_sizes)[c as usize] = 0;
-            st.set_chunk_map(c, ResidentMap::default());
-        }
+        st.apply_edits(&record);
         st.locator.extend(chunks.placed);
-        st.projections = projections;
-        st.retired = retired;
-        st.free = free;
-        // Grow the written maps — copy-on-write, the published
-        // generations keep theirs — and stamp them with the generation
-        // about to publish: cached chunks paired with an older map fail
-        // the probe floor and drop lazily, with no synchronous
+        // Install the new maps and grow the dirty ones — copy-on-write,
+        // the published generations keep theirs — and stamp each with
+        // the generation about to publish: cached chunks paired with an
+        // older map (or, under a reused slot id, with an older chunk)
+        // fail the probe floor and drop lazily, with no synchronous
         // invalidation loop in this critical section.
         let publishing = st.generation + 1;
-        let mut written = Vec::with_capacity(appends.len());
-        for (c, work, tail) in appends {
-            st.append_chunk_map(c, work, &tail);
+        let maps_appended = appends.len();
+        let mut stamped = Vec::with_capacity(fresh.len() + maps_appended);
+        for (c, _, map) in fresh {
+            let base_entries = map.num_versions();
+            st.set_chunk_map(c, Arc::new(map), base_entries);
+            stamped.push(c);
+        }
+        for (c, entries) in appends {
+            st.append_chunk_map(c, entries);
+            stamped.push(c);
+        }
+        for &c in &stamped {
             Arc::make_mut(&mut st.map_gen)[c as usize] = publishing;
-            written.push(c);
         }
         self.publish(st);
-        // Sweep resident cache entries of the rewritten maps *after*
-        // the publish: entries stamped below the new generation are
-        // stale (their map predates the rewrite) and safe to drop
-        // unconditionally — a reader still pinning the old generation
-        // refetches the blob and extracts identical answers with its
-        // own pinned map.
-        for &c in &written {
+        // Sweep resident cache entries of those chunks *after* the
+        // publish: entries stamped below the new generation are stale
+        // (their map predates it) and safe to drop unconditionally — a
+        // reader still pinning the old generation refetches the blob
+        // and extracts identical answers with its own pinned map.
+        for &c in &stamped {
             self.cache.invalidate_below(c, st.generation);
         }
+        self.record_committed(st, record_bytes);
         Ok(CommittedGeneration {
             new_chunks: chunks.ids.len(),
-            maps_written: written.len(),
+            maps_appended,
             bytes_written,
+            record_bytes,
             stages,
         })
     }
 
-    /// Persists the projections, version graph, chunk count and the
-    /// retired and free id lists — one batched scatter-gather put
-    /// instead of serial round trips. This put is the *commit point*
-    /// of a generation: until it lands, the persisted metadata
-    /// references only what was there before, which is still fully
-    /// present. Returns `(modeled write time, wall time blocked on the
-    /// put)` for the stage accounting; serialization happens before
-    /// the clock starts so only backend time counts as write-blocked.
-    pub(crate) fn persist_meta(
+    /// Puts `record` under its sequence number — one key, the *commit
+    /// point* of its generation: until it lands, the log names only
+    /// what was there before, which is still fully present. Returns the
+    /// record's size; the put's modeled and blocked time go to `stages`
+    /// (encoding happens before the clock starts, so only backend time
+    /// counts as write-blocked).
+    pub(crate) fn put_record(
         &self,
-        meta: MetaView<'_>,
-    ) -> Result<(Duration, Duration), CoreError> {
-        let pairs = vec![
-            (
-                table_key(META_TABLE, b"projections"),
-                Bytes::from(meta.projections.serialize()),
-            ),
-            (
-                table_key(META_TABLE, b"graph"),
-                Bytes::from(meta.graph.to_bytes()),
-            ),
-            (
-                table_key(META_TABLE, b"chunk_count"),
-                Bytes::from((meta.chunk_slots as u64).to_be_bytes().to_vec()),
-            ),
-            (
-                table_key(META_TABLE, b"retired"),
-                Bytes::from(encode_ids(meta.retired)),
-            ),
-            (
-                table_key(META_TABLE, b"free"),
-                Bytes::from(encode_ids(meta.free)),
-            ),
-        ];
+        record: &GenerationRecord,
+        stages: &mut IngestStages,
+    ) -> Result<usize, CoreError> {
+        let bytes = record.encode();
+        let len = bytes.len();
         let t = Instant::now();
-        let modeled = self.cluster.multi_put_scatter(pairs)?;
-        Ok((modeled, t.elapsed()))
+        let pair = (record_key(record.seq), Bytes::from(bytes));
+        stages.modeled_write += self.cluster.multi_put_scatter(vec![pair])?;
+        stages.write += t.elapsed();
+        Ok(len)
+    }
+
+    /// Advances the log position past a record of `record_bytes` the
+    /// writer state now reflects, and checkpoints when the records
+    /// since the last checkpoint outweigh it (see the module docs).
+    /// The checkpoint is best-effort: the generation is committed and
+    /// applied whatever happens here, and if the put fails the records
+    /// stay the log and the next generation tries again.
+    pub(crate) fn record_committed(&self, st: &mut StoreMut, record_bytes: usize) {
+        let r = self.obs.registry();
+        r.observe_bytes(&r.commit_record_bytes, record_bytes);
+        st.log.seq += 1;
+        st.log.log_bytes += record_bytes;
+        if !st.log.checkpoint_due() {
+            return;
+        }
+        let bytes = st.checkpoint_record().encode();
+        let len = bytes.len();
+        if self.cluster.put(checkpoint_key(), Bytes::from(bytes)).is_err() {
+            return;
+        }
+        // The records the checkpoint folded are garbage now; one a
+        // failed delete leaves behind is never read again.
+        let folded = (st.log.checkpoint_seq + 1..=st.log.seq).map(record_key).collect();
+        let _ = self.cluster.multi_delete_scatter(folded);
+        st.log = LogPosition {
+            seq: st.log.seq,
+            checkpoint_seq: st.log.seq,
+            checkpoint_bytes: len,
+            log_bytes: 0,
+        };
+        r.checkpoints.inc();
+    }
+
+    /// The durable view of the index: the persistent state loaded
+    /// exactly as [`RStore::reopen`] loads it — checkpoint, records,
+    /// base maps — as the serialized map of every live chunk (ascending
+    /// ids) and the serialized projections. Tests hold it byte-equal to
+    /// [`RStore::index_from_contents`].
+    #[doc(hidden)]
+    pub fn persisted_index(&self) -> Result<SerializedIndex, CoreError> {
+        let st = load_persisted(&self.cluster, self.ingest_workers())?;
+        let maps = st
+            .live_chunk_ids()
+            .into_iter()
+            .map(|c| (c, st.chunk_maps[c as usize].serialize()))
+            .collect();
+        Ok((maps, st.projections.serialize()))
+    }
+
+    /// The backend keys of the commit log as it stands — the checkpoint
+    /// (if one was written) and the records after it — and the key the
+    /// next generation's record will take. Twin tests compare the
+    /// values across stores and aim outages at the next commit point.
+    #[doc(hidden)]
+    pub fn commit_log_keys(&self) -> (Vec<Key>, Key) {
+        let log = self.state.lock().unwrap().log;
+        let checkpoint = (log.checkpoint_seq > 0).then(checkpoint_key);
+        let records = (log.checkpoint_seq + 1..=log.seq).map(record_key);
+        (checkpoint.into_iter().chain(records).collect(), record_key(log.seq + 1))
     }
 
     /// Test oracle for the index passes: the index as a from-contents
     /// pass builds it — every record of every version resolved through
     /// the locator, grouped per chunk, each map encoded whole. Returns
     /// the serialized map of every live chunk (ascending ids) and the
-    /// serialized projections; the ingest proptests hold the backend's
-    /// `cmaps` values and `meta/projections` to these bytes. The delta
-    /// store must be empty (unflushed versions are in neither).
+    /// serialized projections; the ingest proptests hold
+    /// [`RStore::persisted_index`] to these bytes. Only flushed versions
+    /// are indexed: a commit waiting in the delta store is in neither.
     #[doc(hidden)]
-    pub fn index_from_contents(&self) -> (Vec<(u32, Vec<u8>)>, Vec<u8>) {
+    pub fn index_from_contents(&self) -> SerializedIndex {
         let st = self.state.lock().unwrap();
-        assert!(st.pending.is_empty(), "flush before consulting the oracle");
         let mut records: FxHashMap<u32, usize> = FxHashMap::default();
         for &(chunk, _) in st.locator.values() {
             *records.entry(chunk).or_default() += 1;
@@ -760,7 +1249,7 @@ impl RStore {
             .map(|c| (c, ChunkMap::new(records.get(&c).copied().unwrap_or(0))))
             .collect();
         let mut projections = Projections::new();
-        for (v, contents) in st.contents.iter().enumerate() {
+        for (v, contents) in st.contents[..st.flushed_versions].iter().enumerate() {
             let v = VersionId(v as u32);
             let mut touched: BTreeMap<u32, Vec<usize>> = BTreeMap::new();
             for &(pk, origin) in contents {

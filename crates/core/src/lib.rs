@@ -55,6 +55,8 @@ pub mod subchunk;
 pub use cache::{CacheStats, ChunkCache, DecodedChunk};
 pub use compact::{CompactionConfig, CompactionReport, CompactionStages, FragmentationStats};
 pub use error::CoreError;
+#[doc(hidden)]
+pub use ingest::{GenerationRecord, MapAppend, NewChunk, SerializedIndex};
 pub use model::{ChunkId, CompositeKey, PrimaryKey, Record, VersionId};
 pub use obs::{
     HistSummary, MetricsRegistry, ObsConfig, QueryTrace, SlowQuery, SlowReason, StoreStats,

@@ -214,6 +214,9 @@ pub struct MetricsRegistry {
     pub ingest_flush: Histogram,
     pub ingest_stages: [Histogram; INGEST_STAGES.len()],
     pub flushes: Counter,
+    // ── commit log ──────────────────────────────────────────────────
+    pub commit_record_bytes: Histogram,
+    pub checkpoints: Counter,
     // ── compaction ──────────────────────────────────────────────────
     pub compact_total: Histogram,
     pub compact_stages: [Histogram; COMPACT_STAGES.len()],
@@ -240,6 +243,15 @@ impl MetricsRegistry {
     pub fn observe(&self, hist: &Histogram, d: Duration) {
         if self.timing {
             hist.record_duration(d);
+        }
+    }
+
+    /// Records one size sample, in bytes, into `hist`, under the same
+    /// switch as the latency samples.
+    #[inline]
+    pub fn observe_bytes(&self, hist: &Histogram, bytes: usize) {
+        if self.timing {
+            hist.record(bytes as u64);
         }
     }
 
@@ -350,6 +362,9 @@ pub struct StoreStats {
     /// Bytes the live chunk maps keep resident — every read extracts
     /// with them, none is fetched.
     pub resident_map_bytes: usize,
+    /// Generation records committed since the last checkpoint — what a
+    /// restart would replay on top of it.
+    pub records_since_checkpoint: u64,
     /// Serialized bytes of the version→chunks and key→chunks
     /// projections.
     pub(crate) index_bytes: (usize, usize),
@@ -369,7 +384,8 @@ pub enum MetricKind {
     Counter,
     /// Point-in-time value; name does not end in `_total`.
     Gauge,
-    /// Latency distribution in seconds; name ends in `_seconds`.
+    /// Distribution: of a latency in seconds (name ends in
+    /// `_seconds`) or of a size in bytes (`_bytes`).
     Histogram,
 }
 
@@ -379,6 +395,8 @@ pub enum MetricKind {
 enum Read {
     Num(fn(&StoreStats) -> f64),
     Hist(fn(&MetricsRegistry) -> &Histogram),
+    /// A histogram whose samples are byte counts, not nanoseconds.
+    Sizes(fn(&MetricsRegistry) -> &Histogram),
     Stages(&'static [&'static str], fn(&MetricsRegistry) -> &[Histogram]),
     NodeNum(fn(&NodeSample) -> f64),
     NodeHist(fn(&NodeSample) -> &HistSnapshot),
@@ -388,6 +406,7 @@ enum Read {
 enum Reading {
     Num(f64),
     Hist(HistSnapshot),
+    Sizes(HistSnapshot),
 }
 
 /// One row of [`METRICS`]: a fact, described once.
@@ -417,7 +436,7 @@ const fn row(
 
 // Short names for the table's columns.
 use MetricKind::{Counter as C, Gauge as G, Histogram as H};
-use Read::{Hist, NodeHist, NodeNum, Num, Stages};
+use Read::{Hist, NodeHist, NodeNum, Num, Sizes, Stages};
 
 /// Every metric the store exposes. Rows sharing a JSON object are
 /// adjacent only by convention; the writers do not depend on order.
@@ -455,6 +474,10 @@ pub static METRICS: &[Metric] = &[
     row("rstore_ingest_flush_seconds", H, "ingest_flush", "End-to-end per-flush ingest time", Hist(|r| &r.ingest_flush)),
     row("rstore_ingest_stage_seconds", H, "ingest_stages", "Per-stage ingest time (bulk load and flush)", Stages(&INGEST_STAGES, |r| &r.ingest_stages)),
     row("rstore_ingest_flushes_total", C, "flushes", "Ingest batches flushed", Num(|s| s.registry.flushes.get() as f64)),
+    // ── commit log ──────────────────────────────────────────────────
+    row("rstore_commit_record_bytes", H, "commit_record_bytes", "Bytes per generation commit record (flush, bulk load, compaction slice, reclaim)", Sizes(|r| &r.commit_record_bytes)),
+    row("rstore_commit_checkpoints_total", C, "checkpoints", "Commit-log checkpoints written", Num(|s| s.registry.checkpoints.get() as f64)),
+    row("rstore_commit_records_since_checkpoint", G, "records_since_checkpoint", "Generation records a restart would replay on top of the checkpoint", Num(|s| s.records_since_checkpoint as f64)),
     // ── compaction ──────────────────────────────────────────────────
     row("rstore_compact_total_seconds", H, "compact_total", "End-to-end per-compaction time", Hist(|r| &r.compact_total)),
     row("rstore_compact_stage_seconds", H, "compact_stages", "Per-stage compaction time", Stages(&COMPACT_STAGES, |r| &r.compact_stages)),
@@ -533,6 +556,7 @@ impl Metric {
         match self.read {
             Read::Num(read) => vec![(None, Reading::Num(read(s)))],
             Read::Hist(read) => vec![(None, Reading::Hist(read(&s.registry).snapshot()))],
+            Read::Sizes(read) => vec![(None, Reading::Sizes(read(&s.registry).snapshot()))],
             Read::Stages(labels, read) => labels
                 .iter()
                 .zip(read(&s.registry))
@@ -551,6 +575,11 @@ impl Metric {
             Reading::Hist(h) => {
                 let h = HistSummary::of(h);
                 format!("{} sample(s), mean {:?}, p50 {:?}, p99 {:?}", h.count, h.mean, h.p50, h.p99)
+            }
+            Reading::Sizes(h) => {
+                let h = HistSummary::of(h);
+                let [mean, p50, p99] = [h.mean, h.p50, h.p99].map(|d| d.as_nanos());
+                format!("{} sample(s), mean {mean} B, p50 {p50} B, p99 {p99} B", h.count)
             }
         };
         let parts: Vec<String> = self
@@ -582,8 +611,16 @@ fn fnum(v: f64) -> String {
 }
 
 /// One histogram series in Prometheus text: cumulative buckets, sum,
-/// count. `labels` is either empty or a full `{k="v"}` group.
-fn render_hist_series(out: &mut String, name: &str, labels: &str, snap: &HistSnapshot) {
+/// count. `labels` is either empty or a full `{k="v"}` group; `unit`
+/// turns a stored sample into the series' unit ([`seconds`] for
+/// latencies, the identity for sizes).
+fn render_hist_series(
+    out: &mut String,
+    name: &str,
+    labels: &str,
+    snap: &HistSnapshot,
+    unit: fn(u64) -> f64,
+) {
     // Prometheus histograms are cumulative; emit only the occupied
     // buckets (plus +Inf) to keep scrapes compact — cumulative counts
     // are unaffected by omitted empty buckets.
@@ -595,14 +632,14 @@ fn render_hist_series(out: &mut String, name: &str, labels: &str, snap: &HistSna
         cumulative += count;
         out.push_str(&format!(
             "{name}_bucket{open}{inner}{sep}le=\"{}\"}} {cumulative}\n",
-            seconds(bound)
+            unit(bound)
         ));
     }
     out.push_str(&format!(
         "{name}_bucket{open}{inner}{sep}le=\"+Inf\"}} {}\n",
         snap.count()
     ));
-    out.push_str(&format!("{name}_sum{labels} {}\n", seconds(snap.sum_nanos())));
+    out.push_str(&format!("{name}_sum{labels} {}\n", unit(snap.sum_nanos())));
     out.push_str(&format!("{name}_count{labels} {}\n", snap.count()));
 }
 
@@ -622,7 +659,8 @@ impl StoreStats {
                 let labels = label.map_or(String::new(), |(dim, v)| format!("{{{dim}=\"{v}\"}}"));
                 match reading {
                     Reading::Num(v) => out.push_str(&format!("{}{labels} {v}\n", m.name)),
-                    Reading::Hist(snap) => render_hist_series(&mut out, m.name, &labels, &snap),
+                    Reading::Hist(snap) => render_hist_series(&mut out, m.name, &labels, &snap, seconds),
+                    Reading::Sizes(snap) => render_hist_series(&mut out, m.name, &labels, &snap, |b| b as f64),
                 }
             }
         }
@@ -632,8 +670,9 @@ impl StoreStats {
     /// The sample as JSON (hand-rolled: the crate deliberately has no
     /// serde dependency): every [`METRICS`] row at its `json` path, a
     /// dotted path nesting one object deep. Histograms are
-    /// `{count, mean_s, p50_s, p99_s}`, families objects keyed by
-    /// stage or node id; all durations are seconds.
+    /// `{count, mean_s, p50_s, p99_s}` (`…_bytes` for a size
+    /// distribution), families objects keyed by stage or node id; all
+    /// durations are seconds.
     pub fn to_json(&self) -> String {
         let json_one = |reading: &Reading| match reading {
             Reading::Num(v) => fnum(*v),
@@ -645,6 +684,14 @@ impl StoreStats {
                     fnum(h.mean.as_secs_f64()),
                     fnum(h.p50.as_secs_f64()),
                     fnum(h.p99.as_secs_f64())
+                )
+            }
+            Reading::Sizes(h) => {
+                let h = HistSummary::of(h);
+                let [mean, p50, p99] = [h.mean, h.p50, h.p99].map(|d| d.as_nanos());
+                format!(
+                    "{{\"count\":{},\"mean_bytes\":{mean},\"p50_bytes\":{p50},\"p99_bytes\":{p99}}}",
+                    h.count
                 )
             }
         };

@@ -3,10 +3,11 @@
 //! [`RStore`] is the paper's application server (§2.4) minus the
 //! network front-end: it owns the version graph, the in-memory
 //! projections and chunk maps, and a handle to the backend cluster.
-//! Chunks live in the backend's `chunks` table, chunk maps in
-//! `cmaps`, raw ingest deltas in `deltas`, and serialized indexes in
-//! `meta` — "the chunks and associated indexes are stored in the KVS
-//! separately, in two distinct tables". The `cmaps` table is written
+//! Chunks live in the backend's `chunks` table, each chunk's base map
+//! in `cmaps`, acknowledged but unflushed commits in `deltas`, and the
+//! commit log — one record per generation plus a periodic checkpoint —
+//! in `meta` — "the chunks and associated indexes are stored in the KVS
+//! separately, in two distinct tables". `cmaps` and `meta` are written
 //! for restart only: a running store answers every query with the
 //! resident maps its snapshots publish, so a read costs one backend
 //! key per chunk — the paper's Table 1 bill.
@@ -18,22 +19,22 @@
 //!   the whole version tree, and bulk-write chunks + indexes.
 //! * [`RStore::commit`] — online (§4): deltas accumulate in a write
 //!   buffer (the *delta store*) and are partitioned in batches; placed
-//!   records are never re-partitioned, and each touched chunk map is
-//!   rewritten once per batch from the in-memory copy.
+//!   records are never re-partitioned, and each touched chunk map's new
+//!   entries are logged once per batch in the batch's commit record.
 //!
 //! Both paths — and a compaction slice — are thin callers of the one
 //! generation writer in the `ingest` module: each derives its inputs
 //! (the records to place, their sub-chunk grouping, the per-version
 //! item lists, the index pass) and the writer runs stage → write →
 //! commit, applying a generation to the writer state only once every
-//! backend write and the meta put have landed. [`IngestStages`] makes
+//! backend write and its commit record have landed. [`IngestStages`] makes
 //! each stage observable the way `QueryStats` made reads observable.
 //!
 //! Reads are **snapshot-isolated** from both paths: every query entry
 //! point takes `&RStore` and pins an immutable, generation-stamped
 //! [`StoreSnapshot`] at admission, while mutators build the next
 //! generation inside a writer-only lock and publish it with one swap
-//! at their meta commit point. A pinned reader therefore sees one
+//! once their commit record is durable. A pinned reader therefore sees one
 //! whole generation for its entire plan → fetch → extract pipeline —
 //! flushes and compactions running concurrently never tear or block
 //! it — and epoch-based reclamation (see [`StoreSnapshot`] and
@@ -42,11 +43,11 @@
 
 use crate::cache::{CacheStats, ChunkCache};
 use crate::chunk::SubChunk;
-use crate::chunkmap::{ChunkMap, ResidentMap};
+use crate::chunkmap::ChunkMap;
 use crate::compact::{CompactionConfig, CompactionReport};
 use crate::error::CoreError;
 use crate::index::Projections;
-use crate::ingest::{self, MetaView, PersistedMeta};
+use crate::ingest::{self, GenerationRecord, LogPosition};
 use crate::model::{CompositeKey, PrimaryKey, Record, VersionId};
 use crate::obs::{
     self, HistSummary, MetricsRegistry, NodeSample, Obs, ObsConfig, QueryOutcome, QueryTrace,
@@ -62,7 +63,7 @@ use crate::serve::{ServeCore, ServeStats};
 use crate::subchunk::SubchunkPlan;
 use bytes::Bytes;
 use rstore_compress::Bitmap;
-use rstore_kvstore::{table_key, BreakerPolicy, Cluster, Key};
+use rstore_kvstore::{BreakerPolicy, Cluster, Key};
 use rstore_vgraph::{Dataset, VersionDelta, VersionGraph};
 use rustc_hash::{FxHashMap, FxHashSet};
 use std::collections::BTreeMap;
@@ -71,11 +72,15 @@ use std::time::{Duration, Instant};
 
 /// Backend table holding serialized chunks.
 pub const CHUNK_TABLE: &str = "chunks";
-/// Backend table holding serialized chunk maps.
+/// Backend table holding each chunk's base map: the chunk map as its
+/// chunk was created, written once (entries later generations add are
+/// in the commit log).
 pub const CMAP_TABLE: &str = "cmaps";
-/// Backend table holding raw ingest deltas (the durable delta store).
+/// Backend table holding the durable delta store: one key per commit
+/// acknowledged and not yet flushed.
 pub const DELTA_TABLE: &str = "deltas";
-/// Backend table holding serialized indexes and metadata.
+/// Backend table holding the commit log: `gen/<seq>` per generation
+/// record, `checkpoint` for the checkpoint.
 pub const META_TABLE: &str = "meta";
 
 /// Default decoded-chunk cache budget. Non-zero since the pipeline
@@ -392,8 +397,12 @@ pub struct FlushReport {
     pub new_records: usize,
     /// New chunks created.
     pub new_chunks: usize,
-    /// Existing chunk maps rewritten.
+    /// Existing chunk maps the batch added entries to. (The name is
+    /// from when each was rewritten whole; the entries are logged in
+    /// the flush's commit record now and no stored map is touched.)
     pub maps_rewritten: usize,
+    /// Bytes of the flush's commit record.
+    pub record_bytes: usize,
     /// Per-stage timing breakdown of the flush pipeline.
     pub stages: IngestStages,
 }
@@ -701,8 +710,8 @@ pub struct ReclaimReport {
 
 /// The writer-side state: the `Arc`'d fields shared with the
 /// published snapshot (copied-on-write before each mutation) plus
-/// writer-only state no reader consults (the chunk maps' serialized
-/// entry regions, the locator, the delta store). Guarded by
+/// writer-only state no reader consults (the locator, the delta store,
+/// the position in the commit log). Guarded by
 /// `RStore::state`, so exactly one mutator runs at a time while readers
 /// proceed against pinned snapshots.
 pub(crate) struct StoreMut {
@@ -727,18 +736,26 @@ pub(crate) struct StoreMut {
     pub(crate) contents: Vec<Vec<(PrimaryKey, VersionId)>>,
     /// Composite key → (chunk, chunk-local ordinal) (writer-only).
     pub(crate) locator: FxHashMap<CompositeKey, (u32, u32)>,
-    /// In-memory chunk maps (authoritative; persisted per batch).
-    /// Indexed by chunk id; retired ids keep an empty tombstone map
-    /// until a reclamation pass frees or truncates the slot.
-    pub(crate) chunk_maps: Vec<ResidentMap>,
-    /// The snapshot's view of `chunk_maps`: per slot, the same
-    /// `Arc<ChunkMap>` the writer's [`ResidentMap`] holds, kept in
-    /// step by [`StoreMut::set_chunk_map`] and the generation writer.
-    pub(crate) published_maps: Arc<Vec<Arc<ChunkMap>>>,
+    /// In-memory chunk maps (authoritative), indexed by chunk id and
+    /// shared with the published snapshot; retired ids keep an empty
+    /// tombstone map until a reclamation pass frees or truncates the
+    /// slot.
+    pub(crate) chunk_maps: Arc<Vec<Arc<ChunkMap>>>,
+    /// Per chunk slot: how many of the map's entries its stored base
+    /// map (`cmaps/<id>`) holds — the rest were logged by later
+    /// generations, and a checkpoint carries exactly those.
+    pub(crate) map_base: Vec<usize>,
     /// Bytes the live chunk maps keep resident.
     pub(crate) resident_map_bytes: usize,
-    /// The delta store: commits awaiting a partitioning pass.
+    /// The delta store: commits awaiting a partitioning pass, the
+    /// newest `pending.len()` versions of the graph.
     pub(crate) pending: Vec<(VersionId, VersionDelta)>,
+    /// Versions flushed: those below are in the commit log (their
+    /// graph nodes) and the chunks (their records), those from here on
+    /// are `pending`.
+    pub(crate) flushed_versions: usize,
+    /// Where the commit log stands.
+    pub(crate) log: LogPosition,
     /// Batch flushes since the last compaction (the auto-trigger
     /// counter).
     pub(crate) flushes_since_compaction: usize,
@@ -756,7 +773,7 @@ pub(crate) struct StoreMut {
 }
 
 impl StoreMut {
-    fn empty() -> Self {
+    pub(crate) fn empty() -> Self {
         Self {
             generation: 1,
             graph: Arc::new(VersionGraph::new()),
@@ -768,10 +785,12 @@ impl StoreMut {
             record_counts: Arc::new(Vec::new()),
             contents: Vec::new(),
             locator: FxHashMap::default(),
-            chunk_maps: Vec::new(),
-            published_maps: Arc::new(Vec::new()),
+            chunk_maps: Arc::new(Vec::new()),
+            map_base: Vec::new(),
             resident_map_bytes: 0,
             pending: Vec::new(),
+            flushed_versions: 0,
+            log: LogPosition::default(),
             flushes_since_compaction: 0,
             last_compaction: None,
             last_compaction_error: None,
@@ -787,7 +806,7 @@ impl StoreMut {
             projections: Arc::clone(&self.projections),
             chunk_sizes: Arc::clone(&self.chunk_sizes),
             map_gen: Arc::clone(&self.map_gen),
-            chunk_maps: Arc::clone(&self.published_maps),
+            chunk_maps: Arc::clone(&self.chunk_maps),
             retired: Arc::clone(&self.retired),
             free: Arc::clone(&self.free),
             record_counts: Arc::clone(&self.record_counts),
@@ -796,55 +815,34 @@ impl StoreMut {
         }
     }
 
-    /// Grows the per-slot tables to `slots` chunk ids; new slots hold
-    /// empty tombstones until a generation fills them.
+    /// Resizes the per-slot tables to `slots` chunk ids; new slots hold
+    /// empty tombstones until a generation fills them, and the slots a
+    /// shrink drops are freed tombstones already.
     pub(crate) fn resize_chunk_slots(&mut self, slots: usize) {
-        let empty = ResidentMap::default();
-        Arc::make_mut(&mut self.published_maps).resize(slots, Arc::clone(empty.map()));
-        self.chunk_maps.resize(slots, empty);
+        Arc::make_mut(&mut self.chunk_maps).resize(slots, Arc::default());
+        self.map_base.resize(slots, 0);
         Arc::make_mut(&mut self.chunk_sizes).resize(slots, 0);
         Arc::make_mut(&mut self.map_gen).resize(slots, 0);
     }
 
-    /// Installs `map` as slot `c`'s chunk map — in the writer's table
-    /// and, as the same `Arc`, in the one the next snapshot publishes.
-    pub(crate) fn set_chunk_map(&mut self, c: u32, map: ResidentMap) {
-        let slot = c as usize;
-        self.resident_map_bytes -= self.chunk_maps[slot].map().resident_bytes();
-        self.resident_map_bytes += map.map().resident_bytes();
-        Arc::make_mut(&mut self.published_maps)[slot] = Arc::clone(map.map());
-        self.chunk_maps[slot] = map;
+    /// Installs `map` as slot `c`'s chunk map, `base_entries` of whose
+    /// entries its stored base map holds.
+    pub(crate) fn set_chunk_map(&mut self, c: u32, map: Arc<ChunkMap>, base_entries: usize) {
+        let slot = &mut Arc::make_mut(&mut self.chunk_maps)[c as usize];
+        self.resident_map_bytes -= slot.resident_bytes();
+        self.resident_map_bytes += map.resident_bytes();
+        *slot = map;
+        self.map_base[c as usize] = base_entries;
     }
 
-    /// Appends a generation's `new` entries (serialized as `tail`) to
-    /// slot `c`'s map. The map grows copy-on-write, so the snapshots
-    /// published so far keep the map they have.
-    pub(crate) fn append_chunk_map(&mut self, c: u32, new: Vec<(VersionId, Bitmap)>, tail: &[u8]) {
-        let slot = c as usize;
-        let map = &mut self.chunk_maps[slot];
-        let before = map.map().resident_bytes();
-        map.append(new, tail);
-        self.resident_map_bytes += map.map().resident_bytes() - before;
-        Arc::make_mut(&mut self.published_maps)[slot] = Arc::clone(map.map());
-    }
-
-    /// The metadata a commit point persists, as the writer state has
-    /// it now.
-    pub(crate) fn meta(&self) -> MetaView<'_> {
-        MetaView {
-            graph: &self.graph,
-            projections: &self.projections,
-            chunk_slots: self.chunk_maps.len(),
-            retired: &self.retired,
-            free: &self.free,
-        }
-    }
-
-    /// Version ids still buffered in the delta store (compaction must
-    /// not claim them in rebuilt chunk maps: their records are
-    /// unplaced and chunk maps require strictly increasing pushes).
-    pub(crate) fn pending_version_ids(&self) -> FxHashSet<u32> {
-        self.pending.iter().map(|&(v, _)| v.as_u32()).collect()
+    /// Appends a generation's entries to slot `c`'s map. The map grows
+    /// copy-on-write — a new segment on a copy that shares every older
+    /// one — so the snapshots published so far keep the map they have.
+    pub(crate) fn append_chunk_map(&mut self, c: u32, entries: Vec<(VersionId, Bitmap)>) {
+        let map = &mut Arc::make_mut(&mut self.chunk_maps)[c as usize];
+        let before = map.resident_bytes();
+        Arc::make_mut(map).push_segment(entries);
+        self.resident_map_bytes += map.resident_bytes() - before;
     }
 
     /// Live chunk ids (neither retired nor freed), ascending.
@@ -1167,7 +1165,8 @@ impl RStore {
         let raw_bytes = staged.subchunks.iter().map(|s| s.raw_bytes).sum();
         let compressed_bytes = staged.subchunks.iter().map(SubChunk::compressed_bytes).sum();
         let batch: Vec<(VersionId, &VersionDelta)> = st.graph.ids().zip(&dataset.deltas).collect();
-        let committed = self.commit_generation(st, staged, &[], |st, chunks| {
+        let versions = st.graph.len();
+        let committed = self.commit_generation(st, staged, versions, &[], |st, chunks| {
             ingest::stage_index(st, &batch, chunks, |ck| record_store.ord(*ck))
         });
         let mut stages = match committed {
@@ -1195,47 +1194,24 @@ impl RStore {
     }
 
     /// Reopens a store over a cluster that already holds RStore data
-    /// (e.g. a restarted log-engine cluster): reads the persisted
-    /// version graph, projections, chunk count and the live chunks'
-    /// maps, then rebuilds the in-memory locator and per-version
-    /// contents from the stored chunks. Pending (unsealed) deltas are
-    /// not replayed. A live chunk whose stored map or blob is missing
-    /// or damaged fails the reopen with [`CoreError::MissingChunk`] /
-    /// [`CoreError::Codec`].
+    /// (e.g. a restarted log-engine cluster): loads the commit log —
+    /// checkpoint, then the records after it — and the live chunks'
+    /// maps (`ingest::load_persisted`), rebuilds the in-memory locator
+    /// and per-version contents from the stored chunks, and re-admits
+    /// the commits that were acknowledged but not yet flushed from the
+    /// delta store, as pending. A live chunk whose stored map or blob
+    /// is missing or damaged, or a damaged log, fails the reopen with
+    /// [`CoreError::MissingChunk`] / [`CoreError::Codec`].
     pub fn reopen(config: StoreConfig, cluster: Cluster) -> Result<Self, CoreError> {
-        let meta = PersistedMeta::load(&cluster)?;
-        let mut st = StoreMut::empty();
-        st.graph = Arc::new(meta.graph);
-        st.projections = Arc::new(meta.projections);
-        st.retired = Arc::new(meta.retired);
-        st.free = Arc::new(meta.free);
-        st.resize_chunk_slots(meta.chunk_slots);
-        // Not persisted: after a reopen the cache is empty, so
-        // generation 1 (the initial publish) is a sound floor for
-        // every slot.
-        Arc::make_mut(&mut st.map_gen).fill(1);
-        // The maps come first: this is the one time the `cmaps` table
-        // is read, and the blob scan below — like every query after
-        // it — extracts with the maps the initial snapshot publishes.
-        // Retired ids keep empty tombstone slots so ids never shift.
+        let st = ingest::load_persisted(&cluster, plan::worker_count(config.ingest_threads))?;
         let live = st.live_chunk_ids();
-        // A flush that died between its chunk-map writes and its meta
-        // commit left map entries for versions the persisted graph
-        // never learned. They are not part of the store (the delta
-        // store that held them is gone): drop them, so a later flush
-        // can index those version ids afresh.
-        let unknown = VersionId(st.graph.len() as u32);
-        let workers = plan::worker_count(config.ingest_threads);
-        for (&c, mut map) in live.iter().zip(ingest::load_chunk_maps(&cluster, &live, workers)?) {
-            map.truncate_versions(unknown);
-            st.set_chunk_map(c, ResidentMap::adopt(map));
-        }
         let store = Self::assemble(config, cluster, st);
 
         // Rebuild chunk-derived state with one scan over the live
         // chunks' blobs — a recovery plan executed through the
         // scatter-gather pipeline (which also warms the cache when one
-        // is configured).
+        // is configured), extracting with the maps the initial
+        // snapshot publishes.
         let scan = store.plan_chunks(live.clone())?;
         let fetched = store.execute(scan)?;
         let mut guard = store.state.lock().unwrap();
@@ -1243,6 +1219,14 @@ impl RStore {
         let mut contents_maps: Vec<FxHashMap<PrimaryKey, VersionId>> =
             vec![FxHashMap::default(); st.graph.len()];
         for (&c, dc) in live.iter().zip(fetched.into_chunks()) {
+            // A blob of another size is another generation's, left
+            // under a reused id.
+            let (stored, logged) = (dc.chunk.compressed_bytes(), st.chunk_sizes[c as usize]);
+            if stored != logged {
+                return Err(CoreError::Codec(format!(
+                    "chunk {c} is {stored} bytes, its generation record says {logged}"
+                )));
+            }
             let keys = dc.local_keys();
             for (local, ck) in keys.iter().enumerate() {
                 st.locator.insert(*ck, (c, local as u32));
@@ -1253,7 +1237,6 @@ impl RStore {
                     contents_maps[v.index()].insert(ck.pk, ck.origin);
                 }
             }
-            Arc::make_mut(&mut st.chunk_sizes)[c as usize] = dc.chunk.compressed_bytes();
         }
         st.contents = contents_maps
             .into_iter()
@@ -1264,9 +1247,70 @@ impl RStore {
             })
             .collect();
         st.record_counts = Arc::new(st.contents.iter().map(|c| c.len()).collect());
+        store.readmit_deltas(st)?;
+        if st.graph.is_empty() {
+            return Err(CoreError::Codec(
+                "no persisted generation: neither a commit log nor a delta store".into(),
+            ));
+        }
         store.publish(st);
         drop(guard);
         Ok(store)
+    }
+
+    /// Re-admits the delta store's survivors — commits acknowledged
+    /// after the last flush — as pending: the keys past the flushed
+    /// versions, in version order up to the first gap. Without a key
+    /// listing the walk asks for doubling windows of consecutive
+    /// version ids, so a sealed store pays one absent key. Whatever
+    /// sits past a gap was never acknowledged in order; later commits
+    /// overwrite it.
+    fn readmit_deltas(&self, st: &mut StoreMut) -> Result<(), CoreError> {
+        let mut window = 1u32;
+        loop {
+            let first = st.graph.len() as u32;
+            let keys = (first..first.saturating_add(window)).map(|v| ingest::delta_key(VersionId(v)));
+            let fetched = self.cluster.multi_get_owned(keys.collect())?;
+            let asked = fetched.len();
+            let mut admitted = 0;
+            for bytes in fetched.into_iter().map_while(|b| b) {
+                let v = VersionId(st.graph.len() as u32);
+                let (parents, delta) = ingest::decode_delta(v, &bytes)?;
+                let bad = |what: &str| CoreError::Codec(format!("the delta of {v} {what}"));
+                if parents.iter().any(|p| p.index() >= v.index()) || parents.is_empty() != (v.index() == 0) {
+                    return Err(bad("names parents that are not older versions"));
+                }
+                // contents = the primary parent's − removed + added.
+                let mut contents: BTreeMap<PrimaryKey, VersionId> = match parents.first() {
+                    Some(p) => st.contents[p.index()].iter().copied().collect(),
+                    None => BTreeMap::new(),
+                };
+                for ck in &delta.removed {
+                    if contents.remove(&ck.pk) != Some(ck.origin) {
+                        return Err(bad("removes a record its parent does not hold"));
+                    }
+                }
+                for rec in &delta.added {
+                    if contents.insert(rec.pk, v).is_some() {
+                        return Err(bad("adds a key it keeps from its parent"));
+                    }
+                }
+                let graph = Arc::make_mut(&mut st.graph);
+                if parents.is_empty() {
+                    graph.add_root();
+                } else {
+                    graph.add_version(&parents);
+                }
+                Arc::make_mut(&mut st.record_counts).push(contents.len());
+                st.contents.push(contents.into_iter().collect());
+                st.pending.push((v, delta));
+                admitted += 1;
+            }
+            if admitted < asked {
+                return Ok(());
+            }
+            window = window.saturating_mul(2);
+        }
     }
 
     // ------------------------------------------------------------------
@@ -1282,20 +1326,19 @@ impl RStore {
         // Resolve the request into a validated VersionDelta.
         let (v, delta, new_contents) = Self::resolve_commit(st, &req)?;
         // Durable delta store write (the paper's "separate storage
-        // area" for received deltas).
-        let mut delta_bytes = Vec::new();
-        for rec in &delta.added {
-            delta_bytes.extend_from_slice(&rec.composite_key().to_bytes());
-            delta_bytes.extend_from_slice(&(rec.payload.len() as u64).to_le_bytes());
-            delta_bytes.extend_from_slice(&rec.payload);
-        }
-        for ck in &delta.removed {
-            delta_bytes.extend_from_slice(&ck.to_bytes());
-        }
-        self.cluster.put(
-            table_key(DELTA_TABLE, &v.as_u32().to_be_bytes()),
-            Bytes::from(delta_bytes),
-        )?;
+        // area" for received deltas): what a restart re-admits the
+        // commit from if it comes before the flush. The version enters
+        // the graph only once this put has landed — a commit that
+        // fails here leaves the store as it found it.
+        let stored = Bytes::from(ingest::encode_delta(&req.parents, &delta));
+        self.cluster.put(ingest::delta_key(v), stored)?;
+        let graph = Arc::make_mut(&mut st.graph);
+        let assigned = if req.is_root {
+            graph.add_root()
+        } else {
+            graph.add_version(&req.parents)
+        };
+        debug_assert_eq!(assigned, v);
 
         Arc::make_mut(&mut st.record_counts).push(new_contents.len());
         st.contents.push(new_contents);
@@ -1316,12 +1359,7 @@ impl RStore {
         Ok(v)
     }
 
-    fn resolve_commit(
-        st: &mut StoreMut,
-        req: &CommitRequest,
-    ) -> Result<ResolvedCommit, CoreError> {
-        // Validate everything before mutating the graph, so a failed
-        // commit leaves the store untouched.
+    fn resolve_commit(st: &StoreMut, req: &CommitRequest) -> Result<ResolvedCommit, CoreError> {
         if req.is_root {
             if !st.graph.is_empty() {
                 return Err(CoreError::BadCommit(
@@ -1404,15 +1442,6 @@ impl RStore {
             }
         }
         contents.extend(kept);
-
-        // All checks passed: record the version in the graph.
-        let graph = Arc::make_mut(&mut st.graph);
-        let assigned = if req.is_root {
-            graph.add_root()
-        } else {
-            graph.add_version(&req.parents)
-        };
-        debug_assert_eq!(assigned, v);
         Ok((v, delta, contents))
     }
 
@@ -1452,6 +1481,12 @@ impl RStore {
                 return Err(e);
             }
         };
+        // The batch's commit record is durable: its delta-store keys
+        // are garbage. Best-effort — a key a failed delete leaves
+        // behind sits below the flushed versions, where no restart
+        // looks.
+        let flushed = batch.iter().map(|&(v, _)| ingest::delta_key(v)).collect();
+        let _ = self.cluster.multi_delete_scatter(flushed);
         // Piggyback any deferred reclamation whose old pins drained.
         self.drain_deferred(st);
         self.record_ingest_stages(&report.stages);
@@ -1518,14 +1553,16 @@ impl RStore {
 
         let staged = self.stage_generation(st, &records, groups, &version_items);
         let deltas: Vec<(VersionId, &VersionDelta)> = batch.iter().map(|(v, d)| (*v, d)).collect();
-        let committed = self.commit_generation(st, staged, &[], |st, chunks| {
+        let versions = st.graph.len();
+        let committed = self.commit_generation(st, staged, versions, &[], |st, chunks| {
             ingest::stage_index(st, &deltas, chunks, |ck| batch_ord.get(ck).copied())
         })?;
         Ok(FlushReport {
             versions: batch.len(),
             new_records: records.len(),
             new_chunks: committed.new_chunks,
-            maps_rewritten: committed.maps_written,
+            maps_rewritten: committed.maps_appended,
+            record_bytes: committed.record_bytes,
             stages: committed.stages,
         })
     }
@@ -1585,8 +1622,9 @@ impl RStore {
     /// Drains eligible deferred deletions, moves unblocked retired
     /// ids to the reusable free list, and truncates trailing free
     /// slots outright, so `chunk_maps` tombstones do not accumulate
-    /// without bound across thousands of compactions. Persists and
-    /// publishes when anything changed.
+    /// without bound across thousands of compactions. The slot edits
+    /// are one generation: a commit record, then the same edits applied
+    /// and published — a pass that fails leaves the slots as they were.
     pub fn reclaim(&self) -> Result<ReclaimReport, CoreError> {
         let mut guard = self.state.lock().unwrap();
         let st = &mut *guard;
@@ -1600,38 +1638,37 @@ impl RStore {
             .iter()
             .flat_map(|d| d.chunk_ids.iter().copied())
             .collect();
-        let movable: Vec<u32> = st
+        let mut freed: Vec<u32> = st
             .retired
             .iter()
             .copied()
             .filter(|c| !blocked.contains(c))
             .collect();
-        let slots_reclaimed = movable.len();
-        if !movable.is_empty() {
-            let retired = Arc::make_mut(&mut st.retired);
-            let free = Arc::make_mut(&mut st.free);
-            for c in movable {
-                retired.remove(&c);
-                free.insert(c);
-            }
-        }
+        freed.sort_unstable();
         // Trailing freed slots shrink the id space outright instead
         // of waiting as reusable tombstones.
-        let mut slots_truncated = 0usize;
-        while let Some(last) = st.chunk_maps.len().checked_sub(1) {
-            if !st.free.contains(&(last as u32)) {
+        let mut chunk_slots = st.chunk_maps.len();
+        while let Some(last) = chunk_slots.checked_sub(1) {
+            let last = last as u32;
+            if !st.free.contains(&last) && freed.binary_search(&last).is_err() {
                 break;
             }
-            Arc::make_mut(&mut st.free).remove(&(last as u32));
-            st.chunk_maps.pop();
-            Arc::make_mut(&mut st.published_maps).pop();
-            Arc::make_mut(&mut st.chunk_sizes).pop();
-            Arc::make_mut(&mut st.map_gen).pop();
-            slots_truncated += 1;
+            chunk_slots -= 1;
         }
-        if deferred_drained > 0 || slots_reclaimed > 0 || slots_truncated > 0 {
-            self.persist_meta(st.meta())?;
+        let slots_reclaimed = freed.len();
+        let slots_truncated = st.chunk_maps.len() - chunk_slots;
+        if slots_reclaimed > 0 || slots_truncated > 0 {
+            let record = GenerationRecord {
+                seq: st.log.seq + 1,
+                first_version: st.flushed_versions as u32,
+                chunk_slots,
+                freed,
+                ..GenerationRecord::default()
+            };
+            let record_bytes = self.put_record(&record, &mut IngestStages::default())?;
+            st.apply_edits(&record);
             self.publish(st);
+            self.record_committed(st, record_bytes);
         }
         let reclaimed = (slots_reclaimed + slots_truncated) as u64;
         self.obs.registry().reclaimed_chunk_slots.add(reclaimed);
@@ -1869,6 +1906,7 @@ impl RStore {
             pinned_readers: self.pinned_readers(),
             reclaim_backlog: self.reclaim_backlog(),
             resident_map_bytes: self.resident_map_bytes(),
+            records_since_checkpoint: self.state.lock().unwrap().log.records_since_checkpoint(),
             index_bytes: self.index_bytes(),
             fragmentation: self.fragmentation_stats(),
             cache: self.cache_stats(),

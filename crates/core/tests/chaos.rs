@@ -444,3 +444,150 @@ fn query_stats_report_retries_under_faults() {
             .any(|v| bare.get_version(VersionId(v as u32)).is_err());
     assert!(failed, "without retries the faults must surface");
 }
+
+/// The commit point under a scripted crash: the node that owns the next
+/// generation's commit record crashes at its `k`-th request and stays
+/// out. Sweeping `k` across a flush walks the crash through every one
+/// of the flush's writes on that node; the schedules where it lands on
+/// the record put *alone* — every blob and base map of the generation
+/// stored, the record not — are the crash-ordering case: a restart
+/// serves the previous generation whole, does not see the orphans, has
+/// the batch back as pending from the delta store, and the flush it
+/// reruns overwrites the orphans to end byte-identical to a twin that
+/// never crashed.
+#[test]
+fn crash_on_the_commit_record_put_leaves_the_previous_generation() {
+    let dir = std::env::temp_dir().join(format!("rstore-chaos-record-{}", std::process::id()));
+    let ds = chaos_dataset(91, 12, 30);
+    let first: Vec<VersionId> = ds.graph.ids().take(6).collect();
+    let second: Vec<VersionId> = ds.graph.ids().skip(6).collect();
+    let commit_all = |store: &RStore, versions: &[VersionId]| -> bool {
+        versions
+            .iter()
+            .all(|&v| store.commit(rstore_core::online::commit_request(&ds, v)).is_ok())
+    };
+    let build = |cluster: Cluster| {
+        RStore::builder()
+            .chunk_capacity(1024)
+            .cache_budget(0)
+            .batch_size(usize::MAX)
+            .build(cluster)
+    };
+    let key = |table: &str, c: u32| table_key(table, &ChunkId(c).to_key());
+
+    // The twin: the same history, no faults.
+    let twin = build(Cluster::builder().nodes(3).replication(1).build());
+    assert!(commit_all(&twin, &first));
+    twin.seal().unwrap();
+    let before = twin.index_from_contents();
+    let slots = twin.chunk_slot_count() as u32;
+    assert!(commit_all(&twin, &second));
+    let (_, record_key) = twin.commit_log_keys();
+    let owner = twin.cluster().owner_of(&record_key).unwrap();
+    let report = twin.seal().unwrap();
+    let new_ids = slots..slots + report.new_chunks as u32;
+    assert!(report.new_chunks > 0 && report.maps_rewritten > 0);
+
+    let mut landed_on_the_record = 0;
+    for k in 0..120 {
+        let _ = std::fs::remove_dir_all(&dir);
+        let log = || Cluster::builder().nodes(3).replication(1).engine(EngineKind::Log { dir: dir.clone() });
+        let plan = FaultPlan::new(1).rule(
+            FaultRule::crash(usize::MAX, TailDamage::None).on_node(owner).after(k).until(k + 1),
+        );
+        let config = {
+            let store = build(log().faults(plan).retry(RetryPolicy::none()).build());
+            // A crash before the second batch is acknowledged is
+            // another test's case.
+            if !commit_all(&store, &first) || store.seal().is_err() || !commit_all(&store, &second) {
+                continue;
+            }
+            if store.seal().is_ok() {
+                // The crash came after the flush: every later schedule
+                // does too.
+                break;
+            }
+            assert_eq!(store.pending_commits(), second.len(), "a failed flush keeps its batch");
+            *store.config()
+        };
+        // What the dead attempt left behind, seen by a healthy cluster.
+        let raw = log().build();
+        assert_eq!(raw.get(&record_key).unwrap(), None, "k = {k}: the flush failed past its commit point");
+        let stored = |table: &str| new_ids.clone().all(|c| raw.get(&key(table, c)).unwrap().is_some());
+        let orphans = stored(CHUNK_TABLE) && stored(CMAP_TABLE);
+        drop(raw);
+
+        let store = RStore::reopen(config, log().build()).unwrap();
+        assert_eq!(store.chunk_slot_count() as u32, slots, "k = {k}: orphans became chunks");
+        assert_eq!(store.version_count(), ds.graph.len());
+        assert_eq!(store.pending_commits(), second.len());
+        assert_eq!(store.persisted_index().unwrap(), before, "k = {k}: not the previous generation");
+        for &v in &first {
+            assert_eq!(store.get_version(v).unwrap(), twin.get_version(v).unwrap(), "k = {k}: {v}");
+        }
+        if !orphans {
+            continue;
+        }
+        landed_on_the_record += 1;
+        // The rerun takes the same ids and overwrites the orphans.
+        assert_eq!(store.seal().unwrap().new_chunks, report.new_chunks);
+        for c in 0..new_ids.end {
+            for table in [CHUNK_TABLE, CMAP_TABLE] {
+                let (got, want) = (store.cluster().get(&key(table, c)), twin.cluster().get(&key(table, c)));
+                assert_eq!(got.unwrap(), want.unwrap(), "k = {k}: {table}/{c}");
+            }
+        }
+        assert_eq!(store.commit_log_keys(), twin.commit_log_keys());
+        for log_key in store.commit_log_keys().0 {
+            assert_eq!(store.cluster().get(&log_key).unwrap(), twin.cluster().get(&log_key).unwrap());
+        }
+        assert!(stores_agree(&twin, &store).unwrap(), "k = {k}");
+    }
+    assert!(landed_on_the_record > 0, "no schedule put the crash on the record put alone");
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+/// A hole in the commit log is damage, not its end: with records 3, 4
+/// and 5 past the checkpoint, losing 4 fails the restart cleanly — it
+/// must not serve generation 3 as if 4 and 5 never happened, nor skip
+/// to 5 — while losing 5, the tail, is indistinguishable from a crash
+/// before its commit point and serves generation 4.
+#[test]
+fn a_hole_in_the_commit_log_fails_the_restart() {
+    let dir = std::env::temp_dir().join(format!("rstore-chaos-hole-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let ds = chaos_dataset(92, 15, 30);
+    let log = || Cluster::builder().nodes(2).engine(EngineKind::Log { dir: dir.clone() }).build();
+    let (config, records, at_four) = {
+        let store = store_on(log());
+        let mut at_four = None;
+        for v in ds.graph.ids() {
+            store.commit(rstore_core::online::commit_request(&ds, v)).unwrap();
+            if v.index() + 1 == 12 {
+                at_four = Some(store.index_from_contents());
+            }
+        }
+        // Batches of three: five flushes, a checkpoint after the second.
+        let (keys, _) = store.commit_log_keys();
+        assert_eq!(keys.len(), 4, "the checkpoint and records 3 to 5");
+        (*store.config(), keys[1..].to_vec(), at_four.unwrap())
+    };
+    let reopen = || RStore::reopen(config, log());
+    assert_eq!(reopen().unwrap().version_count(), 15);
+
+    let lost = log().get(&records[1]).unwrap().expect("record 4");
+    log().delete(&records[1]).unwrap();
+    match reopen() {
+        Err(rstore_core::CoreError::Codec(msg)) => assert!(msg.contains("missing before a later one"), "{msg}"),
+        Err(other) => panic!("expected a codec error, got {other:?}"),
+        Ok(store) => panic!("a restart skipped a lost record and serves {} versions", store.version_count()),
+    }
+    log().put(records[1].clone(), lost).unwrap();
+    log().delete(&records[2]).unwrap();
+    let store = reopen().unwrap();
+    assert_eq!(store.version_count(), 12, "the last generation is the one before the lost tail");
+    assert_eq!(store.persisted_index().unwrap(), at_four);
+    assert_eq!(store.index_from_contents(), at_four);
+    drop(store);
+    let _ = std::fs::remove_dir_all(dir);
+}

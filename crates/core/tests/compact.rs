@@ -8,7 +8,7 @@ use proptest::prelude::*;
 use rstore_core::compact::CompactionConfig;
 use rstore_core::model::VersionId;
 use rstore_core::online::{replay_commits, stores_agree};
-use rstore_core::store::{RStore, StoreConfig, CHUNK_TABLE, CMAP_TABLE, META_TABLE};
+use rstore_core::store::{RStore, StoreConfig, CHUNK_TABLE, CMAP_TABLE};
 use rstore_core::{CoreError, QuerySpec};
 use rstore_kvstore::{table_key, Cluster, EngineKind, KvError};
 use rstore_vgraph::{Dataset, DatasetSpec, SelectionKind};
@@ -350,24 +350,22 @@ fn assert_clean_kv_error(attempt: Result<Option<rstore_core::CompactionReport>, 
     }
 }
 
-/// The backend's chunk maps and persisted projections must be exactly
-/// what the from-contents oracle computes from the writer state.
+/// The durable index — commit log plus stored maps, loaded as a
+/// restart loads them — must be exactly what the from-contents oracle
+/// computes from the writer state.
 fn assert_index_matches_oracle(store: &RStore) {
     let (maps, projections) = store.index_from_contents();
     let ids: Vec<u32> = maps.iter().map(|&(c, _)| c).collect();
     assert_eq!(ids, store.live_chunk_ids(), "oracle covers the live chunks");
-    for (c, want) in &maps {
-        let got = store.cluster().get(&table_key(CMAP_TABLE, &c.to_be_bytes())).unwrap();
-        assert_eq!(got.as_deref(), Some(want.as_slice()), "chunk map {c} differs from the oracle");
-    }
-    let got = store.cluster().get(&table_key(META_TABLE, b"projections")).unwrap();
-    assert_eq!(got.as_deref(), Some(projections.as_slice()), "projections differ from the oracle");
+    let (stored_maps, stored_projections) = store.persisted_index().unwrap();
+    assert_eq!(stored_maps, maps, "chunk maps differ from the oracle");
+    assert_eq!(stored_projections, projections, "projections differ from the oracle");
 }
 
 /// A node dying mid-compaction surfaces as a clean KV error and the
 /// old generation keeps serving — nothing is lost, and once the node
 /// returns the compaction goes through. Whichever of the slice's
-/// writes fails first — a chunk blob, a chunk map, or the meta put
+/// writes fails first — a chunk blob, a base map, or the commit record
 /// alone — the failed slice changed nothing, and the retry ends
 /// exactly where an undisturbed twin does.
 #[test]
@@ -394,15 +392,16 @@ fn down_node_mid_compaction_leaves_old_generation_serving() {
     assert_queries_agree(&plain, &store, 30);
 
     // A wide cluster, so each of the slice's writes has an owner that
-    // owns none of the writes before it; every version read once, so
-    // the extraction is served from the cache and the outage is met
-    // by a write.
+    // owns none of the writes before it (301 nodes: the width at which
+    // that also holds for the one commit-record key); every version
+    // read once, so the extraction is served from the cache and the
+    // outage is met by a write.
     let build = || {
         let store = RStore::builder()
             .chunk_capacity(2048)
             .batch_size(3)
             .compaction(eager())
-            .build(Cluster::builder().nodes(200).replication(1).build());
+            .build(Cluster::builder().nodes(301).replication(1).build());
         replay_commits(&store, &ds).unwrap();
         for v in 0..store.version_count() {
             store.get_version(VersionId(v as u32)).unwrap();
@@ -413,9 +412,9 @@ fn down_node_mid_compaction_leaves_old_generation_serving() {
     let slots = twin.chunk_slot_count();
     let span = twin.total_version_span();
     let want = twin.compact().unwrap().expect("fragmented store must compact");
-    const META_KEYS: [&[u8]; 5] = [b"projections", b"graph", b"chunk_count", b"retired", b"free"];
+    const COMMIT_RECORD: &str = "commit record";
 
-    for first_failure in [CHUNK_TABLE, CMAP_TABLE, META_TABLE] {
+    for first_failure in [CHUNK_TABLE, CMAP_TABLE, COMMIT_RECORD] {
         let store = build();
         assert_eq!(store.chunk_slot_count(), slots);
         // The rebuilt generation takes fresh ids past the tail, at
@@ -425,13 +424,12 @@ fn down_node_mid_compaction_leaves_old_generation_serving() {
             (slots..2 * slots).map(|c| owner(table, &(c as u32).to_be_bytes())).collect()
         };
         let (blobs, maps) = (owners(CHUNK_TABLE), owners(CMAP_TABLE));
+        let written = want.new_chunks;
         let node = match first_failure {
             CHUNK_TABLE => Some(blobs[0]),
-            CMAP_TABLE => maps[..want.new_chunks].iter().copied().find(|n| !blobs.contains(n)),
-            _ => META_KEYS
-                .iter()
-                .map(|name| owner(META_TABLE, name))
-                .find(|n| !blobs.contains(n) && !maps.contains(n)),
+            CMAP_TABLE => maps[..written].iter().copied().find(|n| !blobs.contains(n)),
+            _ => Some(store.cluster().owner_of(&store.commit_log_keys().1).unwrap())
+                .filter(|n| !blobs[..written].contains(n) && !maps[..written].contains(n)),
         }
         .unwrap_or_else(|| panic!("no node owns a {first_failure} key and no earlier write"));
 
@@ -462,8 +460,10 @@ fn down_node_mid_compaction_leaves_old_generation_serving() {
             same(CHUNK_TABLE, &c.to_be_bytes());
             same(CMAP_TABLE, &c.to_be_bytes());
         }
-        for name in META_KEYS {
-            same(META_TABLE, name);
+        let log = store.commit_log_keys();
+        assert_eq!(log, twin.commit_log_keys(), "{first_failure}: the logs cover different generations");
+        for key in log.0 {
+            assert_eq!(store.cluster().get(&key).unwrap(), twin.cluster().get(&key).unwrap());
         }
         assert_index_matches_oracle(&store);
         assert_queries_agree(&plain, &store, 30);

@@ -152,7 +152,7 @@ fn unreplicated_node_loss_is_an_error_not_a_wrong_answer() {
 fn reopen_on_empty_cluster_is_a_clean_error() {
     let cluster = Cluster::builder().nodes(1).build();
     match RStore::reopen(StoreConfig::default(), cluster) {
-        Err(CoreError::Codec(msg)) => assert!(msg.contains("graph"), "{msg}"),
+        Err(CoreError::Codec(msg)) => assert!(msg.contains("no persisted generation"), "{msg}"),
         Err(other) => panic!("expected codec error, got {other:?}"),
         Ok(_) => panic!("reopen on an empty cluster must fail"),
     }

@@ -346,7 +346,7 @@ fn every_metric_is_named_to_scheme_and_documented() {
         assert!(scheme, "{} is not rstore_<subsystem>_<name>", m.name);
         let suffix_ok = match m.kind {
             MetricKind::Counter => m.name.ends_with("_total"),
-            MetricKind::Histogram => m.name.ends_with("_seconds"),
+            MetricKind::Histogram => m.name.ends_with("_seconds") || m.name.ends_with("_bytes"),
             MetricKind::Gauge => !m.name.ends_with("_total"),
         };
         assert!(suffix_ok, "{} carries the wrong suffix for a {:?}", m.name, m.kind);

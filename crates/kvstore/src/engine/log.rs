@@ -17,9 +17,12 @@
 //! can lose on such a crash:
 //!
 //! * [`SyncPolicy::Always`] — nothing: every entry is flushed before
-//!   its `put`/`delete` returns. At most a torn tail from a crash
-//!   that lands mid-write at the filesystem level, which replay
-//!   truncates back to the last whole entry.
+//!   its `put`/`delete` returns, and every batch
+//!   ([`StorageEngine::put_batch`]/[`StorageEngine::delete_batch`]:
+//!   one message, one reply) with one flush before *it* returns. At
+//!   most a torn tail from a crash that lands mid-write at the
+//!   filesystem level, which replay truncates back to the last whole
+//!   entry.
 //! * [`SyncPolicy::EveryN`]`(n)` — at most the last `n - 1` accepted
 //!   writes (the group-commit window).
 //! * [`SyncPolicy::OnSeal`] — everything since the last explicit
@@ -255,16 +258,47 @@ impl LogEngine {
         let entry_start = self.tail;
         self.tail += (4 + body.len()) as u64;
         self.unflushed_writes += 1;
-        match self.sync {
-            SyncPolicy::Always => self.flush_writes()?,
-            SyncPolicy::EveryN(n) => {
-                if self.unflushed_writes >= n.max(1) {
-                    self.flush_writes()?;
-                }
-            }
-            SyncPolicy::OnSeal => {}
-        }
         Ok(entry_start)
+    }
+
+    /// Applies the group-commit policy to the entries appended since
+    /// the last flush — once per write, or once per batch of them.
+    fn flush_if_due(&mut self) -> Result<(), KvError> {
+        let due = match self.sync {
+            SyncPolicy::Always => self.unflushed_writes > 0,
+            SyncPolicy::EveryN(n) => self.unflushed_writes >= n.max(1),
+            SyncPolicy::OnSeal => false,
+        };
+        if due {
+            self.flush_writes()?;
+        }
+        Ok(())
+    }
+
+    /// Appends a value entry and points the directory at it.
+    fn append_put(&mut self, key: Key, value: &[u8]) -> Result<(), KvError> {
+        let entry_start = self.append(0, &key, value)?;
+        let slot = Slot {
+            value_offset: entry_start + (HEADER_LEN + key.len()) as u64,
+            value_len: value.len() as u32,
+            key_len: key.len() as u32,
+        };
+        if let Some(old) = self.directory.insert(key, slot) {
+            self.garbage_bytes +=
+                (HEADER_LEN + old.key_len as usize + old.value_len as usize) as u64;
+        }
+        Ok(())
+    }
+
+    /// Appends a tombstone if `key` is live, reporting whether it was.
+    fn append_delete(&mut self, key: &[u8]) -> Result<bool, KvError> {
+        let Some(old) = self.directory.remove(key) else {
+            return Ok(false);
+        };
+        self.append(TOMBSTONE, key, &[])?;
+        self.garbage_bytes += (HEADER_LEN + old.key_len as usize + old.value_len as usize) as u64;
+        self.garbage_bytes += (HEADER_LEN + key.len()) as u64;
+        Ok(true)
     }
 
     /// Flushes the write buffer, advancing the durable frontier.
@@ -360,29 +394,30 @@ impl StorageEngine for LogEngine {
     }
 
     fn put(&mut self, key: Key, value: Value) -> Result<(), KvError> {
-        let entry_start = self.append(0, &key, &value)?;
-        let slot = Slot {
-            value_offset: entry_start + (HEADER_LEN + key.len()) as u64,
-            value_len: value.len() as u32,
-            key_len: key.len() as u32,
-        };
-        if let Some(old) = self.directory.insert(key, slot) {
-            self.garbage_bytes +=
-                (HEADER_LEN + old.key_len as usize + old.value_len as usize) as u64;
-        }
-        Ok(())
+        self.append_put(key, &value)?;
+        self.flush_if_due()
     }
 
     fn delete(&mut self, key: &[u8]) -> Result<bool, KvError> {
-        if let Some(old) = self.directory.remove(key) {
-            self.append(TOMBSTONE, key, &[])?;
-            self.garbage_bytes +=
-                (HEADER_LEN + old.key_len as usize + old.value_len as usize) as u64;
-            self.garbage_bytes += (HEADER_LEN + key.len()) as u64;
-            Ok(true)
-        } else {
-            Ok(false)
+        let present = self.append_delete(key)?;
+        self.flush_if_due()?;
+        Ok(present)
+    }
+
+    fn put_batch(&mut self, pairs: Vec<(Key, Value)>) -> Result<(), KvError> {
+        for (key, value) in pairs {
+            self.append_put(key, &value)?;
         }
+        self.flush_if_due()
+    }
+
+    fn delete_batch(&mut self, keys: &[Key]) -> Result<usize, KvError> {
+        let mut removed = 0;
+        for key in keys {
+            removed += usize::from(self.append_delete(key)?);
+        }
+        self.flush_if_due()?;
+        Ok(removed)
     }
 
     fn len(&self) -> usize {
@@ -638,6 +673,25 @@ mod tests {
         assert_eq!(e.len(), 2);
         assert_eq!(e.get(b"a").unwrap(), Some(Bytes::from_static(b"1")));
         assert_eq!(e.get(b"b").unwrap(), Some(Bytes::from_static(b"2")));
+
+        // A batched message is durable, whole, when it returns: its
+        // entries share one flush, and nothing stays in the buffer.
+        let batch: Vec<(Key, Value)> = (0..300u32)
+            .map(|i| (i.to_be_bytes().to_vec(), Bytes::from(vec![i as u8; 24])))
+            .collect();
+        e.put_batch(batch).unwrap();
+        assert_eq!((e.unflushed_writes, e.flushed), (0, e.tail));
+        e.crash_restart(TailDamage::None).unwrap();
+        assert_eq!(e.len(), 302);
+        assert_eq!(e.get(&7u32.to_be_bytes()).unwrap(), Some(Bytes::from(vec![7u8; 24])));
+        let doomed: Vec<Key> = (0..100u32).map(|i| i.to_be_bytes().to_vec()).collect();
+        assert_eq!(e.delete_batch(&doomed).unwrap(), 100);
+        assert_eq!(e.delete_batch(&doomed).unwrap(), 0, "absent keys are not removals");
+        assert_eq!((e.unflushed_writes, e.flushed), (0, e.tail));
+        e.crash_restart(TailDamage::None).unwrap();
+        assert_eq!(e.len(), 202);
+        assert_eq!(e.get(&7u32.to_be_bytes()).unwrap(), None);
+        assert_eq!(e.get(b"a").unwrap(), Some(Bytes::from_static(b"1")));
         let _ = std::fs::remove_file(p);
     }
 

@@ -28,6 +28,24 @@ pub trait StorageEngine: Send {
     /// succeed silently with `false`).
     fn delete(&mut self, key: &[u8]) -> Result<bool, KvError>;
 
+    /// Stores the pairs of one batched message, in order. The
+    /// durability point of a batch is its return — the reply to the
+    /// message — so an engine may make the whole batch durable at once
+    /// instead of pair by pair.
+    fn put_batch(&mut self, pairs: Vec<(Key, Value)>) -> Result<(), KvError> {
+        pairs.into_iter().try_for_each(|(key, value)| self.put(key, value))
+    }
+
+    /// Removes the keys of one batched message, reporting how many
+    /// were present; durable as a whole, like [`StorageEngine::put_batch`].
+    fn delete_batch(&mut self, keys: &[Key]) -> Result<usize, KvError> {
+        let mut removed = 0;
+        for key in keys {
+            removed += usize::from(self.delete(key)?);
+        }
+        Ok(removed)
+    }
+
     /// Number of live keys.
     fn len(&self) -> usize;
 

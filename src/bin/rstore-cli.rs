@@ -211,7 +211,6 @@ fn open_cluster(args: &Args) -> Cluster {
 
 fn store_config(args: &Args) -> StoreConfig {
     StoreConfig {
-        batch_size: 1,
         read_routing: args.routing,
         fetch_threads: args.fetch_threads,
         hedge: args.hedge.then(HedgeConfig::default),
@@ -258,12 +257,15 @@ fn run() -> Result<(), CoreError> {
                 eprintln!("init does not accept --del");
                 exit(2);
             }
-            let store = RStore::builder()
-                .batch_size(1)
-                .build(open_cluster(&args));
+            let store = RStore::builder().build(open_cluster(&args));
             let v = store.commit(CommitRequest::root(sets))?;
-            store.seal()?;
-            println!("initialized {} with root {v}", args.data_dir.display());
+            let flush = store.seal()?;
+            println!(
+                "initialized {} with root {v} ({} chunk(s), commit record {} B)",
+                args.data_dir.display(),
+                flush.new_chunks,
+                flush.record_bytes
+            );
         }
         "commit" => {
             let (sets, dels, others) = parse_changes(&args.rest);
@@ -286,8 +288,12 @@ fn run() -> Result<(), CoreError> {
                 req = req.delete(pk);
             }
             let v = store.commit(req)?;
-            store.seal()?;
-            println!("committed {v} (parent {parent})");
+            // One commit per invocation: the seal is its flush.
+            let flush = store.seal()?;
+            println!(
+                "committed {v} (parent {parent}): {} new chunk(s), {} older chunk map(s) appended to, commit record {} B",
+                flush.new_chunks, flush.maps_rewritten, flush.record_bytes
+            );
         }
         "checkout" => {
             let Some(v) = args.rest.first().and_then(|s| s.parse::<u32>().ok()) else {
@@ -532,7 +538,8 @@ fn run() -> Result<(), CoreError> {
             match store.compact()? {
                 Some(r) => println!(
                     "compacted {} chunks into {} ({} records moved), \
-                     span {} -> {}, reclaimed {} chunk bytes, {} backend keys deleted",
+                     span {} -> {}, reclaimed {} chunk bytes, {} backend keys deleted, \
+                     commit record(s) {} B",
                     r.victims,
                     r.new_chunks,
                     r.records_moved,
@@ -540,6 +547,7 @@ fn run() -> Result<(), CoreError> {
                     r.after.total_version_span,
                     r.bytes_reclaimed,
                     r.keys_deleted,
+                    r.record_bytes,
                 ),
                 None => println!("nothing to compact (layout already healthy)"),
             }

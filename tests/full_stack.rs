@@ -84,7 +84,7 @@ fn log_engine_store_survives_reload_of_cluster() {
     let dataset = spec.generate();
 
     // Load into a log-engine cluster, then drop everything.
-    {
+    let config = {
         let cluster = Cluster::builder()
             .nodes(2)
             .engine(rstore::kvstore::EngineKind::Log { dir: dir.clone() })
@@ -94,23 +94,23 @@ fn log_engine_store_survives_reload_of_cluster() {
             .build(cluster);
         store.load_dataset(&dataset).unwrap();
         check_against_oracle(&store, &dataset);
-    }
+        *store.config()
+    };
 
-    // Restart the cluster on the same directory: all chunk data must
-    // still be there (verified through raw gets of the meta table).
+    // Restart the cluster on the same directory: the index must still
+    // be there (verified through the durable view: the commit log and
+    // the stored maps, loaded as a restart loads them).
     let cluster = Cluster::builder()
         .nodes(2)
         .engine(rstore::kvstore::EngineKind::Log { dir: dir.clone() })
         .build();
-    let meta = cluster
-        .get(&rstore::kvstore::table_key("meta", b"projections"))
-        .unwrap();
-    assert!(meta.is_some(), "persisted projections lost after restart");
-    let projections =
-        rstore::core::index::Projections::deserialize(meta.unwrap().as_ref()).unwrap();
+    let store = RStore::reopen(config, cluster).unwrap();
+    let (maps, projections) = store.persisted_index().expect("persisted index lost after restart");
+    assert_eq!(maps.len(), store.chunk_count());
+    let projections = rstore::core::index::Projections::deserialize(&projections).unwrap();
     assert_eq!(projections.num_versions(), dataset.graph.len());
     assert!(projections.total_version_span() > 0);
-    drop(cluster);
+    drop(store);
     let _ = std::fs::remove_dir_all(dir);
 }
 
@@ -393,12 +393,11 @@ fn one_history_reaches_the_generation_writer_from_every_entry_point() {
     // Bulk load, flush and compaction all commit through the one
     // generation writer; this history crosses it from each of them on
     // a log-engine cluster, then reclaims and restarts. After every
-    // step the answers are the dataset oracle's and the backend's
-    // index is the one the from-contents pass computes.
+    // step the answers are the dataset oracle's and the durable index
+    // — commit log plus stored maps, loaded as a restart loads them —
+    // is the one the from-contents pass computes.
     use rstore::core::compact::CompactionConfig;
     use rstore::core::online::{commit_request, truncate_dataset};
-    use rstore::core::store::{CMAP_TABLE, META_TABLE};
-    use rstore::kvstore::table_key;
     let dir = std::env::temp_dir().join(format!("rstore-fullstack-writer-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
 
@@ -418,12 +417,9 @@ fn one_history_reaches_the_generation_writer_from_every_entry_point() {
         let (maps, projections) = store.index_from_contents();
         let ids: Vec<u32> = maps.iter().map(|&(c, _)| c).collect();
         assert_eq!(ids, store.live_chunk_ids(), "{step}: oracle covers the live chunks");
-        for (c, want) in &maps {
-            let got = store.cluster().get(&table_key(CMAP_TABLE, &c.to_be_bytes())).unwrap();
-            assert_eq!(got.as_deref(), Some(want.as_slice()), "{step}: chunk map {c}");
-        }
-        let got = store.cluster().get(&table_key(META_TABLE, b"projections")).unwrap();
-        assert_eq!(got.as_deref(), Some(projections.as_slice()), "{step}: projections");
+        let (stored_maps, stored_projections) = store.persisted_index().unwrap();
+        assert_eq!(stored_maps, maps, "{step}: chunk maps");
+        assert_eq!(stored_projections, projections, "{step}: projections");
     };
 
     let config = {
@@ -468,6 +464,139 @@ fn one_history_reaches_the_generation_writer_from_every_entry_point() {
     check(&store, &dataset, "reopen");
     drop(store);
     let _ = std::fs::remove_dir_all(dir);
+}
+
+#[test]
+fn acknowledged_commits_survive_a_restart_without_a_flush() {
+    // The delta store is what makes a commit durable before its flush:
+    // three commits, no flush, the process gone — the reopened store
+    // holds all three as pending, answers like a twin that never
+    // restarted, and the flush that places them empties the table.
+    use rstore::core::online::commit_request;
+    use rstore::core::store::DELTA_TABLE;
+    use rstore::kvstore::table_key;
+    let dir = std::env::temp_dir().join(format!("rstore-fullstack-deltas-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let mut spec = DatasetSpec::tiny(9023);
+    spec.num_versions = 3;
+    spec.root_records = 30;
+    let dataset = spec.generate();
+    let make_cluster = || {
+        Cluster::builder()
+            .nodes(3)
+            .engine(rstore::kvstore::EngineKind::Log { dir: dir.clone() })
+            .build()
+    };
+    let builder = RStore::builder().chunk_capacity(1024).batch_size(64);
+    let twin = builder.clone().build(Cluster::builder().nodes(3).build());
+    let config = {
+        let store = builder.build(make_cluster());
+        for v in dataset.graph.ids() {
+            assert_eq!(twin.commit(commit_request(&dataset, v)).unwrap(), v);
+            assert_eq!(store.commit(commit_request(&dataset, v)).unwrap(), v);
+        }
+        assert_eq!(store.pending_commits(), 3);
+        *store.config()
+    };
+
+    let store = RStore::reopen(config, make_cluster()).unwrap();
+    assert_eq!(store.version_count(), 3);
+    assert_eq!(store.pending_commits(), 3);
+    let oracle = dataset.materialize(&dataset.record_store());
+    for v in dataset.graph.ids() {
+        assert_eq!(store.version_record_count(v).unwrap(), oracle.contents(v).len());
+        assert_eq!(store.get_version(v).unwrap(), twin.get_version(v).unwrap(), "{v} before the seal");
+    }
+    assert_eq!(store.seal().unwrap().versions, 3);
+    twin.seal().unwrap();
+    check_against_oracle(&store, &dataset);
+    for v in dataset.graph.ids() {
+        assert_eq!(store.get_version(v).unwrap(), twin.get_version(v).unwrap(), "{v} after the seal");
+        let key = table_key(DELTA_TABLE, &v.as_u32().to_be_bytes());
+        assert_eq!(store.cluster().get(&key).unwrap(), None, "the delta of {v} outlived its flush");
+    }
+    // And the flushed store restarts to the same answers, nothing pending.
+    drop(store);
+    let store = RStore::reopen(config, make_cluster()).unwrap();
+    assert_eq!((store.version_count(), store.pending_commits()), (3, 0));
+    check_against_oracle(&store, &dataset);
+    drop(store);
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+#[test]
+fn a_flush_costs_its_delta_however_long_the_history() {
+    // The ledger has no scale axis yet, so this stands in for it: a
+    // 320-version chain replayed with a flush every 8 commits. Each
+    // version rewrites a sliding 8 of 256 keys, so a version's span —
+    // the chunk maps a flush appends to — is in steady state after four
+    // flushes, and what a flush writes besides its chunk blobs (base
+    // maps, its commit record, the checkpoints falling in the window)
+    // and the pairs it puts must not grow with the 40 flushes of
+    // history behind it. At the parent commit every flush rewrote every
+    // dirty map and the whole index: ~linear growth, this fails there.
+    const VERSIONS: u64 = 320;
+    const FLUSH_EVERY: u64 = 8;
+    use rstore::core::store::CHUNK_TABLE;
+    use rstore::kvstore::table_key;
+    let store = RStore::builder()
+        .chunk_capacity(1024)
+        .cache_budget(0)
+        .batch_size(usize::MAX)
+        .build(Cluster::builder().nodes(3).replication(1).build());
+    let payload = |v: u64, pk: u64| -> Vec<u8> {
+        (0..64u64).map(|i| ((v * 31 + pk) * 0x9E37_79B9 + i * i * 7).to_le_bytes()[1]).collect()
+    };
+    // Per flush: bytes written that are not chunk blobs, pairs put.
+    let mut per_flush: Vec<(f64, f64)> = Vec::new();
+    let mut head = None;
+    for v in 0..VERSIONS {
+        let mut req = match head {
+            None => CommitRequest::root((0..256u64).map(|pk| (pk, payload(0, pk))).collect::<Vec<_>>()),
+            Some(parent) => CommitRequest::child_of(parent),
+        };
+        if head.is_some() {
+            for i in 0..8 {
+                let pk = (v * 8 + i) % 256;
+                req = req.put(pk, payload(v, pk));
+            }
+        }
+        head = Some(store.commit(req).unwrap());
+        if (v + 1) % FLUSH_EVERY == 0 {
+            let slots = store.chunk_slot_count() as u32;
+            let before = store.cluster().stats();
+            let report = store.flush_batch().unwrap();
+            let spent = store.cluster().stats().since(&before);
+            assert_eq!(report.versions as u64, FLUSH_EVERY);
+            assert!(report.record_bytes > 0);
+            // No compaction runs, so the flush's chunks are the new slots.
+            let blobs: u64 = (slots..store.chunk_slot_count() as u32)
+                .map(|c| {
+                    let key = table_key(CHUNK_TABLE, &c.to_be_bytes());
+                    let blob = store.cluster().get(&key).unwrap().expect("a flushed chunk");
+                    (key.len() + blob.len()) as u64
+                })
+                .sum();
+            per_flush.push(((spent.bytes_written - blobs) as f64, spent.puts as f64));
+        }
+    }
+    let quarter = per_flush.len() / 4;
+    assert_eq!(quarter, 10);
+    let mean = |window: &[(f64, f64)]| {
+        let n = window.len() as f64;
+        let (bytes, pairs) = window.iter().fold((0.0, 0.0), |(b, p), w| (b + w.0, p + w.1));
+        (bytes / n, pairs / n)
+    };
+    let (first, last) = (mean(&per_flush[..quarter]), mean(&per_flush[per_flush.len() - quarter..]));
+    assert!(
+        last.0 <= 1.5 * first.0 && last.1 <= 1.5 * first.1,
+        "a flush's overhead grew with history: {first:?} (bytes, pairs) per flush over the first \
+         quarter, {last:?} over the last; per flush {per_flush:?}"
+    );
+    // Checkpoints did run — their bytes and pairs are in the windows.
+    let stats = store.stats_snapshot();
+    assert!(stats.records_since_checkpoint < per_flush.len() as u64, "no checkpoint ever ran");
 }
 
 /// A Prometheus text scrape as `series (labels included) → value`.
