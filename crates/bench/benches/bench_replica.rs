@@ -1,24 +1,26 @@
-//! Replica-aware read-routing benchmark: `FirstLive` vs. `Balanced`
-//! on a skewed hot-span workload over a 6-node sleeping-LAN cluster
-//! at replication 3.
+//! Replica-aware read-routing benchmark: what the planner's
+//! least-loaded-replica assignment buys at replication 3 over the
+//! first-live assignment, on a skewed hot-span workload over a 6-node
+//! sleeping-LAN cluster.
 //!
 //! Run with `cargo bench -p rstore-bench --bench bench_replica`.
-//! With first-live routing the extra replicas buy durability but zero
-//! read throughput: every key of a hot span lands on its first live
-//! replica, so the tallest node batch — the scatter-gather critical
-//! path, which `QueryStats::modeled_network` takes the max over —
-//! stays as skewed as the hash happens to fall. Balanced routing
-//! assigns each key to the least-loaded live member of its replica
-//! set, flattening the batches across the copies. The acceptance
-//! summary asserts that the critical-path modeled network shrinks by
-//! at least 1.2x and the max node batch drops, and emits
-//! `BENCH_replica.json` at the workspace root.
+//! The baseline is the same store on a replication-1 cluster: with one
+//! copy per key every key of a hot span lands on its first ring
+//! replica — exactly the first-live choice at replication 3 — so the
+//! tallest node batch, the scatter-gather critical path which
+//! `QueryStats::modeled_network` takes the max over, stays as skewed as
+//! the hash happens to fall. At replication 3 the planner assigns each
+//! key to the least-loaded live member of its replica set, flattening
+//! the batches across the copies. The acceptance summary asserts that
+//! the critical-path modeled network shrinks by at least 1.2x and the
+//! max node batch drops, and emits `BENCH_replica.json` at the
+//! workspace root.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rstore_bench::{fmt_duration, json_ms, report, LatencyHist, Xorshift};
 use rstore_core::model::VersionId;
 use rstore_core::partition::PartitionerKind;
-use rstore_core::plan::{QuerySpec, ReadRouting};
+use rstore_core::plan::QuerySpec;
 use rstore_core::store::RStore;
 use rstore_kvstore::{Cluster, NetworkModel};
 use rstore_vgraph::{Dataset, DatasetSpec};
@@ -27,7 +29,7 @@ use std::time::{Duration, Instant};
 
 /// Nodes in the simulated cluster.
 const NODES: usize = 6;
-/// Copies per key: the headroom balanced routing spreads across.
+/// Copies per key: the headroom the planner spreads across.
 const REPLICATION: usize = 3;
 /// Small chunks so a version spans enough chunks to fan out.
 const CHUNK_CAPACITY: usize = 2048;
@@ -45,19 +47,19 @@ fn dataset() -> Dataset {
     spec.generate()
 }
 
-/// A loaded store over a sleeping-LAN replication-3 cluster with the
-/// cache disabled, so every query pays the full routed fetch path.
-fn build_store(dataset: &Dataset, routing: ReadRouting) -> RStore {
+/// A loaded store over a sleeping-LAN cluster holding `replication`
+/// copies per key, with the cache disabled so every query pays the
+/// full routed fetch path.
+fn build_store(dataset: &Dataset, replication: usize) -> RStore {
     let cluster = Cluster::builder()
         .nodes(NODES)
-        .replication(REPLICATION)
+        .replication(replication)
         .network(NetworkModel::lan())
         .build();
     let store = RStore::builder()
         .chunk_capacity(CHUNK_CAPACITY)
         .partitioner(PartitionerKind::BottomUp { beta: usize::MAX })
         .cache_budget(0)
-        .read_routing(routing)
         .build(cluster);
     store.load_dataset(dataset).unwrap();
     store
@@ -89,8 +91,8 @@ fn run_query(store: &RStore, v: VersionId) -> usize {
 
 fn bench_routing_modes(c: &mut Criterion) {
     let ds = dataset();
-    let first_live = build_store(&ds, ReadRouting::FirstLive);
-    let balanced = build_store(&ds, ReadRouting::Balanced);
+    let first_live = build_store(&ds, 1);
+    let balanced = build_store(&ds, REPLICATION);
     let hot = hot_version(&first_live);
 
     let mut g = c.benchmark_group(format!(
@@ -148,8 +150,8 @@ fn sample(store: &RStore, hot: VersionId) -> RoutingSample {
 /// Direct acceptance measurement + machine-readable emission.
 fn acceptance_summary(_c: &mut Criterion) {
     let ds = dataset();
-    let first_live = build_store(&ds, ReadRouting::FirstLive);
-    let balanced = build_store(&ds, ReadRouting::Balanced);
+    let first_live = build_store(&ds, 1);
+    let balanced = build_store(&ds, REPLICATION);
     let hot = hot_version(&first_live);
 
     let fl = sample(&first_live, hot);
@@ -160,8 +162,8 @@ fn acceptance_summary(_c: &mut Criterion) {
         / bal.mean_latency.as_secs_f64().max(f64::MIN_POSITIVE);
 
     println!(
-        "\n## replica routing acceptance ({NODES}-node cluster, replication {REPLICATION}, \
-         sleeping LAN, {QUERIES} skewed queries)\n\
+        "\n## replica routing acceptance ({NODES}-node cluster, replication 1 (first-live) vs \
+         {REPLICATION} (balanced), sleeping LAN, {QUERIES} skewed queries)\n\
          hot version                 : {hot} (span {} chunks)\n\
          first-live: mean latency {}, modeled network {}, summed max node batch {} keys, summed nodes {}\n\
          balanced  : mean latency {}, modeled network {}, summed max node batch {} keys, summed nodes {}\n\
@@ -198,7 +200,7 @@ fn acceptance_summary(_c: &mut Criterion) {
         ],
     );
 
-    // Acceptance: balanced routing must flatten the critical path.
+    // Acceptance: spreading over the copies must flatten the critical path.
     // (Wall-clock latency follows the modeled max but carries
     // scheduler noise, so it is reported rather than asserted.)
     assert!(

@@ -64,7 +64,7 @@ pub use obs::{
 };
 pub use partition::{Partitioner, PartitionerKind};
 pub use plan::{
-    ExecutedQuery, FetchMetrics, HedgeConfig, QueryPlan, QuerySpec, ReadRouting, RecordStream,
+    ExecutedQuery, FetchMetrics, HedgeConfig, QueryPlan, QuerySpec, RecordStream,
 };
 pub use serve::{Admission, AdmitGuard, FetchPool, ServeStats, SMALL_SPAN_MAX};
 pub use store::{

@@ -1,46 +1,65 @@
 //! Query planning and scatter-gather execution: the explicit
-//! **plan → fetch → extract** pipeline behind every read.
-//!
-//! The monolithic read path (resolve, fetch, decode, materialize in
-//! one pass) is split into three stages, mirroring how the paper's
-//! query server "issues queries in parallel to the backend store"
-//! (§2.4) while leaving each stage independently testable:
+//! **plan → fetch → extract** pipeline behind every read, mirroring
+//! how the paper's query server "issues queries in parallel to the
+//! backend store" (§2.4) and assembles what comes back.
 //!
 //! 1. **Plan** — [`RStore::plan_query`](crate::store::RStore::plan_query)
 //!    pins the current [`StoreSnapshot`](crate::store::StoreSnapshot),
 //!    consults its two lossy projections *once* to resolve the
 //!    query's span, probes the decoded-chunk cache, and groups the
-//!    missed chunks by the node owning their blob (via
-//!    `Cluster::owner_of`, the hash-ring placement API) — **one
-//!    backend key per missed chunk**, the bill of the paper's Table 1
-//!    ([`cost`](crate::cost)). The result is a [`QueryPlan`]: an
-//!    inspectable description of exactly what will be fetched from
-//!    where.
+//!    missed chunks by serving node — **one backend key per missed
+//!    chunk**, the bill of the paper's Table 1 ([`cost`](crate::cost)).
+//!    Each key goes to the least-loaded live member of its replica set
+//!    (`route_keys`; at replication 1 that is `Cluster::owner_of`).
+//!    The result is a [`QueryPlan`]: an inspectable description of
+//!    exactly what will be fetched from where.
 //! 2. **Fetch** — [`RStore::execute`](crate::store::RStore::execute)
-//!    runs the plan's node batches concurrently on the store's shared
-//!    fetch pool ([`serve`](crate::serve)): each batch is one pool
-//!    job, so fetch threads are bounded by the pool size no matter
-//!    how many queries are in flight. The executor slot a blob arrives
-//!    on decodes it — decode overlaps with the other batches'
-//!    transfers — pairs it with the chunk's map **from the pinned
-//!    snapshot** (chunk maps are never fetched: every generation
-//!    publishes them decoded, and a reader pinned at generation `g`
-//!    extracts with `g`'s maps even after a compaction retired the
-//!    chunk) and admits the pair to the cache. Modeled
-//!    network time is taken as the **max over node batches**
-//!    (parallel scatter-gather), not their sum. A node that fails
-//!    mid-query does not fail the query: its batch's keys are
-//!    re-planned against each key's next live replica (see
-//!    [`ReadRouting`]) and only a key with no live replica left
-//!    surfaces the error.
+//!    runs the plan in *rounds*, and there is one round loop
+//!    (`execute_plan`). A round's node batches each run `run_batch`
+//!    — ship the keys, decode every blob the reply delivered, pair it
+//!    with the chunk's map **from the pinned snapshot** (chunk maps are
+//!    never fetched: every generation publishes them decoded, and a
+//!    reader pinned at generation `g` extracts with `g`'s maps even
+//!    after a compaction retired the chunk), admit the pair to the
+//!    cache — and *return* one `BatchOutcome`: the node, its modeled
+//!    nanos, bytes, in-place retries, chunks decoded, the keys the node
+//!    left stranded, whether the node failed, the first hard error.
+//!    Jobs on the store's shared fetch pool ([`serve`](crate::serve))
+//!    send their outcome over an `mpsc` channel; a batch run on the
+//!    query thread hands it over directly. The query thread is the only
+//!    mutator of round state: it folds outcomes into the metrics, the
+//!    failover bookkeeping and the stranded-key queue, then re-plans
+//!    the stranded keys onto untried live replicas as the next round.
+//!
+//!    **The channel is the barrier.** The query thread drops its
+//!    `Sender` once nothing more will be submitted, so the receive
+//!    ends when the last job has reported — or *disconnects* when a
+//!    job panicked and dropped its clone unsent, which ends the round
+//!    one outcome short (a clean "incomplete" error) instead of
+//!    hanging it. **Hedging is a timed receive** on that same loop:
+//!    the hedge deadline is computed once per round, its expiry
+//!    submits one wave of backup batches (just more senders), a backup
+//!    *wins* when its outcome arrives before a covered original's, and
+//!    the round is served as soon as the decoded-chunk count reaches
+//!    the round's total, stragglers or not. **The serial oracle**
+//!    ([`RStore::execute_serial`](crate::store::RStore::execute_serial),
+//!    what the property tests compare against) is the same loop with
+//!    no pool: every batch runs on the query thread, one node after
+//!    another.
+//!
+//!    The only cells two threads share are each pending chunk's
+//!    `delivered` gate and `decoded` cell: with hedging, two lanes can
+//!    race to deliver one chunk, the first decodes it and the loser
+//!    drops its duplicate.
+//!
+//!    Modeled network time is the **max over a round's nodes**
+//!    (their sum with no pool); rounds serialize, so they add. A node
+//!    that fails mid-query does not fail the query: only a key with no
+//!    live replica left surfaces the error that stranded it.
 //! 3. **Extract** — [`RecordStream`] yields records chunk by chunk,
 //!    decompressing each chunk's sub-chunks only when the consumer
 //!    reaches it, so callers that stop early (point lookups, limits)
 //!    never pay for the tail.
-//!
-//! [`RStore::execute_serial`](crate::store::RStore::execute_serial)
-//! keeps the one-node-at-a-time reference path: it is the oracle the
-//! property tests compare against.
 
 use crate::cache::{ChunkCache, DecodedChunk};
 use crate::chunk::Chunk;
@@ -49,32 +68,14 @@ use crate::error::CoreError;
 use crate::model::{ChunkId, PrimaryKey, Record, VersionId};
 use crate::obs::{MetricsRegistry, TraceSink, TID_NODE_BASE, TID_QUERY};
 use crate::query::{self, QueryStats};
-use crate::serve::{FetchPool, RoundTicket, WaitGroup};
+use crate::serve::FetchPool;
 use crate::store::{PinnedSnapshot, CHUNK_TABLE};
 use rstore_kvstore::{table_key, Cluster, Key, KvError};
 use rustc_hash::{FxHashMap, FxHashSet};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError};
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
-
-/// How the planner spreads a query's backend keys across each key's
-/// replica set. With `replication = 1` the policies coincide; beyond
-/// that they trade the reference behaviour for read throughput.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum ReadRouting {
-    /// Route every key to its first live replica in ring order — the
-    /// original behaviour and the reference path: deterministic, and
-    /// the one the cost-model experiments assume.
-    #[default]
-    FirstLive,
-    /// Route each key to the least-loaded live member of its replica
-    /// set (load = keys already planned onto that node for this
-    /// query), falling back to first-live assignment when the greedy
-    /// pass does not flatten the critical path. A hot span's node
-    /// batches spread across `replication` copies instead of piling
-    /// onto the first, so the max-over-nodes modeled time shrinks.
-    Balanced,
-}
 
 /// What a read wants: the four query classes of §2.1 plus the full
 /// scan used by store recovery.
@@ -170,17 +171,16 @@ impl Default for HedgeConfig {
     }
 }
 
-/// Per-execution tail-defense policy. Both knobs default to off, so
-/// an unconfigured execution is bit-identical to the pre-hedging
-/// executor; hedging additionally requires the pooled mode (the
-/// serial oracle has no backup lane to run a hedge on, and its
-/// answers must stay byte-identical regardless).
+/// Per-execution tail-defense policy. Both knobs default to off;
+/// hedging additionally requires a pool (the serial oracle has no
+/// backup lane to run a hedge on, and its answers must stay
+/// byte-identical regardless).
 #[derive(Debug, Clone, Default)]
 pub(crate) struct ExecPolicy {
-    /// Hedge straggler node batches (pooled executor only).
+    /// Hedge straggler node batches (ignored without a pool).
     pub(crate) hedge: Option<HedgeConfig>,
     /// Time budget: accrued modeled fetch time (max over each round's
-    /// parallel node batches, identically in every mode) plus any
+    /// node batches, with or without a pool) plus any
     /// queue wait already charged by the caller.
     pub(crate) deadline: Option<Duration>,
     /// This query's trace sink, present only when the deterministic
@@ -242,9 +242,6 @@ impl NodeBatch {
 #[derive(Debug)]
 pub struct QueryPlan {
     spec: QuerySpec,
-    /// The routing policy the plan was built under; mid-query
-    /// failover re-routes with the same policy.
-    routing: ReadRouting,
     /// The query's span in planning order (slot i holds chunk_ids[i]).
     chunk_ids: Vec<u32>,
     /// Slot-aligned cache hits (`None` = must be fetched).
@@ -252,8 +249,8 @@ pub struct QueryPlan {
     /// `(slot, chunk id)` of every chunk that must come from the
     /// backend, in planning order.
     misses: Vec<(usize, u32)>,
-    /// The missed chunks' backend keys grouped by owning node, sorted
-    /// by node.
+    /// The missed chunks' backend keys grouped by serving node,
+    /// sorted by node.
     batches: Vec<NodeBatch>,
     /// Cache accounting (zeros when the cache is disabled).
     cache_hits: usize,
@@ -327,24 +324,20 @@ fn least_loaded(
     Some(candidates.fold(first, |pick, n| if cost(n) < cost(pick) { n } else { pick }))
 }
 
-/// Picks a serving node for every missing key under the configured
-/// routing policy.
+/// Picks a serving node for every missing key: the least-loaded live
+/// member of its replica set (load = keys already planned onto that
+/// node for this query; ties break toward ring order), so a hot
+/// span's node batches spread across `replication` copies instead of
+/// piling onto the first and the max-over-nodes modeled time shrinks.
 ///
-/// `FirstLive` sends each key to the head of its live replica set.
-/// `Balanced` assigns greedily to the least-loaded live replica (ties
-/// break toward ring order, so replication 1 degenerates to first-
-/// live); because greedy assignment is order-sensitive it can — in
-/// contrived replica-set overlaps — end up with a *taller* critical
-/// path than first-live, so the result is compared against the
-/// first-live assignment and the flatter of the two wins. Balanced
-/// routing is therefore never worse than the reference policy on
-/// `max_node_batch`.
-fn route_keys(
-    cluster: &Cluster,
-    routing: ReadRouting,
-    keys: &[Key],
-) -> Result<Vec<usize>, CoreError> {
-    if routing == ReadRouting::FirstLive {
+/// Greedy assignment is order-sensitive and can — in contrived
+/// replica-set overlaps — end up with a *taller* critical path than
+/// sending every key to its first live replica, so the result is
+/// compared against that assignment and the flatter of the two wins.
+/// With one copy per key there is nothing to choose between, and the
+/// first live replica is asked for directly.
+fn route_keys(cluster: &Cluster, keys: &[Key]) -> Result<Vec<usize>, CoreError> {
+    if cluster.replication() == 1 {
         return keys
             .iter()
             .map(|key| cluster.owner_of(key).map_err(CoreError::from))
@@ -374,12 +367,10 @@ fn route_keys(
 }
 
 /// Builds a [`QueryPlan`]: probe the cache per chunk, then group the
-/// missed chunks' backend keys — one per chunk — by serving node under
-/// the store's [`ReadRouting`] policy.
+/// missed chunks' backend keys — one per chunk — by serving node.
 pub(crate) fn build_plan(
     cluster: &Cluster,
     cache: &ChunkCache,
-    routing: ReadRouting,
     spec: QuerySpec,
     chunk_ids: Vec<u32>,
     pin: PinnedSnapshot,
@@ -406,7 +397,7 @@ pub(crate) fn build_plan(
     };
 
     let keys: Vec<Key> = misses.iter().map(|&(_, c)| backend_key(c)).collect();
-    let nodes = route_keys(cluster, routing, &keys)?;
+    let nodes = route_keys(cluster, &keys)?;
     let mut by_node: FxHashMap<usize, NodeBatch> = FxHashMap::default();
     for ((m, key), node) in keys.into_iter().enumerate().zip(nodes) {
         NodeBatch::route(&mut by_node, node, m, key);
@@ -414,7 +405,6 @@ pub(crate) fn build_plan(
 
     Ok(QueryPlan {
         spec,
-        routing,
         chunk_ids,
         resident,
         misses,
@@ -525,109 +515,6 @@ struct RetryKey {
 /// retry and hedge re-plans).
 fn backend_key(id: u32) -> Key {
     table_key(CHUNK_TABLE, &ChunkId(id).to_key())
-}
-
-fn record_err(first_err: &Mutex<Option<CoreError>>, e: CoreError) {
-    let mut slot = first_err.lock().unwrap();
-    if slot.is_none() {
-        *slot = Some(e);
-    }
-}
-
-/// Round bookkeeping for the *hedged* pooled executor (the unhedged
-/// paths keep their plain [`WaitGroup`] barrier): counts the round's
-/// outstanding jobs — originals plus any backups — and its
-/// undelivered chunks. The executor waits for either to reach
-/// zero: all jobs done is the ordinary barrier, while all chunks
-/// delivered means the round is semantically complete even though a
-/// hedged-away straggler still blocks on its slow node. The first
-/// wait is timed, and its expiry is the hedge trigger.
-struct RoundProgress {
-    /// `(jobs_left, chunks_left)`.
-    state: Mutex<(usize, usize)>,
-    changed: Condvar,
-}
-
-/// Why a [`RoundProgress::wait`] returned.
-enum RoundWait {
-    /// Every job (original and backup) finished; the retry queue is
-    /// settled and the next failover round can be planned.
-    JobsDrained,
-    /// Every chunk was delivered and decoded. Straggler jobs may
-    /// still be in flight but nothing more is owed to this query.
-    ChunksDelivered,
-    /// The hedge delay elapsed with the round still unfinished.
-    TimedOut,
-}
-
-impl RoundProgress {
-    fn new(jobs: usize, chunks: usize) -> Self {
-        Self {
-            state: Mutex::new((jobs, chunks)),
-            changed: Condvar::new(),
-        }
-    }
-
-    /// Registers `n` backup jobs before they are submitted, so the
-    /// round cannot drain between submission and first decrement.
-    fn add_jobs(&self, n: usize) {
-        self.state.lock().unwrap().0 += n;
-    }
-
-    fn job_done(&self) {
-        let mut s = self.state.lock().unwrap();
-        s.0 -= 1;
-        if s.0 == 0 {
-            self.changed.notify_all();
-        }
-    }
-
-    /// Records one chunk delivered *and* decoded — called by
-    /// [`run_batch`] only after the decode, so `chunks_left == 0`
-    /// implies every chunk of the round is ready.
-    fn chunk_done(&self) {
-        let mut s = self.state.lock().unwrap();
-        s.1 -= 1;
-        if s.1 == 0 {
-            self.changed.notify_all();
-        }
-    }
-
-    /// Blocks until the round drains or completes; with a timeout the
-    /// first expiry reports [`RoundWait::TimedOut`] (the caller then
-    /// hedges and re-waits without one).
-    fn wait(&self, timeout: Option<Duration>) -> RoundWait {
-        let mut s = self.state.lock().unwrap();
-        loop {
-            if s.1 == 0 {
-                return RoundWait::ChunksDelivered;
-            }
-            if s.0 == 0 {
-                return RoundWait::JobsDrained;
-            }
-            match timeout {
-                None => s = self.changed.wait(s).unwrap(),
-                Some(t) => {
-                    let (guard, res) = self.changed.wait_timeout(s, t).unwrap();
-                    s = guard;
-                    if res.timed_out() && s.0 > 0 && s.1 > 0 {
-                        return RoundWait::TimedOut;
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Decrements its round's job count when dropped — even if the batch
-/// job panicked mid-decode — mirroring [`RoundTicket`] for the hedged
-/// round's progress tracker.
-struct ProgressTicket(Arc<RoundProgress>);
-
-impl Drop for ProgressTicket {
-    fn drop(&mut self) {
-        self.0.job_done();
-    }
 }
 
 /// Resolves a requested thread count for a parallel stage: `0` means
@@ -741,33 +628,12 @@ fn split_for_decode(batches: Vec<NodeBatch>, workers: usize) -> Vec<NodeBatch> {
     out
 }
 
-/// How a plan's fetch stage runs its node batches.
-#[derive(Clone, Copy)]
-pub(crate) enum ExecMode<'a> {
-    /// One node batch after another on the calling thread, modeled
-    /// network time summed over nodes: the reference walk the
-    /// property tests oracle against.
-    Serial,
-    /// Batches submitted as jobs to the store's shared [`FetchPool`]
-    /// and awaited behind a round barrier: fetch threads are bounded
-    /// by the pool size no matter how many queries run concurrently.
-    Pool(&'a FetchPool),
-}
-
-impl ExecMode<'_> {
-    /// Whether modeled network time takes the parallel max over nodes
-    /// or the serial sum.
-    fn parallel(&self) -> bool {
-        !matches!(self, ExecMode::Serial)
-    }
-}
-
-/// Shared state of one fetch execution, behind an `Arc` so pooled
-/// batch jobs (which outlive no borrow) and the serial walk run the
-/// identical [`run_batch`] code. The per-round fields are
-/// drained with `mem::take` at each round barrier — every job of the
-/// round has finished by then, so the round loop reads settled
-/// values.
+/// What every batch of one fetch execution reads, behind an `Arc` so
+/// pool jobs (which outlive no borrow) and batches run on the query
+/// thread share the one [`run_batch`]. Nothing here is written after
+/// construction except each chunk's `delivered` gate and `decoded`
+/// cell; whatever else a batch has to say travels in its
+/// [`BatchOutcome`].
 struct FetchCtx {
     cluster: Arc<Cluster>,
     cache: Arc<ChunkCache>,
@@ -775,37 +641,49 @@ struct FetchCtx {
     /// so later readers know how fresh the decoded chunk is.
     gen: u64,
     pending: Vec<PendingChunk>,
-    bytes: AtomicUsize,
-    retried: AtomicUsize,
-    first_err: Mutex<Option<CoreError>>,
-    /// Per-round modeled nanos per node (a node serves its
-    /// sub-batches serially, so they sum within the node).
-    node_modeled: Mutex<FxHashMap<usize, u64>>,
-    /// Per-round keys stranded by a failed or short reply.
-    retries: Mutex<Vec<RetryKey>>,
-    /// Per-round nodes whose whole batch failed (down or gone).
-    failed_nodes: Mutex<FxHashSet<usize>>,
-    /// Hedge batches that finished while a straggler they covered for
-    /// was still unfinished (always 0 with hedging off).
-    hedge_wins: AtomicUsize,
-    /// The store's metrics registry.
-    obs: Arc<MetricsRegistry>,
-    /// Trace sink for sampled queries; batch jobs add their spans on
-    /// per-node lanes from whichever worker thread runs them.
+    /// Trace sink for sampled queries; batches add their spans on
+    /// per-node lanes from whichever thread runs them.
     trace: Option<Arc<TraceSink>>,
 }
 
-/// Ships one node (sub-)batch, files stranded chunks for the failover
-/// re-plan, and decodes every blob the reply delivered, pairing it with
-/// the chunk's map from the pinned snapshot. Runs on the caller's
-/// thread (serial) or a pool worker (pooled) — the failover semantics
-/// live entirely in the data it records, not in who runs it.
-/// `progress` is the hedged round's delivery tracker (`None` on the
-/// unhedged paths): each first-delivered chunk is counted after its
-/// decode, so the tracker hitting zero means the round's chunks are
-/// all in hand.
-fn run_batch(ctx: &FetchCtx, batch: NodeBatch, progress: Option<&RoundProgress>) {
+/// What one node (sub-)batch reports to the query thread — by return
+/// value when it ran there, over the round's channel when a pool
+/// worker ran it.
+#[derive(Default)]
+struct BatchOutcome {
+    /// Submission ordinal within the round: the originals in batch
+    /// order, then the hedge wave's backups.
+    seq: usize,
+    node: usize,
+    /// Modeled network nanos of the reply (0 when the node refused).
+    modeled: u64,
+    /// Compressed bytes the reply carried.
+    bytes: usize,
+    /// Transient refusals the cluster healed in place.
+    retries: usize,
+    /// Chunks this batch was first to deliver, now decoded.
+    decoded: usize,
+    /// Chunks the node did not serve, for the failover re-plan.
+    stranded: Vec<RetryKey>,
+    /// The whole batch failed on a node that is down or gone.
+    node_failed: bool,
+    /// First error no other replica can heal: a blob that does not
+    /// decode, a backend error other than an unavailable node.
+    err: Option<CoreError>,
+}
+
+/// Ships one node (sub-)batch and decodes every blob the reply
+/// delivered, pairing it with the chunk's map from the pinned
+/// snapshot. Runs on the query thread or a pool worker — the failover
+/// semantics live entirely in the outcome it returns, not in who runs
+/// it.
+fn run_batch(ctx: &FetchCtx, seq: usize, batch: NodeBatch) -> BatchOutcome {
     let NodeBatch { node, keys, misses } = batch;
+    let mut out = BatchOutcome {
+        seq,
+        node,
+        ..BatchOutcome::default()
+    };
     // Span bookkeeping only for sampled queries: the guard (and its
     // name allocation) exists only when a sink does, so the unsampled
     // path is untouched.
@@ -823,30 +701,24 @@ fn run_batch(ctx: &FetchCtx, batch: NodeBatch, progress: Option<&RoundProgress>)
         // one may be another chunk's only live replica, and each
         // chunk's tried-history keeps it from looping back.
         Err(e @ (KvError::NodeDown(_) | KvError::NodeGone(_) | KvError::Transient(_))) => {
-            if !matches!(e, KvError::Transient(_)) {
-                ctx.failed_nodes.lock().unwrap().insert(node);
-            }
-            ctx.retries.lock().unwrap().extend(misses.into_iter().map(|m| RetryKey {
-                m,
-                from: node,
-                cause: CoreError::Kv(e.clone()),
-            }));
-            return;
+            out.node_failed = !matches!(e, KvError::Transient(_));
+            out.stranded = misses
+                .into_iter()
+                .map(|m| RetryKey {
+                    m,
+                    from: node,
+                    cause: CoreError::Kv(e.clone()),
+                })
+                .collect();
+            return out;
         }
         Err(e) => {
-            record_err(&ctx.first_err, e.into());
-            return;
+            out.err = Some(e.into());
+            return out;
         }
     };
-    ctx.retried.fetch_add(reply.retries, Ordering::Relaxed);
-    let batch_bytes: usize = reply
-        .values
-        .iter()
-        .map(|v| v.as_ref().map_or(0, |b| b.len()))
-        .sum();
-    ctx.bytes.fetch_add(batch_bytes, Ordering::Relaxed);
-    *ctx.node_modeled.lock().unwrap().entry(node).or_insert(0) +=
-        reply.modeled.as_nanos() as u64;
+    out.retries = reply.retries;
+    out.modeled = reply.modeled.as_nanos() as u64;
     for (m, blob) in misses.into_iter().zip(reply.values) {
         let p = &ctx.pending[m];
         let Some(blob) = blob else {
@@ -857,7 +729,7 @@ fn run_batch(ctx: &FetchCtx, batch: NodeBatch, progress: Option<&RoundProgress>)
             // re-checks the gate, so this early skip is only an
             // optimization, not the correctness guard).
             if !p.delivered.load(Ordering::Acquire) {
-                ctx.retries.lock().unwrap().push(RetryKey {
+                out.stranded.push(RetryKey {
                     m,
                     from: node,
                     cause: CoreError::MissingChunk(p.id),
@@ -865,199 +737,142 @@ fn run_batch(ctx: &FetchCtx, batch: NodeBatch, progress: Option<&RoundProgress>)
             }
             continue;
         };
+        out.bytes += blob.len();
         if p.delivered.swap(true, Ordering::AcqRel) {
             // Lost the first-answer-wins race (hedge vs original):
             // the chunk is already in hand, drop the duplicate.
             continue;
         }
-        // Decode here, inside this batch's executor slot, overlapping
-        // the other batches' I/O.
-        {
-            let _decode_span = crate::obs::span_opt(&ctx.trace, TID_NODE_BASE + node as u32, || {
-                format!("decode C{}", p.id)
-            });
-            match Chunk::deserialize(&blob) {
-                Ok(chunk) => {
-                    let dc = Arc::new(DecodedChunk::new(chunk, ChunkMap::clone(&p.map)));
-                    ctx.cache.insert(p.id, Arc::clone(&dc), ctx.gen);
-                    let _ = p.decoded.set(dc);
-                }
-                Err(e) => record_err(&ctx.first_err, e),
+        // Decode here, on whichever thread the blob arrived on,
+        // overlapping the other batches' I/O.
+        let _decode_span = crate::obs::span_opt(&ctx.trace, TID_NODE_BASE + node as u32, || {
+            format!("decode C{}", p.id)
+        });
+        match Chunk::deserialize(&blob) {
+            Ok(chunk) => {
+                let dc = Arc::new(DecodedChunk::new(chunk, ChunkMap::clone(&p.map)));
+                ctx.cache.insert(p.id, Arc::clone(&dc), ctx.gen);
+                let _ = p.decoded.set(dc);
+                // Counted only now — after the decode — so the
+                // round's count reaching its total means every chunk
+                // is decoded, not merely delivered.
+                out.decoded += 1;
+            }
+            Err(e) => {
+                out.err.get_or_insert(e);
             }
         }
-        // Count the chunk only now — after its decode — so a zero
-        // chunks-left reading implies every chunk of the round is
-        // decoded, not merely delivered.
-        if let Some(progress) = progress {
-            progress.chunk_done();
-        }
     }
+    out
 }
 
-/// One original batch of a hedged round, tracked so a hedge timeout
-/// can target its undelivered chunks and a finished backup can tell
-/// whether it beat the straggler.
-struct InflightBatch {
-    node: usize,
-    misses: Vec<usize>,
-    done: Arc<AtomicBool>,
+/// One submission of a hedged round as the query thread remembers it,
+/// indexed by [`BatchOutcome::seq`].
+enum Lane {
+    /// An original batch: while it has not reported, a hedge wave
+    /// targets its undelivered chunks.
+    Original {
+        node: usize,
+        misses: Vec<usize>,
+        reported: bool,
+    },
+    /// A hedge wave's backup batch and the originals it covers (by
+    /// `seq`): it won if one of them has not reported when it does.
+    Backup { covers: Vec<usize> },
 }
 
-/// Runs one pooled fetch round with hedging enabled: submits the
-/// round's batches, waits up to the scoreboard-derived hedge delay,
-/// issues at most one wave of backup batches for the stragglers'
-/// unserved chunks (grouped by untried replica exactly like the
-/// failover re-plan), and waits the round out. Returns `true` when
-/// every chunk was delivered before the last job finished — the
-/// round is semantically complete and the caller may stop fetching
-/// while hedged-away stragglers are still blocked on their slow
-/// nodes.
-#[allow(clippy::too_many_arguments)]
-fn run_round_hedged(
-    pool: &FetchPool,
-    ctx: &Arc<FetchCtx>,
-    batches: Vec<NodeBatch>,
-    cfg: HedgeConfig,
+/// The backup batches of a hedge wave, each with the lanes it covers:
+/// every unreported original's undelivered chunks, re-issued to the
+/// first untried live replica and grouped by backup node. The replica
+/// filter mirrors the failover re-plan (nodes excluded at round start
+/// and each chunk's tried-history are off the table), so a hedge never
+/// lands where a retry would refuse to go; the lane's own node is
+/// skipped.
+fn hedge_wave(
+    ctx: &FetchCtx,
+    lanes: &[Lane],
     excluded: &FxHashSet<usize>,
     tried: &FxHashMap<usize, Vec<usize>>,
-    contacted: &mut FxHashSet<usize>,
-    metrics: &mut FetchMetrics,
-) -> bool {
-    let chunks: usize = batches.iter().map(NodeBatch::len).sum();
-    let progress = Arc::new(RoundProgress::new(batches.len(), chunks));
-    // Hedge delay: `factor ×` the expected time of the round's
-    // slowest batch under the scoreboard's per-key service EWMAs,
-    // floored at `min` (a cold scoreboard has EWMA zero and hedges at
-    // the floor).
-    let mut expected = Duration::ZERO;
-    for b in &batches {
-        let per_key = ctx.cluster.node_service_ewma(b.node);
-        expected = expected.max(per_key.saturating_mul(b.len() as u32));
-    }
-    let delay = expected.mul_f64(cfg.factor.max(0.0)).max(cfg.min);
-    let round_entry = Instant::now();
-
-    let mut inflight = Vec::with_capacity(batches.len());
-    for batch in batches {
-        let done = Arc::new(AtomicBool::new(false));
-        inflight.push(InflightBatch {
-            node: batch.node,
-            misses: batch.misses.clone(),
-            done: Arc::clone(&done),
-        });
-        let ctx = Arc::clone(ctx);
-        let progress = Arc::clone(&progress);
-        pool.submit(move || {
-            let _ticket = ProgressTicket(Arc::clone(&progress));
-            run_batch(&ctx, batch, Some(&progress));
-            done.store(true, Ordering::Release);
-        });
-    }
-
-    let mut timeout = Some(delay);
-    loop {
-        match progress.wait(timeout) {
-            RoundWait::JobsDrained => return false,
-            RoundWait::ChunksDelivered => return true,
-            RoundWait::TimedOut => {
-                // One hedge wave per round: subsequent waits are
-                // untimed and simply see the round out.
-                timeout = None;
-                // The straggler outlived the hedge delay: the wait is
-                // the tail time this round would have eaten unhedged.
-                ctx.obs.observe(&ctx.obs.hedge_wait, delay);
-                if let Some(t) = &ctx.trace {
-                    t.add("hedge wait".into(), TID_QUERY, round_entry);
-                }
-                // Re-issue each unfinished batch's undelivered chunks
-                // to the first untried live replica, grouped by
-                // backup node. The replica filter mirrors the
-                // failover re-plan (excluded nodes and each chunk's
-                // tried-history are off the table), so a hedge never
-                // lands where a retry would refuse to go; the
-                // original's own node is skipped by construction.
-                let mut by_node: FxHashMap<usize, NodeBatch> = FxHashMap::default();
-                // Per backup node: the originals its batch covers for.
-                let mut covers: FxHashMap<usize, Vec<Arc<AtomicBool>>> = FxHashMap::default();
-                for orig in &inflight {
-                    if orig.done.load(Ordering::Acquire) {
-                        continue;
-                    }
-                    for &m in &orig.misses {
-                        let p = &ctx.pending[m];
-                        if p.delivered.load(Ordering::Acquire) {
-                            continue;
-                        }
-                        let key = backend_key(p.id);
-                        let hist = tried.get(&m);
-                        let backup = ctx.cluster.replicas_of(&key).ok().and_then(|cands| {
-                            cands.into_iter().find(|n| {
-                                *n != orig.node
-                                    && !excluded.contains(n)
-                                    && hist.is_none_or(|h| !h.contains(n))
-                            })
-                        });
-                        // No untried replica: nothing to hedge to,
-                        // wait the straggler out.
-                        let Some(node) = backup else {
-                            continue;
-                        };
-                        NodeBatch::route(&mut by_node, node, m, key);
-                        covers.entry(node).or_default().push(Arc::clone(&orig.done));
-                    }
-                }
-                if by_node.is_empty() {
-                    continue;
-                }
-                let hedges = NodeBatch::sorted(by_node);
-                progress.add_jobs(hedges.len());
-                metrics.hedges += hedges.len();
-                if let Some(t) = &ctx.trace {
-                    t.add(format!("hedge wave ({} batches)", hedges.len()), TID_QUERY, round_entry);
-                }
-                for hedge in hedges {
-                    contacted.insert(hedge.node);
-                    let origs = covers.remove(&hedge.node).unwrap_or_default();
-                    let ctx = Arc::clone(ctx);
-                    let progress = Arc::clone(&progress);
-                    pool.submit(move || {
-                        let _ticket = ProgressTicket(Arc::clone(&progress));
-                        run_batch(&ctx, hedge, Some(&progress));
-                        // A win: some straggler this backup covered
-                        // for is still unfinished — the duplicate
-                        // work actually cut the critical path.
-                        if origs.iter().any(|d| !d.load(Ordering::Acquire)) {
-                            ctx.hedge_wins.fetch_add(1, Ordering::Relaxed);
-                        }
-                    });
-                }
+) -> Vec<(NodeBatch, Lane)> {
+    let mut by_node: FxHashMap<usize, NodeBatch> = FxHashMap::default();
+    let mut covers: FxHashMap<usize, Vec<usize>> = FxHashMap::default();
+    for (seq, lane) in lanes.iter().enumerate() {
+        let Lane::Original {
+            node: slow,
+            misses,
+            reported: false,
+        } = lane
+        else {
+            continue;
+        };
+        for &m in misses {
+            let p = &ctx.pending[m];
+            if p.delivered.load(Ordering::Acquire) {
+                continue;
+            }
+            let key = backend_key(p.id);
+            let hist = tried.get(&m);
+            let backup = ctx.cluster.replicas_of(&key).ok().and_then(|cands| {
+                cands
+                    .into_iter()
+                    .find(|n| n != slow && !excluded.contains(n) && hist.is_none_or(|h| !h.contains(n)))
+            });
+            // No untried replica: nothing to hedge to, wait the
+            // straggler out.
+            if let Some(node) = backup {
+                NodeBatch::route(&mut by_node, node, m, key);
+                covers.entry(node).or_default().push(seq);
             }
         }
     }
+    NodeBatch::sorted(by_node)
+        .into_iter()
+        .map(|batch| {
+            let covers = covers.remove(&batch.node).unwrap_or_default();
+            (batch, Lane::Backup { covers })
+        })
+        .collect()
 }
 
-/// Runs a plan's fetch stage under the chosen [`ExecMode`] and
-/// tail-defense [`ExecPolicy`] (hedging, pooled mode only, and a
-/// fetch-stage deadline; the default policy has everything off). Both
-/// executors share [`run_batch`] and the round loop below, so the
-/// failover/retry semantics are mode-independent by construction: a
-/// round's batches run to completion (serially, or behind the pool's
-/// round barrier), then failed nodes are excluded and stranded keys
-/// re-planned onto untried live replicas. The deadline accrues each
-/// round's **max-over-nodes** modeled time in every mode — including
-/// serial, whose *reported* modeled time stays the honest sum — so
-/// the trip point is mode-independent.
+/// Why a round's wait came back without an outcome.
+enum Idle {
+    /// The hedge deadline passed with batches still unreported.
+    HedgeDue,
+    /// Nothing more will report: every inline batch has run, or the
+    /// last job dropped its sender.
+    Drained,
+}
+
+/// The soonest a hedge wave follows the submission of its round's
+/// originals, whatever the configured delay. A timed receive whose
+/// deadline has already passed returns without parking, so under a
+/// zero delay a batch that fails at once (its node is down) could
+/// never report before the wave and would be hedged like a straggler
+/// instead of failed over; one real park lets it.
+const HEDGE_PARK: Duration = Duration::from_micros(50);
+
+/// Runs a plan's fetch stage: with a pool, a round's batches are its
+/// jobs (fetch threads stay bounded by the pool size however many
+/// queries run) and modeled network time is the max over nodes; with
+/// none — the serial oracle — they run one after another on this
+/// thread and modeled time sums. Either way this is the only loop:
+/// batches report [`BatchOutcome`]s, this thread folds them, failed
+/// nodes are excluded and stranded keys re-planned onto untried live
+/// replicas as the next round. `policy` adds hedging (needs the pool)
+/// and a fetch-stage deadline, which accrues each round's
+/// **max-over-nodes** modeled time with or without a pool — the
+/// serial walk's *reported* time stays the honest sum — so it trips at
+/// the same point either way.
 pub(crate) fn execute_plan(
     cluster: &Arc<Cluster>,
     cache: &Arc<ChunkCache>,
-    registry: &Arc<MetricsRegistry>,
+    registry: &MetricsRegistry,
     plan: QueryPlan,
-    mode: ExecMode<'_>,
+    pool: Option<&FetchPool>,
     policy: ExecPolicy,
 ) -> Result<ExecutedQuery, CoreError> {
     let QueryPlan {
         spec,
-        routing,
         chunk_ids,
         mut resident,
         misses,
@@ -1070,12 +885,9 @@ pub(crate) fn execute_plan(
     // generation the plan was built against remains pinned (and its
     // backend keys un-reclaimed) until every fetch round is done.
 
-    // `max_node_batch` is folded in per fetch round (a failover
-    // retry can merge batches onto one surviving replica).
     let mut metrics = FetchMetrics {
         cache_hits,
         cache_misses,
-        nodes_contacted: batches.len(),
         ..FetchMetrics::default()
     };
 
@@ -1099,18 +911,11 @@ pub(crate) fn execute_plan(
             cache: Arc::clone(cache),
             gen: pin.generation(),
             pending,
-            bytes: AtomicUsize::new(0),
-            retried: AtomicUsize::new(0),
-            first_err: Mutex::new(None),
-            node_modeled: Mutex::new(FxHashMap::default()),
-            retries: Mutex::new(Vec::new()),
-            failed_nodes: Mutex::new(FxHashSet::default()),
-            hedge_wins: AtomicUsize::new(0),
-            obs: Arc::clone(registry),
             trace: policy.trace.clone(),
         });
-        // Failover bookkeeping across retry rounds: nodes whose whole
-        // batch failed are excluded from re-routing, and each chunk
+        let hedge = pool.and(policy.hedge);
+        // Failover bookkeeping across rounds: nodes whose whole batch
+        // failed are excluded from re-routing, and each chunk
         // remembers the replicas it already tried so a retry never
         // loops back. Both only grow, so the round loop terminates.
         let mut excluded: FxHashSet<usize> = FxHashSet::default();
@@ -1120,11 +925,12 @@ pub(crate) fn execute_plan(
         // batch counts once, so admission's load picture stays
         // honest.
         let mut contacted: FxHashSet<usize> = batches.iter().map(NodeBatch::node).collect();
-        let mut modeled_nanos: u64 = 0;
-        // The deadline's own accumulator: max-over-nodes per round in
-        // *every* mode (serial included), so the budget trips at the
-        // same point regardless of executor.
+        // The deadline's own accumulator: max-over-nodes per round
+        // with or without a pool, so the budget trips at the same
+        // point.
         let mut deadline_nanos: u64 = 0;
+        let mut tripped = None;
+        let mut first_err: Option<CoreError> = None;
         let mut round_batches = batches;
         let mut round_idx = 0usize;
 
@@ -1137,136 +943,208 @@ pub(crate) fn execute_plan(
             metrics.max_node_batch = metrics
                 .max_node_batch
                 .max(round_batches.iter().map(NodeBatch::len).max().unwrap_or(0));
-            // With spare executor slots and few nodes, split batches
-            // so decode fans out beyond the node count. The pooled
-            // executor sizes by the slots *currently free* — the pool
-            // is shared, and this query is only entitled to what the
-            // others left idle.
-            let exec_batches = match mode {
-                ExecMode::Serial => round_batches,
-                ExecMode::Pool(pool) => split_for_decode(round_batches, pool.free_slots().max(1)),
+            let round_chunks: usize = round_batches.iter().map(NodeBatch::len).sum();
+            // With spare pool slots and few nodes, split batches so
+            // decode fans out beyond the node count — sized by the
+            // slots *currently free*: the pool is shared, and this
+            // query is only entitled to what the others left idle.
+            let exec_batches = match pool {
+                Some(pool) => split_for_decode(round_batches, pool.free_slots().max(1)),
+                None => round_batches,
+            };
+            // The hedge deadline, fixed once per round: `factor ×` the
+            // expected time of the round's slowest batch under the
+            // scoreboard's per-key service EWMAs, floored at `min` (a
+            // cold scoreboard has EWMA zero and hedges at the floor).
+            let hedge_at = hedge.map(|cfg| {
+                let expected = exec_batches
+                    .iter()
+                    .map(|b| cluster.node_service_ewma(b.node).saturating_mul(b.len() as u32))
+                    .max()
+                    .unwrap_or_default();
+                round_t + expected.mul_f64(cfg.factor.max(0.0)).max(cfg.min)
+            });
+            // What each `seq` of a hedged round stands for (empty
+            // unhedged: nothing reads it).
+            let mut lanes: Vec<Lane> = Vec::new();
+            if hedge.is_some() {
+                lanes.extend(exec_batches.iter().map(|b| Lane::Original {
+                    node: b.node,
+                    misses: b.misses.clone(),
+                    reported: false,
+                }));
+            }
+
+            // A single unhedged batch runs on this thread even with a
+            // pool (no round trip through the run queue); a hedged one
+            // never does, because this thread must stay free to time
+            // the straggler and submit its backup.
+            let mut submitted = exec_batches.len();
+            let (inline, rx, mut backup) = match pool.filter(|_| hedge.is_some() || submitted > 1) {
+                None => (exec_batches, None, None),
+                Some(pool) => {
+                    let (tx, rx) = mpsc::channel();
+                    for (seq, batch) in exec_batches.into_iter().enumerate() {
+                        let (ctx, tx) = (Arc::clone(&ctx), tx.clone());
+                        pool.submit(move || {
+                            let _ = tx.send(run_batch(&ctx, seq, batch));
+                        });
+                    }
+                    // This thread's sender survives only while a hedge
+                    // wave may still be submitted — it lives and dies
+                    // with the hedge deadline; after that the receive
+                    // disconnects once the last job is gone, reported
+                    // or panicked.
+                    let backup = hedge_at.map(|at| (at.max(Instant::now() + HEDGE_PARK), tx));
+                    (Vec::new(), Some(rx), backup)
+                }
+            };
+            let mut inline = inline.into_iter().enumerate();
+            // The round's next outcome from whichever source it has:
+            // the next inline batch, run now, or the channel — waited
+            // on until the hedge deadline while a wave is still owed.
+            let mut next_outcome = |hedge_due: Option<Instant>| match (&rx, hedge_due) {
+                (None, _) => inline
+                    .next()
+                    .map(|(seq, batch)| run_batch(&ctx, seq, batch))
+                    .ok_or(Idle::Drained),
+                (Some(rx), None) => rx.recv().map_err(|_| Idle::Drained),
+                (Some(rx), Some(at)) => {
+                    let wait = at.saturating_duration_since(Instant::now());
+                    rx.recv_timeout(wait).map_err(|e| match e {
+                        RecvTimeoutError::Timeout => Idle::HedgeDue,
+                        RecvTimeoutError::Disconnected => Idle::Drained,
+                    })
+                }
             };
 
             // Scatter-gather accounting: a node serves its
             // (sub-)batches serially, so its modeled time is the sum
-            // over them; nodes overlap, so the parallel query's
-            // network bill is the slowest node, while the serial walk
-            // pays all nodes in turn.
-            let mut round_served_early = false;
-            match mode {
-                // Hedging claims the pooled path outright — even a
-                // single-batch round goes through the pool, because
-                // the query thread must stay free to time the
-                // straggler and submit its backup.
-                ExecMode::Pool(pool) if policy.hedge.is_some() => {
-                    round_served_early = run_round_hedged(
-                        pool,
-                        &ctx,
-                        exec_batches,
-                        policy.hedge.unwrap_or_default(),
-                        &excluded,
-                        &tried,
-                        &mut contacted,
-                        &mut metrics,
-                    );
-                }
-                ExecMode::Pool(pool) if exec_batches.len() > 1 => {
-                    let barrier = Arc::new(WaitGroup::new(exec_batches.len()));
-                    for batch in exec_batches {
-                        let ctx = Arc::clone(&ctx);
-                        let ticket = RoundTicket(Arc::clone(&barrier));
-                        pool.submit(move || {
-                            let _ticket = ticket;
-                            run_batch(&ctx, batch, None);
-                        });
+            // over them; nodes overlap, so a pooled round's network
+            // bill is the slowest node, while the serial walk pays all
+            // nodes in turn. A straggler hedged away never reports and
+            // is never billed — it is off the critical path.
+            let mut per_node: FxHashMap<usize, u64> = FxHashMap::default();
+            let mut stranded: Vec<RetryKey> = Vec::new();
+            let mut failed: Vec<usize> = Vec::new();
+            let (mut reported, mut decoded) = (0usize, 0usize);
+            // A round ends when every batch has reported, or sooner
+            // when every chunk is decoded: stragglers still in flight
+            // owe this query nothing.
+            while reported < submitted && decoded < round_chunks {
+                let o = match next_outcome(backup.as_ref().map(|(at, _)| *at)) {
+                    Ok(outcome) => outcome,
+                    Err(Idle::Drained) => break,
+                    // The stragglers outlived the hedge deadline: one
+                    // wave of backups per round, just more jobs
+                    // reporting on the same channel.
+                    Err(Idle::HedgeDue) => {
+                        let (Some((at, tx)), Some(pool)) = (backup.take(), pool) else {
+                            continue;
+                        };
+                        let wave = hedge_wave(&ctx, &lanes, &excluded, &tried);
+                        // The wait is the tail time this round would
+                        // have eaten unhedged.
+                        registry.observe(&registry.hedge_wait, at - round_t);
+                        if let Some(t) = &ctx.trace {
+                            t.add("hedge wait".into(), TID_QUERY, round_t);
+                            if !wave.is_empty() {
+                                t.add(format!("hedge wave ({} batches)", wave.len()), TID_QUERY, round_t);
+                            }
+                        }
+                        metrics.hedges += wave.len();
+                        for (batch, lane) in wave {
+                            contacted.insert(batch.node);
+                            let (ctx, tx, seq) = (Arc::clone(&ctx), tx.clone(), lanes.len());
+                            lanes.push(lane);
+                            submitted += 1;
+                            pool.submit(move || {
+                                let _ = tx.send(run_batch(&ctx, seq, batch));
+                            });
+                        }
+                        continue;
                     }
-                    barrier.wait();
+                };
+                reported += 1;
+                decoded += o.decoded;
+                *per_node.entry(o.node).or_insert(0) += o.modeled;
+                metrics.bytes_fetched += o.bytes;
+                metrics.retries += o.retries;
+                stranded.extend(o.stranded);
+                if o.node_failed {
+                    failed.push(o.node);
                 }
-                // A single batch runs inline on the query's own
-                // thread in every mode: no pool round trip.
-                _ => {
-                    for batch in exec_batches {
-                        run_batch(&ctx, batch, None);
+                if let Some(e) = o.err {
+                    first_err.get_or_insert(e);
+                }
+                match lanes.get_mut(o.seq) {
+                    Some(Lane::Original { reported, .. }) => *reported = true,
+                    // A backup wins when it reports while an original
+                    // it covers for has not: the duplicate work cut
+                    // the critical path.
+                    Some(Lane::Backup { covers }) => {
+                        let covers = std::mem::take(covers);
+                        let unreported = |&l: &usize| matches!(lanes[l], Lane::Original { reported: false, .. });
+                        metrics.hedge_wins += usize::from(covers.iter().any(unreported));
                     }
+                    None => {}
+                }
+            }
+            // Nodes whose whole batch failed are out from the next
+            // round on (the hedge wave above still saw the round-start
+            // set), each counted once.
+            for node in failed {
+                if excluded.insert(node) {
+                    metrics.failovers += 1;
                 }
             }
 
             // A retry round starts only after some batch of this round
-            // came back failed, so rounds serialize: the round's
+            // came back short, so rounds serialize: the round's
             // max-over-nodes (or serial sum) adds onto the total.
-            // On an early (hedged) exit a straggler may still append
-            // its contribution after this drain; that is correct to
-            // drop — a hedged-away batch is off the critical path.
-            let per_node = std::mem::take(&mut *ctx.node_modeled.lock().unwrap());
             let round_max = per_node.values().copied().max().unwrap_or(0);
-            modeled_nanos += if mode.parallel() {
+            let round_bill = if pool.is_some() {
                 round_max
             } else {
-                per_node.values().copied().sum()
+                per_node.values().sum()
             };
+            metrics.modeled_network += Duration::from_nanos(round_bill);
             deadline_nanos += round_max;
 
-            // Per-round observability: wall time of the round barrier,
-            // the round's modeled straggler, and (when sampled) a
-            // query-lane span bracketing the whole round.
-            let r = &ctx.obs;
-            r.rounds.inc();
-            r.observe(&r.round_wall, round_t.elapsed());
-            r.observe(&r.round_modeled, Duration::from_nanos(round_max));
+            // Per-round observability: wall time of the round, its
+            // modeled straggler, and (when sampled) a query-lane span
+            // bracketing the whole round.
+            registry.rounds.inc();
+            registry.observe(&registry.round_wall, round_t.elapsed());
+            registry.observe(&registry.round_modeled, Duration::from_nanos(round_max));
             if let Some(t) = &ctx.trace {
                 t.add(format!("round {round_idx}"), TID_QUERY, round_t);
             }
             round_idx += 1;
 
-            let newly_failed = std::mem::take(&mut *ctx.failed_nodes.lock().unwrap());
-            metrics.failovers += newly_failed.len();
-            excluded.extend(newly_failed);
-
-            if ctx.first_err.lock().unwrap().is_some() {
+            if first_err.is_some() {
                 break;
             }
-
             if let Some(budget) = policy.deadline {
                 let spent = Duration::from_nanos(deadline_nanos);
                 if spent > budget {
-                    metrics.bytes_fetched = ctx.bytes.load(Ordering::Relaxed);
-                    metrics.retries = ctx.retried.load(Ordering::Relaxed);
-                    metrics.modeled_network = Duration::from_nanos(modeled_nanos);
-                    metrics.nodes_contacted = contacted.len();
-                    metrics.hedge_wins = ctx.hedge_wins.load(Ordering::Relaxed);
-                    return Err(CoreError::DeadlineExceeded {
-                        budget,
-                        spent,
-                        // The work done so far, so a timed-out
-                        // query's cost is still accountable; the
-                        // caller patches wall clock, queue wait and
-                        // generation.
-                        partial: Box::new(QueryStats {
-                            chunks_fetched: chunk_ids.len(),
-                            ..metrics.into()
-                        }),
-                    });
+                    tripped = Some((budget, spent));
+                    break;
                 }
             }
-
-            // Every chunk of a hedged round delivered: stragglers
-            // still in flight owe nothing and any retries they filed
-            // are for chunks already in hand — stop fetching.
-            if round_served_early {
+            if decoded == round_chunks {
                 break;
             }
 
-            // Re-plan every queued key against its untried live
-            // replicas — under `FirstLive` the next one in ring
-            // order, under `Balanced` the least-loaded of them, so a
-            // dead node's hot-span keys spread over the survivors
+            // The one place stranded keys are folded: re-plan each
+            // against the least-loaded of its untried live replicas,
+            // so a dead node's hot-span keys spread over the survivors
             // instead of piling onto one. A key with no replica left
             // fails the query with the error that stranded it.
-            let round_retries = std::mem::take(&mut *ctx.retries.lock().unwrap());
             let mut by_node: FxHashMap<usize, NodeBatch> = FxHashMap::default();
             let mut retry_load: FxHashMap<usize, usize> = FxHashMap::default();
             let mut replanned: FxHashSet<usize> = FxHashSet::default();
-            for rk in round_retries {
+            for rk in stranded {
                 let hist = tried.entry(rk.m).or_default();
                 hist.push(rk.from);
                 // A hedged round can strand the same chunk from both
@@ -1278,46 +1156,51 @@ pub(crate) fn execute_plan(
                     continue;
                 }
                 let key = backend_key(ctx.pending[rk.m].id);
-                let next = ctx.cluster.replicas_of(&key).ok().and_then(|cands| {
-                    let mut usable = cands
+                let next = cluster.replicas_of(&key).ok().and_then(|cands| {
+                    let usable = cands
                         .into_iter()
                         .filter(|n| !excluded.contains(n) && !hist.contains(n));
-                    match routing {
-                        ReadRouting::FirstLive => usable.next(),
-                        ReadRouting::Balanced => least_loaded(usable, &retry_load),
-                    }
+                    least_loaded(usable, &retry_load)
                 });
                 let Some(node) = next else {
-                    record_err(&ctx.first_err, rk.cause);
-                    continue;
+                    first_err = Some(rk.cause);
+                    break;
                 };
                 *retry_load.entry(node).or_insert(0) += 1;
                 metrics.rerouted_keys += 1;
                 contacted.insert(node);
                 NodeBatch::route(&mut by_node, node, rk.m, key);
             }
-            if ctx.first_err.lock().unwrap().is_some() {
+            if first_err.is_some() {
                 break;
             }
             round_batches = NodeBatch::sorted(by_node);
         }
 
-        if let Some(e) = ctx.first_err.lock().unwrap().take() {
+        metrics.nodes_contacted = contacted.len();
+        if let Some(e) = first_err {
             return Err(e);
         }
-        metrics.bytes_fetched = ctx.bytes.load(Ordering::Relaxed);
-        metrics.retries = ctx.retried.load(Ordering::Relaxed);
-        metrics.modeled_network = Duration::from_nanos(modeled_nanos);
-        metrics.nodes_contacted = contacted.len();
-        metrics.hedge_wins = ctx.hedge_wins.load(Ordering::Relaxed);
+        if let Some((budget, spent)) = tripped {
+            return Err(CoreError::DeadlineExceeded {
+                budget,
+                spent,
+                // The work done so far, so a timed-out query's cost is
+                // still accountable; the caller patches wall clock,
+                // queue wait and generation.
+                partial: Box::new(QueryStats {
+                    chunks_fetched: chunk_ids.len(),
+                    ..metrics.into()
+                }),
+            });
+        }
         for p in &ctx.pending {
             // Cloning out of the `OnceLock` (instead of consuming the
-            // context) keeps this correct even if a finished pool job
-            // still holds its `Arc<FetchCtx>` clone for a moment.
+            // context) keeps this correct while a straggler's job
+            // still holds its `Arc<FetchCtx>` clone.
             let Some(dc) = p.decoded.get().cloned() else {
-                // Unreachable with a well-behaved backend (a short or
-                // failed batch records an error above), but a logic
-                // error must not panic the query path.
+                // A batch that never reported (its job panicked) — a
+                // logic error must not panic the query path.
                 return Err(CoreError::Codec(format!(
                     "chunk C{} incomplete after scatter-gather",
                     p.id
@@ -1449,5 +1332,61 @@ impl Iterator for RecordStream {
                 }
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::store::RStore;
+    use rstore_vgraph::DatasetSpec;
+
+    /// A pool job that panics mid-round drops its sender unsent, so the
+    /// round ends one outcome short — a clean error, never a hang — and
+    /// the worker that caught the panic serves the next query.
+    #[test]
+    fn a_panicking_batch_job_ends_its_round_and_spares_the_pool() {
+        let mut spec = DatasetSpec::tiny(2401);
+        spec.num_versions = 12;
+        spec.root_records = 60;
+        let ds = spec.generate();
+        let store = RStore::builder()
+            .chunk_capacity(1024)
+            .cache_budget(0)
+            .build(Cluster::builder().nodes(3).build());
+        store.load_dataset(&ds).unwrap();
+        let store = Arc::new(store);
+        let v = VersionId(ds.graph.len() as u32 - 1);
+
+        // Poison one batch: a miss ordinal past the plan's misses makes
+        // `run_batch` index out of bounds after its fetch, on a worker.
+        let mut plan = store.plan_query(QuerySpec::Version(v)).unwrap();
+        assert!(plan.batches.len() > 1, "a single batch would run on this thread");
+        let victim = plan.batches.last_mut().unwrap().misses.last_mut().unwrap();
+        let lost = plan.misses[*victim].1;
+        *victim = usize::MAX;
+
+        // On a thread of its own, so a hang fails the test instead of
+        // wedging the suite.
+        let (tx, rx) = mpsc::channel();
+        let query = {
+            let store = Arc::clone(&store);
+            std::thread::spawn(move || tx.send(store.execute(plan)).is_ok())
+        };
+        let outcome = rx
+            .recv_timeout(Duration::from_secs(30))
+            .expect("the round hung on the outcome its job never sent");
+        assert!(query.join().unwrap());
+        match outcome {
+            Err(CoreError::Codec(msg)) => {
+                assert_eq!(msg, format!("chunk C{lost} incomplete after scatter-gather"));
+            }
+            other => panic!("expected the incomplete-chunk error, got {other:?}"),
+        }
+
+        let after = store.plan_query(QuerySpec::Version(v)).unwrap();
+        assert!(after.batches.len() > 1, "the next query must need the pool too");
+        let records = store.execute(after).unwrap().into_stream().drain().unwrap();
+        assert!(!records.is_empty());
     }
 }

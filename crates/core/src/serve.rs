@@ -4,27 +4,23 @@
 //!
 //! # Why a shared pool
 //!
-//! Until this module existed, every query's scatter-gather fetch
-//! spawned one scoped OS thread per contacted node, so serving `Q`
-//! concurrent clients against an `N`-node cluster cost `Q × N` thread
-//! spawns/joins — and nothing bounded `Q`. The paper's query-server
-//! tier is exactly the component that must multiplex many clients
-//! over a fixed resource budget, so the executor is now a thin client
+//! A thread per contacted node per query would cost `Q × N` spawns
+//! and joins for `Q` concurrent clients on an `N`-node cluster, with
+//! nothing bounding `Q`. The paper's query-server tier is exactly the
+//! component that must multiplex many clients over a fixed resource
+//! budget, so the fetch stage ([`plan`](crate::plan)) is a thin client
 //! of two long-lived pieces owned by the store:
 //!
 //! * **[`FetchPool`]** — a fixed set of workers draining one run
 //!   queue of batch jobs. Each job ships one node (sub-)batch,
-//!   blocks for the reply, and decodes the chunks it
-//!   delivered — decode overlaps other batches' I/O exactly as the
-//!   scoped-thread executor's did, but on pooled threads that exist
-//!   once per store instead of once per query round. Because a fetch
-//!   job spends most of its life blocked on a node round trip
-//!   (I/O-bound, not CPU-bound), the pool is sized
-//!   `max(worker_count(fetch_threads), 2 × nodes)` when
-//!   `fetch_threads` is 0: flooring at twice the node count keeps
+//!   blocks for the reply, decodes the chunks it delivered — decode
+//!   overlaps other batches' I/O — and sends its outcome to the query
+//!   thread that submitted it. Because a fetch job spends most of its
+//!   life blocked on a node round trip (I/O-bound, not CPU-bound),
+//!   the pool is sized `max(worker_count(fetch_threads), 2 × nodes)`
+//!   when `fetch_threads` is 0: flooring at twice the node count keeps
 //!   every node's request queue fed even on a single-core host, where
-//!   sizing by cores alone would serialize the scatter-gather (and
-//!   regress the pipeline bench's parallel-vs-serial contract).
+//!   sizing by cores alone would serialize the scatter-gather.
 //! * **[`Admission`]** — a bounded in-flight budget in front of the
 //!   pool. At most `max_concurrent_queries` queries execute at once;
 //!   up to `max_queued` more wait in FIFO order, in two priority
@@ -44,16 +40,14 @@
 //! rather than observing whatever generation is current when a pool
 //! slot frees up.
 //!
-//! # Why failover rounds survive the swap
+//! # What the pool owes a round
 //!
-//! The round-based retry machinery (PRs 5–6) never depended on *who*
-//! runs a batch, only on the barrier between rounds: a round's
-//! batches run to completion, then failed nodes are excluded and
-//! stranded keys re-planned onto untried live replicas. The pooled
-//! executor keeps that barrier — each round submits its batches as
-//! jobs and waits for all of them — so the serial oracle, the replica
-//! failover suite and the chaos suite observe byte-identical
-//! behaviour. Only the threads' identity changed.
+//! Nothing but running its jobs: the pool knows no rounds. A round's
+//! barrier is the channel its jobs report on (see
+//! [`plan`](crate::plan)) — a worker that catches a panicking job
+//! drops the job, and with it the job's sender, so the round that
+//! submitted it ends one outcome short instead of hanging, and the
+//! worker lives on for the next query.
 
 use crate::error::CoreError;
 use crate::obs::MetricsRegistry;
@@ -122,10 +116,10 @@ impl FetchPool {
                     };
                     busy.fetch_add(1, Ordering::Relaxed);
                     // A panicking job must not kill the worker: the
-                    // pool is shared by every future query. The job's
-                    // round barrier is released by a drop guard, so
-                    // the owning query still completes (and surfaces
-                    // the missing chunk as an error).
+                    // pool is shared by every future query. Unwinding
+                    // drops the job's sender, so the owning query's
+                    // round still ends (and surfaces the missing chunk
+                    // as an error).
                     let _ = catch_unwind(AssertUnwindSafe(job));
                     busy.fetch_sub(1, Ordering::Relaxed);
                     jobs_run.fetch_add(1, Ordering::Relaxed);
@@ -155,7 +149,7 @@ impl FetchPool {
 
     /// Workers not currently running a job. A momentary snapshot —
     /// used to size decode splits to the parallelism actually
-    /// available, so one wide query no longer fans out as if it owned
+    /// available, so one wide query does not fan out as if it owned
     /// every core.
     pub fn free_slots(&self) -> usize {
         self.size.saturating_sub(self.busy.load(Ordering::Relaxed))
@@ -174,49 +168,6 @@ impl Drop for FetchPool {
         for worker in self.workers.drain(..) {
             let _ = worker.join();
         }
-    }
-}
-
-/// A round barrier: the executor submits a round's batches as pool
-/// jobs and waits here until every one has finished, preserving the
-/// round semantics the failover re-plan depends on.
-pub(crate) struct WaitGroup {
-    remaining: Mutex<usize>,
-    done: Condvar,
-}
-
-impl WaitGroup {
-    pub(crate) fn new(n: usize) -> Self {
-        Self {
-            remaining: Mutex::new(n),
-            done: Condvar::new(),
-        }
-    }
-
-    fn finish_one(&self) {
-        let mut remaining = self.remaining.lock().unwrap();
-        *remaining -= 1;
-        if *remaining == 0 {
-            self.done.notify_all();
-        }
-    }
-
-    pub(crate) fn wait(&self) {
-        let mut remaining = self.remaining.lock().unwrap();
-        while *remaining > 0 {
-            remaining = self.done.wait(remaining).unwrap();
-        }
-    }
-}
-
-/// Decrements its [`WaitGroup`] when dropped — even if the job body
-/// panicked mid-decode, so a poisoned batch can never hang the
-/// query's round barrier.
-pub(crate) struct RoundTicket(pub(crate) Arc<WaitGroup>);
-
-impl Drop for RoundTicket {
-    fn drop(&mut self) {
-        self.0.finish_one();
     }
 }
 

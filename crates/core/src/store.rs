@@ -55,8 +55,7 @@ use crate::obs::{
 };
 use crate::partition::PartitionerKind;
 use crate::plan::{
-    self, ExecMode, ExecPolicy, ExecutedQuery, HedgeConfig, QueryPlan, QuerySpec, ReadRouting,
-    RecordStream,
+    self, ExecPolicy, ExecutedQuery, HedgeConfig, QueryPlan, QuerySpec, RecordStream,
 };
 use crate::query::QueryStats;
 use crate::serve::{ServeCore, ServeStats};
@@ -120,11 +119,6 @@ pub struct StoreConfig {
     /// reference path — no scoped threads, and every backend write
     /// deferred to one scatter-gather put at the end of the stage.
     pub ingest_threads: usize,
-    /// How the query planner spreads backend keys across each key's
-    /// live replica set ([`ReadRouting::FirstLive`] by default — the
-    /// reference path; [`ReadRouting::Balanced`] flattens hot spans
-    /// across replicas when `replication > 1`).
-    pub read_routing: ReadRouting,
     /// Workers in the shared fetch pool that executes every query's
     /// node batches ([`serve`](crate::serve)). `0` (the default)
     /// sizes by the core count but floors at twice the cluster's node
@@ -152,8 +146,7 @@ pub struct StoreConfig {
     /// at `min`) re-issues the unserved keys to untried live replicas
     /// as backup batches — first answer wins, duplicates are charged
     /// to [`QueryStats::hedges`](crate::query::QueryStats::hedges).
-    /// `None` (the default) keeps the reference single-lane path
-    /// bit-identical to PR 7.
+    /// `None` (the default) keeps every round single-lane.
     pub hedge: Option<HedgeConfig>,
     /// Per-node circuit-breaker policy, applied to the backend
     /// cluster at [`RStoreBuilder::build`]/[`RStore::reopen`] when
@@ -183,7 +176,6 @@ impl Default for StoreConfig {
             batch_size: 64,
             cache_budget: DEFAULT_CACHE_BUDGET,
             ingest_threads: 0,
-            read_routing: ReadRouting::default(),
             fetch_threads: 0,
             max_concurrent_queries: 256,
             max_queued: 1024,
@@ -239,13 +231,6 @@ impl RStoreBuilder {
     /// 1 = the serial reference path).
     pub fn ingest_threads(mut self, threads: usize) -> Self {
         self.config.ingest_threads = threads;
-        self
-    }
-
-    /// Sets the read-routing policy (how planned backend keys spread
-    /// across each key's live replica set).
-    pub fn read_routing(mut self, routing: ReadRouting) -> Self {
-        self.config.read_routing = routing;
         self
     }
 
@@ -476,7 +461,7 @@ impl CommitRequest {
 }
 
 // ------------------------------------------------------------------
-// Snapshot isolation (PR 10)
+// Snapshot isolation
 // ------------------------------------------------------------------
 
 /// One immutable generation of the query-visible metadata — the unit
@@ -883,7 +868,7 @@ pub struct RStore {
     /// The serving core: shared fetch pool (lazily started) plus
     /// admission control.
     pub(crate) serve: ServeCore,
-    /// The observability hub (PR 9): metrics registry, trace sampler
+    /// The observability hub: metrics registry, trace sampler
     /// and slow-query log. Behind `Arc` so the execution layer shares
     /// it without borrowing.
     pub(crate) obs: Arc<Obs>,
@@ -1718,28 +1703,14 @@ impl RStore {
         let chunk_ids = pin
             .projections
             .chunks_for(&spec, || pin.live_chunk_ids());
-        plan::build_plan(
-            &self.cluster,
-            &self.cache,
-            self.config.read_routing,
-            spec,
-            chunk_ids,
-            pin,
-        )
+        plan::build_plan(&self.cluster, &self.cache, spec, chunk_ids, pin)
     }
 
     /// Plans a fetch of explicit chunk ids — the recovery scan and a
     /// compaction slice's extraction, which name chunks rather than
     /// versions or keys.
     pub fn plan_chunks(&self, chunk_ids: Vec<u32>) -> Result<QueryPlan, CoreError> {
-        plan::build_plan(
-            &self.cluster,
-            &self.cache,
-            self.config.read_routing,
-            QuerySpec::Scan,
-            chunk_ids,
-            self.pin(),
-        )
+        plan::build_plan(&self.cluster, &self.cache, QuerySpec::Scan, chunk_ids, self.pin())
     }
 
     /// Stage 2 — **fetch**: scatter-gather through the serving core.
@@ -1808,8 +1779,8 @@ impl RStore {
             deadline: deadline.map(|d| d.saturating_sub(waited)),
             trace: trace.cloned(),
         };
-        let mode = ExecMode::Pool(self.serve.pool());
-        match plan::execute_plan(&self.cluster, &self.cache, r, plan, mode, policy) {
+        let pool = Some(self.serve.pool());
+        match plan::execute_plan(&self.cluster, &self.cache, r, plan, pool, policy) {
             Ok(mut executed) => {
                 executed.metrics.queue_wait = waited;
                 count_fetch(r, executed.metrics.into());
@@ -1845,7 +1816,7 @@ impl RStore {
             &self.cache,
             self.obs.registry(),
             plan,
-            ExecMode::Serial,
+            None,
             ExecPolicy::default(),
         )
     }

@@ -13,7 +13,6 @@
 use proptest::prelude::*;
 use rstore_core::model::{ChunkId, VersionId};
 use rstore_core::online::{replay_commits, stores_agree};
-use rstore_core::plan::ReadRouting;
 use rstore_core::store::{RStore, StoreConfig, CHUNK_TABLE, CMAP_TABLE};
 use rstore_core::QuerySpec;
 use rstore_kvstore::engine::{LogEngine, StorageEngine};
@@ -62,7 +61,6 @@ fn store_on(cluster: Cluster) -> RStore {
         .chunk_capacity(1024)
         .cache_budget(0)
         .batch_size(3)
-        .read_routing(ReadRouting::FirstLive)
         .build(cluster)
 }
 

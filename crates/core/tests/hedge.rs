@@ -1,5 +1,5 @@
 //! Tail-latency defense suite: hedged reads, circuit breakers and
-//! query deadlines (PR 8).
+//! query deadlines.
 //!
 //! The contract under test: every knob defaults *off* and the
 //! defenses never change answer bytes — a hedged query returns
@@ -10,7 +10,7 @@
 
 use proptest::prelude::*;
 use rstore_core::model::{Record, VersionId};
-use rstore_core::plan::{HedgeConfig, QuerySpec, ReadRouting};
+use rstore_core::plan::{HedgeConfig, QuerySpec};
 use rstore_core::store::RStore;
 use rstore_core::CoreError;
 use rstore_kvstore::{
@@ -124,6 +124,38 @@ fn hedges_fire_and_win_against_a_scripted_slow_node() {
     // stands out the same way.
     let ewma0 = hedged.cluster().node_service_ewma(0);
     assert!(ewma0 > Duration::ZERO, "scoreboard missed the slow node");
+
+    // The hedge deadline is fixed at round start: three batches that
+    // report at 10, 20 and 30 ms must not push a 40 ms hedge against
+    // the 120 ms straggler back (re-arming the full delay after each
+    // of them would issue the wave at 70 ms).
+    let ms = Duration::from_millis;
+    let staggered = [120, 10, 20, 30]
+        .iter()
+        .enumerate()
+        .fold(FaultPlan::new(7), |plan, (node, &t)| plan.rule(FaultRule::latency(ms(t)).on_node(node)));
+    let cluster = Cluster::builder()
+        .nodes(4)
+        .replication(2)
+        .network(slow)
+        .faults(staggered)
+        .build();
+    let timed = RStore::builder()
+        .chunk_capacity(1024)
+        .cache_budget(0)
+        .trace_sample(1.0)
+        .hedge(HedgeConfig { factor: 0.0, min: ms(40) })
+        .build(cluster);
+    timed.load_dataset(&ds).unwrap();
+    let head = VersionId(ds.graph.len() as u32 - 1);
+    let plan = timed.plan_query(QuerySpec::Version(head)).unwrap();
+    assert_eq!(plan.nodes_contacted(), 4, "the round needs all four nodes");
+    let (got, stats) = timed.query_with_stats(QuerySpec::Version(head)).unwrap();
+    assert_identical(&got, &calm.get_version(head).unwrap());
+    assert!(stats.hedge_wins > 0, "the backup must beat the 120 ms straggler");
+    let trace = timed.last_trace().unwrap();
+    let wait = trace.spans.iter().find(|s| s.name == "hedge wait").expect("no hedge wave").dur;
+    assert!(wait >= ms(40) && wait < ms(60), "40 ms hedge issued after {wait:?}");
 }
 
 /// A query that blows its modeled-time budget fails with
@@ -379,25 +411,22 @@ proptest! {
     /// stores with a seeded slow node (latency-only faults, virtual
     /// time — nothing can fail, everything can race) answers every
     /// query byte-for-byte like the fault-free serial single-lane
-    /// oracle, under both routing policies and replication 2–3.
+    /// oracle, at replication 2–3.
     #[test]
     fn hedged_executor_agrees_with_serial_oracle(
         spec in spec_strategy(),
         fault_seed in 1u64..500,
         replication in 2usize..4,
         slow_node in 0usize..5,
-        balanced in any::<bool>(),
     ) {
         const NODES: usize = 5;
         let ds = spec.generate();
-        let routing = if balanced { ReadRouting::Balanced } else { ReadRouting::FirstLive };
 
         let oracle = {
             let cluster = Cluster::builder().nodes(NODES).replication(replication).build();
             let s = RStore::builder()
                 .chunk_capacity(1024)
                 .cache_budget(0)
-                .read_routing(routing)
                 .build(cluster);
             s.load_dataset(&ds).unwrap();
             s
@@ -417,7 +446,6 @@ proptest! {
         let hedged = RStore::builder()
             .chunk_capacity(1024)
             .cache_budget(0)
-            .read_routing(routing)
             .hedge(eager_hedge())
             .build(cluster);
         hedged.load_dataset(&ds).unwrap();

@@ -1,22 +1,19 @@
-//! Replica-aware read routing: balanced planning must agree with the
-//! serial first-live oracle byte for byte, flatten hot-span node
-//! batches, and the executor must survive a node dying *between*
+//! Replica-aware read routing: least-loaded-replica planning must
+//! agree with the serial oracle byte for byte, never plan a taller
+//! critical-path batch than sending every key to its first live
+//! replica would, and the executor must survive a node dying *between*
 //! planning and execution whenever the keys have a live replica left.
 
 use proptest::prelude::*;
-use rstore_core::model::{Record, VersionId};
-use rstore_core::plan::{QuerySpec, ReadRouting};
-use rstore_core::store::RStore;
+use rstore_core::model::{ChunkId, Record, VersionId};
+use rstore_core::plan::{QueryPlan, QuerySpec};
+use rstore_core::store::{RStore, CHUNK_TABLE};
 use rstore_core::CoreError;
-use rstore_kvstore::{Cluster, KvError};
+use rstore_kvstore::{table_key, Cluster, KvError};
 use rstore_vgraph::{Dataset, DatasetSpec, SelectionKind};
+use std::collections::HashMap;
 
-fn loaded_store(
-    ds: &Dataset,
-    nodes: usize,
-    replication: usize,
-    routing: ReadRouting,
-) -> RStore {
+fn loaded_store(ds: &Dataset, nodes: usize, replication: usize) -> RStore {
     let cluster = Cluster::builder()
         .nodes(nodes)
         .replication(replication)
@@ -26,10 +23,21 @@ fn loaded_store(
         // Cache disabled: every plan must fetch, so routing and
         // failover are exercised on each query.
         .cache_budget(0)
-        .read_routing(routing)
         .build(cluster);
     store.load_dataset(ds).unwrap();
     store
+}
+
+/// The tallest node batch `plan` would have if every chunk went to the
+/// first live replica of its backend key (cache off: every planned
+/// chunk is fetched).
+fn first_live_max_batch(cluster: &Cluster, plan: &QueryPlan) -> usize {
+    let mut per_node: HashMap<usize, usize> = HashMap::new();
+    for &id in plan.chunk_ids() {
+        let key = table_key(CHUNK_TABLE, &ChunkId(id).to_key());
+        *per_node.entry(cluster.replicas_of(&key).unwrap()[0]).or_insert(0) += 1;
+    }
+    per_node.into_values().max().unwrap_or(0)
 }
 
 fn assert_identical(a: &[Record], b: &[Record]) {
@@ -53,67 +61,65 @@ fn node_failure_mid_execute_fails_over_with_replication() {
     spec.root_records = 60;
     let ds = spec.generate();
 
-    for routing in [ReadRouting::FirstLive, ReadRouting::Balanced] {
-        let store = loaded_store(&ds, 4, 2, routing);
+    let store = loaded_store(&ds, 4, 2);
 
-        // Healthy baseline for every version.
-        let baseline: Vec<Vec<Record>> = (0..ds.graph.len())
-            .map(|v| store.get_version(VersionId(v as u32)).unwrap())
-            .collect();
+    // Healthy baseline for every version.
+    let baseline: Vec<Vec<Record>> = (0..ds.graph.len())
+        .map(|v| store.get_version(VersionId(v as u32)).unwrap())
+        .collect();
 
-        // Plan everything while healthy, then kill a node before any
-        // fetch happens.
-        let plans: Vec<_> = (0..ds.graph.len())
-            .map(|v| {
-                store
-                    .plan_query(QuerySpec::Version(VersionId(v as u32)))
-                    .unwrap()
-            })
-            .collect();
-        let serial_plans: Vec<_> = (0..ds.graph.len())
-            .map(|v| {
-                store
-                    .plan_query(QuerySpec::Version(VersionId(v as u32)))
-                    .unwrap()
-            })
-            .collect();
-        store.cluster().set_node_down(0, true);
+    // Plan everything while healthy, then kill a node before any
+    // fetch happens.
+    let plans: Vec<_> = (0..ds.graph.len())
+        .map(|v| {
+            store
+                .plan_query(QuerySpec::Version(VersionId(v as u32)))
+                .unwrap()
+        })
+        .collect();
+    let serial_plans: Vec<_> = (0..ds.graph.len())
+        .map(|v| {
+            store
+                .plan_query(QuerySpec::Version(VersionId(v as u32)))
+                .unwrap()
+        })
+        .collect();
+    store.cluster().set_node_down(0, true);
 
-        let mut failovers = 0usize;
-        let mut rerouted = 0usize;
-        for (plan, expected) in plans.into_iter().zip(&baseline) {
-            let span = plan.span();
-            let executed = store.execute(plan).expect("replicated query must survive");
-            failovers += executed.metrics.failovers;
-            rerouted += executed.metrics.rerouted_keys;
-            // One key per chunk, one dead node: a chunk is re-routed
-            // at most once.
-            assert!(executed.metrics.rerouted_keys <= span);
-            let mut records = executed.into_stream().drain().unwrap();
-            records.sort_unstable_by_key(|r| (r.pk, r.origin));
-            assert_identical(&records, expected);
-        }
-        assert!(
-            failovers > 0 && rerouted > 0,
-            "{routing:?}: no plan routed to the downed node \
-             (failovers {failovers}, rerouted {rerouted})"
-        );
-
-        // The serial reference path fails over identically.
-        for (plan, expected) in serial_plans.into_iter().zip(&baseline) {
-            let executed = store
-                .execute_serial(plan)
-                .expect("serial executor must fail over too");
-            let mut records = executed.into_stream().drain().unwrap();
-            records.sort_unstable_by_key(|r| (r.pk, r.origin));
-            assert_identical(&records, expected);
-        }
-
-        // A healthy re-query reports no failover.
-        store.cluster().set_node_down(0, false);
-        let (_, stats) = store.query_with_stats(QuerySpec::Version(VersionId(0))).unwrap();
-        assert_eq!((stats.failovers, stats.rerouted_keys), (0, 0));
+    let mut failovers = 0usize;
+    let mut rerouted = 0usize;
+    for (plan, expected) in plans.into_iter().zip(&baseline) {
+        let span = plan.span();
+        let executed = store.execute(plan).expect("replicated query must survive");
+        failovers += executed.metrics.failovers;
+        rerouted += executed.metrics.rerouted_keys;
+        // One key per chunk, one dead node: a chunk is re-routed
+        // at most once.
+        assert!(executed.metrics.rerouted_keys <= span);
+        let mut records = executed.into_stream().drain().unwrap();
+        records.sort_unstable_by_key(|r| (r.pk, r.origin));
+        assert_identical(&records, expected);
     }
+    assert!(
+        failovers > 0 && rerouted > 0,
+        "no plan routed to the downed node \
+         (failovers {failovers}, rerouted {rerouted})"
+    );
+
+    // The serial reference path fails over identically.
+    for (plan, expected) in serial_plans.into_iter().zip(&baseline) {
+        let executed = store
+            .execute_serial(plan)
+            .expect("serial executor must fail over too");
+        let mut records = executed.into_stream().drain().unwrap();
+        records.sort_unstable_by_key(|r| (r.pk, r.origin));
+        assert_identical(&records, expected);
+    }
+
+    // A healthy re-query reports no failover.
+    store.cluster().set_node_down(0, false);
+    let (_, stats) = store.query_with_stats(QuerySpec::Version(VersionId(0))).unwrap();
+    assert_eq!((stats.failovers, stats.rerouted_keys), (0, 0));
 }
 
 /// Without replication there is no replica to fail over to: the same
@@ -125,7 +131,7 @@ fn node_failure_mid_execute_errors_cleanly_without_replication() {
     spec.num_versions = 24;
     spec.root_records = 60;
     let ds = spec.generate();
-    let store = loaded_store(&ds, 4, 1, ReadRouting::Balanced);
+    let store = loaded_store(&ds, 4, 1);
 
     let plans: Vec<_> = (0..ds.graph.len())
         .map(|v| {
@@ -156,7 +162,7 @@ fn multi_node_failure_mid_execute_walks_the_whole_replica_set() {
     spec.num_versions = 20;
     spec.root_records = 50;
     let ds = spec.generate();
-    let store = loaded_store(&ds, 5, 3, ReadRouting::Balanced);
+    let store = loaded_store(&ds, 5, 3);
 
     let baseline: Vec<Vec<Record>> = (0..ds.graph.len())
         .map(|v| store.get_version(VersionId(v as u32)).unwrap())
@@ -217,31 +223,29 @@ fn spec_strategy() -> impl Strategy<Value = DatasetSpec> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// Balanced routing returns byte-identical results to the
-    /// first-live serial oracle over random stores, replication 2–3
-    /// and random down-sets — and never plans a taller critical-path
-    /// node batch than first-live routing does.
+    /// Pooled execution returns byte-identical results to the serial
+    /// oracle over random stores, replication 2–3 and random
+    /// down-sets — and the planner never plans a taller critical-path
+    /// node batch than first-live assignment would.
     #[test]
-    fn balanced_routing_agrees_with_serial_oracle(
+    fn least_loaded_routing_agrees_with_serial_oracle(
         spec in spec_strategy(),
         replication in 2usize..4,
         down_pick in 0usize..20,
     ) {
         const NODES: usize = 5;
         let ds = spec.generate();
-        let balanced = loaded_store(&ds, NODES, replication, ReadRouting::Balanced);
-        let first_live = loaded_store(&ds, NODES, replication, ReadRouting::FirstLive);
+        let store = loaded_store(&ds, NODES, replication);
 
         // A random down-set smaller than the replication factor, so
-        // every key keeps at least one live replica. Applied to both
-        // clusters after the (healthy) load.
+        // every key keeps at least one live replica. Applied after the
+        // (healthy) load.
         let down_count = down_pick % replication; // 0..=replication-1
         let down: Vec<usize> = (0..down_count)
             .map(|i| (down_pick + i * 3) % NODES)
             .collect();
         for &n in &down {
-            balanced.cluster().set_node_down(n, true);
-            first_live.cluster().set_node_down(n, true);
+            store.cluster().set_node_down(n, true);
         }
 
         let max_pk = spec.root_records as u64 + 8;
@@ -254,29 +258,22 @@ proptest! {
         specs.push(QuerySpec::Evolution { pk: 1 });
 
         for &qspec in &specs {
-            // Balance property: the balanced plan's critical-path
-            // batch never exceeds the first-live plan's.
-            let plan_b = balanced.plan_query(qspec).unwrap();
-            let plan_f = first_live.plan_query(qspec).unwrap();
-            prop_assert!(plan_f.max_node_batch() <= plan_f.span(), "more keys than chunks");
+            // Balance property: the plan's critical-path batch never
+            // exceeds the first-live assignment's.
+            let plan = store.plan_query(qspec).unwrap();
+            let first_live = first_live_max_batch(store.cluster(), &plan);
+            prop_assert!(first_live <= plan.span(), "more keys than chunks");
             prop_assert!(
-                plan_b.max_node_batch() <= plan_f.max_node_batch(),
-                "balanced max batch {} > first-live {} for {qspec:?} (down {down:?})",
-                plan_b.max_node_batch(),
-                plan_f.max_node_batch()
+                plan.max_node_batch() <= first_live,
+                "planned max batch {} > first-live {first_live} for {qspec:?} (down {down:?})",
+                plan.max_node_batch(),
             );
 
-            // Agreement: parallel balanced execution == the serial
-            // first-live oracle, byte for byte (both stores hold
-            // identical chunk layouts, so record order matches too).
-            let got = balanced
-                .execute(plan_b)
-                .unwrap()
-                .into_stream()
-                .drain()
-                .unwrap();
-            let oracle = first_live
-                .execute_serial(plan_f)
+            // Agreement: pooled execution == the serial oracle, byte
+            // for byte and in the same order.
+            let got = store.execute(plan).unwrap().into_stream().drain().unwrap();
+            let oracle = store
+                .execute_serial(store.plan_query(qspec).unwrap())
                 .unwrap()
                 .into_stream()
                 .drain()

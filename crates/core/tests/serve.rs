@@ -17,7 +17,7 @@
 
 use proptest::prelude::*;
 use rstore_core::model::{Record, VersionId};
-use rstore_core::plan::{QuerySpec, ReadRouting};
+use rstore_core::plan::QuerySpec;
 use rstore_core::store::RStore;
 use rstore_core::{Admission, CoreError, FetchPool};
 use rstore_kvstore::{Cluster, FaultPlan, FaultRule, NetworkModel, RetryPolicy};
@@ -143,7 +143,6 @@ fn failover_does_not_double_count_contacted_nodes() {
     let store = RStore::builder()
         .chunk_capacity(1024)
         .cache_budget(0)
-        .read_routing(ReadRouting::Balanced)
         .build(cluster);
     store.load_dataset(&ds).unwrap();
 

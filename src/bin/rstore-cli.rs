@@ -14,7 +14,7 @@
 //! ```
 
 use rstore::core::obs::{validate_scrapes, METRICS};
-use rstore::core::plan::{HedgeConfig, QuerySpec, ReadRouting};
+use rstore::core::plan::{HedgeConfig, QuerySpec};
 use rstore::core::store::{CommitRequest, RStore, StoreConfig};
 use rstore::core::{CoreError, TraceConfig, VersionId};
 use rstore::kvstore::{BreakerPolicy, Cluster, EngineKind, FaultPlan};
@@ -25,7 +25,6 @@ use std::time::Duration;
 struct Args {
     data_dir: PathBuf,
     nodes: usize,
-    routing: ReadRouting,
     /// Fetch-pool size for the serving core; 0 sizes by host cores.
     fetch_threads: usize,
     /// Seed for the canned flaky fault plan; `None` runs fault-free.
@@ -42,7 +41,7 @@ struct Args {
 
 fn usage() -> ! {
     eprintln!(
-        "usage: rstore-cli --data-dir DIR [--nodes N] [--routing first-live|balanced] [--fetch-threads N] [--faults SEED] [--hedge] [--deadline MS] [--breaker T,C] COMMAND ...\n\
+        "usage: rstore-cli --data-dir DIR [--nodes N] [--fetch-threads N] [--faults SEED] [--hedge] [--deadline MS] [--breaker T,C] COMMAND ...\n\
          --fetch-threads N sizes the shared fetch pool (0 = auto by cores).\n\
          --faults SEED enables the canned flaky chaos plan (10% transient\n\
          refusals + 10% 1 ms latency per node); retries absorb the faults\n\
@@ -76,7 +75,6 @@ fn parse_args() -> Args {
     let mut argv = std::env::args().skip(1).peekable();
     let mut data_dir = None;
     let mut nodes = 2usize;
-    let mut routing = ReadRouting::default();
     let mut fetch_threads = 0usize;
     let mut faults = None;
     let mut hedge = false;
@@ -87,8 +85,8 @@ fn parse_args() -> Args {
     while let Some(arg) = argv.next() {
         match arg.as_str() {
             "--data-dir" => data_dir = argv.next().map(PathBuf::from),
-            // Accepted before or after the command, so a trailing
-            // `--routing balanced` is honoured rather than silently
+            // Options are accepted before or after the command, so a
+            // trailing `--nodes 4` is honoured rather than silently
             // swallowed as a positional argument.
             "--nodes" => {
                 nodes = argv.next().and_then(|s| s.parse().ok()).unwrap_or(2)
@@ -99,18 +97,6 @@ fn parse_args() -> Args {
                     exit(2)
                 };
                 fetch_threads = n;
-            }
-            "--routing" => {
-                routing = match argv.next().as_deref() {
-                    Some("first-live") => ReadRouting::FirstLive,
-                    Some("balanced") => ReadRouting::Balanced,
-                    other => {
-                        eprintln!(
-                            "--routing expects first-live or balanced, got {other:?}"
-                        );
-                        exit(2)
-                    }
-                }
             }
             "--faults" => {
                 let Some(seed) = argv.next().and_then(|s| s.parse().ok()) else {
@@ -149,7 +135,6 @@ fn parse_args() -> Args {
     Args {
         data_dir,
         nodes,
-        routing,
         fetch_threads,
         faults,
         hedge,
@@ -211,7 +196,6 @@ fn open_cluster(args: &Args) -> Cluster {
 
 fn store_config(args: &Args) -> StoreConfig {
     StoreConfig {
-        read_routing: args.routing,
         fetch_threads: args.fetch_threads,
         hedge: args.hedge.then(HedgeConfig::default),
         default_deadline: args.deadline,
@@ -376,7 +360,6 @@ fn run() -> Result<(), CoreError> {
                 println!("{:<20} {}", format!("{}:", m.json), m.show(&sample));
             }
             let cfg = store.config();
-            println!("read routing:        {:?}", cfg.read_routing);
             println!(
                 "tail defenses:       hedge {}, deadline {}, breaker {}",
                 match cfg.hedge {

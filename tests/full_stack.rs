@@ -73,6 +73,73 @@ fn queries_survive_node_failure_with_replication() {
     }
 }
 
+/// One dataset behind a scripted slow replica, read through all three
+/// shapes of the one fetch loop — no pool (`execute_serial`), pooled,
+/// pooled with hedging — every answer checked against the dataset
+/// oracle: only the hedged store may hedge, and its backups must win.
+#[test]
+fn serial_pooled_and_hedged_reads_agree_behind_a_slow_replica() {
+    use rstore::core::HedgeConfig;
+    use rstore::kvstore::{FaultPlan, FaultRule};
+    use std::time::Duration;
+
+    let mut spec = DatasetSpec::tiny(9024);
+    spec.num_versions = 20;
+    spec.root_records = 50;
+    let dataset = spec.generate();
+    let rstore = dataset.record_store();
+    let oracle = dataset.materialize(&rstore);
+
+    // Node 0 sleeps a real 3 ms per request; nothing else costs time.
+    let build = |hedge: Option<HedgeConfig>| {
+        let network = NetworkModel { real_sleep: true, ..NetworkModel::zero() };
+        let slow = FaultRule::latency(Duration::from_millis(3)).on_node(0);
+        let cluster = Cluster::builder()
+            .nodes(4)
+            .replication(2)
+            .network(network)
+            .faults(FaultPlan::new(7).rule(slow))
+            .build();
+        let mut builder = RStore::builder().chunk_capacity(1024).cache_budget(0);
+        if let Some(cfg) = hedge {
+            builder = builder.hedge(cfg);
+        }
+        let store = builder.build(cluster);
+        store.load_dataset(&dataset).unwrap();
+        store
+    };
+    let plain = build(None);
+    let hedged = build(Some(HedgeConfig { factor: 0.0, min: Duration::from_millis(1) }));
+
+    let mut hedge_wins = 0;
+    for vi in 0..dataset.graph.len() {
+        let v = VersionId(vi as u32);
+        let plan = |store: &RStore| store.plan_query(QuerySpec::Version(v)).unwrap();
+        let shapes = [
+            ("serial", plain.execute_serial(plan(&plain))),
+            ("pooled", plain.execute(plan(&plain))),
+            ("hedged", hedged.execute(plan(&hedged))),
+        ];
+        for (shape, executed) in shapes {
+            let executed = executed.unwrap_or_else(|e| panic!("{shape} read of {v}: {e}"));
+            if shape == "hedged" {
+                hedge_wins += executed.metrics.hedge_wins;
+            } else {
+                assert_eq!(executed.metrics.hedges, 0, "{shape} read of {v} hedged");
+            }
+            let mut got = executed.into_stream().drain().unwrap();
+            got.sort_unstable_by_key(|r| r.pk);
+            let expect = oracle.contents(v);
+            assert_eq!(got.len(), expect.len(), "{shape} read of {v}");
+            for (rec, &(pk, ord)) in got.iter().zip(expect) {
+                assert_eq!(rec.pk, pk, "{shape} read of {v}");
+                assert_eq!(rec.payload, rstore.payload(ord), "{shape} read of {v}");
+            }
+        }
+    }
+    assert!(hedge_wins > 0, "backups against a sleeping replica must win");
+}
+
 #[test]
 fn log_engine_store_survives_reload_of_cluster() {
     let dir = std::env::temp_dir().join(format!("rstore-fullstack-{}", std::process::id()));
