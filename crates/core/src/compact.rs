@@ -14,8 +14,8 @@
 //! through the existing plan → fetch → extract pipeline, re-runs the
 //! configured partitioner over the merged items (re-grouping same-key
 //! records into §3.4 sub-chunks), hands the result to the generation
-//! writer (the `ingest` module) with the victims to retire, and
-//! reclaims the obsolete backend keys with one batched delete — all
+//! writer (the `ingest` module) with the victims to retire, and drains
+//! the obsolete backend keys through the store's one delete path — all
 //! without taking the store offline.
 //!
 //! A slice is a thin caller of the writer, exactly like the bulk load
@@ -41,14 +41,18 @@
 //!    the projection edits that move every version and key from the
 //!    old ids to the new. This is the commit point: a store reopened
 //!    before it serves the old generation, after it the new.
-//! 3. **Batch-delete the victims** — the old generation's chunk and
-//!    base-map keys, one `MultiDelete` per owning node
-//!    (`Cluster::multi_delete_scatter`). A crash between 2 and 3
-//!    leaves harmless orphaned *old* keys; the recovery scan plans
-//!    only live ids and never touches them. (Entries earlier records
-//!    logged for a victim's map need no delete: a restart drops them
-//!    when it replays the retirement, and the next checkpoint folds
-//!    the records away.)
+//! 3. **Drain the victims' keys** — the commit left each victim a
+//!    retired slot with its keys pending, and the store's one drain
+//!    (`RStore::drain_retired`) batch-deletes the old generation's
+//!    chunk and base-map keys, one `MultiDelete` per owning node —
+//!    right away, unless a reader still pins an older generation, in
+//!    which case a later drain (flush tail, [`RStore::reclaim`]) does.
+//!    A crash between 2 and 3 leaves old keys behind that no live id
+//!    names — the recovery scan never touches them — and the reopened
+//!    store's slots still hold them pending, so its first drain
+//!    deletes them. (Entries earlier records logged for a victim's map
+//!    need no delete: a restart drops them when it replays the
+//!    retirement, and the next checkpoint folds the records away.)
 //!
 //! In-memory state (locator, projections, chunk maps) swaps only
 //! after step 2, inside the writer. A slice that fails anywhere up to
@@ -67,11 +71,10 @@
 use crate::cost::CostModel;
 use crate::error::CoreError;
 use crate::ingest::{StagedGeneration, StagedIndex};
-use crate::model::{ChunkId, CompositeKey, Record, VersionId};
+use crate::model::{CompositeKey, Record, VersionId};
 use crate::query;
-use crate::store::{DeferredReclaim, RStore, StoreMut, CHUNK_TABLE, CMAP_TABLE};
+use crate::store::{RStore, SlotState, StoreMut};
 use rstore_compress::Bitmap;
-use rstore_kvstore::{table_key, Key};
 use rustc_hash::{FxHashMap, FxHashSet};
 use std::time::{Duration, Instant};
 
@@ -252,15 +255,21 @@ impl RStore {
         let snap = self.snapshot();
         let cfg = &self.config.compaction;
         let capacity = self.config.chunk_capacity.max(1) as f64;
-        let mut live = 0usize;
+        let (mut live, mut retired, mut reclaimed) = (0usize, 0usize, 0usize);
         let mut fill_sum = 0.0f64;
         let mut under = 0usize;
-        for c in snap.live_chunk_ids() {
-            let fill = snap.chunk_sizes()[c as usize] as f64 / capacity;
-            live += 1;
-            fill_sum += fill;
-            if fill < cfg.min_fill {
-                under += 1;
+        for slot in snap.slots() {
+            match slot.state {
+                SlotState::Live => {
+                    let fill = slot.bytes as f64 / capacity;
+                    live += 1;
+                    fill_sum += fill;
+                    if fill < cfg.min_fill {
+                        under += 1;
+                    }
+                }
+                SlotState::Retired { .. } => retired += 1,
+                SlotState::Free => reclaimed += 1,
             }
         }
         let versions = snap.graph().len();
@@ -291,7 +300,7 @@ impl RStore {
                 .iter()
                 .sum::<usize>() as f64
                 / versions as f64;
-            let storage: usize = snap.chunk_sizes().iter().sum();
+            let storage: usize = snap.slots().iter().map(|s| s.bytes).sum();
             let s = storage as f64 / placed as f64;
             let model = CostModel {
                 n: versions as f64,
@@ -307,8 +316,8 @@ impl RStore {
 
         FragmentationStats {
             live_chunks: live,
-            retired_chunks: snap.retired_len(),
-            reclaimed_chunks: snap.free_len(),
+            retired_chunks: retired,
+            reclaimed_chunks: reclaimed,
             mean_fill: if live == 0 { 0.0 } else { fill_sum / live as f64 },
             under_filled: under,
             total_version_span: total_span,
@@ -324,7 +333,7 @@ impl RStore {
         let min_fill = self.config.compaction.min_fill;
         let capacity = self.config.chunk_capacity.max(1) as f64;
         let mut victims = st.live_chunk_ids();
-        victims.retain(|&c| st.chunk_sizes[c as usize] as f64 / capacity < min_fill);
+        victims.retain(|&c| st.slots[c as usize].bytes as f64 / capacity < min_fill);
         victims
     }
 
@@ -558,63 +567,27 @@ impl RStore {
         stages.write = committed.stages.write;
         stages.modeled_write = committed.stages.modeled_write;
 
-        // -- reclaim (phase A): drop the retired generation's cache
-        // entries and batch-delete its backend keys — immediately
-        // when no reader pins an older generation, deferred onto the
-        // resumable queue otherwise, so an in-flight pinned query can
-        // still fetch the old keys it planned against ----------------
+        // -- reclaim (phase A): drain the retired generation's keys and
+        // cache entries — now when no reader pins an older generation;
+        // otherwise they wait in their slots for a later drain, so an
+        // in-flight pinned query can still fetch the old keys it
+        // planned against. Past the commit point the compaction *is*
+        // durable: a failed delete is contained in the report ---------
         let t = Instant::now();
-        let publish_gen = st.generation;
-        let keys: Vec<Key> = victims
-            .iter()
-            .flat_map(|&c| {
-                [
-                    table_key(CHUNK_TABLE, &ChunkId(c).to_key()),
-                    table_key(CMAP_TABLE, &ChunkId(c).to_key()),
-                ]
-            })
-            .collect();
-        let num_victims = victims.len();
-        let (modeled_delete, keys_deleted, reclamation_failed) =
-            if self.pins.oldest().is_some_and(|o| o < publish_gen) {
-                st.deferred.push(DeferredReclaim {
-                    publish_gen,
-                    chunk_ids: victims,
-                    keys,
-                });
-                (Duration::ZERO, 0, false)
-            } else {
-                // Stale decoded pairs of the retired generation
-                // (including the ones the extraction fetch just
-                // admitted) are unreachable through the rewritten
-                // projections, but drop them anyway to free budget.
-                for &c in &victims {
-                    self.cache.invalidate(c);
-                }
-                // Past the commit point the compaction *is* durable —
-                // a reclamation failure must not report it as failed.
-                // Old keys a dying node kept behind are unreferenced
-                // orphans (the persisted metadata no longer knows
-                // their ids), so the error is contained in the report
-                // rather than propagated.
-                match self.cluster.multi_delete_scatter(keys) {
-                    Ok((modeled, removed)) => (modeled, removed, false),
-                    Err(_) => (Duration::ZERO, 0, true),
-                }
-            };
+        let drained = self.drain_retired(st);
         stages.delete = t.elapsed();
-        stages.modeled_delete = modeled_delete;
+        stages.modeled_delete = drained.modeled;
 
         Ok(Some(SliceOutcome {
-            victims: num_victims,
+            victims: victims.len(),
             new_chunks: committed.new_chunks,
             records_moved: records.len(),
             subchunks_built,
             bytes_rewritten: committed.bytes_written,
             record_bytes: committed.record_bytes,
             bytes_reclaimed,
-            keys_deleted,
-            reclamation_failed,
+            keys_deleted: drained.removed,
+            reclamation_failed: drained.failed,
             stages,
         }))
     }
@@ -729,10 +702,7 @@ impl RStore {
                 }
             }
         }
-        let bytes_reclaimed = victims
-            .iter()
-            .map(|&c| st.chunk_sizes[c as usize])
-            .sum();
+        let bytes_reclaimed = victims.iter().map(|&c| st.slots[c as usize].bytes).sum();
 
         Ok(StagedRebuild {
             victims,

@@ -77,14 +77,15 @@ use crate::model::{ChunkId, CompositeKey, PrimaryKey, Record, VersionId};
 use crate::partition::{PartitionInput, Partitioning};
 use crate::plan;
 use crate::store::{
-    IngestStages, RStore, StoreMut, CHUNK_TABLE, CMAP_TABLE, DELTA_TABLE, META_TABLE,
+    IngestStages, RStore, Slot, SlotState, StoreMut, CHUNK_TABLE, CMAP_TABLE, DELTA_TABLE,
+    META_TABLE,
 };
 use bytes::Bytes;
 use crossbeam::channel::bounded;
 use rstore_compress::{varint, Bitmap};
 use rstore_kvstore::{table_key, Cluster, Key, KvError, WriteSummary};
 use rstore_vgraph::VersionDelta;
-use rustc_hash::{FxHashMap, FxHashSet};
+use rustc_hash::FxHashMap;
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -414,48 +415,43 @@ impl GenerationRecord {
 }
 
 impl StoreMut {
-    /// Applies a record's chunk-table and projection edits — the part a
-    /// live commit and a restart's replay share. The chunk maps are the
+    /// Applies a record's slot and projection edits — the part a live
+    /// commit and a restart's replay share. A created chunk's slot gets
+    /// an empty map as wide as its records; the entries are the
     /// caller's: a commit holds them decoded, a replay collects their
     /// bytes until it knows which chunks live.
     pub(crate) fn apply_edits(&mut self, rec: &GenerationRecord) {
-        let slots = self.chunk_maps.len();
-        if rec.chunk_slots > slots {
-            self.resize_chunk_slots(rec.chunk_slots);
+        if rec.chunk_slots > self.slots.len() {
+            Arc::make_mut(&mut self.slots).resize_with(rec.chunk_slots, Slot::default);
         }
         for c in &rec.new_chunks {
-            Arc::make_mut(&mut self.chunk_sizes)[c.id as usize] = c.bytes;
-            if self.free.contains(&c.id) {
-                Arc::make_mut(&mut self.free).remove(&c.id);
-            }
+            let map = Arc::new(ChunkMap::new(c.records));
+            let slot = Slot { map, bytes: c.bytes, state: SlotState::Live, ..Slot::default() };
+            self.set_slot(c.id, slot);
+        }
+        // A retired id keeps an empty tombstone slot until a
+        // reclamation pass frees or truncates it; its keys wait for
+        // the drain, which defers them past any older pin.
+        let state = SlotState::Retired {
+            at: self.generation + 1,
+            keys_pending: true,
+        };
+        for &c in &rec.retired {
+            self.set_slot(c, Slot { state, ..Slot::default() });
+        }
+        for &c in &rec.freed {
+            Arc::make_mut(&mut self.slots)[c as usize].state = SlotState::Free;
+        }
+        if rec.chunk_slots < self.slots.len() {
+            // Trailing freed slots shrink the id space outright.
+            Arc::make_mut(&mut self.slots).truncate(rec.chunk_slots);
         }
         if !rec.retired.is_empty() {
             // Retired chunks vanish from every version and key list
             // before the records they held are re-added under their
-            // new chunks; the id keeps an empty tombstone slot until a
-            // reclamation pass frees or truncates it.
-            let leaving: FxHashSet<u32> = rec.retired.iter().copied().collect();
-            Arc::make_mut(&mut self.projections).retain_chunks(|c| !leaving.contains(&c));
-            for &c in &rec.retired {
-                Arc::make_mut(&mut self.chunk_sizes)[c as usize] = 0;
-                self.set_chunk_map(c, Arc::default(), 0);
-            }
-            Arc::make_mut(&mut self.retired).extend(leaving);
-        }
-        if !rec.freed.is_empty() {
-            let retired = Arc::make_mut(&mut self.retired);
-            let free = Arc::make_mut(&mut self.free);
-            for &c in &rec.freed {
-                retired.remove(&c);
-                if (c as usize) < rec.chunk_slots {
-                    free.insert(c);
-                }
-            }
-        }
-        if rec.chunk_slots < slots {
-            // Trailing freed slots shrink the id space outright.
-            self.resize_chunk_slots(rec.chunk_slots);
-            Arc::make_mut(&mut self.free).retain(|&c| (c as usize) < rec.chunk_slots);
+            // new chunks.
+            let live = |c: u32| self.slots.get(c as usize).is_some_and(|s| s.state == SlotState::Live);
+            Arc::make_mut(&mut self.projections).retain_chunks(live);
         }
         if !rec.index.version_chunks.is_empty() || !rec.index.key_chunks.is_empty() {
             Arc::make_mut(&mut self.projections).apply(&rec.index);
@@ -469,40 +465,31 @@ impl StoreMut {
     /// nothing — a checkpoint's value. Map entries are carried only
     /// past each chunk's base map, which stays where it is.
     fn checkpoint_record(&self) -> GenerationRecord {
-        let live = self.live_chunk_ids();
-        let sorted = |ids: &FxHashSet<u32>| {
-            let mut ids: Vec<u32> = ids.iter().copied().collect();
-            ids.sort_unstable();
-            ids
-        };
-        GenerationRecord {
+        let mut rec = GenerationRecord {
             seq: self.log.seq,
-            first_version: 0,
             parents: self.graph.nodes()[..self.flushed_versions]
                 .iter()
                 .map(|n| n.parents.clone())
                 .collect(),
-            chunk_slots: self.chunk_maps.len(),
-            new_chunks: live
-                .iter()
-                .map(|&c| NewChunk {
-                    id: c,
-                    bytes: self.chunk_sizes[c as usize],
-                    records: self.chunk_maps[c as usize].num_records(),
-                })
-                .collect(),
-            retired: sorted(&self.retired),
-            freed: sorted(&self.free),
+            chunk_slots: self.slots.len(),
             index: self.projections.to_delta(),
-            map_entries: live
-                .iter()
-                .filter_map(|&c| {
-                    let (entries, bytes) =
-                        self.chunk_maps[c as usize].encode_from(self.map_base[c as usize]);
-                    (entries > 0).then_some(MapAppend { chunk: c, entries, bytes })
-                })
-                .collect(),
+            ..GenerationRecord::default()
+        };
+        for (c, slot) in (0u32..).zip(self.slots.iter()) {
+            match slot.state {
+                SlotState::Live => {
+                    let records = slot.map.num_records();
+                    rec.new_chunks.push(NewChunk { id: c, bytes: slot.bytes, records });
+                    let (entries, bytes) = slot.map.encode_from(slot.base_entries);
+                    if entries > 0 {
+                        rec.map_entries.push(MapAppend { chunk: c, entries, bytes });
+                    }
+                }
+                SlotState::Retired { .. } => rec.retired.push(c),
+                SlotState::Free => rec.freed.push(c),
+            }
         }
+        rec
     }
 }
 
@@ -511,9 +498,6 @@ impl StoreMut {
 /// chunks live, and so whose logged map entries are worth decoding.
 struct LogReplay {
     st: StoreMut,
-    /// Records per chunk slot, as the record that created the chunk
-    /// logged it.
-    records_of: Vec<usize>,
     /// Map entries logged per chunk, in log order, parked until the
     /// live set is known; a chunk that retires takes its own with it.
     appends: FxHashMap<u32, Vec<MapAppend>>,
@@ -541,7 +525,7 @@ impl LogReplay {
             }
         }
         // Slots grow only by the chunks a record names.
-        let before = st.chunk_maps.len();
+        let before = st.slots.len();
         let named = rec.new_chunks.len() + rec.retired.len() + rec.freed.len();
         if rec.chunk_slots > before + named {
             return Err(bad("more chunk slots than it has chunks for"));
@@ -559,15 +543,10 @@ impl LogReplay {
             return Err(bad("an id is out of range"));
         }
         st.apply_edits(&rec);
-        self.records_of.resize(st.chunk_maps.len(), 0);
-        for c in &rec.retired {
+        // A retired chunk takes its logged entries with it, and a
+        // created one starts over.
+        for c in rec.retired.iter().chain(rec.new_chunks.iter().map(|c| &c.id)) {
             self.appends.remove(c);
-        }
-        for c in &rec.new_chunks {
-            self.records_of[c.id as usize] = c.records;
-            // A reused slot starts over: whatever an earlier occupant
-            // logged went when it retired.
-            self.appends.remove(&c.id);
         }
         for m in rec.map_entries {
             self.appends.entry(m.chunk).or_default().push(m);
@@ -593,7 +572,6 @@ impl LogReplay {
 pub(crate) fn load_persisted(cluster: &Cluster, workers: usize) -> Result<StoreMut, CoreError> {
     let mut replay = LogReplay {
         st: StoreMut::empty(),
-        records_of: Vec::new(),
         appends: FxHashMap::default(),
     };
     if let Some(bytes) = cluster.get(&checkpoint_key())? {
@@ -640,18 +618,18 @@ pub(crate) fn load_persisted(cluster: &Cluster, workers: usize) -> Result<StoreM
     // The maps: one scatter-gather get of the live chunks' base maps,
     // then each decodes and takes its logged entries on `workers`
     // threads. Retired ids keep empty tombstone slots so ids never
-    // shift.
-    let LogReplay {
-        mut st,
-        records_of,
-        mut appends,
-    } = replay;
+    // shift, with their keys pending: whether an earlier process
+    // deleted them is not logged, so this one's first drain does.
+    let LogReplay { mut st, mut appends } = replay;
     let live = st.live_chunk_ids();
     let stored = cluster.multi_get_owned(live.iter().map(|&c| chunk_map_key(c)).collect())?;
     let jobs: Vec<_> = live
         .iter()
         .zip(stored)
-        .map(|(&c, base)| (c, base, records_of[c as usize], appends.remove(&c).unwrap_or_default()))
+        .map(|(&c, base)| {
+            let records = st.slots[c as usize].map.num_records();
+            (c, base, records, appends.remove(&c).unwrap_or_default())
+        })
         .collect();
     let maps = plan::parallel_map_owned(jobs, workers, |(c, base, records, logged)| {
         let mut map = ChunkMap::deserialize(&base.ok_or(CoreError::MissingChunk(c))?)?;
@@ -667,13 +645,12 @@ pub(crate) fn load_persisted(cluster: &Cluster, workers: usize) -> Result<StoreM
         }
         Ok((map, base_entries))
     });
+    // The probe floor is not persisted: after a restart the cache is
+    // empty, so generation 1 (the initial publish) is a sound floor.
     for (&c, map) in live.iter().zip(maps) {
         let (map, base_entries) = map?;
-        st.set_chunk_map(c, Arc::new(map), base_entries);
+        st.set_chunk_map(c, Arc::new(map), base_entries, 1);
     }
-    // Not persisted: after a restart the cache is empty, so generation
-    // 1 (the initial publish) is a sound probe floor for every slot.
-    Arc::make_mut(&mut st.map_gen).fill(1);
     Ok(st)
 }
 
@@ -741,15 +718,8 @@ pub(crate) fn decode_delta(
 /// only once those writes and the commit record are durable (the state
 /// lock is held throughout, so nothing allocates in between).
 fn peek_chunk_ids(st: &StoreMut, n: usize) -> Vec<u32> {
-    let mut ids: Vec<u32> = st.free.iter().copied().collect();
-    ids.sort_unstable();
-    ids.truncate(n);
-    let mut next = st.chunk_maps.len() as u32;
-    while ids.len() < n {
-        ids.push(next);
-        next += 1;
-    }
-    ids
+    let free = (0u32..).zip(st.slots.iter()).filter(|(_, s)| s.state == SlotState::Free);
+    free.map(|(c, _)| c).chain(st.slots.len() as u32..).take(n).collect()
 }
 
 /// The chunks a generation creates, staged against peeked ids: nothing
@@ -846,7 +816,7 @@ pub(crate) fn stage_index(
                     .chunks_of_version(p)
                     .iter()
                     .map(|&c| {
-                        let parent = st.chunk_maps[c as usize].members_of(p);
+                        let parent = st.slots[c as usize].map.members_of(p);
                         (c, parent.expect("parent indexed in its span").clone())
                     })
                     .collect(),
@@ -1053,7 +1023,7 @@ impl RStore {
         let mut older: Vec<(u32, MapEntries)> = index.per_chunk.drain().collect();
         older.sort_unstable_by_key(|job| job.0);
         debug_assert!(
-            older.iter().all(|job| (job.0 as usize) < st.chunk_maps.len()),
+            older.iter().all(|job| (job.0 as usize) < st.slots.len()),
             "entries for unknown chunks"
         );
         let (map_entries, appends): (Vec<MapAppend>, Vec<(u32, MapEntries)>) =
@@ -1092,7 +1062,7 @@ impl RStore {
             chunk_slots: chunks
                 .ids
                 .iter()
-                .fold(st.chunk_maps.len(), |slots, &c| slots.max(c as usize + 1)),
+                .fold(st.slots.len(), |slots, &c| slots.max(c as usize + 1)),
             new_chunks: (chunks.ids.iter().zip(&chunks.sizes).zip(&chunks.counts))
                 .map(|((&id, &bytes), &records)| NewChunk { id, bytes, records })
                 .collect(),
@@ -1120,15 +1090,12 @@ impl RStore {
         let mut stamped = Vec::with_capacity(fresh.len() + maps_appended);
         for (c, _, map) in fresh {
             let base_entries = map.num_versions();
-            st.set_chunk_map(c, Arc::new(map), base_entries);
+            st.set_chunk_map(c, Arc::new(map), base_entries, publishing);
             stamped.push(c);
         }
         for (c, entries) in appends {
-            st.append_chunk_map(c, entries);
+            st.append_chunk_map(c, entries, publishing);
             stamped.push(c);
-        }
-        for &c in &stamped {
-            Arc::make_mut(&mut st.map_gen)[c as usize] = publishing;
         }
         self.publish(st);
         // Sweep resident cache entries of those chunks *after* the
@@ -1212,7 +1179,7 @@ impl RStore {
         let maps = st
             .live_chunk_ids()
             .into_iter()
-            .map(|c| (c, st.chunk_maps[c as usize].serialize()))
+            .map(|c| (c, st.slots[c as usize].map.serialize()))
             .collect();
         Ok((maps, st.projections.serialize()))
     }

@@ -357,7 +357,7 @@ pub struct StoreStats {
     pub generation: u64,
     /// Readers currently holding snapshot pins.
     pub pinned_readers: usize,
-    /// Deferred-reclamation batches waiting for old pins to drain.
+    /// Retired chunks whose backend keys wait for a drain.
     pub reclaim_backlog: usize,
     /// Bytes the live chunk maps keep resident — every read extracts
     /// with them, none is fetched.
@@ -512,7 +512,7 @@ pub static METRICS: &[Metric] = &[
     row("rstore_store_versions", G, "versions", "Versions in the graph", Num(|s| s.versions as f64)),
     row("rstore_store_generation", G, "generation", "Published snapshot generation", Num(|s| s.generation as f64)),
     row("rstore_store_pinned_readers", G, "pinned_readers", "Readers holding snapshot pins", Num(|s| s.pinned_readers as f64)),
-    row("rstore_store_reclaim_backlog", G, "reclaim_backlog", "Deferred reclamation batches awaiting old pins", Num(|s| s.reclaim_backlog as f64)),
+    row("rstore_store_reclaim_backlog", G, "reclaim_backlog", "Retired chunks whose backend keys await a drain", Num(|s| s.reclaim_backlog as f64)),
     row("rstore_store_storage_bytes", G, "storage_bytes", "Stored compressed chunk bytes", Num(|s| s.storage_bytes as f64)),
     row("rstore_store_chunk_map_resident_bytes", G, "resident_map_bytes", "Bytes the live chunk maps keep resident", Num(|s| s.resident_map_bytes as f64)),
     row("rstore_store_version_index_bytes", G, "version_index_bytes", "Serialized version->chunks projection bytes", Num(|s| s.index_bytes.0 as f64)),

@@ -14,19 +14,6 @@ use crate::store::{CommitRequest, RStore};
 use rstore_vgraph::{Dataset, VersionId};
 use rustc_hash::FxHashSet;
 
-/// Online ingest settings (a view over [`crate::store::StoreConfig`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct OnlineConfig {
-    /// Commits buffered in the delta store before a partitioning pass.
-    pub batch_size: usize,
-}
-
-impl Default for OnlineConfig {
-    fn default() -> Self {
-        Self { batch_size: 64 }
-    }
-}
-
 /// The commit that reproduces version `v` of `dataset` online: its
 /// delta's records as puts, and a delete for every removed key that
 /// is not re-added (a re-added key is an update, which the store
@@ -60,17 +47,6 @@ pub fn replay_commits(store: &RStore, dataset: &Dataset) -> Result<(), CoreError
     }
     store.seal()?;
     Ok(())
-}
-
-/// Replays only the first `limit` versions (Fig. 13 measures quality
-/// at checkpoints: 250, 500, 750, 1001 versions).
-pub fn replay_commits_prefix(
-    store: &RStore,
-    dataset: &Dataset,
-    limit: usize,
-) -> Result<(), CoreError> {
-    let truncated = truncate_dataset(dataset, limit);
-    replay_commits(store, &truncated)
 }
 
 /// Restricts a dataset to its first `limit` versions. Version ids are

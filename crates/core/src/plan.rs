@@ -334,15 +334,7 @@ fn least_loaded(
 /// replica-set overlaps — end up with a *taller* critical path than
 /// sending every key to its first live replica, so the result is
 /// compared against that assignment and the flatter of the two wins.
-/// With one copy per key there is nothing to choose between, and the
-/// first live replica is asked for directly.
 fn route_keys(cluster: &Cluster, keys: &[Key]) -> Result<Vec<usize>, CoreError> {
-    if cluster.replication() == 1 {
-        return keys
-            .iter()
-            .map(|key| cluster.owner_of(key).map_err(CoreError::from))
-            .collect();
-    }
     let candidates: Vec<Vec<usize>> = keys
         .iter()
         .map(|key| cluster.replicas_of(key).map_err(CoreError::from))

@@ -48,7 +48,7 @@ use crate::compact::{CompactionConfig, CompactionReport};
 use crate::error::CoreError;
 use crate::index::Projections;
 use crate::ingest::{self, GenerationRecord, LogPosition};
-use crate::model::{CompositeKey, PrimaryKey, Record, VersionId};
+use crate::model::{ChunkId, CompositeKey, PrimaryKey, Record, VersionId};
 use crate::obs::{
     self, HistSummary, MetricsRegistry, NodeSample, Obs, ObsConfig, QueryOutcome, QueryTrace,
     SlowQuery, StoreStats, TraceSink, TID_QUERY,
@@ -62,9 +62,9 @@ use crate::serve::{ServeCore, ServeStats};
 use crate::subchunk::SubchunkPlan;
 use bytes::Bytes;
 use rstore_compress::Bitmap;
-use rstore_kvstore::{BreakerPolicy, Cluster, Key};
+use rstore_kvstore::{table_key, BreakerPolicy, Cluster};
 use rstore_vgraph::{Dataset, VersionDelta, VersionGraph};
-use rustc_hash::{FxHashMap, FxHashSet};
+use rustc_hash::FxHashMap;
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -382,10 +382,9 @@ pub struct FlushReport {
     pub new_records: usize,
     /// New chunks created.
     pub new_chunks: usize,
-    /// Existing chunk maps the batch added entries to. (The name is
-    /// from when each was rewritten whole; the entries are logged in
-    /// the flush's commit record now and no stored map is touched.)
-    pub maps_rewritten: usize,
+    /// Existing chunk maps the batch added entries to (the entries are
+    /// logged in the flush's commit record; no stored map is touched).
+    pub maps_appended: usize,
     /// Bytes of the flush's commit record.
     pub record_bytes: usize,
     /// Per-stage timing breakdown of the flush pipeline.
@@ -464,6 +463,46 @@ impl CommitRequest {
 // Snapshot isolation
 // ------------------------------------------------------------------
 
+/// Where a chunk id stands in its lifecycle: live → retired (by a
+/// compaction slice) → free (by a reclamation pass) → live again (by
+/// the next generation that creates a chunk).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) enum SlotState {
+    /// Holds a chunk the projections reference.
+    Live,
+    /// Compacted away by the publish of generation `at`. While
+    /// `keys_pending`, its blob and base map may still be at the
+    /// backend, and a reader pinned before `at` may still fetch them.
+    Retired { at: u64, keys_pending: bool },
+    /// Reusable: the next generation's chunks take free slots first.
+    #[default]
+    Free,
+}
+
+/// One chunk id's slot: the chunk's map and size, the cache-probe
+/// floor, and where the id stands in its lifecycle.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Slot {
+    /// The chunk map (an empty tombstone unless live).
+    pub(crate) map: Arc<ChunkMap>,
+    /// Compressed bytes of the chunk's blob (0 unless live).
+    pub(crate) bytes: usize,
+    /// Generation whose publish last rewrote the map.
+    pub(crate) map_gen: u64,
+    /// How many of the map's entries its stored base map
+    /// (`cmaps/<id>`) holds — the rest were logged by later
+    /// generations, and a checkpoint carries exactly those.
+    pub(crate) base_entries: usize,
+    pub(crate) state: SlotState,
+}
+
+/// The live ids of a slot table, ascending.
+fn live_ids(slots: &[Slot]) -> Vec<u32> {
+    (0..slots.len() as u32)
+        .filter(|&c| slots[c as usize].state == SlotState::Live)
+        .collect()
+}
+
 /// One immutable generation of the query-visible metadata — the unit
 /// readers pin and mutators atomically swap.
 ///
@@ -488,28 +527,25 @@ impl CommitRequest {
 ///   chunks. Chunk maps only *grow* across flushes (placed records are
 ///   never re-partitioned) and compaction never rewrites a live id's
 ///   map, so a newer map is always a superset of an older one.
-/// * `map_gen[c]` is the generation whose publish last rewrote chunk
-///   `c`'s map — the cache-probe floor: a cached entry stamped below
-///   it shares a map that predates the rewrite and is dropped on probe
-///   (see [`ChunkCache::get`]); the miss refetches the blob only.
-/// * A chunk id is live iff it is neither `retired` (compacted away;
-///   backend keys deleted, possibly deferred while old pins remain)
-///   nor `free` (retired id whose slot was reclaimed and may be
-///   reused by a later flush).
+/// * Everything a chunk id carries is one slot of one table: its map,
+///   its compressed size, its cache-probe floor and its lifecycle
+///   state (live, retired, free), so the three cannot disagree. A
+///   slot's `map_gen` is the generation whose publish last rewrote its
+///   map — a cached entry stamped below it shares a map that predates
+///   the rewrite and is dropped on probe (see [`ChunkCache::get`]); the
+///   miss refetches the blob only.
+/// * Only live slots have a size and a non-empty map, and the
+///   projections name live ids only. A retired slot (compacted away)
+///   keeps its id until a reclamation pass frees it — and not before
+///   its backend keys are drained, which waits for every reader pinned
+///   before the retirement — and a free slot is reused by the next
+///   generation that creates a chunk.
 pub struct StoreSnapshot {
     generation: u64,
     graph: Arc<VersionGraph>,
     projections: Arc<Projections>,
-    /// Compressed bytes per chunk slot (0 for retired/free ids).
-    chunk_sizes: Arc<Vec<usize>>,
-    /// Per chunk slot: generation whose publish last rewrote the
-    /// chunk's map.
-    map_gen: Arc<Vec<u64>>,
-    /// Per chunk slot: the chunk's map as of this generation (an empty
-    /// tombstone for retired/free ids).
-    chunk_maps: Arc<Vec<Arc<ChunkMap>>>,
-    retired: Arc<FxHashSet<u32>>,
-    free: Arc<FxHashSet<u32>>,
+    /// The slot table, indexed by chunk id.
+    slots: Arc<Vec<Slot>>,
     /// Records per version (the snapshot's view of the per-version
     /// contents widths; the full contents lists stay writer-only).
     record_counts: Arc<Vec<usize>>,
@@ -535,9 +571,9 @@ impl StoreSnapshot {
         &self.projections
     }
 
-    /// Compressed bytes per chunk slot (0 for retired/free ids).
-    pub(crate) fn chunk_sizes(&self) -> &[usize] {
-        &self.chunk_sizes
+    /// The slot table, indexed by chunk id.
+    pub(crate) fn slots(&self) -> &[Slot] {
+        &self.slots
     }
 
     /// Records per version at publish time.
@@ -550,38 +586,25 @@ impl StoreSnapshot {
         self.placed_records
     }
 
-    /// Chunk ids retired by compaction, not yet reclaimed.
-    pub(crate) fn retired_len(&self) -> usize {
-        self.retired.len()
-    }
-
-    /// Reclaimed (reusable) chunk id slots.
-    pub(crate) fn free_len(&self) -> usize {
-        self.free.len()
-    }
-
-    /// Live chunks: total slots minus retired tombstones and freed
-    /// slots.
+    /// Live chunks.
     pub fn chunk_count(&self) -> usize {
-        self.chunk_sizes.len() - self.retired.len() - self.free.len()
+        self.slots.iter().filter(|s| s.state == SlotState::Live).count()
     }
 
     /// Live chunk ids in ascending order.
     pub fn live_chunk_ids(&self) -> Vec<u32> {
-        (0..self.chunk_sizes.len() as u32)
-            .filter(|c| !self.retired.contains(c) && !self.free.contains(c))
-            .collect()
+        live_ids(&self.slots)
     }
 
     /// The cache-probe floor for chunk `c` (see the type docs).
-    pub(crate) fn map_gen(&self, c: u32) -> u64 {
-        self.map_gen.get(c as usize).copied().unwrap_or(0)
+    pub(crate) fn floor(&self, c: u32) -> u64 {
+        self.slots.get(c as usize).map_or(0, |s| s.map_gen)
     }
 
     /// Chunk `c`'s map as of this generation, or `None` for an id past
     /// the generation's slot table.
     pub fn chunk_map(&self, c: u32) -> Option<&Arc<ChunkMap>> {
-        self.chunk_maps.get(c as usize)
+        self.slots.get(c as usize).map(|s| &s.map)
     }
 
     /// Bytes the live chunk maps keep resident.
@@ -637,13 +660,6 @@ pub struct PinnedSnapshot {
     start: Instant,
 }
 
-impl PinnedSnapshot {
-    /// The cache-probe floor for chunk `c`.
-    pub(crate) fn floor(&self, c: u32) -> u64 {
-        self.snap.map_gen(c)
-    }
-}
-
 impl std::ops::Deref for PinnedSnapshot {
     type Target = StoreSnapshot;
     fn deref(&self) -> &StoreSnapshot {
@@ -666,26 +682,25 @@ impl Drop for PinnedSnapshot {
     }
 }
 
-/// Reclamation work for retired chunks whose generation may still be
-/// pinned: drained (cache drop + backend delete) only once no reader
-/// pins a generation older than `publish_gen`.
-#[derive(Debug)]
-pub(crate) struct DeferredReclaim {
-    /// Generation whose publish retired these chunks; a reader pinned
-    /// strictly before it may still plan fetches of the old keys.
-    pub(crate) publish_gen: u64,
-    /// Victim chunk ids (their cache entries drop lazily on drain).
-    pub(crate) chunk_ids: Vec<u32>,
-    /// Backend keys (chunk + cmap blobs) to delete on drain.
-    pub(crate) keys: Vec<Key>,
+/// What one [`RStore::drain_retired`] pass deleted.
+#[derive(Debug, Default)]
+pub(crate) struct Drained {
+    /// Retired chunks whose keys were deleted.
+    pub(crate) chunks: usize,
+    /// Backend replica copies removed (0 when the delete failed).
+    pub(crate) removed: usize,
+    /// Modeled network time of the delete (max over nodes).
+    pub(crate) modeled: Duration,
+    /// The delete failed: the keys linger as unreferenced orphans.
+    pub(crate) failed: bool,
 }
 
 /// Outcome of one [`RStore::reclaim`] pass.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ReclaimReport {
-    /// Deferred reclamation batches drained this pass.
+    /// Retired chunks whose deferred key deletes this pass drained.
     pub deferred_drained: usize,
-    /// Backend keys deleted draining them.
+    /// Backend replica copies removed draining them.
     pub keys_deleted: usize,
     /// Retired tombstone slots moved to the reusable free list.
     pub slots_reclaimed: usize,
@@ -704,32 +719,15 @@ pub(crate) struct StoreMut {
     pub(crate) generation: u64,
     pub(crate) graph: Arc<VersionGraph>,
     pub(crate) projections: Arc<Projections>,
-    /// Compressed bytes per chunk slot (0 for retired/free ids).
-    pub(crate) chunk_sizes: Arc<Vec<usize>>,
-    /// Per chunk slot: generation whose publish last rewrote the
-    /// chunk's backend map.
-    pub(crate) map_gen: Arc<Vec<u64>>,
-    /// Chunk ids retired by compaction: their backend keys are
-    /// deleted (or deferred) and no projection references them.
-    pub(crate) retired: Arc<FxHashSet<u32>>,
-    /// Retired ids whose slots were reclaimed; reused by later
-    /// flushes before fresh ids are minted.
-    pub(crate) free: Arc<FxHashSet<u32>>,
+    /// The slot table (authoritative), indexed by chunk id and shared
+    /// with the published snapshot.
+    pub(crate) slots: Arc<Vec<Slot>>,
     /// Records per version (snapshot view of the contents widths).
     pub(crate) record_counts: Arc<Vec<usize>>,
     /// Per version: sorted `(pk, origin)` pairs (writer-only).
     pub(crate) contents: Vec<Vec<(PrimaryKey, VersionId)>>,
     /// Composite key → (chunk, chunk-local ordinal) (writer-only).
     pub(crate) locator: FxHashMap<CompositeKey, (u32, u32)>,
-    /// In-memory chunk maps (authoritative), indexed by chunk id and
-    /// shared with the published snapshot; retired ids keep an empty
-    /// tombstone map until a reclamation pass frees or truncates the
-    /// slot.
-    pub(crate) chunk_maps: Arc<Vec<Arc<ChunkMap>>>,
-    /// Per chunk slot: how many of the map's entries its stored base
-    /// map (`cmaps/<id>`) holds — the rest were logged by later
-    /// generations, and a checkpoint carries exactly those.
-    pub(crate) map_base: Vec<usize>,
     /// Bytes the live chunk maps keep resident.
     pub(crate) resident_map_bytes: usize,
     /// The delta store: commits awaiting a partitioning pass, the
@@ -753,8 +751,6 @@ pub(crate) struct StoreMut {
     /// resumable queue budgeted incremental slices drain across
     /// calls.
     pub(crate) victim_queue: Vec<u32>,
-    /// Retired-chunk reclamation waiting for old pins to drain.
-    pub(crate) deferred: Vec<DeferredReclaim>,
 }
 
 impl StoreMut {
@@ -763,15 +759,10 @@ impl StoreMut {
             generation: 1,
             graph: Arc::new(VersionGraph::new()),
             projections: Arc::new(Projections::new()),
-            chunk_sizes: Arc::new(Vec::new()),
-            map_gen: Arc::new(Vec::new()),
-            retired: Arc::new(FxHashSet::default()),
-            free: Arc::new(FxHashSet::default()),
+            slots: Arc::new(Vec::new()),
             record_counts: Arc::new(Vec::new()),
             contents: Vec::new(),
             locator: FxHashMap::default(),
-            chunk_maps: Arc::new(Vec::new()),
-            map_base: Vec::new(),
             resident_map_bytes: 0,
             pending: Vec::new(),
             flushed_versions: 0,
@@ -780,7 +771,6 @@ impl StoreMut {
             last_compaction: None,
             last_compaction_error: None,
             victim_queue: Vec::new(),
-            deferred: Vec::new(),
         }
     }
 
@@ -789,52 +779,55 @@ impl StoreMut {
             generation: self.generation,
             graph: Arc::clone(&self.graph),
             projections: Arc::clone(&self.projections),
-            chunk_sizes: Arc::clone(&self.chunk_sizes),
-            map_gen: Arc::clone(&self.map_gen),
-            chunk_maps: Arc::clone(&self.chunk_maps),
-            retired: Arc::clone(&self.retired),
-            free: Arc::clone(&self.free),
+            slots: Arc::clone(&self.slots),
             record_counts: Arc::clone(&self.record_counts),
             placed_records: self.locator.len(),
             resident_map_bytes: self.resident_map_bytes,
         }
     }
 
-    /// Resizes the per-slot tables to `slots` chunk ids; new slots hold
-    /// empty tombstones until a generation fills them, and the slots a
-    /// shrink drops are freed tombstones already.
-    pub(crate) fn resize_chunk_slots(&mut self, slots: usize) {
-        Arc::make_mut(&mut self.chunk_maps).resize(slots, Arc::default());
-        self.map_base.resize(slots, 0);
-        Arc::make_mut(&mut self.chunk_sizes).resize(slots, 0);
-        Arc::make_mut(&mut self.map_gen).resize(slots, 0);
+    /// Replaces slot `c` whole, keeping the resident-bytes gauge.
+    pub(crate) fn set_slot(&mut self, c: u32, slot: Slot) {
+        let old = std::mem::replace(&mut Arc::make_mut(&mut self.slots)[c as usize], slot);
+        self.resident_map_bytes -= old.map.resident_bytes();
+        self.resident_map_bytes += self.slots[c as usize].map.resident_bytes();
     }
 
-    /// Installs `map` as slot `c`'s chunk map, `base_entries` of whose
-    /// entries its stored base map holds.
-    pub(crate) fn set_chunk_map(&mut self, c: u32, map: Arc<ChunkMap>, base_entries: usize) {
-        let slot = &mut Arc::make_mut(&mut self.chunk_maps)[c as usize];
-        self.resident_map_bytes -= slot.resident_bytes();
+    /// Installs `map` as live slot `c`'s chunk map, `base_entries` of
+    /// whose entries its stored base map holds, stamped `map_gen`.
+    pub(crate) fn set_chunk_map(
+        &mut self,
+        c: u32,
+        map: Arc<ChunkMap>,
+        base_entries: usize,
+        map_gen: u64,
+    ) {
+        let slot = &mut Arc::make_mut(&mut self.slots)[c as usize];
+        self.resident_map_bytes -= slot.map.resident_bytes();
         self.resident_map_bytes += map.resident_bytes();
-        *slot = map;
-        self.map_base[c as usize] = base_entries;
+        (slot.map, slot.base_entries, slot.map_gen) = (map, base_entries, map_gen);
     }
 
-    /// Appends a generation's entries to slot `c`'s map. The map grows
-    /// copy-on-write — a new segment on a copy that shares every older
-    /// one — so the snapshots published so far keep the map they have.
-    pub(crate) fn append_chunk_map(&mut self, c: u32, entries: Vec<(VersionId, Bitmap)>) {
-        let map = &mut Arc::make_mut(&mut self.chunk_maps)[c as usize];
-        let before = map.resident_bytes();
-        Arc::make_mut(map).push_segment(entries);
-        self.resident_map_bytes += map.resident_bytes() - before;
+    /// Appends a generation's entries to slot `c`'s map, stamped
+    /// `map_gen`. The map grows copy-on-write — a new segment on a copy
+    /// that shares every older one — so the snapshots published so far
+    /// keep the map they have.
+    pub(crate) fn append_chunk_map(
+        &mut self,
+        c: u32,
+        entries: Vec<(VersionId, Bitmap)>,
+        map_gen: u64,
+    ) {
+        let slot = &mut Arc::make_mut(&mut self.slots)[c as usize];
+        let before = slot.map.resident_bytes();
+        Arc::make_mut(&mut slot.map).push_segment(entries);
+        slot.map_gen = map_gen;
+        self.resident_map_bytes += slot.map.resident_bytes() - before;
     }
 
-    /// Live chunk ids (neither retired nor freed), ascending.
+    /// Live chunk ids, ascending.
     pub(crate) fn live_chunk_ids(&self) -> Vec<u32> {
-        (0..self.chunk_maps.len() as u32)
-            .filter(|c| !self.retired.contains(c) && !self.free.contains(c))
-            .collect()
+        live_ids(&self.slots)
     }
 }
 
@@ -991,7 +984,7 @@ impl RStore {
     /// Total chunk id slots, live or not — the quantity the
     /// bounded-memory reclamation test watches.
     pub fn chunk_slot_count(&self) -> usize {
-        self.snapshot().chunk_sizes.len()
+        self.snapshot().slots.len()
     }
 
     /// Live chunk ids in ascending order. After a compaction the live
@@ -1003,7 +996,8 @@ impl RStore {
 
     /// Chunk ids retired by past compactions, not yet reclaimed.
     pub fn retired_chunk_count(&self) -> usize {
-        self.snapshot().retired.len()
+        let snap = self.snapshot();
+        snap.slots.iter().filter(|s| matches!(s.state, SlotState::Retired { .. })).count()
     }
 
     /// The published snapshot generation (bumped by every mutator
@@ -1017,9 +1011,12 @@ impl RStore {
         self.pins.count()
     }
 
-    /// Deferred-reclamation batches waiting for old pins to drain.
+    /// Retired chunks whose backend keys still wait for a drain (behind
+    /// old pins, or reopened since their retirement).
     pub fn reclaim_backlog(&self) -> usize {
-        self.state.lock().unwrap().deferred.len()
+        let st = self.state.lock().unwrap();
+        let pending = |s: &&Slot| matches!(s.state, SlotState::Retired { keys_pending: true, .. });
+        st.slots.iter().filter(pending).count()
     }
 
     /// Report of the most recent [`RStore::compact`] run (explicit or
@@ -1075,7 +1072,7 @@ impl RStore {
 
     /// Total compressed chunk bytes (storage-cost proxy, §2.5).
     pub fn storage_bytes(&self) -> usize {
-        self.snapshot().chunk_sizes.iter().sum()
+        self.snapshot().slots.iter().map(|s| s.bytes).sum()
     }
 
     /// Bytes the live chunk maps keep resident (one uncompressed
@@ -1167,7 +1164,7 @@ impl RStore {
         self.record_ingest_stages(&stages);
 
         Ok(LoadReport {
-            num_chunks: st.chunk_maps.len(),
+            num_chunks: st.slots.len(),
             num_records: record_store.len(),
             num_subchunks,
             total_version_span: st.projections.total_version_span(),
@@ -1206,7 +1203,7 @@ impl RStore {
         for (&c, dc) in live.iter().zip(fetched.into_chunks()) {
             // A blob of another size is another generation's, left
             // under a reused id.
-            let (stored, logged) = (dc.chunk.compressed_bytes(), st.chunk_sizes[c as usize]);
+            let (stored, logged) = (dc.chunk.compressed_bytes(), st.slots[c as usize].bytes);
             if stored != logged {
                 return Err(CoreError::Codec(format!(
                     "chunk {c} is {stored} bytes, its generation record says {logged}"
@@ -1472,8 +1469,8 @@ impl RStore {
         // looks.
         let flushed = batch.iter().map(|&(v, _)| ingest::delta_key(v)).collect();
         let _ = self.cluster.multi_delete_scatter(flushed);
-        // Piggyback any deferred reclamation whose old pins drained.
-        self.drain_deferred(st);
+        // Piggyback any retired keys whose old pins drained.
+        self.drain_retired(st);
         self.record_ingest_stages(&report.stages);
         let r = self.obs.registry();
         r.flushes.inc();
@@ -1546,7 +1543,7 @@ impl RStore {
             versions: batch.len(),
             new_records: records.len(),
             new_chunks: committed.new_chunks,
-            maps_rewritten: committed.maps_appended,
+            maps_appended: committed.maps_appended,
             record_bytes: committed.record_bytes,
             stages: committed.stages,
         })
@@ -1568,80 +1565,79 @@ impl RStore {
         Ok(report)
     }
 
-    /// Drains every deferred-reclamation batch whose retiring
-    /// generation is no longer protected by an older pin: the
-    /// victims' cache entries drop and their backend keys delete —
-    /// off a mutator's (or explicit reclaim pass's) thread, never a
-    /// reader's. Returns `(batches drained, keys deleted)`.
-    pub(crate) fn drain_deferred(&self, st: &mut StoreMut) -> (usize, usize) {
-        if st.deferred.is_empty() {
-            return (0, 0);
-        }
+    /// The one path retired chunks' backend keys leave by: one batched
+    /// delete of the blob and base map of every retired slot whose keys
+    /// are pending and whose retiring generation no pin predates, plus
+    /// a drop of their cache entries — off a mutator's (or explicit
+    /// reclaim pass's) thread, never a reader's. A compaction slice
+    /// calls it right after its commit; the flush tail and
+    /// [`RStore::reclaim`] call it for what old pins held back.
+    /// Best-effort and once per process: a failed delete leaves orphan
+    /// keys no metadata references — harmless, like a crash between a
+    /// commit point and its cleanup — and the slot stops waiting on
+    /// them.
+    pub(crate) fn drain_retired(&self, st: &mut StoreMut) -> Drained {
         let oldest = self.pins.oldest();
-        let mut drained = 0usize;
-        let mut keys_deleted = 0usize;
-        let mut keep = Vec::new();
-        for d in st.deferred.drain(..) {
-            if oldest.is_some_and(|o| o < d.publish_gen) {
-                keep.push(d);
-                continue;
-            }
-            let DeferredReclaim { chunk_ids, keys, .. } = d;
-            for c in chunk_ids {
-                self.cache.invalidate(c);
-            }
-            if !keys.is_empty() {
-                keys_deleted += keys.len();
-                // Best-effort: a failed delete leaves orphan blobs no
-                // metadata references — harmless, like a crash
-                // between the meta commit point and the cleanup.
-                let _ = self.cluster.multi_delete_scatter(keys);
-            }
-            drained += 1;
+        let due: Vec<u32> = (0..st.slots.len() as u32)
+            .filter(|&c| match st.slots[c as usize].state {
+                SlotState::Retired { at, keys_pending: true } => oldest.is_none_or(|o| o >= at),
+                _ => false,
+            })
+            .collect();
+        if due.is_empty() {
+            return Drained::default();
         }
-        st.deferred = keep;
-        (drained, keys_deleted)
+        let slots = Arc::make_mut(&mut st.slots);
+        let mut keys = Vec::with_capacity(2 * due.len());
+        for &c in &due {
+            if let SlotState::Retired { keys_pending, .. } = &mut slots[c as usize].state {
+                *keys_pending = false;
+            }
+            self.cache.invalidate(c);
+            let id = ChunkId(c).to_key();
+            keys.extend([table_key(CHUNK_TABLE, &id), table_key(CMAP_TABLE, &id)]);
+        }
+        let (modeled, removed, failed) = match self.cluster.multi_delete_scatter(keys) {
+            Ok((modeled, removed)) => (modeled, removed, false),
+            Err(_) => (Duration::ZERO, 0, true),
+        };
+        Drained {
+            chunks: due.len(),
+            removed,
+            modeled,
+            failed,
+        }
     }
 
     /// Explicit reclamation pass — Phase B of the retire protocol.
-    /// Drains eligible deferred deletions, moves unblocked retired
-    /// ids to the reusable free list, and truncates trailing free
-    /// slots outright, so `chunk_maps` tombstones do not accumulate
-    /// without bound across thousands of compactions. The slot edits
-    /// are one generation: a commit record, then the same edits applied
-    /// and published — a pass that fails leaves the slots as they were.
+    /// Drains what old pins held back, moves drained retired slots to
+    /// the reusable free list, and truncates trailing free slots
+    /// outright, so tombstones do not accumulate without bound across
+    /// thousands of compactions. The slot edits are one generation: a
+    /// commit record, then the same edits applied and published — a
+    /// pass that fails leaves the slots as they were.
     pub fn reclaim(&self) -> Result<ReclaimReport, CoreError> {
         let mut guard = self.state.lock().unwrap();
         let st = &mut *guard;
-        let (deferred_drained, keys_deleted) = self.drain_deferred(st);
-        // A retired id still referenced by a deferred batch keeps its
+        let drained = self.drain_retired(st);
+        // A retired slot whose keys are still pending keeps its
         // tombstone: freeing it for reuse before its old keys are
         // deleted could let a pinned reader fetch a mix of old and
         // new blobs under one id.
-        let blocked: FxHashSet<u32> = st
-            .deferred
-            .iter()
-            .flat_map(|d| d.chunk_ids.iter().copied())
+        let drained_retired =
+            |s: &Slot| matches!(s.state, SlotState::Retired { keys_pending: false, .. });
+        let freed: Vec<u32> = (0..st.slots.len() as u32)
+            .filter(|&c| drained_retired(&st.slots[c as usize]))
             .collect();
-        let mut freed: Vec<u32> = st
-            .retired
-            .iter()
-            .copied()
-            .filter(|c| !blocked.contains(c))
-            .collect();
-        freed.sort_unstable();
         // Trailing freed slots shrink the id space outright instead
         // of waiting as reusable tombstones.
-        let mut chunk_slots = st.chunk_maps.len();
-        while let Some(last) = chunk_slots.checked_sub(1) {
-            let last = last as u32;
-            if !st.free.contains(&last) && freed.binary_search(&last).is_err() {
-                break;
-            }
-            chunk_slots -= 1;
-        }
+        let chunk_slots = st
+            .slots
+            .iter()
+            .rposition(|s| s.state != SlotState::Free && !drained_retired(s))
+            .map_or(0, |last| last + 1);
         let slots_reclaimed = freed.len();
-        let slots_truncated = st.chunk_maps.len() - chunk_slots;
+        let slots_truncated = st.slots.len() - chunk_slots;
         if slots_reclaimed > 0 || slots_truncated > 0 {
             let record = GenerationRecord {
                 seq: st.log.seq + 1,
@@ -1658,8 +1654,8 @@ impl RStore {
         let reclaimed = (slots_reclaimed + slots_truncated) as u64;
         self.obs.registry().reclaimed_chunk_slots.add(reclaimed);
         Ok(ReclaimReport {
-            deferred_drained,
-            keys_deleted,
+            deferred_drained: drained.chunks,
+            keys_deleted: drained.removed,
             slots_reclaimed,
             slots_truncated,
         })

@@ -101,26 +101,15 @@ impl SubchunkPlan {
         self.groups.len()
     }
 
-    /// Builds the compressed [`SubChunk`] for every group, serially
-    /// (the reference path; see
-    /// [`SubchunkPlan::materialize_parallel`]).
+    /// Builds the compressed [`SubChunk`] for every group, in group
+    /// order (the ingest pipeline's own encode fans out across cores).
     pub fn materialize(&self, store: &RecordStore) -> Vec<SubChunk> {
-        self.materialize_parallel(store, 1)
-    }
-
-    /// Builds the compressed [`SubChunk`] for every group, spreading
-    /// the delta-encode + LZ work — the single hottest ingest loop —
-    /// across `workers` scoped threads. Groups are independent, so the
-    /// result is byte-identical to [`SubchunkPlan::materialize`]:
-    /// contiguous shards keep the output in group order.
-    pub fn materialize_parallel(&self, store: &RecordStore, workers: usize) -> Vec<SubChunk> {
-        crate::plan::parallel_map(&self.groups, workers, |members| {
-            let records: Vec<(CompositeKey, &[u8])> = members
-                .iter()
-                .map(|&o| (store.key(o), store.payload(o)))
-                .collect();
+        let build = |members: &Vec<u32>| {
+            let records: Vec<(CompositeKey, &[u8])> =
+                members.iter().map(|&o| (store.key(o), store.payload(o))).collect();
             SubChunk::build(&records)
-        })
+        };
+        self.groups.iter().map(build).collect()
     }
 
     /// The transformed version→items relation: a group belongs to a
@@ -284,18 +273,6 @@ mod tests {
             sizes[1] < sizes[0] && sizes[2] <= sizes[1],
             "compression did not improve with k: {sizes:?}"
         );
-    }
-
-    #[test]
-    fn parallel_materialize_matches_serial() {
-        for k in [1usize, 4] {
-            let (_, store, plan) = build(8, k);
-            let serial = plan.materialize(&store);
-            for workers in [1usize, 2, 3, 8, 64] {
-                let parallel = plan.materialize_parallel(&store, workers);
-                assert_eq!(parallel, serial, "workers={workers} k={k}");
-            }
-        }
     }
 
     #[test]

@@ -545,8 +545,11 @@ fn run_history(seed: u64, steps: usize, batch: usize, k: usize, slice: usize) {
                 assert_eq!(store.compact().unwrap().map(|r| (r.victims, r.new_chunks, r.slices)), did);
             }
             88..92 => {
-                twin.reclaim().unwrap();
-                store.reclaim().unwrap();
+                // No pin blocks it: every retired slot drains and frees.
+                for s in [&twin, &store] {
+                    s.reclaim().unwrap();
+                    assert_eq!((s.reclaim_backlog(), s.retired_chunk_count()), (0, 0));
+                }
             }
             _ => {
                 // Restart, unflushed commits and all: the delta store
@@ -569,6 +572,12 @@ fn run_history(seed: u64, steps: usize, batch: usize, k: usize, slice: usize) {
             }
         }
         check_index(&store);
+        for s in [&twin, &store] {
+            // Every slot is live, retired or free — exactly one.
+            let (live, retired) = (s.chunk_count(), s.retired_chunk_count());
+            let free = s.fragmentation_stats().reclaimed_chunks;
+            assert_eq!(live + retired + free, s.chunk_slot_count());
+        }
         if !model.is_empty() {
             assert_eq!(store.persisted_index().ok(), twin.persisted_index().ok());
             assert_eq!(store.commit_log_keys(), twin.commit_log_keys());

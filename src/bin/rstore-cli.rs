@@ -276,7 +276,7 @@ fn run() -> Result<(), CoreError> {
             let flush = store.seal()?;
             println!(
                 "committed {v} (parent {parent}): {} new chunk(s), {} older chunk map(s) appended to, commit record {} B",
-                flush.new_chunks, flush.maps_rewritten, flush.record_bytes
+                flush.new_chunks, flush.maps_appended, flush.record_bytes
             );
         }
         "checkout" => {

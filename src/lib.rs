@@ -67,7 +67,6 @@ pub mod prelude {
     pub use rstore_core::{
         cost::{CostModel, StrategyCosts},
         model::{CompositeKey, PrimaryKey, Record, VersionId},
-        online::OnlineConfig,
         partition::{Partitioner, PartitionerKind},
         query::QueryStats,
         server::{ApplicationServer, BranchName},

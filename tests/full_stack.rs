@@ -534,6 +534,74 @@ fn one_history_reaches_the_generation_writer_from_every_entry_point() {
 }
 
 #[test]
+fn a_restart_before_the_deferred_drain_leaks_no_retired_keys() {
+    // A compaction under a pinned reader defers its victims' deletes.
+    // The process then goes — plan dropped, no flush, no reclaim — so
+    // nothing drained them. The reopened store still owes those
+    // deletes: its reclaim pass must remove every victim's blob and
+    // base map from every node before it frees the slots.
+    use rstore::core::compact::CompactionConfig;
+    use rstore::core::online::replay_commits;
+    use rstore::core::store::{CHUNK_TABLE, CMAP_TABLE};
+    use rstore::kvstore::table_key;
+    let dir = std::env::temp_dir().join(format!("rstore-fullstack-drain-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let mut spec = DatasetSpec::tiny(9031);
+    spec.num_versions = 40;
+    spec.root_records = 50;
+    spec.update_frac = 0.3;
+    spec.record_size = 100;
+    let dataset = spec.generate();
+    const NODES: usize = 3;
+    let make_cluster = || {
+        Cluster::builder()
+            .nodes(NODES)
+            .replication(2)
+            .engine(rstore::kvstore::EngineKind::Log { dir: dir.clone() })
+            .build()
+    };
+
+    let (config, victims) = {
+        let store = RStore::builder()
+            .chunk_capacity(2048)
+            .batch_size(3)
+            .compaction(CompactionConfig {
+                min_fill: 1.1,
+                ..CompactionConfig::default()
+            })
+            .build(make_cluster());
+        replay_commits(&store, &dataset).unwrap();
+        let live_before = store.live_chunk_ids();
+        let plan = store.plan_query(QuerySpec::Version(VersionId(0))).unwrap();
+        let report = store.compact().unwrap().expect("small batches fragment the layout");
+        assert_eq!(report.keys_deleted, 0, "the pin must defer the deletes");
+        assert!(store.reclaim_backlog() > 0);
+        let live = store.live_chunk_ids();
+        let victims: Vec<u32> = live_before.into_iter().filter(|c| !live.contains(c)).collect();
+        assert_eq!(victims.len(), report.victims);
+        drop(plan);
+        (*store.config(), victims)
+    };
+
+    let store = RStore::reopen(config, make_cluster()).unwrap();
+    assert_eq!(store.retired_chunk_count(), victims.len());
+    let reclaimed = store.reclaim().unwrap();
+    for node in 0..NODES {
+        for &c in &victims {
+            let keys = [CHUNK_TABLE, CMAP_TABLE].map(|table| table_key(table, &c.to_be_bytes()));
+            let held = store.cluster().fetch_from(node, keys.to_vec()).unwrap().values;
+            assert_eq!(held, [None, None], "node {node} still holds retired chunk {c}'s keys");
+        }
+    }
+    assert_eq!(reclaimed.deferred_drained, victims.len());
+    assert_eq!((store.reclaim_backlog(), store.retired_chunk_count()), (0, 0));
+    check_against_oracle(&store, &dataset);
+    drop(store);
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+#[test]
 fn acknowledged_commits_survive_a_restart_without_a_flush() {
     // The delta store is what makes a commit durable before its flush:
     // three commits, no flush, the process gone — the reopened store
