@@ -9,9 +9,14 @@
 //! The codec is a greedy block-copy diff: the encoder indexes the base
 //! by 8-byte anchors and emits a stream of
 //! `COPY{base_offset, len}` / `INSERT{bytes}` ops, each varint-framed.
+//! The anchor table (64 KB) is a per-thread scratch reused across
+//! calls — records are a few hundred bytes, so allocating and filling
+//! it per call used to cost more than the diff — and the output is a
+//! function of the inputs alone.
 
 use crate::error::CodecError;
 use crate::varint;
+use std::cell::RefCell;
 
 const COPY_TAG: u8 = 0x00;
 const INSERT_TAG: u8 = 0x01;
@@ -22,6 +27,40 @@ const ANCHOR: usize = 8;
 const MIN_COPY: usize = 8;
 /// Hash-table slots (power of two).
 const SLOTS: usize = 1 << 14;
+
+/// The anchor table, kept per thread and reused by every [`diff`] call
+/// on it — the same scheme as `lz`'s match-finder scratch.
+///
+/// Slots hold `base + position + 1`; `base` moves past each base
+/// record once it is indexed, so everything an earlier call stored
+/// compares `<= base` and reads as empty. The table is therefore never
+/// cleared between calls — only when `base` would overflow `u32`.
+struct Scratch {
+    /// `table[h]`: first base position whose anchor hashes to `h`.
+    table: Vec<u32>,
+    base: u32,
+}
+
+impl Scratch {
+    /// Makes every slot read as empty for a base record of `len`
+    /// bytes and returns the base its positions are stored against.
+    fn begin(&mut self, len: usize) -> u32 {
+        if u64::from(self.base) + len as u64 >= u64::from(u32::MAX) {
+            self.table.fill(0);
+            self.base = 0;
+        }
+        let base = self.base;
+        self.base = u32::try_from(u64::from(base) + len as u64).unwrap_or(u32::MAX);
+        base
+    }
+}
+
+thread_local! {
+    static SCRATCH: RefCell<Scratch> = RefCell::new(Scratch {
+        table: vec![0; SLOTS],
+        base: 0,
+    });
+}
 
 /// One operation of a decoded delta, exposed for tests and tooling.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -60,25 +99,36 @@ pub fn diff(base: &[u8], target: &[u8]) -> Vec<u8> {
         return out;
     }
 
-    // Index base positions by their 8-byte anchor. First writer wins:
-    // on repetitive content the earliest occurrence admits the longest
-    // forward extension. Collisions are verified byte-for-byte below.
-    let mut table = vec![u32::MAX; SLOTS];
-    let mut i = 0;
-    while i + ANCHOR <= base.len() {
-        let h = hash8(&base[i..]);
-        if table[h] == u32::MAX {
-            table[h] = i as u32;
+    SCRATCH.with(|scratch| {
+        let scratch = &mut *scratch.borrow_mut();
+        let offset = scratch.begin(base.len());
+        let table = &mut scratch.table;
+        // Index base positions by their 8-byte anchor. First writer
+        // wins: on repetitive content the earliest occurrence admits
+        // the longest forward extension. Collisions are verified
+        // byte-for-byte below.
+        let mut i = 0;
+        while i + ANCHOR <= base.len() {
+            let h = hash8(&base[i..]);
+            if table[h] <= offset {
+                table[h] = offset.wrapping_add(i as u32).wrapping_add(1);
+            }
+            i += 1;
         }
-        i += 1;
-    }
+        push_ops(base, target, table, offset, &mut out);
+    });
+    out
+}
 
+/// The greedy match loop over an anchor table of `base` whose live
+/// slots are those above `offset`.
+fn push_ops(base: &[u8], target: &[u8], table: &[u32], offset: u32, out: &mut Vec<u8>) {
     let mut lit_start = 0usize;
     let mut t = 0usize;
     while t + ANCHOR <= target.len() {
         let slot = table[hash8(&target[t..])];
-        if slot != u32::MAX {
-            let b = slot as usize;
+        if slot > offset {
+            let b = (slot - offset - 1) as usize;
             // Extend the match forwards.
             let mut len = 0usize;
             let max = (base.len() - b).min(target.len() - t);
@@ -95,10 +145,10 @@ pub fn diff(base: &[u8], target: &[u8]) -> Vec<u8> {
                     back += 1;
                 }
                 let (b, t2, len) = (b - back, t - back, len + back);
-                push_insert(&mut out, &target[lit_start..t2]);
+                push_insert(out, &target[lit_start..t2]);
                 out.push(COPY_TAG);
-                varint::write_u64(&mut out, b as u64);
-                varint::write_u64(&mut out, len as u64);
+                varint::write_u64(out, b as u64);
+                varint::write_u64(out, len as u64);
                 t = t2 + len;
                 lit_start = t;
                 continue;
@@ -106,8 +156,7 @@ pub fn diff(base: &[u8], target: &[u8]) -> Vec<u8> {
         }
         t += 1;
     }
-    push_insert(&mut out, &target[lit_start..]);
-    out
+    push_insert(out, &target[lit_start..]);
 }
 
 fn push_insert(out: &mut Vec<u8>, bytes: &[u8]) {
@@ -195,6 +244,184 @@ pub fn parse_ops(delta: &[u8]) -> Result<Vec<DeltaOp>, CodecError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The pre-scratch `diff`, verbatim — anchor table allocated and
+    /// filled per call: the byte-identity oracle for [`diff`].
+    fn diff_reference(base: &[u8], target: &[u8]) -> Vec<u8> {
+        let mut out = Vec::with_capacity(32);
+        varint::write_u64(&mut out, target.len() as u64);
+        if target.is_empty() {
+            return out;
+        }
+        if base.len() < ANCHOR {
+            push_insert(&mut out, target);
+            return out;
+        }
+        let mut table = vec![u32::MAX; SLOTS];
+        let mut i = 0;
+        while i + ANCHOR <= base.len() {
+            let h = hash8(&base[i..]);
+            if table[h] == u32::MAX {
+                table[h] = i as u32;
+            }
+            i += 1;
+        }
+        let mut lit_start = 0usize;
+        let mut t = 0usize;
+        while t + ANCHOR <= target.len() {
+            let slot = table[hash8(&target[t..])];
+            if slot != u32::MAX {
+                let b = slot as usize;
+                let mut len = 0usize;
+                let max = (base.len() - b).min(target.len() - t);
+                while len < max && base[b + len] == target[t + len] {
+                    len += 1;
+                }
+                if len >= MIN_COPY {
+                    let mut back = 0usize;
+                    while back < t - lit_start
+                        && back < b
+                        && base[b - back - 1] == target[t - back - 1]
+                    {
+                        back += 1;
+                    }
+                    let (b, t2, len) = (b - back, t - back, len + back);
+                    push_insert(&mut out, &target[lit_start..t2]);
+                    out.push(COPY_TAG);
+                    varint::write_u64(&mut out, b as u64);
+                    varint::write_u64(&mut out, len as u64);
+                    t = t2 + len;
+                    lit_start = t;
+                    continue;
+                }
+            }
+            t += 1;
+        }
+        push_insert(&mut out, &target[lit_start..]);
+        out
+    }
+
+    /// Bytes from a small alphabet (`random` false: long anchor
+    /// collisions and repeats) or a full one.
+    fn bytes(seed: u64, len: usize, random: bool) -> Vec<u8> {
+        let mut state = seed | 1;
+        (0..len)
+            .map(|_| {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                if random {
+                    (state >> 33) as u8
+                } else {
+                    b'a' + ((state >> 33) % 5) as u8
+                }
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Any sequence of diffs on one thread's scratch — bases up to
+        /// 40 KB, so some fill most of the table, and targets mutated
+        /// from their base or unrelated — produces exactly what the
+        /// per-call-table reference produces for each pair alone.
+        #[test]
+        fn scratch_reuse_matches_reference(
+            pairs in prop::collection::vec(
+                (any::<u64>(), 0usize..40_000, any::<bool>(), 0usize..64, any::<bool>()),
+                1..6,
+            ),
+        ) {
+            for (seed, len, random, edits, related) in pairs {
+                let base = bytes(seed, len, random);
+                let target = if related {
+                    let mut t = base.clone();
+                    for e in 0..edits.min(t.len()) {
+                        let at = (seed as usize).wrapping_add(e * 7919) % t.len();
+                        t[at] ^= 0x5a;
+                    }
+                    t.extend_from_slice(&bytes(seed ^ 1, edits, random));
+                    t
+                } else {
+                    bytes(seed ^ 2, len / 2 + edits, random)
+                };
+                let got = diff(&base, &target);
+                prop_assert_eq!(&got, &diff_reference(&base, &target));
+                prop_assert_eq!(apply_delta(&base, &got).unwrap(), target);
+            }
+        }
+    }
+
+    #[test]
+    fn output_ignores_what_the_thread_diffed_before() {
+        let (big, small) = (bytes(3, 30_000, false), bytes(4, 600, true));
+        let mut edited = small.clone();
+        for at in (10..600).step_by(50) {
+            edited[at] ^= 1;
+        }
+        let fresh = std::thread::spawn({
+            let (small, edited) = (small.clone(), edited.clone());
+            move || diff(&small, &edited)
+        })
+        .join()
+        .unwrap();
+        let first = diff(&small, &edited);
+        diff(&big, &small);
+        assert_eq!(diff(&small, &edited), first);
+        assert_eq!(first, fresh);
+        assert_eq!(first, diff_reference(&small, &edited));
+    }
+
+    /// Test hook: puts this thread's scratch where a long history of
+    /// diffs would have left it — `base` advanced, every slot holding
+    /// some stale value at or below it (the newest possible included).
+    fn set_scratch_base(base: u32) {
+        SCRATCH.with(|s| {
+            let s = &mut *s.borrow_mut();
+            s.base = base;
+            let mut state = u64::from(base) | 1;
+            for slot in &mut s.table {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+                *slot = match state >> 62 {
+                    0 => base,
+                    1 => 0,
+                    _ => ((state >> 16) % (u64::from(base) + 1)) as u32,
+                };
+            }
+        });
+    }
+
+    fn scratch_base() -> u32 {
+        SCRATCH.with(|s| s.borrow().base)
+    }
+
+    #[test]
+    fn base_overflow_resets_the_table() {
+        let base = bytes(5, 5000, false);
+        let mut target = base.clone();
+        for at in (7..5000).step_by(97) {
+            target[at] ^= 0x33;
+        }
+        let expected = diff_reference(&base, &target);
+        // Stale slots that cannot all sit below the next base record:
+        // `begin` must clear and restart from zero instead of wrapping
+        // them live.
+        set_scratch_base(u32::MAX - 100);
+        assert_eq!(diff(&base, &target), expected);
+        assert_eq!(scratch_base(), 5000, "table restarted at zero");
+        // The record that exactly fills the range still resets (slots
+        // are position + 1), the one just below it does not.
+        set_scratch_base(u32::MAX - 5000);
+        assert_eq!(diff(&base, &target), expected);
+        assert_eq!(scratch_base(), 5000);
+        set_scratch_base(u32::MAX - 5001);
+        assert_eq!(diff(&base, &target), expected);
+        assert_eq!(scratch_base(), u32::MAX - 1);
+        assert_eq!(diff(&base, &target), expected);
+        assert_eq!(scratch_base(), 5000);
+    }
 
     fn roundtrip(base: &[u8], target: &[u8]) -> usize {
         let d = diff(base, target);

@@ -140,27 +140,6 @@ impl SubChunk {
         }
         Ok(out)
     }
-
-    /// Decompresses only the member at `index` (applies the delta
-    /// chain up to it).
-    pub fn decode_member(&self, index: usize) -> Result<Vec<u8>, CoreError> {
-        if index >= self.members.len() {
-            return Err(CoreError::Codec(format!(
-                "member index {index} out of range {}",
-                self.members.len()
-            )));
-        }
-        let inner = lz::decompress(&self.payload)?;
-        let mut r = varint::VarintReader::new(&inner);
-        let rep_len = r.read_u64()? as usize;
-        let mut cur = r.read_bytes(rep_len)?.to_vec();
-        for _ in 0..index {
-            let delta_len = r.read_u64()? as usize;
-            let delta = r.read_bytes(delta_len)?;
-            cur = apply_delta(&cur, delta)?;
-        }
-        Ok(cur)
-    }
 }
 
 /// A chunk: an ordered list of sub-chunks stored under one backend key.
@@ -279,7 +258,7 @@ mod tests {
         let sc = SubChunk::build(&[(ck(1, 0), &payload)]);
         assert_eq!(sc.len(), 1);
         assert_eq!(sc.decode().unwrap(), vec![payload.clone()]);
-        assert_eq!(sc.decode_member(0).unwrap(), payload);
+        assert_eq!(sc.decode_uncached().unwrap(), vec![payload.clone()]);
         assert_eq!(sc.raw_bytes, payload.len());
     }
 
@@ -293,9 +272,8 @@ mod tests {
             .collect();
         let sc = SubChunk::build(&records);
         assert_eq!(sc.decode().unwrap(), payloads);
-        for (i, p) in payloads.iter().enumerate() {
-            assert_eq!(&sc.decode_member(i).unwrap(), p);
-        }
+        // The memo holds what a fresh decode produces.
+        assert_eq!(sc.decode_uncached().unwrap(), sc.decode().unwrap());
     }
 
     #[test]
@@ -316,10 +294,22 @@ mod tests {
     }
 
     #[test]
-    fn decode_member_out_of_range() {
-        let payload = vec![1u8; 10];
-        let sc = SubChunk::build(&[(ck(1, 0), &payload)]);
-        assert!(sc.decode_member(5).is_err());
+    fn decode_rejects_a_damaged_payload() {
+        let payloads = similar_payloads(3, 100);
+        let records: Vec<(CompositeKey, &[u8])> = payloads
+            .iter()
+            .enumerate()
+            .map(|(i, p)| (ck(1, i as u32), p.as_slice()))
+            .collect();
+        // A bad tag on the first LZ token, right after the length.
+        let mut sc = SubChunk::build(&records);
+        let (_, header) = varint::read_u64(&sc.payload).unwrap();
+        sc.payload[header] = 0x77;
+        assert!(matches!(sc.decode(), Err(CoreError::Codec(_))));
+        // One member fewer than the payload holds: trailing bytes.
+        let mut sc = SubChunk::build(&records);
+        sc.members.pop();
+        assert!(matches!(sc.decode(), Err(CoreError::Codec(_))));
     }
 
     #[test]

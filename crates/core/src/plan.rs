@@ -20,16 +20,24 @@
 //!    with the chunk's map **from the pinned snapshot** (chunk maps are
 //!    never fetched: every generation publishes them decoded, and a
 //!    reader pinned at generation `g` extracts with `g`'s maps even
-//!    after a compaction retired the chunk), admit the pair to the
-//!    cache — and *return* one `BatchOutcome`: the node, its modeled
-//!    nanos, bytes, in-place retries, chunks decoded, the keys the node
-//!    left stranded, whether the node failed, the first hard error.
+//!    after a compaction retired the chunk), decompress the sub-chunks
+//!    the query will extract from it (a sub-chunk that does not decode
+//!    fails the query, and its chunk is never cached), admit the pair
+//!    to the cache — and *return* one `BatchOutcome`: the node, its
+//!    modeled nanos, bytes, in-place retries, chunks decoded, the keys
+//!    the node left stranded, whether the node failed, the first hard
+//!    error.
 //!    Jobs on the store's shared fetch pool ([`serve`](crate::serve))
 //!    send their outcome over an `mpsc` channel; a batch run on the
 //!    query thread hands it over directly. The query thread is the only
 //!    mutator of round state: it folds outcomes into the metrics, the
 //!    failover bookkeeping and the stranded-key queue, then re-plans
 //!    the stranded keys onto untried live replicas as the next round.
+//!    While a round's jobs run on the pool, it decompresses what the
+//!    query reads from the plan's cache hits — except in a hedged
+//!    round, where it must stay free to time the straggler. A hit that
+//!    does not decode (a scan, which decodes nothing, can have cached
+//!    it) fails the query and is evicted.
 //!
 //!    **The channel is the barrier.** The query thread drops its
 //!    `Sender` once nothing more will be submitted, so the receive
@@ -57,9 +65,11 @@
 //!    that fails mid-query does not fail the query: only a key with no
 //!    live replica left surfaces the error that stranded it.
 //! 3. **Extract** — [`RecordStream`] yields records chunk by chunk,
-//!    decompressing each chunk's sub-chunks only when the consumer
-//!    reaches it, so callers that stop early (point lookups, limits)
-//!    never pay for the tail.
+//!    building each chunk's records only when the consumer reaches it.
+//!    Extraction stays lazy, but the fetched chunks were decoded in
+//!    the fetch stage, so a caller that stops early skips the tail's
+//!    record building, not its decode. A chunk that fails extraction
+//!    is evicted from the cache, so the next query refetches it.
 
 use crate::cache::{ChunkCache, DecodedChunk};
 use crate::chunk::Chunk;
@@ -109,37 +119,51 @@ pub enum QuerySpec {
 }
 
 impl QuerySpec {
-    /// Extracts this query's records from one decoded chunk, in
-    /// chunk-local order. Sub-chunks without requested members stay
-    /// compressed.
-    pub(crate) fn extract(&self, dc: &DecodedChunk) -> Result<Vec<Record>, CoreError> {
-        match *self {
-            QuerySpec::Version(v) => query::extract_version_records(&dc.chunk, &dc.map, v),
+    /// The one selection rule: the chunk-local ordinals this query
+    /// reads from `dc`, ascending — `None` for a scan, which reads the
+    /// whole chunk.
+    fn select(&self, dc: &DecodedChunk) -> Option<Vec<usize>> {
+        // A version the chunk map does not know selects nothing.
+        let members = |v| dc.map.iter_locals(v).into_iter().flatten();
+        let keys = || dc.local_keys();
+        Some(match *self {
+            QuerySpec::Version(v) => members(v).collect(),
             QuerySpec::Record { pk, v } => {
-                let Some(locals) = dc.map.iter_locals(v) else {
-                    return Ok(Vec::new());
-                };
-                let keys = dc.local_keys();
-                query::extract_from_iter(&dc.chunk, locals.filter(|&l| keys[l].pk == pk))
+                let keys = keys();
+                members(v).filter(|&l| keys[l].pk == pk).collect()
             }
             QuerySpec::Range { lo, hi, v } => {
-                let Some(locals) = dc.map.iter_locals(v) else {
-                    return Ok(Vec::new());
-                };
-                let keys = dc.local_keys();
-                query::extract_from_iter(
-                    &dc.chunk,
-                    locals.filter(|&l| {
-                        let k = keys[l].pk;
-                        k >= lo && k <= hi
-                    }),
-                )
+                let keys = keys();
+                members(v)
+                    .filter(|&l| (lo..=hi).contains(&keys[l].pk))
+                    .collect()
             }
             QuerySpec::Evolution { pk } => {
-                let keys = dc.local_keys();
-                query::extract_from_iter(&dc.chunk, (0..keys.len()).filter(|&l| keys[l].pk == pk))
+                let keys = keys();
+                (0..keys.len()).filter(|&l| keys[l].pk == pk).collect()
             }
-            QuerySpec::Scan => query::extract_all(&dc.chunk),
+            QuerySpec::Scan => return None,
+        })
+    }
+
+    /// Extracts this query's records from one decoded chunk, in
+    /// chunk-local order.
+    pub(crate) fn extract(&self, dc: &DecodedChunk) -> Result<Vec<Record>, CoreError> {
+        match self.select(dc) {
+            Some(locals) => query::extract_from_iter(&dc.chunk, locals),
+            None => query::extract_all(&dc.chunk),
+        }
+    }
+
+    /// Decodes the sub-chunks [`QuerySpec::extract`] will read from
+    /// `dc` into their memos — the fetch stage's share of extraction.
+    /// The rest stay compressed, and a scan decodes nothing ahead:
+    /// recovery reads only keys and maps, and compaction extracts
+    /// every record itself.
+    fn decode(&self, dc: &DecodedChunk) -> Result<(), CoreError> {
+        match self.select(dc) {
+            Some(locals) => query::decode_locals(&dc.chunk, locals),
+            None => Ok(()),
         }
     }
 }
@@ -629,6 +653,8 @@ fn split_for_decode(batches: Vec<NodeBatch>, workers: usize) -> Vec<NodeBatch> {
 struct FetchCtx {
     cluster: Arc<Cluster>,
     cache: Arc<ChunkCache>,
+    /// The query, whose sub-chunks a batch decodes as its blobs land.
+    spec: QuerySpec,
     /// Generation the plan's pin admitted — stamps every cache insert
     /// so later readers know how fresh the decoded chunk is.
     gen: u64,
@@ -736,13 +762,19 @@ fn run_batch(ctx: &FetchCtx, seq: usize, batch: NodeBatch) -> BatchOutcome {
             continue;
         }
         // Decode here, on whichever thread the blob arrived on,
-        // overlapping the other batches' I/O.
+        // overlapping the other batches' I/O: the chunk, then the
+        // sub-chunks the query will extract from it. A chunk that
+        // fails either step is never cached.
         let _decode_span = crate::obs::span_opt(&ctx.trace, TID_NODE_BASE + node as u32, || {
             format!("decode C{}", p.id)
         });
-        match Chunk::deserialize(&blob) {
-            Ok(chunk) => {
-                let dc = Arc::new(DecodedChunk::new(chunk, ChunkMap::clone(&p.map)));
+        let decoded = Chunk::deserialize(&blob).and_then(|chunk| {
+            let dc = DecodedChunk::new(chunk, ChunkMap::clone(&p.map));
+            ctx.spec.decode(&dc)?;
+            Ok(Arc::new(dc))
+        });
+        match decoded {
+            Ok(dc) => {
                 ctx.cache.insert(p.id, Arc::clone(&dc), ctx.gen);
                 let _ = p.decoded.set(dc);
                 // Counted only now — after the decode — so the
@@ -901,6 +933,7 @@ pub(crate) fn execute_plan(
         let ctx = Arc::new(FetchCtx {
             cluster: Arc::clone(cluster),
             cache: Arc::clone(cache),
+            spec,
             gen: pin.generation(),
             pending,
             trace: policy.trace.clone(),
@@ -925,6 +958,10 @@ pub(crate) fn execute_plan(
         let mut first_err: Option<CoreError> = None;
         let mut round_batches = batches;
         let mut round_idx = 0usize;
+        let mut hits = chunk_ids
+            .iter()
+            .zip(&resident)
+            .filter_map(|(&id, hit)| Some((id, hit.as_ref()?)));
 
         while !round_batches.is_empty() {
             let round_t = Instant::now();
@@ -991,6 +1028,23 @@ pub(crate) fn execute_plan(
                     (Vec::new(), Some(rx), backup)
                 }
             };
+            // While the pool fetches, this thread decodes what the
+            // query reads from the plan's cache hits (the first pooled
+            // round drains `hits`). A hedged round leaves them to
+            // extraction: this thread must stay free to time the
+            // straggler.
+            if rx.is_some() && hedge.is_none() {
+                let _span = crate::obs::span_opt(&ctx.trace, TID_QUERY, || "decode hits".into());
+                for (id, dc) in hits.by_ref() {
+                    if let Err(e) = spec.decode(dc) {
+                        // Not served from the cache again: the next
+                        // query refetches it.
+                        cache.invalidate(id);
+                        first_err.get_or_insert(e);
+                        break;
+                    }
+                }
+            }
             let mut inline = inline.into_iter().enumerate();
             // The round's next outcome from whichever source it has:
             // the next inline batch, run now, or the channel — waited
@@ -1211,6 +1265,7 @@ pub(crate) fn execute_plan(
         chunk_ids,
         chunks,
         metrics,
+        cache: Arc::clone(cache),
     })
 }
 
@@ -1224,6 +1279,8 @@ pub struct ExecutedQuery {
     chunks: Vec<Arc<DecodedChunk>>,
     /// Fetch accounting for this execution.
     pub metrics: FetchMetrics,
+    /// Where a chunk that fails extraction is evicted from.
+    cache: Arc<ChunkCache>,
 }
 
 impl ExecutedQuery {
@@ -1247,7 +1304,8 @@ impl ExecutedQuery {
         RecordStream {
             spec: self.spec,
             metrics: self.metrics,
-            chunks: self.chunks.into_iter(),
+            chunks: self.chunk_ids.into_iter().zip(self.chunks),
+            cache: self.cache,
             buffer: Vec::new().into_iter(),
             chunks_useful: 0,
             records_yielded: 0,
@@ -1256,15 +1314,20 @@ impl ExecutedQuery {
     }
 }
 
-/// Streaming record extraction: each chunk's sub-chunks are
-/// decompressed only when the consumer reaches that chunk, so early
-/// termination never pays for the tail of the span. Records come out
-/// grouped by chunk, in chunk-local order within each chunk.
+/// Streaming record extraction: each chunk's records are built only
+/// when the consumer reaches that chunk. The sub-chunks holding them
+/// were mostly decompressed during `execute` — every fetched chunk's,
+/// and a pooled round's cache hits — so what is left here is record
+/// building, plus the decode of any hit the fetch stage did not
+/// reach; a chunk that fails here is evicted from the cache. Records
+/// come out grouped by chunk, in chunk-local order within each chunk.
 #[derive(Debug)]
 pub struct RecordStream {
     spec: QuerySpec,
     metrics: FetchMetrics,
-    chunks: std::vec::IntoIter<Arc<DecodedChunk>>,
+    /// The chunks still to extract, each with its id.
+    chunks: std::iter::Zip<std::vec::IntoIter<u32>, std::vec::IntoIter<Arc<DecodedChunk>>>,
+    cache: Arc<ChunkCache>,
     buffer: std::vec::IntoIter<Record>,
     chunks_useful: usize,
     records_yielded: usize,
@@ -1310,7 +1373,7 @@ impl Iterator for RecordStream {
                 self.records_yielded += 1;
                 return Some(Ok(record));
             }
-            let dc = self.chunks.next()?;
+            let (id, dc) = self.chunks.next()?;
             match self.spec.extract(&dc) {
                 Ok(records) => {
                     if !records.is_empty() {
@@ -1319,6 +1382,9 @@ impl Iterator for RecordStream {
                     }
                 }
                 Err(e) => {
+                    // A cache hit whose sub-chunks do not decode: the
+                    // next query refetches it, and fails in `execute`.
+                    self.cache.invalidate(id);
                     self.failed = true;
                     return Some(Err(e));
                 }
@@ -1380,5 +1446,44 @@ mod tests {
         assert!(after.batches.len() > 1, "the next query must need the pool too");
         let records = store.execute(after).unwrap().into_stream().drain().unwrap();
         assert!(!records.is_empty());
+    }
+
+    /// A scan decodes no sub-chunk ahead, so it can cache a chunk whose
+    /// sub-chunks do not decode. A pooled round's query thread meets
+    /// that hit while the pool fetches the misses: the query fails and
+    /// the hit is evicted.
+    #[test]
+    fn a_hit_that_does_not_decode_fails_the_round_and_is_evicted() {
+        let mut spec = DatasetSpec::tiny(2402);
+        spec.num_versions = 12;
+        spec.root_records = 60;
+        let ds = spec.generate();
+        let store = RStore::builder()
+            .chunk_capacity(1024)
+            .build(Cluster::builder().nodes(3).build());
+        store.load_dataset(&ds).unwrap();
+
+        // Every sub-chunk of one chunk gets a bad first LZ token tag.
+        let id = store.live_chunk_ids()[0];
+        let blob = store.cluster().get(&backend_key(id)).unwrap().unwrap();
+        let mut chunk = Chunk::deserialize(&blob).unwrap();
+        for sc in &mut chunk.subchunks {
+            let (_, header) = rstore_compress::varint::read_u64(&sc.payload).unwrap();
+            sc.payload[header] = 0x77;
+        }
+        store.cluster().put(backend_key(id), chunk.serialize().into()).unwrap();
+        let scan = store.plan_chunks(vec![id]).unwrap();
+        store.execute(scan).unwrap();
+        assert_eq!(store.plan_chunks(vec![id]).unwrap().cache_hits(), 1);
+
+        let v = chunk.subchunks[0].members[0].origin;
+        let plan = store.plan_query(QuerySpec::Version(v)).unwrap();
+        assert!(plan.resident[plan.chunk_ids.iter().position(|&c| c == id).unwrap()].is_some());
+        assert!(plan.batches.len() > 1, "the misses must go to the pool");
+        match store.execute(plan) {
+            Err(CoreError::Codec(_)) => {}
+            other => panic!("expected a decode error, got {:?}", other.map(|_| ())),
+        }
+        assert_eq!(store.plan_chunks(vec![id]).unwrap().cache_misses(), 1);
     }
 }

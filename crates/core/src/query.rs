@@ -81,10 +81,29 @@ pub fn extract_version_records(
     extract_from_iter(chunk, locals)
 }
 
-/// Extracts specific chunk-local record ordinals from a chunk,
-/// decompressing only the sub-chunks that contain requested members.
-pub fn extract_locals(chunk: &Chunk, locals: &[usize]) -> Result<Vec<Record>, CoreError> {
-    extract_from_iter(chunk, locals.iter().copied())
+/// Decodes exactly the sub-chunks [`extract_from_iter`] would
+/// decompress for the same `locals` (ascending chunk-local ordinals),
+/// into each sub-chunk's memo, so a later extraction only reads memos.
+/// The fetch stage runs this where a blob lands; ordinals past the
+/// chunk's end are left for extraction to report.
+pub(crate) fn decode_locals(
+    chunk: &Chunk,
+    locals: impl IntoIterator<Item = usize>,
+) -> Result<(), CoreError> {
+    let mut it = locals.into_iter().peekable();
+    let mut base = 0usize;
+    for sc in &chunk.subchunks {
+        let end = base + sc.members.len();
+        let Some(&next) = it.peek() else {
+            break;
+        };
+        if next < end {
+            sc.decode()?;
+            while it.next_if(|&local| local < end).is_some() {}
+        }
+        base = end;
+    }
+    Ok(())
 }
 
 /// Iterator-driven core of record extraction: `locals` must yield
@@ -164,10 +183,10 @@ mod tests {
     }
 
     #[test]
-    fn extract_locals_spans_subchunks() {
+    fn extract_from_iter_spans_subchunks() {
         let chunk = sample_chunk();
         // Locals: 0 = ⟨1,V0⟩, 1 = ⟨1,V2⟩, 2 = ⟨2,V0⟩, 3 = ⟨3,V1⟩, 4 = ⟨3,V2⟩.
-        let recs = extract_locals(&chunk, &[1, 2, 4]).unwrap();
+        let recs = extract_from_iter(&chunk, [1, 2, 4]).unwrap();
         assert_eq!(recs.len(), 3);
         assert_eq!(recs[0].composite_key(), CompositeKey::new(1, VersionId(2)));
         assert_eq!(recs[0].payload, vec![2u8; 40]);
@@ -197,8 +216,8 @@ mod tests {
         let chunk = sample_chunk();
         let recs = extract_all(&chunk).unwrap();
         assert_eq!(recs.len(), 5);
-        // Same order and contents as the index-vector path it replaced.
-        let via_locals = extract_locals(&chunk, &[0, 1, 2, 3, 4]).unwrap();
+        // Same order and contents as extracting every ordinal.
+        let via_locals = extract_from_iter(&chunk, 0..5).unwrap();
         assert_eq!(recs, via_locals);
     }
 
@@ -214,21 +233,45 @@ mod tests {
     #[test]
     fn repeated_extraction_shares_decoded_payloads() {
         let chunk = sample_chunk();
-        let a = extract_locals(&chunk, &[0]).unwrap();
-        let b = extract_locals(&chunk, &[0]).unwrap();
+        let a = extract_from_iter(&chunk, [0]).unwrap();
+        let b = extract_from_iter(&chunk, [0]).unwrap();
         // Memoized decode: both extractions see the same buffer.
         assert_eq!(a[0].payload.as_ptr(), b[0].payload.as_ptr());
     }
 
     #[test]
+    fn decode_locals_touches_what_extraction_touches() {
+        // Sub-chunk 1 (local 2) does not decode: its first LZ token
+        // has a bad tag.
+        let mut chunk = sample_chunk();
+        chunk.subchunks[1].payload[1] = 0x77;
+        // Locals 0, 1, 3 and 4 live in sub-chunks 0 and 2; ordinals
+        // past the chunk's end are extraction's to report.
+        decode_locals(&chunk, [0, 1, 3, 4, 99]).unwrap();
+        assert!(matches!(
+            decode_locals(&chunk, [1, 2]),
+            Err(CoreError::Codec(_))
+        ));
+        assert!(matches!(
+            extract_from_iter(&chunk, [1, 2]),
+            Err(CoreError::Codec(_))
+        ));
+        // The sub-chunks that did decode are memoized for extraction.
+        let recs = extract_from_iter(&chunk, [0, 4]).unwrap();
+        let memo = chunk.subchunks[2].decode().unwrap();
+        assert_eq!(recs[1].payload.as_ptr(), memo[1].as_ptr());
+    }
+
+    #[test]
     fn out_of_range_local_is_error() {
         let chunk = sample_chunk();
-        assert!(extract_locals(&chunk, &[99]).is_err());
+        assert!(extract_from_iter(&chunk, [99]).is_err());
     }
 
     #[test]
     fn empty_locals_cheap() {
         let chunk = sample_chunk();
-        assert!(extract_locals(&chunk, &[]).unwrap().is_empty());
+        assert!(extract_from_iter(&chunk, []).unwrap().is_empty());
+        decode_locals(&chunk, []).unwrap();
     }
 }

@@ -1714,10 +1714,13 @@ impl RStore {
     /// queue when the in-flight budget is full, shed with
     /// [`CoreError::Overloaded`] once the queue is full too), then
     /// its node batches run as jobs on the store's shared fetch pool:
-    /// a chunk is decoded by the pool worker its blob arrives on,
+    /// a chunk is decoded by the pool worker its blob arrives on —
+    /// along with the sub-chunks the query will extract —
     /// overlapping decode with the other batches' transfers, paired
     /// with its map from the plan's pinned snapshot and admitted to
-    /// the cache. Time
+    /// the cache. A sub-chunk that does not decode fails the query
+    /// with [`CoreError::Codec`], and its chunk is not cached (or, when
+    /// a scan cached it, is evicted by the read that fails). Time
     /// queued is reported in
     /// [`QueryStats::queue_wait`](crate::query::QueryStats::queue_wait).
     pub fn execute(&self, plan: QueryPlan) -> Result<ExecutedQuery, CoreError> {
@@ -1899,8 +1902,9 @@ impl RStore {
     }
 
     /// Stage 3 — **extract**, streaming: the full pipeline, returning
-    /// a [`RecordStream`] that decompresses each chunk only when the
-    /// consumer reaches it.
+    /// a [`RecordStream`] that builds each chunk's records only when
+    /// the consumer reaches it. Fetched chunks arrive already decoded
+    /// for the query: `execute` decompressed their sub-chunks.
     pub fn stream_query(&self, spec: QuerySpec) -> Result<RecordStream, CoreError> {
         Ok(self.execute(self.plan_query(spec)?)?.into_stream())
     }

@@ -289,7 +289,8 @@ fn record_stream_is_lazy_and_resumable() {
     assert!(!full.is_empty());
 
     // Early termination: take one record and drop the stream — the
-    // tail of the span is never extracted.
+    // tail of the span is decoded (in `execute`) but its records are
+    // never built.
     let mut stream = store.stream_query(QuerySpec::Version(v)).unwrap();
     let first = stream.next().unwrap().unwrap();
     assert!(full.iter().any(|r| {

@@ -177,9 +177,6 @@ proptest! {
         for (sc, payloads) in decoded.subchunks.iter().zip(&payload_groups) {
             let members = sc.decode().unwrap();
             prop_assert_eq!(&members, payloads);
-            for (i, p) in payloads.iter().enumerate() {
-                prop_assert_eq!(&sc.decode_member(i).unwrap(), p);
-            }
         }
     }
 

@@ -456,6 +456,122 @@ fn a_cold_query_costs_one_backend_key_per_chunk() {
 }
 
 #[test]
+fn a_damaged_sub_chunk_fails_its_reads_and_stays_out_of_the_cache() {
+    // The fetch stage decodes, where each blob lands, the sub-chunks
+    // the query will extract. One stored blob's first sub-chunk gets a
+    // bad LZ token tag, the chunk framing intact: a query that reads
+    // that sub-chunk fails at `execute` under both executors and never
+    // admits the chunk to the cache, while a query reading only
+    // another sub-chunk of the same chunk is answered. After a restart
+    // the recovery scan, which decodes no sub-chunk, has cached the
+    // chunk: the first read of the damaged sub-chunk fails on that hit
+    // and evicts it, and later reads fail at `execute` again.
+    use rstore::compress::varint;
+    use rstore::core::chunk::Chunk;
+    use rstore::core::store::CHUNK_TABLE;
+    use rstore::core::CoreError;
+    use rstore::kvstore::table_key;
+    let dir = std::env::temp_dir().join(format!("rstore-fullstack-damaged-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let mut spec = DatasetSpec::tiny(9027);
+    spec.num_versions = 24;
+    spec.root_records = 60;
+    let dataset = spec.generate();
+    let make_cluster = || {
+        Cluster::builder()
+            .nodes(3)
+            .engine(rstore::kvstore::EngineKind::Log { dir: dir.clone() })
+            .build()
+    };
+    let store = RStore::builder().chunk_capacity(2048).build(make_cluster());
+    store.load_dataset(&dataset).unwrap();
+    let blob_key = |c: u32| table_key(CHUNK_TABLE, &c.to_be_bytes());
+
+    // The first chunk whose sub-chunks hold more than one key.
+    let (id, chunk) = store
+        .live_chunk_ids()
+        .into_iter()
+        .find_map(|c| {
+            let chunk = Chunk::deserialize(&store.cluster().get(&blob_key(c)).unwrap()?).unwrap();
+            let first = chunk.subchunks[0].members[0].pk;
+            let mixed = chunk.subchunks.iter().any(|sc| sc.members[0].pk != first);
+            mixed.then_some((c, chunk))
+        })
+        .expect("some chunk holds two keys");
+    let damaged = chunk.subchunks[0].members[0];
+    let intact = chunk
+        .subchunks
+        .iter()
+        .map(|sc| sc.members[0])
+        .find(|ck| ck.pk != damaged.pk)
+        .unwrap();
+    let mut broken = chunk.clone();
+    let payload = &mut broken.subchunks[0].payload;
+    let (_, header) = varint::read_u64(payload).unwrap();
+    payload[header] = 0x77;
+    let blob = broken.serialize();
+    assert_eq!(blob.len(), chunk.serialize().len());
+    store.cluster().put(blob_key(id), blob.into()).unwrap();
+
+    // A record is in the version that wrote it.
+    let v = damaged.origin;
+    let plan = |store: &RStore| {
+        let plan = store.plan_query(QuerySpec::Version(v)).unwrap();
+        assert!(plan.chunk_ids().contains(&id));
+        plan
+    };
+    let is_cached = |store: &RStore| store.plan_chunks(vec![id]).unwrap().cache_hits() == 1;
+    let fails_in_execute = |store: &RStore| {
+        for (shape, executed) in [
+            ("pooled", store.execute(plan(store))),
+            ("serial", store.execute_serial(plan(store))),
+        ] {
+            match executed {
+                Err(CoreError::Codec(_)) => {}
+                other => panic!(
+                    "{shape} read of {v}: expected a decode error, got {:?}",
+                    other.map(|_| ())
+                ),
+            }
+            assert!(!is_cached(store), "{shape}: the damaged chunk was cached");
+        }
+    };
+    let rstore = dataset.record_store();
+    let oracle = dataset.materialize(&rstore);
+    let intact_is_answered = |store: &RStore| {
+        let (pk, v) = (intact.pk, intact.origin);
+        let spec = QuerySpec::Record { pk, v };
+        assert!(store.plan_query(spec).unwrap().chunk_ids().contains(&id));
+        let got = store.query(spec).unwrap();
+        let &(_, ord) = oracle.contents(v).iter().find(|&&(k, _)| k == pk).unwrap();
+        assert_eq!(got.len(), 1);
+        assert_eq!(got[0].payload, rstore.payload(ord));
+        // Read for its undamaged sub-chunks, the chunk is cached.
+        assert!(is_cached(store));
+    };
+    fails_in_execute(&store);
+    intact_is_answered(&store);
+    let config = *store.config();
+    drop(store);
+
+    let store = RStore::reopen(config, make_cluster()).unwrap();
+    assert!(is_cached(&store), "the recovery scan warms the cache");
+    let first = store
+        .execute(plan(&store))
+        .and_then(|executed| executed.into_stream().drain());
+    assert!(
+        matches!(first, Err(CoreError::Codec(_))),
+        "read of {v} from the cached chunk: expected a decode error"
+    );
+    assert!(!is_cached(&store), "the failed hit stayed cached");
+    fails_in_execute(&store);
+    intact_is_answered(&store);
+    drop(store);
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+#[test]
 fn one_history_reaches_the_generation_writer_from_every_entry_point() {
     // Bulk load, flush and compaction all commit through the one
     // generation writer; this history crosses it from each of them on
