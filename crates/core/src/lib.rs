@@ -14,8 +14,7 @@
 //!   drive query planning,
 //! * decides record placement with the paper's **partitioning
 //!   algorithms** ([`partition`]): SHINGLE, BOTTOM-UP, DEPTH-FIRST and
-//!   BREADTH-FIRST, next to the DELTA / SUBCHUNK / single-address
-//!   baselines,
+//!   BREADTH-FIRST, next to the SUBCHUNK / single-address baselines,
 //! * exploits intra-key similarity through **sub-chunks** of up to `k`
 //!   same-key records, delta-encoded and compressed ([`subchunk`]),
 //! * ingests new versions through a batched **online** path

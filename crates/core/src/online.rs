@@ -1,12 +1,10 @@
 //! Online ingest helpers and quality measurement (paper §4).
 //!
 //! The batched ingest mechanics live in [`crate::store::RStore`]
-//! (`commit`/`flush_batch`); this module provides the replay and
-//! measurement utilities behind the Fig. 13 experiment: feed a
-//! generated dataset through the *online* path commit by commit with
-//! a given batch size, and compare the resulting total version span
-//! with the *offline* partitioning of the same data. The ratio ≥ 1
-//! quantifies the penalty of never re-partitioning placed records.
+//! (`commit`/`flush_batch`); this module provides the replay
+//! utilities behind the Fig. 13 experiment: feed a generated dataset
+//! through the *online* path commit by commit, or cut it to a prefix
+//! of its versions.
 
 use crate::error::CoreError;
 use crate::plan::QuerySpec;
@@ -66,26 +64,6 @@ pub fn truncate_dataset(dataset: &Dataset, limit: usize) -> Dataset {
         graph,
         deltas: dataset.deltas[..limit].to_vec(),
     }
-}
-
-/// The Fig. 13 metric: total version span via online ingest at
-/// `batch_size`, divided by the span of an offline load of the same
-/// prefix. Both stores are built by `make_store` (fresh cluster each).
-pub fn online_offline_ratio(
-    dataset: &Dataset,
-    limit: usize,
-    batch_size: usize,
-    make_store: impl Fn(usize) -> RStore,
-) -> Result<f64, CoreError> {
-    let prefix = truncate_dataset(dataset, limit);
-    let online = make_store(batch_size);
-    replay_commits(&online, &prefix)?;
-    let online_span = online.total_version_span();
-
-    let offline = make_store(usize::MAX);
-    offline.load_dataset(&prefix)?;
-    let offline_span = offline.total_version_span();
-    Ok(online_span as f64 / offline_span.max(1) as f64)
 }
 
 /// Sanity helper for tests: the record sets visible through two

@@ -7,17 +7,11 @@
 //! * [`SingleAddressBaseline`] — store every record separately under
 //!   its composite key ("single address space"). Ideal ingest, no
 //!   compression, and maximal query counts.
-//! * [`DeltaLayout`] — the git-style delta-chain engine: each
-//!   version's delta is serialized and packed into chunks in version
-//!   order; reconstructing a version retrieves the delta chunks of its
-//!   entire root path. This is the DELTA comparator of Figs. 8 & 11.
+//!
+//! The DELTA delta-chain comparator of Figs. 8 and 11 is not a
+//! partitioner; it lives with the experiments in the bench crate.
 
 use super::{PartitionInput, Partitioner, Partitioning};
-use crate::error::CoreError;
-use bytes::Bytes;
-use rstore_compress::varint;
-use rstore_kvstore::{table_key, Cluster};
-use rstore_vgraph::{Dataset, PrimaryKey, VersionId};
 use rustc_hash::FxHashMap;
 
 /// The SUBCHUNK baseline: one chunk per primary key.
@@ -66,221 +60,6 @@ impl Partitioner for SingleAddressBaseline {
     }
 }
 
-/// The DELTA chain layout.
-///
-/// Not a [`Partitioner`]: deltas, not records, are the stored unit,
-/// so it does not fit the item→chunk assignment model. It exposes the
-/// same span metrics so the experiment harnesses can compare it.
-#[derive(Debug, Clone)]
-pub struct DeltaLayout {
-    /// `chunks_of_version[v]` = chunk ids holding v's own delta.
-    delta_chunks: Vec<Vec<u32>>,
-    /// Serialized delta size per version.
-    delta_bytes: Vec<usize>,
-    num_chunks: usize,
-}
-
-impl DeltaLayout {
-    /// Packs each version's serialized delta into `capacity`-byte
-    /// chunks, in version order (deltas stay contiguous).
-    pub fn build(dataset: &Dataset, capacity: usize) -> Self {
-        let capacity = capacity.max(1);
-        let n = dataset.graph.len();
-        let mut delta_chunks = vec![Vec::new(); n];
-        let mut delta_bytes = vec![0usize; n];
-        let mut chunk = 0u32;
-        let mut used = 0usize;
-        for v in 0..n {
-            let d = &dataset.deltas[v];
-            // Serialized size: added payloads + 12 bytes per composite
-            // key touched (both ∆⁺ and ∆⁻ entries carry keys).
-            let size = d.added_bytes() + 12 * d.change_count();
-            delta_bytes[v] = size;
-            let mut remaining = size.max(1);
-            loop {
-                if used >= capacity {
-                    chunk += 1;
-                    used = 0;
-                }
-                delta_chunks[v].push(chunk);
-                let take = remaining.min(capacity - used);
-                used += take;
-                remaining -= take;
-                if remaining == 0 {
-                    break;
-                }
-            }
-        }
-        Self {
-            delta_chunks,
-            delta_bytes,
-            num_chunks: chunk as usize + 1,
-        }
-    }
-
-    /// Chunks retrieved to reconstruct `v`: the union of delta chunks
-    /// along the root path (the paper's "all the requisite deltas must
-    /// be retrieved one-by-one").
-    pub fn version_span(&self, dataset: &Dataset, v: VersionId) -> usize {
-        let mut chunks: Vec<u32> = dataset
-            .graph
-            .path_from_root(v)
-            .into_iter()
-            .flat_map(|a| self.delta_chunks[a.index()].iter().copied())
-            .collect();
-        chunks.sort_unstable();
-        chunks.dedup();
-        chunks.len()
-    }
-
-    /// Bytes retrieved to reconstruct `v` (sum of path delta sizes).
-    pub fn version_bytes(&self, dataset: &Dataset, v: VersionId) -> usize {
-        dataset
-            .graph
-            .path_from_root(v)
-            .into_iter()
-            .map(|a| self.delta_bytes[a.index()])
-            .sum()
-    }
-
-    /// Σ_v span(v): the Fig. 8 DELTA series.
-    pub fn total_version_span(&self, dataset: &Dataset) -> usize {
-        dataset
-            .graph
-            .ids()
-            .map(|v| self.version_span(dataset, v))
-            .sum()
-    }
-
-    /// Number of chunks used (storage proxy, §2.5).
-    pub fn num_chunks(&self) -> usize {
-        self.num_chunks
-    }
-}
-
-/// A working DELTA storage engine over the key-value cluster: each
-/// version's delta is serialized under its own key ("all the
-/// requisite deltas must be retrieved one-by-one", §2.3), and a
-/// version is reconstructed by fetching its root path and applying
-/// the deltas in order. This is the DELTA comparator measured in
-/// Fig. 11; range queries reconstruct the full version first and then
-/// filter, matching the paper's observation that Q2 > Q1 for DELTA.
-pub struct DeltaEngine<'a> {
-    dataset: &'a Dataset,
-}
-
-/// Backend table used by [`DeltaEngine`].
-pub const DELTA_ENGINE_TABLE: &str = "delta-engine";
-
-/// Result of a DELTA-engine retrieval.
-#[derive(Debug)]
-pub struct DeltaQueryResult {
-    /// `(pk, payload)` pairs sorted by key.
-    pub records: Vec<(PrimaryKey, Vec<u8>)>,
-    /// Backend values fetched (the DELTA span).
-    pub span: usize,
-    /// Modeled network time of the slowest node batch — the same
-    /// max-over-parallel-batches accounting `QueryStats` uses, so
-    /// DELTA and RStore rows stay comparable in Fig. 11.
-    pub modeled_network: std::time::Duration,
-}
-
-impl<'a> DeltaEngine<'a> {
-    /// Serializes every delta of `dataset` into `cluster`.
-    pub fn load(dataset: &'a Dataset, cluster: &Cluster) -> Result<Self, CoreError> {
-        let mut writes = Vec::with_capacity(dataset.graph.len());
-        for node in dataset.graph.nodes() {
-            let delta = &dataset.deltas[node.id.index()];
-            let mut buf = Vec::new();
-            varint::write_u64(&mut buf, delta.added.len() as u64);
-            for rec in &delta.added {
-                buf.extend_from_slice(&rec.composite_key().to_bytes());
-                varint::write_u64(&mut buf, rec.payload.len() as u64);
-                buf.extend_from_slice(&rec.payload);
-            }
-            varint::write_u64(&mut buf, delta.removed.len() as u64);
-            for ck in &delta.removed {
-                buf.extend_from_slice(&ck.to_bytes());
-            }
-            writes.push((
-                table_key(DELTA_ENGINE_TABLE, &node.id.as_u32().to_be_bytes()),
-                Bytes::from(buf),
-            ));
-        }
-        cluster.multi_put(writes)?;
-        Ok(Self { dataset })
-    }
-
-    /// Reconstructs version `v` by fetching and applying the root
-    /// path's deltas. Returns `(pk, payload)` pairs sorted by key and
-    /// the number of backend values fetched (the DELTA span).
-    pub fn get_version(
-        &self,
-        cluster: &Cluster,
-        v: VersionId,
-    ) -> Result<DeltaQueryResult, CoreError> {
-        let path = self.dataset.graph.path_from_root(v);
-        let keys: Vec<Vec<u8>> = path
-            .iter()
-            .map(|a| table_key(DELTA_ENGINE_TABLE, &a.as_u32().to_be_bytes()))
-            .collect();
-        let (values, modeled_network) = cluster.multi_get_scatter(keys)?;
-        let mut state: FxHashMap<PrimaryKey, Vec<u8>> = FxHashMap::default();
-        for (i, value) in values.iter().enumerate() {
-            let bytes = value
-                .as_ref()
-                .ok_or(CoreError::MissingChunk(path[i].as_u32()))?;
-            let mut r = varint::VarintReader::new(bytes);
-            let n_added = r.read_u64().map_err(CoreError::from)? as usize;
-            let mut added = Vec::with_capacity(n_added);
-            for _ in 0..n_added {
-                let ck_bytes: [u8; 12] = r
-                    .read_bytes(12)
-                    .map_err(CoreError::from)?
-                    .try_into()
-                    .expect("12 bytes");
-                let ck = crate::model::CompositeKey::from_bytes(&ck_bytes);
-                let len = r.read_u64().map_err(CoreError::from)? as usize;
-                let payload = r.read_bytes(len).map_err(CoreError::from)?.to_vec();
-                added.push((ck, payload));
-            }
-            let n_removed = r.read_u64().map_err(CoreError::from)? as usize;
-            for _ in 0..n_removed {
-                let ck_bytes: [u8; 12] = r
-                    .read_bytes(12)
-                    .map_err(CoreError::from)?
-                    .try_into()
-                    .expect("12 bytes");
-                let ck = crate::model::CompositeKey::from_bytes(&ck_bytes);
-                state.remove(&ck.pk);
-            }
-            for (ck, payload) in added {
-                state.insert(ck.pk, payload);
-            }
-        }
-        let mut out: Vec<(PrimaryKey, Vec<u8>)> = state.into_iter().collect();
-        out.sort_unstable_by_key(|&(pk, _)| pk);
-        Ok(DeltaQueryResult {
-            records: out,
-            span: path.len(),
-            modeled_network,
-        })
-    }
-
-    /// Range retrieval: reconstruct, then filter (worst case, §5.4).
-    pub fn get_range(
-        &self,
-        cluster: &Cluster,
-        lo: PrimaryKey,
-        hi: PrimaryKey,
-        v: VersionId,
-    ) -> Result<DeltaQueryResult, CoreError> {
-        let mut result = self.get_version(cluster, v)?;
-        result.records.retain(|&(pk, _)| pk >= lo && pk <= hi);
-        Ok(result)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -321,8 +100,8 @@ mod tests {
         let bundle = testutil::from_spec(&DatasetSpec::tiny(11));
         let input = bundle.input();
         let sub = SubchunkBaseline.partition(&input);
-        let packed = crate::partition::traversal::TraversalPartitioner::depth_first(4096)
-            .partition(&input);
+        let packed =
+            crate::partition::traversal::TraversalPartitioner::depth_first(4096).partition(&input);
         let sub_span = testutil::total_span(&input, &sub);
         let packed_span = testutil::total_span(&input, &packed);
         assert!(
@@ -332,67 +111,8 @@ mod tests {
     }
 
     #[test]
-    fn delta_layout_span_grows_with_depth() {
-        let ds = DatasetSpec::tiny_chain(12).generate();
-        let layout = DeltaLayout::build(&ds, 4096);
-        let first = layout.version_span(&ds, VersionId(1));
-        let last = layout.version_span(&ds, VersionId((ds.graph.len() - 1) as u32));
-        assert!(
-            last >= first,
-            "deeper versions must touch at least as many delta chunks"
-        );
-        assert!(layout.total_version_span(&ds) > 0);
-        assert!(layout.num_chunks() > 0);
-    }
-
-    #[test]
-    fn delta_layout_bytes_accumulate_along_path() {
-        let ds = DatasetSpec::tiny_chain(13).generate();
-        let layout = DeltaLayout::build(&ds, 1 << 20);
-        let mid = VersionId((ds.graph.len() / 2) as u32);
-        let leaf = VersionId((ds.graph.len() - 1) as u32);
-        assert!(layout.version_bytes(&ds, leaf) > layout.version_bytes(&ds, mid));
-    }
-
-    #[test]
     fn names() {
         assert_eq!(SubchunkBaseline.name(), "SUBCHUNK");
         assert_eq!(SingleAddressBaseline.name(), "SINGLE-ADDRESS");
-    }
-
-    #[test]
-    fn delta_engine_reconstructs_versions_exactly() {
-        let ds = DatasetSpec::tiny(14).generate();
-        let cluster = Cluster::builder().nodes(2).build();
-        let engine = DeltaEngine::load(&ds, &cluster).unwrap();
-
-        let store = ds.record_store();
-        let oracle = ds.materialize(&store);
-        for vi in 0..ds.graph.len() {
-            let v = VersionId(vi as u32);
-            let result = engine.get_version(&cluster, v).unwrap();
-            let expect = oracle.contents(v);
-            assert_eq!(result.records.len(), expect.len(), "version {v}");
-            for ((pk, payload), &(epk, ord)) in result.records.iter().zip(expect) {
-                assert_eq!(*pk, epk);
-                assert_eq!(payload.as_slice(), store.payload(ord));
-            }
-            assert_eq!(result.span, ds.graph.path_from_root(v).len());
-        }
-    }
-
-    #[test]
-    fn delta_engine_range_filters_after_reconstruction() {
-        let ds = DatasetSpec::tiny_chain(15).generate();
-        let cluster = Cluster::builder().nodes(1).build();
-        let engine = DeltaEngine::load(&ds, &cluster).unwrap();
-        let v = VersionId((ds.graph.len() - 1) as u32);
-        let full = engine.get_version(&cluster, v).unwrap();
-        let ranged = engine.get_range(&cluster, 0, 5, v).unwrap();
-        assert!(ranged.records.len() <= full.records.len());
-        assert!(ranged.records.iter().all(|&(pk, _)| pk <= 5));
-        // The paper's point: range queries cannot fetch less than the
-        // full version under DELTA.
-        assert_eq!(ranged.span, full.span);
     }
 }

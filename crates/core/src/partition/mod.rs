@@ -11,8 +11,8 @@
 //! * [`bottom_up::BottomUpPartitioner`] — the version-tree-aware
 //!   algorithm of §3.2 (the paper's best performer),
 //! * [`traversal::TraversalPartitioner`] — greedy DFS/BFS of §3.3,
-//! * [`baselines`] — SUBCHUNK, single-address-space and the DELTA
-//!   chain layout used as comparison points throughout §5.
+//! * [`baselines`] — the SUBCHUNK and single-address-space layouts
+//!   used as comparison points throughout §5.
 
 use rstore_vgraph::VersionGraph;
 

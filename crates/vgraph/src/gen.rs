@@ -346,7 +346,8 @@ fn mutate_payload(parent: &[u8], pd: f64, rng: &mut StdRng) -> Vec<u8> {
 /// The paper's datasets span 30 GB – 1 TB; these keep the *shape*
 /// factors (branching, depth, update % and skew, relative version
 /// counts) while scaling record counts/sizes to a single machine.
-/// EXPERIMENTS.md records the exact scaling next to each result.
+/// `docs/PAPER_RESULTS.md` lists each preset's size next to the
+/// results measured on it.
 pub mod presets {
     use super::*;
 

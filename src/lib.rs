@@ -54,8 +54,8 @@
 //! ```
 //!
 //! See the `examples/` directory for realistic end-to-end scenarios and
-//! `rstore_bench` for the harness that regenerates every table and
-//! figure of the paper.
+//! `docs/PAPER_RESULTS.md` for every table and figure of the paper as
+//! this reproduction measures it.
 
 pub use rstore_compress as compress;
 pub use rstore_core as core;
