@@ -82,17 +82,16 @@ impl Bitmap {
 
     /// Iterates over the indices of set bits in increasing order.
     pub fn iter_ones(&self) -> impl Iterator<Item = usize> + '_ {
-        self.words.iter().enumerate().flat_map(|(wi, &w)| {
-            let mut bits = w;
-            std::iter::from_fn(move || {
-                if bits == 0 {
-                    return None;
-                }
-                let tz = bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                Some(wi * 64 + tz)
-            })
-        })
+        self.words.iter().enumerate().flat_map(|(wi, &w)| ones_of_word(wi, w))
+    }
+
+    /// Iterates, in increasing order, over the indices set here and not
+    /// in `other` — `self AND NOT other`, a word at a time. Bits past
+    /// `other`'s length count as clear, as [`Bitmap::get`] reads them.
+    pub fn iter_difference<'a>(&'a self, other: &'a Bitmap) -> impl Iterator<Item = usize> + 'a {
+        let theirs = other.words.iter().chain(std::iter::repeat(&0));
+        let words = self.words.iter().zip(theirs).map(|(&a, &b)| a & !b);
+        words.enumerate().flat_map(|(wi, w)| ones_of_word(wi, w))
     }
 
     /// In-place union with another bitmap of the same length.
@@ -219,6 +218,18 @@ impl Bitmap {
         }
         Ok(bitmap)
     }
+}
+
+/// The indices of the set bits of word `wi`, ascending.
+fn ones_of_word(wi: usize, mut bits: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        if bits == 0 {
+            return None;
+        }
+        let tz = bits.trailing_zeros() as usize;
+        bits &= bits - 1;
+        Some(wi * 64 + tz)
+    })
 }
 
 /// Yields successive 31-bit groups of a word array.

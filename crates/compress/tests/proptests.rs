@@ -116,6 +116,24 @@ proptest! {
     }
 
     #[test]
+    fn bitmap_difference_matches_filtered_ones(
+        len in 0usize..400,
+        other_len in 0usize..400,
+        bits in prop::collection::vec(any::<prop::sample::Index>(), 0..96),
+        other_bits in prop::collection::vec(any::<prop::sample::Index>(), 0..96),
+    ) {
+        // Lengths may differ: the other bitmap's missing tail reads clear.
+        let build = |len: usize, seeds: &[prop::sample::Index]| {
+            let indices = seeds.iter().filter(|_| len > 0).map(|ix| ix.index(len));
+            Bitmap::from_indices(len, indices)
+        };
+        let (a, b) = (build(len, &bits), build(other_len, &other_bits));
+        let got: Vec<usize> = a.iter_difference(&b).collect();
+        let expect: Vec<usize> = a.iter_ones().filter(|i| !b.get(*i)).collect();
+        prop_assert_eq!(got, expect);
+    }
+
+    #[test]
     fn bitmap_deserialize_never_panics(data in prop::collection::vec(any::<u8>(), 0..256)) {
         let _ = Bitmap::deserialize(&data);
     }

@@ -222,6 +222,26 @@ impl ChunkMap {
     }
 }
 
+/// Transposes chunk maps: per version below `versions`, the position
+/// in `maps` and the members of every map that holds the version,
+/// ascending by position. A map naming a version at or past
+/// `versions` is [`CoreError::Codec`].
+pub(crate) fn by_version<'a>(
+    maps: impl IntoIterator<Item = &'a ChunkMap>,
+    versions: usize,
+) -> Result<Vec<Vec<(usize, &'a Bitmap)>>, CoreError> {
+    let mut out = vec![Vec::new(); versions];
+    for (at, map) in maps.into_iter().enumerate() {
+        for (v, members) in map.iter() {
+            let Some(list) = out.get_mut(v.index()) else {
+                return Err(CoreError::Codec(format!("a chunk map names {v}, past the {versions} versions logged")));
+            };
+            list.push((at, members));
+        }
+    }
+    Ok(out)
+}
+
 /// Appends the serialized form of `entries` — the map format's entry
 /// region is these bytes in push order, so it only ever grows.
 fn write_entries(out: &mut Vec<u8>, entries: &[Entry]) {

@@ -22,8 +22,8 @@
 //! and the flush. What it derives itself: the extraction, the
 //! `(pk, origin)` grouping, the cutover guard (evaluated on the staged
 //! partitioning, before any backend write) and the index pass — the
-//! moved records' chunk-map bitmaps come from the versions' contents,
-//! not from a delta.
+//! moved records' chunk-map bitmaps come from the victims' own map
+//! bits, not from a delta.
 //!
 //! ## Crash-safety ordering
 //!
@@ -68,6 +68,7 @@
 //! from the rebuilt chunk maps so the next flush indexes them
 //! normally (chunk maps require strictly increasing version pushes).
 
+use crate::chunkmap;
 use crate::cost::CostModel;
 use crate::error::CoreError;
 use crate::ingest::{StagedGeneration, StagedIndex};
@@ -530,8 +531,9 @@ impl RStore {
         let subchunks_built = staged.subchunks.len();
 
         // -- write + commit: the new generation, with the victims
-        // retired. The index pass is from the contents: per version,
-        // the moved records it holds, as one bitmap per new chunk ----
+        // retired. The index pass is from the victims' maps: per
+        // version, the moved records it holds, as one bitmap per new
+        // chunk ------------------------------------------------------
         let flushed = st.flushed_versions;
         let committed = self.commit_generation(st, staged, flushed, &victims, |_, chunks| {
             let count_of = chunks.counts_by_id();
@@ -601,9 +603,13 @@ impl RStore {
         // -- extract: fetch victims through plan → fetch → extract ----
         let t = Instant::now();
         let scan = self.plan_chunks(victims.clone())?;
-        let fetched = self.execute(scan)?;
+        let fetched = self.execute(scan)?.into_chunks();
+        // Each chunk's records in local order: a record's extraction
+        // ordinal is its chunk's base plus its local index.
         let mut records: Vec<Record> = Vec::new();
-        for dc in fetched.into_chunks() {
+        let mut bases: Vec<u32> = Vec::with_capacity(fetched.len());
+        for dc in &fetched {
+            bases.push(records.len() as u32);
             records.extend(query::extract_all(&dc.chunk)?);
         }
         let extract = t.elapsed();
@@ -635,42 +641,39 @@ impl RStore {
         // Membership per version: the moved records (by extraction
         // ordinal) and the distinct groups each flushed version
         // touches — the partitioner sees groups, the chunk-map
-        // rebuild sees record ordinals.
-        let mut ord_of: FxHashMap<CompositeKey, u32> = FxHashMap::default();
-        for (i, r) in records.iter().enumerate() {
-            ord_of.insert(r.composite_key(), i as u32);
-        }
+        // rebuild sees record ordinals. Both come from the victims'
+        // map bits, transposed to per-version lists, so the cost is the
+        // victims' entries, not the history's width. A version's
+        // groups collect in one reused bitmap over the groups, which
+        // yields them ascending and distinct without a sort. The
+        // versions past the flushed ones still wait in the delta
+        // store: no map holds them yet, and the rebuilt maps must not
+        // claim them — the next flush pushes them in order.
         let mut group_of_rec: Vec<u32> = vec![0; records.len()];
         for (g, members) in groups.iter().enumerate() {
             for &i in members {
                 group_of_rec[i as usize] = g as u32;
             }
         }
-        // The versions past the flushed ones still wait in the delta
-        // store: their records are not placed yet, and the rebuilt
-        // chunk maps must not claim them — the next flush pushes them
-        // in order.
         let num_versions = st.graph.len();
-        let mut version_items: Vec<Vec<u32>> = vec![Vec::new(); num_versions];
         let mut version_members: Vec<Vec<u32>> = vec![Vec::new(); num_versions];
-        let mut mark: Vec<u32> = vec![u32::MAX; groups.len()];
-        for v in 0..st.flushed_versions {
-            let mut items: Vec<u32> = Vec::new();
-            let mut members: Vec<u32> = Vec::new();
-            for &(pk, origin) in &st.contents[v] {
-                let ck = CompositeKey::new(pk, origin);
-                if let Some(&i) = ord_of.get(&ck) {
+        let mut version_items: Vec<Vec<u32>> = vec![Vec::new(); num_versions];
+        let mut seen = Bitmap::new(groups.len());
+        let touched = chunkmap::by_version(fetched.iter().map(|dc| &dc.map), st.flushed_versions)?;
+        for (v, entries) in touched.iter().enumerate() {
+            let members = &mut version_members[v];
+            for &(at, bits) in entries {
+                for local in bits.iter_ones() {
+                    let i = bases[at] + local as u32;
                     members.push(i);
-                    let g = group_of_rec[i as usize];
-                    if mark[g as usize] != v as u32 {
-                        mark[g as usize] = v as u32;
-                        items.push(g);
-                    }
+                    seen.set(group_of_rec[i as usize] as usize);
                 }
             }
-            items.sort_unstable();
+            let items: Vec<u32> = seen.iter_ones().map(|g| g as u32).collect();
+            for &g in &items {
+                seen.clear(g as usize);
+            }
             version_items[v] = items;
-            version_members[v] = members;
         }
         let payloads: Vec<(CompositeKey, &[u8])> = records
             .iter()

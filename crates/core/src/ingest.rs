@@ -8,9 +8,9 @@
 //! ([`RStore::compact`]) differ only in the inputs they derive: which
 //! records to place, how they group into sub-chunks, which groups each
 //! version holds, how the new chunk-map entries follow from that
-//! (delta-driven for load and flush, from the contents for the records
-//! a compaction moves) and which chunks retire. Everything after that
-//! is this module, in one order:
+//! (delta-driven for load and flush, from the victims' maps for the
+//! records a compaction moves) and which chunks retire. Everything
+//! after that is this module, in one order:
 //!
 //! 1. **stage** ([`RStore::stage_generation`]) — sub-chunk delta-encode
 //!    and LZ (the hottest ingest loop) fans out across
@@ -70,7 +70,7 @@
 //! restart re-admits them as pending.
 
 use crate::chunk::{Chunk, SubChunk};
-use crate::chunkmap::{encode_entries, ChunkMap};
+use crate::chunkmap::{self, encode_entries, ChunkMap};
 use crate::error::CoreError;
 use crate::index::{bounded_count, read_ascending, write_ascending, ProjectionDelta, Projections};
 use crate::model::{ChunkId, CompositeKey, PrimaryKey, Record, VersionId};
@@ -84,7 +84,7 @@ use bytes::Bytes;
 use crossbeam::channel::bounded;
 use rstore_compress::{varint, Bitmap};
 use rstore_kvstore::{table_key, Cluster, Key, KvError, WriteSummary};
-use rstore_vgraph::VersionDelta;
+use rstore_vgraph::{VersionDelta, VersionGraph};
 use rustc_hash::FxHashMap;
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
@@ -652,6 +652,118 @@ pub(crate) fn load_persisted(cluster: &Cluster, workers: usize) -> Result<StoreM
         st.set_chunk_map(c, Arc::new(map), base_entries, 1);
     }
     Ok(st)
+}
+
+/// Every version's contents — sorted `(pk, origin)` pairs — rebuilt
+/// from the live chunks' local keys and maps, each version from its
+/// primary parent's: `contents[p] − removed + added`, the shape
+/// [`stage_index`] writes the maps in. The maps are transposed once
+/// into per-version chunk lists ([`chunkmap::by_version`]); then for
+/// every chunk a version or its parent touches, the records set for
+/// the version and not the parent are added and those set for the
+/// parent and not the version removed, a word at a time
+/// ([`Bitmap::iter_difference`]). A root's contents are collected and
+/// sorted once. The cost is the history's chunk-map entries plus a
+/// copy of each version's list — no record is hashed.
+///
+/// A map naming a version the graph does not hold, or a version that
+/// would hold one key twice, is [`CoreError::Codec`].
+pub(crate) fn contents_from_maps(
+    graph: &VersionGraph,
+    chunks: &[(&[CompositeKey], &ChunkMap)],
+) -> Result<Vec<Vec<(PrimaryKey, VersionId)>>, CoreError> {
+    let touched = chunkmap::by_version(chunks.iter().map(|&(_, map)| map), graph.len())?;
+    let record = |at: usize, local: usize| {
+        let ck = chunks[at].0[local];
+        (ck.pk, ck.origin)
+    };
+    let none = Bitmap::default();
+    let mut contents: Vec<Vec<(PrimaryKey, VersionId)>> = Vec::with_capacity(graph.len());
+    let (mut added, mut removed) = (Vec::new(), Vec::new());
+    for v in graph.ids() {
+        let mine = &touched[v.index()];
+        let Some(p) = graph.node(v).primary_parent() else {
+            let mut list: Vec<_> = mine
+                .iter()
+                .flat_map(|&(at, members)| members.iter_ones().map(move |local| record(at, local)))
+                .collect();
+            list.sort_unstable();
+            if let Some(w) = list.windows(2).find(|w| w[0].0 == w[1].0) {
+                return Err(CoreError::Codec(format!("by its chunk maps, {v} holds K{} twice", w[0].0)));
+            }
+            contents.push(list);
+            continue;
+        };
+        // Merge-join the two chunk lists; a chunk on one side only
+        // differs from an empty bitmap on the other.
+        let theirs = &touched[p.index()];
+        let (mut i, mut j) = (0, 0);
+        added.clear();
+        removed.clear();
+        while i < mine.len() || j < theirs.len() {
+            let a = mine.get(i).map_or(usize::MAX, |e| e.0);
+            let b = theirs.get(j).map_or(usize::MAX, |e| e.0);
+            let at = a.min(b);
+            let m = if a == at {
+                i += 1;
+                mine[i - 1].1
+            } else {
+                &none
+            };
+            let t = if b == at {
+                j += 1;
+                theirs[j - 1].1
+            } else {
+                &none
+            };
+            added.extend(m.iter_difference(t).map(|local| record(at, local)));
+            removed.extend(t.iter_difference(m).map(|local| record(at, local)));
+        }
+        added.sort_unstable();
+        removed.sort_unstable();
+        let list = apply_changes(&contents[p.index()], &removed, &added)
+            .map_err(|what| CoreError::Codec(format!("by its chunk maps, {v} {what}")))?;
+        contents.push(list);
+    }
+    Ok(contents)
+}
+
+/// A version's contents from its primary parent's:
+/// `parent − removed + added`, every list sorted by key and holding a
+/// key at most once. The unchanged runs between two changes are copied
+/// whole. `Err` says what clashes: a removal the parent does not hold,
+/// or an addition of a key the result already holds.
+pub(crate) fn apply_changes(
+    parent: &[(PrimaryKey, VersionId)],
+    removed: &[(PrimaryKey, VersionId)],
+    added: &[(PrimaryKey, VersionId)],
+) -> Result<Vec<(PrimaryKey, VersionId)>, String> {
+    let mut out = Vec::with_capacity((parent.len() + added.len()).saturating_sub(removed.len()));
+    let (mut removed, mut added) = (removed.iter().peekable(), added.iter().peekable());
+    let mut rest = parent;
+    loop {
+        let key = match (removed.peek(), added.peek()) {
+            (None, None) => break,
+            (r, a) => r.map_or(PrimaryKey::MAX, |e| e.0).min(a.map_or(PrimaryKey::MAX, |e| e.0)),
+        };
+        let run = rest.partition_point(|e| e.0 < key);
+        out.extend_from_slice(&rest[..run]);
+        rest = &rest[run..];
+        if let Some(gone) = removed.next_if(|e| e.0 == key) {
+            if rest.first() != Some(gone) {
+                return Err(format!("drops K{key} of {}, which its parent does not hold", gone.1));
+            }
+            rest = &rest[1..];
+        }
+        if let Some(&new) = added.next_if(|e| e.0 == key) {
+            if rest.first().is_some_and(|e| e.0 == key) || out.last().is_some_and(|e| e.0 == key) {
+                return Err(format!("holds K{key} twice"));
+            }
+            out.push(new);
+        }
+    }
+    out.extend_from_slice(rest);
+    Ok(out)
 }
 
 /// Serializes one delta-store entry: the commit's parents, the records
@@ -1239,5 +1351,65 @@ impl RStore {
         }
         let maps = maps.into_iter().map(|(c, m)| (c, m.serialize())).collect();
         (maps, projections.serialize())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn list(pairs: &[(PrimaryKey, u32)]) -> Vec<(PrimaryKey, VersionId)> {
+        pairs.iter().map(|&(pk, origin)| (pk, VersionId(origin))).collect()
+    }
+
+    #[test]
+    fn apply_changes_merges_into_the_parent_and_rejects_clashes() {
+        let parent = list(&[(1, 0), (2, 0), (3, 0), (5, 0), (8, 0)]);
+        // K3 updated, K4 and K9 inserted, K8 deleted.
+        let got = apply_changes(&parent, &list(&[(3, 0), (8, 0)]), &list(&[(3, 1), (4, 1), (9, 1)]));
+        assert_eq!(got.unwrap(), list(&[(1, 0), (2, 0), (3, 1), (4, 1), (5, 0), (9, 1)]));
+        assert_eq!(apply_changes(&parent, &[], &[]).unwrap(), parent);
+        let clash = |removed: &[(PrimaryKey, u32)], added: &[(PrimaryKey, u32)]| {
+            apply_changes(&parent, &list(removed), &list(added)).unwrap_err()
+        };
+        assert_eq!(clash(&[], &[(2, 1)]), "holds K2 twice", "kept and added");
+        assert_eq!(clash(&[], &[(4, 1), (4, 2)]), "holds K4 twice", "added twice");
+        assert!(clash(&[(5, 1)], &[]).starts_with("drops K5"), "another origin");
+        assert!(clash(&[(6, 0)], &[]).starts_with("drops K6"), "a key not held");
+    }
+
+    #[test]
+    fn contents_follow_the_map_differences_down_the_tree() {
+        // V0 holds K1–K3; V1 (child of V0) updates K2 and deletes K3;
+        // V2 (child of V0) adds K4 in the other chunk.
+        let mut graph = VersionGraph::new();
+        graph.add_root();
+        graph.add_version(&[VersionId(0)]);
+        graph.add_version(&[VersionId(0)]);
+        let ck = |pk, origin| CompositeKey::new(pk, VersionId(origin));
+        let a_keys = [ck(1, 0), ck(2, 0), ck(2, 1)];
+        let b_keys = [ck(3, 0), ck(4, 2)];
+        let map = |records: usize, entries: &[(u32, &[usize])]| {
+            let mut m = ChunkMap::new(records);
+            for &(v, locals) in entries {
+                m.push_version(VersionId(v), locals.iter().copied());
+            }
+            m
+        };
+        let a = map(3, &[(0, &[0, 1]), (1, &[0, 2]), (2, &[0, 1])]);
+        let b = map(2, &[(0, &[0]), (2, &[0, 1])]);
+        let got = contents_from_maps(&graph, &[(&a_keys, &a), (&b_keys, &b)]).unwrap();
+        assert_eq!(got[0], list(&[(1, 0), (2, 0), (3, 0)]));
+        assert_eq!(got[1], list(&[(1, 0), (2, 1)]));
+        assert_eq!(got[2], list(&[(1, 0), (2, 0), (3, 0), (4, 2)]));
+
+        // V1 keeping V0's copy of K2 beside its own, or a map naming a
+        // version the graph does not hold, is a codec error.
+        let twice = map(3, &[(0, &[0, 1]), (1, &[0, 1, 2]), (2, &[0, 1])]);
+        let err = contents_from_maps(&graph, &[(&a_keys, &twice), (&b_keys, &b)]).unwrap_err();
+        assert!(matches!(&err, CoreError::Codec(m) if m.contains("V1 holds K2 twice")), "{err}");
+        let ahead = map(2, &[(0, &[0]), (3, &[0])]);
+        let err = contents_from_maps(&graph, &[(&a_keys, &a), (&b_keys, &ahead)]).unwrap_err();
+        assert!(matches!(err, CoreError::Codec(_)));
     }
 }

@@ -1178,29 +1178,32 @@ impl RStore {
     /// Reopens a store over a cluster that already holds RStore data
     /// (e.g. a restarted log-engine cluster): loads the commit log —
     /// checkpoint, then the records after it — and the live chunks'
-    /// maps (`ingest::load_persisted`), rebuilds the in-memory locator
-    /// and per-version contents from the stored chunks, and re-admits
-    /// the commits that were acknowledged but not yet flushed from the
-    /// delta store, as pending. A live chunk whose stored map or blob
-    /// is missing or damaged, or a damaged log, fails the reopen with
-    /// [`CoreError::MissingChunk`] / [`CoreError::Codec`].
+    /// maps (`ingest::load_persisted`), scans the live chunks' blobs
+    /// once to rebuild the locator, builds each version's contents from
+    /// its primary parent's and the chunk-map differences between the
+    /// two (`ingest::contents_from_maps`), and re-admits the commits
+    /// that were acknowledged but not yet flushed from the delta store,
+    /// as pending. A live chunk whose stored map or blob is missing or
+    /// damaged, a damaged log, or maps that give a version one key
+    /// twice fail the reopen with [`CoreError::MissingChunk`] /
+    /// [`CoreError::Codec`].
     pub fn reopen(config: StoreConfig, cluster: Cluster) -> Result<Self, CoreError> {
         let st = ingest::load_persisted(&cluster, plan::worker_count(config.ingest_threads))?;
         let live = st.live_chunk_ids();
         let store = Self::assemble(config, cluster, st);
 
-        // Rebuild chunk-derived state with one scan over the live
-        // chunks' blobs — a recovery plan executed through the
-        // scatter-gather pipeline (which also warms the cache when one
-        // is configured), extracting with the maps the initial
-        // snapshot publishes.
+        // Rebuild the locator with one scan over the live chunks'
+        // blobs — a recovery plan executed through the scatter-gather
+        // pipeline (which also warms the cache when one is
+        // configured), pairing each blob with the map the initial
+        // snapshot publishes. The contents come from those maps and
+        // the blobs' keys.
         let scan = store.plan_chunks(live.clone())?;
-        let fetched = store.execute(scan)?;
+        let fetched = store.execute(scan)?.into_chunks();
         let mut guard = store.state.lock().unwrap();
         let st = &mut *guard;
-        let mut contents_maps: Vec<FxHashMap<PrimaryKey, VersionId>> =
-            vec![FxHashMap::default(); st.graph.len()];
-        for (&c, dc) in live.iter().zip(fetched.into_chunks()) {
+        st.locator.reserve(fetched.iter().map(|dc| dc.map.num_records()).sum());
+        for (&c, dc) in live.iter().zip(&fetched) {
             // A blob of another size is another generation's, left
             // under a reused id.
             let (stored, logged) = (dc.chunk.compressed_bytes(), st.slots[c as usize].bytes);
@@ -1210,24 +1213,19 @@ impl RStore {
                 )));
             }
             let keys = dc.local_keys();
+            if keys.len() != dc.map.num_records() {
+                return Err(CoreError::Codec(format!(
+                    "chunk {c} holds {} records, its map covers {}",
+                    keys.len(),
+                    dc.map.num_records()
+                )));
+            }
             for (local, ck) in keys.iter().enumerate() {
                 st.locator.insert(*ck, (c, local as u32));
             }
-            for (v, bitmap) in dc.map.iter() {
-                for local in bitmap.iter_ones() {
-                    let ck = keys[local];
-                    contents_maps[v.index()].insert(ck.pk, ck.origin);
-                }
-            }
         }
-        st.contents = contents_maps
-            .into_iter()
-            .map(|m| {
-                let mut list: Vec<(PrimaryKey, VersionId)> = m.into_iter().collect();
-                list.sort_unstable();
-                list
-            })
-            .collect();
+        let chunks: Vec<_> = fetched.iter().map(|dc| (dc.local_keys(), &dc.map)).collect();
+        st.contents = ingest::contents_from_maps(&st.graph, &chunks)?;
         st.record_counts = Arc::new(st.contents.iter().map(|c| c.len()).collect());
         store.readmit_deltas(st)?;
         if st.graph.is_empty() {
@@ -1263,20 +1261,12 @@ impl RStore {
                     return Err(bad("names parents that are not older versions"));
                 }
                 // contents = the primary parent's − removed + added.
-                let mut contents: BTreeMap<PrimaryKey, VersionId> = match parents.first() {
-                    Some(p) => st.contents[p.index()].iter().copied().collect(),
-                    None => BTreeMap::new(),
-                };
-                for ck in &delta.removed {
-                    if contents.remove(&ck.pk) != Some(ck.origin) {
-                        return Err(bad("removes a record its parent does not hold"));
-                    }
-                }
-                for rec in &delta.added {
-                    if contents.insert(rec.pk, v).is_some() {
-                        return Err(bad("adds a key it keeps from its parent"));
-                    }
-                }
+                let parent = parents.first().map_or(&[][..], |p| &st.contents[p.index()]);
+                let mut removed: Vec<_> = delta.removed.iter().map(|ck| (ck.pk, ck.origin)).collect();
+                let mut added: Vec<_> = delta.added.iter().map(|rec| (rec.pk, v)).collect();
+                removed.sort_unstable();
+                added.sort_unstable();
+                let contents = ingest::apply_changes(parent, &removed, &added).map_err(|what| bad(&what))?;
                 let graph = Arc::make_mut(&mut st.graph);
                 if parents.is_empty() {
                     graph.add_root();
@@ -1284,7 +1274,7 @@ impl RStore {
                     graph.add_version(&parents);
                 }
                 Arc::make_mut(&mut st.record_counts).push(contents.len());
-                st.contents.push(contents.into_iter().collect());
+                st.contents.push(contents);
                 st.pending.push((v, delta));
                 admitted += 1;
             }

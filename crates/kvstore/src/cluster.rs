@@ -149,38 +149,61 @@ impl ClusterBuilder {
         self
     }
 
-    /// Starts the node threads and returns the cluster handle.
+    /// Starts the node threads and returns the cluster handle once every
+    /// node's engine is open. Each node thread opens its own engine — a
+    /// log engine reads and CRC-checks its whole log to rebuild its key
+    /// directory — so a restarted cluster replays its node logs in
+    /// parallel, and `build` costs the slowest log, not their sum.
     ///
     /// # Panics
-    /// Panics if `nodes` is zero or a log engine fails to open.
+    /// Panics if `nodes` is zero, or with "open node log" if a log
+    /// engine fails to open.
     pub fn build(self) -> Cluster {
         assert!(self.nodes > 0, "cluster needs at least one node");
         let stats = ClusterStats::new_shared(self.nodes);
         let mut senders = Vec::with_capacity(self.nodes);
         let mut handles = Vec::with_capacity(self.nodes);
+        let mut opened = Vec::with_capacity(self.nodes);
         for id in 0..self.nodes {
             let (tx, rx) = unbounded::<Request>();
-            let engine: Box<dyn StorageEngine> = match &self.engine {
-                EngineKind::Mem => Box::new(MemEngine::new()),
-                EngineKind::Log { dir } => Box::new(
-                    LogEngine::open_with(dir.join(format!("node-{id}.log")), self.sync)
-                        .expect("open node log"),
-                ),
+            let (ready, opened_rx) = bounded::<Result<(), KvError>>(1);
+            let log = match &self.engine {
+                EngineKind::Mem => None,
+                EngineKind::Log { dir } => Some(dir.join(format!("node-{id}.log"))),
             };
-            let node = Node {
-                id,
-                engine,
-                stats: Arc::clone(&stats),
-                network: self.network,
-                faults: self.faults.as_ref().map(|p| p.for_node(id)),
-                down: false,
-            };
+            let (sync, network) = (self.sync, self.network);
+            let stats = Arc::clone(&stats);
+            let faults = self.faults.as_ref().map(|p| p.for_node(id));
             let handle = std::thread::Builder::new()
                 .name(format!("kv-node-{id}"))
-                .spawn(move || node.run(rx))
+                .spawn(move || {
+                    let engine: Box<dyn StorageEngine> = match log.map(|path| LogEngine::open_with(path, sync)) {
+                        None => Box::new(MemEngine::new()),
+                        Some(Ok(engine)) => Box::new(engine),
+                        Some(Err(e)) => {
+                            let _ = ready.send(Err(e));
+                            return;
+                        }
+                    };
+                    let _ = ready.send(Ok(()));
+                    let node = Node { id, engine, stats, network, faults, down: false };
+                    node.run(rx)
+                })
                 .expect("spawn node thread");
             senders.push(tx);
             handles.push(handle);
+            opened.push(opened_rx);
+        }
+        for rx in opened {
+            if let Err(e) = rx.recv().expect("node thread exited while opening its engine") {
+                // Closing the request channels stops every other node
+                // once its own open is done.
+                drop(senders);
+                for handle in handles {
+                    let _ = handle.join();
+                }
+                panic!("open node log: {e:?}");
+            }
         }
         Cluster {
             senders,
@@ -1324,6 +1347,21 @@ mod tests {
             assert!(c.get(&i.to_be_bytes()).unwrap().is_some(), "key {i} lost");
         }
         drop(c);
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn a_node_log_that_cannot_open_fails_the_build() {
+        // Node 1's log path is a directory, so its thread fails to open
+        // the log while the other nodes open theirs: `build` waits for
+        // all of them and panics as a serial open did.
+        let dir = std::env::temp_dir().join(format!("rstore-cluster-unopenable-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(dir.join("node-1.log")).unwrap();
+        let builder = Cluster::builder().nodes(3).engine(EngineKind::Log { dir: dir.clone() });
+        let panic = std::panic::catch_unwind(move || builder.build()).err().expect("build must panic");
+        let message = panic.downcast_ref::<String>().map_or("", String::as_str);
+        assert!(message.starts_with("open node log"), "panicked with {message:?}");
         let _ = std::fs::remove_dir_all(dir);
     }
 

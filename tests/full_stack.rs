@@ -777,6 +777,67 @@ fn acknowledged_commits_survive_a_restart_without_a_flush() {
 }
 
 #[test]
+fn a_chunk_map_that_gives_a_version_one_key_twice_fails_the_restart() {
+    // A restart builds each version's contents from its parent's and
+    // the chunk-map differences between the two. V1 updates K0; then
+    // V1's entry in the base map of the chunk holding V0's copy of K0
+    // is rewritten to keep that copy too, so by its maps V1 holds K0
+    // twice. The restart must refuse the store, not keep either copy.
+    use rstore::core::chunk::Chunk;
+    use rstore::core::chunkmap::ChunkMap;
+    use rstore::core::store::{CHUNK_TABLE, CMAP_TABLE};
+    use rstore::core::CoreError;
+    use rstore::kvstore::table_key;
+    let dir = std::env::temp_dir().join(format!("rstore-fullstack-twice-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let make_cluster = || {
+        Cluster::builder()
+            .nodes(2)
+            .engine(rstore::kvstore::EngineKind::Log { dir: dir.clone() })
+            .build()
+    };
+    let (v0, v1) = (VersionId(0), VersionId(1));
+    let key = |table: &str, c: u32| table_key(table, &c.to_be_bytes());
+
+    let config = {
+        let store = RStore::builder().chunk_capacity(4096).build(make_cluster());
+        store.commit(CommitRequest::root((0u64..20).map(|pk| (pk, vec![pk as u8; 40])))).unwrap();
+        store.commit(CommitRequest::child_of(v0).put(0, vec![0xAA; 40])).unwrap();
+        store.seal().unwrap();
+        let (c, local) = store
+            .live_chunk_ids()
+            .into_iter()
+            .find_map(|c| {
+                let chunk = Chunk::deserialize(&store.cluster().get(&key(CHUNK_TABLE, c)).unwrap()?).unwrap();
+                let local = chunk.local_keys().iter().position(|ck| (ck.pk, ck.origin) == (0, v0))?;
+                Some((c, local))
+            })
+            .expect("V0's copy of K0 is stored");
+        let stored = store.cluster().get(&key(CMAP_TABLE, c)).unwrap().expect("a base map");
+        let stored = ChunkMap::deserialize(&stored).unwrap();
+        assert!(stored.members_of(v1).is_some(), "V1 keeps V0's other records in the chunk");
+        let mut twice = ChunkMap::new(stored.num_records());
+        for (v, members) in stored.iter() {
+            let mut members = members.clone();
+            if v == v1 {
+                assert!(!members.get(local));
+                members.set(local);
+            }
+            twice.push_bitmap(v, members);
+        }
+        store.cluster().put(key(CMAP_TABLE, c), twice.serialize().into()).unwrap();
+        *store.config()
+    };
+
+    match RStore::reopen(config, make_cluster()) {
+        Err(CoreError::Codec(msg)) => assert!(msg.contains("V1 holds K0 twice"), "{msg}"),
+        Err(e) => panic!("expected a codec error, got {e}"),
+        Ok(_) => panic!("the restart served V1 holding K0 twice"),
+    }
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+#[test]
 fn a_flush_costs_its_delta_however_long_the_history() {
     // The ledger has no scale axis yet, so this stands in for it: a
     // 320-version chain replayed with a flush every 8 commits. Each
