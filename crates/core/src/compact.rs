@@ -540,28 +540,15 @@ impl RStore {
             let mut index = StagedIndex::default();
             let mut touched: FxHashMap<u32, Vec<usize>> = FxHashMap::default();
             for (v, members) in version_members.iter().enumerate() {
-                if members.is_empty() {
-                    continue;
-                }
                 for &i in members {
                     let (chunk, local) = chunks.slots[i as usize];
                     touched.entry(chunk).or_default().push(local as usize);
                 }
-                let v = VersionId(v as u32);
-                let mut span = Vec::with_capacity(touched.len());
                 for (chunk, locals) in touched.drain() {
-                    span.push(chunk);
                     let members = Bitmap::from_indices(count_of[&chunk], locals);
-                    index.per_chunk.entry(chunk).or_default().push((v, members));
+                    index.entry(chunk).or_default().push((VersionId(v as u32), members));
                 }
-                span.sort_unstable();
-                index.version_chunks.push((v, span));
             }
-            index.key_chunks = records
-                .iter()
-                .zip(&chunks.slots)
-                .map(|(r, &(chunk, _))| (r.pk, chunk))
-                .collect();
             index
         })?;
         stages.rebuild = committed.stages.assemble;

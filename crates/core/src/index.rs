@@ -5,10 +5,10 @@
 //! mapping between primary keys and chunks ... and (2) a mapping
 //! between versions and chunks" (§2.4, Fig. 3b). Both live in
 //! application-server memory (the paper sizes them at tens of MB for
-//! multi-GB datasets). A generation persists only its *edits* to them
-//! ([`ProjectionDelta`], inside the generation's commit record); the
-//! whole-structure form ([`Projections::serialize`]) is what the index
-//! oracles compare.
+//! multi-GB datasets). Nothing persists them: they follow from the
+//! chunk maps and from where each record was placed, and
+//! `Projections::add_chunks` is the one derivation — a commit feeds it
+//! its generation's chunks, a restart every live chunk.
 //!
 //! Since the snapshot-isolation refactor the serving copy of these
 //! projections is frozen inside each published
@@ -18,126 +18,19 @@
 //! adding versions mid-query can never make a planned span
 //! inconsistent with the metadata it was derived from.
 
-use crate::error::CoreError;
 use crate::model::{ChunkId, PrimaryKey, VersionId};
 use crate::plan::QuerySpec;
-use rstore_compress::{varint, PostingsList};
+use rstore_compress::{Bitmap, PostingsList};
 use std::collections::BTreeMap;
 
 /// Version→chunks and key→chunks projections.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Projections {
     /// `version_chunks[v]` = sorted chunk ids containing records of v.
     version_chunks: Vec<Vec<u32>>,
     /// Key → sorted chunk ids containing records with that key.
     /// A `BTreeMap` so range retrieval can walk a key range.
     key_chunks: BTreeMap<PrimaryKey, Vec<u32>>,
-}
-
-/// One generation's edits to the projections — what its commit record
-/// persists instead of the projections themselves, and the only way
-/// the writer grows them: chunk ids to add to version lists and
-/// `(key, chunk)` postings to add. (Removal is not an edit of this
-/// kind: compaction retires whole chunks, [`Projections::retain_chunks`].)
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ProjectionDelta {
-    /// Per touched version, ascending: the sorted chunk ids to add to
-    /// its list. A version with nothing to add still makes the version
-    /// table cover it.
-    pub version_chunks: Vec<(VersionId, Vec<u32>)>,
-    /// `(pk, chunk)` postings to add, sorted and distinct.
-    pub key_chunks: Vec<(PrimaryKey, u32)>,
-}
-
-/// Appends `ids` (strictly ascending) as a count and delta varints.
-pub(crate) fn write_ascending(out: &mut Vec<u8>, ids: &[u32]) {
-    varint::write_u64(out, ids.len() as u64);
-    let mut prev = 0;
-    for &id in ids {
-        varint::write_u32(out, id - prev);
-        prev = id;
-    }
-}
-
-/// Reads a list [`write_ascending`] wrote; an id past `u32` or one
-/// that does not ascend is an error (the lists are kept sorted and
-/// distinct everywhere they land).
-pub(crate) fn read_ascending(r: &mut varint::VarintReader<'_>) -> Result<Vec<u32>, CoreError> {
-    let n = bounded_count(r)?;
-    let mut ids = Vec::with_capacity(n);
-    let mut prev = 0u64;
-    for i in 0..n {
-        prev = ascend(i, prev, r.read_u64()?, u32::MAX.into())?;
-        ids.push(prev as u32);
-    }
-    Ok(ids)
-}
-
-/// The `i`-th id of a strictly ascending, delta-coded sequence of ids
-/// up to `max`, given the one before it.
-fn ascend(i: usize, prev: u64, delta: u64, max: u64) -> Result<u64, CoreError> {
-    match prev.checked_add(delta) {
-        Some(id) if id <= max && (i == 0 || delta > 0) => Ok(id),
-        _ => Err(CoreError::Codec("ids do not ascend".into())),
-    }
-}
-
-/// Reads an element count, bounded by the bytes left to hold that many
-/// elements (each takes at least one) — before anything is allocated
-/// for it.
-pub(crate) fn bounded_count(r: &mut varint::VarintReader<'_>) -> Result<usize, CoreError> {
-    let n = r.read_u64()?;
-    if n > r.remaining().len() as u64 {
-        return Err(CoreError::Codec("count exceeds input".into()));
-    }
-    Ok(n as usize)
-}
-
-impl ProjectionDelta {
-    /// Appends the delta: the version lists (version ids as deltas,
-    /// each list a count and delta varints), then the postings as runs
-    /// of one key (key ids as deltas) with the run's chunks.
-    pub fn encode(&self, out: &mut Vec<u8>) {
-        varint::write_u64(out, self.version_chunks.len() as u64);
-        let mut prev = 0;
-        for (v, chunks) in &self.version_chunks {
-            varint::write_u32(out, v.as_u32() - prev);
-            prev = v.as_u32();
-            write_ascending(out, chunks);
-        }
-        let runs: Vec<&[(PrimaryKey, u32)]> =
-            self.key_chunks.chunk_by(|a, b| a.0 == b.0).collect();
-        varint::write_u64(out, runs.len() as u64);
-        let mut prev = 0;
-        for run in runs {
-            varint::write_u64(out, run[0].0 - prev);
-            prev = run[0].0;
-            let chunks: Vec<u32> = run.iter().map(|&(_, c)| c).collect();
-            write_ascending(out, &chunks);
-        }
-    }
-
-    /// Reads a delta [`ProjectionDelta::encode`] wrote.
-    pub fn decode(r: &mut varint::VarintReader<'_>) -> Result<Self, CoreError> {
-        let n = bounded_count(r)?;
-        let mut version_chunks = Vec::with_capacity(n);
-        let mut prev = 0u64;
-        for i in 0..n {
-            prev = ascend(i, prev, r.read_u64()?, u32::MAX.into())?;
-            version_chunks.push((VersionId(prev as u32), read_ascending(r)?));
-        }
-        let n = bounded_count(r)?;
-        let mut key_chunks = Vec::with_capacity(n);
-        let mut prev = 0u64;
-        for i in 0..n {
-            prev = ascend(i, prev, r.read_u64()?, u64::MAX)?;
-            key_chunks.extend(read_ascending(r)?.into_iter().map(|c| (prev, c)));
-        }
-        Ok(Self {
-            version_chunks,
-            key_chunks,
-        })
-    }
 }
 
 impl Projections {
@@ -240,56 +133,36 @@ impl Projections {
         });
     }
 
-    /// Applies one generation's edits.
-    pub fn apply(&mut self, delta: &ProjectionDelta) {
-        for (v, chunks) in &delta.version_chunks {
-            self.ensure_version(*v);
-            let list = &mut self.version_chunks[v.index()];
-            if list.is_empty() {
-                // A version's first generation: the list as a whole.
-                list.clone_from(chunks);
-            } else {
-                for &c in chunks {
-                    if let Err(pos) = list.binary_search(&c) {
-                        list.insert(pos, c);
-                    }
-                }
+    /// Adds the postings that chunks contribute — the one derivation
+    /// of the projections, which a commit runs over its generation's
+    /// chunk-map entries and placed records and a restart over every
+    /// live chunk's: a version's chunks are those whose map holds a
+    /// non-empty entry for it, a key's chunks those holding one of its
+    /// records. `entries` are `(version, chunk, members)` and `records`
+    /// `(pk, chunk)`, in any order; the version table then covers the
+    /// first `versions` versions.
+    pub(crate) fn add_chunks<'a>(
+        &mut self,
+        versions: usize,
+        entries: impl IntoIterator<Item = (VersionId, u32, &'a Bitmap)>,
+        records: impl IntoIterator<Item = (PrimaryKey, u32)>,
+    ) {
+        if self.version_chunks.len() < versions {
+            self.version_chunks.resize(versions, Vec::new());
+        }
+        for (v, c, members) in entries {
+            if members.count_ones() > 0 {
+                self.add_version_chunk(v, ChunkId(c));
             }
         }
-        for run in delta.key_chunks.chunk_by(|a, b| a.0 == b.0) {
-            let list = self.key_chunks.entry(run[0].0).or_default();
-            for &(_, c) in run {
-                if let Err(pos) = list.binary_search(&c) {
-                    list.insert(pos, c);
-                }
-            }
-        }
-    }
-
-    /// The whole projections as the one delta that builds them from
-    /// nothing — a checkpoint's form of them.
-    pub fn to_delta(&self) -> ProjectionDelta {
-        ProjectionDelta {
-            version_chunks: (0u32..)
-                .map(VersionId)
-                .zip(self.version_chunks.iter().cloned())
-                .collect(),
-            key_chunks: self
-                .key_chunks
-                .iter()
-                .flat_map(|(&pk, list)| list.iter().map(move |&c| (pk, c)))
-                .collect(),
+        for (pk, c) in records {
+            self.add_key_chunk(pk, ChunkId(c));
         }
     }
 
     /// Number of versions tracked.
     pub fn num_versions(&self) -> usize {
         self.version_chunks.len()
-    }
-
-    /// Number of distinct primary keys tracked.
-    pub fn num_keys(&self) -> usize {
-        self.key_chunks.len()
     }
 
     /// The *span* of a version: how many chunks a full retrieval
@@ -322,61 +195,6 @@ impl Projections {
             .map(|l| postings_of(l).serialize().len() + 8)
             .sum();
         (version_bytes, key_bytes)
-    }
-
-    /// Persists both projections into one buffer (stored in the
-    /// backend's index table so application servers can warm-start).
-    pub fn serialize(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        varint::write_u64(&mut out, self.version_chunks.len() as u64);
-        for list in &self.version_chunks {
-            let p = postings_of(list).serialize();
-            varint::write_u64(&mut out, p.len() as u64);
-            out.extend_from_slice(&p);
-        }
-        varint::write_u64(&mut out, self.key_chunks.len() as u64);
-        for (pk, list) in &self.key_chunks {
-            varint::write_u64(&mut out, *pk);
-            let p = postings_of(list).serialize();
-            varint::write_u64(&mut out, p.len() as u64);
-            out.extend_from_slice(&p);
-        }
-        out
-    }
-
-    /// Restores projections from [`Projections::serialize`] output.
-    pub fn deserialize(input: &[u8]) -> Result<Self, CoreError> {
-        let mut r = varint::VarintReader::new(input);
-        let n_versions = r.read_u64()? as usize;
-        if n_versions > input.len() {
-            return Err(CoreError::Codec("version count exceeds input".into()));
-        }
-        let mut version_chunks = Vec::with_capacity(n_versions);
-        for _ in 0..n_versions {
-            let len = r.read_u64()? as usize;
-            let p = PostingsList::deserialize(r.read_bytes(len)?)
-                .map_err(|e| CoreError::Codec(e.to_string()))?;
-            version_chunks.push(p.iter().map(|x| x as u32).collect());
-        }
-        let n_keys = r.read_u64()? as usize;
-        if n_keys > input.len() {
-            return Err(CoreError::Codec("key count exceeds input".into()));
-        }
-        let mut key_chunks = BTreeMap::new();
-        for _ in 0..n_keys {
-            let pk = r.read_u64()?;
-            let len = r.read_u64()? as usize;
-            let p = PostingsList::deserialize(r.read_bytes(len)?)
-                .map_err(|e| CoreError::Codec(e.to_string()))?;
-            key_chunks.insert(pk, p.iter().map(|x| x as u32).collect());
-        }
-        if !r.is_empty() {
-            return Err(CoreError::Codec("trailing bytes in projections".into()));
-        }
-        Ok(Self {
-            version_chunks,
-            key_chunks,
-        })
     }
 }
 
@@ -462,30 +280,13 @@ mod tests {
         assert_eq!(p.version_span(VersionId(0)), 2);
         assert_eq!(p.total_version_span(), 4);
         assert_eq!(p.key_span(10), 2);
-        assert_eq!(p.num_keys(), 2);
         assert!(p.num_versions() >= 2);
-    }
-
-    #[test]
-    fn serialize_roundtrip() {
-        let p = sample();
-        let d = Projections::deserialize(&p.serialize()).unwrap();
-        assert_eq!(d.chunks_of_version(VersionId(0)), p.chunks_of_version(VersionId(0)));
-        assert_eq!(d.chunks_of_key(10), p.chunks_of_key(10));
-        assert_eq!(d.total_version_span(), p.total_version_span());
     }
 
     #[test]
     fn serialized_bytes_reported() {
         let (v, k) = sample().serialized_bytes();
         assert!(v > 0 && k > 0);
-    }
-
-    #[test]
-    fn deserialize_rejects_garbage() {
-        assert!(Projections::deserialize(&[9, 9, 9]).is_err());
-        let bytes = sample().serialize();
-        assert!(Projections::deserialize(&bytes[..bytes.len() - 1]).is_err());
     }
 
     #[test]
@@ -501,41 +302,25 @@ mod tests {
         // Retiring a key's last chunk removes the key entry.
         p.retain_chunks(|c| c != 2);
         assert_eq!(p.chunks_of_key(10), &[] as &[u32]);
-        assert_eq!(p.num_keys(), 1);
         // Re-adding after retention keeps the sorted invariant.
         p.add_version_chunk(VersionId(0), ChunkId(0));
         assert_eq!(p.chunks_of_version(VersionId(0)), &[0, 1]);
     }
 
     #[test]
-    fn deltas_build_the_same_projections_as_direct_edits() {
-        let whole = sample();
-        // From nothing, in one delta and through the codec.
-        let mut bytes = Vec::new();
-        whole.to_delta().encode(&mut bytes);
-        let mut r = varint::VarintReader::new(&bytes);
-        let decoded = ProjectionDelta::decode(&mut r).unwrap();
-        assert!(r.is_empty());
-        assert_eq!(decoded, whole.to_delta());
-        let mut rebuilt = Projections::new();
-        rebuilt.apply(&decoded);
-        assert_eq!(rebuilt.serialize(), whole.serialize());
-        // On top of existing lists: merges, repeats and a version with
-        // nothing to add.
-        let edit = ProjectionDelta {
-            version_chunks: vec![(VersionId(1), vec![1, 2, 7]), (VersionId(3), vec![])],
-            key_chunks: vec![(10, 1), (10, 2), (30, 7)],
-        };
-        rebuilt.apply(&edit);
-        assert_eq!(rebuilt.chunks_of_version(VersionId(1)), &[0, 1, 2, 7]);
-        assert_eq!(rebuilt.num_versions(), 4);
-        assert_eq!(rebuilt.chunks_of_key(10), &[0, 1, 2]);
-        assert_eq!(rebuilt.chunks_of_key(30), &[7]);
-        // Cut, extended and absurd encodings are errors.
-        let decode = |b: &[u8]| ProjectionDelta::decode(&mut varint::VarintReader::new(b));
-        assert!(decode(&bytes[..bytes.len() - 1]).is_err());
-        assert!(decode(&[0xff, 0xff, 0xff, 0xff, 0x0f]).is_err(), "count past the input");
-        assert!(decode(&[2, 0xff, 0xff, 0xff, 0xff, 0x0f, 0, 1, 0, 0]).is_err(), "version id overflow");
+    fn chunks_add_their_non_empty_entries_and_their_keys() {
+        let bits = |ones: &[usize]| Bitmap::from_indices(4, ones.iter().copied());
+        let (some, none) = (bits(&[1]), bits(&[]));
+        let mut p = sample();
+        // Chunk 7 holds V1 and K10, K30; its empty V0 entry adds nothing,
+        // chunk 1's V1 entry and K10 posting land between existing ones.
+        let entries = [(VersionId(1), 7, &some), (VersionId(0), 7, &none), (VersionId(1), 1, &some)];
+        p.add_chunks(4, entries, [(30, 7), (10, 7), (10, 1), (10, 7)]);
+        assert_eq!(p.chunks_of_version(VersionId(0)), &[0, 1]);
+        assert_eq!(p.chunks_of_version(VersionId(1)), &[0, 1, 2, 7]);
+        assert_eq!(p.num_versions(), 4);
+        assert_eq!(p.chunks_of_key(10), &[0, 1, 2, 7]);
+        assert_eq!(p.chunks_of_key(30), &[7]);
     }
 
     #[test]

@@ -29,15 +29,17 @@
 //!    put) that the equivalence proptests compare against.
 //! 3. **commit** — one appended key, `meta/gen/<seq>`, holding a
 //!    [`GenerationRecord`]: only what the generation changed — the
-//!    flushed versions' graph nodes, the chunk-table edits, the
-//!    projection edits ([`ProjectionDelta`]) and, for every
-//!    already-existing chunk the index pass touched, its new chunk-map
-//!    entries. That single put is the commit point. Only then is the
-//!    same record applied to the writer state — each dirty map grows
-//!    by its new entries, copy-on-write, so generations readers still
-//!    pin keep theirs — and published, chunk maps included: reads
-//!    extract with the published maps, and the stored ones are read
-//!    back only by a restart.
+//!    flushed versions' graph nodes, the chunk-table edits and, for
+//!    every already-existing chunk the index pass touched, its new
+//!    chunk-map entries. That single put is the commit point. Only
+//!    then is the same record applied to the writer state — each dirty
+//!    map grows by its new entries, copy-on-write, so generations
+//!    readers still pin keep theirs — the projections take the
+//!    postings the generation's entries and placed records imply
+//!    ([`Projections::add_chunks`]; no record logs them), and the
+//!    whole is published, chunk maps included: reads extract with the
+//!    published maps, and the stored ones are read back only by a
+//!    restart.
 //!
 //! Any error up to and including the record put therefore leaves the
 //! writer state untouched: a failed flush keeps its commits in the
@@ -64,7 +66,9 @@
 //! A restart ([`load_persisted`]) reads the checkpoint, then the records
 //! after it in sequence, then the live chunks' base maps, and appends
 //! to each map the entries the checkpoint and the records logged for
-//! it. Commits acknowledged but not yet flushed are in none of these:
+//! it; the locator, the contents and the projections it derives from
+//! those maps and the live chunks' keys ([`derive_from_blobs`]).
+//! Commits acknowledged but not yet flushed are in none of these:
 //! they wait in the delta store (`deltas/<version>`, written by
 //! [`RStore::commit`], deleted by the flush that placed them) and a
 //! restart re-admits them as pending.
@@ -72,13 +76,12 @@
 use crate::chunk::{Chunk, SubChunk};
 use crate::chunkmap::{self, encode_entries, ChunkMap};
 use crate::error::CoreError;
-use crate::index::{bounded_count, read_ascending, write_ascending, ProjectionDelta, Projections};
+use crate::index::Projections;
 use crate::model::{ChunkId, CompositeKey, PrimaryKey, Record, VersionId};
 use crate::partition::{PartitionInput, Partitioning};
 use crate::plan;
 use crate::store::{
-    IngestStages, RStore, Slot, SlotState, StoreMut, CHUNK_TABLE, CMAP_TABLE, DELTA_TABLE,
-    META_TABLE,
+    IngestStages, RStore, Slot, SlotState, StoreMut, CMAP_TABLE, DELTA_TABLE, META_TABLE,
 };
 use bytes::Bytes;
 use crossbeam::channel::bounded;
@@ -135,7 +138,7 @@ fn stream_writes(
 /// `jobs` on `workers` scoped threads and streams each blob into a
 /// [`Cluster::writer`] the moment it is ready, so the node threads
 /// store earlier batches while later chunks are still being encoded.
-/// The chunk key layout and serialization live in exactly this place.
+/// Chunk serialization lives in exactly this place.
 ///
 /// With `workers == 1` this is the serial reference path: chunks
 /// encode in order on the calling thread and every write is deferred
@@ -147,12 +150,7 @@ fn stream_chunk_blobs(
     workers: usize,
     jobs: Vec<(u32, Chunk)>,
 ) -> Result<StreamOutcome, CoreError> {
-    let encode = |(id, chunk): (u32, Chunk)| {
-        (
-            table_key(CHUNK_TABLE, &ChunkId(id).to_key()),
-            Bytes::from(chunk.serialize()),
-        )
-    };
+    let encode = |(id, chunk): (u32, Chunk)| (plan::backend_key(id), Bytes::from(chunk.serialize()));
     let workers = workers.min(jobs.len()).max(1);
     if workers == 1 {
         return stream_writes(cluster, 1, jobs.into_iter().map(encode).collect());
@@ -213,11 +211,50 @@ fn stream_chunk_blobs(
 const CHECKPOINT_FACTOR: usize = 4;
 
 /// First byte of an encoded [`GenerationRecord`]: the format's tag.
-const RECORD_TAG: u8 = 0xC7;
+/// (`0xC7` tagged the layout that also logged projection edits.)
+const RECORD_TAG: u8 = 0xC8;
 
 /// Records a restart asks for per round trip while it walks the log
 /// past the checkpoint (the window doubles as the walk goes on).
 const RECORD_WINDOW: u64 = 4;
+
+/// Appends `ids` (strictly ascending) as a count and delta varints.
+fn write_ascending(out: &mut Vec<u8>, ids: &[u32]) {
+    varint::write_u64(out, ids.len() as u64);
+    let mut prev = 0;
+    for &id in ids {
+        varint::write_u32(out, id - prev);
+        prev = id;
+    }
+}
+
+/// Reads a list [`write_ascending`] wrote; an id past `u32` or one
+/// that does not ascend is an error (the lists are kept sorted and
+/// distinct everywhere they land).
+fn read_ascending(r: &mut varint::VarintReader<'_>) -> Result<Vec<u32>, CoreError> {
+    let n = bounded_count(r)?;
+    let mut ids: Vec<u32> = Vec::with_capacity(n);
+    for i in 0..n {
+        let delta = r.read_u64()?;
+        let id = delta.saturating_add(ids.last().map_or(0, |&c| c.into()));
+        if (i > 0 && delta == 0) || id > u32::MAX.into() {
+            return Err(CoreError::Codec("ids do not ascend".into()));
+        }
+        ids.push(id as u32);
+    }
+    Ok(ids)
+}
+
+/// Reads an element count, bounded by the bytes left to hold that many
+/// elements (each takes at least one) — before anything is allocated
+/// for it.
+fn bounded_count(r: &mut varint::VarintReader<'_>) -> Result<usize, CoreError> {
+    let n = r.read_u64()?;
+    if n > r.remaining().len() as u64 {
+        return Err(CoreError::Codec("count exceeds input".into()));
+    }
+    Ok(n as usize)
+}
 
 /// The backend key of chunk `c`'s base map.
 fn chunk_map_key(c: u32) -> Key {
@@ -315,8 +352,6 @@ pub struct GenerationRecord {
     /// Retired ids moved to the free set, ascending (one at or past
     /// `chunk_slots` is truncated with its slot instead).
     pub freed: Vec<u32>,
-    /// Additions to the projections, applied after the retirements.
-    pub index: ProjectionDelta,
     /// New chunk-map entries of chunks that existed before, ascending
     /// by chunk (a created chunk's entries are in its base map).
     pub map_entries: Vec<MapAppend>,
@@ -344,7 +379,6 @@ impl GenerationRecord {
         }
         write_ascending(&mut out, &self.retired);
         write_ascending(&mut out, &self.freed);
-        self.index.encode(&mut out);
         varint::write_u64(&mut out, self.map_entries.len() as u64);
         for m in &self.map_entries {
             varint::write_u32(&mut out, m.chunk);
@@ -387,7 +421,6 @@ impl GenerationRecord {
         }
         let retired = read_ascending(&mut r)?;
         let freed = read_ascending(&mut r)?;
-        let index = ProjectionDelta::decode(&mut r)?;
         let n = bounded_count(&mut r)?;
         let mut map_entries = Vec::with_capacity(n);
         for _ in 0..n {
@@ -408,18 +441,17 @@ impl GenerationRecord {
             new_chunks,
             retired,
             freed,
-            index,
             map_entries,
         })
     }
 }
 
 impl StoreMut {
-    /// Applies a record's slot and projection edits — the part a live
-    /// commit and a restart's replay share. A created chunk's slot gets
-    /// an empty map as wide as its records; the entries are the
-    /// caller's: a commit holds them decoded, a replay collects their
-    /// bytes until it knows which chunks live.
+    /// Applies a record's slot edits — the part a live commit and a
+    /// restart's replay share. A created chunk's slot gets an empty map
+    /// as wide as its records; the entries are the caller's: a commit
+    /// holds them decoded, a replay collects their bytes until it knows
+    /// which chunks live.
     pub(crate) fn apply_edits(&mut self, rec: &GenerationRecord) {
         if rec.chunk_slots > self.slots.len() {
             Arc::make_mut(&mut self.slots).resize_with(rec.chunk_slots, Slot::default);
@@ -446,16 +478,6 @@ impl StoreMut {
             // Trailing freed slots shrink the id space outright.
             Arc::make_mut(&mut self.slots).truncate(rec.chunk_slots);
         }
-        if !rec.retired.is_empty() {
-            // Retired chunks vanish from every version and key list
-            // before the records they held are re-added under their
-            // new chunks.
-            let live = |c: u32| self.slots.get(c as usize).is_some_and(|s| s.state == SlotState::Live);
-            Arc::make_mut(&mut self.projections).retain_chunks(live);
-        }
-        if !rec.index.version_chunks.is_empty() || !rec.index.key_chunks.is_empty() {
-            Arc::make_mut(&mut self.projections).apply(&rec.index);
-        }
         self.flushed_versions = self
             .flushed_versions
             .max(rec.first_version as usize + rec.parents.len());
@@ -472,7 +494,6 @@ impl StoreMut {
                 .map(|n| n.parents.clone())
                 .collect(),
             chunk_slots: self.slots.len(),
-            index: self.projections.to_delta(),
             ..GenerationRecord::default()
         };
         for (c, slot) in (0u32..).zip(self.slots.iter()) {
@@ -535,12 +556,18 @@ impl LogReplay {
         if !rec.new_chunks.iter().all(|c| (c.id as usize) < rec.chunk_slots)
             || !rec.retired.iter().chain(&rec.freed).all(|&c| known(c))
             || !rec.map_entries.iter().all(|m| known(m.chunk))
-            || !rec.index.version_chunks.iter().all(|(v, chunks)| {
-                v.index() < graph.len() && chunks.iter().all(|&c| known(c))
-            })
-            || !rec.index.key_chunks.iter().all(|&(_, c)| known(c))
         {
             return Err(bad("an id is out of range"));
+        }
+        // A record may retire a live chunk, but never create one over
+        // it, free it or truncate its slot. (A checkpoint starts from
+        // no slots, so every id it names is fresh.)
+        let live = |c: u32| st.slots.get(c as usize).is_some_and(|s| s.state == SlotState::Live);
+        if rec.new_chunks.iter().any(|c| live(c.id))
+            || rec.freed.iter().any(|&c| live(c))
+            || (rec.chunk_slots as u32..before as u32).any(live)
+        {
+            return Err(bad("it overwrites or frees a live chunk"));
         }
         st.apply_edits(&rec);
         // A retired chunk takes its logged entries with it, and a
@@ -559,8 +586,10 @@ impl LogReplay {
 /// sequence, then the live chunks' base maps with every logged entry
 /// appended — the one reader of the `meta` and `cmaps` tables (a
 /// running store serves its maps from memory). The returned state has
-/// no locator, contents or pending commits yet; [`RStore::reopen`]
-/// derives those from the chunk blobs and the delta store.
+/// no locator, contents, projections or pending commits yet:
+/// [`derive_from_blobs`] derives the first three from the live chunks'
+/// blobs, and [`RStore::reopen`] re-admits the last from the delta
+/// store.
 ///
 /// The log is walked without a key listing: windows of consecutive
 /// sequence numbers, one scatter-gather get each, until one comes back
@@ -654,27 +683,71 @@ pub(crate) fn load_persisted(cluster: &Cluster, workers: usize) -> Result<StoreM
     Ok(st)
 }
 
+/// What a restart derives rather than reads — the locator, every
+/// version's contents and the projections — from the state
+/// [`load_persisted`] returned and the live chunks' blobs: `blobs`
+/// pairs each live chunk, ascending, with its blob's compressed bytes
+/// and its records' keys in local order. The maps are transposed once
+/// ([`chunkmap::by_version`]) for both the contents and the version
+/// projection. A blob of another size than its record logged (another
+/// generation's, left under a reused id) or with another record count
+/// than its map is [`CoreError::Codec`], as is what
+/// [`contents_from_maps`] rejects.
+pub(crate) fn derive_from_blobs(
+    st: &mut StoreMut,
+    blobs: &[(u32, usize, &[CompositeKey])],
+) -> Result<(), CoreError> {
+    st.locator.reserve(blobs.iter().map(|b| b.2.len()).sum());
+    let mut maps = Vec::with_capacity(blobs.len());
+    for &(c, stored, keys) in blobs {
+        let slot = &st.slots[c as usize];
+        let bad = |what: String| Err(CoreError::Codec(format!("chunk {c} {what}")));
+        if stored != slot.bytes {
+            return bad(format!("is {stored} bytes, its generation record says {}", slot.bytes));
+        }
+        if keys.len() != slot.map.num_records() {
+            return bad(format!("holds {} records, its map covers {}", keys.len(), slot.map.num_records()));
+        }
+        maps.push(Arc::clone(&slot.map));
+        for (local, ck) in keys.iter().enumerate() {
+            st.locator.insert(*ck, (c, local as u32));
+        }
+    }
+    let versions = st.graph.len();
+    let touched = chunkmap::by_version(maps.iter().map(|m| &**m), versions)?;
+    let keys: Vec<&[CompositeKey]> = blobs.iter().map(|b| b.2).collect();
+    st.contents = contents_from_maps(&st.graph, &keys, &touched)?;
+    st.record_counts = Arc::new(st.contents.iter().map(Vec::len).collect());
+    let entries = (0u32..).zip(&touched).flat_map(|(v, list)| {
+        list.iter().map(move |&(at, members)| (VersionId(v), blobs[at].0, members))
+    });
+    let records = blobs.iter().flat_map(|&(c, _, keys)| keys.iter().map(move |ck| (ck.pk, c)));
+    let mut projections = Projections::new();
+    projections.add_chunks(versions, entries, records);
+    st.projections = Arc::new(projections);
+    Ok(())
+}
+
 /// Every version's contents — sorted `(pk, origin)` pairs — rebuilt
-/// from the live chunks' local keys and maps, each version from its
-/// primary parent's: `contents[p] − removed + added`, the shape
-/// [`stage_index`] writes the maps in. The maps are transposed once
-/// into per-version chunk lists ([`chunkmap::by_version`]); then for
-/// every chunk a version or its parent touches, the records set for
-/// the version and not the parent are added and those set for the
-/// parent and not the version removed, a word at a time
-/// ([`Bitmap::iter_difference`]). A root's contents are collected and
-/// sorted once. The cost is the history's chunk-map entries plus a
-/// copy of each version's list — no record is hashed.
+/// from the live chunks' local keys (`keys`) and their maps transposed
+/// to per-version lists (`touched`, [`chunkmap::by_version`]), each
+/// version from its primary parent's: `contents[p] − removed + added`,
+/// the shape [`stage_index`] writes the maps in. For every chunk a
+/// version or its parent touches, the records set for the version and
+/// not the parent are added and those set for the parent and not the
+/// version removed, a word at a time ([`Bitmap::iter_difference`]). A
+/// root's contents are collected and sorted once. The cost is the
+/// history's chunk-map entries plus a copy of each version's list — no
+/// record is hashed.
 ///
-/// A map naming a version the graph does not hold, or a version that
-/// would hold one key twice, is [`CoreError::Codec`].
+/// A version that would hold one key twice is [`CoreError::Codec`].
 pub(crate) fn contents_from_maps(
     graph: &VersionGraph,
-    chunks: &[(&[CompositeKey], &ChunkMap)],
+    keys: &[&[CompositeKey]],
+    touched: &[Vec<(usize, &Bitmap)>],
 ) -> Result<Vec<Vec<(PrimaryKey, VersionId)>>, CoreError> {
-    let touched = chunkmap::by_version(chunks.iter().map(|&(_, map)| map), graph.len())?;
     let record = |at: usize, local: usize| {
-        let ck = chunks[at].0[local];
+        let ck = keys[at][local];
         (ck.pk, ck.origin)
     };
     let none = Bitmap::default();
@@ -861,28 +934,18 @@ impl StagedChunks {
 /// map, ascending by version.
 type MapEntries = Vec<(VersionId, Bitmap)>;
 
-/// The index as its two durable forms: the serialized map of every live
-/// chunk (ascending ids) and the serialized projections.
+/// The index as the oracles compare it: the serialized map of every
+/// live chunk (ascending ids) and the projections.
 #[doc(hidden)]
-pub type SerializedIndex = (Vec<(u32, Vec<u8>)>, Vec<u8>);
+pub type SerializedIndex = (Vec<(u32, Vec<u8>)>, Projections);
 
-/// A generation's index edits, derived by the caller's index pass and
-/// not yet applied.
-#[derive(Default)]
-pub(crate) struct StagedIndex {
-    /// Per indexed version, ascending: the sorted chunk ids holding
-    /// the records the generation placed or re-derived for it.
-    pub(crate) version_chunks: Vec<(VersionId, Vec<u32>)>,
-    /// `(pk, chunk)` of every record the generation placed.
-    pub(crate) key_chunks: Vec<(PrimaryKey, u32)>,
-    /// Per dirty chunk: the generation's entries.
-    pub(crate) per_chunk: FxHashMap<u32, MapEntries>,
-}
+/// A generation's chunk-map entries per dirty chunk, derived by the
+/// caller's index pass and not yet applied.
+pub(crate) type StagedIndex = FxHashMap<u32, MapEntries>;
 
-/// Derives the chunk-map entries and projection edits of `batch`
-/// (ascending versions, each with the delta from its primary parent)
-/// without touching the writer state — the index pass of the bulk load
-/// and the flush.
+/// Derives the chunk-map entries of `batch` (ascending versions, each
+/// with the delta from its primary parent) without touching the writer
+/// state — the index pass of the bulk load and the flush.
 ///
 /// `contents[v] = contents[parent(v)] − removed + added` holds for
 /// every version, so a version's membership in a chunk is its parent's
@@ -890,9 +953,7 @@ pub(crate) struct StagedIndex {
 /// records' bits set: the cost is the parent's span plus the delta,
 /// not the version's width. The parent's bitmaps come from the
 /// resident maps, or from this same staging when the parent is part of
-/// the batch. Only added records touch the key projection — every
-/// other record's entry dates from the generation that placed it.
-/// `ord_of` resolves a record this generation places to the ordinal
+/// the batch. `ord_of` resolves a record this generation places to the ordinal
 /// the caller gave it; everything else is in the locator.
 pub(crate) fn stage_index(
     st: &StoreMut,
@@ -908,15 +969,17 @@ pub(crate) fn stage_index(
     };
     let new_counts = chunks.counts_by_id();
     let mut staged = StagedIndex::default();
+    // Per batch version, ascending: the chunks its entries went to.
+    let mut spans: Vec<(VersionId, Vec<u32>)> = Vec::with_capacity(batch.len());
     for &(v, delta) in batch {
         let mut members: Vec<(u32, Bitmap)> = match st.graph.node(v).primary_parent() {
             None => Vec::new(),
-            Some(p) => match staged.version_chunks.binary_search_by_key(&p, |e| e.0) {
-                Ok(i) => staged.version_chunks[i]
+            Some(p) => match spans.binary_search_by_key(&p, |e| e.0) {
+                Ok(i) => spans[i]
                     .1
                     .iter()
                     .map(|&c| {
-                        let entries = &staged.per_chunk[&c];
+                        let entries = &staged[&c];
                         let at = entries
                             .binary_search_by_key(&p, |e| e.0)
                             .expect("staged parent entry");
@@ -952,16 +1015,15 @@ pub(crate) fn stage_index(
                 }
             };
             members[at].1.set(local as usize);
-            staged.key_chunks.push((rec.pk, chunk));
         }
         let mut span = Vec::with_capacity(members.len());
         for (chunk, bitmap) in members {
             if bitmap.count_ones() > 0 {
                 span.push(chunk);
-                staged.per_chunk.entry(chunk).or_default().push((v, bitmap));
+                staged.entry(chunk).or_default().push((v, bitmap));
             }
         }
-        staged.version_chunks.push((v, span));
+        spans.push((v, span));
     }
     staged
 }
@@ -1125,14 +1187,14 @@ impl RStore {
         // slot's tombstone map finds none and stays out of the record.
         let jobs: Vec<(u32, usize, MapEntries)> = (chunks.ids.iter())
             .zip(&chunks.counts)
-            .map(|(&c, &n)| (c, n, index.per_chunk.remove(&c).unwrap_or_default()))
+            .map(|(&c, &n)| (c, n, index.remove(&c).unwrap_or_default()))
             .collect();
         let fresh = plan::parallel_map_owned(jobs, workers, |(c, records, entries)| {
             let mut map = ChunkMap::new(records);
             map.push_segment(entries);
             (c, Bytes::from(map.serialize()), map)
         });
-        let mut older: Vec<(u32, MapEntries)> = index.per_chunk.drain().collect();
+        let mut older: Vec<(u32, MapEntries)> = index.drain().collect();
         older.sort_unstable_by_key(|job| job.0);
         debug_assert!(
             older.iter().all(|job| (job.0 as usize) < st.slots.len()),
@@ -1161,9 +1223,6 @@ impl RStore {
         // The commit point: the generation's record.
         let mut retired = retire.to_vec();
         retired.sort_unstable();
-        let mut key_chunks = index.key_chunks;
-        key_chunks.sort_unstable();
-        key_chunks.dedup();
         let record = GenerationRecord {
             seq: st.log.seq + 1,
             first_version: st.flushed_versions as u32,
@@ -1180,16 +1239,22 @@ impl RStore {
                 .collect(),
             retired,
             freed: Vec::new(),
-            index: ProjectionDelta {
-                version_chunks: index.version_chunks,
-                key_chunks,
-            },
             map_entries,
         };
         let record_bytes = self.put_record(&record, &mut stages)?;
 
         // Everything is durable: apply the generation and publish it.
+        // Retired chunks vanish from every version and key list before
+        // the records they held are re-added under their new chunks.
         st.apply_edits(&record);
+        if !retire.is_empty() {
+            let live = |c: u32| st.slots.get(c as usize).is_some_and(|s| s.state == SlotState::Live);
+            Arc::make_mut(&mut st.projections).retain_chunks(live);
+        }
+        let entries = (fresh.iter().flat_map(|(c, _, map)| map.iter().map(move |(v, m)| (v, *c, m))))
+            .chain(appends.iter().flat_map(|(c, entries)| entries.iter().map(move |(v, m)| (*v, *c, m))));
+        let records = chunks.placed.iter().map(|&(ck, (c, _))| (ck.pk, c));
+        Arc::make_mut(&mut st.projections).add_chunks(flushed_versions, entries, records);
         st.locator.extend(chunks.placed);
         // Install the new maps and grow the dirty ones — copy-on-write,
         // the published generations keep theirs — and stamp each with
@@ -1282,18 +1347,24 @@ impl RStore {
 
     /// The durable view of the index: the persistent state loaded
     /// exactly as [`RStore::reopen`] loads it — checkpoint, records,
-    /// base maps — as the serialized map of every live chunk (ascending
-    /// ids) and the serialized projections. Tests hold it byte-equal to
+    /// base maps, then the projections derived with the live chunks'
+    /// keys — as the serialized map of every live chunk (ascending ids)
+    /// and the projections. Tests hold it equal to
     /// [`RStore::index_from_contents`].
     #[doc(hidden)]
     pub fn persisted_index(&self) -> Result<SerializedIndex, CoreError> {
-        let st = load_persisted(&self.cluster, self.ingest_workers())?;
-        let maps = st
-            .live_chunk_ids()
-            .into_iter()
-            .map(|c| (c, st.slots[c as usize].map.serialize()))
-            .collect();
-        Ok((maps, st.projections.serialize()))
+        let mut st = load_persisted(&self.cluster, self.ingest_workers())?;
+        let live = st.live_chunk_ids();
+        let stored = self.cluster.multi_get_owned(live.iter().map(|&c| plan::backend_key(c)).collect())?;
+        let mut chunks = Vec::with_capacity(live.len());
+        for (&c, blob) in live.iter().zip(stored) {
+            let chunk = Chunk::deserialize(&blob.ok_or(CoreError::MissingChunk(c))?)?;
+            chunks.push((c, chunk.compressed_bytes(), chunk.local_keys()));
+        }
+        let blobs: Vec<_> = chunks.iter().map(|(c, bytes, keys)| (*c, *bytes, keys.as_slice())).collect();
+        derive_from_blobs(&mut st, &blobs)?;
+        let maps = live.iter().map(|&c| (c, st.slots[c as usize].map.serialize())).collect();
+        Ok((maps, Arc::unwrap_or_clone(st.projections)))
     }
 
     /// The backend keys of the commit log as it stands — the checkpoint
@@ -1312,8 +1383,8 @@ impl RStore {
     /// pass builds it — every record of every version resolved through
     /// the locator, grouped per chunk, each map encoded whole. Returns
     /// the serialized map of every live chunk (ascending ids) and the
-    /// serialized projections; the ingest proptests hold
-    /// [`RStore::persisted_index`] to these bytes. Only flushed versions
+    /// projections; the ingest proptests hold
+    /// [`RStore::persisted_index`] to these values. Only flushed versions
     /// are indexed: a commit waiting in the delta store is in neither.
     #[doc(hidden)]
     pub fn index_from_contents(&self) -> SerializedIndex {
@@ -1350,7 +1421,7 @@ impl RStore {
             }
         }
         let maps = maps.into_iter().map(|(c, m)| (c, m.serialize())).collect();
-        (maps, projections.serialize())
+        (maps, projections)
     }
 }
 
@@ -1396,9 +1467,13 @@ mod tests {
             }
             m
         };
+        let contents = |a: &ChunkMap, b: &ChunkMap| {
+            let touched = chunkmap::by_version([a, b], graph.len())?;
+            contents_from_maps(&graph, &[&a_keys, &b_keys], &touched)
+        };
         let a = map(3, &[(0, &[0, 1]), (1, &[0, 2]), (2, &[0, 1])]);
         let b = map(2, &[(0, &[0]), (2, &[0, 1])]);
-        let got = contents_from_maps(&graph, &[(&a_keys, &a), (&b_keys, &b)]).unwrap();
+        let got = contents(&a, &b).unwrap();
         assert_eq!(got[0], list(&[(1, 0), (2, 0), (3, 0)]));
         assert_eq!(got[1], list(&[(1, 0), (2, 1)]));
         assert_eq!(got[2], list(&[(1, 0), (2, 0), (3, 0), (4, 2)]));
@@ -1406,10 +1481,22 @@ mod tests {
         // V1 keeping V0's copy of K2 beside its own, or a map naming a
         // version the graph does not hold, is a codec error.
         let twice = map(3, &[(0, &[0, 1]), (1, &[0, 1, 2]), (2, &[0, 1])]);
-        let err = contents_from_maps(&graph, &[(&a_keys, &twice), (&b_keys, &b)]).unwrap_err();
+        let err = contents(&twice, &b).unwrap_err();
         assert!(matches!(&err, CoreError::Codec(m) if m.contains("V1 holds K2 twice")), "{err}");
         let ahead = map(2, &[(0, &[0]), (3, &[0])]);
-        let err = contents_from_maps(&graph, &[(&a_keys, &a), (&b_keys, &ahead)]).unwrap_err();
-        assert!(matches!(err, CoreError::Codec(_)));
+        assert!(matches!(contents(&a, &ahead), Err(CoreError::Codec(_))));
+    }
+
+    #[test]
+    fn a_record_of_the_layout_that_logged_projections_is_refused() {
+        let record = GenerationRecord { seq: 3, chunk_slots: 1, ..GenerationRecord::default() };
+        let bytes = record.encode();
+        assert_eq!(GenerationRecord::decode(&bytes), Ok(record));
+        // The same record as the old layout wrote it: tag 0xC7, and two
+        // empty projection-edit lists before the (empty) map entries.
+        let mut old = bytes.clone();
+        old[0] = 0xC7;
+        old.splice(old.len() - 1.., [0, 0, 0]);
+        assert!(matches!(GenerationRecord::decode(&old), Err(CoreError::Codec(_))));
     }
 }

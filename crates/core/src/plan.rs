@@ -527,9 +527,9 @@ struct RetryKey {
     cause: CoreError,
 }
 
-/// The backend key of a chunk's blob (shared by the planner and the
-/// retry and hedge re-plans).
-fn backend_key(id: u32) -> Key {
+/// The backend key of a chunk's blob (shared by the planner, the
+/// retry and hedge re-plans, and the generation writer).
+pub(crate) fn backend_key(id: u32) -> Key {
     table_key(CHUNK_TABLE, &ChunkId(id).to_key())
 }
 

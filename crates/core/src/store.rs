@@ -1179,9 +1179,10 @@ impl RStore {
     /// (e.g. a restarted log-engine cluster): loads the commit log —
     /// checkpoint, then the records after it — and the live chunks'
     /// maps (`ingest::load_persisted`), scans the live chunks' blobs
-    /// once to rebuild the locator, builds each version's contents from
-    /// its primary parent's and the chunk-map differences between the
-    /// two (`ingest::contents_from_maps`), and re-admits the commits
+    /// once for their keys, and derives from keys and maps the
+    /// locator, each version's contents (from its primary parent's and
+    /// the chunk-map differences between the two) and the projections
+    /// (`ingest::derive_from_blobs`); then it re-admits the commits
     /// that were acknowledged but not yet flushed from the delta store,
     /// as pending. A live chunk whose stored map or blob is missing or
     /// damaged, a damaged log, or maps that give a version one key
@@ -1192,41 +1193,19 @@ impl RStore {
         let live = st.live_chunk_ids();
         let store = Self::assemble(config, cluster, st);
 
-        // Rebuild the locator with one scan over the live chunks'
-        // blobs — a recovery plan executed through the scatter-gather
-        // pipeline (which also warms the cache when one is
-        // configured), pairing each blob with the map the initial
-        // snapshot publishes. The contents come from those maps and
-        // the blobs' keys.
+        // One scan over the live chunks' blobs — a recovery plan
+        // executed through the scatter-gather pipeline (which also
+        // warms the cache when one is configured) — yields their keys;
+        // the locator, the contents and the projections follow from
+        // those and the maps the initial snapshot publishes.
         let scan = store.plan_chunks(live.clone())?;
         let fetched = store.execute(scan)?.into_chunks();
         let mut guard = store.state.lock().unwrap();
         let st = &mut *guard;
-        st.locator.reserve(fetched.iter().map(|dc| dc.map.num_records()).sum());
-        for (&c, dc) in live.iter().zip(&fetched) {
-            // A blob of another size is another generation's, left
-            // under a reused id.
-            let (stored, logged) = (dc.chunk.compressed_bytes(), st.slots[c as usize].bytes);
-            if stored != logged {
-                return Err(CoreError::Codec(format!(
-                    "chunk {c} is {stored} bytes, its generation record says {logged}"
-                )));
-            }
-            let keys = dc.local_keys();
-            if keys.len() != dc.map.num_records() {
-                return Err(CoreError::Codec(format!(
-                    "chunk {c} holds {} records, its map covers {}",
-                    keys.len(),
-                    dc.map.num_records()
-                )));
-            }
-            for (local, ck) in keys.iter().enumerate() {
-                st.locator.insert(*ck, (c, local as u32));
-            }
-        }
-        let chunks: Vec<_> = fetched.iter().map(|dc| (dc.local_keys(), &dc.map)).collect();
-        st.contents = ingest::contents_from_maps(&st.graph, &chunks)?;
-        st.record_counts = Arc::new(st.contents.iter().map(|c| c.len()).collect());
+        let blobs: Vec<_> = (live.iter().zip(&fetched))
+            .map(|(&c, dc)| (c, dc.chunk.compressed_bytes(), dc.local_keys()))
+            .collect();
+        ingest::derive_from_blobs(st, &blobs)?;
         store.readmit_deltas(st)?;
         if st.graph.is_empty() {
             return Err(CoreError::Codec(

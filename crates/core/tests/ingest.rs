@@ -12,6 +12,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rstore_core::compact::CompactionConfig;
+use rstore_core::index::Projections;
 use rstore_core::model::VersionId;
 use rstore_core::online::{commit_request, replay_commits, stores_agree};
 use rstore_core::store::{CommitRequest, RStore, CHUNK_TABLE, CMAP_TABLE};
@@ -93,8 +94,8 @@ fn assert_backend_identical(a: &RStore, b: &RStore) {
 /// one chunk map per live chunk — durable for restart (base map plus
 /// logged entries, [`RStore::persisted_index`]), and resident in the
 /// published snapshot, which is the copy every read extracts with —
-/// and the projections.
-fn assert_backend_matches_index(store: &RStore, maps: &[(u32, Vec<u8>)], projections: &[u8]) {
+/// and the same projections, derived as a restart derives them.
+fn assert_backend_matches_index(store: &RStore, maps: &[(u32, Vec<u8>)], projections: &Projections) {
     let ids: Vec<u32> = maps.iter().map(|&(c, _)| c).collect();
     assert_eq!(ids, store.live_chunk_ids(), "oracle covers the live chunks");
     let (stored_maps, stored_projections) = store.persisted_index().unwrap();
@@ -111,7 +112,7 @@ fn assert_backend_matches_index(store: &RStore, maps: &[(u32, Vec<u8>)], project
         resident_bytes += resident.resident_bytes();
     }
     assert_eq!(store.resident_map_bytes(), resident_bytes, "resident map gauge drifted");
-    assert_eq!(stored_projections, projections, "durable projections differ from the oracle");
+    assert_eq!(&stored_projections, projections, "durable projections differ from the oracle");
 }
 
 /// Checks the index against the oracle once a generation has committed

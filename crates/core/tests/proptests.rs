@@ -184,21 +184,20 @@ proptest! {
     fn chunk_deserialize_never_panics(bytes in prop::collection::vec(any::<u8>(), 0..512)) {
         let _ = Chunk::deserialize(&bytes);
         let _ = ChunkMap::deserialize(&bytes);
-        let _ = rstore_core::index::Projections::deserialize(&bytes);
         // A commit record: random bytes are an error, short of
         // spelling a record — and then they decode to one value.
         if let Ok(record) = GenerationRecord::decode(&bytes) {
             prop_assert_eq!(GenerationRecord::decode(&record.encode()), Ok(record));
         }
         let mut tagged = bytes;
-        tagged.insert(0, 0xC7);
+        tagged.insert(0, 0xC8);
         if let Ok(record) = GenerationRecord::decode(&tagged) {
             prop_assert_eq!(GenerationRecord::decode(&record.encode()), Ok(record));
         }
     }
 
     /// The commit log of a real store — a checkpoint and the records
-    /// after it, from flushes (graph nodes, projection edits, logged
+    /// after it, from flushes (graph nodes, chunk-table edits, logged
     /// map entries) and a compaction (retirements) — with one key's
     /// value flipped, cut short or extended behind the store's back:
     /// the pure decoder and the restart's whole load path (decode,

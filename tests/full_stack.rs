@@ -174,7 +174,6 @@ fn log_engine_store_survives_reload_of_cluster() {
     let store = RStore::reopen(config, cluster).unwrap();
     let (maps, projections) = store.persisted_index().expect("persisted index lost after restart");
     assert_eq!(maps.len(), store.chunk_count());
-    let projections = rstore::core::index::Projections::deserialize(&projections).unwrap();
     assert_eq!(projections.num_versions(), dataset.graph.len());
     assert!(projections.total_version_span() > 0);
     drop(store);
@@ -834,6 +833,120 @@ fn a_chunk_map_that_gives_a_version_one_key_twice_fails_the_restart() {
         Err(e) => panic!("expected a codec error, got {e}"),
         Ok(_) => panic!("the restart served V1 holding K0 twice"),
     }
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+#[test]
+fn a_record_that_frees_a_live_chunk_fails_the_restart() {
+    // A record may retire a live chunk; only a later reclamation frees
+    // it, and only a free or fresh slot takes a new chunk. One record
+    // appended past a bulk load breaks that: it frees a live chunk,
+    // creates a chunk over one, or truncates a live slot. The restart
+    // must refuse each, not serve the versions with records missing.
+    use rstore::core::{CoreError, GenerationRecord};
+    let dir = std::env::temp_dir().join(format!("rstore-fullstack-freed-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let make_cluster = || {
+        Cluster::builder()
+            .nodes(2)
+            .engine(rstore::kvstore::EngineKind::Log { dir: dir.clone() })
+            .build()
+    };
+    let dataset = DatasetSpec::tiny(9031).generate();
+    let (config, loaded, next) = {
+        let store = RStore::builder().chunk_capacity(1024).build(make_cluster());
+        store.load_dataset(&dataset).unwrap();
+        let (log, next) = store.commit_log_keys();
+        let last = store.cluster().get(log.last().expect("the load's record")).unwrap().unwrap();
+        (*store.config(), GenerationRecord::decode(&last).unwrap(), next)
+    };
+    let live = loaded.new_chunks[0];
+    let slots = loaded.chunk_slots;
+    assert!(slots > 1);
+    let edit = GenerationRecord { seq: loaded.seq + 1, chunk_slots: slots, ..GenerationRecord::default() };
+    let bad = [
+        ("frees", GenerationRecord { freed: vec![live.id], ..edit.clone() }),
+        ("creates over", GenerationRecord { new_chunks: vec![live], ..edit.clone() }),
+        ("truncates", GenerationRecord { chunk_slots: slots - 1, ..edit }),
+    ];
+    for (what, record) in bad {
+        make_cluster().put(next.clone(), record.encode().into()).unwrap();
+        match RStore::reopen(config, make_cluster()) {
+            Err(CoreError::Codec(msg)) => assert!(msg.contains("a live chunk"), "{what}: {msg}"),
+            Err(e) => panic!("{what}: expected a codec error, got {e}"),
+            Ok(store) => panic!(
+                "a record that {what} a live chunk replayed; V0 serves {} records",
+                store.get_version(VersionId(0)).unwrap().len()
+            ),
+        }
+    }
+    make_cluster().delete(&next).unwrap();
+    check_against_oracle(&RStore::reopen(config, make_cluster()).unwrap(), &dataset);
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+#[test]
+fn a_restart_plans_like_the_store_it_replaced() {
+    // No record logs the projections: a commit derives them from its
+    // generation's map entries and placed records, a restart from every
+    // live chunk's map and keys. Across flushes, a compaction, a
+    // reclamation and flushes after them — a log that holds a
+    // checkpoint and records past it — the two derivations must plan
+    // every version and every key's evolution onto the same chunks.
+    use rstore::core::compact::CompactionConfig;
+    use rstore::core::online::commit_request;
+    let dir = std::env::temp_dir().join(format!("rstore-fullstack-plans-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let make_cluster = || {
+        Cluster::builder()
+            .nodes(3)
+            .engine(rstore::kvstore::EngineKind::Log { dir: dir.clone() })
+            .build()
+    };
+    let mut spec = DatasetSpec::tiny(9041);
+    spec.num_versions = 40;
+    spec.root_records = 40;
+    let dataset = spec.generate();
+    let mut keys: Vec<u64> = dataset.record_store().keys().iter().map(|ck| ck.pk).collect();
+    keys.sort_unstable();
+    keys.dedup();
+    keys.push(keys.iter().max().unwrap() + 1);
+    let plans = |store: &RStore| {
+        let chunks = |spec| store.plan_query(spec).unwrap().chunk_ids().to_vec();
+        let versions: Vec<_> = dataset.graph.ids().map(|v| chunks(QuerySpec::Version(v))).collect();
+        let keys: Vec<_> = keys.iter().map(|&pk| chunks(QuerySpec::Evolution { pk })).collect();
+        (versions, keys, store.index_bytes())
+    };
+
+    let (config, before) = {
+        let store = RStore::builder()
+            .chunk_capacity(1024)
+            .batch_size(4)
+            .compaction(CompactionConfig { min_fill: 1.1, ..CompactionConfig::default() })
+            .build(make_cluster());
+        let half = dataset.graph.len() / 2;
+        for v in dataset.graph.ids() {
+            if v.index() == half {
+                store.seal().unwrap();
+                store.compact().unwrap().expect("small batches fragment the layout");
+                assert!(store.reclaim().unwrap().slots_reclaimed > 0);
+            }
+            store.commit(commit_request(&dataset, v)).unwrap();
+        }
+        store.seal().unwrap();
+        let (log, _) = store.commit_log_keys();
+        assert!(String::from_utf8_lossy(&log[0]).ends_with("checkpoint"), "a checkpoint");
+        assert!(log.len() > 1, "records past the checkpoint");
+        check_against_oracle(&store, &dataset);
+        (*store.config(), plans(&store))
+    };
+    let store = RStore::reopen(config, make_cluster()).unwrap();
+    check_against_oracle(&store, &dataset);
+    let after = plans(&store);
+    assert_eq!(after.0, before.0, "version plans");
+    assert_eq!(after.1, before.1, "evolution plans");
+    assert_eq!(after.2, before.2, "index bytes");
+    drop(store);
     let _ = std::fs::remove_dir_all(dir);
 }
 
