@@ -171,7 +171,7 @@ fn acceptance_summary(_c: &mut Criterion) {
         overhead * 100.0
     );
     // Sanity: the instrumented store actually counted the workload.
-    let queries = on.stats_snapshot().queries;
+    let queries = on.stats_snapshot().registry.queries.get();
     assert!(
         queries as usize >= (ROUNDS + 1) * QUERIES,
         "obs-on store must have counted the sweeps, saw {queries}"

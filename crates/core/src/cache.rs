@@ -321,24 +321,6 @@ impl ChunkCache {
         }
     }
 
-    /// Drops every resident chunk.
-    pub fn invalidate_all(&self) {
-        if !self.enabled() {
-            return;
-        }
-        let mut removed = 0u64;
-        for shard in &self.shards {
-            let mut shard = shard.lock().unwrap();
-            removed += shard.map.len() as u64;
-            shard.map.clear();
-            shard.lru.clear();
-            shard.bytes = 0;
-        }
-        if removed > 0 {
-            self.registry.cache_invalidations.add(removed);
-        }
-    }
-
     /// Counter snapshot plus current residency.
     pub fn stats(&self) -> CacheStats {
         let mut resident_bytes = 0usize;
@@ -466,9 +448,13 @@ mod tests {
         assert!(cache.get(1, 0).is_none());
         assert!(cache.get(2, 0).is_some());
         assert_eq!(cache.stats().invalidations, 1);
-        cache.invalidate_all();
+        // Invalidating an absent entry drops nothing and counts nothing.
+        cache.invalidate(1);
+        assert_eq!(cache.stats().invalidations, 1);
+        cache.invalidate(2);
         assert_eq!(cache.stats().resident_chunks, 0);
         assert!(cache.get(2, 0).is_none());
+        assert_eq!(cache.stats().invalidations, 2);
     }
 
     #[test]

@@ -839,6 +839,21 @@ pub(crate) fn apply_changes(
     Ok(out)
 }
 
+/// Commit `v`'s contents from its primary parent's and its delta:
+/// `parent − removed + added`, every added record originating at `v`.
+/// One derivation for a live commit and a re-admitted one.
+pub(crate) fn commit_contents(
+    parent: &[(PrimaryKey, VersionId)],
+    v: VersionId,
+    delta: &VersionDelta,
+) -> Result<Vec<(PrimaryKey, VersionId)>, String> {
+    let mut removed: Vec<_> = delta.removed.iter().map(|ck| (ck.pk, ck.origin)).collect();
+    let mut added: Vec<_> = delta.added.iter().map(|rec| (rec.pk, v)).collect();
+    removed.sort_unstable();
+    added.sort_unstable();
+    apply_changes(parent, &removed, &added)
+}
+
 /// Serializes one delta-store entry: the commit's parents, the records
 /// it adds (their origin is the version itself) and the composite keys
 /// it removes — everything a restart needs to re-admit the commit.

@@ -62,9 +62,7 @@ pub use obs::{
     TraceConfig, TraceSpan,
 };
 pub use partition::{Partitioner, PartitionerKind};
-pub use plan::{
-    ExecutedQuery, FetchMetrics, HedgeConfig, QueryPlan, QuerySpec, RecordStream,
-};
+pub use plan::{ExecutedQuery, HedgeConfig, QueryPlan, QuerySpec, RecordStream};
 pub use serve::{Admission, AdmitGuard, FetchPool, ServeStats, SMALL_SPAN_MAX};
 pub use store::{
     CommitRequest, PinnedSnapshot, RStore, RStoreBuilder, ReclaimReport, StoreConfig,

@@ -325,34 +325,6 @@ pub struct StoreStats {
     pub serve: crate::serve::ServeStats,
     /// Backend cluster counters.
     pub backend: rstore_kvstore::StatsSnapshot,
-    /// End-to-end query wall time.
-    pub query_wall: HistSummary,
-    /// End-to-end modeled network time.
-    pub query_modeled: HistSummary,
-    /// Admission queue wait.
-    pub queue_wait: HistSummary,
-    /// Per-fetch-round wall time.
-    pub round_wall: HistSummary,
-    /// Plans executed (shed and deadline-tripped ones included).
-    pub queries: u64,
-    /// Queries shed by admission control.
-    pub shed: u64,
-    /// Queries that tripped their deadline.
-    pub deadline_exceeded: u64,
-    /// Entries pushed to the slow-query log.
-    pub slow_queries: u64,
-    /// Hedge batches issued.
-    pub hedges: u64,
-    /// Hedge batches that beat the straggler.
-    pub hedge_wins: u64,
-    /// In-place transient retries.
-    pub retries: u64,
-    /// Node batches failed over to another replica.
-    pub failovers: u64,
-    /// Ingest batches flushed.
-    pub flushes: u64,
-    /// Compaction runs.
-    pub compactions: u64,
     /// Current snapshot generation (monotonic across publishes).
     pub generation: u64,
     /// Readers currently holding snapshot pins.
@@ -368,8 +340,10 @@ pub struct StoreStats {
     /// Serialized bytes of the version→chunks and key→chunks
     /// projections.
     pub(crate) index_bytes: (usize, usize),
-    /// The registry, frozen at the sample moment.
-    pub(crate) registry: MetricsRegistry,
+    /// The registry, frozen at the sample moment: every fact the store
+    /// counts itself (queries, sheds, hedges, flushes, latency
+    /// histograms, …) is read here.
+    pub registry: MetricsRegistry,
     /// The backend nodes, in node-id order.
     pub(crate) nodes: Vec<NodeSample>,
 }

@@ -44,17 +44,6 @@ impl PartitionInput<'_> {
     pub fn num_items(&self) -> usize {
         self.item_sizes.len()
     }
-
-    /// Inverts the version→items relation.
-    pub fn item_versions(&self) -> Vec<Vec<u32>> {
-        let mut out = vec![Vec::new(); self.num_items()];
-        for (v, items) in self.version_items.iter().enumerate() {
-            for &i in items {
-                out[i as usize].push(v as u32);
-            }
-        }
-        out
-    }
 }
 
 /// The result: which chunk each item landed in.

@@ -27,12 +27,14 @@
 //!    modeled nanos, bytes, in-place retries, chunks decoded, the keys
 //!    the node left stranded, whether the node failed, the first hard
 //!    error.
-//!    Jobs on the store's shared fetch pool ([`serve`](crate::serve))
-//!    send their outcome over an `mpsc` channel; a batch run on the
-//!    query thread hands it over directly. The query thread is the only
-//!    mutator of round state: it folds outcomes into the metrics, the
-//!    failover bookkeeping and the stranded-key queue, then re-plans
-//!    the stranded keys onto untried live replicas as the next round.
+//!    A pooled round submits exactly its node batches, one job each,
+//!    to the store's shared fetch pool ([`serve`](crate::serve)); they
+//!    send their outcome over an `mpsc` channel. A lone batch runs on
+//!    the query thread and hands its outcome over directly. The query
+//!    thread is the only mutator of round state: it folds outcomes
+//!    into the [`QueryStats`], the failover bookkeeping and the
+//!    stranded-key queue, then hands the stranded keys to `replan` —
+//!    the one re-plan, onto untried live replicas — as the next round.
 //!    While a round's jobs run on the pool, it decompresses what the
 //!    query reads from the plan's cache hits — except in a hedged
 //!    round, where it must stay free to time the straggler. A hit that
@@ -45,20 +47,22 @@
 //!    job panicked and dropped its clone unsent, which ends the round
 //!    one outcome short (a clean "incomplete" error) instead of
 //!    hanging it. **Hedging is a timed receive** on that same loop:
-//!    the hedge deadline is computed once per round, its expiry
-//!    submits one wave of backup batches (just more senders), a backup
-//!    *wins* when its outcome arrives before a covered original's, and
-//!    the round is served as soon as the decoded-chunk count reaches
-//!    the round's total, stragglers or not. **The serial oracle**
+//!    the hedge deadline is computed once per round, and at its expiry
+//!    the undelivered chunks of every unreported batch are stranded
+//!    from their node and re-planned like a failover — one wave of
+//!    backup batches, just more senders. A backup *wins* when it
+//!    decodes a chunk first, and the round is served as soon as the
+//!    decoded-chunk count reaches the round's total, stragglers or
+//!    not. **The serial oracle**
 //!    ([`RStore::execute_serial`](crate::store::RStore::execute_serial),
 //!    what the property tests compare against) is the same loop with
 //!    no pool: every batch runs on the query thread, one node after
 //!    another.
 //!
 //!    The only cells two threads share are each pending chunk's
-//!    `delivered` gate and `decoded` cell: with hedging, two lanes can
-//!    race to deliver one chunk, the first decodes it and the loser
-//!    drops its duplicate.
+//!    `delivered` gate and `decoded` cell: with hedging, a backup and
+//!    its straggler can race to deliver one chunk, the first decodes
+//!    it and the loser drops its duplicate.
 //!
 //!    Modeled network time is the **max over a round's nodes**
 //!    (their sum with no pool); rounds serialize, so they add. A node
@@ -431,73 +435,6 @@ pub(crate) fn build_plan(
     })
 }
 
-/// Per-execution fetch accounting, carried into
-/// [`QueryStats`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FetchMetrics {
-    /// Compressed bytes transferred from the backend (misses only).
-    pub bytes_fetched: usize,
-    /// Chunks served from the decoded-chunk cache.
-    pub cache_hits: usize,
-    /// Chunks fetched from the backend.
-    pub cache_misses: usize,
-    /// Distinct nodes contacted by the scatter-gather fetch,
-    /// including replicas contacted only by mid-query failover.
-    pub nodes_contacted: usize,
-    /// Keys in the largest per-node batch.
-    pub max_node_batch: usize,
-    /// Node-batch fetch failures the executor recovered from by
-    /// re-routing the batch's keys to their next live replica.
-    pub failovers: usize,
-    /// In-place retries of transient backend refusals, healed by the
-    /// cluster's retry policy *without* re-routing. Counted separately
-    /// from `failovers`: a flaky node is retried where it is, a dead
-    /// one is failed over.
-    pub retries: usize,
-    /// Keys re-routed to another replica mid-query — after their
-    /// serving node failed, or after a replica turned out never to
-    /// have stored them (it was down during the write).
-    pub rerouted_keys: usize,
-    /// Backup node batches issued by the hedging layer after a
-    /// round's straggler exceeded the scoreboard-derived threshold.
-    pub hedges: usize,
-    /// Hedge batches that finished while a straggler they covered for
-    /// was still unfinished — the duplicate work that paid off.
-    pub hedge_wins: usize,
-    /// Modeled network time: the max over parallel node batches
-    /// (their sum under
-    /// [`RStore::execute_serial`](crate::store::RStore::execute_serial));
-    /// failover retry rounds serialize after the round that exposed
-    /// the failure, so their max adds on top.
-    pub modeled_network: Duration,
-    /// Time spent queued in admission control before execution began
-    /// (pooled executor only; the serial executor bypasses admission
-    /// and reports zero).
-    pub queue_wait: Duration,
-}
-
-/// The fetch stage's share of a query's stats; the caller fills in
-/// what it alone knows (span, extraction, wall clock, generation).
-impl From<FetchMetrics> for QueryStats {
-    fn from(m: FetchMetrics) -> Self {
-        QueryStats {
-            bytes_fetched: m.bytes_fetched,
-            cache_hits: m.cache_hits,
-            cache_misses: m.cache_misses,
-            nodes_contacted: m.nodes_contacted,
-            max_node_batch: m.max_node_batch,
-            failovers: m.failovers,
-            rerouted_keys: m.rerouted_keys,
-            retries: m.retries,
-            hedges: m.hedges,
-            hedge_wins: m.hedge_wins,
-            queue_wait: m.queue_wait,
-            modeled_network: m.modeled_network,
-            ..QueryStats::default()
-        }
-    }
-}
-
 /// A missed chunk mid-flight: its blob is on its way from a node, its
 /// map is already here.
 struct PendingChunk {
@@ -517,8 +454,8 @@ struct PendingChunk {
 
 /// A chunk the current fetch round could not serve, queued for its next
 /// live replica. `from` is the node that just failed (or answered
-/// without the key); `cause` is the error to surface if the chunk runs
-/// out of replicas. The backend key itself is not stored: it is a pure
+/// without the key, or outlived the hedge deadline); `cause` is the
+/// error to surface if a failover finds the chunk out of replicas. The backend key itself is not stored: it is a pure
 /// function of the chunk id, rebuilt by [`backend_key`], so the happy
 /// path never clones its key batches for the retry machinery's sake.
 struct RetryKey {
@@ -595,55 +532,6 @@ where
     parallel_map_owned(items.iter().collect(), workers, f)
 }
 
-/// Splits oversized node batches into sub-batches so spare executor
-/// slots can decode concurrently when few nodes hold a large span
-/// (the extreme: a single-node cluster would otherwise deserialize
-/// every chunk on one executor thread). A node thread still serves
-/// its sub-batches serially — per-node modeled time is summed across
-/// them — but each reply's decode work lands on its own executor
-/// slot, overlapping the node's remaining I/O.
-///
-/// `workers` is the parallelism actually available to this query:
-/// the fetch pool's *currently free* slots — a wide query arriving
-/// while the pool is busy serving other queries does not fan out as
-/// if it owned every core, so it cannot starve concurrent queries'
-/// decode parallelism.
-fn split_for_decode(batches: Vec<NodeBatch>, workers: usize) -> Vec<NodeBatch> {
-    /// Don't bother splitting below this many chunks per sub-batch:
-    /// the extra round-trip bookkeeping would cost more than it buys.
-    const MIN_SPLIT_CHUNKS: usize = 8;
-    if batches.len() >= workers {
-        return batches;
-    }
-    let total_keys: usize = batches.iter().map(NodeBatch::len).sum();
-    let target = total_keys.div_ceil(workers).max(MIN_SPLIT_CHUNKS);
-    let mut out = Vec::with_capacity(workers);
-    for batch in batches {
-        if batch.len() <= target {
-            out.push(batch);
-            continue;
-        }
-        // Balance the split so no sub-batch ends up as a tiny
-        // remainder (which would pay the spawn without the win).
-        let pieces = batch.len().div_ceil(target);
-        let piece = batch.len().div_ceil(pieces);
-        let NodeBatch {
-            node,
-            mut keys,
-            mut misses,
-        } = batch;
-        while keys.len() > piece {
-            out.push(NodeBatch {
-                node,
-                keys: keys.split_off(keys.len() - piece),
-                misses: misses.split_off(misses.len() - piece),
-            });
-        }
-        out.push(NodeBatch { node, keys, misses });
-    }
-    out
-}
-
 /// What every batch of one fetch execution reads, behind an `Arc` so
 /// pool jobs (which outlive no borrow) and batches run on the query
 /// thread share the one [`run_batch`]. Nothing here is written after
@@ -664,7 +552,7 @@ struct FetchCtx {
     trace: Option<Arc<TraceSink>>,
 }
 
-/// What one node (sub-)batch reports to the query thread — by return
+/// What one node batch reports to the query thread — by return
 /// value when it ran there, over the round's channel when a pool
 /// worker ran it.
 #[derive(Default)]
@@ -690,7 +578,7 @@ struct BatchOutcome {
     err: Option<CoreError>,
 }
 
-/// Ships one node (sub-)batch and decodes every blob the reply
+/// Ships one node batch and decodes every blob the reply
 /// delivered, pairing it with the chunk's map from the pinned
 /// snapshot. Runs on the query thread or a pool worker — the failover
 /// semantics live entirely in the outcome it returns, not in who runs
@@ -790,72 +678,53 @@ fn run_batch(ctx: &FetchCtx, seq: usize, batch: NodeBatch) -> BatchOutcome {
     out
 }
 
-/// One submission of a hedged round as the query thread remembers it,
-/// indexed by [`BatchOutcome::seq`].
-enum Lane {
-    /// An original batch: while it has not reported, a hedge wave
-    /// targets its undelivered chunks.
-    Original {
-        node: usize,
-        misses: Vec<usize>,
-        reported: bool,
-    },
-    /// A hedge wave's backup batch and the originals it covers (by
-    /// `seq`): it won if one of them has not reported when it does.
-    Backup { covers: Vec<usize> },
-}
-
-/// The backup batches of a hedge wave, each with the lanes it covers:
-/// every unreported original's undelivered chunks, re-issued to the
-/// first untried live replica and grouped by backup node. The replica
-/// filter mirrors the failover re-plan (nodes excluded at round start
-/// and each chunk's tried-history are off the table), so a hedge never
-/// lands where a retry would refuse to go; the lane's own node is
-/// skipped.
-fn hedge_wave(
+/// The one re-plan, shared by failover and hedging. Every stranded key
+/// first records the node it came `from` in its chunk's tried-history;
+/// then each chunk still undelivered — once, however many lanes
+/// stranded it — goes to the least-loaded of its live replicas that is
+/// neither excluded nor tried, so a dead node's hot-span keys spread
+/// over the survivors instead of piling onto one. Returns the new
+/// batches in node order and the keys no replica is left for; what
+/// those mean is the caller's to say (failover fails the query, a
+/// hedge waits its straggler out).
+fn replan(
     ctx: &FetchCtx,
-    lanes: &[Lane],
+    stranded: Vec<RetryKey>,
     excluded: &FxHashSet<usize>,
-    tried: &FxHashMap<usize, Vec<usize>>,
-) -> Vec<(NodeBatch, Lane)> {
+    tried: &mut FxHashMap<usize, Vec<usize>>,
+) -> (Vec<NodeBatch>, Vec<RetryKey>) {
+    for rk in &stranded {
+        tried.entry(rk.m).or_default().push(rk.from);
+    }
     let mut by_node: FxHashMap<usize, NodeBatch> = FxHashMap::default();
-    let mut covers: FxHashMap<usize, Vec<usize>> = FxHashMap::default();
-    for (seq, lane) in lanes.iter().enumerate() {
-        let Lane::Original {
-            node: slow,
-            misses,
-            reported: false,
-        } = lane
-        else {
+    let mut load: FxHashMap<usize, usize> = FxHashMap::default();
+    let mut replanned: FxHashSet<usize> = FxHashSet::default();
+    let mut orphans = Vec::new();
+    for rk in stranded {
+        // A hedged round can strand the same chunk from both lanes, or
+        // strand one lane while the other delivered. Both guards are
+        // no-ops for a failover without hedging (one lane per chunk).
+        let p = &ctx.pending[rk.m];
+        if p.delivered.load(Ordering::Acquire) || !replanned.insert(rk.m) {
             continue;
-        };
-        for &m in misses {
-            let p = &ctx.pending[m];
-            if p.delivered.load(Ordering::Acquire) {
-                continue;
+        }
+        let key = backend_key(p.id);
+        let hist = &tried[&rk.m];
+        let next = ctx.cluster.replicas_of(&key).ok().and_then(|cands| {
+            let usable = cands
+                .into_iter()
+                .filter(|n| !excluded.contains(n) && !hist.contains(n));
+            least_loaded(usable, &load)
+        });
+        match next {
+            Some(node) => {
+                *load.entry(node).or_insert(0) += 1;
+                NodeBatch::route(&mut by_node, node, rk.m, key);
             }
-            let key = backend_key(p.id);
-            let hist = tried.get(&m);
-            let backup = ctx.cluster.replicas_of(&key).ok().and_then(|cands| {
-                cands
-                    .into_iter()
-                    .find(|n| n != slow && !excluded.contains(n) && hist.is_none_or(|h| !h.contains(n)))
-            });
-            // No untried replica: nothing to hedge to, wait the
-            // straggler out.
-            if let Some(node) = backup {
-                NodeBatch::route(&mut by_node, node, m, key);
-                covers.entry(node).or_default().push(seq);
-            }
+            None => orphans.push(rk),
         }
     }
-    NodeBatch::sorted(by_node)
-        .into_iter()
-        .map(|batch| {
-            let covers = covers.remove(&batch.node).unwrap_or_default();
-            (batch, Lane::Backup { covers })
-        })
-        .collect()
+    (NodeBatch::sorted(by_node), orphans)
 }
 
 /// Why a round's wait came back without an outcome.
@@ -875,18 +744,18 @@ enum Idle {
 /// instead of failed over; one real park lets it.
 const HEDGE_PARK: Duration = Duration::from_micros(50);
 
-/// Runs a plan's fetch stage: with a pool, a round's batches are its
-/// jobs (fetch threads stay bounded by the pool size however many
-/// queries run) and modeled network time is the max over nodes; with
-/// none — the serial oracle — they run one after another on this
-/// thread and modeled time sums. Either way this is the only loop:
-/// batches report [`BatchOutcome`]s, this thread folds them, failed
-/// nodes are excluded and stranded keys re-planned onto untried live
-/// replicas as the next round. `policy` adds hedging (needs the pool)
-/// and a fetch-stage deadline, which accrues each round's
-/// **max-over-nodes** modeled time with or without a pool — the
-/// serial walk's *reported* time stays the honest sum — so it trips at
-/// the same point either way.
+/// Runs a plan's fetch stage: with a pool, a round's node batches are
+/// its jobs, one each (fetch threads stay bounded by the pool size
+/// however many queries run), and modeled network time is the max over
+/// nodes; with none — the serial oracle — they run one after another on
+/// this thread and modeled time sums. Either way this is the only loop:
+/// batches report [`BatchOutcome`]s, this thread folds them into one
+/// [`QueryStats`], failed nodes are excluded and stranded keys
+/// re-planned onto untried live replicas as the next round. `policy`
+/// adds hedging (needs the pool) and a fetch-stage deadline, which
+/// accrues each round's **max-over-nodes** modeled time with or without
+/// a pool — the serial walk's *reported* time stays the honest sum — so
+/// it trips at the same point either way.
 pub(crate) fn execute_plan(
     cluster: &Arc<Cluster>,
     cache: &Arc<ChunkCache>,
@@ -909,10 +778,12 @@ pub(crate) fn execute_plan(
     // generation the plan was built against remains pinned (and its
     // backend keys un-reclaimed) until every fetch round is done.
 
-    let mut metrics = FetchMetrics {
+    let mut metrics = QueryStats {
+        generation: pin.generation(),
+        chunks_fetched: chunk_ids.len(),
         cache_hits,
         cache_misses,
-        ..FetchMetrics::default()
+        ..QueryStats::default()
     };
 
     if !misses.is_empty() {
@@ -973,47 +844,42 @@ pub(crate) fn execute_plan(
                 .max_node_batch
                 .max(round_batches.iter().map(NodeBatch::len).max().unwrap_or(0));
             let round_chunks: usize = round_batches.iter().map(NodeBatch::len).sum();
-            // With spare pool slots and few nodes, split batches so
-            // decode fans out beyond the node count — sized by the
-            // slots *currently free*: the pool is shared, and this
-            // query is only entitled to what the others left idle.
-            let exec_batches = match pool {
-                Some(pool) => split_for_decode(round_batches, pool.free_slots().max(1)),
-                None => round_batches,
-            };
             // The hedge deadline, fixed once per round: `factor ×` the
             // expected time of the round's slowest batch under the
             // scoreboard's per-key service EWMAs, floored at `min` (a
             // cold scoreboard has EWMA zero and hedges at the floor).
             let hedge_at = hedge.map(|cfg| {
-                let expected = exec_batches
+                let expected = round_batches
                     .iter()
                     .map(|b| cluster.node_service_ewma(b.node).saturating_mul(b.len() as u32))
                     .max()
                     .unwrap_or_default();
                 round_t + expected.mul_f64(cfg.factor.max(0.0)).max(cfg.min)
             });
-            // What each `seq` of a hedged round stands for (empty
-            // unhedged: nothing reads it).
-            let mut lanes: Vec<Lane> = Vec::new();
+            // What a hedge wave backs up: each original batch's node
+            // and chunks, by `seq`, until it reports (empty unhedged:
+            // nothing reads it). Outcomes past the originals are
+            // backups.
+            let mut unreported: Vec<Option<(usize, Vec<usize>)>> = Vec::new();
             if hedge.is_some() {
-                lanes.extend(exec_batches.iter().map(|b| Lane::Original {
-                    node: b.node,
-                    misses: b.misses.clone(),
-                    reported: false,
-                }));
+                unreported.extend(
+                    round_batches
+                        .iter()
+                        .map(|b| Some((b.node, b.misses.clone()))),
+                );
             }
+            let originals = round_batches.len();
 
             // A single unhedged batch runs on this thread even with a
             // pool (no round trip through the run queue); a hedged one
             // never does, because this thread must stay free to time
             // the straggler and submit its backup.
-            let mut submitted = exec_batches.len();
+            let mut submitted = originals;
             let (inline, rx, mut backup) = match pool.filter(|_| hedge.is_some() || submitted > 1) {
-                None => (exec_batches, None, None),
+                None => (round_batches, None, None),
                 Some(pool) => {
                     let (tx, rx) = mpsc::channel();
-                    for (seq, batch) in exec_batches.into_iter().enumerate() {
+                    for (seq, batch) in round_batches.into_iter().enumerate() {
                         let (ctx, tx) = (Arc::clone(&ctx), tx.clone());
                         pool.submit(move || {
                             let _ = tx.send(run_batch(&ctx, seq, batch));
@@ -1064,9 +930,9 @@ pub(crate) fn execute_plan(
                 }
             };
 
-            // Scatter-gather accounting: a node serves its
-            // (sub-)batches serially, so its modeled time is the sum
-            // over them; nodes overlap, so a pooled round's network
+            // Scatter-gather accounting: a node's batches add up (a
+            // hedged round can send one node an original and a
+            // backup), and nodes overlap, so a pooled round's network
             // bill is the slowest node, while the serial walk pays all
             // nodes in turn. A straggler hedged away never reports and
             // is never billed — it is off the critical path.
@@ -1083,12 +949,22 @@ pub(crate) fn execute_plan(
                     Err(Idle::Drained) => break,
                     // The stragglers outlived the hedge deadline: one
                     // wave of backups per round, just more jobs
-                    // reporting on the same channel.
+                    // reporting on the same channel. Every unreported
+                    // original's chunks are stranded from its node and
+                    // re-planned like a failover; a chunk with no
+                    // replica left waits for its straggler.
                     Err(Idle::HedgeDue) => {
                         let (Some((at, tx)), Some(pool)) = (backup.take(), pool) else {
                             continue;
                         };
-                        let wave = hedge_wave(&ctx, &lanes, &excluded, &tried);
+                        let late = unreported.iter().flatten().flat_map(|(node, misses)| {
+                            misses.iter().map(|&m| RetryKey {
+                                m,
+                                from: *node,
+                                cause: CoreError::MissingChunk(ctx.pending[m].id),
+                            })
+                        });
+                        let (wave, _) = replan(&ctx, late.collect(), &excluded, &mut tried);
                         // The wait is the tail time this round would
                         // have eaten unhedged.
                         registry.observe(&registry.hedge_wait, at - round_t);
@@ -1099,10 +975,9 @@ pub(crate) fn execute_plan(
                             }
                         }
                         metrics.hedges += wave.len();
-                        for (batch, lane) in wave {
+                        for batch in wave {
                             contacted.insert(batch.node);
-                            let (ctx, tx, seq) = (Arc::clone(&ctx), tx.clone(), lanes.len());
-                            lanes.push(lane);
+                            let (ctx, tx, seq) = (Arc::clone(&ctx), tx.clone(), submitted);
                             submitted += 1;
                             pool.submit(move || {
                                 let _ = tx.send(run_batch(&ctx, seq, batch));
@@ -1123,18 +998,13 @@ pub(crate) fn execute_plan(
                 if let Some(e) = o.err {
                     first_err.get_or_insert(e);
                 }
-                match lanes.get_mut(o.seq) {
-                    Some(Lane::Original { reported, .. }) => *reported = true,
-                    // A backup wins when it reports while an original
-                    // it covers for has not: the duplicate work cut
-                    // the critical path.
-                    Some(Lane::Backup { covers }) => {
-                        let covers = std::mem::take(covers);
-                        let unreported = |&l: &usize| matches!(lanes[l], Lane::Original { reported: false, .. });
-                        metrics.hedge_wins += usize::from(covers.iter().any(unreported));
-                    }
-                    None => {}
+                if let Some(lane) = unreported.get_mut(o.seq) {
+                    *lane = None;
                 }
+                // A backup wins when it decoded a chunk before its
+                // straggler delivered it: the duplicate work cut the
+                // critical path.
+                metrics.hedge_wins += usize::from(o.seq >= originals && o.decoded > 0);
             }
             // Nodes whose whole batch failed are out from the next
             // round on (the hedge wave above still saw the round-start
@@ -1182,45 +1052,16 @@ pub(crate) fn execute_plan(
                 break;
             }
 
-            // The one place stranded keys are folded: re-plan each
-            // against the least-loaded of its untried live replicas,
-            // so a dead node's hot-span keys spread over the survivors
-            // instead of piling onto one. A key with no replica left
-            // fails the query with the error that stranded it.
-            let mut by_node: FxHashMap<usize, NodeBatch> = FxHashMap::default();
-            let mut retry_load: FxHashMap<usize, usize> = FxHashMap::default();
-            let mut replanned: FxHashSet<usize> = FxHashSet::default();
-            for rk in stranded {
-                let hist = tried.entry(rk.m).or_default();
-                hist.push(rk.from);
-                // A hedged round can strand the same chunk from both
-                // lanes, or strand one lane while the other
-                // delivered: re-plan each chunk at most once, and only
-                // while it is still undelivered. Both guards are
-                // no-ops without hedging (one lane per chunk).
-                if ctx.pending[rk.m].delivered.load(Ordering::Acquire) || !replanned.insert(rk.m) {
-                    continue;
-                }
-                let key = backend_key(ctx.pending[rk.m].id);
-                let next = cluster.replicas_of(&key).ok().and_then(|cands| {
-                    let usable = cands
-                        .into_iter()
-                        .filter(|n| !excluded.contains(n) && !hist.contains(n));
-                    least_loaded(usable, &retry_load)
-                });
-                let Some(node) = next else {
-                    first_err = Some(rk.cause);
-                    break;
-                };
-                *retry_load.entry(node).or_insert(0) += 1;
-                metrics.rerouted_keys += 1;
-                contacted.insert(node);
-                NodeBatch::route(&mut by_node, node, rk.m, key);
-            }
-            if first_err.is_some() {
+            // Failover: a stranded key with no replica left fails the
+            // query with the error that stranded it.
+            let (batches, orphans) = replan(&ctx, stranded, &excluded, &mut tried);
+            if let Some(rk) = orphans.into_iter().next() {
+                first_err = Some(rk.cause);
                 break;
             }
-            round_batches = NodeBatch::sorted(by_node);
+            metrics.rerouted_keys += batches.iter().map(NodeBatch::len).sum::<usize>();
+            contacted.extend(batches.iter().map(NodeBatch::node));
+            round_batches = batches;
         }
 
         metrics.nodes_contacted = contacted.len();
@@ -1232,12 +1073,9 @@ pub(crate) fn execute_plan(
                 budget,
                 spent,
                 // The work done so far, so a timed-out query's cost is
-                // still accountable; the caller patches wall clock,
-                // queue wait and generation.
-                partial: Box::new(QueryStats {
-                    chunks_fetched: chunk_ids.len(),
-                    ..metrics.into()
-                }),
+                // still accountable; the caller patches wall clock and
+                // queue wait.
+                partial: Box::new(metrics),
             });
         }
         for p in &ctx.pending {
@@ -1277,8 +1115,10 @@ pub struct ExecutedQuery {
     spec: QuerySpec,
     chunk_ids: Vec<u32>,
     chunks: Vec<Arc<DecodedChunk>>,
-    /// Fetch accounting for this execution.
-    pub metrics: FetchMetrics,
+    /// Fetch accounting for this execution: everything but
+    /// extraction's share (`chunks_useful`, `records`) and the wall
+    /// clock.
+    pub metrics: QueryStats,
     /// Where a chunk that fails extraction is evicted from.
     cache: Arc<ChunkCache>,
 }
@@ -1324,7 +1164,7 @@ impl ExecutedQuery {
 #[derive(Debug)]
 pub struct RecordStream {
     spec: QuerySpec,
-    metrics: FetchMetrics,
+    metrics: QueryStats,
     /// The chunks still to extract, each with its id.
     chunks: std::iter::Zip<std::vec::IntoIter<u32>, std::vec::IntoIter<Arc<DecodedChunk>>>,
     cache: Arc<ChunkCache>,
@@ -1336,7 +1176,7 @@ pub struct RecordStream {
 
 impl RecordStream {
     /// The fetch accounting of the execution behind this stream.
-    pub fn metrics(&self) -> FetchMetrics {
+    pub fn metrics(&self) -> QueryStats {
         self.metrics
     }
 

@@ -9,7 +9,9 @@ use std::time::Duration;
 /// Per-query cost accounting, mirroring the paper's metrics: the span
 /// (chunks retrieved), useful chunks (lossy projections may fetch
 /// chunks with no matching records, §2.4), bytes moved, and time —
-/// plus decoded-chunk-cache effectiveness.
+/// plus decoded-chunk-cache effectiveness. The one fetch account: the
+/// executor fills everything but extraction's share (`chunks_useful`,
+/// `records`) and the wall clock, which the caller adds.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QueryStats {
     /// Generation of the [`StoreSnapshot`](crate::store::StoreSnapshot)
@@ -49,8 +51,8 @@ pub struct QueryStats {
     /// is set). Each hedge is duplicate work, charged here so the
     /// tail-for-bytes trade stays visible.
     pub hedges: usize,
-    /// Hedge batches that beat their original to the finish: the
-    /// straggler was still unfinished when the backup completed.
+    /// Hedge batches that won: each decoded at least one chunk before
+    /// the straggler it backed up delivered it.
     pub hedge_wins: usize,
     /// Records produced.
     pub records: usize,

@@ -12,7 +12,8 @@
 //! of two long-lived pieces owned by the store:
 //!
 //! * **[`FetchPool`]** — a fixed set of workers draining one run
-//!   queue of batch jobs. Each job ships one node (sub-)batch,
+//!   queue of batch jobs. A round submits exactly its node batches;
+//!   the pool sizes nothing for it. Each job ships one node batch,
 //!   blocks for the reply, decodes the chunks it delivered — decode
 //!   overlaps other batches' I/O — and sends its outcome to the query
 //!   thread that submitted it. Because a fetch job spends most of its
@@ -54,12 +55,12 @@ use crate::obs::MetricsRegistry;
 use rustc_hash::FxHashSet;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// A queued unit of fetch work: ship one node (sub-)batch and decode
+/// A queued unit of fetch work: ship one node batch and decode
 /// whatever became complete.
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
@@ -85,7 +86,6 @@ pub struct FetchPool {
     queue: Arc<RunQueue>,
     workers: Vec<JoinHandle<()>>,
     size: usize,
-    busy: Arc<AtomicUsize>,
     jobs_run: Arc<AtomicU64>,
 }
 
@@ -94,12 +94,10 @@ impl FetchPool {
     pub fn new(size: usize) -> Self {
         let size = size.max(1);
         let queue = Arc::new(RunQueue::default());
-        let busy = Arc::new(AtomicUsize::new(0));
         let jobs_run = Arc::new(AtomicU64::new(0));
         let workers = (0..size)
             .map(|_| {
                 let queue = Arc::clone(&queue);
-                let busy = Arc::clone(&busy);
                 let jobs_run = Arc::clone(&jobs_run);
                 std::thread::spawn(move || loop {
                     let job = {
@@ -114,15 +112,15 @@ impl FetchPool {
                             state = queue.ready.wait(state).unwrap();
                         }
                     };
-                    busy.fetch_add(1, Ordering::Relaxed);
+                    // Counted when taken up, so once a round has heard
+                    // from every job it submitted, all are counted.
+                    jobs_run.fetch_add(1, Ordering::Relaxed);
                     // A panicking job must not kill the worker: the
                     // pool is shared by every future query. Unwinding
                     // drops the job's sender, so the owning query's
                     // round still ends (and surfaces the missing chunk
                     // as an error).
                     let _ = catch_unwind(AssertUnwindSafe(job));
-                    busy.fetch_sub(1, Ordering::Relaxed);
-                    jobs_run.fetch_add(1, Ordering::Relaxed);
                 })
             })
             .collect();
@@ -130,7 +128,6 @@ impl FetchPool {
             queue,
             workers,
             size,
-            busy,
             jobs_run,
         }
     }
@@ -147,15 +144,7 @@ impl FetchPool {
         self.size
     }
 
-    /// Workers not currently running a job. A momentary snapshot —
-    /// used to size decode splits to the parallelism actually
-    /// available, so one wide query does not fan out as if it owned
-    /// every core.
-    pub fn free_slots(&self) -> usize {
-        self.size.saturating_sub(self.busy.load(Ordering::Relaxed))
-    }
-
-    /// Jobs completed over the pool's lifetime.
+    /// Jobs the workers have taken up over the pool's lifetime.
     pub fn jobs_run(&self) -> u64 {
         self.jobs_run.load(Ordering::Relaxed)
     }
@@ -355,7 +344,7 @@ pub struct ServeStats {
     /// Fetch-pool worker count (0 until the first pooled execution
     /// starts the pool).
     pub pool_size: usize,
-    /// Batch jobs the pool has completed.
+    /// Batch jobs the pool's workers have taken up.
     pub jobs_run: u64,
     /// Queries admitted (immediately or after queueing).
     pub admitted: u64,

@@ -89,11 +89,6 @@ impl ApplicationServer {
         &self.store
     }
 
-    /// Mutable access (flushes, ad-hoc commits).
-    pub fn store_mut(&mut self) -> &mut RStore {
-        &mut self.store
-    }
-
     /// Existing branch names, sorted.
     pub fn branches(&self) -> Vec<&str> {
         self.branches.keys().map(String::as_str).collect()

@@ -50,7 +50,7 @@ use crate::index::Projections;
 use crate::ingest::{self, GenerationRecord, LogPosition};
 use crate::model::{ChunkId, CompositeKey, PrimaryKey, Record, VersionId};
 use crate::obs::{
-    self, HistSummary, MetricsRegistry, NodeSample, Obs, ObsConfig, QueryOutcome, QueryTrace,
+    self, MetricsRegistry, NodeSample, Obs, ObsConfig, QueryOutcome, QueryTrace,
     SlowQuery, StoreStats, TraceSink, TID_QUERY,
 };
 use crate::partition::PartitionerKind;
@@ -1239,13 +1239,9 @@ impl RStore {
                 if parents.iter().any(|p| p.index() >= v.index()) || parents.is_empty() != (v.index() == 0) {
                     return Err(bad("names parents that are not older versions"));
                 }
-                // contents = the primary parent's − removed + added.
                 let parent = parents.first().map_or(&[][..], |p| &st.contents[p.index()]);
-                let mut removed: Vec<_> = delta.removed.iter().map(|ck| (ck.pk, ck.origin)).collect();
-                let mut added: Vec<_> = delta.added.iter().map(|rec| (rec.pk, v)).collect();
-                removed.sort_unstable();
-                added.sort_unstable();
-                let contents = ingest::apply_changes(parent, &removed, &added).map_err(|what| bad(&what))?;
+                let contents =
+                    ingest::commit_contents(parent, v, &delta).map_err(|what| bad(&what))?;
                 let graph = Arc::make_mut(&mut st.graph);
                 if parents.is_empty() {
                     graph.add_root();
@@ -1371,28 +1367,8 @@ impl RStore {
             .validate(v)
             .map_err(|e| CoreError::BadCommit(e.to_string()))?;
 
-        // New contents = parent ± delta. The parent's are sorted by
-        // pk; sort the (distinct) changed keys and merge once.
-        let mut changes: Vec<(PrimaryKey, bool)> = req
-            .puts
-            .iter()
-            .map(|(pk, _)| (*pk, true))
-            .chain(req.deletes.iter().map(|pk| (*pk, false)))
-            .collect();
-        changes.sort_unstable();
-        let mut contents = Vec::with_capacity(parent_contents.len() + req.puts.len());
-        let mut kept = parent_contents.iter().copied().peekable();
-        for (pk, put) in changes {
-            while let Some(entry) = kept.next_if(|e| e.0 < pk) {
-                contents.push(entry);
-            }
-            // The parent's value of a changed key is replaced or gone.
-            kept.next_if(|e| e.0 == pk);
-            if put {
-                contents.push((pk, v));
-            }
-        }
-        contents.extend(kept);
+        let contents =
+            ingest::commit_contents(parent_contents, v, &delta).map_err(CoreError::BadCommit)?;
         Ok((v, delta, contents))
     }
 
@@ -1751,7 +1727,7 @@ impl RStore {
         match plan::execute_plan(&self.cluster, &self.cache, r, plan, pool, policy) {
             Ok(mut executed) => {
                 executed.metrics.queue_wait = waited;
-                count_fetch(r, executed.metrics.into());
+                count_fetch(r, executed.metrics);
                 Ok(executed)
             }
             // Re-frame the executor's leftover-budget error in terms
@@ -1829,7 +1805,6 @@ impl RStore {
     /// exposition renders this struct (see [`obs::METRICS`]).
     pub fn stats_snapshot(&self) -> StoreStats {
         let registry = MetricsRegistry::clone(self.obs.registry());
-        let summary = |h: &rstore_kvstore::Histogram| HistSummary::of(&h.snapshot());
         let nodes = self
             .cluster
             .node_health()
@@ -1852,20 +1827,6 @@ impl RStore {
             serve: self.serve.stats(&registry),
             backend: self.cluster.stats(),
             nodes,
-            query_wall: summary(&registry.query_wall),
-            query_modeled: summary(&registry.query_modeled),
-            queue_wait: summary(&registry.queue_wait),
-            round_wall: summary(&registry.round_wall),
-            queries: registry.queries.get(),
-            shed: registry.shed.get(),
-            deadline_exceeded: registry.deadline_exceeded.get(),
-            slow_queries: registry.slow_queries.get(),
-            hedges: registry.hedges.get(),
-            hedge_wins: registry.hedge_wins.get(),
-            retries: registry.retries.get(),
-            failovers: registry.failovers.get(),
-            flushes: registry.flushes.get(),
-            compactions: registry.compactions.get(),
             registry,
         }
     }
@@ -1923,12 +1884,10 @@ impl RStore {
         }
         drop(extract_span);
         let stats = QueryStats {
-            chunks_fetched,
             chunks_useful: stream.chunks_useful(),
             records: records.len(),
             elapsed: t0.elapsed(),
-            generation,
-            ..stream.metrics().into()
+            ..stream.metrics()
         };
         self.obs
             .finish_query(seq, &spec, &stats, trace.as_ref(), QueryOutcome::Ok);

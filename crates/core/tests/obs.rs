@@ -330,9 +330,10 @@ fn default_obs_changes_neither_answers_nor_main_thread_allocations() {
     );
 
     // The registry really did count the workload on the obs-on store.
-    let stats = on.stats_snapshot();
-    assert!(stats.queries as usize > n, "registry missed queries: {}", stats.queries);
-    assert_eq!(stats.query_wall.count, stats.queries, "histogram/counter drift");
+    let registry = on.stats_snapshot().registry;
+    let queries = registry.queries.get();
+    assert!(queries as usize > n, "registry missed queries: {queries}");
+    assert_eq!(registry.query_wall.snapshot().count(), queries, "histogram/counter drift");
 }
 
 #[test]

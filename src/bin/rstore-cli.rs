@@ -511,7 +511,7 @@ fn run() -> Result<(), CoreError> {
             }
             println!(
                 "smoke ok: {} queries, {} slow-log entries, scrapes valid, artifacts in {}",
-                store.stats_snapshot().queries,
+                store.stats_snapshot().registry.queries.get(),
                 store.slow_log().len(),
                 out_dir.display()
             );

@@ -454,6 +454,44 @@ fn a_cold_query_costs_one_backend_key_per_chunk() {
     let _ = std::fs::remove_dir_all(dir);
 }
 
+/// A pooled round submits exactly its node batches: a cold version
+/// read on four nodes, each node's batch well past eight keys, runs
+/// one pool job per node contacted, however many workers sit idle.
+#[test]
+fn a_pooled_round_runs_one_job_per_node_batch() {
+    use rstore::core::store::CHUNK_TABLE;
+    use rstore::core::ChunkId;
+    use rstore::kvstore::table_key;
+
+    let mut spec = DatasetSpec::tiny(9031);
+    spec.num_versions = 8;
+    spec.root_records = 400;
+    let dataset = spec.generate();
+    let store = RStore::builder()
+        .chunk_capacity(256)
+        .cache_budget(0)
+        .build(Cluster::builder().nodes(4).build());
+    store.load_dataset(&dataset).unwrap();
+
+    let head = VersionId((dataset.graph.len() - 1) as u32);
+    let plan = store.plan_query(QuerySpec::Version(head)).unwrap();
+    assert!(plan.span() >= 80, "span {} too narrow", plan.span());
+    assert_eq!(plan.nodes_contacted(), 4);
+    // At replication 1 a chunk's batch is its blob key's owner.
+    let mut batch = [0usize; 4];
+    for &c in plan.chunk_ids() {
+        let key = table_key(CHUNK_TABLE, &ChunkId(c).to_key());
+        batch[store.cluster().owner_of(&key).unwrap()] += 1;
+    }
+    assert!(batch.iter().all(|&keys| keys > 8), "node batches {batch:?}");
+
+    let before = store.serve_stats().jobs_run;
+    let expected = plan.nodes_contacted() as u64;
+    store.execute(plan).unwrap();
+    let jobs = store.serve_stats().jobs_run - before;
+    assert_eq!(jobs, expected, "pool jobs for one cold read");
+}
+
 #[test]
 fn a_damaged_sub_chunk_fails_its_reads_and_stays_out_of_the_cache() {
     // The fetch stage decodes, where each blob lands, the sub-chunks
