@@ -180,9 +180,19 @@ impl Chunk {
 
     /// Serializes for the backend store.
     pub fn serialize(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.compressed_bytes() + 64);
-        varint::write_u64(&mut out, self.subchunks.len() as u64);
-        for sc in &self.subchunks {
+        Self::serialize_parts(self.subchunks.iter())
+    }
+
+    /// Serializes `subchunks`, in order, as the chunk that holds them
+    /// — without assembling that chunk.
+    pub(crate) fn serialize_parts<'a, I>(subchunks: I) -> Vec<u8>
+    where
+        I: ExactSizeIterator<Item = &'a SubChunk> + Clone,
+    {
+        let bytes: usize = subchunks.clone().map(SubChunk::compressed_bytes).sum();
+        let mut out = Vec::with_capacity(bytes + 64);
+        varint::write_u64(&mut out, subchunks.len() as u64);
+        for sc in subchunks {
             varint::write_u64(&mut out, sc.members.len() as u64);
             for ck in &sc.members {
                 out.extend_from_slice(&ck.to_bytes());

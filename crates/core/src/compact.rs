@@ -25,6 +25,15 @@
 //! moved records' chunk-map bitmaps come from the victims' own map
 //! bits, not from a delta.
 //!
+//! A group that is exactly one victim sub-chunk's members, in order,
+//! is carried whole: the new chunk takes that sub-chunk's encoded
+//! bytes, shared with the fetched chunk, because encoding the group
+//! again would produce the same bytes. At `max_subchunk = 1` every
+//! group is carried, so the staging is mostly the partitioner.
+//! Carrying skips the encode, not the check: extraction decodes every
+//! victim sub-chunk, and a victim that does not decode fails the slice
+//! before anything is written.
+//!
 //! ## Crash-safety ordering
 //!
 //! Compaction never overwrites a live key: the rebuilt generation
@@ -71,7 +80,7 @@
 use crate::chunkmap;
 use crate::cost::CostModel;
 use crate::error::CoreError;
-use crate::ingest::{StagedGeneration, StagedIndex};
+use crate::ingest::{Encoded, StagedGeneration, StagedIndex};
 use crate::model::{CompositeKey, Record, VersionId};
 use crate::query;
 use crate::store::{RStore, SlotState, StoreMut};
@@ -173,7 +182,9 @@ pub struct CompactionStages {
     /// Fetching and decoding the victim chunks through the
     /// plan → fetch → extract pipeline.
     pub extract: Duration,
-    /// Sub-chunk re-grouping plus the partitioning algorithm.
+    /// Sub-chunk re-grouping, encoding the groups not carried whole,
+    /// and the partitioning algorithm — mostly the partitioner, since
+    /// carried groups cost no encode.
     pub partition: Duration,
     /// Chunk assembly + serialization of the new generation
     /// (overlaps the streaming writes).
@@ -218,7 +229,10 @@ pub struct CompactionReport {
     pub new_chunks: usize,
     /// Records extracted and re-placed.
     pub records_moved: usize,
-    /// Sub-chunks rebuilt (same-key groups of up to `max_subchunk`).
+    /// Sub-chunks encoded anew (same-key groups of up to
+    /// `max_subchunk`). A group that is exactly one victim sub-chunk's
+    /// members, in order, is carried whole and not counted, so at
+    /// `max_subchunk = 1` this is 0.
     pub subchunks_built: usize,
     /// Key + value bytes written for the new generation (chunk blobs,
     /// base maps; before replication).
@@ -528,7 +542,11 @@ impl RStore {
             bytes_reclaimed,
             ..
         } = rebuild;
-        let subchunks_built = staged.subchunks.len();
+        let subchunks_built = staged
+            .subchunks
+            .iter()
+            .filter(|s| matches!(s, Encoded::Built(_)))
+            .count();
 
         // -- write + commit: the new generation, with the victims
         // retired. The index pass is from the victims' maps: per
@@ -583,21 +601,31 @@ impl RStore {
 
     /// Plans a rebuild of `victims` without writing anything: fetches
     /// and extracts their records through the read pipeline, re-groups
-    /// same-key records into sub-chunks, stages the generation (encode,
-    /// then the configured partitioner), and evaluates the candidate
-    /// layout's span contribution against the victims' current one.
+    /// same-key records into sub-chunks, stages the generation (carry
+    /// or encode, then the configured partitioner), and evaluates the
+    /// candidate layout's span contribution against the victims'
+    /// current one.
     fn stage_rebuild(&self, st: &StoreMut, victims: Vec<u32>) -> Result<StagedRebuild, CoreError> {
         // -- extract: fetch victims through plan → fetch → extract ----
         let t = Instant::now();
         let scan = self.plan_chunks(victims.clone())?;
         let fetched = self.execute(scan)?.into_chunks();
         // Each chunk's records in local order: a record's extraction
-        // ordinal is its chunk's base plus its local index.
+        // ordinal is its chunk's base plus its local index. Extraction
+        // decodes every sub-chunk — the one check on the victims'
+        // bytes, carried ones included — before anything is written.
         let mut records: Vec<Record> = Vec::new();
         let mut bases: Vec<u32> = Vec::with_capacity(fetched.len());
-        for dc in &fetched {
+        // The victim sub-chunk each record came from, as `(chunk, at,
+        // extraction ordinal of its first member)`.
+        let mut source: Vec<(usize, usize, u32)> = Vec::new();
+        for (c, dc) in fetched.iter().enumerate() {
             bases.push(records.len() as u32);
             records.extend(query::extract_all(&dc.chunk)?);
+            for (at, sc) in dc.chunk.subchunks.iter().enumerate() {
+                let first = source.len() as u32;
+                source.extend(std::iter::repeat_n((c, at, first), sc.len()));
+            }
         }
         let extract = t.elapsed();
 
@@ -666,7 +694,15 @@ impl RStore {
             .iter()
             .map(|r| (r.composite_key(), r.payload.as_ref()))
             .collect();
-        let staged = self.stage_generation(st, &payloads, groups, &version_items);
+        // A group that is one victim sub-chunk's members, in order, is
+        // carried whole: encoding it again would yield the same bytes.
+        let carry = |members: &[u32]| {
+            let (c, at, first) = source[members[0] as usize];
+            let sc = &fetched[c].chunk.subchunks[at];
+            let whole = sc.len() == members.len() && (first..).zip(members).all(|(o, &m)| o == m);
+            whole.then(|| Encoded::Carried(fetched[c].clone(), at))
+        };
+        let staged = self.stage_generation(st, &payloads, groups, carry, &version_items);
         let partition = t.elapsed();
 
         // Span bookkeeping for the cutover guard: what the victims
@@ -744,7 +780,7 @@ struct StagedRebuild {
     bytes_reclaimed: usize,
     /// Wall time of the extract stage.
     extract: Duration,
-    /// Wall time of the grouping, encode + partitioning stage.
+    /// Wall time of the grouping, carry/encode + partitioning stage.
     partition: Duration,
 }
 
@@ -756,5 +792,60 @@ impl StagedRebuild {
         self.new_span < self.old_span
             || (self.new_span == self.old_span
                 && self.staged.partitioning.num_chunks < self.victims.len())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::chunk::SubChunk;
+    use rstore_kvstore::Cluster;
+    use rstore_vgraph::DatasetSpec;
+
+    /// With sub-chunks of up to four records, the compaction's
+    /// `(pk, origin)` grouping can cut a key's history where the flush
+    /// did not: such a group is encoded anew, a group that is one
+    /// victim sub-chunk is carried, and either way each staged
+    /// sub-chunk is what encoding its group produces.
+    #[test]
+    fn staged_sub_chunks_are_their_groups_encoded() {
+        let mut spec = DatasetSpec::tiny(3801);
+        spec.num_versions = 40;
+        spec.root_records = 50;
+        spec.update_frac = 0.3;
+        let dataset = spec.generate();
+        let store = RStore::builder()
+            .chunk_capacity(1024)
+            .max_subchunk(4)
+            .batch_size(3)
+            .compaction(CompactionConfig {
+                min_fill: 1.1,
+                ..CompactionConfig::default()
+            })
+            .build(Cluster::builder().nodes(3).build());
+        crate::online::replay_commits(&store, &dataset).unwrap();
+
+        let st = store.state.lock().unwrap();
+        let victims = store.select_victims(&st);
+        let rebuild = store.stage_rebuild(&st, victims).unwrap();
+        let staged = &rebuild.staged;
+        let mut built = 0;
+        for (members, encoded) in staged.groups.iter().zip(&staged.subchunks) {
+            let group: Vec<(CompositeKey, &[u8])> = members
+                .iter()
+                .map(|&i| {
+                    let r = &rebuild.records[i as usize];
+                    (r.composite_key(), r.payload.as_ref())
+                })
+                .collect();
+            assert_eq!(
+                encoded.subchunk(),
+                &SubChunk::build(&group),
+                "group {members:?}"
+            );
+            built += usize::from(matches!(encoded, Encoded::Built(_)));
+        }
+        assert!(built > 0, "no group was encoded anew");
+        assert!(built < staged.groups.len(), "no group was carried");
     }
 }

@@ -16,7 +16,9 @@
 //!    and LZ (the hottest ingest loop) fans out across
 //!    [`StoreConfig::ingest_threads`](crate::store::StoreConfig::ingest_threads)
 //!    scoped threads, then the configured partitioner runs over the
-//!    groups. Nothing is written; a caller may still walk away (the
+//!    groups. A compaction's group that is one victim sub-chunk is not
+//!    encoded: its bytes are carried whole ([`Encoded::Carried`]).
+//!    Nothing is written; a caller may still walk away (the
 //!    compaction cutover guard does).
 //! 2. **write** ([`RStore::commit_generation`]) — chunks assemble
 //!    against *peeked* ids, serialize on their own cores and stream to
@@ -73,6 +75,7 @@
 //! [`RStore::commit`], deleted by the flush that placed them) and a
 //! restart re-admits them as pending.
 
+use crate::cache::DecodedChunk;
 use crate::chunk::{Chunk, SubChunk};
 use crate::chunkmap::{self, encode_entries, ChunkMap};
 use crate::error::CoreError;
@@ -148,9 +151,12 @@ fn stream_writes(
 fn stream_chunk_blobs(
     cluster: &Cluster,
     workers: usize,
-    jobs: Vec<(u32, Chunk)>,
+    jobs: Vec<(u32, Vec<&SubChunk>)>,
 ) -> Result<StreamOutcome, CoreError> {
-    let encode = |(id, chunk): (u32, Chunk)| (plan::backend_key(id), Bytes::from(chunk.serialize()));
+    let encode = |(id, parts): (u32, Vec<&SubChunk>)| {
+        let blob = Chunk::serialize_parts(parts.iter().copied());
+        (plan::backend_key(id), Bytes::from(blob))
+    };
     let workers = workers.min(jobs.len()).max(1);
     if workers == 1 {
         return stream_writes(cluster, 1, jobs.into_iter().map(encode).collect());
@@ -1043,15 +1049,35 @@ pub(crate) fn stage_index(
     staged
 }
 
+/// A staged group's encoded sub-chunk.
+pub(crate) enum Encoded {
+    /// Encoded by this generation.
+    Built(SubChunk),
+    /// Sub-chunk `at` of a fetched chunk, whose members are the
+    /// group's, in order: its bytes are what encoding the group would
+    /// produce, so they are carried whole.
+    Carried(Arc<DecodedChunk>, usize),
+}
+
+impl Encoded {
+    /// The sub-chunk, wherever it lives.
+    pub(crate) fn subchunk(&self) -> &SubChunk {
+        match self {
+            Encoded::Built(sc) => sc,
+            Encoded::Carried(dc, at) => &dc.chunk.subchunks[*at],
+        }
+    }
+}
+
 /// A generation past its stage step: sub-chunks encoded, partitioner
 /// run, nothing written. The caller reads what its report (or its
 /// cutover guard) needs and hands it to [`RStore::commit_generation`],
 /// or drops it.
 pub(crate) struct StagedGeneration {
     /// Sub-chunk groups of the caller's record ordinals.
-    groups: Vec<Vec<u32>>,
+    pub(crate) groups: Vec<Vec<u32>>,
     /// The encoded sub-chunks, aligned with `groups`.
-    pub(crate) subchunks: Vec<SubChunk>,
+    pub(crate) subchunks: Vec<Encoded>,
     /// Which candidate chunk each group landed in.
     pub(crate) partitioning: Partitioning,
     /// `subchunk`, `partition` and `workers` are filled in so far.
@@ -1078,14 +1104,17 @@ impl RStore {
     /// Step 1 of the generation writer: encodes one sub-chunk per
     /// group of `records` (`(key, payload)` by record ordinal; a
     /// group's first member is its delta-encoding root) and partitions
-    /// the groups over the version tree. `version_items[v]` lists the
-    /// sorted group ordinals version `v` holds. Touches neither the
-    /// backend nor the writer state.
+    /// the groups over the version tree. A group for which `carry`
+    /// names an already encoded sub-chunk with the same members is not
+    /// encoded again. `version_items[v]` lists the sorted group
+    /// ordinals version `v` holds. Touches neither the backend nor the
+    /// writer state.
     pub(crate) fn stage_generation(
         &self,
         st: &StoreMut,
         records: &[(CompositeKey, &[u8])],
         groups: Vec<Vec<u32>>,
+        carry: impl Fn(&[u32]) -> Option<Encoded> + Sync,
         version_items: &[Vec<u32>],
     ) -> StagedGeneration {
         let workers = self.ingest_workers();
@@ -1094,10 +1123,12 @@ impl RStore {
             ..IngestStages::default()
         };
         let t = Instant::now();
-        let subchunks: Vec<SubChunk> = plan::parallel_map(&groups, workers, |members| {
-            let members: Vec<(CompositeKey, &[u8])> =
-                members.iter().map(|&ord| records[ord as usize]).collect();
-            SubChunk::build(&members)
+        let subchunks: Vec<Encoded> = plan::parallel_map(&groups, workers, |members| {
+            carry(members).unwrap_or_else(|| {
+                let members: Vec<(CompositeKey, &[u8])> =
+                    members.iter().map(|&ord| records[ord as usize]).collect();
+                Encoded::Built(SubChunk::build(&members))
+            })
         });
         stages.subchunk = t.elapsed();
 
@@ -1107,7 +1138,7 @@ impl RStore {
         if !groups.is_empty() {
             let item_sizes: Vec<u32> = subchunks
                 .iter()
-                .map(|s| s.compressed_bytes() as u32)
+                .map(|s| s.subchunk().compressed_bytes() as u32)
                 .collect();
             let item_pk: Vec<u64> = groups.iter().map(|g| records[g[0] as usize].0.pk).collect();
             let tree = st.graph.to_tree();
@@ -1153,7 +1184,7 @@ impl RStore {
         } = staged;
         let workers = stages.workers;
 
-        // Assemble: move sub-chunks into their chunks and record the
+        // Assemble: list each chunk's sub-chunks and record the
         // placement (serial, cheap) against the id slots the commit
         // will take, then serialize each chunk on its own core,
         // streaming blobs out while later chunks are still encoding.
@@ -1167,23 +1198,25 @@ impl RStore {
             slots: vec![(0, 0); records],
             placed: Vec::with_capacity(records),
         };
-        let mut subchunk_slots: Vec<Option<SubChunk>> = subchunks.into_iter().map(Some).collect();
-        let mut jobs: Vec<(u32, Chunk)> = Vec::with_capacity(chunk_items.len());
+        let mut jobs: Vec<(u32, Vec<&SubChunk>)> = Vec::with_capacity(chunk_items.len());
         for (items, &chunk_id) in chunk_items.iter().zip(&chunks.ids) {
-            let mut chunk = Chunk::new();
+            let parts: Vec<&SubChunk> = items
+                .iter()
+                .map(|&g| subchunks[g as usize].subchunk())
+                .collect();
             let mut local = 0u32;
-            for &g in items {
-                let sc = subchunk_slots[g as usize].take().expect("group in one chunk");
+            for (&g, sc) in items.iter().zip(&parts) {
                 for (&ord, &ck) in groups[g as usize].iter().zip(&sc.members) {
                     chunks.slots[ord as usize] = (chunk_id, local);
                     chunks.placed.push((ck, (chunk_id, local)));
                     local += 1;
                 }
-                chunk.subchunks.push(sc);
             }
-            chunks.sizes.push(chunk.compressed_bytes());
+            chunks
+                .sizes
+                .push(parts.iter().map(|sc| sc.compressed_bytes()).sum());
             chunks.counts.push(local as usize);
-            jobs.push((chunk_id, chunk));
+            jobs.push((chunk_id, parts));
         }
         let outcome = stream_chunk_blobs(&self.cluster, workers, jobs)?;
         stages.assemble = t.elapsed();

@@ -22,6 +22,14 @@
 //! may hand to its parent; the smallest groups are merged into their
 //! neighbours first, trading partitioning quality for processing
 //! cost — exactly the Fig. 9 trade-off.
+//!
+//! Folding a child's groups into `p` asks, per group member, whether
+//! it is in `p`. A membership mark answers that: before the fold,
+//! every item of `s_p` is tagged with `p` in one array that is never
+//! cleared (the version id is the tag), so the whole run costs one
+//! pass over each `s_v` plus one probe per group member — linear in
+//! the memberships, where re-walking `s_p` per child group cost
+//! `groups × |s_p|`.
 
 use super::{ChunkPacker, PartitionInput, Partitioner, Partitioning};
 use rustc_hash::FxHashMap;
@@ -59,56 +67,33 @@ impl Partitioner for BottomUpPartitioner {
         let n = input.num_items();
         // π_v for processed-but-unconsumed versions.
         let mut pi: Vec<Option<Vec<Group>>> = vec![None; input.tree.len()];
-        // Scratch: per-item run score accumulated from children,
-        // epoch-tagged to avoid clearing between versions.
+        // Scratch, tagged with the version being folded so nothing is
+        // cleared between versions: `in_v[item] == v` marks `item ∈
+        // s_v`, and `score[item]` is then its run score accumulated
+        // from v's children.
         let mut score = vec![0u64; n];
-        let mut epoch = vec![u32::MAX; n];
-        let mut placed = vec![false; n];
-        // ψ emissions, in traversal order: (run, order, items).
-        let mut emissions: Vec<(u64, u32, Vec<u32>)> = Vec::new();
-        let mut emit_order = 0u32;
-        let mut emit = |placed: &mut [bool], run: u64, items: &[u32], order: &mut u32| {
-            let fresh: Vec<u32> = items
-                .iter()
-                .copied()
-                .filter(|&i| !placed[i as usize])
-                .collect();
-            if fresh.is_empty() {
-                return;
-            }
-            for &i in &fresh {
-                placed[i as usize] = true;
-            }
-            emissions.push((run, *order, fresh));
-            *order += 1;
-        };
+        let mut in_v = vec![u32::MAX; n];
+        let mut emissions = Emissions::new(n);
 
         for v in input.tree.post_order() {
             let vi = v.index();
             let s_v = &input.version_items[vi];
             let this_epoch = vi as u32;
+            for &item in s_v {
+                in_v[item as usize] = this_epoch;
+                score[item as usize] = 0;
+            }
 
             // Fold children's π collections into live scores and dead
-            // emissions.
+            // emissions: one mark probe per group member.
             let mut dead_groups: Vec<Group> = Vec::new();
-            let node = input.tree.node(v);
-            for &child in &node.children {
+            for &child in &input.tree.node(v).children {
                 let child_groups = pi[child.index()].take().expect("post-order");
                 for g in child_groups {
                     let mut dead: Vec<u32> = Vec::new();
-                    // Merge-walk g.items against s_v (both sorted).
-                    let mut k = 0usize;
                     for &item in &g.items {
-                        while k < s_v.len() && s_v[k] < item {
-                            k += 1;
-                        }
-                        if k < s_v.len() && s_v[k] == item {
-                            // Live in v: accumulate the run score.
-                            let iu = item as usize;
-                            if epoch[iu] != this_epoch {
-                                epoch[iu] = this_epoch;
-                                score[iu] = 0;
-                            }
+                        let iu = item as usize;
+                        if in_v[iu] == this_epoch {
                             score[iu] += g.run;
                         } else {
                             dead.push(item);
@@ -126,15 +111,16 @@ impl Partitioner for BottomUpPartitioner {
             // ψ_v: emit dead items, deepest survival runs first.
             dead_groups.sort_by_key(|g| std::cmp::Reverse(g.run));
             for g in &dead_groups {
-                emit(&mut placed, g.run, &g.items, &mut emit_order);
+                emissions.emit(g.run, &g.items);
             }
 
             // π_v: group v's items by 1 + accumulated child score.
             let mut by_run: FxHashMap<u64, Vec<u32>> = FxHashMap::default();
             for &item in s_v {
-                let iu = item as usize;
-                let child_score = if epoch[iu] == this_epoch { score[iu] } else { 0 };
-                by_run.entry(1 + child_score).or_default().push(item);
+                by_run
+                    .entry(1 + score[item as usize])
+                    .or_default()
+                    .push(item);
             }
             let mut groups: Vec<Group> = by_run
                 .into_iter()
@@ -145,45 +131,83 @@ impl Partitioner for BottomUpPartitioner {
             pi[vi] = Some(groups);
         }
 
-        // The root's π never meets a parent: everything still alive at
-        // the root is emitted now, deepest runs first.
+        emissions.emit_root(&mut pi);
+        emissions.pack(input.item_sizes, self.capacity)
+    }
+
+    fn name(&self) -> &'static str {
+        "BOTTOM-UP"
+    }
+}
+
+/// The ψ emissions of one run, in traversal order, and the items they
+/// have placed so far: an item is emitted once, by its first group.
+struct Emissions {
+    /// `(run, order, items)` per emitted group.
+    groups: Vec<(u64, u32, Vec<u32>)>,
+    placed: Vec<bool>,
+}
+
+impl Emissions {
+    fn new(n: usize) -> Self {
+        Self {
+            groups: Vec::new(),
+            placed: vec![false; n],
+        }
+    }
+
+    /// Emits the items of `items` not placed yet as one group.
+    fn emit(&mut self, run: u64, items: &[u32]) {
+        let fresh: Vec<u32> = items
+            .iter()
+            .copied()
+            .filter(|&i| !self.placed[i as usize])
+            .collect();
+        if fresh.is_empty() {
+            return;
+        }
+        for &i in &fresh {
+            self.placed[i as usize] = true;
+        }
+        let order = self.groups.len() as u32;
+        self.groups.push((run, order, fresh));
+    }
+
+    /// The root's π never meets a parent: everything still alive at
+    /// the root is emitted now, deepest runs first.
+    fn emit_root(&mut self, pi: &mut [Option<Vec<Group>>]) {
         if let Some(mut root_groups) = pi
             .get_mut(rstore_vgraph::VersionId::ROOT.index())
             .and_then(Option::take)
         {
             root_groups.sort_by_key(|g| std::cmp::Reverse(g.run));
             for g in &root_groups {
-                emit(&mut placed, g.run, &g.items, &mut emit_order);
+                self.emit(g.run, &g.items);
             }
         }
-        // `emit` borrows `emissions`; end the borrow before packing.
-        #[allow(clippy::drop_non_drop)]
-        std::mem::drop(emit);
+    }
 
-        // Final packing — the paper's "partial chunks ... are merged
-        // at the end": groups with equal survival runs are chunked
-        // together across versions (per §3.2's general-tree rule), so
-        // long-lived records from different parts of the tree share
-        // chunks instead of each dragging a per-version partial chunk.
-        // Within a run, traversal order keeps temporal neighbours
-        // adjacent.
+    /// Final packing — the paper's "partial chunks ... are merged at
+    /// the end": groups with equal survival runs are chunked together
+    /// across versions (per §3.2's general-tree rule), so long-lived
+    /// records from different parts of the tree share chunks instead
+    /// of each dragging a per-version partial chunk. Within a run,
+    /// traversal order keeps temporal neighbours adjacent.
+    fn pack(mut self, item_sizes: &[u32], capacity: usize) -> Partitioning {
         let bucket = |run: u64| 63 - run.max(1).leading_zeros();
-        emissions.sort_by(|a, b| bucket(b.0).cmp(&bucket(a.0)).then(a.1.cmp(&b.1)));
-        let mut packer = ChunkPacker::new(n, self.capacity);
-        for (_, _, items) in &emissions {
-            packer.add_group(items, input.item_sizes);
+        self.groups
+            .sort_by(|a, b| bucket(b.0).cmp(&bucket(a.0)).then(a.1.cmp(&b.1)));
+        let mut packer = ChunkPacker::new(self.placed.len(), capacity);
+        for (_, _, items) in &self.groups {
+            packer.add_group(items, item_sizes);
         }
         // Safety net for items in no version at all.
-        for (item, was_placed) in placed.iter().enumerate() {
+        for (item, was_placed) in self.placed.iter().enumerate() {
             if !was_placed {
-                packer.add_item(item as u32, input.item_sizes[item]);
+                packer.add_item(item as u32, item_sizes[item]);
             }
         }
         packer.finish()
-    }
-
-    fn name(&self) -> &'static str {
-        "BOTTOM-UP"
     }
 }
 
@@ -235,7 +259,104 @@ mod tests {
     use super::*;
     use crate::partition::testutil;
     use crate::partition::traversal::TraversalPartitioner;
+    use proptest::prelude::*;
     use rstore_vgraph::{DatasetSpec, VersionGraph};
+
+    /// The merge-walk fold, verbatim — `s_v` re-walked from its start
+    /// for every child group, a score reset by epoch on first touch:
+    /// the identity oracle for [`BottomUpPartitioner::partition`].
+    fn partition_reference(
+        beta: usize,
+        capacity: usize,
+        input: &PartitionInput<'_>,
+    ) -> Partitioning {
+        let n = input.num_items();
+        let mut pi: Vec<Option<Vec<Group>>> = vec![None; input.tree.len()];
+        let mut score = vec![0u64; n];
+        let mut epoch = vec![u32::MAX; n];
+        let mut emissions = Emissions::new(n);
+        for v in input.tree.post_order() {
+            let vi = v.index();
+            let s_v = &input.version_items[vi];
+            let this_epoch = vi as u32;
+            let mut dead_groups: Vec<Group> = Vec::new();
+            for &child in &input.tree.node(v).children {
+                for g in pi[child.index()].take().expect("post-order") {
+                    let mut dead: Vec<u32> = Vec::new();
+                    let mut k = 0usize;
+                    for &item in &g.items {
+                        while k < s_v.len() && s_v[k] < item {
+                            k += 1;
+                        }
+                        if k < s_v.len() && s_v[k] == item {
+                            let iu = item as usize;
+                            if epoch[iu] != this_epoch {
+                                epoch[iu] = this_epoch;
+                                score[iu] = 0;
+                            }
+                            score[iu] += g.run;
+                        } else {
+                            dead.push(item);
+                        }
+                    }
+                    if !dead.is_empty() {
+                        dead_groups.push(Group {
+                            run: g.run,
+                            items: dead,
+                        });
+                    }
+                }
+            }
+            dead_groups.sort_by_key(|g| std::cmp::Reverse(g.run));
+            for g in &dead_groups {
+                emissions.emit(g.run, &g.items);
+            }
+            let mut by_run: FxHashMap<u64, Vec<u32>> = FxHashMap::default();
+            for &item in s_v {
+                let iu = item as usize;
+                let child_score = if epoch[iu] == this_epoch {
+                    score[iu]
+                } else {
+                    0
+                };
+                by_run.entry(1 + child_score).or_default().push(item);
+            }
+            let mut groups: Vec<Group> = by_run
+                .into_iter()
+                .map(|(run, items)| Group { run, items })
+                .collect();
+            groups.sort_by_key(|g| g.run);
+            merge_to_beta(&mut groups, beta.max(1));
+            pi[vi] = Some(groups);
+        }
+        emissions.emit_root(&mut pi);
+        emissions.pack(input.item_sizes, capacity)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// On random tiny histories, branched or not, the mark fold
+        /// partitions exactly as the merge-walk fold does, unbounded
+        /// and under a subtree limit.
+        #[test]
+        fn bottom_up_matches_the_merge_walk_reference(
+            seed in any::<u64>(),
+            num_versions in 2usize..60,
+            branch_prob in 0.0f64..0.5,
+            capacity in prop_oneof![Just(256usize), Just(512), Just(2048)],
+        ) {
+            let mut spec = DatasetSpec::tiny(seed);
+            spec.num_versions = num_versions;
+            spec.branch_prob = branch_prob;
+            let bundle = testutil::from_spec(&spec);
+            let input = bundle.input();
+            for beta in [usize::MAX, 3] {
+                let got = BottomUpPartitioner::new(beta, capacity).partition(&input);
+                prop_assert_eq!(got, partition_reference(beta, capacity, &input), "beta {}", beta);
+            }
+        }
+    }
 
     #[test]
     fn valid_on_random_datasets() {

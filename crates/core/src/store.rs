@@ -47,7 +47,7 @@ use crate::chunkmap::ChunkMap;
 use crate::compact::{CompactionConfig, CompactionReport};
 use crate::error::CoreError;
 use crate::index::Projections;
-use crate::ingest::{self, GenerationRecord, LogPosition};
+use crate::ingest::{self, Encoded, GenerationRecord, LogPosition};
 use crate::model::{ChunkId, CompositeKey, PrimaryKey, Record, VersionId};
 use crate::obs::{
     self, MetricsRegistry, NodeSample, Obs, ObsConfig, QueryOutcome, QueryTrace,
@@ -1142,10 +1142,11 @@ impl RStore {
             .collect();
         st.record_counts = Arc::new(st.contents.iter().map(|c| c.len()).collect());
 
-        let staged = self.stage_generation(st, &records, plan.groups, &version_items);
+        let staged = self.stage_generation(st, &records, plan.groups, |_| None, &version_items);
         let num_subchunks = staged.subchunks.len();
-        let raw_bytes = staged.subchunks.iter().map(|s| s.raw_bytes).sum();
-        let compressed_bytes = staged.subchunks.iter().map(SubChunk::compressed_bytes).sum();
+        let subchunks = || staged.subchunks.iter().map(Encoded::subchunk);
+        let raw_bytes = subchunks().map(|s| s.raw_bytes).sum();
+        let compressed_bytes = subchunks().map(SubChunk::compressed_bytes).sum();
         let batch: Vec<(VersionId, &VersionDelta)> = st.graph.ids().zip(&dataset.deltas).collect();
         let versions = st.graph.len();
         let committed = self.commit_generation(st, staged, versions, &[], |st, chunks| {
@@ -1478,7 +1479,7 @@ impl RStore {
             }
         }
 
-        let staged = self.stage_generation(st, &records, groups, &version_items);
+        let staged = self.stage_generation(st, &records, groups, |_| None, &version_items);
         let deltas: Vec<(VersionId, &VersionDelta)> = batch.iter().map(|(v, d)| (*v, d)).collect();
         let versions = st.graph.len();
         let committed = self.commit_generation(st, staged, versions, &[], |st, chunks| {

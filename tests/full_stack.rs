@@ -687,6 +687,163 @@ fn one_history_reaches_the_generation_writer_from_every_entry_point() {
 }
 
 #[test]
+fn compaction_carries_the_sub_chunks_it_does_not_regroup() {
+    // At one record per sub-chunk every group a compaction forms is
+    // exactly one victim sub-chunk, so none is encoded again: the
+    // report counts no sub-chunk built, and every blob of the new
+    // generation is still byte for byte what encoding its records
+    // afresh writes.
+    use rstore::core::chunk::{Chunk, SubChunk};
+    use rstore::core::compact::CompactionConfig;
+    use rstore::core::online::replay_commits;
+    use rstore::core::store::CHUNK_TABLE;
+    use rstore::kvstore::table_key;
+
+    let mut spec = DatasetSpec::tiny(9040);
+    spec.num_versions = 40;
+    spec.root_records = 50;
+    spec.update_frac = 0.3;
+    spec.record_size = 100;
+    let dataset = spec.generate();
+    let store = RStore::builder()
+        .chunk_capacity(2048)
+        .max_subchunk(1)
+        .batch_size(3)
+        .compaction(CompactionConfig {
+            min_fill: 1.1,
+            ..CompactionConfig::default()
+        })
+        .build(Cluster::builder().nodes(3).build());
+    replay_commits(&store, &dataset).unwrap();
+    let before = store.live_chunk_ids();
+    let report = store
+        .compact()
+        .unwrap()
+        .expect("small batches fragment the layout");
+    assert!(report.records_moved > 0);
+    assert_eq!(
+        report.subchunks_built, 0,
+        "a k = 1 compaction encoded a sub-chunk again"
+    );
+
+    let new_chunks: Vec<u32> = store
+        .live_chunk_ids()
+        .into_iter()
+        .filter(|c| !before.contains(c))
+        .collect();
+    assert_eq!(new_chunks.len(), report.new_chunks);
+    for c in new_chunks {
+        let blob = store
+            .cluster()
+            .get(&table_key(CHUNK_TABLE, &c.to_be_bytes()))
+            .unwrap()
+            .unwrap();
+        let chunk = Chunk::deserialize(&blob).unwrap();
+        let subchunks = chunk
+            .subchunks
+            .iter()
+            .map(|sc| {
+                let payloads = sc.decode().unwrap();
+                let records: Vec<_> = sc
+                    .members
+                    .iter()
+                    .copied()
+                    .zip(payloads.iter().map(|p| &p[..]))
+                    .collect();
+                SubChunk::build(&records)
+            })
+            .collect();
+        assert_eq!(&blob[..], &Chunk { subchunks }.serialize()[..], "chunk {c}");
+    }
+    check_against_oracle(&store, &dataset);
+}
+
+#[test]
+fn a_damaged_victim_sub_chunk_fails_the_compaction() {
+    // A compaction decodes every victim sub-chunk before it writes
+    // anything, the ones it carries whole included: that decode is its
+    // one check on the victims' bytes. One victim blob's first
+    // sub-chunk gets a bad LZ token tag, the chunk framing intact. The
+    // compaction fails with a decode error and retires nothing; with
+    // the blob restored, every version answers like the oracle,
+    // before a restart and after it, and the compaction then goes
+    // through. The cache is off: the compaction's scan admits the
+    // damaged chunk (a scan decodes nothing ahead), so the first read
+    // after the repair would fail on that copy and evict it.
+    use rstore::compress::varint;
+    use rstore::core::chunk::Chunk;
+    use rstore::core::compact::CompactionConfig;
+    use rstore::core::online::replay_commits;
+    use rstore::core::store::CHUNK_TABLE;
+    use rstore::core::CoreError;
+    use rstore::kvstore::table_key;
+    let dir = std::env::temp_dir().join(format!("rstore-fullstack-victim-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let mut spec = DatasetSpec::tiny(9043);
+    spec.num_versions = 30;
+    spec.root_records = 50;
+    let dataset = spec.generate();
+    let make_cluster = || {
+        Cluster::builder()
+            .nodes(3)
+            .engine(rstore::kvstore::EngineKind::Log { dir: dir.clone() })
+            .build()
+    };
+    let store = RStore::builder()
+        .chunk_capacity(2048)
+        .max_subchunk(1)
+        .batch_size(3)
+        .cache_budget(0)
+        .compaction(CompactionConfig {
+            min_fill: 1.1,
+            ..CompactionConfig::default()
+        })
+        .build(make_cluster());
+    replay_commits(&store, &dataset).unwrap();
+    let live = store.live_chunk_ids();
+    let key = table_key(CHUNK_TABLE, &live[live.len() / 2].to_be_bytes());
+    let intact = store.cluster().get(&key).unwrap().unwrap();
+    let mut broken = Chunk::deserialize(&intact).unwrap();
+    let payload = &mut broken.subchunks[0].payload;
+    let (_, header) = varint::read_u64(payload).unwrap();
+    payload[header] = 0x77;
+    let blob = broken.serialize();
+    assert_eq!(blob.len(), intact.len());
+    store.cluster().put(key.clone(), blob.into()).unwrap();
+
+    match store.compact() {
+        Err(CoreError::Codec(_)) => {}
+        other => panic!(
+            "expected a decode error, got {:?}",
+            other.map(|r| r.map(|r| r.victims))
+        ),
+    }
+    assert_eq!(store.retired_chunk_count(), 0);
+    assert_eq!(
+        store.live_chunk_ids(),
+        live,
+        "the failed compaction changed the chunk table"
+    );
+
+    store.cluster().put(key, intact).unwrap();
+    check_against_oracle(&store, &dataset);
+    let config = *store.config();
+    drop(store);
+    let store = RStore::reopen(config, make_cluster()).unwrap();
+    assert_eq!(store.live_chunk_ids(), live);
+    check_against_oracle(&store, &dataset);
+    let report = store
+        .compact()
+        .unwrap()
+        .expect("small batches fragment the layout");
+    assert!(report.victims > 0);
+    check_against_oracle(&store, &dataset);
+    drop(store);
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+#[test]
 fn a_restart_before_the_deferred_drain_leaks_no_retired_keys() {
     // A compaction under a pinned reader defers its victims' deletes.
     // The process then goes — plan dropped, no flush, no reclaim — so
