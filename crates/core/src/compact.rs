@@ -609,11 +609,15 @@ impl RStore {
         // -- extract: fetch victims through plan → fetch → extract ----
         let t = Instant::now();
         let scan = self.plan_chunks(victims.clone())?;
-        let fetched = self.execute(scan)?.into_chunks();
+        let executed = self.execute(scan)?;
+        let ids = executed.chunk_ids().to_vec();
+        let fetched = executed.into_chunks();
         // Each chunk's records in local order: a record's extraction
         // ordinal is its chunk's base plus its local index. Extraction
         // decodes every sub-chunk — the one check on the victims'
         // bytes, carried ones included — before anything is written.
+        // The scan cached the victims undecoded, so one that fails
+        // here is evicted, as a query's failed extraction evicts it.
         let mut records: Vec<Record> = Vec::new();
         let mut bases: Vec<u32> = Vec::with_capacity(fetched.len());
         // The victim sub-chunk each record came from, as `(chunk, at,
@@ -621,7 +625,8 @@ impl RStore {
         let mut source: Vec<(usize, usize, u32)> = Vec::new();
         for (c, dc) in fetched.iter().enumerate() {
             bases.push(records.len() as u32);
-            records.extend(query::extract_all(&dc.chunk)?);
+            let extracted = query::extract_all(&dc.chunk);
+            records.extend(extracted.inspect_err(|_| self.cache.invalidate(ids[c]))?);
             for (at, sc) in dc.chunk.subchunks.iter().enumerate() {
                 let first = source.len() as u32;
                 source.extend(std::iter::repeat_n((c, at, first), sc.len()));

@@ -27,8 +27,9 @@
 //!    the new chunk-map entries, and every **new** chunk's map — its
 //!    *base map*, `cmaps/<id>`, written once and never again — rides
 //!    the same streaming writer. `ingest_threads = 1` keeps the fully
-//!    serial reference path (encode everything, then one scatter-gather
-//!    put) that the equivalence proptests compare against.
+//!    serial reference path (encode in order on the calling thread,
+//!    streaming each write as it is done) that the equivalence
+//!    proptests compare against.
 //! 3. **commit** — one appended key, `meta/gen/<seq>`, holding a
 //!    [`GenerationRecord`]: only what the generation changed — the
 //!    flushed versions' graph nodes, the chunk-table edits and, for
@@ -89,7 +90,7 @@ use crate::store::{
 use bytes::Bytes;
 use crossbeam::channel::bounded;
 use rstore_compress::{varint, Bitmap};
-use rstore_kvstore::{table_key, Cluster, Key, KvError, WriteSummary};
+use rstore_kvstore::{table_key, Cluster, Key, WriteSummary};
 use rstore_vgraph::{VersionDelta, VersionGraph};
 use rustc_hash::FxHashMap;
 use std::collections::BTreeMap;
@@ -112,19 +113,15 @@ impl StreamOutcome {
     }
 }
 
-/// Ships pre-encoded pairs through a [`Cluster::writer`]: streaming
-/// per-node batches when the pipeline is parallel (`workers > 1`),
-/// one deferred scatter-gather put on the serial reference path.
+/// Streams pairs through a [`Cluster::writer`] as `writes` yields
+/// them: per-node batches ship while later pairs are still being
+/// produced. Only pushing and the final wait count as write time, not
+/// producing the pairs.
 fn stream_writes(
     cluster: &Cluster,
-    workers: usize,
-    writes: Vec<(Key, Bytes)>,
+    writes: impl IntoIterator<Item = (Key, Bytes)>,
 ) -> Result<StreamOutcome, CoreError> {
-    let mut writer = if workers > 1 {
-        cluster.writer()
-    } else {
-        cluster.writer_with_batch(usize::MAX)
-    };
+    let mut writer = cluster.writer();
     let mut write_wait = Duration::ZERO;
     for (key, value) in writes {
         let t = Instant::now();
@@ -143,11 +140,10 @@ fn stream_writes(
 /// store earlier batches while later chunks are still being encoded.
 /// Chunk serialization lives in exactly this place.
 ///
-/// With `workers == 1` this is the serial reference path: chunks
-/// encode in order on the calling thread and every write is deferred
-/// to one scatter-gather put at the end. Either way the final backend
-/// state is identical — chunks serialize deterministically and write
-/// order is irrelevant under distinct keys.
+/// With one worker the chunks encode in order on the calling thread,
+/// each streamed as it is done. Either way the final backend state is
+/// identical — chunks serialize deterministically and write order is
+/// irrelevant under distinct keys.
 fn stream_chunk_blobs(
     cluster: &Cluster,
     workers: usize,
@@ -159,29 +155,16 @@ fn stream_chunk_blobs(
     };
     let workers = workers.min(jobs.len()).max(1);
     if workers == 1 {
-        return stream_writes(cluster, 1, jobs.into_iter().map(encode).collect());
+        return stream_writes(cluster, jobs.into_iter().map(encode));
     }
 
     let queue = Mutex::new(jobs.into_iter());
-    let mut result: Result<StreamOutcome, KvError> = Ok(StreamOutcome {
-        summary: WriteSummary::default(),
-        write_wait: Duration::ZERO,
-    });
     std::thread::scope(|scope| {
         let (tx, rx) = bounded::<(Key, Bytes)>(workers * 4);
-        let writer_handle = scope.spawn(move || -> Result<StreamOutcome, KvError> {
-            let mut writer = cluster.writer();
-            let mut write_wait = Duration::ZERO;
-            while let Ok((key, value)) = rx.recv() {
-                let t = Instant::now();
-                writer.push(key, value)?;
-                write_wait += t.elapsed();
-            }
-            let t = Instant::now();
-            let summary = writer.finish()?;
-            write_wait += t.elapsed();
-            Ok(StreamOutcome { summary, write_wait })
-        });
+        // The writer returns on its first error, dropping `rx`: the
+        // encoders' next send fails and they stop.
+        let writer =
+            scope.spawn(move || stream_writes(cluster, std::iter::from_fn(|| rx.recv().ok())));
         for _ in 0..workers {
             let tx = tx.clone();
             let queue = &queue;
@@ -189,17 +172,14 @@ fn stream_chunk_blobs(
             scope.spawn(move || loop {
                 let job = queue.lock().unwrap().next();
                 let Some(job) = job else { break };
-                // A send failure means the writer bailed on an error;
-                // stop encoding — the error surfaces from its handle.
                 if tx.send(encode(job)).is_err() {
                     break;
                 }
             });
         }
         drop(tx);
-        result = writer_handle.join().expect("writer stage panicked");
-    });
-    result.map_err(CoreError::from)
+        writer.join().expect("writer stage panicked")
+    })
 }
 
 // ------------------------------------------------------------------
@@ -1260,10 +1240,11 @@ impl RStore {
             .into_iter()
             .unzip();
         // The base maps ride the same streaming writer stage as the
-        // chunk blobs (per-node batches ship while later pushes queue;
-        // one deferred scatter put on the serial path).
-        let writes = fresh.iter().map(|(c, bytes, _)| (chunk_map_key(*c), bytes.clone())).collect();
-        let outcome = stream_writes(&self.cluster, workers, writes)?;
+        // chunk blobs (per-node batches ship while later pushes queue).
+        let writes = fresh
+            .iter()
+            .map(|(c, bytes, _)| (chunk_map_key(*c), bytes.clone()));
+        let outcome = stream_writes(&self.cluster, writes)?;
         stages.index = t.elapsed();
         outcome.fold_into(&mut stages);
         bytes_written += outcome.summary.bytes;

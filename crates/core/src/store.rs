@@ -116,8 +116,8 @@ pub struct StoreConfig {
     /// Worker threads for the parallel ingest pipeline (sub-chunk
     /// compression, chunk serialization, chunk-map builds). `0` (the
     /// default) uses every available core; `1` is the fully serial
-    /// reference path — no scoped threads, and every backend write
-    /// deferred to one scatter-gather put at the end of the stage.
+    /// reference path — no scoped threads: chunks encode in order on
+    /// the calling thread, each streamed to the backend as it is done.
     pub ingest_threads: usize,
     /// Workers in the shared fetch pool that executes every query's
     /// node batches ([`serve`](crate::serve)). `0` (the default)
@@ -1499,14 +1499,12 @@ impl RStore {
     /// and returns the final batch's [`FlushReport`], so callers can
     /// see the last ingest's stage breakdown instead of losing it.
     ///
-    /// Sealing is also a durability barrier: every node syncs its
-    /// engine (group-commit under a relaxed
-    /// [`SyncPolicy`](rstore_kvstore::SyncPolicy)), and any hinted
-    /// writes that missed a replica during an outage are replayed so
-    /// the sealed data is fully replicated again.
+    /// Sealing also replays any hinted writes that missed a replica
+    /// during an outage, so the sealed data is fully replicated again.
+    /// It adds no durability of its own: every backend write is durable
+    /// when the node acknowledges it.
     pub fn seal(&self) -> Result<FlushReport, CoreError> {
         let report = self.flush_batch()?;
-        self.cluster.sync_all()?;
         self.cluster.replay_hints()?;
         Ok(report)
     }

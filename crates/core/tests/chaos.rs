@@ -6,9 +6,9 @@
 //! torn log tails, queries and flushes either succeed with answers
 //! byte-identical to a fault-free twin, or fail with a clean error —
 //! never a wrong answer, never a panic. Crash-recovery tests pin the
-//! durability contract of each [`SyncPolicy`] through the public API
-//! and prove that a reopened store recovers to the last durable
-//! prefix with the metadata commit point respected.
+//! log engine's durability contract (no acknowledged write is lost)
+//! through the public API and prove that a reopened store recovers to
+//! the last durable prefix with the metadata commit point respected.
 
 use proptest::prelude::*;
 use rstore_core::model::{ChunkId, VersionId};
@@ -17,7 +17,7 @@ use rstore_core::store::{RStore, StoreConfig, CHUNK_TABLE, CMAP_TABLE};
 use rstore_core::QuerySpec;
 use rstore_kvstore::engine::{LogEngine, StorageEngine};
 use rstore_kvstore::{
-    table_key, Cluster, EngineKind, FaultPlan, FaultRule, Key, RetryPolicy, SyncPolicy, TailDamage,
+    table_key, Cluster, EngineKind, FaultPlan, FaultRule, Key, RetryPolicy, TailDamage,
 };
 use rstore_vgraph::{Dataset, DatasetSpec, SelectionKind};
 use std::time::Duration;
@@ -94,7 +94,7 @@ proptest! {
                 .build();
             let s = store_on(cluster);
             replay_commits(&s, &ds).unwrap();
-            // Seal: durability barrier + hint replay. A node still
+            // Seal: flush + hint replay. A node still
             // refusing requests (mid-outage) keeps its hints queued,
             // so drive replay until the outage expires and the queue
             // drains — the bounded loop stands in for the periodic
@@ -119,84 +119,64 @@ proptest! {
     }
 }
 
-/// The per-policy durability contract, pinned through the public API:
-/// `Always` loses nothing, `EveryN(n)` loses at most the last `n - 1`
-/// acknowledged writes, `OnSeal` recovers to the last sync barrier —
-/// and a torn or corrupted tail entry never resurrects, truncating
-/// recovery to the last durable prefix.
+/// The log engine's durability contract, pinned through the public
+/// API: a crash loses no acknowledged write, and a torn or corrupted
+/// tail entry never resurrects, truncating recovery to the last
+/// durable prefix.
 #[test]
-fn log_engine_crash_matrix_per_sync_policy() {
+fn log_engine_crash_matrix_loses_no_acknowledged_write() {
     let base = std::env::temp_dir().join(format!("rstore-chaos-matrix-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&base);
     std::fs::create_dir_all(&base).unwrap();
-    let cases: [(SyncPolicy, usize, &str); 3] = [
-        (SyncPolicy::Always, 10, "always"),
-        (SyncPolicy::EveryN(4), 8, "every4"),
-        (SyncPolicy::OnSeal, 0, "onseal"),
-    ];
+    let min_survivors = 10;
     for damage in [TailDamage::TornBytes(7), TailDamage::CorruptLastEntry] {
-        for (policy, min_survivors, tag) in cases {
-            let path = base.join(format!("{tag}-{damage:?}.log"));
-            let mut e = LogEngine::open_with(&path, policy).unwrap();
-            for i in 0..10u32 {
-                e.put(i.to_be_bytes().to_vec(), bytes::Bytes::from(vec![i as u8; 32]))
-                    .unwrap();
-            }
-            e.crash_restart(damage).unwrap();
-            let survivors = (0..10u32)
-                .filter(|i| e.get(&i.to_be_bytes()).unwrap().is_some())
-                .count();
-            // CorruptLastEntry can also claim the last *durable*
-            // entry — that is the point: a bad CRC never serves.
-            let floor = match damage {
-                TailDamage::CorruptLastEntry => min_survivors.saturating_sub(1),
-                _ => min_survivors,
-            };
-            assert!(
-                survivors >= floor,
-                "{tag}/{damage:?}: {survivors} survivors, durable floor {floor}"
-            );
-            // What survived is a *prefix*: no holes.
-            let mut seen_missing = false;
-            for i in 0..10u32 {
-                let present = e.get(&i.to_be_bytes()).unwrap().is_some();
-                if !present {
-                    seen_missing = true;
-                } else {
-                    assert!(!seen_missing, "{tag}/{damage:?}: hole before key {i}");
-                }
+        let path = base.join(format!("{damage:?}.log"));
+        let mut e = LogEngine::open(&path).unwrap();
+        for i in 0..10u32 {
+            e.put(
+                i.to_be_bytes().to_vec(),
+                bytes::Bytes::from(vec![i as u8; 32]),
+            )
+            .unwrap();
+        }
+        e.crash_restart(damage).unwrap();
+        let survivors = (0..10u32)
+            .filter(|i| e.get(&i.to_be_bytes()).unwrap().is_some())
+            .count();
+        // CorruptLastEntry can also claim the last *durable*
+        // entry — that is the point: a bad CRC never serves.
+        let floor = match damage {
+            TailDamage::CorruptLastEntry => min_survivors - 1,
+            _ => min_survivors,
+        };
+        assert!(
+            survivors >= floor,
+            "{damage:?}: {survivors} survivors, durable floor {floor}"
+        );
+        // What survived is a *prefix*: no holes.
+        let mut seen_missing = false;
+        for i in 0..10u32 {
+            let present = e.get(&i.to_be_bytes()).unwrap().is_some();
+            if !present {
+                seen_missing = true;
+            } else {
+                assert!(!seen_missing, "{damage:?}: hole before key {i}");
             }
         }
     }
-    // OnSeal honors an explicit barrier: everything synced survives.
-    let path = base.join("onseal-barrier.log");
-    let mut e = LogEngine::open_with(&path, SyncPolicy::OnSeal).unwrap();
-    for i in 0..6u32 {
-        e.put(i.to_be_bytes().to_vec(), bytes::Bytes::from_static(b"v"))
-            .unwrap();
-    }
-    e.sync().unwrap();
-    e.put(99u32.to_be_bytes().to_vec(), bytes::Bytes::from_static(b"late"))
-        .unwrap();
-    e.crash_restart(TailDamage::TornBytes(3)).unwrap();
-    for i in 0..6u32 {
-        assert!(e.get(&i.to_be_bytes()).unwrap().is_some(), "synced key {i} lost");
-    }
-    assert!(e.get(&99u32.to_be_bytes()).unwrap().is_none(), "unsynced write survived");
     let _ = std::fs::remove_dir_all(base);
 }
 
 /// A node crash *during ingest*: the injected crash tears the log
 /// tail mid-write, yet the store stays correct — writes the outage
 /// refused were re-replicated to the sibling and hinted, reads heal
-/// around the recovering replica — and after `seal` (the durability
-/// barrier) a full restart over the same logs recovers every record.
+/// around the recovering replica — and after `seal` (flush plus hint
+/// replay) a full restart over the same logs recovers every record.
 /// This is the mid-write crash + reopen harness of the flush path:
 /// the metadata commit point is written through the same cluster, so
 /// a sealed store that reopens consistent proves the ordering held.
-/// `SyncPolicy::Always` keeps every *acknowledged* write durable;
-/// what a relaxed policy may lose is pinned per-policy by
-/// `log_engine_crash_matrix_per_sync_policy`.
+/// The engine keeps every *acknowledged* write durable, pinned on
+/// its own by `log_engine_crash_matrix_loses_no_acknowledged_write`.
 #[test]
 fn injected_crash_during_ingest_seals_durable_and_reopens() {
     let dir = std::env::temp_dir().join(format!("rstore-chaos-ingest-{}", std::process::id()));
@@ -221,7 +201,6 @@ fn injected_crash_during_ingest_seals_durable_and_reopens() {
             .nodes(3)
             .replication(2)
             .engine(EngineKind::Log { dir: dir.clone() })
-            .sync_policy(SyncPolicy::Always)
             .faults(plan)
             .build();
         let store = store_on(cluster);

@@ -144,10 +144,9 @@ fn assert_queries_agree(a: &RStore, b: &RStore, max_pk: u64) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Offline bulk load: parallel pipeline (4 workers, streaming
-    /// writes) == serial reference (1 worker, one deferred
-    /// scatter-gather put), byte for byte, with sub-chunk grouping
-    /// active (k = 3).
+    /// Offline bulk load: parallel pipeline (4 workers) == serial
+    /// reference (1 worker, encoding in order on the calling thread),
+    /// byte for byte, with sub-chunk grouping active (k = 3).
     #[test]
     fn parallel_bulk_load_matches_serial_reference(spec in spec_strategy()) {
         let ds = spec.generate();

@@ -40,7 +40,7 @@
 //!   hints (always carrying the value) and re-replicated by
 //!   [`Cluster::replay_hints`] (hinted handoff).
 
-use crate::engine::{LogEngine, MemEngine, StorageEngine, SyncPolicy};
+use crate::engine::{LogEngine, MemEngine, StorageEngine};
 use crate::error::KvError;
 use crate::fault::{FaultPlan, Injected, NodeFaults, RetryPolicy};
 use crate::health::{BreakerPolicy, HealthBoard, NodeHealth};
@@ -84,7 +84,6 @@ pub struct ClusterBuilder {
     network: NetworkModel,
     faults: Option<FaultPlan>,
     retry: RetryPolicy,
-    sync: SyncPolicy,
 }
 
 impl Default for ClusterBuilder {
@@ -96,7 +95,6 @@ impl Default for ClusterBuilder {
             network: NetworkModel::zero(),
             faults: None,
             retry: RetryPolicy::default(),
-            sync: SyncPolicy::Always,
         }
     }
 }
@@ -142,13 +140,6 @@ impl ClusterBuilder {
         self
     }
 
-    /// Group-commit policy for log-engine nodes (default
-    /// [`SyncPolicy::Always`]; ignored by the in-memory engine).
-    pub fn sync_policy(mut self, sync: SyncPolicy) -> Self {
-        self.sync = sync;
-        self
-    }
-
     /// Starts the node threads and returns the cluster handle once every
     /// node's engine is open. Each node thread opens its own engine — a
     /// log engine reads and CRC-checks its whole log to rebuild its key
@@ -171,13 +162,13 @@ impl ClusterBuilder {
                 EngineKind::Mem => None,
                 EngineKind::Log { dir } => Some(dir.join(format!("node-{id}.log"))),
             };
-            let (sync, network) = (self.sync, self.network);
+            let network = self.network;
             let stats = Arc::clone(&stats);
             let faults = self.faults.as_ref().map(|p| p.for_node(id));
             let handle = std::thread::Builder::new()
                 .name(format!("kv-node-{id}"))
                 .spawn(move || {
-                    let engine: Box<dyn StorageEngine> = match log.map(|path| LogEngine::open_with(path, sync)) {
+                    let engine: Box<dyn StorageEngine> = match log.map(LogEngine::open) {
                         None => Box::new(MemEngine::new()),
                         Some(Ok(engine)) => Box::new(engine),
                         Some(Err(e)) => {
@@ -247,16 +238,6 @@ impl Node {
                     let _ = reply.send(self.multi_delete(&keys));
                 }
                 Request::SetDown(flag) => self.down = flag,
-                // A durability barrier is administrative: it is not
-                // subject to fault injection and does not advance the
-                // chaos op counter.
-                Request::Sync { reply } => {
-                    let _ = reply.send(if self.down {
-                        Err(KvError::NodeDown(self.id))
-                    } else {
-                        self.engine.sync()
-                    });
-                }
                 Request::Info { reply } => {
                     let _ = reply.send(NodeInfo {
                         keys: self.engine.len(),
@@ -936,20 +917,11 @@ impl Cluster {
     /// production of later ones. [`ClusterWriter::finish`] drains the
     /// buffers and waits for every outstanding batch.
     pub fn writer(&self) -> ClusterWriter<'_> {
-        self.writer_with_batch(DEFAULT_WRITE_BATCH_BYTES)
-    }
-
-    /// [`Cluster::writer`] with an explicit per-node flush threshold
-    /// in payload bytes. `usize::MAX` defers every write to
-    /// [`ClusterWriter::finish`] — the serial reference behaviour
-    /// (accumulate everything, then one scatter-gather put).
-    pub fn writer_with_batch(&self, flush_bytes: usize) -> ClusterWriter<'_> {
         ClusterWriter {
             cluster: self,
             buffers: (0..self.node_count()).map(|_| Vec::new()).collect(),
             buffered_bytes: vec![0; self.node_count()],
             pending: Vec::new(),
-            flush_bytes: flush_bytes.max(1),
             summary: WriteSummary::default(),
         }
     }
@@ -991,30 +963,6 @@ impl Cluster {
             }
             (Err(e), _) => Err(e),
         }
-    }
-
-    /// Issues a durability barrier to every live node: each engine
-    /// flushes its buffered writes (the group-commit point for
-    /// [`SyncPolicy::EveryN`]/[`SyncPolicy::OnSeal`]). Down nodes are
-    /// skipped — they will recover to their own last durable prefix.
-    pub fn sync_all(&self) -> Result<(), KvError> {
-        let mut pending = Vec::new();
-        for (node, sender) in self.senders.iter().enumerate() {
-            if self.is_down(node) {
-                continue;
-            }
-            let (tx, rx) = bounded(1);
-            if sender.send(Request::Sync { reply: tx }).is_ok() {
-                pending.push(rx);
-            }
-        }
-        for rx in pending {
-            match rx.recv() {
-                Ok(Ok(())) | Ok(Err(KvError::NodeDown(_))) | Err(_) => {}
-                Ok(Err(e)) => return Err(e),
-            }
-        }
-        Ok(())
     }
 
     /// Aggregated engine statistics across live nodes.
@@ -1075,8 +1023,6 @@ pub struct ClusterWriter<'a> {
     /// Shipped batches whose replies [`ClusterWriter::finish`] has
     /// yet to collect.
     pending: Vec<InFlight<Put>>,
-    /// Per-node buffer size that triggers a flush.
-    flush_bytes: usize,
     summary: WriteSummary,
 }
 
@@ -1119,11 +1065,8 @@ impl ClusterWriter<'_> {
     fn buffer(&mut self, node: usize, key: Key, value: Value) {
         self.buffered_bytes[node] += key.len() + value.len();
         self.buffers[node].push((key, value));
-        // The pair cap only applies to streaming writers; a deferred
-        // writer (`flush_bytes == usize::MAX`) batches everything.
-        if self.buffered_bytes[node] >= self.flush_bytes
-            || (self.flush_bytes != usize::MAX
-                && self.buffers[node].len() >= DEFAULT_WRITE_BATCH_PAIRS)
+        if self.buffered_bytes[node] >= DEFAULT_WRITE_BATCH_BYTES
+            || self.buffers[node].len() >= DEFAULT_WRITE_BATCH_PAIRS
         {
             self.flush_node(node);
         }
@@ -1522,8 +1465,8 @@ mod tests {
     fn streaming_writer_batches_and_stores_everything() {
         let c = small_cluster(3, 2);
         c.reset_stats();
-        // A tiny flush threshold forces many mid-stream batches.
-        let mut w = c.writer_with_batch(64);
+        // The pair cap forces many mid-stream batches.
+        let mut w = c.writer();
         for i in 0..200u32 {
             w.push(i.to_be_bytes().to_vec(), Bytes::from(vec![i as u8; 32]))
                 .unwrap();
@@ -1559,8 +1502,10 @@ mod tests {
     #[test]
     fn writer_surfaces_node_going_down_mid_stream() {
         let c = small_cluster(2, 1);
-        let mut w = c.writer_with_batch(usize::MAX);
-        for i in 0..40u32 {
+        let mut w = c.writer();
+        // Fewer pairs than one batch holds: every node buffers all of
+        // its pairs until `finish`.
+        for i in 0..DEFAULT_WRITE_BATCH_PAIRS as u32 - 1 {
             w.push(i.to_be_bytes().to_vec(), Bytes::from_static(b"v"))
                 .unwrap();
         }
@@ -1834,14 +1779,18 @@ mod tests {
     #[test]
     fn writer_heals_replica_outage_mid_stream() {
         let c = small_cluster(3, 2);
-        let keys: Vec<Key> = (0..60u32).map(|i| i.to_be_bytes().to_vec()).collect();
+        // Fewer keys than one batch holds: every node buffers all of
+        // its pairs until `finish`.
+        let keys: Vec<Key> = (0..DEFAULT_WRITE_BATCH_PAIRS as u32 - 1)
+            .map(|i| i.to_be_bytes().to_vec())
+            .collect();
         let on0: Vec<Key> = keys
             .iter()
             .filter(|k| c.replicas_of(k).unwrap().contains(&0))
             .cloned()
             .collect();
         assert!(!on0.is_empty());
-        let mut w = c.writer_with_batch(usize::MAX);
+        let mut w = c.writer();
         for key in &keys {
             w.push(key.clone(), Bytes::from_static(b"v")).unwrap();
         }
@@ -1850,7 +1799,7 @@ mod tests {
         // failing, and leaves hints for the dead node.
         c.set_node_down(0, true);
         let summary = w.finish().unwrap();
-        assert_eq!(summary.pairs, 60);
+        assert_eq!(summary.pairs, keys.len());
         assert_eq!(c.pending_hints(), on0.len());
         for key in &keys {
             assert!(c.get(key).unwrap().is_some());

@@ -2,36 +2,25 @@
 //!
 //! Every put/delete is appended to a log file; an in-memory directory
 //! maps live keys to their latest log offset. On startup the log is
-//! replayed to rebuild the directory, so a crash loses at most the
-//! writes that were not yet durable under the configured
-//! [`SyncPolicy`], plus a partially-written tail entry (detected by
-//! length or CRC and truncated). [`LogEngine::compact`] rewrites live
-//! entries into a fresh log, dropping garbage from overwrites and
-//! deletes.
+//! replayed to rebuild the directory, so a crash loses at most a
+//! partially-written tail entry (detected by length or CRC and
+//! truncated). Overwritten and deleted entries stay in the file:
+//! nothing rewrites the log.
 //!
 //! # Durability contract
 //!
-//! "Durable" here means *flushed out of the engine's write buffer*:
-//! the simulated crash ([`StorageEngine::crash_restart`]) is a
-//! process-level kill that loses exactly the buffered bytes, the same
-//! way a kill -9 loses a real `BufWriter`'s buffer. What each policy
-//! can lose on such a crash:
-//!
-//! * [`SyncPolicy::Always`] — nothing: every entry is flushed before
-//!   its `put`/`delete` returns, and every batch
-//!   ([`StorageEngine::put_batch`]/[`StorageEngine::delete_batch`]:
-//!   one message, one reply) with one flush before *it* returns. At
-//!   most a torn tail from a crash that lands mid-write at the
-//!   filesystem level, which replay truncates back to the last whole
-//!   entry.
-//! * [`SyncPolicy::EveryN`]`(n)` — at most the last `n - 1` accepted
-//!   writes (the group-commit window).
-//! * [`SyncPolicy::OnSeal`] — everything since the last explicit
-//!   [`sync`](StorageEngine::sync) barrier; the store layer issues
-//!   that barrier from `seal()`, so a sealed batch is always durable.
-//!
-//! Reads are unaffected by buffering — `get` flushes on demand when it
-//! needs a not-yet-flushed entry, preserving read-your-writes.
+//! Every acknowledged write has been flushed out of the engine's write
+//! buffer when its call returns: a `put` or `delete` flushes its entry,
+//! and a batch ([`StorageEngine::put_batch`]/[`StorageEngine::delete_batch`]:
+//! one message, one reply) flushes all of its entries once, before it
+//! returns. The flush is a `write` to the file, not an `fsync`: it
+//! survives a process kill, not a power loss. Nothing stays buffered
+//! between calls, so the simulated crash
+//! ([`StorageEngine::crash_restart`]) — a process-level kill, which
+//! loses a real `BufWriter`'s buffer the way a kill -9 does — loses no
+//! acknowledged write. What a crash can still leave is a torn tail,
+//! from a kill that lands mid-write at the filesystem level; replay
+//! truncates it back to the last whole entry.
 //!
 //! # Torn tail or corrupt entry
 //!
@@ -86,21 +75,6 @@ const TOMBSTONE: u8 = 0x01;
 /// Replay's read buffer: large enough that a log of small entries
 /// costs few reads, small enough to stay in cache.
 const REPLAY_BUF: usize = 256 << 10;
-
-/// When the engine flushes accepted writes out of its buffer (the
-/// group-commit knob). See the module docs for exactly what each
-/// setting can lose on a crash.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum SyncPolicy {
-    /// Flush every entry before its write returns (loses nothing).
-    #[default]
-    Always,
-    /// Flush after every N accepted writes (loses < N writes).
-    EveryN(usize),
-    /// Flush only at explicit [`StorageEngine::sync`] barriers —
-    /// the store layer issues one per sealed batch.
-    OnSeal,
-}
 
 /// Slice-by-8 lookup tables: `CRC_TABLES[0]` is the classic
 /// byte-at-a-time table, `CRC_TABLES[k][b]` is the CRC of byte `b`
@@ -371,14 +345,6 @@ struct Slot {
     /// Offset of the value bytes (not the entry header).
     value_offset: u64,
     value_len: u32,
-    key_len: u32,
-}
-
-impl Slot {
-    /// Bytes the entry holding this value occupies.
-    fn entry_len(&self) -> u64 {
-        entry_len(self.key_len, self.value_len)
-    }
 }
 
 /// What a replay rebuilt from a log.
@@ -386,8 +352,6 @@ struct Replayed {
     directory: FxHashMap<Key, Slot>,
     /// Length of the prefix of whole entries whose CRCs check.
     valid_len: u64,
-    /// Bytes of dead (overwritten, deleted, tombstone) entries in it.
-    garbage: u64,
 }
 
 /// The log-structured engine.
@@ -399,30 +363,14 @@ pub struct LogEngine {
     directory: FxHashMap<Key, Slot>,
     /// Next append offset.
     tail: u64,
-    /// Bytes occupied by dead (overwritten/deleted) entries.
-    garbage_bytes: u64,
-    /// Group-commit policy.
-    sync: SyncPolicy,
-    /// Log length known to be flushed out of the write buffer (what a
-    /// crash cannot lose).
-    flushed: u64,
-    /// Accepted writes since the last flush (drives `EveryN`).
-    unflushed_writes: usize,
 }
 
 impl LogEngine {
-    /// Opens (or creates) the log at `path` with [`SyncPolicy::Always`],
-    /// replaying it to rebuild the key directory. A torn tail is
-    /// truncated at the last valid entry; a corrupt entry with valid
-    /// entries after it fails the open with [`KvError::Corrupt`] (see
-    /// the module docs).
+    /// Opens (or creates) the log at `path`, replaying it to rebuild
+    /// the key directory. A torn tail is truncated at the last valid
+    /// entry; a corrupt entry with valid entries after it fails the
+    /// open with [`KvError::Corrupt`] (see the module docs).
     pub fn open(path: impl AsRef<Path>) -> Result<Self, KvError> {
-        Self::open_with(path, SyncPolicy::Always)
-    }
-
-    /// Opens (or creates) the log at `path` under the given
-    /// group-commit policy.
-    pub fn open_with(path: impl AsRef<Path>, sync: SyncPolicy) -> Result<Self, KvError> {
         let path = path.as_ref().to_path_buf();
         if let Some(dir) = path.parent() {
             std::fs::create_dir_all(dir)?;
@@ -432,11 +380,7 @@ impl LogEngine {
             .read(true)
             .append(true)
             .open(&path)?;
-        let Replayed {
-            directory,
-            valid_len,
-            garbage,
-        } = Self::replay(&file)?;
+        let Replayed { directory, valid_len } = Self::replay(&file)?;
         if valid_len < file.metadata()?.len() {
             // Torn tail from a crash: truncate it away.
             file.set_len(valid_len)?;
@@ -448,10 +392,6 @@ impl LogEngine {
             reader,
             directory,
             tail: valid_len,
-            garbage_bytes: garbage,
-            sync,
-            flushed: valid_len,
-            unflushed_writes: 0,
         })
     }
 
@@ -465,7 +405,6 @@ impl LogEngine {
         let mut reader = BufReader::with_capacity(REPLAY_BUF, file);
         reader.seek(SeekFrom::Start(0))?;
         let mut directory: FxHashMap<Key, Slot> = FxHashMap::default();
-        let mut garbage = 0u64;
         let mut pos = 0u64;
         let mut header = [0u8; HEADER_LEN];
         let mut body = Vec::new();
@@ -488,20 +427,14 @@ impl LogEngine {
                 break;
             }
             let key = body[..key_len as usize].to_vec();
-            let old = if flags & TOMBSTONE != 0 {
-                // The tombstone itself is immediately garbage.
-                garbage += total;
-                directory.remove(&key)
+            if flags & TOMBSTONE != 0 {
+                directory.remove(&key);
             } else {
                 let slot = Slot {
                     value_offset: pos + (HEADER_LEN as u64) + u64::from(key_len),
                     value_len: val_len,
-                    key_len,
                 };
-                directory.insert(key, slot)
-            };
-            if let Some(old) = old {
-                garbage += old.entry_len();
+                directory.insert(key, slot);
             }
             pos += total;
         }
@@ -522,122 +455,28 @@ impl LogEngine {
         Ok(Replayed {
             directory,
             valid_len: pos,
-            garbage,
         })
-    }
-
-    fn append(&mut self, flags: u8, key: &[u8], value: &[u8]) -> Result<u64, KvError> {
-        let entry_start = self.tail;
-        self.tail += write_entry(&mut self.writer, flags, key, value)?;
-        self.unflushed_writes += 1;
-        Ok(entry_start)
-    }
-
-    /// Applies the group-commit policy to the entries appended since
-    /// the last flush — once per write, or once per batch of them.
-    fn flush_if_due(&mut self) -> Result<(), KvError> {
-        let due = match self.sync {
-            SyncPolicy::Always => self.unflushed_writes > 0,
-            SyncPolicy::EveryN(n) => self.unflushed_writes >= n.max(1),
-            SyncPolicy::OnSeal => false,
-        };
-        if due {
-            self.flush_writes()?;
-        }
-        Ok(())
     }
 
     /// Appends a value entry and points the directory at it.
     fn append_put(&mut self, key: Key, value: &[u8]) -> Result<(), KvError> {
-        let entry_start = self.append(0, &key, value)?;
+        let entry_start = self.tail;
+        self.tail += write_entry(&mut self.writer, 0, &key, value)?;
         let slot = Slot {
             value_offset: entry_start + (HEADER_LEN + key.len()) as u64,
             value_len: value.len() as u32,
-            key_len: key.len() as u32,
         };
-        if let Some(old) = self.directory.insert(key, slot) {
-            self.garbage_bytes += old.entry_len();
-        }
+        self.directory.insert(key, slot);
         Ok(())
     }
 
     /// Appends a tombstone if `key` is live, reporting whether it was.
     fn append_delete(&mut self, key: &[u8]) -> Result<bool, KvError> {
-        let Some(old) = self.directory.remove(key) else {
+        if self.directory.remove(key).is_none() {
             return Ok(false);
-        };
-        let tombstone = self.append(TOMBSTONE, key, &[])?;
-        self.garbage_bytes += old.entry_len() + (self.tail - tombstone);
+        }
+        self.tail += write_entry(&mut self.writer, TOMBSTONE, key, &[])?;
         Ok(true)
-    }
-
-    /// Flushes the write buffer, advancing the durable frontier.
-    fn flush_writes(&mut self) -> Result<(), KvError> {
-        self.writer.flush()?;
-        self.flushed = self.tail;
-        self.unflushed_writes = 0;
-        Ok(())
-    }
-
-    /// Fraction of the log occupied by dead entries.
-    pub fn garbage_ratio(&self) -> f64 {
-        if self.tail == 0 {
-            return 0.0;
-        }
-        self.garbage_bytes as f64 / self.tail as f64
-    }
-
-    /// Rewrites live entries into a fresh log, reclaiming garbage.
-    pub fn compact(&mut self) -> Result<(), KvError> {
-        // Buffered entries must hit the file before we stream slots
-        // out of it.
-        self.flush_writes()?;
-        let tmp_path = self.path.with_extension("compact");
-        {
-            let tmp = OpenOptions::new()
-                .create(true)
-                .write(true)
-                .truncate(true)
-                .open(&tmp_path)?;
-            let mut w = BufWriter::new(tmp);
-            // Stable iteration: copy the directory, then stream values.
-            let entries: Vec<(Key, Slot)> = self
-                .directory
-                .iter()
-                .map(|(k, s)| (k.clone(), *s))
-                .collect();
-            for (key, slot) in entries {
-                let value = self.read_slot(&slot)?;
-                write_entry(&mut w, 0, &key, &value)?;
-            }
-            w.flush()?;
-        }
-        std::fs::rename(&tmp_path, &self.path)?;
-        // Reopen handles against the compacted log.
-        let file = OpenOptions::new()
-            .read(true)
-            .append(true)
-            .open(&self.path)?;
-        let Replayed {
-            directory,
-            valid_len,
-            garbage,
-        } = Self::replay(&file)?;
-        self.reader = File::open(&self.path)?;
-        self.writer = BufWriter::new(file);
-        self.directory = directory;
-        self.tail = valid_len;
-        self.garbage_bytes = garbage;
-        self.flushed = valid_len;
-        self.unflushed_writes = 0;
-        Ok(())
-    }
-
-    fn read_slot(&mut self, slot: &Slot) -> Result<Vec<u8>, KvError> {
-        let mut buf = vec![0u8; slot.value_len as usize];
-        self.reader.seek(SeekFrom::Start(slot.value_offset))?;
-        self.reader.read_exact(&mut buf)?;
-        Ok(buf)
     }
 
     /// Total log size on disk.
@@ -651,11 +490,6 @@ impl StorageEngine for LogEngine {
         let Some(slot) = self.directory.get(key).copied() else {
             return Ok(None);
         };
-        // Read-your-writes under relaxed sync: flush if the slot is
-        // beyond the durable frontier.
-        if slot.value_offset + u64::from(slot.value_len) > self.flushed {
-            self.flush_writes()?;
-        }
         let mut buf = vec![0u8; slot.value_len as usize];
         self.reader.seek(SeekFrom::Start(slot.value_offset))?;
         self.reader.read_exact(&mut buf)?;
@@ -664,12 +498,12 @@ impl StorageEngine for LogEngine {
 
     fn put(&mut self, key: Key, value: Value) -> Result<(), KvError> {
         self.append_put(key, &value)?;
-        self.flush_if_due()
+        Ok(self.writer.flush()?)
     }
 
     fn delete(&mut self, key: &[u8]) -> Result<bool, KvError> {
         let present = self.append_delete(key)?;
-        self.flush_if_due()?;
+        self.writer.flush()?;
         Ok(present)
     }
 
@@ -677,7 +511,7 @@ impl StorageEngine for LogEngine {
         for (key, value) in pairs {
             self.append_put(key, &value)?;
         }
-        self.flush_if_due()
+        Ok(self.writer.flush()?)
     }
 
     fn delete_batch(&mut self, keys: &[Key]) -> Result<usize, KvError> {
@@ -685,7 +519,7 @@ impl StorageEngine for LogEngine {
         for key in keys {
             removed += usize::from(self.append_delete(key)?);
         }
-        self.flush_if_due()?;
+        self.writer.flush()?;
         Ok(removed)
     }
 
@@ -700,35 +534,22 @@ impl StorageEngine for LogEngine {
             .sum()
     }
 
-    fn sync(&mut self) -> Result<(), KvError> {
-        self.flush_writes()
-    }
-
     fn crash_restart(&mut self, damage: TailDamage) -> Result<(), KvError> {
-        // Steal the writer WITHOUT flushing: its buffer is exactly
-        // what a kill -9 loses. The placeholder writer wraps a clone
-        // of the read-only handle and is never written to.
-        let placeholder = BufWriter::new(self.reader.try_clone()?);
-        let stolen = std::mem::replace(&mut self.writer, placeholder);
-        let (file, lost) = stolen.into_parts();
-        let lost = lost.unwrap_or_default();
-        drop(file);
-        // Apply the scripted damage to the on-disk tail.
+        // Every call flushed before it returned, so the write buffer a
+        // kill -9 would lose is empty: the crash can only damage what
+        // is already on disk.
+        debug_assert!(
+            self.writer.buffer().is_empty(),
+            "a write outlived its call unflushed"
+        );
         match damage {
             TailDamage::None => {}
-            TailDamage::TornBytes(n) if n > 0 => {
-                // A prefix of the in-flight entry reaches the disk; if
-                // nothing was buffered, junk lands after the tail (a
-                // filesystem-level torn write of the last entry).
-                let torn: Vec<u8> = if lost.is_empty() {
-                    vec![0xAA; n]
-                } else {
-                    lost[..n.min(lost.len())].to_vec()
-                };
+            TailDamage::TornBytes(n) => {
+                // A filesystem-level torn write of the last entry: junk
+                // lands after the tail.
                 let mut f = OpenOptions::new().append(true).open(&self.path)?;
-                f.write_all(&torn)?;
+                f.write_all(&vec![0xAA; n])?;
             }
-            TailDamage::TornBytes(_) => {}
             TailDamage::CorruptLastEntry => {
                 let mut f =
                     OpenOptions::new().read(true).write(true).open(&self.path)?;
@@ -743,7 +564,7 @@ impl StorageEngine for LogEngine {
             }
         }
         // Recover: replay whatever survived.
-        *self = LogEngine::open_with(self.path.clone(), self.sync)?;
+        *self = LogEngine::open(self.path.clone())?;
         Ok(())
     }
 }
@@ -1021,43 +842,6 @@ mod tests {
     }
 
     #[test]
-    fn compaction_reclaims_garbage_and_preserves_data() {
-        let p = temp_log("compact");
-        let mut e = LogEngine::open(&p).unwrap();
-        for i in 0..100u32 {
-            e.put(b"hot".to_vec(), Bytes::from(i.to_le_bytes().to_vec()))
-                .unwrap();
-        }
-        e.put(b"cold".to_vec(), Bytes::from_static(b"stays")).unwrap();
-        e.delete(b"hot").unwrap();
-        assert!(e.garbage_ratio() > 0.9);
-        let before = e.log_bytes();
-        e.compact().unwrap();
-        assert!(e.log_bytes() < before / 10);
-        assert_eq!(e.garbage_ratio(), 0.0);
-        assert_eq!(e.get(b"cold").unwrap(), Some(Bytes::from_static(b"stays")));
-        assert_eq!(e.get(b"hot").unwrap(), None);
-        // Still usable after compaction.
-        e.put(b"new".to_vec(), Bytes::from_static(b"x")).unwrap();
-        assert_eq!(e.get(b"new").unwrap(), Some(Bytes::from_static(b"x")));
-        drop(e);
-        // And recovery still works on the compacted log.
-        let e = LogEngine::open(&p).unwrap();
-        assert_eq!(e.len(), 2);
-        let _ = std::fs::remove_file(p);
-    }
-
-    #[test]
-    fn relaxed_sync_keeps_read_your_writes() {
-        let p = temp_log("ryw");
-        let mut e = LogEngine::open_with(&p, SyncPolicy::OnSeal).unwrap();
-        e.put(b"k".to_vec(), Bytes::from_static(b"buffered")).unwrap();
-        // The entry may still be in the write buffer; get must see it.
-        assert_eq!(e.get(b"k").unwrap(), Some(Bytes::from_static(b"buffered")));
-        let _ = std::fs::remove_file(p);
-    }
-
-    #[test]
     fn crash_under_always_loses_nothing() {
         let p = temp_log("crash-always");
         let mut e = LogEngine::open(&p).unwrap();
@@ -1069,19 +853,18 @@ mod tests {
         assert_eq!(e.get(b"b").unwrap(), Some(Bytes::from_static(b"2")));
 
         // A batched message is durable, whole, when it returns: its
-        // entries share one flush, and nothing stays in the buffer.
+        // entries share one flush, and a crash right after it loses
+        // none of them.
         let batch: Vec<(Key, Value)> = (0..300u32)
             .map(|i| (i.to_be_bytes().to_vec(), Bytes::from(vec![i as u8; 24])))
             .collect();
         e.put_batch(batch).unwrap();
-        assert_eq!((e.unflushed_writes, e.flushed), (0, e.tail));
         e.crash_restart(TailDamage::None).unwrap();
         assert_eq!(e.len(), 302);
         assert_eq!(e.get(&7u32.to_be_bytes()).unwrap(), Some(Bytes::from(vec![7u8; 24])));
         let doomed: Vec<Key> = (0..100u32).map(|i| i.to_be_bytes().to_vec()).collect();
         assert_eq!(e.delete_batch(&doomed).unwrap(), 100);
         assert_eq!(e.delete_batch(&doomed).unwrap(), 0, "absent keys are not removals");
-        assert_eq!((e.unflushed_writes, e.flushed), (0, e.tail));
         e.crash_restart(TailDamage::None).unwrap();
         assert_eq!(e.len(), 202);
         assert_eq!(e.get(&7u32.to_be_bytes()).unwrap(), None);
@@ -1089,58 +872,34 @@ mod tests {
         let _ = std::fs::remove_file(p);
     }
 
-    #[test]
-    fn crash_under_every_n_loses_at_most_the_window() {
-        let p = temp_log("crash-everyn");
-        let mut e = LogEngine::open_with(&p, SyncPolicy::EveryN(4)).unwrap();
-        for i in 0..10u32 {
-            e.put(vec![i as u8], Bytes::from(vec![i as u8; 8])).unwrap();
-        }
-        // 10 writes, flushes after 4 and 8: the crash can lose only
-        // writes 8 and 9.
-        e.crash_restart(TailDamage::None).unwrap();
-        assert_eq!(e.len(), 8);
-        for i in 0..8u8 {
-            assert!(e.get(&[i]).unwrap().is_some(), "write {i} was durable");
-        }
-        let _ = std::fs::remove_file(p);
-    }
-
-    #[test]
-    fn crash_under_on_seal_recovers_to_last_sync() {
-        let p = temp_log("crash-seal");
-        let mut e = LogEngine::open_with(&p, SyncPolicy::OnSeal).unwrap();
-        e.put(b"sealed".to_vec(), Bytes::from_static(b"yes")).unwrap();
-        e.sync().unwrap();
-        e.put(b"loose".to_vec(), Bytes::from_static(b"gone")).unwrap();
-        e.crash_restart(TailDamage::None).unwrap();
-        assert_eq!(e.len(), 1);
-        assert_eq!(e.get(b"sealed").unwrap(), Some(Bytes::from_static(b"yes")));
-        assert_eq!(e.get(b"loose").unwrap(), None);
-        // The engine keeps working after recovery.
-        e.put(b"after".to_vec(), Bytes::from_static(b"ok")).unwrap();
-        e.sync().unwrap();
-        assert_eq!(e.get(b"after").unwrap(), Some(Bytes::from_static(b"ok")));
-        let _ = std::fs::remove_file(p);
-    }
-
+    /// A crash that lands mid-write leaves a prefix of the last entry
+    /// on disk: replay truncates the log back to the entry before it,
+    /// and the next append lands on a clean tail.
     #[test]
     fn crash_with_torn_bytes_truncates_to_durable_prefix() {
         let p = temp_log("crash-torn");
-        let mut e = LogEngine::open_with(&p, SyncPolicy::OnSeal).unwrap();
-        e.put(b"durable".to_vec(), Bytes::from_static(b"v")).unwrap();
-        e.sync().unwrap();
-        e.put(b"inflight".to_vec(), Bytes::from_static(b"partial")).unwrap();
-        // Crash lands mid-entry: 7 bytes of the buffered entry reach
-        // the disk; replay must truncate them away.
-        e.crash_restart(TailDamage::TornBytes(7)).unwrap();
+        let durable;
+        {
+            let mut e = LogEngine::open(&p).unwrap();
+            e.put(b"durable".to_vec(), Bytes::from_static(b"v"))
+                .unwrap();
+            durable = e.log_bytes();
+            e.put(b"inflight".to_vec(), Bytes::from_static(b"partial"))
+                .unwrap();
+        }
+        let f = OpenOptions::new().write(true).open(&p).unwrap();
+        f.set_len(f.metadata().unwrap().len() - 3).unwrap();
+        drop(f);
+        let mut e = LogEngine::open(&p).unwrap();
         assert_eq!(e.len(), 1);
         assert_eq!(e.get(b"durable").unwrap(), Some(Bytes::from_static(b"v")));
         assert_eq!(e.get(b"inflight").unwrap(), None);
-        // Appends after recovery land on a clean tail.
+        assert_eq!(e.log_bytes(), durable);
+        assert_eq!(std::fs::metadata(&p).unwrap().len(), durable);
         e.put(b"next".to_vec(), Bytes::from_static(b"w")).unwrap();
-        e.sync().unwrap();
         e.crash_restart(TailDamage::None).unwrap();
+        assert_eq!(e.len(), 2);
+        assert_eq!(e.get(b"durable").unwrap(), Some(Bytes::from_static(b"v")));
         assert_eq!(e.get(b"next").unwrap(), Some(Bytes::from_static(b"w")));
         let _ = std::fs::remove_file(p);
     }

@@ -7,18 +7,17 @@ use crate::types::{Key, Value};
 pub mod log;
 pub mod mem;
 
-pub use log::{LogEngine, SyncPolicy};
+pub use log::LogEngine;
 pub use mem::MemEngine;
 
 /// The storage interface a node requires — deliberately just the
 /// `get`/`put` surface the paper assumes of the backend (§2.4), plus
-/// the durability hooks ([`sync`](StorageEngine::sync),
-/// [`crash_restart`](StorageEngine::crash_restart)) the fault layer
-/// needs.
+/// the crash hook ([`crash_restart`](StorageEngine::crash_restart))
+/// the fault layer needs. Every write is durable when its call
+/// returns.
 pub trait StorageEngine: Send {
-    /// Fetches the value for `key`, if present. Takes `&mut self` so
-    /// engines with relaxed durability can make buffered writes
-    /// visible before reading.
+    /// Fetches the value for `key`, if present. Takes `&mut self` so a
+    /// file-backed engine can seek its reader.
     fn get(&mut self, key: &[u8]) -> Result<Option<Value>, KvError>;
 
     /// Stores `value` under `key`, replacing any existing value.
@@ -57,16 +56,9 @@ pub trait StorageEngine: Send {
     /// Approximate bytes of live data (keys + values).
     fn live_bytes(&self) -> usize;
 
-    /// Makes every accepted write durable (group-commit barrier).
-    /// No-op for engines that are always durable (or never are).
-    fn sync(&mut self) -> Result<(), KvError> {
-        Ok(())
-    }
-
-    /// Simulates a kill -9 + restart: buffered-but-unsynced writes
-    /// are lost, the persistent tail takes `damage`, and the engine
-    /// recovers from what survived. Engines without persistence keep
-    /// their state (there is nothing to lose a buffer *to*).
+    /// Simulates a kill -9 + restart: the persistent tail takes
+    /// `damage`, and the engine recovers from what survived. Engines
+    /// without persistence keep their state.
     fn crash_restart(&mut self, damage: TailDamage) -> Result<(), KvError> {
         let _ = damage;
         Ok(())

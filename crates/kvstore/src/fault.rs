@@ -23,9 +23,8 @@
 //! * [`FaultAction::Latency`] — the node serves the request normally
 //!   but accrues the extra duration as modeled network time (and
 //!   really sleeps when the cluster's network model does).
-//! * [`FaultAction::Crash`] — the node's engine crash-restarts: any
-//!   buffered-but-unsynced log writes are dropped (kill -9
-//!   semantics), the on-disk tail is optionally damaged per
+//! * [`FaultAction::Crash`] — the node's engine crash-restarts (kill
+//!   -9 semantics): the on-disk tail is optionally damaged per
 //!   [`TailDamage`], the log is re-replayed, and the node answers
 //!   [`KvError::NodeDown`](crate::KvError::NodeDown) for the next
 //!   `outage_ops` requests before serving again. The outage is
@@ -50,16 +49,16 @@ use std::time::Duration;
 
 /// How a crash mangles the node's on-disk log tail, modeling where a
 /// kill -9 can land relative to the filesystem's progress through a
-/// partially-written entry.
+/// partially-written entry. The log engine flushes every write before
+/// acknowledging it, so the crash loses no buffered write; the damage
+/// is all it does.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum TailDamage {
-    /// The log survives exactly as last synced.
+    /// The log survives exactly as last written.
     #[default]
     None,
-    /// Up to this many bytes of the in-flight (unsynced) entry reach
-    /// the disk — a torn tail the CRC scan must truncate. When
-    /// nothing was buffered, the same number of junk bytes lands
-    /// after the last entry instead.
+    /// This many junk bytes land after the last entry — a torn write
+    /// the CRC scan must truncate.
     TornBytes(usize),
     /// The last byte already on disk is flipped — a corrupt final
     /// entry the CRC scan must drop.
@@ -75,9 +74,9 @@ pub enum FaultAction {
     Transient,
     /// Serve normally but charge this much extra modeled time.
     Latency(Duration),
-    /// Crash-restart the engine (dropping unsynced writes, applying
-    /// the tail damage), then answer `NodeDown` for `outage_ops`
-    /// further requests before recovering.
+    /// Crash-restart the engine (applying the tail damage), then
+    /// answer `NodeDown` for `outage_ops` further requests before
+    /// recovering.
     Crash {
         /// Requests refused while the node restarts.
         outage_ops: usize,

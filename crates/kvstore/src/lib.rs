@@ -37,7 +37,6 @@ pub mod stats;
 pub mod types;
 
 pub use cluster::{Cluster, ClusterBuilder, ClusterWriter, EngineKind, WriteSummary};
-pub use engine::SyncPolicy;
 pub use error::KvError;
 pub use fault::{FaultAction, FaultPlan, FaultRule, RetryPolicy, TailDamage};
 pub use health::{BreakerPolicy, BreakerState, NodeHealth};

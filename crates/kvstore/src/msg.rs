@@ -90,13 +90,6 @@ pub enum Request {
     },
     /// Failure injection: mark the node down/up.
     SetDown(bool),
-    /// Force the node's engine to make everything buffered durable
-    /// (a group-commit barrier for relaxed
-    /// [`SyncPolicy`](crate::SyncPolicy) settings).
-    Sync {
-        /// Completion signal.
-        reply: Sender<Result<(), KvError>>,
-    },
     /// Report engine statistics.
     Info {
         /// Where to send the info.

@@ -208,40 +208,6 @@ proptest! {
     }
 
     #[test]
-    fn log_engine_compaction_preserves_model(
-        ops in prop::collection::vec(op_strategy(), 1..60),
-    ) {
-        let path = std::env::temp_dir().join(format!(
-            "rstore-prop-compact-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let _ = std::fs::remove_file(&path);
-        let mut model: HashMap<u16, Vec<u8>> = HashMap::new();
-        let mut engine = LogEngine::open(&path).unwrap();
-        for op in &ops {
-            match op {
-                Op::Put(k, v) => {
-                    engine.put(k.to_be_bytes().to_vec(), Bytes::from(v.clone())).unwrap();
-                    model.insert(*k, v.clone());
-                }
-                Op::Delete(k) => {
-                    engine.delete(&k.to_be_bytes()).unwrap();
-                    model.remove(k);
-                }
-            }
-        }
-        engine.compact().unwrap();
-        prop_assert_eq!(engine.garbage_ratio(), 0.0);
-        prop_assert_eq!(engine.len(), model.len());
-        for (k, v) in &model {
-            let got = engine.get(&k.to_be_bytes()).unwrap();
-            prop_assert_eq!(got.as_ref().map(|b| b.as_ref()), Some(v.as_slice()));
-        }
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
     fn ring_routing_is_stable_under_any_key(key in prop::collection::vec(any::<u8>(), 0..64)) {
         use rstore_kvstore::ring::Ring;
         let ring = Ring::new(8, 64);

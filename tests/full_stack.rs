@@ -767,9 +767,9 @@ fn a_damaged_victim_sub_chunk_fails_the_compaction() {
     // compaction fails with a decode error and retires nothing; with
     // the blob restored, every version answers like the oracle,
     // before a restart and after it, and the compaction then goes
-    // through. The cache is off: the compaction's scan admits the
-    // damaged chunk (a scan decodes nothing ahead), so the first read
-    // after the repair would fail on that copy and evict it.
+    // through. With the cache on, the failed compaction must not leave
+    // the damaged copy its scan fetched cached: the first read after
+    // the repair would fail on it.
     use rstore::compress::varint;
     use rstore::core::chunk::Chunk;
     use rstore::core::compact::CompactionConfig;
@@ -777,70 +777,74 @@ fn a_damaged_victim_sub_chunk_fails_the_compaction() {
     use rstore::core::store::CHUNK_TABLE;
     use rstore::core::CoreError;
     use rstore::kvstore::table_key;
-    let dir = std::env::temp_dir().join(format!("rstore-fullstack-victim-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-
     let mut spec = DatasetSpec::tiny(9043);
     spec.num_versions = 30;
     spec.root_records = 50;
     let dataset = spec.generate();
-    let make_cluster = || {
-        Cluster::builder()
-            .nodes(3)
-            .engine(rstore::kvstore::EngineKind::Log { dir: dir.clone() })
-            .build()
-    };
-    let store = RStore::builder()
-        .chunk_capacity(2048)
-        .max_subchunk(1)
-        .batch_size(3)
-        .cache_budget(0)
-        .compaction(CompactionConfig {
-            min_fill: 1.1,
-            ..CompactionConfig::default()
-        })
-        .build(make_cluster());
-    replay_commits(&store, &dataset).unwrap();
-    let live = store.live_chunk_ids();
-    let key = table_key(CHUNK_TABLE, &live[live.len() / 2].to_be_bytes());
-    let intact = store.cluster().get(&key).unwrap().unwrap();
-    let mut broken = Chunk::deserialize(&intact).unwrap();
-    let payload = &mut broken.subchunks[0].payload;
-    let (_, header) = varint::read_u64(payload).unwrap();
-    payload[header] = 0x77;
-    let blob = broken.serialize();
-    assert_eq!(blob.len(), intact.len());
-    store.cluster().put(key.clone(), blob.into()).unwrap();
+    for cache_budget in [0, 64 << 20] {
+        let dir = std::env::temp_dir().join(format!(
+            "rstore-fullstack-victim-{cache_budget}-{}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let make_cluster = || {
+            Cluster::builder()
+                .nodes(3)
+                .engine(rstore::kvstore::EngineKind::Log { dir: dir.clone() })
+                .build()
+        };
+        let store = RStore::builder()
+            .chunk_capacity(2048)
+            .max_subchunk(1)
+            .batch_size(3)
+            .cache_budget(cache_budget)
+            .compaction(CompactionConfig {
+                min_fill: 1.1,
+                ..CompactionConfig::default()
+            })
+            .build(make_cluster());
+        replay_commits(&store, &dataset).unwrap();
+        let live = store.live_chunk_ids();
+        let key = table_key(CHUNK_TABLE, &live[live.len() / 2].to_be_bytes());
+        let intact = store.cluster().get(&key).unwrap().unwrap();
+        let mut broken = Chunk::deserialize(&intact).unwrap();
+        let payload = &mut broken.subchunks[0].payload;
+        let (_, header) = varint::read_u64(payload).unwrap();
+        payload[header] = 0x77;
+        let blob = broken.serialize();
+        assert_eq!(blob.len(), intact.len());
+        store.cluster().put(key.clone(), blob.into()).unwrap();
 
-    match store.compact() {
-        Err(CoreError::Codec(_)) => {}
-        other => panic!(
-            "expected a decode error, got {:?}",
-            other.map(|r| r.map(|r| r.victims))
-        ),
+        match store.compact() {
+            Err(CoreError::Codec(_)) => {}
+            other => panic!(
+                "cache {cache_budget}: expected a decode error, got {:?}",
+                other.map(|r| r.map(|r| r.victims))
+            ),
+        }
+        assert_eq!(store.retired_chunk_count(), 0);
+        assert_eq!(
+            store.live_chunk_ids(),
+            live,
+            "cache {cache_budget}: the failed compaction changed the chunk table"
+        );
+
+        store.cluster().put(key, intact).unwrap();
+        check_against_oracle(&store, &dataset);
+        let config = *store.config();
+        drop(store);
+        let store = RStore::reopen(config, make_cluster()).unwrap();
+        assert_eq!(store.live_chunk_ids(), live);
+        check_against_oracle(&store, &dataset);
+        let report = store
+            .compact()
+            .unwrap()
+            .expect("small batches fragment the layout");
+        assert!(report.victims > 0);
+        check_against_oracle(&store, &dataset);
+        drop(store);
+        let _ = std::fs::remove_dir_all(dir);
     }
-    assert_eq!(store.retired_chunk_count(), 0);
-    assert_eq!(
-        store.live_chunk_ids(),
-        live,
-        "the failed compaction changed the chunk table"
-    );
-
-    store.cluster().put(key, intact).unwrap();
-    check_against_oracle(&store, &dataset);
-    let config = *store.config();
-    drop(store);
-    let store = RStore::reopen(config, make_cluster()).unwrap();
-    assert_eq!(store.live_chunk_ids(), live);
-    check_against_oracle(&store, &dataset);
-    let report = store
-        .compact()
-        .unwrap()
-        .expect("small batches fragment the layout");
-    assert!(report.victims > 0);
-    check_against_oracle(&store, &dataset);
-    drop(store);
-    let _ = std::fs::remove_dir_all(dir);
 }
 
 #[test]
