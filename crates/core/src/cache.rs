@@ -303,24 +303,6 @@ impl ChunkCache {
         }
     }
 
-    /// Drops the chunk's entry only if it is stamped below `gen` —
-    /// the generation-aware sweep mutators run *after* publishing:
-    /// an entry a newer reader already refreshed survives.
-    pub fn invalidate_below(&self, id: u32, gen: u64) {
-        if !self.enabled() {
-            return;
-        }
-        let mut shard = self.shard_of(id).lock().unwrap();
-        let stale = shard.map.get(&id).is_some_and(|e| e.gen < gen);
-        if stale {
-            shard.remove(id);
-        }
-        drop(shard);
-        if stale {
-            self.registry.cache_invalidations.inc();
-        }
-    }
-
     /// Counter snapshot plus current residency.
     pub fn stats(&self) -> CacheStats {
         let mut resident_bytes = 0usize;
@@ -485,12 +467,6 @@ mod tests {
         assert!(cache.get(1, 5).is_none());
         assert_eq!(cache.stats().invalidations, inv + 1);
         assert_eq!(cache.stats().resident_chunks, 0);
-        // invalidate_below leaves entries at or above the floor.
-        cache.insert(2, decoded(2, 64), 7);
-        cache.invalidate_below(2, 7);
-        assert!(cache.get(2, 0).is_some());
-        cache.invalidate_below(2, 8);
-        assert!(cache.get(2, 8).is_none());
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Background compaction & repartitioning: winning offline layout
+//! Compaction & repartitioning: winning offline layout
 //! quality back from a long-running online store.
 //!
 //! The paper's online path (§4) trades layout quality for ingest
@@ -65,11 +65,12 @@
 //!
 //! In-memory state (locator, projections, chunk maps) swaps only
 //! after step 2, inside the writer. A slice that fails anywhere up to
-//! and including step 2 has therefore changed nothing: its victims
-//! stay at the head of the resumable queue, the next
-//! [`RStore::compact`] retries them, and the retry ends byte-identical
-//! to an undisturbed twin (blobs or maps the failed attempt wrote are
-//! overwritten under the same ids).
+//! and including step 2 has therefore changed nothing: the call
+//! returns its error, slices that landed before it stay landed, and
+//! the next [`RStore::compact`] selects its victims afresh — exactly
+//! what a reopened store would select. A retry of a failed first slice
+//! ends byte-identical to an undisturbed twin (blobs or maps the failed
+//! attempt wrote are overwritten under the same ids).
 //!
 //! Commits still buffered in the delta store are untouched: their
 //! records are not yet placed, their graph nodes are not in the log
@@ -88,27 +89,23 @@ use rstore_compress::Bitmap;
 use rustc_hash::{FxHashMap, FxHashSet};
 use std::time::{Duration, Instant};
 
-/// Compaction policy: which chunks are fragmentation victims and when
-/// the store compacts on its own. [`RStore::compact`] can always be
-/// called explicitly; the auto-trigger only adds a cadence.
+/// Compaction policy: which chunks an [`RStore::compact`] call takes
+/// as fragmentation victims, and how many it rebuilds per cutover.
+/// The store never compacts on its own; a call is the only trigger.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CompactionConfig {
     /// Fill threshold: a live chunk whose compressed bytes are below
     /// `min_fill × chunk_capacity` is a victim. Online flushes of
     /// small batches leave many such chunks behind.
     pub min_fill: f64,
-    /// Auto-trigger cadence: run a compaction after every
-    /// `every_flushes` batch flushes. `0` (the default) disables
-    /// auto-compaction entirely.
-    pub every_flushes: usize,
     /// Budget for incremental compaction: when non-zero, one
-    /// [`RStore::compact`] call rebuilds the victim set in slices of
+    /// [`RStore::compact`] call rebuilds its victim set in slices of
     /// at most this many chunks, each slice cutting over (persist +
     /// publish) independently, so no single publish covers an
     /// unbounded rebuild and a failure loses only the unfinished
-    /// slice — the rest of the victims stay queued and the next call
-    /// resumes them. `0` (the default) keeps the single-slice path,
-    /// including its escalate-to-full-repartition fallback.
+    /// slices — the next call selects its victims again. `0` (the
+    /// default) keeps the single-slice path, including its
+    /// escalate-to-full-repartition fallback.
     pub max_chunks_per_slice: usize,
 }
 
@@ -116,7 +113,6 @@ impl Default for CompactionConfig {
     fn default() -> Self {
         Self {
             min_fill: 0.6,
-            every_flushes: 0,
             max_chunks_per_slice: 0,
         }
     }
@@ -126,13 +122,6 @@ impl Default for CompactionConfig {
 /// [`RStore::compact`] is a no-op (merging one chunk into itself
 /// reclaims nothing).
 const MIN_VICTIMS: usize = 2;
-
-impl CompactionConfig {
-    /// True when the auto-trigger cadence has elapsed.
-    pub fn auto_due(&self, flushes_since_compaction: usize) -> bool {
-        self.every_flushes > 0 && flushes_since_compaction >= self.every_flushes
-    }
-}
 
 /// A point-in-time measurement of layout decay, computable without
 /// running a compaction ([`RStore::fragmentation_stats`]): how full
@@ -376,46 +365,16 @@ impl RStore {
     /// afterwards.
     pub fn compact(&self) -> Result<Option<CompactionReport>, CoreError> {
         let mut guard = self.state.lock().unwrap();
-        self.compact_locked(&mut guard)
-    }
-
-    /// [`RStore::compact`] with the writer state already locked — the
-    /// entry point the flush path's auto-trigger uses so compaction
-    /// rides the mutator lock it already holds.
-    pub(crate) fn compact_locked(
-        &self,
-        st: &mut StoreMut,
-    ) -> Result<Option<CompactionReport>, CoreError> {
-        let result = self.compact_inner(st);
-        // Every attempt refreshes the parked maintenance error: a
-        // success (or a healthy no-op) clears a stale auto-compaction
-        // failure, a new failure replaces it — so
-        // [`RStore::last_compaction_error`] always reflects the most
-        // recent attempt.
-        st.last_compaction_error = result.as_ref().err().cloned();
-        result
-    }
-
-    fn compact_inner(&self, st: &mut StoreMut) -> Result<Option<CompactionReport>, CoreError> {
+        let st = &mut *guard;
         let t0 = Instant::now();
-        // An attempt restarts the auto-trigger cadence even when it
-        // changes nothing — otherwise every subsequent flush would
-        // re-measure a layout already known to be healthy.
-        st.flushes_since_compaction = 0;
         let slice_cap = self.config.compaction.max_chunks_per_slice;
 
         // -- measure: fragmentation + victim selection ----------------
-        // A non-empty victim queue is a previous call's unfinished
-        // remainder (a slice failed): resume it before selecting
-        // fresh victims.
         let t = Instant::now();
         let before = self.fragmentation_stats();
-        if st.victim_queue.is_empty() {
-            let victims = self.select_victims(st);
-            if victims.len() < MIN_VICTIMS {
-                return Ok(None);
-            }
-            st.victim_queue = victims;
+        let victims = self.select_victims(st);
+        if victims.len() < MIN_VICTIMS {
+            return Ok(None);
         }
         let mut stages = CompactionStages {
             workers: self.ingest_workers(),
@@ -423,28 +382,17 @@ impl RStore {
             ..CompactionStages::default()
         };
 
-        // -- rebuild the queue in slices, each cutting over on its
+        // -- rebuild the victims in slices, each cutting over on its
         // own (single slice when no budget is configured) -------------
         let mut report = CompactionReport {
             before,
             ..CompactionReport::default()
         };
-        while !st.victim_queue.is_empty() {
-            let take = if slice_cap == 0 {
-                st.victim_queue.len()
-            } else {
-                slice_cap.min(st.victim_queue.len())
-            };
-            // The slice leaves the queue only once it is decided: a
-            // slice that fails has changed nothing (see the module
-            // docs), so its victims stay queued for the next call.
-            let victims: Vec<u32> = st.victim_queue[..take].to_vec();
-            let out = self.compact_slice(st, victims, slice_cap == 0)?;
-            st.victim_queue.drain(..take);
-            let Some(out) = out else {
-                // The cutover guard rejected the slice: rebuilding it
-                // would not improve the layout, so it is dropped, not
-                // re-queued.
+        let take = if slice_cap == 0 { victims.len() } else { slice_cap };
+        for slice in victims.chunks(take) {
+            // A slice that fails has changed nothing (see the module
+            // docs); one the cutover guard rejects is skipped.
+            let Some(out) = self.compact_slice(st, slice.to_vec(), slice_cap == 0)? else {
                 continue;
             };
             report.victims += out.victims;
@@ -472,7 +420,6 @@ impl RStore {
         report.after = self.fragmentation_stats();
         report.stages = stages;
         report.total_time = t0.elapsed();
-        st.last_compaction = Some(report);
         let r = self.obs.registry();
         r.compactions.inc();
         r.observe(&r.compact_total, report.total_time);
@@ -498,7 +445,7 @@ impl RStore {
     /// through the generation writer, reclaim. Returns `Ok(None)` when
     /// the cutover guard rejects the slice. An error means nothing
     /// changed — the writer applies a generation only after its commit
-    /// record — so the caller keeps the victims queued.
+    /// record.
     fn compact_slice(
         &self,
         st: &mut StoreMut,

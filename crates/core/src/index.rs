@@ -83,8 +83,12 @@ impl Projections {
     }
 
     /// Candidate chunks for a range query: the union of key lists for
-    /// keys in `[lo, hi]`, intersected with the version's list.
+    /// keys in `[lo, hi]`, intersected with the version's list. An
+    /// inverted range (`lo > hi`) holds no key.
     pub fn chunks_of_range(&self, lo: PrimaryKey, hi: PrimaryKey, v: VersionId) -> Vec<u32> {
+        if lo > hi {
+            return Vec::new();
+        }
         let vlist = self.chunks_of_version(v);
         let mut union: Vec<u32> = Vec::new();
         for (_, list) in self.key_chunks.range(lo..=hi) {

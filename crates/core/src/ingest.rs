@@ -46,8 +46,9 @@
 //!
 //! Any error up to and including the record put therefore leaves the
 //! writer state untouched: a failed flush keeps its commits in the
-//! delta store, a failed compaction slice keeps its victims queued, and
-//! the retry ends byte-identical to an undisturbed twin. Blobs or base
+//! delta store, a failed compaction slice leaves its victims live for
+//! the next call to select again, and the retry ends byte-identical to
+//! an undisturbed twin. Blobs or base
 //! maps a failed attempt left behind are overwritten by the retry or
 //! stay unreferenced — a dead attempt wrote nothing any record names.
 //!
@@ -1293,25 +1294,14 @@ impl RStore {
         // invalidation loop in this critical section.
         let publishing = st.generation + 1;
         let maps_appended = appends.len();
-        let mut stamped = Vec::with_capacity(fresh.len() + maps_appended);
         for (c, _, map) in fresh {
             let base_entries = map.num_versions();
             st.set_chunk_map(c, Arc::new(map), base_entries, publishing);
-            stamped.push(c);
         }
         for (c, entries) in appends {
             st.append_chunk_map(c, entries, publishing);
-            stamped.push(c);
         }
         self.publish(st);
-        // Sweep resident cache entries of those chunks *after* the
-        // publish: entries stamped below the new generation are stale
-        // (their map predates it) and safe to drop unconditionally — a
-        // reader still pinning the old generation refetches the blob
-        // and extracts identical answers with its own pinned map.
-        for &c in &stamped {
-            self.cache.invalidate_below(c, st.generation);
-        }
         self.record_committed(st, record_bytes);
         Ok(CommittedGeneration {
             new_chunks: chunks.ids.len(),

@@ -20,7 +20,7 @@
 //! * ingests new versions through a batched **online** path
 //!   ([`online`]) that never re-partitions placed records,
 //! * wins the offline layout quality back on long-running online
-//!   stores through a crash-safe background
+//!   stores through a crash-safe, explicitly called
 //!   **compaction/repartitioning** subsystem ([`compact`]),
 //! * answers the four query classes of §2.1 — record, version, range
 //!   and evolution retrieval — through an explicit

@@ -44,7 +44,7 @@
 use crate::cache::{CacheStats, ChunkCache};
 use crate::chunk::SubChunk;
 use crate::chunkmap::ChunkMap;
-use crate::compact::{CompactionConfig, CompactionReport};
+use crate::compact::CompactionConfig;
 use crate::error::CoreError;
 use crate::index::Projections;
 use crate::ingest::{self, Encoded, GenerationRecord, LogPosition};
@@ -135,10 +135,9 @@ pub struct StoreConfig {
     /// in-flight budget is full; beyond this, queries are shed with
     /// [`CoreError::Overloaded`].
     pub max_queued: usize,
-    /// Background compaction policy (see
-    /// [`CompactionConfig`]): candidate-selection thresholds and the
-    /// auto-trigger cadence. Auto-compaction is off by default;
-    /// [`RStore::compact`] always works regardless.
+    /// Compaction policy (see [`CompactionConfig`]): the victim
+    /// threshold and the slice budget of an [`RStore::compact`] call.
+    /// The store never compacts on its own.
     pub compaction: CompactionConfig,
     /// Hedged-read policy for the pooled executor: when set, a fetch
     /// round whose straggler batch exceeds
@@ -254,7 +253,7 @@ impl RStoreBuilder {
         self
     }
 
-    /// Sets the compaction policy (thresholds + auto-trigger cadence).
+    /// Sets the compaction policy (victim threshold + slice budget).
     pub fn compaction(mut self, config: CompactionConfig) -> Self {
         self.config.compaction = config;
         self
@@ -739,18 +738,6 @@ pub(crate) struct StoreMut {
     pub(crate) flushed_versions: usize,
     /// Where the commit log stands.
     pub(crate) log: LogPosition,
-    /// Batch flushes since the last compaction (the auto-trigger
-    /// counter).
-    pub(crate) flushes_since_compaction: usize,
-    /// Report of the most recent compaction, for observability.
-    pub(crate) last_compaction: Option<CompactionReport>,
-    /// Error of the most recent compaction attempt, if it failed;
-    /// cleared by the next successful attempt.
-    pub(crate) last_compaction_error: Option<CoreError>,
-    /// Compaction victims selected but not yet rebuilt — the
-    /// resumable queue budgeted incremental slices drain across
-    /// calls.
-    pub(crate) victim_queue: Vec<u32>,
 }
 
 impl StoreMut {
@@ -767,10 +754,6 @@ impl StoreMut {
             pending: Vec::new(),
             flushed_versions: 0,
             log: LogPosition::default(),
-            flushes_since_compaction: 0,
-            last_compaction: None,
-            last_compaction_error: None,
-            victim_queue: Vec::new(),
         }
     }
 
@@ -1017,23 +1000,6 @@ impl RStore {
         let st = self.state.lock().unwrap();
         let pending = |s: &&Slot| matches!(s.state, SlotState::Retired { keys_pending: true, .. });
         st.slots.iter().filter(pending).count()
-    }
-
-    /// Report of the most recent [`RStore::compact`] run (explicit or
-    /// auto-triggered by the flush cadence), if any.
-    pub fn last_compaction(&self) -> Option<CompactionReport> {
-        self.state.lock().unwrap().last_compaction
-    }
-
-    /// Error of the most recent compaction attempt, if it failed;
-    /// cleared by the next successful (or no-op) attempt. For
-    /// auto-triggered runs this is the only surface — the flush that
-    /// triggered them was already durable, so the error is contained
-    /// here rather than poisoning the commit; a failed compaction
-    /// leaves the store fully serving (see the `compact` module
-    /// docs).
-    pub fn last_compaction_error(&self) -> Option<CoreError> {
-        self.state.lock().unwrap().last_compaction_error.clone()
     }
 
     /// Number of versions committed or loaded.
@@ -1389,9 +1355,8 @@ impl RStore {
     }
 
     /// [`RStore::flush_batch`] body, on an already-held state lock
-    /// (so `commit` → flush and flush → auto-compact never re-enter
-    /// the mutex). Readers keep serving the pre-flush snapshot until
-    /// the publish at the tail.
+    /// (so `commit` → flush never re-enters the mutex). Readers keep
+    /// serving the pre-flush snapshot until the publish at the tail.
     fn flush_locked(&self, st: &mut StoreMut) -> Result<FlushReport, CoreError> {
         if st.pending.is_empty() {
             return Ok(FlushReport::default());
@@ -1420,24 +1385,7 @@ impl RStore {
         self.record_ingest_stages(&report.stages);
         let r = self.obs.registry();
         r.flushes.inc();
-        // Flush end-to-end, excluding any auto-compaction below (that
-        // run records itself in the compaction cells).
         r.observe(&r.ingest_flush, flush_t0.elapsed());
-
-        // Auto-compaction: after the configured number of flushes the
-        // layout is measured, and if it decayed past the policy
-        // thresholds the store repartitions in place (§4 leaves
-        // periodic repartitioning as future work; this is it). The
-        // flush itself is durable by now, so a failing *maintenance*
-        // pass must not turn the successful commit into an error —
-        // a compaction failure leaves both generations consistent
-        // (see `compact.rs`) and is surfaced via
-        // [`RStore::last_compaction_error`] (which `compact` records
-        // itself) instead of propagating.
-        st.flushes_since_compaction += 1;
-        if self.config.compaction.auto_due(st.flushes_since_compaction) {
-            let _ = self.compact_locked(st);
-        }
         Ok(report)
     }
 

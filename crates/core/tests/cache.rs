@@ -116,17 +116,18 @@ fn flush_batch_invalidates_rewritten_chunks() {
     assert!(store.cache_stats().resident_chunks > 0);
 
     // A child commit updates a key; flush rewrites the touched chunk
-    // maps, which must drop the stale cached pairs.
+    // maps, and the first probe past the publish must drop the stale
+    // cached pairs.
     let child = store
         .commit(CommitRequest::child_of(root).update(3, vec![0xAB; 64]))
         .unwrap();
+
+    // The child version is visible through the (re-fetched) chunks...
+    let after = store.get_version(child).unwrap();
     assert!(
         store.cache_stats().invalidations > 0,
         "rewritten chunk maps must invalidate cached entries"
     );
-
-    // The child version is visible through the (re-fetched) chunks...
-    let after = store.get_version(child).unwrap();
     let rec = after.iter().find(|r| r.pk == 3).unwrap();
     assert_eq!(rec.payload, vec![0xAB; 64]);
     assert_eq!(rec.origin, child);

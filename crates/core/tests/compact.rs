@@ -470,31 +470,6 @@ fn down_node_mid_compaction_leaves_old_generation_serving() {
     }
 }
 
-/// The auto-trigger: with `every_flushes` set, a long replay compacts
-/// on its own and stays correct.
-#[test]
-fn auto_compaction_triggers_on_flush_cadence() {
-    let ds = fragmenting_dataset(5, 50);
-    let auto = CompactionConfig {
-        min_fill: 1.1,
-        every_flushes: 6,
-        ..CompactionConfig::default()
-    };
-    let plain = store_with(2, 4, CompactionConfig::default());
-    let store = store_with(2, 4, auto);
-    replay_commits(&plain, &ds).unwrap();
-    replay_commits(&store, &ds).unwrap();
-
-    let report = store.last_compaction().expect("cadence must have fired");
-    assert!(report.victims >= 2);
-    assert!(store.retired_chunk_count() > 0);
-    // A healthy auto run leaves no contained maintenance error (a
-    // failing one would be parked here instead of poisoning the
-    // already-durable flush that triggered it).
-    assert!(store.last_compaction_error().is_none());
-    assert_queries_agree(&plain, &store, 30);
-}
-
 /// `seal` hands back the final flush's report instead of discarding
 /// it, and an empty seal is the default report.
 #[test]

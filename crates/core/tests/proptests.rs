@@ -217,7 +217,7 @@ proptest! {
         let store = RStore::builder()
             .chunk_capacity(512)
             .batch_size(3)
-            .compaction(CompactionConfig { min_fill: 1.1, max_chunks_per_slice: 6, ..CompactionConfig::default() })
+            .compaction(CompactionConfig { min_fill: 1.1, max_chunks_per_slice: 6 })
             .build(Cluster::builder().nodes(2).build());
         replay_commits(&store, &spec.generate()).unwrap();
         store.compact().unwrap();

@@ -18,8 +18,10 @@ use rstore::core::plan::{HedgeConfig, QuerySpec};
 use rstore::core::store::{CommitRequest, RStore, StoreConfig};
 use rstore::core::{CoreError, TraceConfig, VersionId};
 use rstore::kvstore::{BreakerPolicy, Cluster, EngineKind, FaultPlan};
+use std::num::NonZeroUsize;
 use std::path::PathBuf;
 use std::process::exit;
+use std::str::FromStr;
 use std::time::Duration;
 
 struct Args {
@@ -71,6 +73,16 @@ fn usage() -> ! {
     exit(2)
 }
 
+/// Parses an option's value, or prints `expects` and exits 2 — a
+/// malformed number is a usage error, never replaced by a default.
+fn value_of<T: FromStr>(value: Option<impl AsRef<str>>, expects: &str) -> T {
+    let Some(v) = value.and_then(|s| s.as_ref().parse().ok()) else {
+        eprintln!("{expects}");
+        exit(2)
+    };
+    v
+}
+
 fn parse_args() -> Args {
     let mut argv = std::env::args().skip(1).peekable();
     let mut data_dir = None;
@@ -89,28 +101,18 @@ fn parse_args() -> Args {
             // trailing `--nodes 4` is honoured rather than silently
             // swallowed as a positional argument.
             "--nodes" => {
-                nodes = argv.next().and_then(|s| s.parse().ok()).unwrap_or(2)
+                let n: NonZeroUsize =
+                    value_of(argv.next(), "--nodes expects a node count of at least 1");
+                nodes = n.get();
             }
             "--fetch-threads" => {
-                let Some(n) = argv.next().and_then(|s| s.parse().ok()) else {
-                    eprintln!("--fetch-threads expects a thread count (0 = auto)");
-                    exit(2)
-                };
-                fetch_threads = n;
+                let expects = "--fetch-threads expects a thread count (0 = auto)";
+                fetch_threads = value_of(argv.next(), expects);
             }
-            "--faults" => {
-                let Some(seed) = argv.next().and_then(|s| s.parse().ok()) else {
-                    eprintln!("--faults expects a numeric seed");
-                    exit(2)
-                };
-                faults = Some(seed);
-            }
+            "--faults" => faults = Some(value_of(argv.next(), "--faults expects a numeric seed")),
             "--hedge" => hedge = true,
             "--deadline" => {
-                let Some(ms) = argv.next().and_then(|s| s.parse::<u64>().ok()) else {
-                    eprintln!("--deadline expects a budget in milliseconds");
-                    exit(2)
-                };
+                let ms = value_of(argv.next(), "--deadline expects a budget in milliseconds");
                 deadline = Some(Duration::from_millis(ms));
             }
             "--breaker" => {
@@ -169,13 +171,7 @@ fn parse_changes(rest: &[String]) -> ParsedChanges {
                 };
                 sets.push((pk, value.as_bytes().to_vec()));
             }
-            "--del" => {
-                let Some(pk) = it.next().and_then(|s| s.parse().ok()) else {
-                    eprintln!("--del expects a primary key");
-                    exit(2)
-                };
-                dels.push(pk);
-            }
+            "--del" => dels.push(value_of(it.next(), "--del expects a primary key")),
             _ => others.push(arg.clone()),
         }
     }
@@ -257,7 +253,7 @@ fn run() -> Result<(), CoreError> {
             let mut it = others.iter();
             while let Some(a) = it.next() {
                 if a == "--parent" {
-                    parent = it.next().and_then(|s| s.parse::<u32>().ok());
+                    parent = Some(value_of(it.next(), "--parent expects a version id"));
                 }
             }
             let store = open_store(&args)?;
@@ -290,10 +286,12 @@ fn run() -> Result<(), CoreError> {
                     let Some((lo, hi)) = it.next().and_then(|s| s.split_once(':')) else {
                         usage()
                     };
-                    range = Some((
-                        lo.parse::<u64>().unwrap_or(0),
-                        hi.parse::<u64>().unwrap_or(u64::MAX),
-                    ));
+                    // An empty bound is open; a malformed one is an error.
+                    let bound = |b: &str, open: u64| match b {
+                        "" => open,
+                        b => value_of(Some(b), "--range expects LO:HI primary keys"),
+                    };
+                    range = Some((bound(lo, 0), bound(hi, u64::MAX)));
                 }
             }
             let store = open_store(&args)?;
@@ -311,7 +309,7 @@ fn run() -> Result<(), CoreError> {
             let mut it = args.rest.iter();
             while let Some(a) = it.next() {
                 if a == "--version" {
-                    version = it.next().and_then(|s| s.parse::<u32>().ok());
+                    version = Some(value_of(it.next(), "--version expects a version id"));
                 }
             }
             let store = open_store(&args)?;
@@ -388,7 +386,7 @@ fn run() -> Result<(), CoreError> {
             let mut it = args.rest.iter();
             while let Some(a) = it.next() {
                 if a == "--version" {
-                    version = it.next().and_then(|s| s.parse::<u32>().ok());
+                    version = Some(value_of(it.next(), "--version expects a version id"));
                 }
             }
             let store = open_store_observed(&args, 1.0, None)?;
@@ -413,10 +411,7 @@ fn run() -> Result<(), CoreError> {
             let mut it = args.rest.iter();
             while let Some(a) = it.next() {
                 if a == "--threshold" {
-                    let Some(ms) = it.next().and_then(|s| s.parse::<u64>().ok()) else {
-                        eprintln!("--threshold expects milliseconds");
-                        exit(2)
-                    };
+                    let ms = value_of(it.next(), "--threshold expects milliseconds");
                     threshold = Duration::from_millis(ms);
                 }
             }

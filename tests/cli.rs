@@ -56,9 +56,10 @@ fn full_session_across_processes() {
     assert!(!out.contains("alpha"), "{out}");
     assert!(out.contains("beta-2") && out.contains("gamma"), "{out}");
 
-    // Range checkout.
+    // Range checkout; an inverted range holds no key.
     let out = stdout(&cli(&dir, &["checkout", "1", "--range", "0:1"]));
     assert!(out.contains("alpha") && !out.contains("gamma"), "{out}");
+    assert_eq!(stdout(&cli(&dir, &["checkout", "1", "--range", "2:0"])), "");
 
     // Point get against an old version.
     let out = stdout(&cli(&dir, &["get", "1", "--version", "0"]));
@@ -98,5 +99,19 @@ fn cli_rejects_bad_usage() {
     let out = cli(&dir, &["commit", "--del", "99"]);
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("error"));
+
+    // A malformed number is a usage error, never replaced by a default
+    // (the head as parent, the whole key range, two nodes) or left to
+    // panic the cluster builder.
+    for (args, message) in [
+        (&["commit", "--parent", "x1", "--set", "2=z"][..], "--parent expects"),
+        (&["checkout", "0", "--range", "a:b"], "--range expects"),
+        (&["--nodes", "three", "log"], "--nodes expects"),
+        (&["--nodes", "0", "log"], "--nodes expects"),
+    ] {
+        let out = cli(&dir, args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(String::from_utf8_lossy(&out.stderr).contains(message), "{args:?}");
+    }
     let _ = std::fs::remove_dir_all(dir);
 }

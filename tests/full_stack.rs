@@ -647,11 +647,7 @@ fn one_history_reaches_the_generation_writer_from_every_entry_point() {
             .chunk_capacity(1024)
             .max_subchunk(3)
             .batch_size(4)
-            .compaction(CompactionConfig {
-                min_fill: 1.1,
-                max_chunks_per_slice: 4,
-                ..CompactionConfig::default()
-            })
+            .compaction(CompactionConfig { min_fill: 1.1, max_chunks_per_slice: 4 })
             .build(make_cluster());
 
         let loaded = truncate_dataset(&dataset, half);
@@ -845,6 +841,89 @@ fn a_damaged_victim_sub_chunk_fails_the_compaction() {
         drop(store);
         let _ = std::fs::remove_dir_all(dir);
     }
+}
+
+#[test]
+fn a_restart_does_not_change_what_the_next_compaction_does() {
+    // A budgeted compaction fails after some slices landed: the last
+    // victim's blob does not decode, so its slice fails before writing.
+    // With the blob restored, the store retries in process and a copy
+    // of its files retries after a restart. No compaction state
+    // outlives a call, so both select the same victims — the landed
+    // slices' new chunks among them — and end with the same chunk
+    // table, the same persisted index and the same answers.
+    use rstore::compress::varint;
+    use rstore::core::chunk::Chunk;
+    use rstore::core::compact::CompactionConfig;
+    use rstore::core::online::replay_commits;
+    use rstore::core::store::CHUNK_TABLE;
+    use rstore::core::CoreError;
+    use rstore::kvstore::table_key;
+    use std::path::Path;
+    let mut spec = DatasetSpec::tiny(9047);
+    spec.num_versions = 30;
+    spec.root_records = 50;
+    let dataset = spec.generate();
+    let base = std::env::temp_dir().join(format!("rstore-fullstack-retry-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&base);
+    let (live_dir, copy) = (base.join("live"), base.join("copy"));
+    let make_cluster = |dir: &Path| {
+        Cluster::builder()
+            .nodes(3)
+            .engine(rstore::kvstore::EngineKind::Log { dir: dir.to_path_buf() })
+            .build()
+    };
+    let store = RStore::builder()
+        .chunk_capacity(2048)
+        .max_subchunk(1)
+        .batch_size(3)
+        .compaction(CompactionConfig { min_fill: 1.1, max_chunks_per_slice: 4 })
+        .build(make_cluster(&live_dir));
+    replay_commits(&store, &dataset).unwrap();
+    let live = store.live_chunk_ids();
+    assert!(live.len() > 8, "several slices of four");
+    let key = table_key(CHUNK_TABLE, &live.last().unwrap().to_be_bytes());
+    let intact = store.cluster().get(&key).unwrap().unwrap();
+    let mut broken = Chunk::deserialize(&intact).unwrap();
+    let payload = &mut broken.subchunks[0].payload;
+    let (_, header) = varint::read_u64(payload).unwrap();
+    payload[header] = 0x77;
+    store.cluster().put(key.clone(), broken.serialize().into()).unwrap();
+    match store.compact() {
+        Err(CoreError::Codec(_)) => {}
+        other => panic!("expected a decode error, got {:?}", other.map(|r| r.map(|r| r.victims))),
+    }
+    assert!(store.retired_chunk_count() > 0, "a slice landed before the failure");
+    store.cluster().put(key, intact).unwrap();
+    // The node logs are flat files, each entry written through before
+    // its put returns: a copy of the directory is a restart.
+    std::fs::create_dir_all(&copy).unwrap();
+    for entry in std::fs::read_dir(&live_dir).unwrap() {
+        let entry = entry.unwrap();
+        std::fs::copy(entry.path(), copy.join(entry.file_name())).unwrap();
+    }
+    let restarted = RStore::reopen(*store.config(), make_cluster(&copy)).unwrap();
+    assert_eq!(restarted.live_chunk_ids(), store.live_chunk_ids());
+
+    let retry = |store: &RStore| {
+        let before = store.live_chunk_ids();
+        let report = store.compact().unwrap().expect("the retry compacts");
+        let after = store.live_chunk_ids();
+        let victims: Vec<u32> = before.into_iter().filter(|c| !after.contains(c)).collect();
+        assert_eq!(victims.len(), report.victims);
+        (victims, report.new_chunks, report.records_moved, report.slices)
+    };
+    let (in_process, after_restart) = (retry(&store), retry(&restarted));
+    assert_eq!(in_process, after_restart, "victims, new chunks, records moved, slices");
+    assert_eq!(store.live_chunk_ids(), restarted.live_chunk_ids());
+    assert_eq!(store.persisted_index().unwrap(), restarted.persisted_index().unwrap());
+    check_against_oracle(&store, &dataset);
+    check_against_oracle(&restarted, &dataset);
+    for v in dataset.graph.ids() {
+        assert_eq!(store.get_version(v).unwrap(), restarted.get_version(v).unwrap(), "{v}");
+    }
+    drop((store, restarted));
+    let _ = std::fs::remove_dir_all(base);
 }
 
 #[test]
