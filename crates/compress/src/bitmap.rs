@@ -85,6 +85,19 @@ impl Bitmap {
         self.words.iter().enumerate().flat_map(|(wi, &w)| ones_of_word(wi, w))
     }
 
+    /// Calls `f` with the index of every set bit, in increasing order:
+    /// [`Bitmap::iter_ones`] as a plain loop over the words, for loops
+    /// that visit every bit of many bitmaps.
+    pub fn for_each_one(&self, mut f: impl FnMut(usize)) {
+        for (wi, &word) in self.words.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                f(wi * 64 + bits.trailing_zeros() as usize);
+                bits &= bits - 1;
+            }
+        }
+    }
+
     /// Iterates, in increasing order, over the indices set here and not
     /// in `other` — `self AND NOT other`, a word at a time. Bits past
     /// `other`'s length count as clear, as [`Bitmap::get`] reads them.
@@ -310,6 +323,9 @@ mod tests {
         let got: Vec<usize> = b.iter_ones().collect();
         assert_eq!(got, vec![0, 63, 64, 65, 128, 199]);
         assert_eq!(b.count_ones(), 6);
+        let mut visited = Vec::new();
+        b.for_each_one(|i| visited.push(i));
+        assert_eq!(visited, got);
     }
 
     #[test]

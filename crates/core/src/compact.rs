@@ -10,29 +10,31 @@
 //! leaves periodic repartitioning as future work. This module is that
 //! subsystem: [`RStore::compact`] measures fragmentation
 //! ([`RStore::fragmentation_stats`]), selects a victim chunk set
-//! under a [`CompactionConfig`] policy, extracts the victims' records
-//! through the existing plan → fetch → extract pipeline, re-runs the
-//! configured partitioner over the merged items (re-grouping same-key
-//! records into §3.4 sub-chunks), hands the result to the generation
-//! writer (the `ingest` module) with the victims to retire, and drains
-//! the obsolete backend keys through the store's one delete path — all
+//! under a [`CompactionConfig`] policy, fetches the victims through
+//! the existing plan → fetch pipeline, re-runs the configured
+//! partitioner over the merged items (re-grouping same-key records
+//! into §3.4 sub-chunks), hands the result to the generation writer
+//! (the `ingest` module) with the victims to retire, and drains the
+//! obsolete backend keys through the store's one delete path — all
 //! without taking the store offline.
 //!
 //! A slice is a thin caller of the writer, exactly like the bulk load
-//! and the flush. What it derives itself: the extraction, the
+//! and the flush. What it derives itself, touching each moved record
+//! once per step by its extraction ordinal: the extraction — the
+//! victims' keys, plus a decode of every victim sub-chunk across the
+//! ingest workers, the one check on their bytes, which fails the slice
+//! before anything is written and fills no decode memo — the
 //! `(pk, origin)` grouping, the cutover guard (evaluated on the staged
-//! partitioning, before any backend write) and the index pass — the
-//! moved records' chunk-map bitmaps come from the victims' own map
-//! bits, not from a delta.
+//! partitioning, before any backend write) and the index pass: each of
+//! the victims' map bits maps through the placement table (extraction
+//! ordinal → new chunk ordinal, new local) to a bit of the new maps.
 //!
 //! A group that is exactly one victim sub-chunk's members, in order,
 //! is carried whole: the new chunk takes that sub-chunk's encoded
-//! bytes, shared with the fetched chunk, because encoding the group
-//! again would produce the same bytes. At `max_subchunk = 1` every
-//! group is carried, so the staging is mostly the partitioner.
-//! Carrying skips the encode, not the check: extraction decodes every
-//! victim sub-chunk, and a victim that does not decode fails the slice
-//! before anything is written.
+//! bytes, named by its place among the fetched victims, because
+//! encoding the group again would produce the same bytes. Only the
+//! groups encoded anew have their payloads kept; at `max_subchunk = 1`
+//! every group is carried, so the staging is mostly the partitioner.
 //!
 //! ## Crash-safety ordering
 //!
@@ -78,15 +80,15 @@
 //! from the rebuilt chunk maps so the next flush indexes them
 //! normally (chunk maps require strictly increasing version pushes).
 
-use crate::chunkmap;
+use crate::chunkmap::{self, ChunkMap};
 use crate::cost::CostModel;
 use crate::error::CoreError;
-use crate::ingest::{Encoded, StagedGeneration, StagedIndex};
-use crate::model::{CompositeKey, Record, VersionId};
-use crate::query;
+use crate::ingest::{Encoded, MapEntries, StagedChunks, StagedGeneration, StagedIndex};
+use crate::model::{CompositeKey, VersionId};
+use crate::plan;
 use crate::store::{RStore, SlotState, StoreMut};
+use bytes::Bytes;
 use rstore_compress::Bitmap;
-use rustc_hash::{FxHashMap, FxHashSet};
 use std::time::{Duration, Instant};
 
 /// Compaction policy: which chunks an [`RStore::compact`] call takes
@@ -168,12 +170,12 @@ pub struct FragmentationStats {
 pub struct CompactionStages {
     /// Fragmentation measurement + victim selection.
     pub measure: Duration,
-    /// Fetching and decoding the victim chunks through the
-    /// plan → fetch → extract pipeline.
+    /// Fetching the victim chunks through the plan → fetch pipeline,
+    /// reading their keys and decoding every sub-chunk (the check).
     pub extract: Duration,
-    /// Sub-chunk re-grouping, encoding the groups not carried whole,
-    /// and the partitioning algorithm — mostly the partitioner, since
-    /// carried groups cost no encode.
+    /// Sub-chunk re-grouping, the per-version group lists, encoding
+    /// the groups not carried whole, and the partitioning algorithm —
+    /// mostly the partitioner, since carried groups cost no encode.
     pub partition: Duration,
     /// Chunk assembly + serialization of the new generation
     /// (overlaps the streaming writes).
@@ -483,9 +485,10 @@ impl RStore {
         }
         let StagedRebuild {
             victims,
-            records,
+            moved,
+            maps,
+            bases,
             staged,
-            version_members,
             bytes_reclaimed,
             ..
         } = rebuild;
@@ -496,25 +499,12 @@ impl RStore {
             .count();
 
         // -- write + commit: the new generation, with the victims
-        // retired. The index pass is from the victims' maps: per
-        // version, the moved records it holds, as one bitmap per new
-        // chunk ------------------------------------------------------
+        // retired. The index pass is from the victims' maps: each bit
+        // maps through the moved record's new placement ---------------
         let flushed = st.flushed_versions;
+        let touched = chunkmap::by_version(&maps, flushed)?;
         let committed = self.commit_generation(st, staged, flushed, &victims, |_, chunks| {
-            let count_of = chunks.counts_by_id();
-            let mut index = StagedIndex::default();
-            let mut touched: FxHashMap<u32, Vec<usize>> = FxHashMap::default();
-            for (v, members) in version_members.iter().enumerate() {
-                for &i in members {
-                    let (chunk, local) = chunks.slots[i as usize];
-                    touched.entry(chunk).or_default().push(local as usize);
-                }
-                for (chunk, locals) in touched.drain() {
-                    let members = Bitmap::from_indices(count_of[&chunk], locals);
-                    index.entry(chunk).or_default().push((VersionId(v as u32), members));
-                }
-            }
-            index
+            index_moved(&touched, &bases, chunks)
         })?;
         stages.rebuild = committed.stages.assemble;
         stages.index = committed.stages.index;
@@ -535,7 +525,7 @@ impl RStore {
         Ok(Some(SliceOutcome {
             victims: victims.len(),
             new_chunks: committed.new_chunks,
-            records_moved: records.len(),
+            records_moved: moved,
             subchunks_built,
             bytes_rewritten: committed.bytes_written,
             record_bytes: committed.record_bytes,
@@ -547,39 +537,31 @@ impl RStore {
     }
 
     /// Plans a rebuild of `victims` without writing anything: fetches
-    /// and extracts their records through the read pipeline, re-groups
-    /// same-key records into sub-chunks, stages the generation (carry
-    /// or encode, then the configured partitioner), and evaluates the
-    /// candidate layout's span contribution against the victims'
-    /// current one.
+    /// them through the read pipeline and checks that every sub-chunk
+    /// decodes, re-groups the moved records by key into sub-chunks,
+    /// stages the generation (carry or encode, then the configured
+    /// partitioner), and evaluates the candidate layout's span
+    /// contribution against the victims' current one.
     fn stage_rebuild(&self, st: &StoreMut, victims: Vec<u32>) -> Result<StagedRebuild, CoreError> {
-        // -- extract: fetch victims through plan → fetch → extract ----
+        // -- extract: fetch victims through plan → fetch --------------
         let t = Instant::now();
-        let scan = self.plan_chunks(victims.clone())?;
-        let executed = self.execute(scan)?;
-        let ids = executed.chunk_ids().to_vec();
-        let fetched = executed.into_chunks();
-        // Each chunk's records in local order: a record's extraction
-        // ordinal is its chunk's base plus its local index. Extraction
-        // decodes every sub-chunk — the one check on the victims'
-        // bytes, carried ones included — before anything is written.
-        // The scan cached the victims undecoded, so one that fails
-        // here is evicted, as a query's failed extraction evicts it.
-        let mut records: Vec<Record> = Vec::new();
+        let fetched = self.execute(self.plan_chunks(victims.clone())?)?.into_chunks();
+        // Each chunk's keys in local order: a record's extraction
+        // ordinal is its chunk's base plus its local index. Its source
+        // is the victim sub-chunk it sits in, as `(chunk, at,
+        // extraction ordinal of the sub-chunk's first member)`.
+        let mut keys: Vec<CompositeKey> = Vec::new();
         let mut bases: Vec<u32> = Vec::with_capacity(fetched.len());
-        // The victim sub-chunk each record came from, as `(chunk, at,
-        // extraction ordinal of its first member)`.
-        let mut source: Vec<(usize, usize, u32)> = Vec::new();
+        let mut source: Vec<(u32, u32, u32)> = Vec::new();
         for (c, dc) in fetched.iter().enumerate() {
-            bases.push(records.len() as u32);
-            let extracted = query::extract_all(&dc.chunk);
-            records.extend(extracted.inspect_err(|_| self.cache.invalidate(ids[c]))?);
+            bases.push(keys.len() as u32);
             for (at, sc) in dc.chunk.subchunks.iter().enumerate() {
-                let first = source.len() as u32;
-                source.extend(std::iter::repeat_n((c, at, first), sc.len()));
+                let first = keys.len() as u32;
+                keys.extend_from_slice(&sc.members);
+                source.extend(std::iter::repeat_n((c as u32, at as u32, first), sc.len()));
             }
         }
-        let extract = t.elapsed();
+        let mut extract = t.elapsed();
 
         let t = Instant::now();
         // Order same-key records by origin so each key's history is
@@ -587,88 +569,80 @@ impl RStore {
         // counterpart of the §3.4 grouping (origin order approximates
         // version-tree connectivity — parents precede children).
         let k = self.config.max_subchunk.max(1);
-        let mut order: Vec<u32> = (0..records.len() as u32).collect();
-        order.sort_unstable_by_key(|&i| {
-            let r = &records[i as usize];
-            (r.pk, r.origin)
-        });
+        let mut order: Vec<(u64, VersionId, u32)> =
+            (keys.iter().zip(0u32..)).map(|(ck, i)| (ck.pk, ck.origin, i)).collect();
+        order.sort_unstable();
         let mut groups: Vec<Vec<u32>> = Vec::new();
-        for idx in order {
+        for (pk, _, i) in order {
             match groups.last_mut() {
-                Some(g)
-                    if g.len() < k
-                        && records[g[0] as usize].pk == records[idx as usize].pk =>
-                {
-                    g.push(idx)
-                }
-                _ => groups.push(vec![idx]),
+                Some(g) if g.len() < k && keys[g[0] as usize].pk == pk => g.push(i),
+                _ => groups.push(vec![i]),
             }
         }
-
-        // Membership per version: the moved records (by extraction
-        // ordinal) and the distinct groups each flushed version
-        // touches — the partitioner sees groups, the chunk-map
-        // rebuild sees record ordinals. Both come from the victims'
-        // map bits, transposed to per-version lists, so the cost is the
-        // victims' entries, not the history's width. A version's
-        // groups collect in one reused bitmap over the groups, which
-        // yields them ascending and distinct without a sort. The
-        // versions past the flushed ones still wait in the delta
-        // store: no map holds them yet, and the rebuilt maps must not
-        // claim them — the next flush pushes them in order.
-        let mut group_of_rec: Vec<u32> = vec![0; records.len()];
-        for (g, members) in groups.iter().enumerate() {
-            for &i in members {
-                group_of_rec[i as usize] = g as u32;
-            }
-        }
-        let num_versions = st.graph.len();
-        let mut version_members: Vec<Vec<u32>> = vec![Vec::new(); num_versions];
-        let mut version_items: Vec<Vec<u32>> = vec![Vec::new(); num_versions];
-        let mut seen = Bitmap::new(groups.len());
-        let touched = chunkmap::by_version(fetched.iter().map(|dc| &dc.map), st.flushed_versions)?;
-        for (v, entries) in touched.iter().enumerate() {
-            let members = &mut version_members[v];
-            for &(at, bits) in entries {
-                for local in bits.iter_ones() {
-                    let i = bases[at] + local as u32;
-                    members.push(i);
-                    seen.set(group_of_rec[i as usize] as usize);
-                }
-            }
-            let items: Vec<u32> = seen.iter_ones().map(|g| g as u32).collect();
-            for &g in &items {
-                seen.clear(g as usize);
-            }
-            version_items[v] = items;
-        }
-        let payloads: Vec<(CompositeKey, &[u8])> = records
-            .iter()
-            .map(|r| (r.composite_key(), r.payload.as_ref()))
-            .collect();
         // A group that is one victim sub-chunk's members, in order, is
         // carried whole: encoding it again would yield the same bytes.
+        // The sub-chunk is marked by its first member's ordinal.
+        let mut is_carried = Bitmap::new(keys.len());
+        let mut group_of: Vec<u32> = vec![0; keys.len()];
+        for (g, members) in (0u32..).zip(&groups) {
+            let (c, at, first) = source[members[0] as usize];
+            let sc = &fetched[c as usize].chunk.subchunks[at as usize];
+            if sc.len() == members.len() && (first..).zip(members).all(|(o, &m)| o == m) {
+                is_carried.set(first as usize);
+            }
+            members.iter().for_each(|&m| group_of[m as usize] = g);
+        }
+        let mut partition = t.elapsed();
+
+        // The check: every victim sub-chunk, carried ones included, is
+        // decoded across the ingest workers before anything is written
+        // — the one check on the victims' bytes. It fills no memo; only
+        // the payloads of the sub-chunks no group carries are kept, for
+        // the encode. The scan cached the victims undecoded, so one
+        // that fails here is evicted, as a query's failed read evicts
+        // it.
+        let t = Instant::now();
+        let checked = plan::parallel_map((0..fetched.len()).collect(), self.ingest_workers(), |c| {
+            let mut first = bases[c] as usize;
+            (fetched[c].chunk.subchunks.iter())
+                .map(|sc| {
+                    let (payloads, at) = (sc.decode_uncached()?, first);
+                    first += sc.len();
+                    Ok(if is_carried.get(at) { Vec::new() } else { payloads })
+                })
+                .collect::<Result<Vec<Vec<Bytes>>, CoreError>>()
+                .inspect_err(|_| self.cache.invalidate(victims[c]))
+        });
+        let payloads = checked.into_iter().collect::<Result<Vec<_>, _>>()?;
+        extract += t.elapsed();
+
+        // The partitioner's input: the groups each version holds, from
+        // the victims' map bits. The versions past the flushed ones
+        // still wait in the delta store: no map holds them yet, and the
+        // rebuilt maps must not claim them — the next flush pushes them
+        // in order.
+        let t = Instant::now();
+        let maps: Vec<ChunkMap> = fetched.iter().map(|dc| dc.map.clone()).collect();
+        let touched = chunkmap::by_version(&maps, st.flushed_versions)?;
+        let mut version_items = moved_version_items(&touched, &bases, &group_of, groups.len());
+        version_items.resize(st.graph.len(), Vec::new());
+        let record = |ord: u32| {
+            let (c, at, first) = source[ord as usize];
+            let payload = &payloads[c as usize][at as usize][(ord - first) as usize];
+            (keys[ord as usize], &payload[..])
+        };
         let carry = |members: &[u32]| {
             let (c, at, first) = source[members[0] as usize];
-            let sc = &fetched[c].chunk.subchunks[at];
-            let whole = sc.len() == members.len() && (first..).zip(members).all(|(o, &m)| o == m);
-            whole.then(|| Encoded::Carried(fetched[c].clone(), at))
+            is_carried.get(first as usize).then_some(Encoded::Carried(c, at))
         };
-        let staged = self.stage_generation(st, &payloads, groups, carry, &version_items);
-        let partition = t.elapsed();
+        let staged = self.stage_generation(st, record, groups, carry, fetched, &version_items);
+        partition += t.elapsed();
 
         // Span bookkeeping for the cutover guard: what the victims
-        // contribute today vs. what the candidate layout would.
-        let victim_set: FxHashSet<u32> = victims.iter().copied().collect();
-        let mut old_span = 0usize;
-        for v in 0..num_versions {
-            old_span += st
-                .projections
-                .chunks_of_version(VersionId(v as u32))
-                .iter()
-                .filter(|c| victim_set.contains(c))
-                .count();
-        }
+        // contribute today — a version's span holds exactly the chunks
+        // whose map gives it a member — vs. what the candidate layout
+        // would.
+        let old_span = touched.iter().flatten().filter(|(_, bits)| bits.count_ones() > 0).count();
         let mut new_span = 0usize;
         let mut chunk_mark: Vec<u32> = vec![u32::MAX; staged.partitioning.num_chunks];
         for (v, items) in version_items.iter().enumerate() {
@@ -684,9 +658,10 @@ impl RStore {
 
         Ok(StagedRebuild {
             victims,
-            records,
+            moved: keys.len(),
+            maps,
+            bases,
             staged,
-            version_members,
             old_span,
             new_span,
             bytes_reclaimed,
@@ -694,6 +669,76 @@ impl RStore {
             partition,
         })
     }
+}
+
+/// The members pass: per flushed version, the groups holding its
+/// moved records — the partitioner's `version_items`. `touched[v]`
+/// lists each victim map's members of `v` by victim `at`, whose records
+/// start at extraction ordinal `bases[at]`; `group_of` maps an ordinal
+/// to its group. A version's groups collect in one reused bit set over
+/// the `groups`, which yields them ascending and distinct and is left
+/// clear for the next version.
+fn moved_version_items(
+    touched: &[Vec<(usize, &Bitmap)>],
+    bases: &[u32],
+    group_of: &[u32],
+    groups: usize,
+) -> Vec<Vec<u32>> {
+    let mut seen: Vec<u64> = vec![0; groups.div_ceil(64)];
+    (touched.iter())
+        .map(|entries| {
+            for &(at, bits) in entries {
+                let group_of = &group_of[bases[at] as usize..];
+                bits.for_each_one(|local| {
+                    let g = group_of[local];
+                    seen[g as usize / 64] |= 1 << (g % 64);
+                });
+            }
+            let mut items = Vec::new();
+            for (w, word) in (0u32..).zip(&mut seen) {
+                let mut bits = std::mem::take(word);
+                while bits != 0 {
+                    items.push(w * 64 + bits.trailing_zeros());
+                    bits &= bits - 1;
+                }
+            }
+            items
+        })
+        .collect()
+}
+
+/// The index pass: each victim bit of a flushed version (as for
+/// [`moved_version_items`]) maps through the placement table to a bit
+/// of the version's bitmap in its new chunk. A new chunk's bitmap for
+/// the current version is open while it is non-empty (every new chunk
+/// holds a record); the `opened` list closes the open ones when the
+/// version ends, so each chunk's entries ascend by version.
+fn index_moved(
+    touched: &[Vec<(usize, &Bitmap)>],
+    bases: &[u32],
+    chunks: &StagedChunks,
+) -> StagedIndex {
+    let mut entries: Vec<MapEntries> = vec![Vec::new(); chunks.ids.len()];
+    let mut open: Vec<Bitmap> = vec![Bitmap::default(); chunks.ids.len()];
+    let mut opened: Vec<usize> = Vec::new();
+    for (v, list) in (0u32..).zip(touched) {
+        for &(at, bits) in list {
+            let slots = &chunks.slots[bases[at] as usize..];
+            bits.for_each_one(|local| {
+                let (n, new_local) = slots[local];
+                let bitmap = &mut open[n as usize];
+                if bitmap.is_empty() {
+                    *bitmap = Bitmap::new(chunks.counts[n as usize]);
+                    opened.push(n as usize);
+                }
+                bitmap.set(new_local as usize);
+            });
+        }
+        for n in opened.drain(..) {
+            entries[n].push((VersionId(v), std::mem::take(&mut open[n])));
+        }
+    }
+    chunks.ids.iter().copied().zip(entries).collect()
 }
 
 /// What one cut-over slice moved and cost — folded into the run-wide
@@ -711,19 +756,21 @@ struct SliceOutcome {
     stages: CompactionStages,
 }
 
-/// A fully planned rebuild that has not touched the backend: the
-/// extracted records, the staged generation (their re-grouping, encoded
-/// and partitioned), and the span comparison that decides whether it
-/// cuts over.
+/// A fully planned rebuild that has not touched the backend: where
+/// the moved records came from, the staged generation (their
+/// re-grouping, carried or encoded, and partitioned), and the span
+/// comparison that decides whether it cuts over.
 struct StagedRebuild {
     /// Victim chunk ids, ascending.
     victims: Vec<u32>,
-    /// Records extracted from the victims, in extraction order.
-    records: Vec<Record>,
-    /// The generation that would replace the victims.
+    /// Records moved, numbered by extraction ordinal: victim by victim,
+    /// each in local order.
+    moved: usize,
+    /// Per victim, its chunk map and its first record's ordinal.
+    maps: Vec<ChunkMap>,
+    bases: Vec<u32>,
+    /// The generation that would replace the victims; it holds them.
     staged: StagedGeneration,
-    /// Moved record ordinals per flushed version (chunk-map input).
-    version_members: Vec<Vec<u32>>,
     /// Span the victims contribute under the current layout.
     old_span: usize,
     /// Span the candidate chunks would contribute.
@@ -751,8 +798,13 @@ impl StagedRebuild {
 mod tests {
     use super::*;
     use crate::chunk::SubChunk;
+    use crate::store::CommitRequest;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
     use rstore_kvstore::Cluster;
-    use rstore_vgraph::DatasetSpec;
+    use rstore_vgraph::{Dataset, DatasetSpec};
+    use rustc_hash::FxHashMap;
 
     /// With sub-chunks of up to four records, the compaction's
     /// `(pk, origin)` grouping can cut a key's history where the flush
@@ -781,17 +833,24 @@ mod tests {
         let victims = store.select_victims(&st);
         let rebuild = store.stage_rebuild(&st, victims).unwrap();
         let staged = &rebuild.staged;
+        // Every moved record by extraction ordinal, its payload decoded
+        // from the victim sub-chunk it was fetched in.
+        let records: Vec<(CompositeKey, Bytes)> = (staged.sources.iter())
+            .flat_map(|dc| &dc.chunk.subchunks)
+            .flat_map(|sc| sc.members.iter().copied().zip(sc.decode_uncached().unwrap()))
+            .collect();
+        assert_eq!(records.len(), rebuild.moved);
         let mut built = 0;
         for (members, encoded) in staged.groups.iter().zip(&staged.subchunks) {
             let group: Vec<(CompositeKey, &[u8])> = members
                 .iter()
                 .map(|&i| {
-                    let r = &rebuild.records[i as usize];
-                    (r.composite_key(), r.payload.as_ref())
+                    let (ck, payload) = &records[i as usize];
+                    (*ck, &payload[..])
                 })
                 .collect();
             assert_eq!(
-                encoded.subchunk(),
+                encoded.subchunk(&staged.sources),
                 &SubChunk::build(&group),
                 "group {members:?}"
             );
@@ -799,5 +858,161 @@ mod tests {
         }
         assert!(built > 0, "no group was encoded anew");
         assert!(built < staged.groups.len(), "no group was carried");
+    }
+
+    /// The members pass as it was: per flushed version, the moved
+    /// records' extraction ordinals and the distinct groups they fall
+    /// in, both collected from the victims' map bits — the identity
+    /// oracle for [`moved_version_items`], and the input of
+    /// [`index_reference`].
+    fn members_reference(
+        touched: &[Vec<(usize, &Bitmap)>],
+        bases: &[u32],
+        groups: &[Vec<u32>],
+        records: usize,
+    ) -> (Vec<Vec<u32>>, Vec<Vec<u32>>) {
+        let mut group_of_rec: Vec<u32> = vec![0; records];
+        for (g, members) in groups.iter().enumerate() {
+            for &i in members {
+                group_of_rec[i as usize] = g as u32;
+            }
+        }
+        let mut version_members: Vec<Vec<u32>> = vec![Vec::new(); touched.len()];
+        let mut version_items: Vec<Vec<u32>> = vec![Vec::new(); touched.len()];
+        let mut seen = Bitmap::new(groups.len());
+        for (v, entries) in touched.iter().enumerate() {
+            let members = &mut version_members[v];
+            for &(at, bits) in entries {
+                for local in bits.iter_ones() {
+                    let i = bases[at] + local as u32;
+                    members.push(i);
+                    seen.set(group_of_rec[i as usize] as usize);
+                }
+            }
+            let items: Vec<u32> = seen.iter_ones().map(|g| g as u32).collect();
+            for &g in &items {
+                seen.clear(g as usize);
+            }
+            version_items[v] = items;
+        }
+        (version_members, version_items)
+    }
+
+    /// The index closure as it was: per version, the moved records'
+    /// new locals collected per new chunk id in a hash map, each
+    /// chunk's list one `Bitmap::from_indices` — the identity oracle
+    /// for [`index_moved`].
+    fn index_reference(version_members: &[Vec<u32>], chunks: &StagedChunks) -> StagedIndex {
+        let count_of: FxHashMap<u32, usize> =
+            chunks.ids.iter().copied().zip(chunks.counts.iter().copied()).collect();
+        let mut index = StagedIndex::default();
+        let mut touched: FxHashMap<u32, Vec<usize>> = FxHashMap::default();
+        for (v, members) in version_members.iter().enumerate() {
+            for &i in members {
+                let (n, local) = chunks.slots[i as usize];
+                touched.entry(chunks.ids[n as usize]).or_default().push(local as usize);
+            }
+            for (chunk, locals) in touched.drain() {
+                let members = Bitmap::from_indices(count_of[&chunk], locals);
+                index.entry(chunk).or_default().push((VersionId(v as u32), members));
+            }
+        }
+        index
+    }
+
+    /// The commit that reproduces version `v` of `dataset`, as
+    /// [`crate::online::commit_request`] makes it, except that one
+    /// time in four a version with an older non-parent version becomes
+    /// a merge of its parent and that version.
+    fn merging_request(dataset: &Dataset, v: VersionId, rng: &mut StdRng) -> CommitRequest {
+        let delta = &dataset.deltas[v.index()];
+        let mut req = match dataset.graph.node(v).parents.first() {
+            None => CommitRequest::root(Vec::<(u64, Vec<u8>)>::new()),
+            Some(&p) => {
+                let other = VersionId(rng.random_range(0..v.as_u32()));
+                if other != p && rng.random_bool(0.25) {
+                    CommitRequest::merge_of(p, [other])
+                } else {
+                    CommitRequest::child_of(p)
+                }
+            }
+        };
+        for r in &delta.added {
+            req = req.put(r.pk, r.payload.clone());
+        }
+        for ck in &delta.removed {
+            if !delta.added.iter().any(|r| r.pk == ck.pk) {
+                req = req.delete(ck.pk);
+            }
+        }
+        req
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// On random tiny histories with merges, flushed in small
+        /// batches with the last commits still pending, the members
+        /// pass and the dense index pass derive exactly what the
+        /// reference derivation does from the same victims and the
+        /// same placement, at one record per sub-chunk and at three.
+        #[test]
+        fn the_dense_index_pass_matches_the_reference(
+            seed in any::<u64>(),
+            batches in 2usize..8,
+            batch in 2usize..6,
+            pending in 1usize..6,
+            k in prop_oneof![Just(1usize), Just(3)],
+        ) {
+            let pending = pending.min(batch - 1);
+            let mut spec = DatasetSpec::tiny(seed);
+            spec.num_versions = batches * batch + pending;
+            let dataset = spec.generate();
+            let store = RStore::builder()
+                .chunk_capacity(512)
+                .max_subchunk(k)
+                .batch_size(batch)
+                .compaction(CompactionConfig {
+                    min_fill: 1.1,
+                    ..CompactionConfig::default()
+                })
+                .build(Cluster::builder().nodes(2).build());
+            let mut rng = StdRng::seed_from_u64(seed);
+            for v in dataset.graph.ids() {
+                store.commit(merging_request(&dataset, v, &mut rng)).unwrap();
+            }
+            prop_assert_eq!(store.pending_commits(), pending);
+
+            let mut guard = store.state.lock().unwrap();
+            let st = &mut *guard;
+            let victims = store.select_victims(st);
+            prop_assert!(victims.len() >= MIN_VICTIMS);
+            let rebuild = store.stage_rebuild(st, victims).unwrap();
+            let flushed = st.flushed_versions;
+            let touched = chunkmap::by_version(&rebuild.maps, flushed).unwrap();
+            let groups = &rebuild.staged.groups;
+            let (members, items) = members_reference(&touched, &rebuild.bases, groups, rebuild.moved);
+            let mut group_of = vec![0; rebuild.moved];
+            for (g, members) in (0u32..).zip(groups) {
+                members.iter().for_each(|&m| group_of[m as usize] = g);
+            }
+            let got = moved_version_items(&touched, &rebuild.bases, &group_of, groups.len());
+            prop_assert_eq!(got, items);
+
+            let mut indexes = None;
+            store
+                .commit_generation(st, rebuild.staged, flushed, &rebuild.victims, |_, chunks| {
+                    let index = index_moved(&touched, &rebuild.bases, chunks);
+                    // A new chunk no version holds gets no entries
+                    // either way; the writer reads both alike.
+                    let mut got = index.clone();
+                    got.retain(|_, entries| !entries.is_empty());
+                    indexes = Some((got, index_reference(&members, chunks)));
+                    index
+                })
+                .unwrap();
+            let (got, want) = indexes.unwrap();
+            prop_assert_eq!(got, want);
+        }
     }
 }

@@ -647,7 +647,7 @@ pub(crate) fn load_persisted(cluster: &Cluster, workers: usize) -> Result<StoreM
             (c, base, records, appends.remove(&c).unwrap_or_default())
         })
         .collect();
-    let maps = plan::parallel_map_owned(jobs, workers, |(c, base, records, logged)| {
+    let maps = plan::parallel_map(jobs, workers, |(c, base, records, logged)| {
         let mut map = ChunkMap::deserialize(&base.ok_or(CoreError::MissingChunk(c))?)?;
         if map.num_records() != records {
             return Err(CoreError::Codec(format!(
@@ -917,24 +917,19 @@ pub(crate) struct StagedChunks {
     /// Compressed bytes per new chunk.
     sizes: Vec<usize>,
     /// Records per new chunk (its map's bitmap length).
-    counts: Vec<usize>,
-    /// `(chunk, chunk-local ordinal)` of every placed record, by the
-    /// caller's record ordinal.
+    pub(crate) counts: Vec<usize>,
+    /// `(new-chunk ordinal, chunk-local ordinal)` of every placed
+    /// record, by the caller's record ordinal: the chunk's id is
+    /// `ids[ordinal]` and its record count `counts[ordinal]`.
     pub(crate) slots: Vec<(u32, u32)>,
-    /// The same placement by composite key, in chunk order.
+    /// The same placement by composite key and chunk id, in chunk
+    /// order.
     placed: Vec<(CompositeKey, (u32, u32))>,
-}
-
-impl StagedChunks {
-    /// Records per new chunk, by chunk id.
-    pub(crate) fn counts_by_id(&self) -> FxHashMap<u32, usize> {
-        self.ids.iter().copied().zip(self.counts.iter().copied()).collect()
-    }
 }
 
 /// The `(version, members)` entries a generation adds to one chunk's
 /// map, ascending by version.
-type MapEntries = Vec<(VersionId, Bitmap)>;
+pub(crate) type MapEntries = Vec<(VersionId, Bitmap)>;
 
 /// The index as the oracles compare it: the serialized map of every
 /// live chunk (ascending ids) and the projections.
@@ -966,10 +961,10 @@ pub(crate) fn stage_index(
     let locate = |ck: &CompositeKey| -> (u32, u32) {
         ord_of(ck)
             .map(|ord| chunks.slots[ord as usize])
+            .map(|(n, local)| (chunks.ids[n as usize], local))
             .or_else(|| st.locator.get(ck).copied())
             .unwrap_or_else(|| panic!("record {ck} not placed"))
     };
-    let new_counts = chunks.counts_by_id();
     let mut staged = StagedIndex::default();
     // Per batch version, ascending: the chunks its entries went to.
     let mut spans: Vec<(VersionId, Vec<u32>)> = Vec::with_capacity(batch.len());
@@ -1007,12 +1002,15 @@ pub(crate) fn stage_index(
             members[at].1.clear(local as usize);
         }
         for rec in &delta.added {
-            let (chunk, local) = locate(&rec.composite_key());
+            // Added records land in this generation's chunks.
+            let ck = rec.composite_key();
+            let ord = ord_of(&ck).unwrap_or_else(|| panic!("added record {ck} not placed"));
+            let (n, local) = chunks.slots[ord as usize];
+            let chunk = chunks.ids[n as usize];
             let at = match members.binary_search_by_key(&chunk, |m| m.0) {
                 Ok(at) => at,
                 Err(at) => {
-                    // Added records land in this generation's chunks.
-                    members.insert(at, (chunk, Bitmap::new(new_counts[&chunk])));
+                    members.insert(at, (chunk, Bitmap::new(chunks.counts[n as usize])));
                     at
                 }
             };
@@ -1034,18 +1032,19 @@ pub(crate) fn stage_index(
 pub(crate) enum Encoded {
     /// Encoded by this generation.
     Built(SubChunk),
-    /// Sub-chunk `at` of a fetched chunk, whose members are the
-    /// group's, in order: its bytes are what encoding the group would
-    /// produce, so they are carried whole.
-    Carried(Arc<DecodedChunk>, usize),
+    /// `Carried(c, at)`: sub-chunk `at` of the generation's source
+    /// chunk `c`, whose members are the group's, in order: its bytes
+    /// are what encoding the group would produce, so they are carried
+    /// whole.
+    Carried(u32, u32),
 }
 
 impl Encoded {
-    /// The sub-chunk, wherever it lives.
-    pub(crate) fn subchunk(&self) -> &SubChunk {
-        match self {
-            Encoded::Built(sc) => sc,
-            Encoded::Carried(dc, at) => &dc.chunk.subchunks[*at],
+    /// The sub-chunk, wherever it lives: carried ones in `sources`.
+    pub(crate) fn subchunk<'a>(&'a self, sources: &'a [Arc<DecodedChunk>]) -> &'a SubChunk {
+        match *self {
+            Encoded::Built(ref sc) => sc,
+            Encoded::Carried(c, at) => &sources[c as usize].chunk.subchunks[at as usize],
         }
     }
 }
@@ -1059,6 +1058,8 @@ pub(crate) struct StagedGeneration {
     pub(crate) groups: Vec<Vec<u32>>,
     /// The encoded sub-chunks, aligned with `groups`.
     pub(crate) subchunks: Vec<Encoded>,
+    /// The fetched chunks the carried sub-chunks live in.
+    pub(crate) sources: Vec<Arc<DecodedChunk>>,
     /// Which candidate chunk each group landed in.
     pub(crate) partitioning: Partitioning,
     /// `subchunk`, `partition` and `workers` are filled in so far.
@@ -1083,19 +1084,21 @@ pub(crate) struct CommittedGeneration {
 
 impl RStore {
     /// Step 1 of the generation writer: encodes one sub-chunk per
-    /// group of `records` (`(key, payload)` by record ordinal; a
-    /// group's first member is its delta-encoding root) and partitions
-    /// the groups over the version tree. A group for which `carry`
-    /// names an already encoded sub-chunk with the same members is not
-    /// encoded again. `version_items[v]` lists the sorted group
-    /// ordinals version `v` holds. Touches neither the backend nor the
-    /// writer state.
-    pub(crate) fn stage_generation(
+    /// group of record ordinals (`record` gives an ordinal's key and
+    /// payload; a group's first member is its delta-encoding root) and
+    /// partitions the groups over the version tree. A group for which
+    /// `carry` names an already encoded sub-chunk of `sources` with the
+    /// same members is not encoded again, and its payloads are never
+    /// asked for. `version_items[v]` lists the sorted group ordinals
+    /// version `v` holds. Touches neither the backend nor the writer
+    /// state.
+    pub(crate) fn stage_generation<'a>(
         &self,
         st: &StoreMut,
-        records: &[(CompositeKey, &[u8])],
+        record: impl Fn(u32) -> (CompositeKey, &'a [u8]) + Sync,
         groups: Vec<Vec<u32>>,
         carry: impl Fn(&[u32]) -> Option<Encoded> + Sync,
+        sources: Vec<Arc<DecodedChunk>>,
         version_items: &[Vec<u32>],
     ) -> StagedGeneration {
         let workers = self.ingest_workers();
@@ -1104,10 +1107,9 @@ impl RStore {
             ..IngestStages::default()
         };
         let t = Instant::now();
-        let subchunks: Vec<Encoded> = plan::parallel_map(&groups, workers, |members| {
+        let subchunks: Vec<Encoded> = plan::parallel_map(groups.iter().collect(), workers, |members| {
             carry(members).unwrap_or_else(|| {
-                let members: Vec<(CompositeKey, &[u8])> =
-                    members.iter().map(|&ord| records[ord as usize]).collect();
+                let members: Vec<(CompositeKey, &[u8])> = members.iter().map(|&o| record(o)).collect();
                 Encoded::Built(SubChunk::build(&members))
             })
         });
@@ -1117,11 +1119,9 @@ impl RStore {
         // nothing to partition.
         let mut partitioning = Partitioning::default();
         if !groups.is_empty() {
-            let item_sizes: Vec<u32> = subchunks
-                .iter()
-                .map(|s| s.subchunk().compressed_bytes() as u32)
-                .collect();
-            let item_pk: Vec<u64> = groups.iter().map(|g| records[g[0] as usize].0.pk).collect();
+            let parts = || subchunks.iter().map(|s| s.subchunk(&sources));
+            let item_sizes: Vec<u32> = parts().map(|sc| sc.compressed_bytes() as u32).collect();
+            let item_pk: Vec<u64> = parts().map(|sc| sc.members[0].pk).collect();
             let tree = st.graph.to_tree();
             let input = PartitionInput {
                 tree: &tree,
@@ -1137,6 +1137,7 @@ impl RStore {
         StagedGeneration {
             groups,
             subchunks,
+            sources,
             partitioning,
             stages,
         }
@@ -1160,6 +1161,7 @@ impl RStore {
         let StagedGeneration {
             groups,
             subchunks,
+            sources,
             partitioning,
             mut stages,
         } = staged;
@@ -1180,15 +1182,15 @@ impl RStore {
             placed: Vec::with_capacity(records),
         };
         let mut jobs: Vec<(u32, Vec<&SubChunk>)> = Vec::with_capacity(chunk_items.len());
-        for (items, &chunk_id) in chunk_items.iter().zip(&chunks.ids) {
+        for (n, (items, &chunk_id)) in chunk_items.iter().zip(&chunks.ids).enumerate() {
             let parts: Vec<&SubChunk> = items
                 .iter()
-                .map(|&g| subchunks[g as usize].subchunk())
+                .map(|&g| subchunks[g as usize].subchunk(&sources))
                 .collect();
             let mut local = 0u32;
             for (&g, sc) in items.iter().zip(&parts) {
                 for (&ord, &ck) in groups[g as usize].iter().zip(&sc.members) {
-                    chunks.slots[ord as usize] = (chunk_id, local);
+                    chunks.slots[ord as usize] = (n as u32, local);
                     chunks.placed.push((ck, (chunk_id, local)));
                     local += 1;
                 }
@@ -1218,7 +1220,7 @@ impl RStore {
             .zip(&chunks.counts)
             .map(|(&c, &n)| (c, n, index.remove(&c).unwrap_or_default()))
             .collect();
-        let fresh = plan::parallel_map_owned(jobs, workers, |(c, records, entries)| {
+        let fresh = plan::parallel_map(jobs, workers, |(c, records, entries)| {
             let mut map = ChunkMap::new(records);
             map.push_segment(entries);
             (c, Bytes::from(map.serialize()), map)
@@ -1230,7 +1232,7 @@ impl RStore {
             "entries for unknown chunks"
         );
         let (map_entries, appends): (Vec<MapAppend>, Vec<(u32, MapEntries)>) =
-            plan::parallel_map_owned(older, workers, |(chunk, entries)| {
+            plan::parallel_map(older, workers, |(chunk, entries)| {
                 let logged = MapAppend {
                     chunk,
                     entries: entries.len(),

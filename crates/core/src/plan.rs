@@ -162,8 +162,8 @@ impl QuerySpec {
     /// Decodes the sub-chunks [`QuerySpec::extract`] will read from
     /// `dc` into their memos — the fetch stage's share of extraction.
     /// The rest stay compressed, and a scan decodes nothing ahead:
-    /// recovery reads only keys and maps, and compaction extracts
-    /// every record itself.
+    /// recovery reads only keys and maps, and compaction checks
+    /// every sub-chunk itself.
     fn decode(&self, dc: &DecodedChunk) -> Result<(), CoreError> {
         match self.select(dc) {
             Some(locals) => query::decode_locals(&dc.chunk, locals),
@@ -488,7 +488,7 @@ pub(crate) fn worker_count(requested: usize) -> usize {
 /// the work across `workers` scoped threads in contiguous shards. The
 /// shared fan-out primitive behind parallel sub-chunk compression and
 /// the ingest pipeline's independent chunk-map builds.
-pub(crate) fn parallel_map_owned<T, U, F>(items: Vec<T>, workers: usize, f: F) -> Vec<U>
+pub(crate) fn parallel_map<T, U, F>(items: Vec<T>, workers: usize, f: F) -> Vec<U>
 where
     T: Send,
     U: Send,
@@ -520,16 +520,6 @@ where
         }
     });
     out
-}
-
-/// Borrowed-item wrapper over [`parallel_map_owned`].
-pub(crate) fn parallel_map<'a, T, U, F>(items: &'a [T], workers: usize, f: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(&'a T) -> U + Sync,
-{
-    parallel_map_owned(items.iter().collect(), workers, f)
 }
 
 /// What every batch of one fetch execution reads, behind an `Arc` so

@@ -47,7 +47,7 @@ use crate::chunkmap::ChunkMap;
 use crate::compact::CompactionConfig;
 use crate::error::CoreError;
 use crate::index::Projections;
-use crate::ingest::{self, Encoded, GenerationRecord, LogPosition};
+use crate::ingest::{self, GenerationRecord, LogPosition};
 use crate::model::{ChunkId, CompositeKey, PrimaryKey, Record, VersionId};
 use crate::obs::{
     self, MetricsRegistry, NodeSample, Obs, ObsConfig, QueryOutcome, QueryTrace,
@@ -1108,9 +1108,11 @@ impl RStore {
             .collect();
         st.record_counts = Arc::new(st.contents.iter().map(|c| c.len()).collect());
 
-        let staged = self.stage_generation(st, &records, plan.groups, |_| None, &version_items);
+        let record = |ord: u32| records[ord as usize];
+        let groups = plan.groups;
+        let staged = self.stage_generation(st, record, groups, |_| None, Vec::new(), &version_items);
         let num_subchunks = staged.subchunks.len();
-        let subchunks = || staged.subchunks.iter().map(Encoded::subchunk);
+        let subchunks = || staged.subchunks.iter().map(|e| e.subchunk(&staged.sources));
         let raw_bytes = subchunks().map(|s| s.raw_bytes).sum();
         let compressed_bytes = subchunks().map(SubChunk::compressed_bytes).sum();
         let batch: Vec<(VersionId, &VersionDelta)> = st.graph.ids().zip(&dataset.deltas).collect();
@@ -1427,7 +1429,8 @@ impl RStore {
             }
         }
 
-        let staged = self.stage_generation(st, &records, groups, |_| None, &version_items);
+        let record = |ord: u32| records[ord as usize];
+        let staged = self.stage_generation(st, record, groups, |_| None, Vec::new(), &version_items);
         let deltas: Vec<(VersionId, &VersionDelta)> = batch.iter().map(|(v, d)| (*v, d)).collect();
         let versions = st.graph.len();
         let committed = self.commit_generation(st, staged, versions, &[], |st, chunks| {

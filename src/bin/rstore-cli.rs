@@ -19,7 +19,7 @@ use rstore::core::store::{CommitRequest, RStore, StoreConfig};
 use rstore::core::{CoreError, TraceConfig, VersionId};
 use rstore::kvstore::{BreakerPolicy, Cluster, EngineKind, FaultPlan};
 use std::num::NonZeroUsize;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::exit;
 use std::str::FromStr;
 use std::time::Duration;
@@ -190,6 +190,16 @@ fn open_cluster(args: &Args) -> Cluster {
     b.build()
 }
 
+/// True when `dir` holds anything but empty files: a store, or what
+/// is left of one. Opening a cluster creates its node logs empty, so a
+/// dir that only saw a failed `init` holds nothing.
+fn holds_data(dir: &Path) -> bool {
+    let Ok(entries) = std::fs::read_dir(dir) else {
+        return false;
+    };
+    entries.flatten().any(|e| e.metadata().is_ok_and(|m| !m.is_file() || m.len() > 0))
+}
+
 fn store_config(args: &Args) -> StoreConfig {
     StoreConfig {
         fetch_threads: args.fetch_threads,
@@ -236,6 +246,16 @@ fn run() -> Result<(), CoreError> {
             if !dels.is_empty() {
                 eprintln!("init does not accept --del");
                 exit(2);
+            }
+            // A store is created only from nothing: a data dir that
+            // holds data is refused before the cluster opens it, so an
+            // existing store keeps every version.
+            if holds_data(&args.data_dir) {
+                eprintln!(
+                    "error: {} already holds data; init creates a store only in an empty data dir",
+                    args.data_dir.display()
+                );
+                exit(1);
             }
             let store = RStore::builder().build(open_cluster(&args));
             let v = store.commit(CommitRequest::root(sets))?;

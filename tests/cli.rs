@@ -115,3 +115,37 @@ fn cli_rejects_bad_usage() {
     }
     let _ = std::fs::remove_dir_all(dir);
 }
+
+#[test]
+fn init_refuses_a_data_dir_that_holds_a_store() {
+    // `init` on an existing store exits non-zero and writes nothing:
+    // every version stays, with its records.
+    let dir = temp_dir("reinit");
+    stdout(&cli(&dir, &["init", "--set", "0=alpha", "--set", "1=beta"]));
+    stdout(&cli(&dir, &["commit", "--set", "1=gamma"]));
+    let files = |dir: &PathBuf| -> Vec<(String, u64)> {
+        let mut files: Vec<_> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| {
+                let e = e.unwrap();
+                (e.file_name().to_string_lossy().into_owned(), e.metadata().unwrap().len())
+            })
+            .collect();
+        files.sort();
+        files
+    };
+    let before = files(&dir);
+
+    let out = cli(&dir, &["init", "--set", "0=omega"]);
+    assert!(!out.status.success(), "init overwrote a store");
+    assert!(String::from_utf8_lossy(&out.stderr).contains("already holds data"));
+    assert_eq!(files(&dir), before, "the refused init changed the data dir");
+
+    let out = stdout(&cli(&dir, &["log"]));
+    assert!(out.contains("V0") && out.contains("V1"), "{out}");
+    let out = stdout(&cli(&dir, &["checkout", "0"]));
+    assert!(out.contains("alpha") && out.contains("beta") && !out.contains("omega"), "{out}");
+    let out = stdout(&cli(&dir, &["checkout", "1"]));
+    assert!(out.contains("alpha") && out.contains("gamma") && !out.contains("beta"), "{out}");
+    let _ = std::fs::remove_dir_all(dir);
+}
