@@ -13,7 +13,7 @@
 //! * **unhedged** — the PR 7 executor: a spiked batch holds its whole
 //!   round hostage; the query's p99 converges on `SPIKE`.
 //! * **hedged** — [`StoreConfig::hedge`]: when a round's straggler
-//!   exceeds `factor ×` the health scoreboard's service EWMA (floored
+//!   exceeds `factor ×` the node's per-key service EWMA (floored
 //!   at `min`), the unserved keys are re-issued to an untried replica
 //!   as a backup pool job and the first answer wins. The spike is
 //!   cut to roughly the hedge delay plus one clean round trip.
@@ -25,7 +25,7 @@
 //! on hosts with 3+ cores (report-only below, where a starved fetch
 //! pool can't overlap the backup with the straggler). Results go to
 //! the gitignored `BENCH_hedge.json`, with the query-layer
-//! hedge/hedge-win counters and the slow node's scoreboard EWMA
+//! hedge/hedge-win counters and the slow node's service EWMA
 //! proving the win came from the new layer.
 
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -242,7 +242,7 @@ fn acceptance_summary(_c: &mut Criterion) {
         percentile(&hedge.latencies, 0.99),
     );
     let p99_speedup = base_p99.as_secs_f64() / hedge_p99.as_secs_f64().max(f64::MIN_POSITIVE);
-    let slow_health = &hedged.cluster().node_health()[0];
+    let slow_node = &hedged.cluster().node_stats()[0];
 
     println!(
         "\n## hedged-read acceptance ({NODES}-node sleeping LAN, replication {REPLICATION}, \
@@ -259,9 +259,9 @@ fn acceptance_summary(_c: &mut Criterion) {
         fmt_duration(hedge_p99),
         hedge.hedges,
         hedge.hedge_wins,
-        fmt_duration(slow_health.ewma_service),
-        slow_health.batches,
-        slow_health.error_rate,
+        fmt_duration(slow_node.ewma_service),
+        slow_node.batches,
+        slow_node.error_rate,
     );
 
     let asserted = cores >= 3;
@@ -292,8 +292,8 @@ fn acceptance_summary(_c: &mut Criterion) {
             ("hedge_wins", hedge.hedge_wins.to_string()),
             ("records_per_mode", hedge.records.to_string()),
             ("failed_queries", (base.failed + hedge.failed).to_string()),
-            ("slow_node_ewma_us", json_us(slow_health.ewma_service)),
-            ("slow_node_batches", slow_health.batches.to_string()),
+            ("slow_node_ewma_us", json_us(slow_node.ewma_service)),
+            ("slow_node_batches", slow_node.batches.to_string()),
             ("unhedged_buckets_us", buckets(&base.latencies)),
             ("hedged_buckets_us", buckets(&hedge.latencies)),
         ],

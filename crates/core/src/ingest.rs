@@ -265,6 +265,22 @@ pub(crate) fn delta_key(v: VersionId) -> Key {
     table_key(DELTA_TABLE, &v.as_u32().to_be_bytes())
 }
 
+/// Refuses to create a store over a backend that holds one: any of
+/// the keys `reopen` reads first — the checkpoint, the first
+/// generation record or the first delta — is there. A new root
+/// written over them would leave the old commit log pointing at
+/// overwritten chunks, and every version would be lost. One read of
+/// three keys.
+pub(crate) fn refuse_existing_store(cluster: &Cluster) -> Result<(), CoreError> {
+    let keys = vec![checkpoint_key(), record_key(1), delta_key(VersionId(0))];
+    if cluster.multi_get_owned(keys)?.iter().any(Option::is_some) {
+        return Err(CoreError::BadCommit(
+            "the backend already holds a store; reopen it instead".into(),
+        ));
+    }
+    Ok(())
+}
+
 /// Where the writer stands in the commit log.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct LogPosition {

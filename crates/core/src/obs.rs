@@ -9,9 +9,10 @@
 //! [`StoreStats`] sample. [`RStore::stats_snapshot`] takes that sample
 //! in one place — the [`MetricsRegistry`] frozen, plus the cache's
 //! residency, the admission gate, the layout measurement, the snapshot
-//! and pin state and the backend cluster's counters, per-node health
-//! and service-time histograms — and the three expositions are walks
-//! over the table and the sample, so they cannot disagree:
+//! and pin state, the backend cluster's counters and its per-node
+//! stats (one [`NodeStats`] per node, from one `Cluster::node_stats`
+//! call) — and the three expositions are walks over the table and the
+//! sample, so they cannot disagree:
 //! [`StoreStats::to_prometheus`] (`RStore::metrics_text`),
 //! [`StoreStats::to_json`] (`rstore-cli stats --json`) and the
 //! `rstore-cli stats` listing. Adding a metric is one row (and, for a
@@ -61,16 +62,16 @@
 //!
 //! Nothing in this module consults a wall clock or RNG for
 //! *decisions*: trace sampling is `seq % period == 0` on an atomic
-//! query counter, breakers and chaos replays are untouched, and with
-//! tracing disabled the query path allocates nothing extra (regression
-//! -tested in `crates/core/tests/obs.rs`), so the replica/chaos/serve/
-//! hedge proptest oracles stay bit-identical.
+//! query counter, chaos replays are untouched, and with tracing
+//! disabled the query path allocates nothing extra (regression-tested
+//! in `crates/core/tests/obs.rs`), so the replica/chaos/serve/hedge
+//! proptest oracles stay bit-identical.
 //!
 //! [`RStore::stats_snapshot`]: crate::store::RStore::stats_snapshot
 
 use crate::query::QueryStats;
 use rstore_kvstore::hist::{HistSnapshot, Histogram};
-use rstore_kvstore::{BreakerState, NodeHealth, NodeLoad};
+use rstore_kvstore::NodeStats;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -292,16 +293,6 @@ impl HistSummary {
     }
 }
 
-/// One backend node at the sample moment.
-#[derive(Debug, Clone)]
-pub(crate) struct NodeSample {
-    pub(crate) health: NodeHealth,
-    pub(crate) load: NodeLoad,
-    /// Modeled batch service times (the distribution behind the hedge
-    /// EWMA).
-    pub(crate) service: HistSnapshot,
-}
-
 /// One point-in-time sample across every store subsystem — what every
 /// [`METRICS`] row reads and every exposition renders. Built by
 /// [`RStore::stats_snapshot`](crate::store::RStore::stats_snapshot).
@@ -345,7 +336,7 @@ pub struct StoreStats {
     /// histograms, …) is read here.
     pub registry: MetricsRegistry,
     /// The backend nodes, in node-id order.
-    pub(crate) nodes: Vec<NodeSample>,
+    pub nodes: Vec<NodeStats>,
 }
 
 // ── The descriptor table ────────────────────────────────────────────
@@ -372,8 +363,8 @@ enum Read {
     /// A histogram whose samples are byte counts, not nanoseconds.
     Sizes(fn(&MetricsRegistry) -> &Histogram),
     Stages(&'static [&'static str], fn(&MetricsRegistry) -> &[Histogram]),
-    NodeNum(fn(&NodeSample) -> f64),
-    NodeHist(fn(&NodeSample) -> &HistSnapshot),
+    NodeNum(fn(&NodeStats) -> f64),
+    NodeHist(fn(&NodeStats) -> &HistSnapshot),
 }
 
 /// One value of a row at a sample.
@@ -501,18 +492,13 @@ pub static METRICS: &[Metric] = &[
     row("rstore_store_max_version_span", G, "fragmentation.max_version_span", "Widest version's chunk span", Num(|s| s.fragmentation.max_version_span as f64)),
     row("rstore_store_read_amplification", G, "fragmentation.est_read_amplification", "Estimated read amplification over an ideally chunked layout", Num(|s| s.fragmentation.est_read_amplification)),
     // ── per backend node ────────────────────────────────────────────
-    row("rstore_node_batch_reads_total", C, "nodes.batch_reads", "Read round trips served per node", NodeNum(|n| n.load.batch_gets as f64)),
-    row("rstore_node_keys_served_total", C, "nodes.keys_served", "Keys served per node", NodeNum(|n| n.load.keys_served as f64)),
-    row("rstore_node_modeled_seconds_total", C, "nodes.modeled_s", "Modeled service time spent per node, injected latency included", NodeNum(|n| n.load.modeled.as_secs_f64())),
-    row("rstore_node_batches_total", C, "nodes.batches", "Scored successful batches per node", NodeNum(|n| n.health.batches as f64)),
-    row("rstore_node_failures_total", C, "nodes.failures", "Scored batch failures per node", NodeNum(|n| n.health.failures as f64)),
-    row("rstore_node_service_ewma_seconds", G, "nodes.service_ewma_s", "Per-key modeled service-time EWMA", NodeNum(|n| n.health.ewma_service.as_secs_f64())),
-    row("rstore_node_error_rate", G, "nodes.error_rate", "Batch-failure EWMA per node", NodeNum(|n| n.health.error_rate)),
-    row("rstore_node_breaker_state", G, "nodes.breaker", "Circuit breaker per node: 0 closed, 1 half-open, 2 open", NodeNum(|n| match n.health.breaker {
-        BreakerState::Closed => 0.0,
-        BreakerState::HalfOpen => 1.0,
-        BreakerState::Open => 2.0,
-    })),
+    row("rstore_node_batch_reads_total", C, "nodes.batch_reads", "Read round trips served per node", NodeNum(|n| n.batch_gets as f64)),
+    row("rstore_node_keys_served_total", C, "nodes.keys_served", "Keys served per node", NodeNum(|n| n.keys_served as f64)),
+    row("rstore_node_modeled_seconds_total", C, "nodes.modeled_s", "Modeled service time spent per node, injected latency included", NodeNum(|n| n.modeled.as_secs_f64())),
+    row("rstore_node_batches_total", C, "nodes.batches", "Scored successful batches per node", NodeNum(|n| n.batches as f64)),
+    row("rstore_node_failures_total", C, "nodes.failures", "Scored batch failures per node", NodeNum(|n| n.failures as f64)),
+    row("rstore_node_service_ewma_seconds", G, "nodes.service_ewma_s", "Per-key modeled service-time EWMA", NodeNum(|n| n.ewma_service.as_secs_f64())),
+    row("rstore_node_error_rate", G, "nodes.error_rate", "Batch-failure EWMA per node", NodeNum(|n| n.error_rate)),
     row("rstore_node_service_seconds", H, "nodes.service", "Modeled batch service time per node", NodeHist(|n| &n.service)),
 ];
 
@@ -521,10 +507,10 @@ impl Metric {
     /// unlabeled pair for a plain metric, one per stage or node for a
     /// family.
     fn series(&self, s: &StoreStats) -> Vec<(Option<(&'static str, String)>, Reading)> {
-        let per_node = |read: &dyn Fn(&NodeSample) -> Reading| {
+        let per_node = |read: &dyn Fn(&NodeStats) -> Reading| {
             s.nodes
                 .iter()
-                .map(|n| (Some(("node", n.health.node.to_string())), read(n)))
+                .map(|n| (Some(("node", n.node.to_string())), read(n)))
                 .collect()
         };
         match self.read {

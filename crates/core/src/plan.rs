@@ -173,9 +173,9 @@ impl QuerySpec {
 }
 
 /// Tunables for hedged node batches: when a fetch round's straggler
-/// outlives `factor ×` the health scoreboard's expected time for the
-/// round's slowest batch (per-key service EWMA × batch length,
-/// floored at `min` so a cold scoreboard still hedges eventually),
+/// outlives `factor ×` the expected time of the round's slowest batch
+/// (the node's per-key service EWMA × batch length, floored at `min`
+/// so an unscored node still hedges eventually),
 /// the unserved keys are re-issued to untried live replicas as backup
 /// pool jobs and the first answer wins. Off by default
 /// ([`StoreConfig::hedge`](crate::store::StoreConfig::hedge) is
@@ -185,7 +185,7 @@ pub struct HedgeConfig {
     /// Multiple of the expected batch time a straggler must exceed
     /// before backups are issued.
     pub factor: f64,
-    /// Floor for the hedge delay, guarding against a cold scoreboard
+    /// Floor for the hedge delay, guarding against an unscored node
     /// (EWMA zero would otherwise hedge instantly).
     pub min: Duration,
 }
@@ -836,8 +836,8 @@ pub(crate) fn execute_plan(
             let round_chunks: usize = round_batches.iter().map(NodeBatch::len).sum();
             // The hedge deadline, fixed once per round: `factor ×` the
             // expected time of the round's slowest batch under the
-            // scoreboard's per-key service EWMAs, floored at `min` (a
-            // cold scoreboard has EWMA zero and hedges at the floor).
+            // nodes' per-key service EWMAs, floored at `min` (an
+            // unscored node has EWMA zero and hedges at the floor).
             let hedge_at = hedge.map(|cfg| {
                 let expected = round_batches
                     .iter()

@@ -46,7 +46,7 @@ pub struct QueryStats {
     /// from `failovers`: a retry stays on the same node.
     pub retries: usize,
     /// Backup node batches issued by the hedging layer after a
-    /// round's straggler exceeded the health-scoreboard threshold
+    /// round's straggler exceeded the service-EWMA threshold
     /// (0 unless [`StoreConfig::hedge`](crate::store::StoreConfig::hedge)
     /// is set). Each hedge is duplicate work, charged here so the
     /// tail-for-bytes trade stays visible.

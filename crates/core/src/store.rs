@@ -50,8 +50,8 @@ use crate::index::Projections;
 use crate::ingest::{self, GenerationRecord, LogPosition};
 use crate::model::{ChunkId, CompositeKey, PrimaryKey, Record, VersionId};
 use crate::obs::{
-    self, MetricsRegistry, NodeSample, Obs, ObsConfig, QueryOutcome, QueryTrace,
-    SlowQuery, StoreStats, TraceSink, TID_QUERY,
+    self, MetricsRegistry, Obs, ObsConfig, QueryOutcome, QueryTrace, SlowQuery, StoreStats,
+    TraceSink, TID_QUERY,
 };
 use crate::partition::PartitionerKind;
 use crate::plan::{
@@ -62,7 +62,7 @@ use crate::serve::{ServeCore, ServeStats};
 use crate::subchunk::SubchunkPlan;
 use bytes::Bytes;
 use rstore_compress::Bitmap;
-use rstore_kvstore::{table_key, BreakerPolicy, Cluster};
+use rstore_kvstore::{table_key, Cluster};
 use rstore_vgraph::{Dataset, VersionDelta, VersionGraph};
 use rustc_hash::FxHashMap;
 use std::collections::BTreeMap;
@@ -140,19 +140,13 @@ pub struct StoreConfig {
     /// The store never compacts on its own.
     pub compaction: CompactionConfig,
     /// Hedged-read policy for the pooled executor: when set, a fetch
-    /// round whose straggler batch exceeds
-    /// `factor ×` the node's health-scoreboard service EWMA (floored
-    /// at `min`) re-issues the unserved keys to untried live replicas
-    /// as backup batches — first answer wins, duplicates are charged
-    /// to [`QueryStats::hedges`](crate::query::QueryStats::hedges).
+    /// round whose straggler batch exceeds `factor ×` the node's
+    /// per-key service EWMA (floored at `min`) re-issues the unserved
+    /// keys to untried live replicas as backup batches — first answer
+    /// wins, duplicates are charged to
+    /// [`QueryStats::hedges`](crate::query::QueryStats::hedges).
     /// `None` (the default) keeps every round single-lane.
     pub hedge: Option<HedgeConfig>,
-    /// Per-node circuit-breaker policy, applied to the backend
-    /// cluster at [`RStoreBuilder::build`]/[`RStore::reopen`] when
-    /// enabled. An Open node is skipped by replica choice exactly
-    /// like a down node until its cooldown admits a half-open probe.
-    /// Disabled by default.
-    pub breaker: BreakerPolicy,
     /// Default modeled-time budget applied to every
     /// [`RStore::execute`]: queries still queued or fetching past it
     /// fail with [`CoreError::DeadlineExceeded`], carrying partial
@@ -180,7 +174,6 @@ impl Default for StoreConfig {
             max_queued: 1024,
             compaction: CompactionConfig::default(),
             hedge: None,
-            breaker: BreakerPolicy::disabled(),
             default_deadline: None,
             obs: ObsConfig::default(),
         }
@@ -262,13 +255,6 @@ impl RStoreBuilder {
     /// Enables hedged reads on the pooled executor (off by default).
     pub fn hedge(mut self, config: HedgeConfig) -> Self {
         self.config.hedge = Some(config);
-        self
-    }
-
-    /// Sets the per-node circuit-breaker policy, applied to the
-    /// cluster when the store is built (disabled by default).
-    pub fn breaker(mut self, policy: BreakerPolicy) -> Self {
-        self.config.breaker = policy;
         self
     }
 
@@ -871,9 +857,6 @@ impl RStore {
     /// (empty for a new store, the persisted metadata on a reopen),
     /// publishing it as the initial snapshot.
     fn assemble(config: StoreConfig, cluster: Cluster, state: StoreMut) -> Self {
-        if config.breaker.enabled {
-            cluster.set_breaker(config.breaker);
-        }
         let obs = Obs::new(config.obs);
         let serve = ServeCore::new(
             config.fetch_threads,
@@ -1073,13 +1056,15 @@ impl RStore {
     /// writer with every version as one delta-indexed batch (see the
     /// `ingest` module docs).
     ///
-    /// The store must be empty; a failed load leaves it empty.
+    /// The store must be empty, and so must the backend (see
+    /// [`RStore::commit`]); a failed load leaves it empty.
     pub fn load_dataset(&self, dataset: &Dataset) -> Result<LoadReport, CoreError> {
         let mut guard = self.state.lock().unwrap();
         let st = &mut *guard;
         if !st.graph.is_empty() {
             return Err(CoreError::BadCommit("store is not empty".into()));
         }
+        ingest::refuse_existing_store(&self.cluster)?;
         let t0 = Instant::now();
         let record_store = dataset.record_store();
         let materialized = dataset.materialize(&record_store);
@@ -1236,11 +1221,18 @@ impl RStore {
     /// Commits a new version; returns its id. The delta goes to the
     /// write buffer (delta store) and is partitioned when the batch
     /// fills ([`StoreConfig::batch_size`]) or on [`RStore::seal`].
+    ///
+    /// A root commit creates the store, so it refuses with
+    /// [`CoreError::BadCommit`], writing nothing, when the backend
+    /// already holds one: that store is [`RStore::reopen`]'s to open.
     pub fn commit(&self, req: CommitRequest) -> Result<VersionId, CoreError> {
         let mut guard = self.state.lock().unwrap();
         let st = &mut *guard;
         // Resolve the request into a validated VersionDelta.
         let (v, delta, new_contents) = Self::resolve_commit(st, &req)?;
+        if req.is_root {
+            ingest::refuse_existing_store(&self.cluster)?;
+        }
         // Durable delta store write (the paper's "separate storage
         // area" for received deltas): what a restart re-admits the
         // commit from if it comes before the flush. The version enters
@@ -1751,18 +1743,10 @@ impl RStore {
     /// The one place a stats sample is taken: the registry frozen,
     /// plus every pulled surface — cache residency, admission,
     /// fragmentation, snapshot and pins, the cluster's counters and
-    /// its per-node health, load and service-time histograms. Every
-    /// exposition renders this struct (see [`obs::METRICS`]).
+    /// its per-node stats. Every exposition renders this struct (see
+    /// [`obs::METRICS`]).
     pub fn stats_snapshot(&self) -> StoreStats {
         let registry = MetricsRegistry::clone(self.obs.registry());
-        let nodes = self
-            .cluster
-            .node_health()
-            .into_iter()
-            .zip(self.cluster.per_node_stats())
-            .zip(self.cluster.node_service_histograms())
-            .map(|((health, load), service)| NodeSample { health, load, service })
-            .collect();
         StoreStats {
             versions: self.version_count(),
             storage_bytes: self.storage_bytes(),
@@ -1776,7 +1760,7 @@ impl RStore {
             cache: self.cache_stats(),
             serve: self.serve.stats(&registry),
             backend: self.cluster.stats(),
-            nodes,
+            nodes: self.cluster.node_stats(),
             registry,
         }
     }

@@ -1,21 +1,18 @@
-//! Tail-latency defense suite: hedged reads, circuit breakers and
-//! query deadlines.
+//! Tail-latency defense suite: hedged reads and query deadlines.
 //!
-//! The contract under test: every knob defaults *off* and the
+//! The contract under test: both knobs default *off* and the
 //! defenses never change answer bytes — a hedged query returns
-//! exactly what the serial single-lane oracle returns, a tripped
-//! breaker surfaces the same clean planning error a down node does,
-//! and a blown deadline fails with partial cost accounting instead
-//! of a wrong or truncated answer.
+//! exactly what the serial single-lane oracle returns, and a blown
+//! deadline fails with partial cost accounting instead of a wrong or
+//! truncated answer. (A read whose every replica is down fails with
+//! the planning error `crates/core/tests/pipeline.rs` pins.)
 
 use proptest::prelude::*;
 use rstore_core::model::{Record, VersionId};
 use rstore_core::plan::{HedgeConfig, QuerySpec};
 use rstore_core::store::RStore;
 use rstore_core::CoreError;
-use rstore_kvstore::{
-    BreakerPolicy, BreakerState, Cluster, FaultPlan, FaultRule, KvError, NetworkModel, RetryPolicy,
-};
+use rstore_kvstore::{Cluster, FaultPlan, FaultRule, NetworkModel};
 use rstore_vgraph::{Dataset, DatasetSpec, SelectionKind};
 use std::time::Duration;
 
@@ -107,7 +104,7 @@ fn hedges_fire_and_win_against_a_scripted_slow_node() {
     // Satellite regression: the injected latency is visible in the
     // per-node load report — node 0's cumulative modeled service time
     // dominates the fast replicas it was hedged away from.
-    let per_node = hedged.cluster().per_node_stats();
+    let per_node = hedged.cluster().node_stats();
     let slow_modeled = per_node[0].modeled;
     assert!(
         slow_modeled > Duration::ZERO,
@@ -120,10 +117,10 @@ fn hedges_fire_and_win_against_a_scripted_slow_node() {
         );
     }
 
-    // And the health scoreboard saw it too: node 0's service EWMA
-    // stands out the same way.
+    // And the scoring saw it too: node 0's service EWMA stands out
+    // the same way.
     let ewma0 = hedged.cluster().node_service_ewma(0);
-    assert!(ewma0 > Duration::ZERO, "scoreboard missed the slow node");
+    assert!(ewma0 > Duration::ZERO, "the service EWMA missed the slow node");
 
     // The hedge deadline is fixed at round start: three batches that
     // report at 10, 20 and 30 ms must not push a 40 ms hedge against
@@ -246,138 +243,6 @@ fn default_deadline_applies_and_explicit_none_overrides() {
     store
         .execute_with_deadline(plan, None)
         .expect("an explicit None must remove the default deadline");
-}
-
-/// Breaker lifecycle through real queries: post-retry failures on a
-/// flaky node trip its breaker Open (reads route around it like a
-/// down node, queries keep succeeding via the replica), the cooldown
-/// admits a half-open probe once the fault window has passed, and the
-/// probe's success closes the breaker again.
-#[test]
-fn breaker_opens_routes_around_and_recloses_after_cooldown() {
-    let ds = small_dataset(8804);
-    // The load takes ~30 ops per node; node 0 then refuses every op
-    // in the [60, 80) window — about one query round — and is healthy
-    // again after. Retries are disabled so each refusal is a
-    // post-retry failure the scoreboard must count.
-    let faults = FaultPlan::new(11).rule(FaultRule::transient().on_node(0).after(60).until(80));
-    let cluster = Cluster::builder()
-        .nodes(3)
-        .replication(2)
-        .faults(faults)
-        .retry(RetryPolicy::none())
-        .build();
-    let store = RStore::builder()
-        .chunk_capacity(1024)
-        .cache_budget(0)
-        .breaker(BreakerPolicy::new(2, 6))
-        .build(cluster);
-    store.load_dataset(&ds).unwrap();
-
-    // Drive queries until the breaker trips: every fetch sent to
-    // node 0 fails post-retry and the executor fails it over to the
-    // sibling replica, so answers stay correct throughout.
-    let mut opened = false;
-    for round in 0..40 {
-        for v in 0..ds.graph.len() {
-            let v = VersionId(v as u32);
-            store
-                .get_version(v)
-                .unwrap_or_else(|e| panic!("round {round}: query lost to {e}"));
-        }
-        if store.cluster().node_health()[0].breaker != BreakerState::Closed {
-            opened = true;
-            break;
-        }
-    }
-    assert!(opened, "consecutive post-retry failures must trip the breaker");
-
-    // Keep querying: the cooldown (6 scoreboard ticks = 6 fetch
-    // batches) passes, a half-open probe is re-admitted, and — the
-    // fault window long since over — the probe closes the breaker.
-    let mut closed = false;
-    for _ in 0..60 {
-        for v in 0..ds.graph.len() {
-            store.get_version(VersionId(v as u32)).unwrap();
-        }
-        if store.cluster().node_health()[0].breaker == BreakerState::Closed {
-            closed = true;
-            break;
-        }
-    }
-    assert!(closed, "a successful half-open probe must close the breaker");
-
-    // Scoreboard accounting is consistent with the story.
-    let health = &store.cluster().node_health()[0];
-    assert!(health.failures > 0);
-    assert_eq!(health.consecutive_failures, 0, "the closing probe reset the streak");
-}
-
-/// Every replica of a key Open is indistinguishable from every
-/// replica down: trip node 0's breaker *after* a healthy load, then
-/// compare the planning error against a twin whose node 0 is marked
-/// down — both must report the same clean `AllReplicasDown` for the
-/// same keys, never a panic, a hang, or a wrong answer.
-#[test]
-fn all_replicas_open_matches_node_down_planning_error() {
-    let ds = small_dataset(8806);
-    // Healthy load first (~45 ops per node with 2 nodes); node 0
-    // starts refusing every op from op 100 on, forever.
-    let faults = FaultPlan::new(17).rule(FaultRule::transient().on_node(0).after(100));
-    let cluster = Cluster::builder()
-        .nodes(2)
-        .replication(1)
-        .faults(faults)
-        .retry(RetryPolicy::none())
-        .build();
-    let store = RStore::builder()
-        .chunk_capacity(1024)
-        .cache_budget(0)
-        .breaker(BreakerPolicy::new(1, u64::MAX))
-        .build(cluster);
-    store.load_dataset(&ds).unwrap();
-
-    let twin = {
-        let cluster = Cluster::builder().nodes(2).replication(1).build();
-        let s = RStore::builder()
-            .chunk_capacity(1024)
-            .cache_budget(0)
-            .build(cluster);
-        s.load_dataset(&ds).unwrap();
-        s
-    };
-
-    // Burn through the fault-free op budget until node 0 fails and
-    // its breaker (threshold 1, infinite cooldown) latches Open.
-    let mut tripped = false;
-    for _ in 0..2000 {
-        let mut saw_error = false;
-        for v in 0..ds.graph.len() {
-            if store.get_version(VersionId(v as u32)).is_err() {
-                saw_error = true;
-            }
-        }
-        if saw_error && store.cluster().node_health()[0].breaker == BreakerState::Open {
-            tripped = true;
-            break;
-        }
-    }
-    assert!(tripped, "node 0 must eventually fail and latch Open");
-
-    twin.cluster().set_node_down(0, true);
-    for v in 0..ds.graph.len() {
-        let v = VersionId(v as u32);
-        let via_breaker = store.get_version(v);
-        let via_down = twin.get_version(v);
-        match (via_breaker, via_down) {
-            (Ok(a), Ok(b)) => assert_identical(&a, &b),
-            (
-                Err(CoreError::Kv(KvError::AllReplicasDown { tried: a })),
-                Err(CoreError::Kv(KvError::AllReplicasDown { tried: b })),
-            ) => assert_eq!(a, b, "breaker-open and node-down must strand the same keys"),
-            (a, b) => panic!("breaker-open {a:?} diverged from node-down {b:?}"),
-        }
-    }
 }
 
 fn spec_strategy() -> impl Strategy<Value = DatasetSpec> {

@@ -448,7 +448,7 @@ fn every_counter_and_histogram_moves_under_one_scripted_history() {
     faulty.load_dataset(&ds).unwrap();
     faulty.cluster().set_node_down(3, false);
     let mut v = 0;
-    while v < faulty.version_count() as u32 || faulty.cluster().node_health()[2].failures == 0 {
+    while v < faulty.version_count() as u32 || faulty.cluster().node_stats()[2].failures == 0 {
         faulty.get_version(VersionId(v % faulty.version_count() as u32)).unwrap();
         v += 1;
     }

@@ -23,10 +23,10 @@
 //! Every public verb is a thin composition over that pair: the
 //! scatter-gather calls group keys per node, send all batches, then
 //! settle them (nodes serve their batches concurrently);
-//! [`Cluster::fetch_from`] adds health scoring; [`Cluster::get`] walks
-//! the replica set in ring order; [`Cluster::put`] hints the replicas
-//! it missed; [`ClusterWriter`] streams batches while the caller keeps
-//! encoding.
+//! [`Cluster::fetch_from`] scores its node in the per-node stats;
+//! [`Cluster::get`] walks the replica set in ring order;
+//! [`Cluster::put`] hints the replicas it missed; [`ClusterWriter`]
+//! streams batches while the caller keeps encoding.
 //!
 //! Failure handling comes in three layers:
 //!
@@ -43,11 +43,10 @@
 use crate::engine::{LogEngine, MemEngine, StorageEngine};
 use crate::error::KvError;
 use crate::fault::{FaultPlan, Injected, NodeFaults, RetryPolicy};
-use crate::health::{BreakerPolicy, HealthBoard, NodeHealth};
 use crate::msg::{BatchDelete, BatchGet, BatchPut, NodeInfo, Request};
 use crate::netmodel::NetworkModel;
 use crate::ring::Ring;
-use crate::stats::{ClusterStats, NodeLoad, StatsSnapshot};
+use crate::stats::{ClusterStats, NodeStats, StatsSnapshot};
 use crate::types::{Key, Value};
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
 use rustc_hash::FxHashMap;
@@ -206,7 +205,6 @@ impl ClusterBuilder {
             retry: self.retry,
             chaos: self.faults.as_ref().is_some_and(|p| !p.is_empty()),
             hints: Mutex::new((0..self.nodes).map(|_| FxHashMap::default()).collect()),
-            health: HealthBoard::new(self.nodes, BreakerPolicy::disabled()),
         }
     }
 }
@@ -270,8 +268,8 @@ impl Node {
     /// injected latency — already charged to the node's modeled-time
     /// counters, and returned so the handlers fold it into the
     /// reply's `modeled` field: the client-visible straggler signal
-    /// the health scoreboard and the hedging threshold feed on. Crash
-    /// actions restart the engine in place before refusing.
+    /// the per-node service EWMA and the hedging threshold feed on.
+    /// Crash actions restart the engine in place before refusing.
     fn admit(&mut self) -> Result<Duration, KvError> {
         if self.down {
             return Err(KvError::NodeDown(self.id));
@@ -419,9 +417,6 @@ pub struct Cluster {
     /// Per-node pending hints: key -> value to re-replicate. Latest
     /// write wins per key. Only touched through [`Cluster::with_hints`].
     hints: Mutex<Vec<FxHashMap<Key, Value>>>,
-    /// Per-node health scores and circuit breakers, fed by every
-    /// [`Cluster::fetch_from`]; see [`crate::health`].
-    health: HealthBoard,
 }
 
 impl Cluster {
@@ -445,43 +440,23 @@ impl Cluster {
         self.stats.snapshot()
     }
 
-    /// Per-node read-batch load (`MultiGet` round trips and keys
-    /// served per node), in node-id order — the observable that makes
-    /// read-routing skew visible without a benchmark run.
-    pub fn per_node_stats(&self) -> Vec<NodeLoad> {
-        self.stats.per_node()
-    }
-
-    /// Per-node health scores (service-time EWMA, error rate,
-    /// breaker state), in node-id order. Scored by every
-    /// [`Cluster::fetch_from`] whether or not breakers are enabled.
-    pub fn node_health(&self) -> Vec<NodeHealth> {
-        self.health.snapshot()
+    /// Every node's view, in node-id order: the read batches it
+    /// served (`MultiGet` round trips, keys, modeled time — the
+    /// routing-skew and straggler signals) and the score of the
+    /// batches [`Cluster::fetch_from`] sent it (service EWMA, error
+    /// rate, service-time histogram).
+    pub fn node_stats(&self) -> Vec<NodeStats> {
+        self.stats.nodes()
     }
 
     /// EWMA of `node`'s modeled service time *per key* (zero until
     /// its first scored batch) — the input the executor's hedge
     /// threshold is derived from.
     pub fn node_service_ewma(&self, node: usize) -> Duration {
-        self.health.ewma_service(node)
+        self.stats.service_ewma(node)
     }
 
-    /// Per-node modeled *batch* service-time histograms, in node-id
-    /// order — the full distribution behind [`Self::node_service_ewma`],
-    /// recorded lock-free on every scored batch.
-    pub fn node_service_histograms(&self) -> Vec<crate::hist::HistSnapshot> {
-        self.health.service_histograms()
-    }
-
-    /// Sets the per-node circuit-breaker policy for read placement
-    /// (default [`BreakerPolicy::disabled`]: the health scoreboard
-    /// observes but routing never skips a node). The store layer
-    /// wires its `StoreConfig::breaker` knob through here.
-    pub fn set_breaker(&self, policy: BreakerPolicy) {
-        self.health.set_policy(policy);
-    }
-
-    /// Resets the counters.
+    /// Resets the traffic counters (see [`ClusterStats::reset`]).
     pub fn reset_stats(&self) {
         self.stats.reset();
     }
@@ -761,22 +736,12 @@ impl Cluster {
         Ok((slowest, removed))
     }
 
-    /// Whether `node` may serve reads right now: not administratively
-    /// down and not behind an Open circuit breaker. Both conditions
-    /// are deliberately indistinguishable to read placement — an Open
-    /// breaker *is* a down node as far as routing is concerned, so
-    /// the all-excluded degraded path is the same `AllReplicasDown`.
-    fn readable(&self, node: usize) -> bool {
-        !self.is_down(node) && self.health.allows_read(node)
-    }
-
-    /// The node that serves reads for `key`: its first readable
-    /// replica on the hash ring (live *and* breaker-admitted). This
-    /// is the placement API query planners use to group keys into
-    /// per-node batches *before* fetching.
+    /// The node that serves reads for `key`: its first live replica
+    /// on the hash ring. This is the placement API query planners use
+    /// to group keys into per-node batches *before* fetching.
     pub fn owner_of(&self, key: &[u8]) -> Result<usize, KvError> {
         self.ring
-            .first_replica_where(key, self.replication, |n| self.readable(n))
+            .first_replica_where(key, self.replication, |n| !self.is_down(n))
             .ok_or_else(|| KvError::AllReplicasDown {
                 tried: self.ring.replicas(key, self.replication),
             })
@@ -792,7 +757,7 @@ impl Cluster {
     pub fn replicas_of(&self, key: &[u8]) -> Result<Vec<usize>, KvError> {
         let live = self
             .ring
-            .replicas_where(key, self.replication, |n| self.readable(n));
+            .replicas_where(key, self.replication, |n| !self.is_down(n));
         if live.is_empty() {
             Err(KvError::AllReplicasDown {
                 tried: self.ring.replicas(key, self.replication),
@@ -805,7 +770,7 @@ impl Cluster {
     /// Sends one owned batch of keys to `node` and waits for the
     /// values plus the batch's modeled network time — the per-node
     /// half of a scatter-gather read, and the call that scores the
-    /// node on the health board. Callers route each key to its
+    /// node in its per-node stats. Callers route each key to its
     /// serving node via [`Cluster::owner_of`] first; a key the node
     /// does not hold simply comes back `None`.
     pub fn fetch_from(&self, node: usize, keys: Vec<Key>) -> Result<BatchGet, KvError> {
@@ -819,21 +784,17 @@ impl Cluster {
         if self.is_down(node) {
             return Err(KvError::NodeDown(node));
         }
-        // One scoreboard tick per batch: the deterministic clock
-        // breaker cooldowns count in.
-        self.health.tick();
         let n_keys = keys.len();
         let settled = self.settle(self.send::<Get>(node, keys));
         match settled.reply {
             Ok(mut got) => {
                 got.modeled += settled.backoff;
                 got.retries = settled.retries;
-                self.health.record_success(node, got.modeled, n_keys);
+                self.stats.record_scored_success(node, got.modeled, n_keys);
                 Ok(got)
             }
-            // Post-retry failure: the breaker's trip signal.
             Err(e) => {
-                self.health.record_failure(node);
+                self.stats.record_scored_failure(node);
                 Err(e)
             }
         }
@@ -1371,7 +1332,7 @@ mod tests {
     }
 
     #[test]
-    fn per_node_stats_track_batch_load() {
+    fn node_stats_track_batch_load() {
         let c = small_cluster(3, 1);
         for i in 0..60u32 {
             c.put(i.to_be_bytes().to_vec(), Bytes::from_static(b"x"))
@@ -1380,7 +1341,7 @@ mod tests {
         c.reset_stats();
         let keys: Vec<Key> = (0..60u32).map(|i| i.to_be_bytes().to_vec()).collect();
         let _ = c.multi_get_owned(keys).unwrap();
-        let per_node = c.per_node_stats();
+        let per_node = c.node_stats();
         assert_eq!(per_node.len(), 3);
         let total_batches: u64 = per_node.iter().map(|n| n.batch_gets).sum();
         let total_keys: u64 = per_node.iter().map(|n| n.keys_served).sum();
@@ -1391,7 +1352,7 @@ mod tests {
             "a 60-key scatter should touch all 3 nodes: {per_node:?}"
         );
         c.reset_stats();
-        assert!(c.per_node_stats().iter().all(|n| n.keys_served == 0));
+        assert!(c.node_stats().iter().all(|n| n.keys_served == 0));
     }
 
     #[test]

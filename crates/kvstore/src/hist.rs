@@ -1,11 +1,11 @@
 //! Lock-free log-bucketed latency histograms.
 //!
-//! The observability layer (core `obs`) and the per-node health
-//! scoreboard both need a latency distribution that is cheap enough
-//! to record on every batch — an atomic increment, no allocation, no
-//! lock — yet precise enough to read p50/p99 off directly. This is
-//! the classic HdrHistogram bucket layout, sized for nanosecond
-//! durations:
+//! The observability layer (core `obs`) and the per-node service
+//! times in [`crate::stats`] both need a latency distribution that is
+//! cheap enough to record on every batch — an atomic increment, no
+//! allocation, no lock — yet precise enough to read p50/p99 off
+//! directly. This is the classic HdrHistogram bucket layout, sized
+//! for nanosecond durations:
 //!
 //! * values below [`LINEAR_MAX`] (32 ns) land in one linear bucket
 //!   per nanosecond (exact);

@@ -19,7 +19,9 @@
 //!   for the paper's 16-node testbed, and it preserves the paper's
 //!   central performance driver, the too-many-queries problem (§2.3),
 //! * [`stats::ClusterStats`] counts requests and bytes, the quantities
-//!   the paper's cost analysis (Table 1) is expressed in.
+//!   the paper's cost analysis (Table 1) is expressed in, and keeps
+//!   one slot per node: its read batches, and the service-time EWMA
+//!   the query executor's hedging reads.
 //!
 //! The store is deliberately unaware of versions, chunks or indexes —
 //! those live in `rstore-core`, preserving the paper's layering.
@@ -28,7 +30,6 @@ pub mod cluster;
 pub mod engine;
 pub mod error;
 pub mod fault;
-pub mod health;
 pub mod hist;
 pub mod msg;
 pub mod netmodel;
@@ -39,9 +40,8 @@ pub mod types;
 pub use cluster::{Cluster, ClusterBuilder, ClusterWriter, EngineKind, WriteSummary};
 pub use error::KvError;
 pub use fault::{FaultAction, FaultPlan, FaultRule, RetryPolicy, TailDamage};
-pub use health::{BreakerPolicy, BreakerState, NodeHealth};
 pub use hist::{HistSnapshot, Histogram};
 pub use msg::{BatchDelete, BatchGet, BatchPut};
 pub use netmodel::NetworkModel;
-pub use stats::{NodeLoad, StatsSnapshot};
+pub use stats::{NodeStats, StatsSnapshot};
 pub use types::{table_key, Key, Value};

@@ -5,25 +5,49 @@
 //! observable for every experiment, alongside the modeled network
 //! time (useful when [`crate::NetworkModel::real_sleep`] is off).
 
+use crate::hist::{HistSnapshot, Histogram};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-/// Per-node read-batch counters: how many `MultiGet` round trips a
-/// node served and how many keys rode them. This is the routing-skew
-/// signal — under first-live routing a hot span piles its keys onto
-/// each key's first replica, while balanced routing flattens these
-/// counts across the replica set.
+/// EWMA smoothing factor for both the service-time and error-rate
+/// scores: each new batch carries 20% of the estimate.
+const EWMA_ALPHA: f64 = 0.2;
+
+/// One node's slot. The node thread counts the read batches it
+/// serves and the modeled time it spends; the client scores every
+/// [`Cluster::fetch_from`](crate::Cluster::fetch_from) batch into the
+/// service histogram and the EWMAs. The batch counts are the
+/// routing-skew signal (a hot span piles its keys onto one replica
+/// unless routing spreads them); the per-key service EWMA is what the
+/// executor's hedge threshold is derived from.
 #[derive(Debug, Default)]
 struct NodeCounters {
     batch_gets: AtomicU64,
     keys_served: AtomicU64,
     modeled_nanos: AtomicU64,
+    /// Modeled *batch* service time of every scored success — the
+    /// full distribution behind the per-key EWMA, recorded lock-free.
+    service: Histogram,
+    /// The EWMAs and scored counts, under a mutex: batches are coarse
+    /// (a full node round trip each), so one short hold per batch is
+    /// negligible next to the work it measures.
+    score: Mutex<Score>,
 }
 
-/// A point-in-time view of one node's read-batch counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NodeLoad {
+/// A node's scored batches.
+#[derive(Debug, Default)]
+struct Score {
+    ewma_service_nanos: f64,
+    error_rate: f64,
+    batches: u64,
+    failures: u64,
+}
+
+/// A point-in-time view of one node: the read batches it served and
+/// the score of the batches fetched from it.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct NodeStats {
     /// The node id.
     pub node: usize,
     /// `MultiGet` batch round trips this node served.
@@ -31,13 +55,24 @@ pub struct NodeLoad {
     /// Keys requested across those batches.
     pub keys_served: u64,
     /// Cumulative modeled service time this node spent, including
-    /// chaos-injected latency — the straggler signal. (Before PR 8
-    /// injected latency only reached the global `modeled_time`
-    /// counter, so a scripted slow node was invisible per-node.)
+    /// chaos-injected latency — the straggler signal.
     pub modeled: Duration,
+    /// EWMA of the node's modeled service time *per key* across its
+    /// scored batches (zero until the first one).
+    pub ewma_service: Duration,
+    /// EWMA of the batch failure indicator: ~0.0 for a healthy node,
+    /// climbing toward 1.0 while every batch fails.
+    pub error_rate: f64,
+    /// Successful batch replies scored.
+    pub batches: u64,
+    /// Post-retry batch failures scored.
+    pub failures: u64,
+    /// Modeled batch service times of the scored successes.
+    pub service: HistSnapshot,
 }
 
-/// Shared, lock-free counters for one cluster.
+/// Shared counters for one cluster: lock-free totals, and one slot per
+/// node.
 #[derive(Debug, Default)]
 pub struct ClusterStats {
     requests: AtomicU64,
@@ -60,13 +95,13 @@ pub struct ClusterStats {
     /// [`reset`](Self::reset) — it reflects live cluster state, not
     /// accumulated traffic.
     under_replicated: AtomicU64,
-    /// Per-node read-batch load, indexed by node id.
+    /// Per-node slots, indexed by node id.
     per_node: Vec<NodeCounters>,
 }
 
 impl ClusterStats {
-    /// Creates zeroed counters behind an `Arc`, with per-node
-    /// read-batch slots for `nodes` nodes.
+    /// Creates zeroed counters behind an `Arc`, with a slot for each
+    /// of `nodes` nodes.
     pub fn new_shared(nodes: usize) -> Arc<Self> {
         Arc::new(Self {
             per_node: (0..nodes).map(|_| NodeCounters::default()).collect(),
@@ -95,23 +130,69 @@ impl ClusterStats {
         }
     }
 
-    /// Per-node read-batch load, in node-id order.
-    pub fn per_node(&self) -> Vec<NodeLoad> {
+    /// Every node's view, in node-id order.
+    pub fn nodes(&self) -> Vec<NodeStats> {
         self.per_node
             .iter()
             .enumerate()
-            .map(|(node, c)| NodeLoad {
-                node,
-                batch_gets: c.batch_gets.load(Ordering::Relaxed),
-                keys_served: c.keys_served.load(Ordering::Relaxed),
-                modeled: Duration::from_nanos(c.modeled_nanos.load(Ordering::Relaxed)),
+            .map(|(node, c)| {
+                let service = c.service.snapshot();
+                let s = c.score.lock().expect("node score poisoned");
+                NodeStats {
+                    node,
+                    batch_gets: c.batch_gets.load(Ordering::Relaxed),
+                    keys_served: c.keys_served.load(Ordering::Relaxed),
+                    modeled: Duration::from_nanos(c.modeled_nanos.load(Ordering::Relaxed)),
+                    ewma_service: Duration::from_nanos(s.ewma_service_nanos as u64),
+                    error_rate: s.error_rate,
+                    batches: s.batches,
+                    failures: s.failures,
+                    service,
+                }
             })
             .collect()
     }
 
+    /// Scores a successful batch reply from `node`: `modeled` over
+    /// `keys` keys.
+    pub(crate) fn record_scored_success(&self, node: usize, modeled: Duration, keys: usize) {
+        let Some(c) = self.per_node.get(node) else {
+            return;
+        };
+        c.service.record_duration(modeled);
+        let per_key = modeled.as_nanos() as f64 / keys.max(1) as f64;
+        let mut s = c.score.lock().expect("node score poisoned");
+        s.ewma_service_nanos = if s.batches == 0 {
+            per_key
+        } else {
+            s.ewma_service_nanos * (1.0 - EWMA_ALPHA) + per_key * EWMA_ALPHA
+        };
+        s.error_rate *= 1.0 - EWMA_ALPHA;
+        s.batches += 1;
+    }
+
+    /// Scores a batch from `node` that failed after its retries.
+    pub(crate) fn record_scored_failure(&self, node: usize) {
+        let Some(c) = self.per_node.get(node) else {
+            return;
+        };
+        let mut s = c.score.lock().expect("node score poisoned");
+        s.error_rate = s.error_rate * (1.0 - EWMA_ALPHA) + EWMA_ALPHA;
+        s.failures += 1;
+    }
+
+    /// EWMA of `node`'s modeled service time per key (zero until its
+    /// first scored batch).
+    pub(crate) fn service_ewma(&self, node: usize) -> Duration {
+        self.per_node.get(node).map_or(Duration::ZERO, |c| {
+            let s = c.score.lock().expect("node score poisoned");
+            Duration::from_nanos(s.ewma_service_nanos as u64)
+        })
+    }
+
     /// Records modeled service time spent *on* `node` — both in the
     /// global `modeled_time` total and in the node's own slot, so
-    /// chaos-injected latency shows up in `per_node()`.
+    /// chaos-injected latency shows up in [`nodes`](Self::nodes).
     pub(crate) fn record_node_modeled(&self, node: usize, d: Duration) {
         self.record_modeled(d);
         if let Some(c) = self.per_node.get(node) {
@@ -194,9 +275,11 @@ impl ClusterStats {
         }
     }
 
-    /// Resets every traffic counter to zero. The `under_replicated`
-    /// gauge is deliberately left alone: it mirrors the pending hint
-    /// queue, which a stats reset does not drain.
+    /// Resets every traffic counter to zero, the per-node batch
+    /// counts and modeled time included. The `under_replicated` gauge
+    /// is deliberately left alone: it mirrors the pending hint queue,
+    /// which a stats reset does not drain. So are the nodes' scores
+    /// and service histograms: the hedge threshold reads the EWMA.
     pub fn reset(&self) {
         self.requests.store(0, Ordering::Relaxed);
         self.gets.store(0, Ordering::Relaxed);
@@ -238,7 +321,7 @@ pub struct StatsSnapshot {
     /// scatter-gather fan-out, as opposed to per-key `gets`. Every
     /// read travels as a batch, so a lone `Cluster::get` counts as
     /// one 1-key round trip here (and in the per-node
-    /// [`NodeLoad`] counters).
+    /// [`NodeStats`] counters).
     pub batch_gets: u64,
     /// Write round trips (one per `MultiPut` message), as opposed to
     /// per-pair `puts`; a lone `Cluster::put` is one 1-pair round
@@ -324,18 +407,18 @@ mod tests {
         s.record_batch_get(0, 5);
         s.record_batch_get(0, 7);
         s.record_batch_get(2, 1);
-        let per_node = s.per_node();
+        let per_node = s.nodes();
         assert_eq!(per_node.len(), 3);
         assert_eq!(per_node[0].batch_gets, 2);
         assert_eq!(per_node[0].keys_served, 12);
-        assert_eq!(per_node[1], NodeLoad { node: 1, ..NodeLoad::default() });
+        assert_eq!(per_node[1], NodeStats { node: 1, ..NodeStats::default() });
         assert_eq!(per_node[2].keys_served, 1);
         assert_eq!(s.snapshot().batch_gets, 3, "totals stay consistent");
         // An out-of-range node id (defensive) is a no-op, not a panic.
         s.record_batch_get(9, 4);
         assert_eq!(s.snapshot().batch_gets, 4);
         s.reset();
-        assert!(s.per_node().iter().all(|n| n.batch_gets == 0 && n.keys_served == 0));
+        assert!(s.nodes().iter().all(|n| n.batch_gets == 0 && n.keys_served == 0));
     }
 
     #[test]
@@ -344,7 +427,7 @@ mod tests {
         s.record_node_modeled(1, Duration::from_micros(40));
         s.record_node_modeled(1, Duration::from_micros(2));
         s.record_node_modeled(0, Duration::from_micros(8));
-        let per_node = s.per_node();
+        let per_node = s.nodes();
         assert_eq!(per_node[0].modeled, Duration::from_micros(8));
         assert_eq!(per_node[1].modeled, Duration::from_micros(42));
         assert_eq!(s.snapshot().modeled_time, Duration::from_micros(50));
@@ -352,7 +435,35 @@ mod tests {
         s.record_node_modeled(7, Duration::from_micros(1));
         assert_eq!(s.snapshot().modeled_time, Duration::from_micros(51));
         s.reset();
-        assert!(s.per_node().iter().all(|n| n.modeled == Duration::ZERO));
+        assert!(s.nodes().iter().all(|n| n.modeled == Duration::ZERO));
+    }
+
+    #[test]
+    fn ewma_tracks_service_time() {
+        let s = ClusterStats::new_shared(2);
+        s.record_scored_success(0, Duration::from_micros(100), 10); // 10 µs/key
+        assert_eq!(s.service_ewma(0), Duration::from_micros(10));
+        // A slower batch pulls the estimate up by the EWMA step.
+        s.record_scored_success(0, Duration::from_micros(1000), 10); // 100 µs/key
+        let e = s.service_ewma(0);
+        assert!(e > Duration::from_micros(10) && e < Duration::from_micros(100));
+        assert_eq!(s.service_ewma(1), Duration::ZERO, "unscored node stays zero");
+        assert_eq!(s.nodes()[0].service.count(), 2, "each success lands in the histogram");
+    }
+
+    #[test]
+    fn failures_raise_the_error_rate_and_outlive_a_reset() {
+        let s = ClusterStats::new_shared(1);
+        for _ in 0..100 {
+            s.record_scored_failure(0);
+        }
+        s.record_scored_success(0, Duration::from_micros(5), 1);
+        s.reset();
+        let node = &s.nodes()[0];
+        assert_eq!((node.batches, node.failures), (1, 100));
+        assert!(node.error_rate > 0.7, "one success after 100 failures");
+        assert_eq!(node.ewma_service, Duration::from_micros(5));
+        assert_eq!(node.service.count(), 1);
     }
 
     #[test]

@@ -17,16 +17,23 @@ use rstore::core::obs::{validate_scrapes, METRICS};
 use rstore::core::plan::{HedgeConfig, QuerySpec};
 use rstore::core::store::{CommitRequest, RStore, StoreConfig};
 use rstore::core::{CoreError, TraceConfig, VersionId};
-use rstore::kvstore::{BreakerPolicy, Cluster, EngineKind, FaultPlan};
+use rstore::kvstore::{Cluster, EngineKind, FaultPlan};
 use std::num::NonZeroUsize;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::process::exit;
 use std::str::FromStr;
 use std::time::Duration;
 
+/// Nodes `init` and `smoke` create a store with when `--nodes` is not
+/// given.
+const DEFAULT_NODES: usize = 2;
+
 struct Args {
     data_dir: PathBuf,
-    nodes: usize,
+    /// `--nodes`: the node count `init` and `smoke` create a store
+    /// with; any other command checks it against the data dir's node
+    /// logs.
+    nodes: Option<usize>,
     /// Fetch-pool size for the serving core; 0 sizes by host cores.
     fetch_threads: usize,
     /// Seed for the canned flaky fault plan; `None` runs fault-free.
@@ -35,15 +42,16 @@ struct Args {
     hedge: bool,
     /// Per-query deadline applied to every read command.
     deadline: Option<Duration>,
-    /// Circuit-breaker policy; `None` leaves the breaker disabled.
-    breaker: Option<BreakerPolicy>,
     command: String,
     rest: Vec<String>,
 }
 
 fn usage() -> ! {
     eprintln!(
-        "usage: rstore-cli --data-dir DIR [--nodes N] [--fetch-threads N] [--faults SEED] [--hedge] [--deadline MS] [--breaker T,C] COMMAND ...\n\
+        "usage: rstore-cli --data-dir DIR [--nodes N] [--fetch-threads N] [--faults SEED] [--hedge] [--deadline MS] COMMAND ...\n\
+         --nodes N sets the node count `init` and `smoke` create a store with\n\
+         (default 2); every other command takes it from the data dir's node\n\
+         logs, and a --nodes that disagrees is an error.\n\
          --fetch-threads N sizes the shared fetch pool (0 = auto by cores).\n\
          --faults SEED enables the canned flaky chaos plan (10% transient\n\
          refusals + 10% 1 ms latency per node); retries absorb the faults\n\
@@ -51,12 +59,10 @@ fn usage() -> ! {
          Tail-latency defenses (default-off, like the library):\n\
          --hedge re-issues straggler node batches to an untried replica\n\
          (first answer wins); --deadline MS bounds every read command's\n\
-         modeled time budget, queueing included; --breaker T,C trips a\n\
-         node open after T consecutive batch failures and half-opens it\n\
-         after C request ticks. `stats` lists the per-node health\n\
-         scoreboard (service EWMA, error rate, breaker state).\n\
+         modeled time budget, queueing included. `stats` lists each\n\
+         node's load and score (service EWMA, error rate).\n\
          commands:\n\
-           init     --set PK=VALUE ...            create the root version\n\
+           init     --set PK=VALUE ...            create the root version (in an empty data dir)\n\
            commit   --parent V [--set PK=VALUE]... [--del PK]...\n\
            checkout V [--range LO:HI]             print a (partial) version\n\
            get PK --version V                     one record from a version\n\
@@ -66,7 +72,8 @@ fn usage() -> ! {
                                                   (--prom: Prometheus text exposition; --json: unified JSON snapshot)\n\
            trace [--version V]                    run a traced checkout, print the Chrome trace-event JSON\n\
            slowlog [--threshold MS]               run a checkout per version with the slow-query log armed, print it\n\
-           smoke [--dir OUT]                      in-process observability smoke: workload, two scrapes,\n\
+           smoke [--dir OUT]                      in-process observability smoke on a new store (in an empty\n\
+                                                  data dir): workload, two scrapes,\n\
                                                   monotonicity validation; writes scrape/trace artifacts to OUT\n\
            compact                                repartition fragmented chunks in place"
     );
@@ -86,12 +93,11 @@ fn value_of<T: FromStr>(value: Option<impl AsRef<str>>, expects: &str) -> T {
 fn parse_args() -> Args {
     let mut argv = std::env::args().skip(1).peekable();
     let mut data_dir = None;
-    let mut nodes = 2usize;
+    let mut nodes = None;
     let mut fetch_threads = 0usize;
     let mut faults = None;
     let mut hedge = false;
     let mut deadline = None;
-    let mut breaker = None;
     let mut command = None;
     let mut rest = Vec::new();
     while let Some(arg) = argv.next() {
@@ -103,7 +109,7 @@ fn parse_args() -> Args {
             "--nodes" => {
                 let n: NonZeroUsize =
                     value_of(argv.next(), "--nodes expects a node count of at least 1");
-                nodes = n.get();
+                nodes = Some(n.get());
             }
             "--fetch-threads" => {
                 let expects = "--fetch-threads expects a thread count (0 = auto)";
@@ -114,17 +120,6 @@ fn parse_args() -> Args {
             "--deadline" => {
                 let ms = value_of(argv.next(), "--deadline expects a budget in milliseconds");
                 deadline = Some(Duration::from_millis(ms));
-            }
-            "--breaker" => {
-                let parsed = argv.next().and_then(|s| {
-                    let (t, c) = s.split_once(',')?;
-                    Some((t.parse::<u32>().ok()?, c.parse::<u64>().ok()?))
-                });
-                let Some((threshold, cooldown)) = parsed else {
-                    eprintln!("--breaker expects THRESHOLD,COOLDOWN (e.g. --breaker 3,64)");
-                    exit(2)
-                };
-                breaker = Some(BreakerPolicy::new(threshold, cooldown));
             }
             "--help" | "-h" => usage(),
             _ if command.is_none() => command = Some(arg),
@@ -141,7 +136,6 @@ fn parse_args() -> Args {
         faults,
         hedge,
         deadline,
-        breaker,
         command,
         rest,
     }
@@ -178,9 +172,10 @@ fn parse_changes(rest: &[String]) -> ParsedChanges {
     (sets, dels, others)
 }
 
-fn open_cluster(args: &Args) -> Cluster {
+/// A log-engine cluster of `nodes` nodes over the data dir.
+fn open_cluster(args: &Args, nodes: usize) -> Cluster {
     let mut b = Cluster::builder()
-        .nodes(args.nodes)
+        .nodes(nodes)
         .engine(EngineKind::Log {
             dir: args.data_dir.clone(),
         });
@@ -190,14 +185,60 @@ fn open_cluster(args: &Args) -> Cluster {
     b.build()
 }
 
-/// True when `dir` holds anything but empty files: a store, or what
-/// is left of one. Opening a cluster creates its node logs empty, so a
-/// dir that only saw a failed `init` holds nothing.
-fn holds_data(dir: &Path) -> bool {
-    let Ok(entries) = std::fs::read_dir(dir) else {
-        return false;
-    };
-    entries.flatten().any(|e| e.metadata().is_ok_and(|m| !m.is_file() || m.len() > 0))
+/// The cluster of a new store (`init`, `smoke`), of `--nodes` nodes.
+/// A store is created only from nothing: a data dir that holds
+/// anything but empty files — a store, or what is left of one — is
+/// refused with exit 1 before the cluster opens it, so an existing
+/// store keeps every version. (Opening a cluster creates its node
+/// logs empty, so a dir that only saw a failed `init` holds nothing.)
+fn new_cluster(args: &Args) -> Cluster {
+    let holds_data = std::fs::read_dir(&args.data_dir).is_ok_and(|entries| {
+        entries.flatten().any(|e| e.metadata().is_ok_and(|m| !m.is_file() || m.len() > 0))
+    });
+    if holds_data {
+        eprintln!(
+            "error: {} already holds data; {} creates a store only in an empty data dir",
+            args.data_dir.display(),
+            args.command
+        );
+        exit(1);
+    }
+    open_cluster(args, args.nodes.unwrap_or(DEFAULT_NODES))
+}
+
+/// The node count of the store in the data dir: its node logs, which
+/// must be `node-0.log` … `node-<n-1>.log`. The ring routes every key
+/// by the node count, so a store opens only with the count it was
+/// created with. A `--nodes` that disagrees, or a dir with no node
+/// log, exits 1 before the cluster creates any file.
+fn stored_nodes(args: &Args) -> usize {
+    let dir = &args.data_dir;
+    let mut ids: Vec<usize> = std::fs::read_dir(dir)
+        .into_iter()
+        .flatten()
+        .flatten()
+        .filter_map(|e| {
+            let name = e.file_name().into_string().ok()?;
+            name.strip_prefix("node-")?.strip_suffix(".log")?.parse().ok()
+        })
+        .collect();
+    ids.sort_unstable();
+    if ids.is_empty() || ids.iter().enumerate().any(|(i, &id)| i != id) {
+        eprintln!(
+            "error: {} holds no store (node-0.log ... node-<n-1>.log); create one with init",
+            dir.display()
+        );
+        exit(1);
+    }
+    if let Some(n) = args.nodes.filter(|&n| n != ids.len()) {
+        eprintln!(
+            "error: {} holds a {}-node store; --nodes {n} disagrees",
+            dir.display(),
+            ids.len()
+        );
+        exit(1);
+    }
+    ids.len()
 }
 
 fn store_config(args: &Args) -> StoreConfig {
@@ -205,13 +246,12 @@ fn store_config(args: &Args) -> StoreConfig {
         fetch_threads: args.fetch_threads,
         hedge: args.hedge.then(HedgeConfig::default),
         default_deadline: args.deadline,
-        breaker: args.breaker.unwrap_or_else(BreakerPolicy::disabled),
         ..StoreConfig::default()
     }
 }
 
 fn open_store(args: &Args) -> Result<RStore, CoreError> {
-    RStore::reopen(store_config(args), open_cluster(args))
+    RStore::reopen(store_config(args), open_cluster(args, stored_nodes(args)))
 }
 
 /// Reopens the store with the trace sampler and/or slow-query log
@@ -224,7 +264,7 @@ fn open_store_observed(
     let mut cfg = store_config(args);
     cfg.obs.trace = TraceConfig { sample };
     cfg.obs.slow_threshold = slow_threshold;
-    RStore::reopen(cfg, open_cluster(args))
+    RStore::reopen(cfg, open_cluster(args, stored_nodes(args)))
 }
 
 fn print_records(records: &[rstore::core::Record]) {
@@ -247,17 +287,7 @@ fn run() -> Result<(), CoreError> {
                 eprintln!("init does not accept --del");
                 exit(2);
             }
-            // A store is created only from nothing: a data dir that
-            // holds data is refused before the cluster opens it, so an
-            // existing store keeps every version.
-            if holds_data(&args.data_dir) {
-                eprintln!(
-                    "error: {} already holds data; init creates a store only in an empty data dir",
-                    args.data_dir.display()
-                );
-                exit(1);
-            }
-            let store = RStore::builder().build(open_cluster(&args));
+            let store = RStore::builder().build(new_cluster(&args));
             let v = store.commit(CommitRequest::root(sets))?;
             let flush = store.seal()?;
             println!(
@@ -379,7 +409,7 @@ fn run() -> Result<(), CoreError> {
             }
             let cfg = store.config();
             println!(
-                "tail defenses:       hedge {}, deadline {}, breaker {}",
+                "tail defenses:       hedge {}, deadline {}",
                 match cfg.hedge {
                     Some(h) => format!("on ({}x, floor {:?})", h.factor, h.min),
                     None => "off".into(),
@@ -387,14 +417,6 @@ fn run() -> Result<(), CoreError> {
                 match cfg.default_deadline {
                     Some(d) => format!("{d:?}"),
                     None => "off".into(),
-                },
-                if cfg.breaker.enabled {
-                    format!(
-                        "on (trip {}, cooldown {} tick(s))",
-                        cfg.breaker.failure_threshold, cfg.breaker.cooldown_ticks
-                    )
-                } else {
-                    "off".into()
                 },
             );
         }
@@ -479,7 +501,7 @@ fn run() -> Result<(), CoreError> {
                 .batch_size(1)
                 .trace_sample(1.0)
                 .slow_query_threshold(Duration::ZERO)
-                .build(open_cluster(&args));
+                .build(new_cluster(&args));
             let mut req = CommitRequest::root(
                 (0..16u64).map(|pk| (pk, format!("{{\"k\":{pk}}}").into_bytes())),
             );

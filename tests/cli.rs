@@ -24,6 +24,19 @@ fn stdout(out: &Output) -> String {
     String::from_utf8_lossy(&out.stdout).to_string()
 }
 
+/// The data dir's files and their sizes, by name.
+fn files(dir: &PathBuf) -> Vec<(String, u64)> {
+    let mut files: Vec<_> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| {
+            let e = e.unwrap();
+            (e.file_name().to_string_lossy().into_owned(), e.metadata().unwrap().len())
+        })
+        .collect();
+    files.sort();
+    files
+}
+
 fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("rstore-cli-it-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -123,17 +136,6 @@ fn init_refuses_a_data_dir_that_holds_a_store() {
     let dir = temp_dir("reinit");
     stdout(&cli(&dir, &["init", "--set", "0=alpha", "--set", "1=beta"]));
     stdout(&cli(&dir, &["commit", "--set", "1=gamma"]));
-    let files = |dir: &PathBuf| -> Vec<(String, u64)> {
-        let mut files: Vec<_> = std::fs::read_dir(dir)
-            .unwrap()
-            .map(|e| {
-                let e = e.unwrap();
-                (e.file_name().to_string_lossy().into_owned(), e.metadata().unwrap().len())
-            })
-            .collect();
-        files.sort();
-        files
-    };
     let before = files(&dir);
 
     let out = cli(&dir, &["init", "--set", "0=omega"]);
@@ -148,4 +150,41 @@ fn init_refuses_a_data_dir_that_holds_a_store() {
     let out = stdout(&cli(&dir, &["checkout", "1"]));
     assert!(out.contains("alpha") && out.contains("gamma") && !out.contains("beta"), "{out}");
     let _ = std::fs::remove_dir_all(dir);
+}
+
+#[test]
+fn a_store_opens_with_the_node_count_it_was_created_with() {
+    // The node count routes every key, so it comes from the data dir:
+    // a `--nodes` that disagrees exits non-zero and creates no file.
+    let dir = temp_dir("nodes");
+    stdout(&cli(&dir, &["init", "--set", "0=a", "--set", "1=b"]));
+    stdout(&cli(&dir, &["commit", "--set", "1=c"]));
+    let before = files(&dir);
+    for n in ["1", "3"] {
+        let out = cli(&dir, &["--nodes", n, "log"]);
+        assert_eq!(out.status.code(), Some(1), "--nodes {n}");
+        assert!(String::from_utf8_lossy(&out.stderr).contains("2-node store"), "--nodes {n}");
+        assert_eq!(files(&dir), before, "--nodes {n} changed the data dir");
+    }
+    for args in [&["log"][..], &["--nodes", "2", "log"]] {
+        let out = stdout(&cli(&dir, args));
+        assert!(out.contains("V0") && out.contains("V1"), "{args:?}: {out}");
+    }
+
+    // A 3-node store needs no --nodes after `init`.
+    let three = temp_dir("nodes-three");
+    stdout(&cli(&three, &["--nodes", "3", "init", "--set", "0=alpha", "--set", "1=beta"]));
+    stdout(&cli(&three, &["commit", "--set", "1=gamma"]));
+    let out = stdout(&cli(&three, &["checkout", "1"]));
+    assert!(out.contains("alpha") && out.contains("gamma") && !out.contains("beta"), "{out}");
+
+    // A dir with no node log holds no store, and is not created.
+    let none = temp_dir("nodes-none");
+    let out = cli(&none, &["log"]);
+    assert_eq!(out.status.code(), Some(1));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("holds no store"));
+    assert!(!none.exists(), "a command on a missing store created its dir");
+    for d in [dir, three] {
+        let _ = std::fs::remove_dir_all(d);
+    }
 }

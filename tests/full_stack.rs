@@ -1431,4 +1431,86 @@ fn every_entry_point_is_counted_once_and_the_expositions_agree() {
         // each histogram's mean and two quantiles.
         assert_eq!(json.len(), compared + 3 * histograms);
     });
+
+    // Quiet again: every `{node="…"}` row renders one series per node,
+    // each equal to that node's field in the one per-node cluster call.
+    let sample = store.stats_snapshot();
+    let nodes = store.cluster().node_stats();
+    assert_eq!(sample.nodes, nodes);
+    assert!(nodes.iter().map(|n| n.batches).sum::<u64>() > 0, "no batch was scored");
+    let prom = prom_values(&sample.to_prometheus());
+    type Field = fn(&rstore::kvstore::NodeStats) -> f64;
+    let fields: [(&str, Field); 8] = [
+        ("rstore_node_batch_reads_total", |n| n.batch_gets as f64),
+        ("rstore_node_keys_served_total", |n| n.keys_served as f64),
+        ("rstore_node_modeled_seconds_total", |n| n.modeled.as_secs_f64()),
+        ("rstore_node_batches_total", |n| n.batches as f64),
+        ("rstore_node_failures_total", |n| n.failures as f64),
+        ("rstore_node_service_ewma_seconds", |n| n.ewma_service.as_secs_f64()),
+        ("rstore_node_error_rate", |n| n.error_rate),
+        ("rstore_node_service_seconds_count", |n| n.service.count() as f64),
+    ];
+    let node_rows = METRICS.iter().filter(|m| m.name.starts_with("rstore_node_")).count();
+    assert_eq!(node_rows, fields.len(), "a per-node row this test does not check");
+    for (series, field) in fields {
+        let rendered = prom.keys().filter(|k| k.starts_with(&format!("{series}{{"))).count();
+        assert_eq!(rendered, nodes.len(), "{series}");
+        for n in &nodes {
+            let value = prom[&format!("{series}{{node=\"{}\"}}", n.node)];
+            assert_eq!(value, field(n), "{series} of node {}", n.node);
+        }
+    }
+}
+
+#[test]
+fn a_new_store_refuses_a_backend_that_holds_one() {
+    use rstore::core::CoreError;
+
+    let dir = std::env::temp_dir()
+        .join(format!("rstore-fullstack-recreate-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let cluster = || {
+        Cluster::builder()
+            .nodes(2)
+            .engine(rstore::kvstore::EngineKind::Log { dir: dir.clone() })
+            .build()
+    };
+    let config = {
+        let store = RStore::builder().build(cluster());
+        let root = CommitRequest::root([(0u64, b"alpha".to_vec()), (1, b"beta".to_vec())]);
+        let v0 = store.commit(root).unwrap();
+        store.commit(CommitRequest::child_of(v0).put(1, b"gamma".to_vec())).unwrap();
+        store.seal().unwrap();
+        *store.config()
+    };
+    let logs = || -> Vec<u64> {
+        (0..2)
+            .map(|i| std::fs::metadata(dir.join(format!("node-{i}.log"))).unwrap().len())
+            .collect()
+    };
+    let before = logs();
+
+    // A new store over it refuses both ways of creating a root, and
+    // writes nothing.
+    let store = RStore::builder().build(cluster());
+    let root = store.commit(CommitRequest::root([(0u64, b"omega".to_vec())]));
+    assert!(matches!(root, Err(CoreError::BadCommit(_))), "{root:?}");
+    let mut spec = DatasetSpec::tiny(9031);
+    spec.num_versions = 4;
+    let load = store.load_dataset(&spec.generate());
+    assert!(matches!(load, Err(CoreError::BadCommit(_))), "{load:?}");
+    assert_eq!(store.version_count(), 0);
+    drop(store);
+    assert_eq!(logs(), before, "a refused create wrote to the node logs");
+
+    // The store it refused is whole.
+    let store = RStore::reopen(config, cluster()).unwrap();
+    assert_eq!(store.version_count(), 2);
+    let payloads = |v: u32| -> Vec<Vec<u8>> {
+        store.get_version(VersionId(v)).unwrap().iter().map(|r| r.payload.to_vec()).collect()
+    };
+    assert_eq!(payloads(0), [b"alpha".to_vec(), b"beta".to_vec()]);
+    assert_eq!(payloads(1), [b"alpha".to_vec(), b"gamma".to_vec()]);
+    drop(store);
+    let _ = std::fs::remove_dir_all(dir);
 }
