@@ -170,10 +170,21 @@ fn push_insert(out: &mut Vec<u8>, bytes: &[u8]) {
 /// Applies a delta produced by [`diff`] to `base`, reproducing the
 /// target.
 pub fn apply_delta(base: &[u8], delta: &[u8]) -> Result<Vec<u8>, CodecError> {
+    let mut out = Vec::new();
+    apply_delta_into(base, delta, &mut out)?;
+    Ok(out)
+}
+
+/// Applies a delta produced by [`diff`] to `base`, writing the target
+/// into `out`, which is cleared first (see
+/// [`lz::decompress_into`](crate::lz::decompress_into)). On error `out`
+/// holds an unspecified prefix.
+pub fn apply_delta_into(base: &[u8], delta: &[u8], out: &mut Vec<u8>) -> Result<(), CodecError> {
+    out.clear();
     let mut r = varint::VarintReader::new(delta);
     let expected = r.read_u64()? as usize;
     // Cap the pre-allocation: the header is untrusted input.
-    let mut out = Vec::with_capacity(expected.min(1 << 20));
+    out.reserve(expected.min(1 << 20));
     while !r.is_empty() {
         let tag = r.read_bytes(1)?[0];
         match tag {
@@ -215,7 +226,7 @@ pub fn apply_delta(base: &[u8], delta: &[u8]) -> Result<Vec<u8>, CodecError> {
             actual: out.len(),
         });
     }
-    Ok(out)
+    Ok(())
 }
 
 /// Parses a delta into its op list (diagnostics / tests).

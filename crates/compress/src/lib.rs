@@ -31,7 +31,7 @@ pub mod postings;
 pub mod varint;
 
 pub use bitmap::Bitmap;
-pub use delta::{apply_delta, diff, DeltaOp};
+pub use delta::{apply_delta, apply_delta_into, diff, DeltaOp};
 pub use error::CodecError;
-pub use lz::{compress, decompress};
+pub use lz::{compress, decompress, decompress_into};
 pub use postings::PostingsList;

@@ -185,11 +185,22 @@ fn compress_into(input: &[u8], head: &mut [u32], prev: &mut [u32], base: u32, ou
 
 /// Decompresses a buffer produced by [`compress`].
 pub fn decompress(input: &[u8]) -> Result<Vec<u8>, CodecError> {
+    let mut out = Vec::new();
+    decompress_into(input, &mut out)?;
+    Ok(out)
+}
+
+/// Decompresses a buffer produced by [`compress`] into `out`, which is
+/// cleared first: a caller that reuses one buffer across calls pays no
+/// allocation once it has grown to the largest output. On error `out`
+/// holds an unspecified prefix.
+pub fn decompress_into(input: &[u8], out: &mut Vec<u8>) -> Result<(), CodecError> {
+    out.clear();
     let mut r = varint::VarintReader::new(input);
     let expected = r.read_u64()? as usize;
     // Never trust the header for pre-allocation; corrupt input could
     // declare an absurd size. Growth is bounded by `expected` below.
-    let mut out = Vec::with_capacity(expected.min(1 << 20));
+    out.reserve(expected.min(1 << 20));
     while !r.is_empty() {
         let tag = r.read_bytes(1)?[0];
         match tag {
@@ -238,7 +249,7 @@ pub fn decompress(input: &[u8]) -> Result<Vec<u8>, CodecError> {
             actual: out.len(),
         });
     }
-    Ok(out)
+    Ok(())
 }
 
 /// Convenience: compression ratio (`original / compressed`) of a buffer.

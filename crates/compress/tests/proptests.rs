@@ -1,7 +1,9 @@
 //! Property-based round-trip tests for every codec in rstore-compress.
 
 use proptest::prelude::*;
-use rstore_compress::{apply_delta, bitmap::Bitmap, diff, lz, postings::PostingsList, varint};
+use rstore_compress::{
+    apply_delta, apply_delta_into, bitmap::Bitmap, diff, lz, postings::PostingsList, varint,
+};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
@@ -234,4 +236,42 @@ fn decodes_cleanly(p: &PostingsList) -> bool {
         && ids.windows(2).all(|w| w[0] < w[1])
         && p.iter().eq(ids.iter().copied())
         && p.intersect(p) == ids
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The scratch decoders, handed a buffer that still holds an
+    /// earlier output, produce exactly what the allocating ones do —
+    /// on valid input and on garbage alike.
+    #[test]
+    fn decoding_into_a_dirty_buffer_equals_the_allocating_decoders(
+        base in prop::collection::vec(any::<u8>(), 0..1024),
+        target in prop::collection::vec(any::<u8>(), 0..1024),
+        dirt in prop::collection::vec(any::<u8>(), 0..256),
+        garbage in prop::collection::vec(any::<u8>(), 0..64),
+    ) {
+        let c = lz::compress(&target);
+        let d = diff(&base, &target);
+        for (input, delta) in [(&c, &d), (&garbage, &garbage)] {
+            let mut out = dirt.clone();
+            let got = lz::decompress_into(input, &mut out);
+            match lz::decompress(input) {
+                Ok(want) => {
+                    prop_assert!(got.is_ok());
+                    prop_assert_eq!(&out, &want);
+                }
+                Err(e) => prop_assert_eq!(got, Err(e)),
+            }
+            let mut out = dirt.clone();
+            let got = apply_delta_into(&base, delta, &mut out);
+            match apply_delta(&base, delta) {
+                Ok(want) => {
+                    prop_assert!(got.is_ok());
+                    prop_assert_eq!(&out, &want);
+                }
+                Err(e) => prop_assert_eq!(got, Err(e)),
+            }
+        }
+    }
 }

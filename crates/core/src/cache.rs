@@ -8,8 +8,8 @@
 //! merely shares its admitting generation's. Skewed real workloads
 //! (recent versions, popular keys) make the same hot chunks back
 //! consecutive queries, so RStore also keeps fully *decoded* chunks
-//! resident: the serialized bytes are parsed once,
-//! the flattened composite-key list is precomputed once, and
+//! resident: the fetched blob is parsed once, in place (an entry pins
+//! its blob and one key table, see [`crate::chunk`]), and
 //! sub-chunk decompression is memoized inside the resident [`Chunk`]
 //! (see [`SubChunk::decode`](crate::chunk::SubChunk::decode)) so a
 //! chunk is decompressed at most once while cached.
@@ -51,10 +51,9 @@ pub struct DecodedChunk {
     /// query — a [`ChunkMap`] is a handle on shared segments, and this
     /// one shares them with that snapshot's.
     pub map: ChunkMap,
-    /// Flattened composite keys (`keys[local ordinal]`), built on
-    /// first use: version retrieval never reads them, so the uncached
-    /// path pays nothing for the table.
-    keys: std::sync::OnceLock<Vec<CompositeKey>>,
+    /// The chunk-local composite keys (`keys[local ordinal]`): a
+    /// fetched chunk's own key table, shared, not a copy.
+    keys: Arc<[CompositeKey]>,
     /// Bytes charged against the cache budget.
     cost: usize,
 }
@@ -74,18 +73,18 @@ impl DecodedChunk {
             + chunk.record_count() * std::mem::size_of::<CompositeKey>()
             + 128;
         Self {
+            keys: chunk.local_keys(),
             chunk,
             map,
-            keys: std::sync::OnceLock::new(),
             cost,
         }
     }
 
-    /// The chunk-local composite keys (ordinal → key), flattened once
-    /// per decoded chunk so per-query extraction does not re-flatten
-    /// while the chunk is cache-resident.
+    /// The chunk-local composite keys (ordinal → key): the fetched
+    /// chunk's key table, which its sub-chunks' member lists are
+    /// ranges of.
     pub fn local_keys(&self) -> &[CompositeKey] {
-        self.keys.get_or_init(|| self.chunk.local_keys())
+        &self.keys
     }
 
     /// Bytes this entry is charged against the budget.

@@ -14,11 +14,23 @@
 //! flattened record list (sub-chunk members in order) defines the
 //! local ordinals the chunk map's bitmaps refer to.
 //!
+//! ## Memory model
+//!
+//! A chunk read from the backend ([`Chunk::from_blob`]) holds its blob
+//! and one key table: every sub-chunk's [`Payload`] is a range of the
+//! blob, and every sub-chunk's [`Members`] a range of the table, so a
+//! fetch costs a few allocations however many sub-chunks the chunk
+//! has, and [`Chunk::local_keys`] hands out the table itself. A built
+//! sub-chunk ([`SubChunk::build`]) owns its payload and keys. Decoding
+//! runs the LZ and delta chain through per-thread scratch buffers; a
+//! decoded member owns its bytes (one copy out of the scratch), so a
+//! record handed to a caller never pins a blob.
+//!
 //! ## Wire format
 //!
 //! ```text
 //! chunk   := varint(n_subchunks) subchunk*
-//! subchunk:= varint(n_members) member_ck{n_members} varint(len) payload
+//! subchunk:= varint(n_members) member_ck{n_members} varint(len) payload varint(raw_bytes)
 //! member_ck := 12-byte CompositeKey
 //! payload := lz( varint(rep_len) rep_bytes (varint(delta_len) delta)* )
 //! ```
@@ -26,8 +38,126 @@
 use crate::error::CoreError;
 use crate::model::CompositeKey;
 use bytes::Bytes;
-use rstore_compress::{apply_delta, diff, lz, varint};
-use std::sync::OnceLock;
+use rstore_compress::{apply_delta_into, diff, lz, varint};
+use std::cell::RefCell;
+use std::fmt;
+use std::ops::{Deref, Range};
+use std::sync::{Arc, OnceLock};
+
+/// A sub-chunk's member keys: a range of a key table. Every sub-chunk
+/// of a chunk read from a blob shares one table; a built sub-chunk
+/// owns a table of its own. Derefs to the keys.
+#[derive(Clone)]
+pub struct Members {
+    table: Arc<[CompositeKey]>,
+    /// `table[start..end]`; `u32` keeps a sub-chunk small, and
+    /// [`Chunk::from_blob`] refuses a blob whose offsets would not fit.
+    start: u32,
+    end: u32,
+}
+
+impl Members {
+    /// Number of members, without slicing the table.
+    pub fn len(&self) -> usize {
+        (self.end - self.start) as usize
+    }
+
+    /// True when there are no members.
+    pub fn is_empty(&self) -> bool {
+        self.start == self.end
+    }
+}
+
+impl Deref for Members {
+    type Target = [CompositeKey];
+
+    fn deref(&self) -> &[CompositeKey] {
+        &self.table[self.start as usize..self.end as usize]
+    }
+}
+
+impl fmt::Debug for Members {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&**self, f)
+    }
+}
+
+impl PartialEq for Members {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for Members {}
+
+/// A sub-chunk's compressed bytes: a range of the blob a read chunk
+/// came from, or an owned buffer for a built one. Derefs to the bytes.
+#[derive(Clone)]
+pub struct Payload(Repr);
+
+#[derive(Clone)]
+enum Repr {
+    Owned(Vec<u8>),
+    /// `blob[start..end]`.
+    Blob(Bytes, u32, u32),
+}
+
+impl Payload {
+    /// The payload as an owned buffer, copied out of its blob first if
+    /// it is a range of one (copy-on-write; the blob is not touched).
+    pub fn to_mut(&mut self) -> &mut Vec<u8> {
+        if let Repr::Blob(..) = self.0 {
+            self.0 = Repr::Owned(self.to_vec());
+        }
+        match &mut self.0 {
+            Repr::Owned(bytes) => bytes,
+            Repr::Blob(..) => unreachable!("converted to owned above"),
+        }
+    }
+}
+
+impl Deref for Payload {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        match &self.0 {
+            Repr::Owned(bytes) => bytes,
+            Repr::Blob(blob, start, end) => &blob[*start as usize..*end as usize],
+        }
+    }
+}
+
+impl fmt::Debug for Payload {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&**self, f)
+    }
+}
+
+impl PartialEq for Payload {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for Payload {}
+
+/// Per-thread decode buffers: the LZ output, and the two ends of the
+/// delta chain (the member before and the member being rebuilt).
+#[derive(Default)]
+struct Scratch {
+    inner: Vec<u8>,
+    prev: Vec<u8>,
+    next: Vec<u8>,
+}
+
+/// A scratch buffer that grew past this (a huge sub-chunk, or a damaged
+/// one that declared a huge size) is released after the decode instead
+/// of staying with its thread.
+const SCRATCH_KEEP: usize = 1 << 20;
+
+thread_local! {
+    static SCRATCH: RefCell<Scratch> = RefCell::default();
+}
 
 /// A compressed group of same-key records.
 ///
@@ -38,9 +168,9 @@ use std::sync::OnceLock;
 #[derive(Debug, Clone)]
 pub struct SubChunk {
     /// Composite keys of the members; the first is the representative.
-    pub members: Vec<CompositeKey>,
+    pub members: Members,
     /// LZ-compressed payload (representative + deltas).
-    pub payload: Vec<u8>,
+    pub payload: Payload,
     /// Uncompressed size of all member records, for accounting.
     pub raw_bytes: usize,
     /// Memoized decompressed member payloads (not part of identity).
@@ -84,8 +214,12 @@ impl SubChunk {
             raw_bytes += cur.len();
         }
         SubChunk {
-            members: records.iter().map(|&(ck, _)| ck).collect(),
-            payload: lz::compress(&inner),
+            members: Members {
+                table: records.iter().map(|&(ck, _)| ck).collect(),
+                start: 0,
+                end: records.len() as u32,
+            },
+            payload: Payload(Repr::Owned(lz::compress(&inner))),
             raw_bytes,
             decoded: OnceLock::new(),
         }
@@ -122,24 +256,63 @@ impl SubChunk {
     }
 
     /// Decompresses all member payloads without touching the memo
-    /// (used by the memoizing path and by one-shot consumers).
+    /// (used by the memoizing path and by one-shot consumers). Each
+    /// member is one allocation, copied out of the per-thread scratch.
     pub fn decode_uncached(&self) -> Result<Vec<Bytes>, CoreError> {
-        let inner = lz::decompress(&self.payload)?;
-        let mut r = varint::VarintReader::new(&inner);
-        let rep_len = r.read_u64()? as usize;
         let mut out: Vec<Bytes> = Vec::with_capacity(self.members.len());
-        out.push(Bytes::from(r.read_bytes(rep_len)?.to_vec()));
-        for i in 1..self.members.len() {
-            let delta_len = r.read_u64()? as usize;
-            let delta = r.read_bytes(delta_len)?;
-            let next = apply_delta(&out[i - 1], delta)?;
-            out.push(Bytes::from(next));
-        }
-        if !r.is_empty() {
-            return Err(CoreError::Codec("trailing bytes in sub-chunk".into()));
-        }
+        self.walk(|member| out.push(Bytes::copy_from_slice(member)))?;
         Ok(out)
     }
+
+    /// Runs the decode of [`SubChunk::decode_uncached`] and keeps
+    /// nothing: `Ok` exactly when that decode succeeds. Allocates
+    /// nothing once the thread's scratch has grown to the sub-chunk.
+    pub fn check(&self) -> Result<(), CoreError> {
+        self.walk(|_| ())
+    }
+
+    /// The one decoder: LZ-decompresses the payload and replays the
+    /// delta chain through the thread's scratch, handing each member's
+    /// bytes to `emit` in member order.
+    fn walk(&self, mut emit: impl FnMut(&[u8])) -> Result<(), CoreError> {
+        SCRATCH.with_borrow_mut(|scratch| {
+            let Scratch { inner, prev, next } = scratch;
+            let walked = (|| {
+                lz::decompress_into(&self.payload, inner)?;
+                let mut r = varint::VarintReader::new(&inner[..]);
+                let rep_len = r.read_u64()? as usize;
+                let rep = r.read_bytes(rep_len)?;
+                emit(rep);
+                for i in 1..self.members.len() {
+                    let delta_len = r.read_u64()? as usize;
+                    let delta = r.read_bytes(delta_len)?;
+                    let base: &[u8] = if i == 1 { rep } else { &prev[..] };
+                    apply_delta_into(base, delta, next)?;
+                    emit(&next[..]);
+                    std::mem::swap(prev, next);
+                }
+                if !r.is_empty() {
+                    return Err(CoreError::Codec("trailing bytes in sub-chunk".into()));
+                }
+                Ok(())
+            })();
+            for buf in [inner, prev, next] {
+                if buf.capacity() > SCRATCH_KEEP {
+                    *buf = Vec::new();
+                }
+            }
+            walked
+        })
+    }
+}
+
+/// One sub-chunk's header as it sits in a chunk blob.
+struct Header<'a> {
+    /// The members' 12-byte keys, back to back.
+    keys: &'a [u8],
+    /// Where the payload sits in the blob.
+    payload: Range<usize>,
+    raw_bytes: usize,
 }
 
 /// A chunk: an ordered list of sub-chunks stored under one backend key.
@@ -170,8 +343,22 @@ impl Chunk {
         self.subchunks.iter().map(SubChunk::len).sum()
     }
 
-    /// The flattened composite-key list defining chunk-local ordinals.
-    pub fn local_keys(&self) -> Vec<CompositeKey> {
+    /// The composite keys in chunk-local order (`keys[local ordinal]`).
+    /// For a chunk read from a blob this is its key table, shared;
+    /// otherwise the sub-chunks' keys are flattened into a new one.
+    pub fn local_keys(&self) -> Arc<[CompositeKey]> {
+        if let Some(first) = self.subchunks.first() {
+            let table = &first.members.table;
+            let mut at = 0;
+            let shared = self.subchunks.iter().all(|sc| {
+                let next = Arc::ptr_eq(&sc.members.table, table) && sc.members.start == at;
+                at = sc.members.end;
+                next
+            });
+            if shared && at as usize == table.len() {
+                return Arc::clone(table);
+            }
+        }
         self.subchunks
             .iter()
             .flat_map(|s| s.members.iter().copied())
@@ -194,7 +381,7 @@ impl Chunk {
         varint::write_u64(&mut out, subchunks.len() as u64);
         for sc in subchunks {
             varint::write_u64(&mut out, sc.members.len() as u64);
-            for ck in &sc.members {
+            for ck in sc.members.iter() {
                 out.extend_from_slice(&ck.to_bytes());
             }
             varint::write_u64(&mut out, sc.payload.len() as u64);
@@ -204,41 +391,77 @@ impl Chunk {
         out
     }
 
-    /// Deserializes a buffer produced by [`Chunk::serialize`].
+    /// Deserializes a buffer produced by [`Chunk::serialize`], copying
+    /// it once and then reading it in place ([`Chunk::from_blob`]).
     pub fn deserialize(input: &[u8]) -> Result<Self, CoreError> {
+        Self::from_blob(&Bytes::copy_from_slice(input))
+    }
+
+    /// Reads a blob produced by [`Chunk::serialize`] in place: every
+    /// sub-chunk's payload is a range of `blob` and its members a range
+    /// of one key table. Three allocations (the key list, the table and
+    /// the sub-chunk list) whatever the sub-chunk count.
+    pub fn from_blob(blob: &Bytes) -> Result<Self, CoreError> {
+        // Every offset below is at most the blob's length, so each fits
+        // the `u32` ranges.
+        if u32::try_from(blob.len()).is_err() {
+            return Err(CoreError::Codec("chunk blob exceeds 4 GiB".into()));
+        }
+        // The first pass checks the whole layout and counts; the
+        // others cannot fail.
+        let (n_sub, n_keys) = Self::headers(blob, |_| ())?;
+        let mut keys = Vec::with_capacity(n_keys);
+        Self::headers(blob, |h| {
+            keys.extend(h.keys.chunks_exact(12).map(|b| {
+                CompositeKey::from_bytes(b.try_into().expect("chunks_exact yields 12 bytes"))
+            }))
+        })?;
+        let table: Arc<[CompositeKey]> = keys.into();
+        let mut subchunks = Vec::with_capacity(n_sub);
+        let mut at = 0;
+        Self::headers(blob, |h| {
+            let start = at;
+            at += (h.keys.len() / 12) as u32;
+            subchunks.push(SubChunk {
+                members: Members { table: Arc::clone(&table), start, end: at },
+                payload: Payload(Repr::Blob(blob.clone(), h.payload.start as u32, h.payload.end as u32)),
+                raw_bytes: h.raw_bytes,
+                decoded: OnceLock::new(),
+            });
+        })?;
+        Ok(Chunk { subchunks })
+    }
+
+    /// Walks the sub-chunk headers of a serialized chunk, handing each
+    /// to `visit`; returns the sub-chunk and member counts.
+    fn headers(input: &[u8], mut visit: impl FnMut(Header<'_>)) -> Result<(usize, usize), CoreError> {
         let mut r = varint::VarintReader::new(input);
         let n_sub = r.read_u64()? as usize;
         if n_sub > input.len() {
             return Err(CoreError::Codec("sub-chunk count exceeds input".into()));
         }
-        let mut subchunks = Vec::with_capacity(n_sub);
+        let mut n_keys = 0;
         for _ in 0..n_sub {
             let n_members = r.read_u64()? as usize;
             if n_members > input.len() {
                 return Err(CoreError::Codec("member count exceeds input".into()));
             }
-            let mut members = Vec::with_capacity(n_members);
-            for _ in 0..n_members {
-                let bytes: [u8; 12] = r
-                    .read_bytes(12)?
-                    .try_into()
-                    .expect("read_bytes returned 12 bytes");
-                members.push(CompositeKey::from_bytes(&bytes));
-            }
+            let keys = r.read_bytes(n_members * 12)?;
             let payload_len = r.read_u64()? as usize;
-            let payload = r.read_bytes(payload_len)?.to_vec();
+            let start = r.position();
+            r.read_bytes(payload_len)?;
             let raw_bytes = r.read_u64()? as usize;
-            subchunks.push(SubChunk {
-                members,
-                payload,
+            n_keys += n_members;
+            visit(Header {
+                keys,
+                payload: start..start + payload_len,
                 raw_bytes,
-                decoded: OnceLock::new(),
             });
         }
         if !r.is_empty() {
             return Err(CoreError::Codec("trailing bytes in chunk".into()));
         }
-        Ok(Chunk { subchunks })
+        Ok((n_sub, n_keys))
     }
 }
 
@@ -314,11 +537,11 @@ mod tests {
         // A bad tag on the first LZ token, right after the length.
         let mut sc = SubChunk::build(&records);
         let (_, header) = varint::read_u64(&sc.payload).unwrap();
-        sc.payload[header] = 0x77;
+        sc.payload.to_mut()[header] = 0x77;
         assert!(matches!(sc.decode(), Err(CoreError::Codec(_))));
         // One member fewer than the payload holds: trailing bytes.
         let mut sc = SubChunk::build(&records);
-        sc.members.pop();
+        sc.members.end -= 1;
         assert!(matches!(sc.decode(), Err(CoreError::Codec(_))));
     }
 
@@ -353,8 +576,8 @@ mod tests {
         assert_eq!(decoded, chunk);
         assert_eq!(decoded.record_count(), 5);
         assert_eq!(
-            decoded.local_keys(),
-            vec![ck(1, 0), ck(1, 1), ck(1, 2), ck(2, 0), ck(2, 1)]
+            &decoded.local_keys()[..],
+            [ck(1, 0), ck(1, 1), ck(1, 2), ck(2, 0), ck(2, 1)]
         );
         assert_eq!(decoded.raw_bytes(), 3 * 100 + 2 * 50);
     }

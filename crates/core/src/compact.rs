@@ -596,19 +596,24 @@ impl RStore {
 
         // The check: every victim sub-chunk, carried ones included, is
         // decoded across the ingest workers before anything is written
-        // — the one check on the victims' bytes. It fills no memo; only
-        // the payloads of the sub-chunks no group carries are kept, for
-        // the encode. The scan cached the victims undecoded, so one
-        // that fails here is evicted, as a query's failed read evicts
-        // it.
+        // — the one check on the victims' bytes. It fills no memo; a
+        // carried sub-chunk is only checked, through the thread's
+        // scratch, and only the sub-chunks no group carries yield their
+        // payloads, for the encode. The scan cached the victims
+        // undecoded, so one that fails here is evicted, as a query's
+        // failed read evicts it.
         let t = Instant::now();
         let checked = plan::parallel_map((0..fetched.len()).collect(), self.ingest_workers(), |c| {
             let mut first = bases[c] as usize;
             (fetched[c].chunk.subchunks.iter())
                 .map(|sc| {
-                    let (payloads, at) = (sc.decode_uncached()?, first);
+                    let at = first;
                     first += sc.len();
-                    Ok(if is_carried.get(at) { Vec::new() } else { payloads })
+                    if is_carried.get(at) {
+                        sc.check().map(|()| Vec::new())
+                    } else {
+                        sc.decode_uncached()
+                    }
                 })
                 .collect::<Result<Vec<Vec<Bytes>>, CoreError>>()
                 .inspect_err(|_| self.cache.invalidate(victims[c]))

@@ -92,7 +92,7 @@ use bytes::Bytes;
 use crossbeam::channel::bounded;
 use rstore_compress::{varint, Bitmap};
 use rstore_kvstore::{table_key, Cluster, Key, WriteSummary};
-use rstore_vgraph::{VersionDelta, VersionGraph};
+use rstore_vgraph::{apply_changes, VersionDelta, VersionGraph};
 use rustc_hash::FxHashMap;
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
@@ -804,44 +804,6 @@ pub(crate) fn contents_from_maps(
     Ok(contents)
 }
 
-/// A version's contents from its primary parent's:
-/// `parent − removed + added`, every list sorted by key and holding a
-/// key at most once. The unchanged runs between two changes are copied
-/// whole. `Err` says what clashes: a removal the parent does not hold,
-/// or an addition of a key the result already holds.
-pub(crate) fn apply_changes(
-    parent: &[(PrimaryKey, VersionId)],
-    removed: &[(PrimaryKey, VersionId)],
-    added: &[(PrimaryKey, VersionId)],
-) -> Result<Vec<(PrimaryKey, VersionId)>, String> {
-    let mut out = Vec::with_capacity((parent.len() + added.len()).saturating_sub(removed.len()));
-    let (mut removed, mut added) = (removed.iter().peekable(), added.iter().peekable());
-    let mut rest = parent;
-    loop {
-        let key = match (removed.peek(), added.peek()) {
-            (None, None) => break,
-            (r, a) => r.map_or(PrimaryKey::MAX, |e| e.0).min(a.map_or(PrimaryKey::MAX, |e| e.0)),
-        };
-        let run = rest.partition_point(|e| e.0 < key);
-        out.extend_from_slice(&rest[..run]);
-        rest = &rest[run..];
-        if let Some(gone) = removed.next_if(|e| e.0 == key) {
-            if rest.first() != Some(gone) {
-                return Err(format!("drops K{key} of {}, which its parent does not hold", gone.1));
-            }
-            rest = &rest[1..];
-        }
-        if let Some(&new) = added.next_if(|e| e.0 == key) {
-            if rest.first().is_some_and(|e| e.0 == key) || out.last().is_some_and(|e| e.0 == key) {
-                return Err(format!("holds K{key} twice"));
-            }
-            out.push(new);
-        }
-    }
-    out.extend_from_slice(rest);
-    Ok(out)
-}
-
 /// Commit `v`'s contents from its primary parent's and its delta:
 /// `parent − removed + added`, every added record originating at `v`.
 /// One derivation for a live commit and a re-admitted one.
@@ -1205,7 +1167,7 @@ impl RStore {
                 .collect();
             let mut local = 0u32;
             for (&g, sc) in items.iter().zip(&parts) {
-                for (&ord, &ck) in groups[g as usize].iter().zip(&sc.members) {
+                for (&ord, &ck) in groups[g as usize].iter().zip(sc.members.iter()) {
                     chunks.slots[ord as usize] = (n as u32, local);
                     chunks.placed.push((ck, (chunk_id, local)));
                     local += 1;
@@ -1395,10 +1357,10 @@ impl RStore {
         let stored = self.cluster.multi_get_owned(live.iter().map(|&c| plan::backend_key(c)).collect())?;
         let mut chunks = Vec::with_capacity(live.len());
         for (&c, blob) in live.iter().zip(stored) {
-            let chunk = Chunk::deserialize(&blob.ok_or(CoreError::MissingChunk(c))?)?;
+            let chunk = Chunk::from_blob(&blob.ok_or(CoreError::MissingChunk(c))?)?;
             chunks.push((c, chunk.compressed_bytes(), chunk.local_keys()));
         }
-        let blobs: Vec<_> = chunks.iter().map(|(c, bytes, keys)| (*c, *bytes, keys.as_slice())).collect();
+        let blobs: Vec<_> = chunks.iter().map(|(c, bytes, keys)| (*c, *bytes, &keys[..])).collect();
         derive_from_blobs(&mut st, &blobs)?;
         let maps = live.iter().map(|&c| (c, st.slots[c as usize].map.serialize())).collect();
         Ok((maps, Arc::unwrap_or_clone(st.projections)))

@@ -646,7 +646,7 @@ fn run_batch(ctx: &FetchCtx, seq: usize, batch: NodeBatch) -> BatchOutcome {
         let _decode_span = crate::obs::span_opt(&ctx.trace, TID_NODE_BASE + node as u32, || {
             format!("decode C{}", p.id)
         });
-        let decoded = Chunk::deserialize(&blob).and_then(|chunk| {
+        let decoded = Chunk::from_blob(&blob).and_then(|chunk| {
             let dc = DecodedChunk::new(chunk, ChunkMap::clone(&p.map));
             ctx.spec.decode(&dc)?;
             Ok(Arc::new(dc))
@@ -1299,7 +1299,7 @@ mod tests {
         let mut chunk = Chunk::deserialize(&blob).unwrap();
         for sc in &mut chunk.subchunks {
             let (_, header) = rstore_compress::varint::read_u64(&sc.payload).unwrap();
-            sc.payload[header] = 0x77;
+            sc.payload.to_mut()[header] = 0x77;
         }
         store.cluster().put(backend_key(id), chunk.serialize().into()).unwrap();
         let scan = store.plan_chunks(vec![id]).unwrap();

@@ -126,13 +126,13 @@ pub fn extract_from_iter(
         };
         if next < end {
             // At least one requested member in this sub-chunk.
-            let payloads = sc.decode()?;
+            let (payloads, members) = (sc.decode()?, &*sc.members);
             while let Some(&local) = it.peek() {
                 if local >= end {
                     break;
                 }
                 let member = local - base;
-                let ck = sc.members[member];
+                let ck = members[member];
                 out.push(Record::new(ck.pk, ck.origin, payloads[member].clone()));
                 it.next();
             }
@@ -246,7 +246,7 @@ mod tests {
         // Sub-chunk 1 (local 2) does not decode: its first LZ token
         // has a bad tag.
         let mut chunk = sample_chunk();
-        chunk.subchunks[1].payload[1] = 0x77;
+        chunk.subchunks[1].payload.to_mut()[1] = 0x77;
         // Locals 0, 1, 3 and 4 live in sub-chunks 0 and 2; ordinals
         // past the chunk's end are extraction's to report.
         decode_locals(&chunk, [0, 1, 3, 4, 99]).unwrap();

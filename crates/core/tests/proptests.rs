@@ -9,10 +9,14 @@
 //!   and through a restart's replay,
 //! * query results over a fully loaded store match the
 //!   materialization oracle for random datasets and partitioners,
-//! * random commit sequences keep the store consistent.
+//! * random commit sequences keep the store consistent,
+//! * a blob read in place equals the copied parse, and damaged blobs
+//!   decode exactly as the allocating reference decoder does.
 
+use bytes::Bytes;
 use proptest::prelude::*;
 use rstore_core::chunk::{Chunk, SubChunk};
+use rstore_core::CoreError;
 use rstore_core::chunkmap::ChunkMap;
 use rstore_core::model::{CompositeKey, VersionId};
 use rstore_core::partition::PartitionerKind;
@@ -428,5 +432,151 @@ proptest! {
                 prop_assert_eq!(&rec.payload, expect.get(&rec.pk).unwrap());
             }
         }
+    }
+}
+
+/// A chunk of same-key groups of at most `k` members, each member a
+/// few byte edits of the one before (so the deltas carry copies).
+fn chunk_strategy(k: usize) -> impl Strategy<Value = (Chunk, Vec<Vec<Vec<u8>>>)> {
+    let group = (
+        prop::collection::vec(any::<u8>(), 1..160),
+        prop::collection::vec(prop::collection::vec((any::<prop::sample::Index>(), any::<u8>()), 0..4), 0..k),
+    );
+    prop::collection::vec(group, 0..12).prop_map(|groups| {
+        let payloads: Vec<Vec<Vec<u8>>> = groups
+            .into_iter()
+            .map(|(mut payload, edits)| {
+                let mut members = vec![payload.clone()];
+                for edit in edits {
+                    for (at, byte) in edit {
+                        let i = at.index(payload.len());
+                        payload[i] = byte;
+                    }
+                    members.push(payload.clone());
+                }
+                members
+            })
+            .collect();
+        let subchunks = (payloads.iter().zip(0u64..))
+            .map(|(members, pk)| {
+                let records: Vec<(CompositeKey, &[u8])> = (members.iter().zip(0u32..))
+                    .map(|(p, v)| (CompositeKey::new(pk, VersionId(v)), p.as_slice()))
+                    .collect();
+                SubChunk::build(&records)
+            })
+            .collect();
+        (Chunk { subchunks }, payloads)
+    })
+}
+
+/// The allocating decoder the scratch decode replaced: LZ into a fresh
+/// buffer, then each member delta-applied into a fresh buffer.
+fn reference_decode(sc: &SubChunk) -> Result<Vec<Vec<u8>>, CoreError> {
+    let inner = rstore_compress::lz::decompress(&sc.payload)?;
+    let mut r = rstore_compress::varint::VarintReader::new(&inner);
+    let rep_len = r.read_u64()? as usize;
+    let mut out = vec![r.read_bytes(rep_len)?.to_vec()];
+    for i in 1..sc.len() {
+        let delta_len = r.read_u64()? as usize;
+        let delta = r.read_bytes(delta_len)?;
+        out.push(rstore_compress::apply_delta(&out[i - 1], delta)?);
+    }
+    if !r.is_empty() {
+        return Err(CoreError::Codec("trailing bytes in sub-chunk".into()));
+    }
+    Ok(out)
+}
+
+/// Every sub-chunk of `chunk` decodes (or fails) exactly as the
+/// reference does, and `check` agrees with the decode.
+fn decodes_like_the_reference(chunk: &Chunk) -> Result<(), TestCaseError> {
+    for sc in &chunk.subchunks {
+        let got = sc.decode_uncached();
+        match reference_decode(sc) {
+            Ok(want) => {
+                let got = got.map_err(|e| TestCaseError::fail(format!("reference decodes, scratch fails: {e}")))?;
+                prop_assert_eq!(got.iter().map(|b| b.to_vec()).collect::<Vec<_>>(), want);
+                prop_assert!(sc.check().is_ok());
+            }
+            Err(_) => {
+                prop_assert!(got.is_err(), "the reference fails, the scratch decode does not");
+                prop_assert!(sc.check().is_err());
+            }
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// At k = 1 and k = 4, a blob read in place equals the copied
+    /// parse, shares one key table, and every sub-chunk decodes to its
+    /// members' payloads.
+    #[test]
+    fn a_blob_read_in_place_equals_the_copied_parse(
+        (one, payloads_one) in chunk_strategy(1),
+        (four, payloads_four) in chunk_strategy(4),
+    ) {
+        for (chunk, payloads) in [(one, payloads_one), (four, payloads_four)] {
+            let bytes = chunk.serialize();
+            let read = Chunk::from_blob(&Bytes::from(bytes.clone())).unwrap();
+            prop_assert_eq!(&read, &Chunk::deserialize(&bytes).unwrap());
+            prop_assert_eq!(&read, &chunk);
+            prop_assert_eq!(&read.local_keys()[..], &chunk.local_keys()[..]);
+            for (sc, members) in read.subchunks.iter().zip(&payloads) {
+                let decoded = sc.decode_uncached().unwrap();
+                prop_assert_eq!(decoded.iter().map(|b| b.to_vec()).collect::<Vec<_>>(), members.clone());
+                prop_assert!(sc.check().is_ok());
+            }
+        }
+    }
+
+    /// A bit flip anywhere in a valid blob, or a truncation of it,
+    /// never panics: `from_blob` fails, or every sub-chunk it yields
+    /// decodes (or fails) exactly as the allocating reference does. A
+    /// flip outside a sub-chunk's payload leaves that sub-chunk's
+    /// bytes right, and a proper prefix never parses.
+    #[test]
+    fn a_damaged_blob_fails_or_decodes_like_the_reference(
+        (chunk, payloads) in chunk_strategy(4),
+        flip in any::<prop::sample::Index>(),
+        bit in 0u8..8,
+        cut in any::<prop::sample::Index>(),
+    ) {
+        let intact = chunk.serialize();
+        let mut flipped = intact.clone();
+        let at = flip.index(flipped.len());
+        flipped[at] ^= 1 << bit;
+        if let Ok(damaged) = Chunk::from_blob(&Bytes::from(flipped)) {
+            decodes_like_the_reference(&damaged)?;
+            if damaged.subchunks.len() == chunk.subchunks.len() {
+                for ((sc, was), members) in damaged.subchunks.iter().zip(&chunk.subchunks).zip(&payloads) {
+                    if sc.payload == was.payload && sc.len() == was.len() {
+                        let decoded = sc.decode_uncached().unwrap();
+                        prop_assert_eq!(decoded.iter().map(|b| b.to_vec()).collect::<Vec<_>>(), members.clone());
+                    }
+                }
+            }
+        }
+        let prefix = &intact[..cut.index(intact.len())];
+        prop_assert!(Chunk::from_blob(&Bytes::copy_from_slice(prefix)).is_err());
+    }
+
+    /// Sub-chunks whose payload bytes are damaged directly (the blob
+    /// framing intact) decode exactly as the reference does.
+    #[test]
+    fn a_damaged_payload_decodes_like_the_reference(
+        (chunk, _) in chunk_strategy(4),
+        flips in prop::collection::vec((any::<prop::sample::Index>(), any::<prop::sample::Index>(), 0u8..8), 1..4),
+    ) {
+        let mut read = Chunk::from_blob(&Bytes::from(chunk.serialize())).unwrap();
+        let n = read.subchunks.len();
+        for (sc, at, bit) in flips.into_iter().filter(|_| n > 0) {
+            let payload = read.subchunks[sc.index(n)].payload.to_mut();
+            let i = at.index(payload.len());
+            payload[i] ^= 1 << bit;
+        }
+        decodes_like_the_reference(&read)?;
     }
 }

@@ -26,5 +26,5 @@ pub use delta::VersionDelta;
 pub use gen::{Dataset, DatasetSpec, SelectionKind};
 pub use graph::{VersionGraph, VersionNode};
 pub use ids::{CompositeKey, PrimaryKey, VersionId};
-pub use materialize::{MaterializedVersions, RecordStore};
+pub use materialize::{apply_changes, MaterializedVersions, RecordStore};
 pub use record::Record;

@@ -17,6 +17,7 @@ use crate::graph::VersionGraph;
 use crate::ids::{CompositeKey, PrimaryKey, VersionId};
 use bytes::Bytes;
 use rustc_hash::FxHashMap;
+use std::fmt;
 
 /// Dense interning of distinct records and their payloads.
 ///
@@ -111,42 +112,40 @@ pub struct MaterializedVersions {
 }
 
 impl MaterializedVersions {
-    /// Replays `deltas` down the primary-parent tree of `graph`.
+    /// Replays `deltas` down the primary-parent tree of `graph`: each
+    /// version is its primary parent's sorted contents minus the
+    /// records its delta removes plus the ones it adds
+    /// ([`apply_changes`], one pass over sorted runs).
     ///
     /// # Panics
-    /// Panics if a delta removes a key that is not live in its parent
-    /// (such a dataset is inconsistent).
+    /// Panics if a delta removes a record that is not live in its
+    /// parent, or adds a key that stays live (such a dataset is
+    /// inconsistent).
     pub fn build(graph: &VersionGraph, deltas: &[VersionDelta], store: &RecordStore) -> Self {
         assert_eq!(graph.len(), deltas.len(), "one delta per version");
         let mut contents: Vec<Vec<(PrimaryKey, u32)>> = vec![Vec::new(); graph.len()];
+        let (mut removed, mut added) = (Vec::new(), Vec::new());
         // Ids are topological, so parents are always built first.
         for node in graph.nodes() {
             let v = node.id;
-            let mut map: FxHashMap<PrimaryKey, u32> = match node.primary_parent() {
-                Some(p) => contents[p.index()].iter().copied().collect(),
-                None => FxHashMap::default(),
-            };
             let delta = &deltas[v.index()];
-            for &ck in &delta.removed {
-                let ord = store.ord(ck).expect("removed record was never added");
-                match map.remove(&ck.pk) {
-                    Some(old) if old == ord => {}
-                    other => panic!(
-                        "delta for {v} removes {ck} but parent holds {other:?}"
-                    ),
-                }
-            }
-            for rec in &delta.added {
-                let ord = store.ord(rec.composite_key()).expect("record interned");
-                let prev = map.insert(rec.pk, ord);
-                assert!(
-                    prev.is_none(),
-                    "delta for {v} adds K{} without removing the old value",
-                    rec.pk
-                );
-            }
-            let mut list: Vec<(PrimaryKey, u32)> = map.into_iter().collect();
-            list.sort_unstable();
+            removed.clear();
+            removed.extend(
+                (delta.removed.iter())
+                    .map(|&ck| (ck.pk, store.ord(ck).expect("removed record was never added"))),
+            );
+            removed.sort_unstable();
+            added.clear();
+            added.extend(delta.added.iter().map(|rec| {
+                (rec.pk, store.ord(rec.composite_key()).expect("record interned"))
+            }));
+            added.sort_unstable();
+            let parent: &[(PrimaryKey, u32)] = match node.primary_parent() {
+                Some(p) => &contents[p.index()],
+                None => &[],
+            };
+            let list = apply_changes(parent, &removed, &added)
+                .unwrap_or_else(|what| panic!("the delta for {v} {what}"));
             contents[v.index()] = list;
         }
         Self { contents }
@@ -200,6 +199,46 @@ impl MaterializedVersions {
     pub fn total_entries(&self) -> usize {
         self.contents.iter().map(Vec::len).sum()
     }
+}
+
+/// A version's contents from its primary parent's:
+/// `parent − removed + added`, every list sorted by key and holding a
+/// key at most once. The unchanged runs between two changes are copied
+/// whole. `Err` says what clashes: a removal the parent does not hold,
+/// or an addition of a key the result already holds. The values are
+/// whatever names a key's record: an ordinal here, an origin version
+/// in the store's contents.
+pub fn apply_changes<T: Copy + PartialEq + fmt::Display>(
+    parent: &[(PrimaryKey, T)],
+    removed: &[(PrimaryKey, T)],
+    added: &[(PrimaryKey, T)],
+) -> Result<Vec<(PrimaryKey, T)>, String> {
+    let mut out = Vec::with_capacity((parent.len() + added.len()).saturating_sub(removed.len()));
+    let (mut removed, mut added) = (removed.iter().peekable(), added.iter().peekable());
+    let mut rest = parent;
+    loop {
+        let key = match (removed.peek(), added.peek()) {
+            (None, None) => break,
+            (r, a) => r.map_or(PrimaryKey::MAX, |e| e.0).min(a.map_or(PrimaryKey::MAX, |e| e.0)),
+        };
+        let run = rest.partition_point(|e| e.0 < key);
+        out.extend_from_slice(&rest[..run]);
+        rest = &rest[run..];
+        if let Some(gone) = removed.next_if(|e| e.0 == key) {
+            if rest.first() != Some(gone) {
+                return Err(format!("drops K{key} of {}, which its parent does not hold", gone.1));
+            }
+            rest = &rest[1..];
+        }
+        if let Some(&new) = added.next_if(|e| e.0 == key) {
+            if rest.first().is_some_and(|e| e.0 == key) || out.last().is_some_and(|e| e.0 == key) {
+                return Err(format!("holds K{key} twice"));
+            }
+            out.push(new);
+        }
+    }
+    out.extend_from_slice(rest);
+    Ok(out)
 }
 
 #[cfg(test)]

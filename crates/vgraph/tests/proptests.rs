@@ -3,7 +3,11 @@
 //! graph-traversal laws on randomly generated datasets.
 
 use proptest::prelude::*;
-use rstore_vgraph::{DatasetSpec, SelectionKind, VersionId};
+use rstore_vgraph::{
+    DatasetSpec, MaterializedVersions, PrimaryKey, RecordStore, SelectionKind, VersionDelta,
+    VersionGraph, VersionId,
+};
+use rustc_hash::FxHashMap;
 
 fn spec_strategy() -> impl Strategy<Value = DatasetSpec> {
     (
@@ -150,6 +154,72 @@ proptest! {
         for (a, b) in ds.graph.nodes().iter().zip(tree.nodes()) {
             prop_assert_eq!(a.primary_parent(), b.primary_parent());
             prop_assert_eq!(a.depth, b.depth);
+        }
+    }
+}
+
+/// The per-version hash-map replay `MaterializedVersions::build` ran
+/// before it merged sorted runs: the reference it must agree with.
+fn hashed_contents(
+    graph: &VersionGraph,
+    deltas: &[VersionDelta],
+    store: &RecordStore,
+) -> Vec<Vec<(PrimaryKey, u32)>> {
+    let mut contents: Vec<Vec<(PrimaryKey, u32)>> = vec![Vec::new(); graph.len()];
+    for node in graph.nodes() {
+        let mut map: FxHashMap<PrimaryKey, u32> = match node.primary_parent() {
+            Some(p) => contents[p.index()].iter().copied().collect(),
+            None => FxHashMap::default(),
+        };
+        let delta = &deltas[node.id.index()];
+        for &ck in &delta.removed {
+            assert_eq!(map.remove(&ck.pk), store.ord(ck));
+        }
+        for rec in &delta.added {
+            assert!(map.insert(rec.pk, store.ord(rec.composite_key()).unwrap()).is_none());
+        }
+        let mut list: Vec<_> = map.into_iter().collect();
+        list.sort_unstable();
+        contents[node.id.index()] = list;
+    }
+    contents
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Every version's contents equal the hash-map replay's, on tiny
+    /// datasets whose graphs also get merge edges: a version may take
+    /// any earlier version as a second parent, which materialization
+    /// ignores (it replays along primary parents only).
+    #[test]
+    fn merged_materialization_matches_the_hash_map_replay(
+        seed in 1u64..10_000,
+        merges in prop::collection::vec((any::<prop::sample::Index>(), any::<prop::sample::Index>()), 0..8),
+    ) {
+        let ds = DatasetSpec::tiny(seed).generate();
+        let mut extra: Vec<Option<VersionId>> = vec![None; ds.graph.len()];
+        for (child, other) in merges {
+            let child = 1 + child.index(ds.graph.len() - 1);
+            extra[child] = Some(VersionId(other.index(child) as u32));
+        }
+        let mut graph = VersionGraph::new();
+        let mut merged = false;
+        for node in ds.graph.nodes() {
+            let Some(p) = node.primary_parent() else {
+                graph.add_root();
+                continue;
+            };
+            let second = extra[node.id.index()].filter(|&o| o != p);
+            merged |= second.is_some();
+            graph.add_version(&std::iter::once(p).chain(second).collect::<Vec<_>>());
+        }
+        prop_assert_eq!(graph.has_merges(), merged);
+        let store = ds.record_store();
+        let reference = hashed_contents(&graph, &ds.deltas, &store);
+        let m = MaterializedVersions::build(&graph, &ds.deltas, &store);
+        for v in graph.ids() {
+            prop_assert_eq!(m.contents(v), &reference[v.index()][..], "version {}", v);
         }
     }
 }

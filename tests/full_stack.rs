@@ -544,7 +544,7 @@ fn a_damaged_sub_chunk_fails_its_reads_and_stays_out_of_the_cache() {
         .find(|ck| ck.pk != damaged.pk)
         .unwrap();
     let mut broken = chunk.clone();
-    let payload = &mut broken.subchunks[0].payload;
+    let payload = broken.subchunks[0].payload.to_mut();
     let (_, header) = varint::read_u64(payload).unwrap();
     payload[header] = 0x77;
     let blob = broken.serialize();
@@ -804,7 +804,7 @@ fn a_damaged_victim_sub_chunk_fails_the_compaction() {
         let key = table_key(CHUNK_TABLE, &live[live.len() / 2].to_be_bytes());
         let intact = store.cluster().get(&key).unwrap().unwrap();
         let mut broken = Chunk::deserialize(&intact).unwrap();
-        let payload = &mut broken.subchunks[0].payload;
+        let payload = broken.subchunks[0].payload.to_mut();
         let (_, header) = varint::read_u64(payload).unwrap();
         payload[header] = 0x77;
         let blob = broken.serialize();
@@ -885,7 +885,7 @@ fn a_restart_does_not_change_what_the_next_compaction_does() {
     let key = table_key(CHUNK_TABLE, &live.last().unwrap().to_be_bytes());
     let intact = store.cluster().get(&key).unwrap().unwrap();
     let mut broken = Chunk::deserialize(&intact).unwrap();
-    let payload = &mut broken.subchunks[0].payload;
+    let payload = broken.subchunks[0].payload.to_mut();
     let (_, header) = varint::read_u64(payload).unwrap();
     payload[header] = 0x77;
     store.cluster().put(key.clone(), broken.serialize().into()).unwrap();
