@@ -606,12 +606,25 @@ pub(crate) fn load_persisted(cluster: &Cluster, workers: usize) -> Result<StoreM
         st: StoreMut::empty(),
         appends: FxHashMap::default(),
     };
-    if let Some(bytes) = cluster.get(&checkpoint_key())? {
-        let checkpoint = GenerationRecord::decode(&bytes)?;
+    // The checkpoint is the one key the log writes over in place, so
+    // a replica that was down for the last checkpoint (its hint died
+    // with the process) holds an older one: every live replica is
+    // asked, and the newest copy is the checkpoint.
+    let mut newest: Option<(GenerationRecord, usize)> = None;
+    for node in cluster.replicas_of(&checkpoint_key())? {
+        let copy = cluster.fetch_from(node, vec![checkpoint_key()])?.values;
+        for bytes in copy.into_iter().flatten() {
+            let record = GenerationRecord::decode(&bytes)?;
+            if newest.as_ref().is_none_or(|(n, _)| record.seq > n.seq) {
+                newest = Some((record, bytes.len()));
+            }
+        }
+    }
+    if let Some((checkpoint, bytes)) = newest {
         replay.st.log = LogPosition {
             seq: checkpoint.seq,
             checkpoint_seq: checkpoint.seq,
-            checkpoint_bytes: bytes.len(),
+            checkpoint_bytes: bytes,
             log_bytes: 0,
         };
         replay.apply(checkpoint)?;

@@ -29,10 +29,11 @@
 //! Counters always count. Latency histograms go through
 //! [`MetricsRegistry::observe`], which `obs_enabled(false)` turns into
 //! a no-op — with tracing and the slow-query log off as well, that is
-//! the configuration `bench_obs` holds the always-on default within 5%
-//! of. Both *wall* and *modeled* time are recorded, because the
-//! network model is accounting-only: wall time is what the host spent,
-//! modeled time is what the simulated cluster would have.
+//! the configuration the bench crate's acceptance test
+//! `always_on_metrics_cost_under_five_percent` holds the always-on
+//! default within 5% of. Both *wall* and *modeled* time are recorded,
+//! because the network model is accounting-only: wall time is what the
+//! host spent, modeled time is what the simulated cluster would have.
 //!
 //! # Naming scheme
 //!

@@ -3,11 +3,11 @@
 //! [`Cluster`] owns one OS thread per simulated storage node and a
 //! consistent-hash ring that routes keys to nodes, with writes
 //! replicated to `replication` successive nodes and reads served by
-//! the first live replica. RStore needs only basic get/put/delete
-//! "issued in parallel to the backend store" (§2.4, §2.6), so the hop
-//! speaks exactly one batched message per verb (`MultiGet`,
-//! `MultiPut`, `MultiDelete`; a single-key operation is a one-element
-//! batch) and is written once on each side:
+//! the first live replica that holds the key. RStore needs only basic
+//! get/put/delete "issued in parallel to the backend store" (§2.4,
+//! §2.6), so the hop speaks exactly one batched message per verb
+//! (`MultiGet`, `MultiPut`, `MultiDelete`; a single-key operation is a
+//! one-element batch) and is written once on each side:
 //!
 //! * **node side** — every data request passes one admit step (the
 //!   administrative down flag, then the scripted chaos plan) before
@@ -17,14 +17,17 @@
 //!   (`Cluster::settle`), retrying transient refusals under the
 //!   [`RetryPolicy`] with the backoff charged as modeled time. A copy
 //!   of the batch is kept only when a retry or re-route can need it
-//!   (a chaos plan is attached, or a write has another replica to
-//!   fall back to), so the healthy path never clones.
+//!   (a chaos plan is attached, or a write or a replica walk's read
+//!   has another replica to fall back to), so the healthy
+//!   unreplicated path never clones.
 //!
 //! Every public verb is a thin composition over that pair: the
 //! scatter-gather calls group keys per node, send all batches, then
 //! settle them (nodes serve their batches concurrently);
 //! [`Cluster::fetch_from`] scores its node in the per-node stats;
-//! [`Cluster::get`] walks the replica set in ring order;
+//! [`Cluster::multi_get_scatter`] (and [`Cluster::get`], its one-key
+//! case) walks each key's replica set in ring order past misses and
+//! refusals;
 //! [`Cluster::put`] hints the replicas it missed; [`ClusterWriter`]
 //! streams batches while the caller keeps encoding.
 //!
@@ -361,6 +364,30 @@ impl Verb for Get {
     }
 }
 
+/// A read batch of [`Cluster::multi_get_scatter`]'s replica walk: the
+/// same `MultiGet`, but its keys can move on to their next replica,
+/// so a copy is kept at replication > 1.
+struct WalkGet;
+
+impl Verb for WalkGet {
+    type Batch = Vec<Key>;
+    type Reply = BatchGet;
+    const REROUTES: bool = true;
+    fn request(keys: Vec<Key>, reply: Sender<Result<BatchGet, KvError>>) -> Request {
+        Request::MultiGet { keys, reply }
+    }
+}
+
+/// Where one key of a replica walk stands.
+struct Walk {
+    /// The key's position in the caller's list.
+    slot: usize,
+    /// A replica answered without the key.
+    answered: bool,
+    /// The last refusal of a replica the walk tried.
+    refused: Option<KvError>,
+}
+
 impl Verb for Put {
     type Batch = Vec<(Key, Value)>;
     type Reply = BatchPut;
@@ -659,20 +686,11 @@ impl Cluster {
         Ok(())
     }
 
-    /// Fetches `key` from the first live replica, retrying transient
-    /// faults in place before failing over to the next replica.
+    /// Fetches `key`: a one-key [`Cluster::multi_get_scatter`], with
+    /// its replica walk and error contract.
     pub fn get(&self, key: &[u8]) -> Result<Option<Value>, KvError> {
-        let replicas = self.ring.replicas(key, self.replication);
-        for &node in replicas.iter().filter(|&&n| !self.is_down(n)) {
-            match self.settle(self.send::<Get>(node, vec![key.to_vec()])).reply {
-                Ok(got) => return Ok(got.values.into_iter().next().flatten()),
-                // Retry budget exhausted, or the replica is down or
-                // gone: fail over.
-                Err(KvError::Transient(_) | KvError::NodeDown(_) | KvError::NodeGone(_)) => {}
-                Err(e) => return Err(e),
-            }
-        }
-        Err(KvError::AllReplicasDown { tried: replicas })
+        let (mut values, _) = self.multi_get_scatter(vec![key.to_vec()])?;
+        Ok(values.pop().flatten())
     }
 
     /// Removes `key` from every live replica — a one-key
@@ -800,45 +818,123 @@ impl Cluster {
         }
     }
 
-    /// Fetches many keys, in parallel across nodes: each node gets one
-    /// batch message; node threads serve their batches concurrently.
-    /// Results are returned in input order, together with the modeled
-    /// network time of the *slowest* node batch — the scatter-gather
-    /// critical path (each node serves its batch serially, the nodes
-    /// overlap). Taking the keys by value lets them move straight
-    /// into the per-node batches — no clone per key.
+    /// Fetches many keys, in parallel across nodes: each round sends
+    /// every node one batch, node threads serve their batches
+    /// concurrently. The first round sends each key to its first live
+    /// replica. A key that comes back `None`, or whose batch was
+    /// refused after the in-place retries (`Transient`, `NodeDown`,
+    /// `NodeGone`), goes to its next live replica in the next round: a
+    /// replica that missed a write while it was down (its hint may
+    /// have died with an earlier process) does not hide the copy
+    /// another replica holds. A key is `None` only when every live
+    /// replica answered without it; when every live replica refused,
+    /// the call fails with [`KvError::AllReplicasDown`], and when some
+    /// answered without it and another refused, with that refusal.
+    /// Results are in input order, together with the modeled network
+    /// time: per round the *slowest* node batch (the scatter-gather
+    /// critical path), summed over the rounds. At replication 1 there
+    /// is one round. Taking the keys by value lets them move straight
+    /// into the per-node batches — no clone per key at replication 1.
     pub fn multi_get_scatter(
         &self,
         keys: Vec<Key>,
     ) -> Result<(Vec<Option<Value>>, Duration), KvError> {
         let mut out: Vec<Option<Value>> = vec![None; keys.len()];
-        // Group keys by serving node (first live replica), moving each
-        // key into its node's batch.
-        let mut per_node: Vec<(Vec<usize>, Vec<Key>)> = (0..self.node_count())
+        let mut per_node: Vec<(Vec<Walk>, Vec<Key>)> = (0..self.node_count())
             .map(|_| (Vec::new(), Vec::new()))
             .collect();
-        for (i, key) in keys.into_iter().enumerate() {
+        for (slot, key) in keys.into_iter().enumerate() {
             let node = self.owner_of(&key)?;
-            per_node[node].0.push(i);
+            per_node[node].0.push(Walk { slot, answered: false, refused: None });
             per_node[node].1.push(key);
         }
-        // Send all batches first (parallel service), then collect.
-        let flights: Vec<(Vec<usize>, InFlight<Get>)> = per_node
-            .into_iter()
-            .enumerate()
-            .filter(|(_, (_, batch))| !batch.is_empty())
-            .map(|(node, (slots, batch))| (slots, self.send(node, batch)))
-            .collect();
-        let mut slowest = Duration::ZERO;
-        for (slots, flight) in flights {
-            let settled = self.settle(flight);
-            let batch = settled.reply?;
-            slowest = slowest.max(batch.modeled + settled.backoff);
-            for (slot, value) in slots.into_iter().zip(batch.values) {
-                out[slot] = value;
+        let mut modeled = Duration::ZERO;
+        loop {
+            // Send all of the round's batches first (parallel
+            // service), then collect.
+            let flights: Vec<(Vec<Walk>, InFlight<WalkGet>)> = per_node
+                .iter_mut()
+                .enumerate()
+                .filter(|(_, (_, batch))| !batch.is_empty())
+                .map(|(node, (walks, batch))| {
+                    (std::mem::take(walks), self.send(node, std::mem::take(batch)))
+                })
+                .collect();
+            if flights.is_empty() {
+                return Ok((out, modeled));
             }
+            let mut slowest = Duration::ZERO;
+            for (walks, flight) in flights {
+                let node = flight.node;
+                let settled = self.settle(flight);
+                // The kept copy (replication > 1, or a chaos plan) is
+                // what lets a key move on.
+                let mut keys = settled.copy.map(Vec::into_iter);
+                match settled.reply {
+                    Ok(batch) => {
+                        slowest = slowest.max(batch.modeled + settled.backoff);
+                        for (walk, value) in walks.into_iter().zip(batch.values) {
+                            let key = keys.as_mut().and_then(Iterator::next);
+                            match (value, key) {
+                                (Some(value), _) => out[walk.slot] = Some(value),
+                                (None, Some(key)) => {
+                                    let walk = Walk { answered: true, ..walk };
+                                    self.walk_on(key, walk, node, &mut per_node)?;
+                                }
+                                // Replication 1: the only replica
+                                // answered without it.
+                                (None, None) => {}
+                            }
+                        }
+                    }
+                    Err(e @ (KvError::Transient(_) | KvError::NodeDown(_) | KvError::NodeGone(_))) => {
+                        slowest = slowest.max(settled.backoff);
+                        // No copy: replication 1, so `node` was the
+                        // keys' only replica.
+                        let Some(keys) = keys else {
+                            return Err(KvError::AllReplicasDown { tried: vec![node] });
+                        };
+                        for (walk, key) in walks.into_iter().zip(keys) {
+                            let walk = Walk { refused: Some(e.clone()), ..walk };
+                            self.walk_on(key, walk, node, &mut per_node)?;
+                        }
+                    }
+                    Err(e) => return Err(e),
+                }
+            }
+            modeled += slowest;
         }
-        Ok((out, slowest))
+    }
+
+    /// Queues `key` for the next round on its next live replica after
+    /// `tried`, or settles it when its walk is out of replicas: `None`
+    /// (its `out` slot as it stands) if every replica answered, an
+    /// error if one refused.
+    fn walk_on(
+        &self,
+        key: Key,
+        walk: Walk,
+        tried: usize,
+        next: &mut [(Vec<Walk>, Vec<Key>)],
+    ) -> Result<(), KvError> {
+        let mut past = false;
+        let node = self.ring.first_replica_where(&key, self.replication, |n| {
+            let after = past;
+            past |= n == tried;
+            after && !self.is_down(n)
+        });
+        let Some(node) = node else {
+            return match walk.refused {
+                None => Ok(()),
+                Some(refusal) if walk.answered => Err(refusal),
+                Some(_) => Err(KvError::AllReplicasDown {
+                    tried: self.ring.replicas(&key, self.replication),
+                }),
+            };
+        };
+        next[node].0.push(walk);
+        next[node].1.push(key);
+        Ok(())
     }
 
     /// [`Cluster::multi_get_scatter`] without the timing.
@@ -1250,6 +1346,51 @@ mod tests {
         for i in 0..50u32 {
             assert!(c.get(&i.to_be_bytes()).unwrap().is_some(), "key {i} lost");
         }
+        drop(c);
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn reads_walk_past_a_replica_whose_hints_died() {
+        let dir = std::env::temp_dir().join(format!("rstore-cluster-walk-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let log_cluster = |replication: usize| {
+            Cluster::builder()
+                .nodes(3)
+                .replication(replication)
+                .engine(EngineKind::Log { dir: dir.clone() })
+                .build()
+        };
+        let keys: Vec<Key> = (0..60u32).map(|i| i.to_be_bytes().to_vec()).collect();
+        {
+            let c = log_cluster(2);
+            c.set_node_down(0, true);
+            for key in &keys {
+                c.put(key.clone(), Bytes::from(key.clone())).unwrap();
+            }
+            assert!(c.pending_hints() > 0);
+        }
+        // Rebuilt over the same logs: the hints died with the old
+        // cluster, so node 0 lacks every key it should hold a copy of.
+        let c = log_cluster(2);
+        assert_eq!(c.pending_hints(), 0);
+        for key in &keys {
+            assert_eq!(c.get(key).unwrap().as_deref(), Some(&key[..]), "get of {key:?}");
+        }
+        let values = c.multi_get(&keys).unwrap();
+        for (key, value) in keys.iter().zip(&values) {
+            assert_eq!(value.as_deref(), Some(&key[..]), "multi_get of {key:?}");
+        }
+        drop(c);
+        // At replication 1 a key has no next replica: one round, one
+        // batch per node the keys route to, though node 0's keys miss.
+        let c = log_cluster(1);
+        let contacted: std::collections::BTreeSet<usize> =
+            keys.iter().map(|key| c.owner_of(key).unwrap()).collect();
+        c.reset_stats();
+        let values = c.multi_get(&keys).unwrap();
+        assert!(values.iter().any(Option::is_none), "node 0 served none of its keys");
+        assert_eq!(c.stats().batch_gets, contacted.len() as u64);
         drop(c);
         let _ = std::fs::remove_dir_all(dir);
     }

@@ -1514,3 +1514,51 @@ fn a_new_store_refuses_a_backend_that_holds_one() {
     drop(store);
     let _ = std::fs::remove_dir_all(dir);
 }
+
+#[test]
+fn a_replicated_store_reopens_after_an_outage_whose_hints_died() {
+    // Two nodes at replication 2; one of them is down for the second
+    // half of the history, so every write of that half reached one
+    // replica and left a hint for the other. The process dies with the
+    // hints in memory: the lagging replica never gets them, and the
+    // restart must read past its misses to the copy that has them, and
+    // past its older checkpoint to the newest.
+    use rstore::core::online::commit_request;
+    for down in 0..2 {
+        for seed in 1..=12 {
+            let dir = std::env::temp_dir()
+                .join(format!("rstore-fullstack-outage-{}-{down}-{seed}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            let make_cluster = || {
+                Cluster::builder()
+                    .nodes(2)
+                    .replication(2)
+                    .engine(rstore::kvstore::EngineKind::Log { dir: dir.clone() })
+                    .build()
+            };
+            let mut spec = DatasetSpec::tiny(seed);
+            spec.num_versions = 24;
+            spec.root_records = 40;
+            let dataset = spec.generate();
+            let config = {
+                let store = RStore::builder().chunk_capacity(1024).batch_size(4).build(make_cluster());
+                for v in dataset.graph.ids() {
+                    if v.index() == 12 {
+                        store.seal().unwrap();
+                        store.cluster().set_node_down(down, true);
+                    }
+                    store.commit(commit_request(&dataset, v)).unwrap();
+                }
+                store.seal().unwrap();
+                assert!(store.cluster().pending_hints() > 0, "node {down} missed no write");
+                *store.config()
+            };
+            let store = RStore::reopen(config, make_cluster())
+                .unwrap_or_else(|e| panic!("seed {seed}, node {down} down: {e}"));
+            assert_eq!(store.version_count(), 24, "seed {seed}, node {down} down");
+            check_against_oracle(&store, &dataset);
+            drop(store);
+            let _ = std::fs::remove_dir_all(dir);
+        }
+    }
+}
