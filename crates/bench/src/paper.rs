@@ -38,8 +38,7 @@ pub const KNOWN_GAPS: &str = "\
 | Fig. 8 | C2 | SHINGLE below DELTA | 7627 vs 7307 | SHINGLE beats DELTA on every dataset |
 | Fig. 8 | D1 | SHINGLE below DELTA | 3991 vs 3141 | SHINGLE beats DELTA on every dataset |
 | Fig. 8 | D2 | SHINGLE below DELTA | 7691 vs 7227 | SHINGLE beats DELTA on every dataset |
-| Fig. 10 | A0 Pd=1% | BOTTOM-UP span falls with k | k=1 219 -> k=50 360 | at Pd = 1% compression wins and span falls as k grows |
-| Fig. 10 | D0 Pd=1% | BOTTOM-UP span falls with k | k=1 1626 -> k=50 1800 | at Pd = 1% compression wins and span falls as k grows |
+| Fig. 10 | A0 Pd=1% | BOTTOM-UP span falls with k | k=1 219 -> k=50 240 | at Pd = 1% compression wins and span falls as k grows |
 | Fig. 12 | G | Q3 span grows at most 4x while data grows 16x | 4.1 -> 50.5 (12.41x) | key spans and Q3 time grow far slower than the 16x data |
 | Fig. 12 | H | Q3 span grows at most 4x while data grows 16x | 1.4 -> 6.0 (4.29x) | key spans and Q3 time grow far slower than the 16x data |
 | Fig. 13 | B1 | compaction brings batch n/8 within 5% of offline | 1.578 -> 1.523 | no compaction in the paper; the offline layout is ratio 1.0 (online B1: 1.63 at n/8) |

@@ -6,13 +6,30 @@
 //! §3.4). The paper's generator mutates a bounded percentage `Pd` of a
 //! record's bytes, so deltas are tiny relative to records.
 //!
-//! The codec is a greedy block-copy diff: the encoder indexes the base
-//! by 8-byte anchors and emits a stream of
-//! `COPY{base_offset, len}` / `INSERT{bytes}` ops, each varint-framed.
-//! The anchor table (64 KB) is a per-thread scratch reused across
-//! calls — records are a few hundred bytes, so allocating and filling
-//! it per call used to cost more than the diff — and the output is a
-//! function of the inputs alone.
+//! A delta starts with `varint(target_len)` and takes one of two forms:
+//!
+//! * **Patch** (`PATCH` tag, pairs of equal length only): the target is
+//!   the base with some bytes overwritten in place. Each op is
+//!   `varint(gap·2 | long) [varint(run) if long] bytes[run]`: keep `gap`
+//!   base bytes, overwrite the next `run` (1 unless `long`). Each run is
+//!   one maximal stretch of changed bytes. Decoding is one copy of the
+//!   base plus the runs.
+//! * **Copy/insert**: a greedy block-copy diff. The encoder indexes the
+//!   base by 8-byte anchors and emits a stream of
+//!   `COPY{base_offset, len}` / `INSERT{bytes}` ops, each varint-framed.
+//!   This is the only form for pairs of different lengths.
+//!
+//! [`diff`] picks the form from the two inputs alone: for an equal-length
+//! pair it keeps the patch when it is at most half the target (in-place
+//! edits, the generator's case), and otherwise also runs the greedy diff
+//! and keeps the smaller, the greedy form on a tie (a shift or a
+//! rewrite). A `PATCH` tag was an unknown tag before the patch form
+//! existed, so every delta written without it decodes as it always did.
+//!
+//! The greedy encoder's anchor table (64 KB) is a per-thread scratch
+//! reused across calls — records are a few hundred bytes, so allocating
+//! and filling it per call used to cost more than the diff — and the
+//! output is a function of the inputs alone.
 
 use crate::error::CodecError;
 use crate::varint;
@@ -20,6 +37,7 @@ use std::cell::RefCell;
 
 const COPY_TAG: u8 = 0x00;
 const INSERT_TAG: u8 = 0x01;
+const PATCH_TAG: u8 = 0x02;
 
 /// Anchor width used to seed copy detection.
 const ANCHOR: usize = 8;
@@ -28,8 +46,8 @@ const MIN_COPY: usize = 8;
 /// Hash-table slots (power of two).
 const SLOTS: usize = 1 << 14;
 
-/// The anchor table, kept per thread and reused by every [`diff`] call
-/// on it — the same scheme as `lz`'s match-finder scratch.
+/// The anchor table, kept per thread and reused by every greedy
+/// [`diff`] on it — the same scheme as `lz`'s match-finder scratch.
 ///
 /// Slots hold `base + position + 1`; `base` moves past each base
 /// record once it is indexed, so everything an earlier call stored
@@ -74,6 +92,14 @@ pub enum DeltaOp {
     },
     /// Insert literal bytes.
     Insert(Vec<u8>),
+    /// Overwrite the base's bytes at `offset` with `bytes` (a patch
+    /// delta's op, its gap resolved to an absolute offset).
+    Patch {
+        /// Byte offset into the base (and the target).
+        offset: usize,
+        /// The run written there.
+        bytes: Vec<u8>,
+    },
 }
 
 #[inline]
@@ -84,10 +110,68 @@ fn hash8(bytes: &[u8]) -> usize {
 
 /// Computes a delta that transforms `base` into `target`.
 ///
-/// The output always reproduces `target` exactly via [`apply_delta`];
-/// when the inputs are unrelated it degrades to a single INSERT of the
-/// whole target plus a few framing bytes.
+/// The output always reproduces `target` exactly via [`apply_delta`].
+/// An equal-length pair takes the patch form when that is at most half
+/// the target or smaller than the copy/insert form (see the module
+/// docs); when the inputs are unrelated the delta degrades to a single
+/// INSERT of the whole target plus a few framing bytes.
 pub fn diff(base: &[u8], target: &[u8]) -> Vec<u8> {
+    if base.len() != target.len() {
+        return greedy(base, target);
+    }
+    let patch = patch(base, target);
+    if patch.len() * 2 <= target.len() {
+        return patch;
+    }
+    let greedy = greedy(base, target);
+    if patch.len() < greedy.len() {
+        patch
+    } else {
+        greedy
+    }
+}
+
+/// The patch form of an equal-length pair.
+fn patch(base: &[u8], target: &[u8]) -> Vec<u8> {
+    debug_assert_eq!(base.len(), target.len());
+    let mut out = Vec::with_capacity(32);
+    varint::write_u64(&mut out, target.len() as u64);
+    out.push(PATCH_TAG);
+    let mut pos = 0;
+    while let Some(start) = next_change(base, target, pos) {
+        let mut end = start + 1;
+        while end < target.len() && base[end] != target[end] {
+            end += 1;
+        }
+        let (gap, run) = ((start - pos) as u64, end - start);
+        let long = run > 1;
+        varint::write_u64(&mut out, gap << 1 | u64::from(long));
+        if long {
+            varint::write_u64(&mut out, run as u64);
+        }
+        out.extend_from_slice(&target[start..end]);
+        pos = end;
+    }
+    out
+}
+
+/// The first position at or after `from` where the two equal-length
+/// slices differ, compared a word at a time.
+fn next_change(base: &[u8], target: &[u8], from: usize) -> Option<usize> {
+    let mut i = from;
+    while i + 8 <= target.len() {
+        let word = |s: &[u8]| u64::from_le_bytes(s[i..i + 8].try_into().unwrap());
+        let x = word(base) ^ word(target);
+        if x != 0 {
+            return Some(i + (x.trailing_zeros() / 8) as usize);
+        }
+        i += 8;
+    }
+    (i..target.len()).find(|&i| base[i] != target[i])
+}
+
+/// The copy/insert form, the only one for pairs of different lengths.
+fn greedy(base: &[u8], target: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(32);
     varint::write_u64(&mut out, target.len() as u64);
 
@@ -183,6 +267,10 @@ pub fn apply_delta_into(base: &[u8], delta: &[u8], out: &mut Vec<u8>) -> Result<
     out.clear();
     let mut r = varint::VarintReader::new(delta);
     let expected = r.read_u64()? as usize;
+    if r.remaining().first() == Some(&PATCH_TAG) {
+        r.read_bytes(1)?;
+        return apply_patch(base, r, expected, out);
+    }
     // Cap the pre-allocation: the header is untrusted input.
     out.reserve(expected.min(1 << 20));
     while !r.is_empty() {
@@ -229,11 +317,67 @@ pub fn apply_delta_into(base: &[u8], delta: &[u8], out: &mut Vec<u8>) -> Result<
     Ok(())
 }
 
+/// Decodes a patch delta's ops (`r` sits just past the tag): one copy
+/// of the base, then each run written in place. Every run must be
+/// non-empty and end inside the record, so nothing may follow the op
+/// that reaches its end.
+fn apply_patch(
+    base: &[u8],
+    mut r: varint::VarintReader<'_>,
+    expected: usize,
+    out: &mut Vec<u8>,
+) -> Result<(), CodecError> {
+    if expected != base.len() {
+        return Err(CodecError::LengthMismatch {
+            expected,
+            actual: base.len(),
+        });
+    }
+    out.extend_from_slice(base);
+    let mut pos = 0usize;
+    while !r.is_empty() {
+        let (start, run) = read_patch_op(&mut r, pos)?;
+        if run == 0 || start.checked_add(run).is_none_or(|end| end > out.len()) {
+            return Err(CodecError::BadPatchRun {
+                start,
+                run,
+                len: out.len(),
+            });
+        }
+        out[start..start + run].copy_from_slice(r.read_bytes(run)?);
+        pos = start + run;
+    }
+    Ok(())
+}
+
+/// Reads one patch op's header after position `pos`: the run's start
+/// (saturating, so an absurd gap fails the range check) and length.
+fn read_patch_op(
+    r: &mut varint::VarintReader<'_>,
+    pos: usize,
+) -> Result<(usize, usize), CodecError> {
+    let head = r.read_u64()?;
+    let run = if head & 1 == 1 { r.read_u64()? } else { 1 };
+    let start = pos.saturating_add(usize::try_from(head >> 1).unwrap_or(usize::MAX));
+    Ok((start, usize::try_from(run).unwrap_or(usize::MAX)))
+}
+
 /// Parses a delta into its op list (diagnostics / tests).
 pub fn parse_ops(delta: &[u8]) -> Result<Vec<DeltaOp>, CodecError> {
     let mut r = varint::VarintReader::new(delta);
     let _expected = r.read_u64()?;
     let mut ops = Vec::new();
+    if r.remaining().first() == Some(&PATCH_TAG) {
+        r.read_bytes(1)?;
+        let mut pos = 0;
+        while !r.is_empty() {
+            let (offset, run) = read_patch_op(&mut r, pos)?;
+            let bytes = r.read_bytes(run)?.to_vec();
+            ops.push(DeltaOp::Patch { offset, bytes });
+            pos = offset.saturating_add(run);
+        }
+        return Ok(ops);
+    }
     while !r.is_empty() {
         let tag = r.read_bytes(1)?[0];
         match tag {
@@ -253,65 +397,14 @@ pub fn parse_ops(delta: &[u8]) -> Result<Vec<DeltaOp>, CodecError> {
 }
 
 #[cfg(test)]
+#[path = "../tests/reference/mod.rs"]
+mod reference;
+
+#[cfg(test)]
 mod tests {
+    use super::reference::{diff_reference, patch_reference};
     use super::*;
     use proptest::prelude::*;
-
-    /// The pre-scratch `diff`, verbatim — anchor table allocated and
-    /// filled per call: the byte-identity oracle for [`diff`].
-    fn diff_reference(base: &[u8], target: &[u8]) -> Vec<u8> {
-        let mut out = Vec::with_capacity(32);
-        varint::write_u64(&mut out, target.len() as u64);
-        if target.is_empty() {
-            return out;
-        }
-        if base.len() < ANCHOR {
-            push_insert(&mut out, target);
-            return out;
-        }
-        let mut table = vec![u32::MAX; SLOTS];
-        let mut i = 0;
-        while i + ANCHOR <= base.len() {
-            let h = hash8(&base[i..]);
-            if table[h] == u32::MAX {
-                table[h] = i as u32;
-            }
-            i += 1;
-        }
-        let mut lit_start = 0usize;
-        let mut t = 0usize;
-        while t + ANCHOR <= target.len() {
-            let slot = table[hash8(&target[t..])];
-            if slot != u32::MAX {
-                let b = slot as usize;
-                let mut len = 0usize;
-                let max = (base.len() - b).min(target.len() - t);
-                while len < max && base[b + len] == target[t + len] {
-                    len += 1;
-                }
-                if len >= MIN_COPY {
-                    let mut back = 0usize;
-                    while back < t - lit_start
-                        && back < b
-                        && base[b - back - 1] == target[t - back - 1]
-                    {
-                        back += 1;
-                    }
-                    let (b, t2, len) = (b - back, t - back, len + back);
-                    push_insert(&mut out, &target[lit_start..t2]);
-                    out.push(COPY_TAG);
-                    varint::write_u64(&mut out, b as u64);
-                    varint::write_u64(&mut out, len as u64);
-                    t = t2 + len;
-                    lit_start = t;
-                    continue;
-                }
-            }
-            t += 1;
-        }
-        push_insert(&mut out, &target[lit_start..]);
-        out
-    }
 
     /// Bytes from a small alphabet (`random` false: long anchor
     /// collisions and repeats) or a full one.
@@ -334,10 +427,11 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
-        /// Any sequence of diffs on one thread's scratch — bases up to
-        /// 40 KB, so some fill most of the table, and targets mutated
-        /// from their base or unrelated — produces exactly what the
-        /// per-call-table reference produces for each pair alone.
+        /// Any sequence of copy/insert diffs on one thread's scratch —
+        /// bases up to 40 KB, so some fill most of the table, and
+        /// targets mutated from their base or unrelated — produces
+        /// exactly what the per-call-table reference produces for each
+        /// pair alone, and `diff` (which may take the patch) round-trips.
         #[test]
         fn scratch_reuse_matches_reference(
             pairs in prop::collection::vec(
@@ -358,9 +452,8 @@ mod tests {
                 } else {
                     bytes(seed ^ 2, len / 2 + edits, random)
                 };
-                let got = diff(&base, &target);
-                prop_assert_eq!(&got, &diff_reference(&base, &target));
-                prop_assert_eq!(apply_delta(&base, &got).unwrap(), target);
+                prop_assert_eq!(greedy(&base, &target), diff_reference(&base, &target));
+                prop_assert_eq!(apply_delta(&base, &diff(&base, &target)).unwrap(), target);
             }
         }
     }
@@ -372,6 +465,9 @@ mod tests {
         for at in (10..600).step_by(50) {
             edited[at] ^= 1;
         }
+        // One byte longer, so the pair takes the copy/insert form and
+        // its anchor scratch.
+        edited.push(b'!');
         let fresh = std::thread::spawn({
             let (small, edited) = (small.clone(), edited.clone());
             move || diff(&small, &edited)
@@ -415,6 +511,7 @@ mod tests {
         for at in (7..5000).step_by(97) {
             target[at] ^= 0x33;
         }
+        target.push(0x33); // a longer target takes the copy/insert form
         let expected = diff_reference(&base, &target);
         // Stale slots that cannot all sit below the next base record:
         // `begin` must clear and restart from zero instead of wrapping
@@ -535,9 +632,109 @@ mod tests {
         let base: Vec<u8> = (0..100u8).collect();
         let mut target = base.clone();
         target[50] = 0xff;
-        let d = diff(&base, &target);
-        let ops = parse_ops(&d).unwrap();
+        target[60..63].copy_from_slice(b"abc");
+        target[64] = 0xfe;
+        assert_eq!(
+            parse_ops(&diff(&base, &target)).unwrap(),
+            [
+                DeltaOp::Patch {
+                    offset: 50,
+                    bytes: vec![0xff]
+                },
+                DeltaOp::Patch {
+                    offset: 60,
+                    bytes: b"abc".to_vec()
+                },
+                DeltaOp::Patch {
+                    offset: 64,
+                    bytes: vec![0xfe]
+                },
+            ]
+        );
+        target.insert(80, 0);
+        let ops = parse_ops(&diff(&base, &target)).unwrap();
         assert!(ops.iter().any(|op| matches!(op, DeltaOp::Copy { .. })));
         assert!(ops.iter().any(|op| matches!(op, DeltaOp::Insert(_))));
+    }
+
+    #[test]
+    fn a_patch_of_at_most_half_the_target_is_kept_over_a_smaller_copy() {
+        // A third of the record overwritten with bytes from elsewhere in
+        // it: the copy/insert form copies them, the patch carries them.
+        let base = bytes(8, 300, true);
+        let mut target = base.clone();
+        target.copy_within(0..100, 150);
+        let d = diff(&base, &target);
+        assert_eq!(d, patch_reference(&base, &target));
+        assert!(d.len() * 2 <= target.len(), "{}-byte patch", d.len());
+        assert!(diff_reference(&base, &target).len() < d.len());
+    }
+
+    #[test]
+    fn a_shifted_record_keeps_the_copy_insert_form() {
+        // Every byte moved by one: a patch rewrites the record, a copy
+        // covers it.
+        let base = bytes(7, 300, true);
+        let mut target = base[1..].to_vec();
+        target.push(0);
+        let d = diff(&base, &target);
+        assert_eq!(d, diff_reference(&base, &target));
+        assert_eq!(apply_delta(&base, &d).unwrap(), target);
+    }
+
+    /// A patch delta by hand: `len` then the ops' raw varints and bytes.
+    fn patch_delta(len: u64, body: &[u64]) -> Vec<u8> {
+        let mut d = Vec::new();
+        varint::write_u64(&mut d, len);
+        d.push(PATCH_TAG);
+        for &v in body {
+            varint::write_u64(&mut d, v);
+        }
+        d
+    }
+
+    #[test]
+    fn apply_rejects_malformed_patches() {
+        let base = b"0123456789";
+        // gap 2, long, run 3, "abc": a well-formed patch.
+        assert_eq!(
+            apply_delta(base, &patch_delta(10, &[5, 3, 97, 98, 99])).unwrap(),
+            b"01abc56789"
+        );
+        // A record of another length.
+        assert!(matches!(
+            apply_delta(base, &patch_delta(11, &[5, 3, 97, 98, 99])),
+            Err(CodecError::LengthMismatch {
+                expected: 11,
+                actual: 10
+            })
+        ));
+        // A run past the end, an empty run, an absurd gap.
+        for body in [&[17, 3, 97, 98, 99][..], &[5, 0], &[u64::MAX - 1, 97]] {
+            assert!(
+                matches!(
+                    apply_delta(base, &patch_delta(10, body)),
+                    Err(CodecError::BadPatchRun { .. })
+                ),
+                "{body:?}"
+            );
+        }
+        // An op after the run that reaches the end.
+        assert!(matches!(
+            apply_delta(base, &patch_delta(10, &[15, 3, 97, 98, 99, 0, 97])),
+            Err(CodecError::BadPatchRun { .. })
+        ));
+        // A truncated run.
+        assert!(matches!(
+            apply_delta(base, &patch_delta(10, &[5, 3, 97])),
+            Err(CodecError::UnexpectedEof)
+        ));
+        // The tag anywhere but first is still unknown.
+        let mut d = diff(base, b"0123456789abcdef");
+        d.push(PATCH_TAG);
+        assert!(matches!(
+            apply_delta(base, &d),
+            Err(CodecError::BadTag(PATCH_TAG))
+        ));
     }
 }

@@ -28,6 +28,15 @@ pub enum CodecError {
         /// Length of the base input.
         base_len: usize,
     },
+    /// A patch op's run was empty or ran past the end of the record.
+    BadPatchRun {
+        /// Where the run starts.
+        start: usize,
+        /// Length of the run.
+        run: usize,
+        /// Length of the record (the base's, and the target's).
+        len: usize,
+    },
     /// The stream declared an output size that was not produced.
     LengthMismatch {
         /// Declared size.
@@ -55,7 +64,12 @@ impl fmt::Display for CodecError {
             } => write!(
                 f,
                 "copy range {start}..{} exceeds base length {base_len}",
-                start + len
+                start.saturating_add(*len)
+            ),
+            CodecError::BadPatchRun { start, run, len } => write!(
+                f,
+                "patch run {start}..{} is empty or ends past a {len}-byte record",
+                start.saturating_add(*run)
             ),
             CodecError::LengthMismatch { expected, actual } => {
                 write!(f, "declared length {expected} but produced {actual}")

@@ -9,10 +9,11 @@
 //! * [`lz`] — an LZ77-family general-purpose byte compressor with a
 //!   hash-chain match finder. Used to compress sub-chunks ("one may ...
 //!   use an off-the-shelf compression tool", §2.2).
-//! * [`delta`] — a byte-level delta codec (COPY/INSERT op streams)
-//!   used to delta-encode sibling records against their sub-chunk
-//!   parent ("all the sibling records would be delta-ed against their
-//!   common parent", §3.4).
+//! * [`delta`] — a byte-level delta codec used to delta-encode sibling
+//!   records against their sub-chunk parent ("all the sibling records
+//!   would be delta-ed against their common parent", §3.4): in-place
+//!   PATCH runs for a pair of equal length when they are the smaller
+//!   form, COPY/INSERT op streams otherwise.
 //! * [`bitmap`] — a word-aligned hybrid (WAH-style) compressed bitmap;
 //!   chunk maps are "converted to a bitmap, compressed and stored in
 //!   the KVS" (§3.1).

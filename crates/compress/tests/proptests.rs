@@ -1,6 +1,9 @@
 //! Property-based round-trip tests for every codec in rstore-compress.
 
+mod reference;
+
 use proptest::prelude::*;
+use reference::{apply_reference, diff_reference, expected_diff, patch_reference};
 use rstore_compress::{
     apply_delta, apply_delta_into, bitmap::Bitmap, diff, lz, postings::PostingsList, varint,
 };
@@ -85,6 +88,58 @@ proptest! {
         delta in prop::collection::vec(any::<u8>(), 0..256),
     ) {
         let _ = apply_delta(&base, &delta);
+    }
+
+    /// Same-length pairs with anywhere from none to all of the bytes
+    /// changed round-trip, and `diff` is exactly the reference's pick:
+    /// the reference patch when it takes the patch form, byte for byte
+    /// the copy/insert reference when it does not.
+    #[test]
+    fn a_same_length_pair_round_trips_and_takes_the_reference_form(
+        (base, target) in same_length_pair(2048),
+    ) {
+        let d = diff(&base, &target);
+        prop_assert_eq!(apply_delta(&base, &d).unwrap(), &target[..]);
+        if takes_the_patch_form(&d) {
+            prop_assert_eq!(&d, &patch_reference(&base, &target));
+        } else {
+            prop_assert_eq!(&d, &diff_reference(&base, &target));
+        }
+        prop_assert_eq!(d, expected_diff(&base, &target));
+    }
+
+    /// A pair of different lengths never takes the patch form: its
+    /// delta is byte for byte the copy/insert reference.
+    #[test]
+    fn a_pair_of_different_lengths_takes_the_copy_insert_form(
+        base in prop::collection::vec(any::<u8>(), 0..1024),
+        mut target in prop::collection::vec(any::<u8>(), 0..1024),
+    ) {
+        if base.len() == target.len() {
+            target.push(0);
+        }
+        prop_assert_eq!(diff(&base, &target), diff_reference(&base, &target));
+    }
+
+    /// A same-length delta costs at most 4 bytes per changed byte plus
+    /// 12 bytes of framing, for targets under 1 MiB.
+    #[test]
+    fn a_same_length_delta_costs_at_most_four_bytes_per_changed_byte(
+        (base, target) in same_length_pair(4096),
+    ) {
+        let changed = base.iter().zip(&target).filter(|(a, b)| a != b).count();
+        let d = diff(&base, &target);
+        prop_assert!(d.len() <= 4 * changed + 12, "{} bytes for {} changed", d.len(), changed);
+    }
+
+    /// A copy/insert delta of a same-length pair — the form of every
+    /// delta stored before the patch form existed — still applies to
+    /// the same bytes.
+    #[test]
+    fn a_stored_copy_insert_delta_of_a_same_length_pair_still_applies(
+        (base, target) in same_length_pair(2048),
+    ) {
+        prop_assert_eq!(apply_delta(&base, &diff_reference(&base, &target)).unwrap(), target);
     }
 
     #[test]
@@ -223,6 +278,65 @@ proptest! {
             if let Ok(p) = PostingsList::deserialize(bytes) {
                 prop_assert!(decodes_cleanly(&p));
             }
+        }
+    }
+}
+
+/// Whether a delta is in the patch form: its tag follows the length.
+fn takes_the_patch_form(delta: &[u8]) -> bool {
+    let (_, n) = varint::read_u64(delta).unwrap();
+    delta.get(n) == Some(&0x02)
+}
+
+/// A record and an in-place edit of it: each byte changes with a
+/// share drawn from 0 to 100%, so the set runs from identical pairs to
+/// pairs that differ everywhere.
+fn same_length_pair(max_len: usize) -> impl Strategy<Value = (Vec<u8>, Vec<u8>)> {
+    (prop::collection::vec(any::<u8>(), 0..max_len), any::<u64>(), 0u64..101).prop_map(|(base, seed, share)| {
+        let mut state = seed | 1;
+        let target = base
+            .iter()
+            .map(|&b| {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                let r = state >> 33;
+                if r % 100 < share {
+                    b.wrapping_add(1 + (r / 100 % 255) as u8)
+                } else {
+                    b
+                }
+            })
+            .collect();
+        (base, target)
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Every truncation and every bit flip of a patch delta, and a
+    /// patch tag followed by garbage, decodes to `Err` exactly where
+    /// the byte-at-a-time reference fails, and to its output where it
+    /// does not; nothing panics.
+    #[test]
+    fn a_damaged_patch_fails_or_decodes_like_the_reference(
+        (base, target) in same_length_pair(160),
+        garbage in prop::collection::vec(any::<u8>(), 0..64),
+    ) {
+        let good = patch_reference(&base, &target);
+        let mut damaged: Vec<Vec<u8>> = (0..good.len()).map(|cut| good[..cut].to_vec()).collect();
+        for bit in 0..good.len() * 8 {
+            let mut d = good.clone();
+            d[bit / 8] ^= 1 << (bit % 8);
+            damaged.push(d);
+        }
+        let mut tagged = Vec::new();
+        varint::write_u64(&mut tagged, base.len() as u64);
+        tagged.push(0x02);
+        tagged.extend_from_slice(&garbage);
+        damaged.push(tagged);
+        damaged.push(good);
+        for d in &damaged {
+            prop_assert_eq!(apply_delta(&base, d).ok(), apply_reference(&base, d), "delta {:?}", d);
         }
     }
 }

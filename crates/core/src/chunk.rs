@@ -33,7 +33,13 @@
 //! subchunk:= varint(n_members) member_ck{n_members} varint(len) payload varint(raw_bytes)
 //! member_ck := 12-byte CompositeKey
 //! payload := lz( varint(rep_len) rep_bytes (varint(delta_len) delta)* )
+//! delta   := varint(len) (COPY|INSERT)* | varint(len) PATCH patch*
+//! patch   := varint(gap·2 | long) [varint(run) if long] bytes[run]
 //! ```
+//!
+//! A delta's form is [`rstore_compress::diff`]'s choice per pair: the
+//! patch (overwrite runs of an equal-length parent in place) or the
+//! copy/insert stream; see `rstore_compress::delta`.
 
 use crate::error::CoreError;
 use crate::model::CompositeKey;

@@ -15,6 +15,9 @@
 
 use bytes::Bytes;
 use proptest::prelude::*;
+use proptest::test_runner::TestRng;
+use rstore_compress::delta::parse_ops;
+use rstore_compress::DeltaOp;
 use rstore_core::chunk::{Chunk, SubChunk};
 use rstore_core::CoreError;
 use rstore_core::chunkmap::ChunkMap;
@@ -467,6 +470,39 @@ fn chunk_strategy(k: usize) -> impl Strategy<Value = (Chunk, Vec<Vec<Vec<u8>>>)>
             .collect();
         (Chunk { subchunks }, payloads)
     })
+}
+
+/// The ops of every delta in a sub-chunk's payload.
+fn delta_ops(sc: &SubChunk) -> Vec<DeltaOp> {
+    let inner = rstore_compress::lz::decompress(&sc.payload).unwrap();
+    let mut r = rstore_compress::varint::VarintReader::new(&inner);
+    let rep_len = r.read_u64().unwrap() as usize;
+    r.read_bytes(rep_len).unwrap();
+    let mut ops = Vec::new();
+    while !r.is_empty() {
+        let delta_len = r.read_u64().unwrap() as usize;
+        ops.extend(parse_ops(r.read_bytes(delta_len).unwrap()).unwrap());
+    }
+    ops
+}
+
+/// `chunk_strategy` edits members in place, so the damage proptests
+/// below decode patch deltas, and its one-byte members (whose patch
+/// is no smaller than an insert) keep the copy/insert form in them too.
+#[test]
+fn chunk_strategy_reaches_both_delta_forms() {
+    let mut rng = TestRng::from_name("chunk_strategy_reaches_both_delta_forms");
+    let (mut patches, mut copy_inserts) = (0, 0);
+    for _ in 0..96 {
+        let (chunk, _) = chunk_strategy(4).generate(&mut rng);
+        for op in chunk.subchunks.iter().flat_map(delta_ops) {
+            match op {
+                DeltaOp::Patch { .. } => patches += 1,
+                DeltaOp::Copy { .. } | DeltaOp::Insert(_) => copy_inserts += 1,
+            }
+        }
+    }
+    assert!(patches > 100 && copy_inserts > 0, "{patches} patch ops, {copy_inserts} copy/insert ops");
 }
 
 /// The allocating decoder the scratch decode replaced: LZ into a fresh
