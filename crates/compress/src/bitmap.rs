@@ -107,28 +107,6 @@ impl Bitmap {
         words.enumerate().flat_map(|(wi, w)| ones_of_word(wi, w))
     }
 
-    /// In-place union with another bitmap of the same length.
-    ///
-    /// # Panics
-    /// Panics if the lengths differ.
-    pub fn union_with(&mut self, other: &Bitmap) {
-        assert_eq!(self.len, other.len, "bitmap length mismatch");
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            *a |= b;
-        }
-    }
-
-    /// In-place intersection with another bitmap of the same length.
-    ///
-    /// # Panics
-    /// Panics if the lengths differ.
-    pub fn intersect_with(&mut self, other: &Bitmap) {
-        assert_eq!(self.len, other.len, "bitmap length mismatch");
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            *a &= b;
-        }
-    }
-
     /// Serializes with 31-bit WAH compression.
     ///
     /// Layout: `varint(len_bits)`, `varint(n_wah_words)`, then each WAH
@@ -326,17 +304,6 @@ mod tests {
         let mut visited = Vec::new();
         b.for_each_one(|i| visited.push(i));
         assert_eq!(visited, got);
-    }
-
-    #[test]
-    fn union_and_intersect() {
-        let mut a = Bitmap::from_indices(100, [1, 2, 3]);
-        let b = Bitmap::from_indices(100, [3, 4, 5]);
-        let mut u = a.clone();
-        u.union_with(&b);
-        assert_eq!(u.iter_ones().collect::<Vec<_>>(), vec![1, 2, 3, 4, 5]);
-        a.intersect_with(&b);
-        assert_eq!(a.iter_ones().collect::<Vec<_>>(), vec![3]);
     }
 
     #[test]

@@ -91,7 +91,7 @@ use crate::store::{
 use bytes::Bytes;
 use crossbeam::channel::bounded;
 use rstore_compress::{varint, Bitmap};
-use rstore_kvstore::{table_key, Cluster, Key, WriteSummary};
+use rstore_kvstore::{table_key, Cluster, Key, KvError, WriteSummary};
 use rstore_vgraph::{apply_changes, VersionDelta, VersionGraph};
 use rustc_hash::FxHashMap;
 use std::collections::BTreeMap;
@@ -269,14 +269,27 @@ pub(crate) fn delta_key(v: VersionId) -> Key {
 /// the keys `reopen` reads first — the checkpoint, the first
 /// generation record or the first delta — is there. A new root
 /// written over them would leave the old commit log pointing at
-/// overwritten chunks, and every version would be lost. One read of
-/// three keys.
+/// overwritten chunks, and every version would be lost. The three
+/// keys are read through the ring, so a key with no live replica
+/// fails the create, and then from every live node, because a cluster
+/// of another node count places them elsewhere than the store did.
 pub(crate) fn refuse_existing_store(cluster: &Cluster) -> Result<(), CoreError> {
-    let keys = vec![checkpoint_key(), record_key(1), delta_key(VersionId(0))];
-    if cluster.multi_get_owned(keys)?.iter().any(Option::is_some) {
-        return Err(CoreError::BadCommit(
+    let keys = || vec![checkpoint_key(), record_key(1), delta_key(VersionId(0))];
+    let held = |values: &[Option<_>]| values.iter().any(Option::is_some);
+    let refused = || {
+        Err(CoreError::BadCommit(
             "the backend already holds a store; reopen it instead".into(),
-        ));
+        ))
+    };
+    if held(&cluster.multi_get_owned(keys())?) {
+        return refused();
+    }
+    for node in 0..cluster.node_count() {
+        match cluster.fetch_from(node, keys()) {
+            Ok(reply) if held(&reply.values) => return refused(),
+            Ok(_) | Err(KvError::NodeDown(_) | KvError::NodeGone(_)) => {}
+            Err(e) => return Err(e.into()),
+        }
     }
     Ok(())
 }

@@ -13,20 +13,22 @@
 //!    (`route_keys`; at replication 1 that is `Cluster::owner_of`).
 //!    The result is a [`QueryPlan`]: an inspectable description of
 //!    exactly what will be fetched from where.
-//! 2. **Fetch** — [`RStore::execute`](crate::store::RStore::execute)
+//! 2. **Fetch and extract** — [`RStore::execute`](crate::store::RStore::execute)
 //!    runs the plan in *rounds*, and there is one round loop
 //!    (`execute_plan`). A round's node batches each run `run_batch`
 //!    — ship the keys, decode every blob the reply delivered, pair it
 //!    with the chunk's map **from the pinned snapshot** (chunk maps are
 //!    never fetched: every generation publishes them decoded, and a
 //!    reader pinned at generation `g` extracts with `g`'s maps even
-//!    after a compaction retired the chunk), decompress the sub-chunks
-//!    the query will extract from it (a sub-chunk that does not decode
-//!    fails the query, and its chunk is never cached), admit the pair
-//!    to the cache — and *return* one `BatchOutcome`: the node, its
-//!    modeled nanos, bytes, in-place retries, chunks decoded, the keys
-//!    the node left stranded, whether the node failed, the first hard
-//!    error.
+//!    after a compaction retired the chunk), build the query's records
+//!    from it with `QuerySpec::extract` (a sub-chunk that does not
+//!    decode fails the query, and its chunk is never cached), admit the
+//!    pair to the cache — and *return* one `BatchOutcome`: the node,
+//!    its modeled nanos, bytes, in-place retries, the chunks it served
+//!    with their records, the keys the node left stranded, whether the
+//!    node failed, the first hard error. A chunk fetch
+//!    ([`RStore::plan_chunks`](crate::store::RStore::plan_chunks): the
+//!    recovery scan, compaction's extraction) builds no records.
 //!    A pooled round submits exactly its node batches, one job each,
 //!    to the store's shared fetch pool ([`serve`](crate::serve)); they
 //!    send their outcome over an `mpsc` channel. A lone batch runs on
@@ -35,11 +37,12 @@
 //!    into the [`QueryStats`], the failover bookkeeping and the
 //!    stranded-key queue, then hands the stranded keys to `replan` —
 //!    the one re-plan, onto untried live replicas — as the next round.
-//!    While a round's jobs run on the pool, it decompresses what the
-//!    query reads from the plan's cache hits — except in a hedged
-//!    round, where it must stay free to time the straggler. A hit that
-//!    does not decode (a scan, which decodes nothing, can have cached
-//!    it) fails the query and is evicted.
+//!    While a round's jobs run on the pool, it extracts the query's
+//!    records from the plan's cache hits — except in a hedged round,
+//!    where it must stay free to time the straggler; the hits no round
+//!    reached are extracted after the rounds. A hit that does not
+//!    decode (a chunk fetch, which decodes no sub-chunk, can have
+//!    cached it) fails the query and is evicted.
 //!
 //!    **The channel is the barrier.** The query thread drops its
 //!    `Sender` once nothing more will be submitted, so the receive
@@ -51,29 +54,27 @@
 //!    the undelivered chunks of every unreported batch are stranded
 //!    from their node and re-planned like a failover — one wave of
 //!    backup batches, just more senders. A backup *wins* when it
-//!    decodes a chunk first, and the round is served as soon as the
-//!    decoded-chunk count reaches the round's total, stragglers or
+//!    serves a chunk first, and the round is served as soon as the
+//!    served-chunk count reaches the round's total, stragglers or
 //!    not. **The serial oracle**
 //!    ([`RStore::execute_serial`](crate::store::RStore::execute_serial),
 //!    what the property tests compare against) is the same loop with
 //!    no pool: every batch runs on the query thread, one node after
 //!    another.
 //!
-//!    The only cells two threads share are each pending chunk's
-//!    `delivered` gate and `decoded` cell: with hedging, a backup and
-//!    its straggler can race to deliver one chunk, the first decodes
-//!    it and the loser drops its duplicate.
+//!    The only cell two threads share is each pending chunk's
+//!    `delivered` gate: with hedging, a backup and its straggler can
+//!    race to deliver one chunk, the first decodes it and the loser
+//!    drops its duplicate. The served chunk travels in the winner's
+//!    outcome.
 //!
 //!    Modeled network time is the **max over a round's nodes**
 //!    (their sum with no pool); rounds serialize, so they add. A node
 //!    that fails mid-query does not fail the query: only a key with no
 //!    live replica left surfaces the error that stranded it.
-//! 3. **Extract** — [`RecordStream`] yields records chunk by chunk,
-//!    building each chunk's records only when the consumer reaches it.
-//!    Extraction stays lazy, but the fetched chunks were decoded in
-//!    the fetch stage, so a caller that stops early skips the tail's
-//!    record building, not its decode. A chunk that fails extraction
-//!    is evicted from the cache, so the next query refetches it.
+//! 3. **Stream** — [`RecordStream`] hands out the records `execute`
+//!    built, chunk by chunk in planning order. Every error has
+//!    surfaced by then, so the stream never yields one.
 
 use crate::cache::{ChunkCache, DecodedChunk};
 use crate::chunk::Chunk;
@@ -88,7 +89,7 @@ use rstore_kvstore::{table_key, Cluster, Key, KvError};
 use rustc_hash::{FxHashMap, FxHashSet};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// What a read wants: the four query classes of §2.1 plus the full
@@ -123,51 +124,26 @@ pub enum QuerySpec {
 }
 
 impl QuerySpec {
-    /// The one selection rule: the chunk-local ordinals this query
-    /// reads from `dc`, ascending — `None` for a scan, which reads the
-    /// whole chunk.
-    fn select(&self, dc: &DecodedChunk) -> Option<Vec<usize>> {
+    /// The one extraction rule: this query's records in one decoded
+    /// chunk, in chunk-local order. Only the sub-chunks holding them
+    /// are decompressed.
+    pub(crate) fn extract(&self, dc: &DecodedChunk) -> Result<Vec<Record>, CoreError> {
         // A version the chunk map does not know selects nothing.
         let members = |v| dc.map.iter_locals(v).into_iter().flatten();
-        let keys = || dc.local_keys();
-        Some(match *self {
-            QuerySpec::Version(v) => members(v).collect(),
+        let (chunk, keys) = (&dc.chunk, dc.local_keys());
+        match *self {
+            QuerySpec::Version(v) => query::extract_version_records(chunk, &dc.map, v),
             QuerySpec::Record { pk, v } => {
-                let keys = keys();
-                members(v).filter(|&l| keys[l].pk == pk).collect()
+                query::extract_from_iter(chunk, members(v).filter(|&l| keys[l].pk == pk))
             }
-            QuerySpec::Range { lo, hi, v } => {
-                let keys = keys();
-                members(v)
-                    .filter(|&l| (lo..=hi).contains(&keys[l].pk))
-                    .collect()
-            }
+            QuerySpec::Range { lo, hi, v } => query::extract_from_iter(
+                chunk,
+                members(v).filter(|&l| (lo..=hi).contains(&keys[l].pk)),
+            ),
             QuerySpec::Evolution { pk } => {
-                let keys = keys();
-                (0..keys.len()).filter(|&l| keys[l].pk == pk).collect()
+                query::extract_from_iter(chunk, (0..keys.len()).filter(|&l| keys[l].pk == pk))
             }
-            QuerySpec::Scan => return None,
-        })
-    }
-
-    /// Extracts this query's records from one decoded chunk, in
-    /// chunk-local order.
-    pub(crate) fn extract(&self, dc: &DecodedChunk) -> Result<Vec<Record>, CoreError> {
-        match self.select(dc) {
-            Some(locals) => query::extract_from_iter(&dc.chunk, locals),
-            None => query::extract_all(&dc.chunk),
-        }
-    }
-
-    /// Decodes the sub-chunks [`QuerySpec::extract`] will read from
-    /// `dc` into their memos — the fetch stage's share of extraction.
-    /// The rest stay compressed, and a scan decodes nothing ahead:
-    /// recovery reads only keys and maps, and compaction checks
-    /// every sub-chunk itself.
-    fn decode(&self, dc: &DecodedChunk) -> Result<(), CoreError> {
-        match self.select(dc) {
-            Some(locals) => query::decode_locals(&dc.chunk, locals),
-            None => Ok(()),
+            QuerySpec::Scan => query::extract_all(chunk),
         }
     }
 }
@@ -270,6 +246,9 @@ impl NodeBatch {
 #[derive(Debug)]
 pub struct QueryPlan {
     spec: QuerySpec,
+    /// A chunk fetch ([`RStore::plan_chunks`](crate::store::RStore::plan_chunks)):
+    /// the chunks are decoded and cached, and no record is built.
+    fetch_only: bool,
     /// The query's span in planning order (slot i holds chunk_ids[i]).
     chunk_ids: Vec<u32>,
     /// Slot-aligned cache hits (`None` = must be fetched).
@@ -392,6 +371,7 @@ pub(crate) fn build_plan(
     cluster: &Cluster,
     cache: &ChunkCache,
     spec: QuerySpec,
+    fetch_only: bool,
     chunk_ids: Vec<u32>,
     pin: PinnedSnapshot,
 ) -> Result<QueryPlan, CoreError> {
@@ -425,6 +405,7 @@ pub(crate) fn build_plan(
 
     Ok(QueryPlan {
         spec,
+        fetch_only,
         chunk_ids,
         resident,
         misses,
@@ -438,7 +419,6 @@ pub(crate) fn build_plan(
 /// A missed chunk mid-flight: its blob is on its way from a node, its
 /// map is already here.
 struct PendingChunk {
-    slot: usize,
     id: u32,
     /// The chunk's map in the plan's pinned snapshot — what the blob is
     /// paired with, whatever the writer has published since.
@@ -449,8 +429,11 @@ struct PendingChunk {
     /// hedging each chunk has a single server per round and the gate
     /// never contends.
     delivered: AtomicBool,
-    decoded: OnceLock<Arc<DecodedChunk>>,
 }
+
+/// A chunk the fetch stage is done with: decoded, paired with its map,
+/// and the query's records built from it (none for a chunk fetch).
+type Served = (Arc<DecodedChunk>, Vec<Record>);
 
 /// A chunk the current fetch round could not serve, queued for its next
 /// live replica. `from` is the node that just failed (or answered
@@ -525,14 +508,14 @@ where
 /// What every batch of one fetch execution reads, behind an `Arc` so
 /// pool jobs (which outlive no borrow) and batches run on the query
 /// thread share the one [`run_batch`]. Nothing here is written after
-/// construction except each chunk's `delivered` gate and `decoded`
-/// cell; whatever else a batch has to say travels in its
-/// [`BatchOutcome`].
+/// construction except each chunk's `delivered` gate; whatever else a
+/// batch has to say travels in its [`BatchOutcome`].
 struct FetchCtx {
     cluster: Arc<Cluster>,
     cache: Arc<ChunkCache>,
-    /// The query, whose sub-chunks a batch decodes as its blobs land.
-    spec: QuerySpec,
+    /// The query whose records a batch builds as its blobs land;
+    /// `None` for a chunk fetch.
+    extract: Option<QuerySpec>,
     /// Generation the plan's pin admitted — stamps every cache insert
     /// so later readers know how fresh the decoded chunk is.
     gen: u64,
@@ -557,8 +540,9 @@ struct BatchOutcome {
     bytes: usize,
     /// Transient refusals the cluster healed in place.
     retries: usize,
-    /// Chunks this batch was first to deliver, now decoded.
-    decoded: usize,
+    /// The chunks this batch was first to deliver, served, each with
+    /// its miss ordinal.
+    served: Vec<(usize, Served)>,
     /// Chunks the node did not serve, for the failover re-plan.
     stranded: Vec<RetryKey>,
     /// The whole batch failed on a node that is down or gone.
@@ -570,7 +554,8 @@ struct BatchOutcome {
 
 /// Ships one node batch and decodes every blob the reply
 /// delivered, pairing it with the chunk's map from the pinned
-/// snapshot. Runs on the query thread or a pool worker — the failover
+/// snapshot, and builds the query's records from it. Runs on the
+/// query thread or a pool worker — the failover
 /// semantics live entirely in the outcome it returns, not in who runs
 /// it.
 fn run_batch(ctx: &FetchCtx, seq: usize, batch: NodeBatch) -> BatchOutcome {
@@ -639,26 +624,21 @@ fn run_batch(ctx: &FetchCtx, seq: usize, batch: NodeBatch) -> BatchOutcome {
             // the chunk is already in hand, drop the duplicate.
             continue;
         }
-        // Decode here, on whichever thread the blob arrived on,
-        // overlapping the other batches' I/O: the chunk, then the
-        // sub-chunks the query will extract from it. A chunk that
+        // Decode and extract here, on whichever thread the blob
+        // arrived on, overlapping the other batches' I/O. A chunk that
         // fails either step is never cached.
         let _decode_span = crate::obs::span_opt(&ctx.trace, TID_NODE_BASE + node as u32, || {
             format!("decode C{}", p.id)
         });
-        let decoded = Chunk::from_blob(&blob).and_then(|chunk| {
-            let dc = DecodedChunk::new(chunk, ChunkMap::clone(&p.map));
-            ctx.spec.decode(&dc)?;
-            Ok(Arc::new(dc))
+        let served = Chunk::from_blob(&blob).and_then(|chunk| {
+            let dc = Arc::new(DecodedChunk::new(chunk, ChunkMap::clone(&p.map)));
+            let records = ctx.extract.map(|spec| spec.extract(&dc)).transpose()?;
+            Ok((dc, records.unwrap_or_default()))
         });
-        match decoded {
-            Ok(dc) => {
+        match served {
+            Ok((dc, records)) => {
                 ctx.cache.insert(p.id, Arc::clone(&dc), ctx.gen);
-                let _ = p.decoded.set(dc);
-                // Counted only now — after the decode — so the
-                // round's count reaching its total means every chunk
-                // is decoded, not merely delivered.
-                out.decoded += 1;
+                out.served.push((m, (dc, records)));
             }
             Err(e) => {
                 out.err.get_or_insert(e);
@@ -756,6 +736,7 @@ pub(crate) fn execute_plan(
 ) -> Result<ExecutedQuery, CoreError> {
     let QueryPlan {
         spec,
+        fetch_only,
         chunk_ids,
         mut resident,
         misses,
@@ -775,26 +756,35 @@ pub(crate) fn execute_plan(
         cache_misses,
         ..QueryStats::default()
     };
+    let extract = (!fetch_only).then_some(spec);
+    // Slot-aligned: each chunk's records. A cache hit's are built on
+    // this thread, a miss's where its blob landed (`served`, by miss
+    // ordinal).
+    let mut records: Vec<Vec<Record>> = chunk_ids.iter().map(|_| Vec::new()).collect();
+    let mut served: Vec<Option<Served>> = misses.iter().map(|_| None).collect();
+    let mut hits = chunk_ids
+        .iter()
+        .zip(&resident)
+        .enumerate()
+        .filter_map(|(slot, (&id, hit))| Some((slot, id, hit.as_ref()?)));
 
     if !misses.is_empty() {
         // A planned id the pinned generation has no slot for (only an
         // explicit `plan_chunks` can name one) is a missing chunk.
         let pending = misses
             .iter()
-            .map(|&(slot, id)| {
+            .map(|&(_, id)| {
                 Ok(PendingChunk {
-                    slot,
                     id,
                     map: Arc::clone(pin.chunk_map(id).ok_or(CoreError::MissingChunk(id))?),
                     delivered: AtomicBool::new(false),
-                    decoded: OnceLock::new(),
                 })
             })
             .collect::<Result<Vec<PendingChunk>, CoreError>>()?;
         let ctx = Arc::new(FetchCtx {
             cluster: Arc::clone(cluster),
             cache: Arc::clone(cache),
-            spec,
+            extract,
             gen: pin.generation(),
             pending,
             trace: policy.trace.clone(),
@@ -819,10 +809,6 @@ pub(crate) fn execute_plan(
         let mut first_err: Option<CoreError> = None;
         let mut round_batches = batches;
         let mut round_idx = 0usize;
-        let mut hits = chunk_ids
-            .iter()
-            .zip(&resident)
-            .filter_map(|(&id, hit)| Some((id, hit.as_ref()?)));
 
         while !round_batches.is_empty() {
             let round_t = Instant::now();
@@ -884,21 +870,13 @@ pub(crate) fn execute_plan(
                     (Vec::new(), Some(rx), backup)
                 }
             };
-            // While the pool fetches, this thread decodes what the
-            // query reads from the plan's cache hits (the first pooled
-            // round drains `hits`). A hedged round leaves them to
-            // extraction: this thread must stay free to time the
-            // straggler.
+            // While the pool fetches, this thread extracts the plan's
+            // cache hits (the first pooled round drains `hits`). A
+            // hedged round leaves them for after the rounds: this
+            // thread must stay free to time the straggler.
             if rx.is_some() && hedge.is_none() {
-                let _span = crate::obs::span_opt(&ctx.trace, TID_QUERY, || "decode hits".into());
-                for (id, dc) in hits.by_ref() {
-                    if let Err(e) = spec.decode(dc) {
-                        // Not served from the cache again: the next
-                        // query refetches it.
-                        cache.invalidate(id);
-                        first_err.get_or_insert(e);
-                        break;
-                    }
+                if let Err(e) = extract_hits(extract, &mut hits, cache, &mut records, &ctx.trace) {
+                    first_err.get_or_insert(e);
                 }
             }
             let mut inline = inline.into_iter().enumerate();
@@ -929,11 +907,11 @@ pub(crate) fn execute_plan(
             let mut per_node: FxHashMap<usize, u64> = FxHashMap::default();
             let mut stranded: Vec<RetryKey> = Vec::new();
             let mut failed: Vec<usize> = Vec::new();
-            let (mut reported, mut decoded) = (0usize, 0usize);
+            let (mut reported, mut done) = (0usize, 0usize);
             // A round ends when every batch has reported, or sooner
-            // when every chunk is decoded: stragglers still in flight
+            // when every chunk is served: stragglers still in flight
             // owe this query nothing.
-            while reported < submitted && decoded < round_chunks {
+            while reported < submitted && done < round_chunks {
                 let o = match next_outcome(backup.as_ref().map(|(at, _)| *at)) {
                     Ok(outcome) => outcome,
                     Err(Idle::Drained) => break,
@@ -977,7 +955,14 @@ pub(crate) fn execute_plan(
                     }
                 };
                 reported += 1;
-                decoded += o.decoded;
+                done += o.served.len();
+                // A backup wins when it served a chunk before its
+                // straggler delivered it: the duplicate work cut the
+                // critical path.
+                metrics.hedge_wins += usize::from(o.seq >= originals && !o.served.is_empty());
+                for (m, chunk) in o.served {
+                    served[m] = Some(chunk);
+                }
                 *per_node.entry(o.node).or_insert(0) += o.modeled;
                 metrics.bytes_fetched += o.bytes;
                 metrics.retries += o.retries;
@@ -991,10 +976,6 @@ pub(crate) fn execute_plan(
                 if let Some(lane) = unreported.get_mut(o.seq) {
                     *lane = None;
                 }
-                // A backup wins when it decoded a chunk before its
-                // straggler delivered it: the duplicate work cut the
-                // critical path.
-                metrics.hedge_wins += usize::from(o.seq >= originals && o.decoded > 0);
             }
             // Nodes whose whole batch failed are out from the next
             // round on (the hedge wave above still saw the round-start
@@ -1038,7 +1019,7 @@ pub(crate) fn execute_plan(
                     break;
                 }
             }
-            if decoded == round_chunks {
+            if done == round_chunks {
                 break;
             }
 
@@ -1068,20 +1049,20 @@ pub(crate) fn execute_plan(
                 partial: Box::new(metrics),
             });
         }
-        for p in &ctx.pending {
-            // Cloning out of the `OnceLock` (instead of consuming the
-            // context) keeps this correct while a straggler's job
-            // still holds its `Arc<FetchCtx>` clone.
-            let Some(dc) = p.decoded.get().cloned() else {
-                // A batch that never reported (its job panicked) — a
-                // logic error must not panic the query path.
-                return Err(CoreError::Codec(format!(
-                    "chunk C{} incomplete after scatter-gather",
-                    p.id
-                )));
-            };
-            resident[p.slot] = Some(dc);
-        }
+    }
+    // The hits no pooled round reached: all of them in a hedged or
+    // inline-only execution, or one with nothing to fetch.
+    extract_hits(extract, &mut hits, cache, &mut records, &policy.trace)?;
+    for (&(slot, id), chunk) in misses.iter().zip(served) {
+        // A batch that never reported (its job panicked) — a logic
+        // error must not panic the query path.
+        let Some((dc, chunk_records)) = chunk else {
+            return Err(CoreError::Codec(format!(
+                "chunk C{id} incomplete after scatter-gather"
+            )));
+        };
+        resident[slot] = Some(dc);
+        records[slot] = chunk_records;
     }
 
     let chunks = resident
@@ -1089,41 +1070,48 @@ pub(crate) fn execute_plan(
         .map(|slot| slot.expect("planner covers every slot: hit or miss"))
         .collect();
     Ok(ExecutedQuery {
-        spec,
-        chunk_ids,
         chunks,
+        records,
         metrics,
-        cache: Arc::clone(cache),
     })
 }
 
-/// A plan after its fetch stage: every spanned chunk decoded and in
-/// planning order, plus the fetch accounting. Extraction has not
-/// happened yet — iterate via [`ExecutedQuery::into_stream`].
+/// Builds the query's records from `hits` (slot, id, chunk) into their
+/// slots of `records`, stopping at the first hit that does not decode:
+/// it is evicted — the next query refetches it — and fails the query.
+/// A chunk fetch (`extract` is `None`) builds nothing.
+fn extract_hits<'a>(
+    extract: Option<QuerySpec>,
+    hits: &mut impl Iterator<Item = (usize, u32, &'a Arc<DecodedChunk>)>,
+    cache: &ChunkCache,
+    records: &mut [Vec<Record>],
+    trace: &Option<Arc<TraceSink>>,
+) -> Result<(), CoreError> {
+    let Some(spec) = extract else {
+        return Ok(());
+    };
+    let _span = crate::obs::span_opt(trace, TID_QUERY, || "extract hits".into());
+    for (slot, id, dc) in hits {
+        records[slot] = spec.extract(dc).inspect_err(|_| cache.invalidate(id))?;
+    }
+    Ok(())
+}
+
+/// A plan after its fetch stage: every spanned chunk decoded, with the
+/// query's records built from it, in planning order, plus the fetch
+/// accounting. Iterate the records via [`ExecutedQuery::into_stream`].
 #[derive(Debug)]
 pub struct ExecutedQuery {
-    spec: QuerySpec,
-    chunk_ids: Vec<u32>,
     chunks: Vec<Arc<DecodedChunk>>,
+    /// Parallel to `chunks`: each chunk's records, in chunk-local
+    /// order (none for a chunk fetch).
+    records: Vec<Vec<Record>>,
     /// Fetch accounting for this execution: everything but
-    /// extraction's share (`chunks_useful`, `records`) and the wall
-    /// clock.
+    /// `chunks_useful`, `records` and the wall clock.
     pub metrics: QueryStats,
-    /// Where a chunk that fails extraction is evicted from.
-    cache: Arc<ChunkCache>,
 }
 
 impl ExecutedQuery {
-    /// The decoded chunks, in planning order.
-    pub fn chunks(&self) -> &[Arc<DecodedChunk>] {
-        &self.chunks
-    }
-
-    /// The planned chunk ids, in planning order.
-    pub fn chunk_ids(&self) -> &[u32] {
-        &self.chunk_ids
-    }
-
     /// Consumes the execution into the decoded chunks (recovery scan).
     pub fn into_chunks(self) -> Vec<Arc<DecodedChunk>> {
         self.chunks
@@ -1132,36 +1120,26 @@ impl ExecutedQuery {
     /// Streams the query's records chunk by chunk.
     pub fn into_stream(self) -> RecordStream {
         RecordStream {
-            spec: self.spec,
             metrics: self.metrics,
-            chunks: self.chunk_ids.into_iter().zip(self.chunks),
-            cache: self.cache,
+            chunks: self.records.into_iter(),
             buffer: Vec::new().into_iter(),
             chunks_useful: 0,
             records_yielded: 0,
-            failed: false,
         }
     }
 }
 
-/// Streaming record extraction: each chunk's records are built only
-/// when the consumer reaches that chunk. The sub-chunks holding them
-/// were mostly decompressed during `execute` — every fetched chunk's,
-/// and a pooled round's cache hits — so what is left here is record
-/// building, plus the decode of any hit the fetch stage did not
-/// reach; a chunk that fails here is evicted from the cache. Records
-/// come out grouped by chunk, in chunk-local order within each chunk.
+/// The records `execute` built, grouped by chunk in planning order and
+/// in chunk-local order within each chunk. Every error surfaced in
+/// `execute`, so the stream never yields one.
 #[derive(Debug)]
 pub struct RecordStream {
-    spec: QuerySpec,
     metrics: QueryStats,
-    /// The chunks still to extract, each with its id.
-    chunks: std::iter::Zip<std::vec::IntoIter<u32>, std::vec::IntoIter<Arc<DecodedChunk>>>,
-    cache: Arc<ChunkCache>,
+    /// The records of the chunks not yet reached, one vector each.
+    chunks: std::vec::IntoIter<Vec<Record>>,
     buffer: std::vec::IntoIter<Record>,
     chunks_useful: usize,
     records_yielded: usize,
-    failed: bool,
 }
 
 impl RecordStream {
@@ -1181,12 +1159,16 @@ impl RecordStream {
     }
 
     /// Drains the remaining records into a vector (the materializing
-    /// entry points), stopping at the first extraction error.
+    /// entry points), sized once and filled a chunk at a time.
     pub fn drain(&mut self) -> Result<Vec<Record>, CoreError> {
-        let mut out = Vec::new();
-        for record in &mut *self {
-            out.push(record?);
+        let left: usize = self.chunks.as_slice().iter().map(Vec::len).sum();
+        let mut out = Vec::with_capacity(self.buffer.len() + left);
+        out.extend(&mut self.buffer);
+        for records in &mut self.chunks {
+            self.chunks_useful += usize::from(!records.is_empty());
+            out.extend(records);
         }
+        self.records_yielded += out.len();
         Ok(out)
     }
 }
@@ -1195,30 +1177,14 @@ impl Iterator for RecordStream {
     type Item = Result<Record, CoreError>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        if self.failed {
-            return None;
-        }
         loop {
             if let Some(record) = self.buffer.next() {
                 self.records_yielded += 1;
                 return Some(Ok(record));
             }
-            let (id, dc) = self.chunks.next()?;
-            match self.spec.extract(&dc) {
-                Ok(records) => {
-                    if !records.is_empty() {
-                        self.chunks_useful += 1;
-                        self.buffer = records.into_iter();
-                    }
-                }
-                Err(e) => {
-                    // A cache hit whose sub-chunks do not decode: the
-                    // next query refetches it, and fails in `execute`.
-                    self.cache.invalidate(id);
-                    self.failed = true;
-                    return Some(Err(e));
-                }
-            }
+            let records = self.chunks.next()?;
+            self.chunks_useful += usize::from(!records.is_empty());
+            self.buffer = records.into_iter();
         }
     }
 }
@@ -1248,11 +1214,13 @@ mod tests {
 
         // Poison one batch: a miss ordinal past the plan's misses makes
         // `run_batch` index out of bounds after its fetch, on a worker.
+        // Every chunk of that batch is lost with its outcome, and the
+        // error names the first.
         let mut plan = store.plan_query(QuerySpec::Version(v)).unwrap();
         assert!(plan.batches.len() > 1, "a single batch would run on this thread");
-        let victim = plan.batches.last_mut().unwrap().misses.last_mut().unwrap();
-        let lost = plan.misses[*victim].1;
-        *victim = usize::MAX;
+        let poisoned = &mut plan.batches.last_mut().unwrap().misses;
+        let lost = plan.misses[poisoned[0]].1;
+        *poisoned.last_mut().unwrap() = usize::MAX;
 
         // On a thread of its own, so a hang fails the test instead of
         // wedging the suite.
@@ -1278,7 +1246,7 @@ mod tests {
         assert!(!records.is_empty());
     }
 
-    /// A scan decodes no sub-chunk ahead, so it can cache a chunk whose
+    /// A chunk fetch builds no record, so it can cache a chunk whose
     /// sub-chunks do not decode. A pooled round's query thread meets
     /// that hit while the pool fetches the misses: the query fails and
     /// the hit is evicted.

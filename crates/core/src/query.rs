@@ -77,35 +77,14 @@ pub fn extract_version_records(
     map: &ChunkMap,
     v: VersionId,
 ) -> Result<Vec<Record>, CoreError> {
-    let Some(locals) = map.iter_locals(v) else {
+    let Some(members) = map.members_of(v) else {
         return Ok(Vec::new());
     };
-    extract_from_iter(chunk, locals)
-}
-
-/// Decodes exactly the sub-chunks [`extract_from_iter`] would
-/// decompress for the same `locals` (ascending chunk-local ordinals),
-/// into each sub-chunk's memo, so a later extraction only reads memos.
-/// The fetch stage runs this where a blob lands; ordinals past the
-/// chunk's end are left for extraction to report.
-pub(crate) fn decode_locals(
-    chunk: &Chunk,
-    locals: impl IntoIterator<Item = usize>,
-) -> Result<(), CoreError> {
-    let mut it = locals.into_iter().peekable();
-    let mut base = 0usize;
-    for sc in &chunk.subchunks {
-        let end = base + sc.members.len();
-        let Some(&next) = it.peek() else {
-            break;
-        };
-        if next < end {
-            sc.decode()?;
-            while it.next_if(|&local| local < end).is_some() {}
-        }
-        base = end;
-    }
-    Ok(())
+    // The member count sizes the output exactly; a bitmap's iterator
+    // does not know it.
+    let mut out = Vec::with_capacity(members.count_ones());
+    extract_into(chunk, members.iter_ones(), &mut out)?;
+    Ok(out)
 }
 
 /// Iterator-driven core of record extraction: `locals` must yield
@@ -116,8 +95,19 @@ pub fn extract_from_iter(
     chunk: &Chunk,
     locals: impl IntoIterator<Item = usize>,
 ) -> Result<Vec<Record>, CoreError> {
-    let mut it = locals.into_iter().peekable();
-    let mut out = Vec::with_capacity(it.size_hint().0);
+    let locals = locals.into_iter();
+    let mut out = Vec::with_capacity(locals.size_hint().0);
+    extract_into(chunk, locals, &mut out)?;
+    Ok(out)
+}
+
+/// [`extract_from_iter`] into a caller-sized vector.
+fn extract_into(
+    chunk: &Chunk,
+    locals: impl Iterator<Item = usize>,
+    out: &mut Vec<Record>,
+) -> Result<(), CoreError> {
+    let mut it = locals.peekable();
     let mut base = 0usize; // local ordinal of current sub-chunk start
     for sc in &chunk.subchunks {
         let end = base + sc.members.len();
@@ -144,7 +134,7 @@ pub fn extract_from_iter(
             "chunk map references local {beyond} beyond chunk size {base}"
         )));
     }
-    Ok(out)
+    Ok(())
 }
 
 /// Extracts every record in the chunk (used by evolution queries and
@@ -242,26 +232,21 @@ mod tests {
     }
 
     #[test]
-    fn decode_locals_touches_what_extraction_touches() {
+    fn a_damaged_sub_chunk_fails_only_the_reads_that_touch_it() {
         // Sub-chunk 1 (local 2) does not decode: its first LZ token
         // has a bad tag.
         let mut chunk = sample_chunk();
         chunk.subchunks[1].payload.to_mut()[1] = 0x77;
-        // Locals 0, 1, 3 and 4 live in sub-chunks 0 and 2; ordinals
-        // past the chunk's end are extraction's to report.
-        decode_locals(&chunk, [0, 1, 3, 4, 99]).unwrap();
-        assert!(matches!(
-            decode_locals(&chunk, [1, 2]),
-            Err(CoreError::Codec(_))
-        ));
+        // Locals 0, 1, 3 and 4 live in sub-chunks 0 and 2.
+        let recs = extract_from_iter(&chunk, [0, 1, 3, 4]).unwrap();
+        assert_eq!(recs.len(), 4);
         assert!(matches!(
             extract_from_iter(&chunk, [1, 2]),
             Err(CoreError::Codec(_))
         ));
-        // The sub-chunks that did decode are memoized for extraction.
-        let recs = extract_from_iter(&chunk, [0, 4]).unwrap();
+        // The sub-chunks that did decode are memoized.
         let memo = chunk.subchunks[2].decode().unwrap();
-        assert_eq!(recs[1].payload.as_ptr(), memo[1].as_ptr());
+        assert_eq!(recs[3].payload.as_ptr(), memo[1].as_ptr());
     }
 
     #[test]
@@ -274,6 +259,5 @@ mod tests {
     fn empty_locals_cheap() {
         let chunk = sample_chunk();
         assert!(extract_from_iter(&chunk, []).unwrap().is_empty());
-        decode_locals(&chunk, []).unwrap();
     }
 }

@@ -1586,29 +1586,31 @@ impl RStore {
         let chunk_ids = pin
             .projections
             .chunks_for(&spec, || pin.live_chunk_ids());
-        plan::build_plan(&self.cluster, &self.cache, spec, chunk_ids, pin)
+        plan::build_plan(&self.cluster, &self.cache, spec, false, chunk_ids, pin)
     }
 
     /// Plans a fetch of explicit chunk ids — the recovery scan and a
     /// compaction slice's extraction, which name chunks rather than
-    /// versions or keys.
+    /// versions or keys. Its execution decodes and caches the chunks
+    /// ([`ExecutedQuery::into_chunks`]) and builds no record.
     pub fn plan_chunks(&self, chunk_ids: Vec<u32>) -> Result<QueryPlan, CoreError> {
-        plan::build_plan(&self.cluster, &self.cache, QuerySpec::Scan, chunk_ids, self.pin())
+        let pin = self.pin();
+        plan::build_plan(&self.cluster, &self.cache, QuerySpec::Scan, true, chunk_ids, pin)
     }
 
-    /// Stage 2 — **fetch**: scatter-gather through the serving core.
-    /// The query first passes admission control (waiting in the FIFO
-    /// queue when the in-flight budget is full, shed with
+    /// Stage 2 — **fetch and extract**: scatter-gather through the
+    /// serving core. The query first passes admission control (waiting
+    /// in the FIFO queue when the in-flight budget is full, shed with
     /// [`CoreError::Overloaded`] once the queue is full too), then
     /// its node batches run as jobs on the store's shared fetch pool:
-    /// a chunk is decoded by the pool worker its blob arrives on —
-    /// along with the sub-chunks the query will extract —
-    /// overlapping decode with the other batches' transfers, paired
-    /// with its map from the plan's pinned snapshot and admitted to
-    /// the cache. A sub-chunk that does not decode fails the query
-    /// with [`CoreError::Codec`], and its chunk is not cached (or, when
-    /// a scan cached it, is evicted by the read that fails). Time
-    /// queued is reported in
+    /// a chunk is decoded by the pool worker its blob arrives on,
+    /// paired with its map from the plan's pinned snapshot, and the
+    /// query's records are built from it there, overlapping the other
+    /// batches' transfers, before it is admitted to the cache. The
+    /// query thread builds the records of the plan's cache hits. A
+    /// sub-chunk that does not decode fails the query here with
+    /// [`CoreError::Codec`], and its chunk is not cached (or, when a
+    /// chunk fetch cached it, is evicted). Time queued is reported in
     /// [`QueryStats::queue_wait`](crate::query::QueryStats::queue_wait).
     pub fn execute(&self, plan: QueryPlan) -> Result<ExecutedQuery, CoreError> {
         self.execute_with_deadline(plan, self.config.default_deadline)
@@ -1765,10 +1767,10 @@ impl RStore {
         }
     }
 
-    /// Stage 3 — **extract**, streaming: the full pipeline, returning
-    /// a [`RecordStream`] that builds each chunk's records only when
-    /// the consumer reaches it. Fetched chunks arrive already decoded
-    /// for the query: `execute` decompressed their sub-chunks.
+    /// The full pipeline, returning a [`RecordStream`] over the
+    /// records `execute` built, chunk by chunk. The stream is not
+    /// lazy: every record is built, and every error has surfaced, by
+    /// the time this returns.
     pub fn stream_query(&self, spec: QuerySpec) -> Result<RecordStream, CoreError> {
         Ok(self.execute(self.plan_query(spec)?)?.into_stream())
     }

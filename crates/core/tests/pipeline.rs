@@ -288,9 +288,9 @@ fn record_stream_is_lazy_and_resumable() {
     let full = store.get_version(v).unwrap();
     assert!(!full.is_empty());
 
-    // Early termination: take one record and drop the stream — the
-    // tail of the span is decoded (in `execute`) but its records are
-    // never built.
+    // Take one record and drop the stream. `execute` built every
+    // chunk's records; the stream counts only the chunks it has
+    // reached.
     let mut stream = store.stream_query(QuerySpec::Version(v)).unwrap();
     let first = stream.next().unwrap().unwrap();
     assert!(full.iter().any(|r| {
@@ -299,7 +299,7 @@ fn record_stream_is_lazy_and_resumable() {
     assert_eq!(
         stream.chunks_useful(),
         1,
-        "only the chunk that produced the first record was extracted"
+        "only the chunk that produced the first record was reached"
     );
     drop(stream);
 

@@ -494,15 +494,16 @@ fn a_pooled_round_runs_one_job_per_node_batch() {
 
 #[test]
 fn a_damaged_sub_chunk_fails_its_reads_and_stays_out_of_the_cache() {
-    // The fetch stage decodes, where each blob lands, the sub-chunks
-    // the query will extract. One stored blob's first sub-chunk gets a
-    // bad LZ token tag, the chunk framing intact: a query that reads
-    // that sub-chunk fails at `execute` under both executors and never
-    // admits the chunk to the cache, while a query reading only
-    // another sub-chunk of the same chunk is answered. After a restart
-    // the recovery scan, which decodes no sub-chunk, has cached the
-    // chunk: the first read of the damaged sub-chunk fails on that hit
-    // and evicts it, and later reads fail at `execute` again.
+    // The fetch stage builds, where each blob lands, the query's
+    // records. One stored blob's first sub-chunk gets a bad LZ token
+    // tag, the chunk framing intact: a query that reads that sub-chunk
+    // fails at `execute` under both executors and never admits the
+    // chunk to the cache, while a query reading only another sub-chunk
+    // of the same chunk is answered. After a restart the recovery
+    // scan, a chunk fetch that decodes no sub-chunk, has cached the
+    // chunk: a scan query or a read of the damaged sub-chunk fails at
+    // `execute` on that hit and evicts it, a chunk fetch caches it
+    // again, and later reads fail at `execute` again.
     use rstore::compress::varint;
     use rstore::core::chunk::Chunk;
     use rstore::core::store::CHUNK_TABLE;
@@ -594,13 +595,24 @@ fn a_damaged_sub_chunk_fails_its_reads_and_stays_out_of_the_cache() {
 
     let store = RStore::reopen(config, make_cluster()).unwrap();
     assert!(is_cached(&store), "the recovery scan warms the cache");
-    let first = store
-        .execute(plan(&store))
-        .and_then(|executed| executed.into_stream().drain());
-    assert!(
-        matches!(first, Err(CoreError::Codec(_))),
-        "read of {v} from the cached chunk: expected a decode error"
-    );
+    let scan = store.plan_query(QuerySpec::Scan).unwrap();
+    match store.execute(scan) {
+        Err(CoreError::Codec(_)) => {}
+        other => panic!(
+            "scan of the cached chunk: expected a decode error, got {:?}",
+            other.map(|_| ())
+        ),
+    }
+    assert!(!is_cached(&store), "the hit the scan failed on stayed cached");
+    store.execute(store.plan_chunks(vec![id]).unwrap()).unwrap();
+    assert!(is_cached(&store), "a chunk fetch builds no record and caches the chunk");
+    match store.execute(plan(&store)) {
+        Err(CoreError::Codec(_)) => {}
+        other => panic!(
+            "read of {v} from the cached chunk: expected a decode error, got {:?}",
+            other.map(|_| ())
+        ),
+    }
     assert!(!is_cached(&store), "the failed hit stayed cached");
     fails_in_execute(&store);
     intact_is_answered(&store);
@@ -1469,14 +1481,14 @@ fn a_new_store_refuses_a_backend_that_holds_one() {
     let dir = std::env::temp_dir()
         .join(format!("rstore-fullstack-recreate-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let cluster = || {
+    let cluster = |nodes: usize| {
         Cluster::builder()
-            .nodes(2)
+            .nodes(nodes)
             .engine(rstore::kvstore::EngineKind::Log { dir: dir.clone() })
             .build()
     };
     let config = {
-        let store = RStore::builder().build(cluster());
+        let store = RStore::builder().build(cluster(2));
         let root = CommitRequest::root([(0u64, b"alpha".to_vec()), (1, b"beta".to_vec())]);
         let v0 = store.commit(root).unwrap();
         store.commit(CommitRequest::child_of(v0).put(1, b"gamma".to_vec())).unwrap();
@@ -1491,20 +1503,23 @@ fn a_new_store_refuses_a_backend_that_holds_one() {
     let before = logs();
 
     // A new store over it refuses both ways of creating a root, and
-    // writes nothing.
-    let store = RStore::builder().build(cluster());
-    let root = store.commit(CommitRequest::root([(0u64, b"omega".to_vec())]));
-    assert!(matches!(root, Err(CoreError::BadCommit(_))), "{root:?}");
-    let mut spec = DatasetSpec::tiny(9031);
-    spec.num_versions = 4;
-    let load = store.load_dataset(&spec.generate());
-    assert!(matches!(load, Err(CoreError::BadCommit(_))), "{load:?}");
-    assert_eq!(store.version_count(), 0);
-    drop(store);
-    assert_eq!(logs(), before, "a refused create wrote to the node logs");
+    // writes nothing — also on a cluster of another node count, whose
+    // ring places the store's keys elsewhere than the store did.
+    for nodes in [2, 1, 3, 4, 5] {
+        let store = RStore::builder().build(cluster(nodes));
+        let root = store.commit(CommitRequest::root([(0u64, b"omega".to_vec())]));
+        assert!(matches!(root, Err(CoreError::BadCommit(_))), "{nodes} nodes: {root:?}");
+        let mut spec = DatasetSpec::tiny(9031);
+        spec.num_versions = 4;
+        let load = store.load_dataset(&spec.generate());
+        assert!(matches!(load, Err(CoreError::BadCommit(_))), "{nodes} nodes: {load:?}");
+        assert_eq!(store.version_count(), 0);
+        drop(store);
+        assert_eq!(logs(), before, "{nodes} nodes: a refused create wrote to the node logs");
+    }
 
     // The store it refused is whole.
-    let store = RStore::reopen(config, cluster()).unwrap();
+    let store = RStore::reopen(config, cluster(2)).unwrap();
     assert_eq!(store.version_count(), 2);
     let payloads = |v: u32| -> Vec<Vec<u8>> {
         store.get_version(VersionId(v)).unwrap().iter().map(|r| r.payload.to_vec()).collect()
