@@ -12,8 +12,8 @@
 //!   the base with some bytes overwritten in place. Each op is
 //!   `varint(gap·2 | long) [varint(run) if long] bytes[run]`: keep `gap`
 //!   base bytes, overwrite the next `run` (1 unless `long`). Each run is
-//!   one maximal stretch of changed bytes. Decoding is one copy of the
-//!   base plus the runs.
+//!   one maximal stretch of changed bytes. Decoding writes the runs
+//!   over a copy of the base, or over the base itself.
 //! * **Copy/insert**: a greedy block-copy diff. The encoder indexes the
 //!   base by 8-byte anchors and emits a stream of
 //!   `COPY{base_offset, len}` / `INSERT{bytes}` ops, each varint-framed.
@@ -25,6 +25,18 @@
 //! and keeps the smaller, the greedy form on a tie (a shift or a
 //! rewrite). A `PATCH` tag was an unknown tag before the patch form
 //! existed, so every delta written without it decodes as it always did.
+//!
+//! Applying a patch is one kernel for both entry points:
+//! [`apply_delta_into`] copies the base into its output and
+//! [`apply_delta_in_place`] starts from the record it is handed, and
+//! each then writes the runs over it. The kernel reads the one-byte
+//! varints of an op's head and run inline and writes a one-byte run as
+//! a single store. It checks, in this order, the base's length
+//! (`LengthMismatch`), then per op its varints (`UnexpectedEof`,
+//! `VarintOverflow`), its range (`BadPatchRun`: empty, or past the
+//! end) and its bytes (`UnexpectedEof`). A copy/insert delta applied
+//! in place is built in a spare buffer and swapped in, so a
+//! sub-chunk's delta chain never copies a patched member.
 //!
 //! The greedy encoder's anchor table (64 KB) is a per-thread scratch
 //! reused across calls — records are a few hundred bytes, so allocating
@@ -268,8 +280,8 @@ pub fn apply_delta_into(base: &[u8], delta: &[u8], out: &mut Vec<u8>) -> Result<
     let mut r = varint::VarintReader::new(delta);
     let expected = r.read_u64()? as usize;
     if r.remaining().first() == Some(&PATCH_TAG) {
-        r.read_bytes(1)?;
-        return apply_patch(base, r, expected, out);
+        out.extend_from_slice(base);
+        return apply_patch(out, expected, &r.remaining()[1..]);
     }
     // Cap the pre-allocation: the header is untrusted input.
     out.reserve(expected.min(1 << 20));
@@ -317,37 +329,81 @@ pub fn apply_delta_into(base: &[u8], delta: &[u8], out: &mut Vec<u8>) -> Result<
     Ok(())
 }
 
-/// Decodes a patch delta's ops (`r` sits just past the tag): one copy
-/// of the base, then each run written in place. Every run must be
-/// non-empty and end inside the record, so nothing may follow the op
-/// that reaches its end.
-fn apply_patch(
-    base: &[u8],
-    mut r: varint::VarintReader<'_>,
-    expected: usize,
-    out: &mut Vec<u8>,
+/// Applies a delta produced by [`diff`] to the record in `cur`,
+/// leaving the target there: a patch delta overwrites its runs in
+/// place, a copy/insert delta is rebuilt in `spare` (see
+/// [`apply_delta_into`]) and swapped into `cur`. Returns what
+/// [`apply_delta_into`] returns for the same base and delta, and on
+/// success `cur` holds the same bytes as its `out`; on error `cur` and
+/// `spare` hold unspecified bytes.
+pub fn apply_delta_in_place(
+    cur: &mut Vec<u8>,
+    delta: &[u8],
+    spare: &mut Vec<u8>,
 ) -> Result<(), CodecError> {
-    if expected != base.len() {
+    let (expected, n) = varint::read_u64(delta)?;
+    if delta.get(n) == Some(&PATCH_TAG) {
+        return apply_patch(cur, expected as usize, &delta[n + 1..]);
+    }
+    apply_delta_into(cur, delta, spare)?;
+    std::mem::swap(cur, spare);
+    Ok(())
+}
+
+/// Writes a patch delta's runs (`ops`, the bytes after its tag) over
+/// `buf`, which holds the base. Every run must be non-empty and end
+/// inside the record, so nothing may follow the op that reaches its
+/// end.
+fn apply_patch(buf: &mut [u8], expected: usize, ops: &[u8]) -> Result<(), CodecError> {
+    let len = buf.len();
+    if expected != len {
         return Err(CodecError::LengthMismatch {
             expected,
-            actual: base.len(),
+            actual: len,
         });
     }
-    out.extend_from_slice(base);
-    let mut pos = 0usize;
-    while !r.is_empty() {
-        let (start, run) = read_patch_op(&mut r, pos)?;
-        if run == 0 || start.checked_add(run).is_none_or(|end| end > out.len()) {
-            return Err(CodecError::BadPatchRun {
-                start,
-                run,
-                len: out.len(),
-            });
+    let (mut at, mut pos) = (0usize, 0usize);
+    while let Some(&b) = ops.get(at) {
+        let head = if b < 0x80 {
+            at += 1;
+            u64::from(b)
+        } else {
+            read_varint(ops, &mut at)?
+        };
+        let run = if head & 1 == 0 {
+            1
+        } else {
+            match ops.get(at) {
+                Some(&b) if b < 0x80 => {
+                    at += 1;
+                    usize::from(b)
+                }
+                _ => usize::try_from(read_varint(ops, &mut at)?).unwrap_or(usize::MAX),
+            }
+        };
+        // Saturating, so an absurd gap fails the range check.
+        let start = pos.saturating_add(usize::try_from(head >> 1).unwrap_or(usize::MAX));
+        if run == 0 || start.checked_add(run).is_none_or(|end| end > len) {
+            return Err(CodecError::BadPatchRun { start, run, len });
         }
-        out[start..start + run].copy_from_slice(r.read_bytes(run)?);
+        if run == 1 {
+            buf[start] = *ops.get(at).ok_or(CodecError::UnexpectedEof)?;
+        } else {
+            // `at + run` cannot overflow: `run <= len`.
+            let bytes = ops.get(at..at + run).ok_or(CodecError::UnexpectedEof)?;
+            buf[start..start + run].copy_from_slice(bytes);
+        }
+        at += run;
         pos = start + run;
     }
     Ok(())
+}
+
+/// The varint at `input[*at..]`, moving `at` past it.
+fn read_varint(input: &[u8], at: &mut usize) -> Result<u64, CodecError> {
+    let (value, n) = varint::read_u64(&input[*at..])?;
+    *at += n;
+    Ok(value)
 }
 
 /// Reads one patch op's header after position `pos`: the run's start

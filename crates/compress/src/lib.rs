@@ -32,7 +32,7 @@ pub mod postings;
 pub mod varint;
 
 pub use bitmap::Bitmap;
-pub use delta::{apply_delta, apply_delta_into, diff, DeltaOp};
+pub use delta::{apply_delta, apply_delta_in_place, apply_delta_into, diff, DeltaOp};
 pub use error::CodecError;
 pub use lz::{compress, decompress, decompress_into};
 pub use postings::PostingsList;

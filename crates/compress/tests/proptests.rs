@@ -5,7 +5,8 @@ mod reference;
 use proptest::prelude::*;
 use reference::{apply_reference, diff_reference, expected_diff, patch_reference};
 use rstore_compress::{
-    apply_delta, apply_delta_into, bitmap::Bitmap, diff, lz, postings::PostingsList, varint,
+    apply_delta, apply_delta_in_place, apply_delta_into, bitmap::Bitmap, diff, lz, postings::PostingsList,
+    varint,
 };
 
 proptest! {
@@ -337,6 +338,51 @@ proptest! {
         damaged.push(good);
         for d in &damaged {
             prop_assert_eq!(apply_delta(&base, d).ok(), apply_reference(&base, d), "delta {:?}", d);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The in-place step a sub-chunk decode takes equals the reference
+    /// step, `apply_delta_into`: the same `Ok` or the same error, and
+    /// the same bytes. Deltas in the patch and the copy/insert forms,
+    /// every truncation and every bit flip of each, applied to the base
+    /// and to bases one byte longer and shorter.
+    #[test]
+    fn the_in_place_step_equals_apply_delta_into(
+        (base, target) in same_length_pair(120),
+        other in prop::collection::vec(any::<u8>(), 0..120),
+        dirt in prop::collection::vec(any::<u8>(), 0..64),
+    ) {
+        // `diff` takes the patch form for most same-length pairs; the
+        // reference and a pair of different lengths take the other.
+        let intact = [diff(&base, &target), diff_reference(&base, &target), diff(&base, &other)];
+        let mut deltas = Vec::new();
+        for good in &intact {
+            deltas.extend((0..good.len()).map(|cut| good[..cut].to_vec()));
+            for bit in 0..good.len() * 8 {
+                let mut d = good.clone();
+                d[bit / 8] ^= 1 << (bit % 8);
+                deltas.push(d);
+            }
+            deltas.push(good.clone());
+        }
+        let mut longer = base.clone();
+        longer.push(0x5a);
+        let shorter = &base[..base.len().saturating_sub(1)];
+        let (mut out, mut spare) = (dirt.clone(), dirt.clone());
+        for base in [&base[..], &longer[..], shorter] {
+            for d in &deltas {
+                let want = apply_delta_into(base, d, &mut out);
+                let mut cur = base.to_vec();
+                let got = apply_delta_in_place(&mut cur, d, &mut spare);
+                prop_assert_eq!(&got, &want, "delta {:?}", d);
+                if got.is_ok() {
+                    prop_assert_eq!(&cur, &out, "delta {:?}", d);
+                }
+            }
         }
     }
 }

@@ -68,10 +68,14 @@ impl DecodedChunk {
         // rather than an allocator. The map is not charged: its
         // segments stay resident with the store's snapshots whether or
         // not this entry is cached (`StoreStats::resident_map_bytes`).
-        let cost = chunk.compressed_bytes()
-            + chunk.raw_bytes()
-            + chunk.record_count() * std::mem::size_of::<CompositeKey>()
-            + 128;
+        // Saturating: a fetched chunk's raw sizes are unchecked header
+        // fields until its sub-chunks decode, and a charge past the
+        // budget only keeps the entry out of the cache.
+        let cost = chunk
+            .compressed_bytes()
+            .saturating_add(chunk.raw_bytes())
+            .saturating_add(chunk.record_count() * std::mem::size_of::<CompositeKey>())
+            .saturating_add(128);
         Self {
             keys: chunk.local_keys(),
             chunk,

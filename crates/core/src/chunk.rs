@@ -18,13 +18,23 @@
 //!
 //! A chunk read from the backend ([`Chunk::from_blob`]) holds its blob
 //! and one key table: every sub-chunk's [`Payload`] is a range of the
-//! blob, and every sub-chunk's [`Members`] a range of the table, so a
-//! fetch costs a few allocations however many sub-chunks the chunk
-//! has, and [`Chunk::local_keys`] hands out the table itself. A built
-//! sub-chunk ([`SubChunk::build`]) owns its payload and keys. Decoding
-//! runs the LZ and delta chain through per-thread scratch buffers; a
-//! decoded member owns its bytes (one copy out of the scratch), so a
-//! record handed to a caller never pins a blob.
+//! blob, and every sub-chunk's [`Members`] a range of the table. One
+//! walk over the sub-chunk headers checks the layout and notes where
+//! each part sits; the table and the sub-chunk list are built from
+//! those notes, so a fetch costs three allocations however many
+//! sub-chunks the chunk has, and [`Chunk::local_keys`] hands out the
+//! table itself. A built sub-chunk ([`SubChunk::build`]) owns its
+//! payload and keys.
+//!
+//! Decoding runs the LZ and the delta chain through per-thread scratch
+//! buffers. The root is copied into the scratch once, and each delta
+//! turns the member there into the next one: a patch delta in place,
+//! a copy/insert delta through a spare buffer. A decoded member owns
+//! its bytes (one copy out of the scratch), so a record handed to a
+//! caller never pins a blob. A sub-chunk whose members do not add up
+//! to its `raw_bytes` fails to decode; until its sub-chunks decode, a
+//! read chunk's sizes are unchecked header fields, so
+//! [`Chunk::raw_bytes`] saturates.
 //!
 //! ## Wire format
 //!
@@ -44,10 +54,10 @@
 use crate::error::CoreError;
 use crate::model::CompositeKey;
 use bytes::Bytes;
-use rstore_compress::{apply_delta_into, diff, lz, varint};
+use rstore_compress::{apply_delta_in_place, diff, lz, varint};
 use std::cell::RefCell;
 use std::fmt;
-use std::ops::{Deref, Range};
+use std::ops::Deref;
 use std::sync::{Arc, OnceLock};
 
 /// A sub-chunk's member keys: a range of a key table. Every sub-chunk
@@ -147,13 +157,14 @@ impl PartialEq for Payload {
 
 impl Eq for Payload {}
 
-/// Per-thread decode buffers: the LZ output, and the two ends of the
-/// delta chain (the member before and the member being rebuilt).
+/// Per-thread decode buffers: the LZ output, the member the delta
+/// chain is at (each patch delta rewrites it in place), and the spare a
+/// copy/insert delta is rebuilt in before it is swapped in.
 #[derive(Default)]
 struct Scratch {
     inner: Vec<u8>,
-    prev: Vec<u8>,
-    next: Vec<u8>,
+    cur: Vec<u8>,
+    spare: Vec<u8>,
 }
 
 /// A scratch buffer that grew past this (a huge sub-chunk, or a damaged
@@ -279,30 +290,42 @@ impl SubChunk {
 
     /// The one decoder: LZ-decompresses the payload and replays the
     /// delta chain through the thread's scratch, handing each member's
-    /// bytes to `emit` in member order.
+    /// bytes to `emit` in member order. The root is copied into the
+    /// scratch once and each delta turns it into the next member in
+    /// place. The members' lengths must add up to `raw_bytes`, as
+    /// [`SubChunk::build`] writes it.
     fn walk(&self, mut emit: impl FnMut(&[u8])) -> Result<(), CoreError> {
         SCRATCH.with_borrow_mut(|scratch| {
-            let Scratch { inner, prev, next } = scratch;
+            let Scratch { inner, cur, spare } = scratch;
             let walked = (|| {
                 lz::decompress_into(&self.payload, inner)?;
                 let mut r = varint::VarintReader::new(&inner[..]);
                 let rep_len = r.read_u64()? as usize;
                 let rep = r.read_bytes(rep_len)?;
                 emit(rep);
-                for i in 1..self.members.len() {
-                    let delta_len = r.read_u64()? as usize;
-                    let delta = r.read_bytes(delta_len)?;
-                    let base: &[u8] = if i == 1 { rep } else { &prev[..] };
-                    apply_delta_into(base, delta, next)?;
-                    emit(&next[..]);
-                    std::mem::swap(prev, next);
+                let mut total = rep.len();
+                if self.members.len() > 1 {
+                    cur.clear();
+                    cur.extend_from_slice(rep);
+                    for _ in 1..self.members.len() {
+                        let delta_len = r.read_u64()? as usize;
+                        apply_delta_in_place(cur, r.read_bytes(delta_len)?, spare)?;
+                        emit(cur);
+                        total = total.saturating_add(cur.len());
+                    }
                 }
                 if !r.is_empty() {
                     return Err(CoreError::Codec("trailing bytes in sub-chunk".into()));
                 }
+                if total != self.raw_bytes {
+                    return Err(CoreError::Codec(format!(
+                        "sub-chunk members hold {total} bytes, its header says {}",
+                        self.raw_bytes
+                    )));
+                }
                 Ok(())
             })();
-            for buf in [inner, prev, next] {
+            for buf in [inner, cur, spare] {
                 if buf.capacity() > SCRATCH_KEEP {
                     *buf = Vec::new();
                 }
@@ -312,12 +335,15 @@ impl SubChunk {
     }
 }
 
-/// One sub-chunk's header as it sits in a chunk blob.
-struct Header<'a> {
-    /// The members' 12-byte keys, back to back.
-    keys: &'a [u8],
-    /// Where the payload sits in the blob.
-    payload: Range<usize>,
+/// One sub-chunk's header as it sits in a chunk blob, as offsets into
+/// the blob.
+struct Header {
+    /// Where the members' 12-byte keys start, back to back.
+    keys: u32,
+    /// How many members (and keys) the sub-chunk has.
+    members: u32,
+    /// Where the payload sits.
+    payload: (u32, u32),
     raw_bytes: usize,
 }
 
@@ -339,9 +365,11 @@ impl Chunk {
         self.subchunks.iter().map(SubChunk::compressed_bytes).sum()
     }
 
-    /// Total uncompressed bytes across sub-chunks.
+    /// Total uncompressed bytes across sub-chunks, saturating: a read
+    /// chunk's sizes are unchecked header fields until its sub-chunks
+    /// decode.
     pub fn raw_bytes(&self) -> usize {
-        self.subchunks.iter().map(|s| s.raw_bytes).sum()
+        self.subchunks.iter().fold(0, |sum, s| sum.saturating_add(s.raw_bytes))
     }
 
     /// Number of records (sub-chunk members) in the chunk.
@@ -405,69 +433,78 @@ impl Chunk {
 
     /// Reads a blob produced by [`Chunk::serialize`] in place: every
     /// sub-chunk's payload is a range of `blob` and its members a range
-    /// of one key table. Three allocations (the key list, the table and
-    /// the sub-chunk list) whatever the sub-chunk count.
+    /// of one key table. One walk over the sub-chunk headers checks the
+    /// layout and notes where each part sits; the key table and the
+    /// sub-chunk list are built from those notes. Three allocations
+    /// (the notes, the table and the sub-chunk list) whatever the
+    /// sub-chunk count.
     pub fn from_blob(blob: &Bytes) -> Result<Self, CoreError> {
         // Every offset below is at most the blob's length, so each fits
         // the `u32` ranges.
         if u32::try_from(blob.len()).is_err() {
             return Err(CoreError::Codec("chunk blob exceeds 4 GiB".into()));
         }
-        // The first pass checks the whole layout and counts; the
-        // others cannot fail.
-        let (n_sub, n_keys) = Self::headers(blob, |_| ())?;
-        let mut keys = Vec::with_capacity(n_keys);
-        Self::headers(blob, |h| {
-            keys.extend(h.keys.chunks_exact(12).map(|b| {
-                CompositeKey::from_bytes(b.try_into().expect("chunks_exact yields 12 bytes"))
-            }))
-        })?;
-        let table: Arc<[CompositeKey]> = keys.into();
-        let mut subchunks = Vec::with_capacity(n_sub);
+        let headers = Self::headers(blob)?;
+        let n_keys = headers.iter().map(|h| h.members as usize).sum();
+        // Collected from an exact-length iterator: one allocation.
+        let mut keys = headers
+            .iter()
+            .flat_map(|h| blob[h.keys as usize..][..h.members as usize * 12].chunks_exact(12));
+        let table: Arc<[CompositeKey]> = (0..n_keys)
+            .map(|_| {
+                let key = keys.next().expect("the headers hold n_keys keys");
+                CompositeKey::from_bytes(key.try_into().expect("chunks_exact yields 12 bytes"))
+            })
+            .collect();
         let mut at = 0;
-        Self::headers(blob, |h| {
-            let start = at;
-            at += (h.keys.len() / 12) as u32;
-            subchunks.push(SubChunk {
-                members: Members { table: Arc::clone(&table), start, end: at },
-                payload: Payload(Repr::Blob(blob.clone(), h.payload.start as u32, h.payload.end as u32)),
-                raw_bytes: h.raw_bytes,
-                decoded: OnceLock::new(),
-            });
-        })?;
+        let subchunks = headers
+            .iter()
+            .map(|h| {
+                let start = at;
+                at += h.members;
+                SubChunk {
+                    members: Members { table: Arc::clone(&table), start, end: at },
+                    payload: Payload(Repr::Blob(blob.clone(), h.payload.0, h.payload.1)),
+                    raw_bytes: h.raw_bytes,
+                    decoded: OnceLock::new(),
+                }
+            })
+            .collect();
         Ok(Chunk { subchunks })
     }
 
-    /// Walks the sub-chunk headers of a serialized chunk, handing each
-    /// to `visit`; returns the sub-chunk and member counts.
-    fn headers(input: &[u8], mut visit: impl FnMut(Header<'_>)) -> Result<(usize, usize), CoreError> {
+    /// Walks the sub-chunk headers of a serialized chunk once, checking
+    /// the whole layout, and returns where each sub-chunk's parts sit.
+    fn headers(input: &[u8]) -> Result<Vec<Header>, CoreError> {
         let mut r = varint::VarintReader::new(input);
         let n_sub = r.read_u64()? as usize;
-        if n_sub > input.len() {
+        // A sub-chunk header takes at least three bytes (its three
+        // varints), which bounds the list allocated for it.
+        if n_sub > input.len() / 3 {
             return Err(CoreError::Codec("sub-chunk count exceeds input".into()));
         }
-        let mut n_keys = 0;
+        let mut headers = Vec::with_capacity(n_sub);
         for _ in 0..n_sub {
             let n_members = r.read_u64()? as usize;
             if n_members > input.len() {
                 return Err(CoreError::Codec("member count exceeds input".into()));
             }
-            let keys = r.read_bytes(n_members * 12)?;
+            let keys = r.position();
+            r.read_bytes(n_members * 12)?;
             let payload_len = r.read_u64()? as usize;
             let start = r.position();
             r.read_bytes(payload_len)?;
-            let raw_bytes = r.read_u64()? as usize;
-            n_keys += n_members;
-            visit(Header {
-                keys,
-                payload: start..start + payload_len,
-                raw_bytes,
+            headers.push(Header {
+                keys: keys as u32,
+                members: n_members as u32,
+                payload: (start as u32, (start + payload_len) as u32),
+                raw_bytes: r.read_u64()? as usize,
             });
         }
         if !r.is_empty() {
             return Err(CoreError::Codec("trailing bytes in chunk".into()));
         }
-        Ok((n_sub, n_keys))
+        Ok(headers)
     }
 }
 
@@ -607,5 +644,50 @@ mod tests {
         let mut bytes2 = chunk.serialize();
         bytes2.push(0);
         assert!(Chunk::deserialize(&bytes2).is_err());
+    }
+
+    #[test]
+    fn from_blob_rejects_every_truncation_and_a_trailing_byte() {
+        let groups: Vec<Vec<Vec<u8>>> = (1..=3).map(|k| similar_payloads(k, 40 * k)).collect();
+        let chunk = Chunk {
+            subchunks: (groups.iter().zip(0u64..))
+                .map(|(payloads, pk)| {
+                    let records: Vec<(CompositeKey, &[u8])> = (payloads.iter().zip(0u32..))
+                        .map(|(p, v)| (ck(pk, v), p.as_slice()))
+                        .collect();
+                    SubChunk::build(&records)
+                })
+                .collect(),
+        };
+        let blob = chunk.serialize();
+        assert_eq!(Chunk::from_blob(&Bytes::from(blob.clone())).unwrap(), chunk);
+        for cut in 0..blob.len() {
+            assert!(Chunk::from_blob(&Bytes::copy_from_slice(&blob[..cut])).is_err(), "prefix of {cut} bytes");
+        }
+        let mut longer = blob;
+        longer.push(0);
+        assert!(Chunk::from_blob(&Bytes::from(longer)).is_err());
+    }
+
+    #[test]
+    fn decode_rejects_members_that_do_not_add_up_to_raw_bytes() {
+        let payloads = similar_payloads(3, 100);
+        let records: Vec<(CompositeKey, &[u8])> = payloads
+            .iter()
+            .enumerate()
+            .map(|(i, p)| (ck(1, i as u32), p.as_slice()))
+            .collect();
+        for raw_bytes in [299, 301, usize::MAX] {
+            let mut sc = SubChunk::build(&records);
+            sc.raw_bytes = raw_bytes;
+            assert!(matches!(sc.decode(), Err(CoreError::Codec(_))), "{raw_bytes}");
+            assert!(sc.check().is_err(), "{raw_bytes}");
+        }
+        // Two sub-chunks that each declare the largest size: the
+        // chunk's total saturates.
+        let mut sc = SubChunk::build(&records);
+        sc.raw_bytes = usize::MAX;
+        let chunk = Chunk { subchunks: vec![sc.clone(), sc] };
+        assert_eq!(Chunk::deserialize(&chunk.serialize()).unwrap().raw_bytes(), usize::MAX);
     }
 }

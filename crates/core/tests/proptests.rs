@@ -506,7 +506,8 @@ fn chunk_strategy_reaches_both_delta_forms() {
 }
 
 /// The allocating decoder the scratch decode replaced: LZ into a fresh
-/// buffer, then each member delta-applied into a fresh buffer.
+/// buffer, then each member delta-applied into a fresh buffer. The
+/// members' lengths must add up to the sub-chunk's `raw_bytes`.
 fn reference_decode(sc: &SubChunk) -> Result<Vec<Vec<u8>>, CoreError> {
     let inner = rstore_compress::lz::decompress(&sc.payload)?;
     let mut r = rstore_compress::varint::VarintReader::new(&inner);
@@ -519,6 +520,9 @@ fn reference_decode(sc: &SubChunk) -> Result<Vec<Vec<u8>>, CoreError> {
     }
     if !r.is_empty() {
         return Err(CoreError::Codec("trailing bytes in sub-chunk".into()));
+    }
+    if out.iter().map(Vec::len).sum::<usize>() != sc.raw_bytes {
+        return Err(CoreError::Codec("member lengths do not add up to raw_bytes".into()));
     }
     Ok(out)
 }
@@ -571,8 +575,8 @@ proptest! {
     /// A bit flip anywhere in a valid blob, or a truncation of it,
     /// never panics: `from_blob` fails, or every sub-chunk it yields
     /// decodes (or fails) exactly as the allocating reference does. A
-    /// flip outside a sub-chunk's payload leaves that sub-chunk's
-    /// bytes right, and a proper prefix never parses.
+    /// flip outside a sub-chunk's payload and size leaves that
+    /// sub-chunk's bytes right, and a proper prefix never parses.
     #[test]
     fn a_damaged_blob_fails_or_decodes_like_the_reference(
         (chunk, payloads) in chunk_strategy(4),
@@ -588,7 +592,7 @@ proptest! {
             decodes_like_the_reference(&damaged)?;
             if damaged.subchunks.len() == chunk.subchunks.len() {
                 for ((sc, was), members) in damaged.subchunks.iter().zip(&chunk.subchunks).zip(&payloads) {
-                    if sc.payload == was.payload && sc.len() == was.len() {
+                    if sc.payload == was.payload && sc.len() == was.len() && sc.raw_bytes == was.raw_bytes {
                         let decoded = sc.decode_uncached().unwrap();
                         prop_assert_eq!(decoded.iter().map(|b| b.to_vec()).collect::<Vec<_>>(), members.clone());
                     }

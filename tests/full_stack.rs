@@ -621,6 +621,81 @@ fn a_damaged_sub_chunk_fails_its_reads_and_stays_out_of_the_cache() {
 }
 
 #[test]
+fn a_chunk_whose_declared_sizes_overflow_fails_its_reads_and_stays_out_of_the_cache() {
+    // One stored blob's first two sub-chunks each declare `usize::MAX`
+    // uncompressed bytes, their payloads and the chunk framing intact.
+    // The cache charge sums those sizes: it saturates instead of
+    // overflowing, so the chunk is never admitted. A read of the first
+    // sub-chunk fails at `execute` with a decode error under both
+    // executors (its members do not add up to the declared size), a
+    // chunk fetch that decodes no sub-chunk succeeds, and a read of
+    // another sub-chunk of the chunk is answered.
+    use rstore::core::chunk::Chunk;
+    use rstore::core::store::CHUNK_TABLE;
+    use rstore::core::CoreError;
+    use rstore::kvstore::table_key;
+    let mut spec = DatasetSpec::tiny(9031);
+    spec.num_versions = 24;
+    spec.root_records = 60;
+    let dataset = spec.generate();
+    let store = RStore::builder().chunk_capacity(2048).build(Cluster::builder().nodes(2).build());
+    store.load_dataset(&dataset).unwrap();
+    let blob_key = |c: u32| table_key(CHUNK_TABLE, &c.to_be_bytes());
+
+    // The first chunk with a sub-chunk past the second whose key the
+    // first two do not hold.
+    let (id, chunk, intact) = store
+        .live_chunk_ids()
+        .into_iter()
+        .find_map(|c| {
+            let chunk = Chunk::deserialize(&store.cluster().get(&blob_key(c)).unwrap()?).unwrap();
+            let damaged: Vec<u64> = chunk.subchunks.iter().take(2).map(|sc| sc.members[0].pk).collect();
+            let intact = chunk
+                .subchunks
+                .iter()
+                .skip(2)
+                .map(|sc| sc.members[0])
+                .find(|ck| !damaged.contains(&ck.pk))?;
+            Some((c, chunk, intact))
+        })
+        .expect("some chunk holds three keys");
+    let damaged = chunk.subchunks[0].members[0];
+    let mut broken = chunk.clone();
+    for sc in &mut broken.subchunks[..2] {
+        sc.raw_bytes = usize::MAX;
+    }
+    let blob = broken.serialize();
+    assert_eq!(Chunk::deserialize(&blob).unwrap().raw_bytes(), usize::MAX);
+    store.cluster().put(blob_key(id), blob.into()).unwrap();
+
+    let is_cached = |store: &RStore| store.plan_chunks(vec![id]).unwrap().cache_hits() == 1;
+    let v = damaged.origin;
+    for (shape, executed) in [
+        ("pooled", store.execute(store.plan_query(QuerySpec::Version(v)).unwrap())),
+        ("serial", store.execute_serial(store.plan_query(QuerySpec::Version(v)).unwrap())),
+    ] {
+        match executed {
+            Err(CoreError::Codec(_)) => {}
+            other => panic!("{shape} read of {v}: expected a decode error, got {:?}", other.map(|_| ())),
+        }
+        assert!(!is_cached(&store), "{shape}: the damaged chunk was cached");
+    }
+    store.execute(store.plan_chunks(vec![id]).unwrap()).unwrap();
+    assert!(!is_cached(&store), "a chunk charged past the budget was cached");
+
+    let rstore = dataset.record_store();
+    let oracle = dataset.materialize(&rstore);
+    let (pk, v) = (intact.pk, intact.origin);
+    let spec = QuerySpec::Record { pk, v };
+    assert!(store.plan_query(spec).unwrap().chunk_ids().contains(&id));
+    let got = store.query(spec).unwrap();
+    let &(_, ord) = oracle.contents(v).iter().find(|&&(k, _)| k == pk).unwrap();
+    assert_eq!(got.len(), 1);
+    assert_eq!(got[0].payload, rstore.payload(ord));
+    assert!(!is_cached(&store), "a chunk charged past the budget was cached");
+}
+
+#[test]
 fn one_history_reaches_the_generation_writer_from_every_entry_point() {
     // Bulk load, flush and compaction all commit through the one
     // generation writer; this history crosses it from each of them on
